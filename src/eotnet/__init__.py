@@ -16,7 +16,6 @@ from .consensus import (
     metropolis_weights,
 )
 from .diagnostics import (
-    MetricSeries,
     AssumptionReport,
     AssumptionTrace,
     acee,
@@ -48,15 +47,11 @@ from .info_filter import (
     to_moments,
 )
 from .linearization import (
-    LinearizedExtentModel,
-    LinearizedKinematicModel,
     centered_pseudo_measurement,
     extent_measurement_matrix,
     extent_noise_moments,
     kinematic_measurement_matrix,
     kinematic_noise_cov,
-    linearize_extent,
-    linearize_kinematic,
     pseudo_measurement,
     residual_cov,
 )
@@ -73,20 +68,14 @@ from .scenario import (
 from .trackers import (
     FilterConfig,
     FilterKind,
-    NodeEstimate,
     TrackerParams,
     TrackRecord,
-    ceot_correct,
-    ceot_step,
-    ci_correct,
-    ci_step,
-    cm_correct,
-    cm_step,
+    correct_scan,
     fuse_nodes,
-    initial_estimate,
+    initial_states,
     ncv_transition,
     params_from_scenario,
-    predict_estimate,
+    predict_states,
     run_filter,
 )
 

@@ -1,13 +1,14 @@
 """Small dense symmetric linear-algebra helpers used throughout the filters.
 
-All covariance-like matrices are inverted through Cholesky solves; explicit
-inverses are avoided so long filter runs stay well conditioned.
+Every symmetric positive definite solve is checked by a Cholesky factorization
+first, so an indefinite information matrix fails loudly instead of drifting.
+sym, spd_solve and spd_inv take one matrix or a stack of them along a leading
+axis.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 __all__ = [
     "sym",
@@ -19,8 +20,8 @@ __all__ = [
 
 
 def sym(a: np.ndarray) -> np.ndarray:
-    """Symmetrize, removing float drift."""
-    return 0.5 * (a + a.T)
+    """Symmetrize a matrix or a stack of matrices, removing float drift."""
+    return 0.5 * (a + a.swapaxes(-1, -2))
 
 
 def as_cov(a, name: str = "covariance", *, tol: float = 1e-8) -> np.ndarray:
@@ -50,17 +51,40 @@ def sqrt_psd(a: np.ndarray) -> np.ndarray:
     return v * np.sqrt(np.clip(w, 0.0, None))
 
 
-def spd_solve(a: np.ndarray, b: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Solve a @ x = b for symmetric positive definite a."""
+def _checked_spd(a, name: str) -> np.ndarray:
+    """sym(a), after checking that it is finite and that a Cholesky
+    factorization exists; a failing stack slice is named by its index."""
+    a = sym(np.asarray(a, dtype=float))
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} must not contain infs or NaNs")
     try:
-        return cho_solve(cho_factor(sym(a), lower=True), b)
-    except (LinAlgError, np.linalg.LinAlgError) as exc:
-        cond = float(np.linalg.cond(sym(a)))
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
+        node, bad = "", a
+        if a.ndim == 3:
+            i = int(np.argmin(np.linalg.eigvalsh(a)[:, 0]))
+            node, bad = f" (node {i})", a[i]
         raise np.linalg.LinAlgError(
-            f"{name} is singular or not positive definite (cond {cond:.3e})"
+            f"{name}{node} is singular or not positive definite "
+            f"(cond {float(np.linalg.cond(bad)):.3e})"
         ) from exc
+    return a
+
+
+def spd_solve(a: np.ndarray, b: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """Solve a @ x = b for symmetric positive definite a.
+
+    a may carry a leading stack axis, (n, d, d) against b of shape (n, d) or
+    (n, d, k); each slice is solved on its own.  NumPy has no stacked
+    triangular solve, so the Cholesky factor serves only as the check.
+    """
+    a = _checked_spd(a, name)
+    b = np.asarray(b, dtype=float)
+    if b.ndim == a.ndim - 1:
+        return np.linalg.solve(a, b[..., None])[..., 0]
+    return np.linalg.solve(a, b)
 
 
 def spd_inv(a: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Inverse of a symmetric positive definite matrix via Cholesky solve."""
-    return sym(spd_solve(a, np.eye(a.shape[0]), name=name))
+    """Inverse of a symmetric positive definite matrix, or of a stack of them."""
+    return sym(np.linalg.inv(_checked_spd(a, name)))

@@ -83,8 +83,9 @@ def _pool_size(runs: int) -> int:
     return max(1, min(runs, limit))
 
 
-def run(spec: RunSpec) -> int:
-    """Execute one scenario x filter benchmark and write its artifacts."""
+def run(spec: RunSpec) -> list:
+    """Execute one scenario x filter benchmark, write its artifacts, and
+    return its (run, step, node, metric, value) rows."""
     config = _load_with_overrides(spec)
     net = resolve_network(config)
     pi = metropolis_weights(net)
@@ -146,7 +147,7 @@ def run(spec: RunSpec) -> int:
     for metric, (mean, std, count) in summarize_metrics(rows).items():
         lines.append(f"  {metric:10s} {mean:.6g} +/- {std:.6g}  (n={count})")
     (out / "summary.txt").write_text("\n".join(lines) + "\n")
-    return 0
+    return rows
 
 
 def sweep(spec: RunSpec, values, which: str) -> int:
@@ -163,25 +164,13 @@ def sweep(spec: RunSpec, values, which: str) -> int:
         else:
             sub = replace(spec, poisson_rate=float(value), out_dir=out / f"lambda_{value:g}")
             label = f"lambda={value:g}"
-        run(sub)
-        rows = _read_metrics(Path(sub.out_dir) / "metrics.csv")
-        for metric, (mean, std, count) in summarize_metrics(rows).items():
+        for metric, (mean, std, count) in summarize_metrics(run(sub)).items():
             combined.append((label, metric, mean, std, count))
     with open(out / "combined.csv", "w", newline="\n") as fh:
         fh.write("setting,metric,mean,std,count\n")
         for label, metric, mean, std, count in combined:
             fh.write(f"{label},{metric},{mean:.9g},{std:.9g},{count}\n")
     return 0
-
-
-def _read_metrics(path: Path):
-    rows = []
-    with open(path) as fh:
-        next(fh)
-        for line in fh:
-            run_idx, step, node, metric, value = line.rstrip("\n").split(",")
-            rows.append((int(run_idx), int(step), int(node), metric, float(value)))
-    return rows
 
 
 def _parse_sweep_list(text: str, kind):
@@ -279,7 +268,8 @@ def main(argv=None) -> int:
             return sweep(spec, args.sweep_L, "L")
         if args.sweep_lambda is not None:
             return sweep(spec, args.sweep_lambda, "lambda")
-        return run(spec)
+        run(spec)
+        return 0
     except (OSError, ValueError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

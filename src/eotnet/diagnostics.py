@@ -7,7 +7,7 @@ bands, and the averaged pairwise estimate disagreement across nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import chi2
@@ -23,7 +23,6 @@ __all__ = [
     "nees_bounds",
     "acee",
     "extent_alignment_error",
-    "MetricSeries",
     "AssumptionTrace",
     "AssumptionReport",
     "check_assumptions",
@@ -136,27 +135,6 @@ def extent_alignment_error(p_est: Extent, p_true: Extent) -> tuple[float, float,
 
 
 @dataclass
-class MetricSeries:
-    """All values of one metric across (run, step, node) coordinates."""
-
-    metric: str
-    entries: list = field(default_factory=list)  # (run, step, node, value)
-
-    @staticmethod
-    def collect(rows) -> dict[str, "MetricSeries"]:
-        """Group (run, step, node, metric, value) rows per metric."""
-        out: dict[str, MetricSeries] = {}
-        for run, step, node, metric, value in rows:
-            out.setdefault(metric, MetricSeries(metric)).entries.append(
-                (run, step, node, value)
-            )
-        return out
-
-    def values(self) -> np.ndarray:
-        return np.array([e[3] for e in self.entries], dtype=float)
-
-
-@dataclass
 class AssumptionTrace:
     """Running spectra bounds observed during a filter run."""
 
@@ -171,9 +149,10 @@ class AssumptionTrace:
         self.rx_max = max(self.rx_max, float(w[-1]))
 
     def record_omega(self, omega: np.ndarray) -> None:
+        """Record one information matrix or a stack of them."""
         w = np.linalg.eigvalsh(sym(omega))
-        self.omega_min = min(self.omega_min, float(w[0]))
-        self.omega_max = max(self.omega_max, float(w[-1]))
+        self.omega_min = min(self.omega_min, float(w[..., 0].min()))
+        self.omega_max = max(self.omega_max, float(w[..., -1].max()))
 
 
 @dataclass(frozen=True)
@@ -321,10 +300,12 @@ def write_metrics_csv(path, rows) -> None:
 
 def summarize_metrics(rows) -> dict[str, tuple[float, float, int]]:
     """Mean, standard deviation, and count per metric over all rows."""
-    series = MetricSeries.collect(rows)
+    series: dict[str, list[float]] = {}
+    for _, _, _, metric, value in rows:
+        series.setdefault(metric, []).append(value)
     out = {}
     for metric in sorted(series):
-        vals = series[metric].values()
+        vals = np.array(series[metric], dtype=float)
         out[metric] = (float(vals.mean()), float(vals.std()), vals.size)
     return out
 

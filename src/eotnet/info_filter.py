@@ -2,7 +2,9 @@
 
 State is carried as an information vector q = Omega @ x_hat and information
 matrix Omega = C^-1, which makes measurement corrections additive and lets
-distributed schemes fuse by summation or averaging.
+distributed schemes fuse by summation or averaging.  A state may carry a
+leading node axis, q (n, d) and Omega (n, d, d); every primitive below then
+acts on each node's slice.
 """
 
 from __future__ import annotations
@@ -26,7 +28,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class InformationState:
-    """Information vector and information matrix for one estimated quantity."""
+    """Information vector and information matrix for one estimated quantity,
+    on one node (q (d,), omega (d, d)) or stacked over nodes (q (n, d),
+    omega (n, d, d))."""
 
     q: np.ndarray
     omega: np.ndarray
@@ -34,7 +38,7 @@ class InformationState:
     def __post_init__(self):
         q = np.asarray(self.q, dtype=float)
         omega = np.asarray(self.omega, dtype=float)
-        if q.ndim != 1 or omega.shape != (q.size, q.size):
+        if q.ndim not in (1, 2) or omega.shape != q.shape + q.shape[-1:]:
             raise ValueError(
                 f"inconsistent information state shapes {q.shape} / {omega.shape}"
             )
@@ -43,7 +47,7 @@ class InformationState:
 
     @property
     def dim(self) -> int:
-        return self.q.size
+        return self.q.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -90,19 +94,25 @@ def predict(info: InformationState, f: np.ndarray, ww: np.ndarray) -> Informatio
     ww = np.asarray(ww, dtype=float)
     gram = sym(info.omega + f.T @ ww @ f)
     b = ww @ f  # Omega' = Ww - B G^-1 B.T
-    omega_next = sym(ww - b @ spd_solve(gram, b.T, name="predicted information gram"))
+    omega_next = sym(ww - b @ spd_solve(gram, np.broadcast_to(b.T, gram.shape),
+                                        name="predicted information gram"))
     x_hat = spd_solve(info.omega, info.q, name="information matrix")
-    return InformationState(q=omega_next @ (f @ x_hat), omega=omega_next)
+    return InformationState(q=_matvec(omega_next, x_hat @ f.T), omega=omega_next)
 
 
 def to_moments(info: InformationState) -> tuple[np.ndarray, np.ndarray]:
     """Recover (x_hat, C) from an information state."""
     cov = spd_inv(info.omega, name="information matrix")
-    return cov @ info.q, cov
+    return _matvec(cov, info.q), cov
 
 
 def from_moments(x_hat, cov) -> InformationState:
     """Build an information state from a mean and positive definite covariance."""
     x_hat = np.asarray(x_hat, dtype=float)
     omega = spd_inv(np.asarray(cov, dtype=float), name="covariance")
-    return InformationState(q=omega @ x_hat, omega=omega)
+    return InformationState(q=_matvec(omega, x_hat), omega=omega)
+
+
+def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a @ x for one matrix and vector or for stacks of both."""
+    return (a @ x[..., None])[..., 0]

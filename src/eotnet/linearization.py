@@ -11,8 +11,6 @@ states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ._linalg import as_cov, sym
@@ -21,8 +19,6 @@ from .geometry import Extent, shape_matrix, shape_row_jacobians
 __all__ = [
     "SQUARE_PICK",
     "SQUARE_PICK_SWAP",
-    "LinearizedKinematicModel",
-    "LinearizedExtentModel",
     "kinematic_measurement_matrix",
     "kinematic_noise_cov",
     "residual_cov",
@@ -30,8 +26,6 @@ __all__ = [
     "extent_measurement_matrix",
     "extent_noise_moments",
     "centered_pseudo_measurement",
-    "linearize_kinematic",
-    "linearize_extent",
 ]
 
 # Selectors picking the (1,1), (2,2), (1,2) entries out of a column-stacked
@@ -54,25 +48,6 @@ def _vect(a: np.ndarray) -> np.ndarray:
     return np.asarray(a).reshape(-1, order="F")
 
 
-@dataclass(frozen=True)
-class LinearizedKinematicModel:
-    """Position measurement y ~ H x + noise with equivalent covariance rx."""
-
-    h: np.ndarray
-    rx: np.ndarray
-
-
-@dataclass(frozen=True)
-class LinearizedExtentModel:
-    """Pseudo-measurement Y ~ m_mat p + noise(vbar, rp); cy is the residual
-    covariance the model was built from."""
-
-    m_mat: np.ndarray
-    vbar: np.ndarray
-    rp: np.ndarray
-    cy: np.ndarray
-
-
 def kinematic_measurement_matrix(x_dim: int) -> np.ndarray:
     """Position extraction matrix [I_2 0] for a kinematic state of size x_dim."""
     if x_dim < 2:
@@ -93,6 +68,12 @@ def kinematic_noise_cov(p_hat: Extent, cp, ch, cv) -> np.ndarray:
     cp = as_cov(cp, "extent covariance")
     ch = as_cov(ch, "multiplicative noise covariance")
     cv = as_cov(cv, "measurement noise covariance")
+    return sym(_shape_noise(p_hat, cp, ch) + cv)
+
+
+def _shape_noise(p_hat: Extent, cp: np.ndarray, ch: np.ndarray) -> np.ndarray:
+    """The extent's part of the kinematic measurement noise: the scattering
+    term S Ch S.T plus the extent-uncertainty term trace(Cp J_n.T Ch J_m)."""
     s_mat = shape_matrix(p_hat)
     jac = shape_row_jacobians(p_hat)
     scatter = s_mat @ ch @ s_mat.T
@@ -100,7 +81,7 @@ def kinematic_noise_cov(p_hat: Extent, cp, ch, cv) -> np.ndarray:
         [np.trace(cp @ jac[n].T @ ch @ jac[m]) for n in range(2)]
         for m in range(2)
     ])
-    return sym(scatter + spread + cv)
+    return scatter + spread
 
 
 def residual_cov(cx: np.ndarray, rx: np.ndarray) -> np.ndarray:
@@ -171,16 +152,3 @@ def centered_pseudo_measurement(y_quad, cy, m_mat, p_hat: Extent) -> np.ndarray:
     cy = np.asarray(cy, dtype=float)
     m_mat = np.asarray(m_mat, dtype=float)
     return y_quad - SQUARE_PICK @ _vect(cy) + m_mat @ p_hat.as_array()
-
-
-def linearize_kinematic(x_dim: int, p_hat: Extent, cp, ch, cv) -> LinearizedKinematicModel:
-    return LinearizedKinematicModel(
-        h=kinematic_measurement_matrix(x_dim),
-        rx=kinematic_noise_cov(p_hat, cp, ch, cv),
-    )
-
-
-def linearize_extent(p_hat: Extent, cp, ch, cy) -> LinearizedExtentModel:
-    m_mat = extent_measurement_matrix(p_hat, ch)
-    vbar, rp = extent_noise_moments(cy, m_mat, cp, p_hat)
-    return LinearizedExtentModel(m_mat=m_mat, vbar=vbar, rp=rp, cy=np.asarray(cy, dtype=float))

@@ -149,13 +149,18 @@ def _parse_config(data: dict, name_hint: str) -> ScenarioConfig:
         axes = tuple(float(v) for v in data["semi_axes"])
         if len(axes) != 2 or min(axes) <= 0:
             raise ValueError("semi_axes must be two positive lengths")
+        steps, scan_time = int(data["steps"]), float(data["scan_time"])
+        if steps < 1:
+            raise ValueError(f"steps must be >= 1, got {steps}")
+        if scan_time <= 0.0:
+            raise ValueError(f"scan_time must be > 0, got {scan_time:g}")
 
         return ScenarioConfig(
             name=str(data.get("name", name_hint)),
             shape=shape,
             semi_axes=axes,
-            steps=int(data["steps"]),
-            scan_time=float(data["scan_time"]),
+            steps=steps,
+            scan_time=scan_time,
             kinematic_dim=int(data["kinematic_dim"]),
             trajectory=traj,
             meas_law=law,
@@ -196,23 +201,28 @@ def load_config(source: str | Path) -> ScenarioConfig:
         return _parse_config(yaml.safe_load(fh), path.stem)
 
 
+def _network_from_spec(spec: dict) -> SensorNetwork:
+    """Build a network from a {positions, sensor_nodes, comm_radius} mapping;
+    every sensor index must name a position."""
+    n = len(spec["positions"])
+    sensors = set(spec["sensor_nodes"])
+    outside = sorted(s for s in sensors if not 0 <= s < n)
+    if outside:
+        raise ValueError(f"sensor_nodes {outside} are outside the {n} network positions")
+    kinds = [NodeKind.SENSOR if i in sensors else NodeKind.COMMUNICATION for i in range(n)]
+    return build_network(spec["positions"], kinds, spec["comm_radius"])
+
+
 def benchmark_network() -> SensorNetwork:
     """The fixed 20-node benchmark network (6 sensors, 14 relays, R = 2000 m)."""
-    data = json.loads(resources.files("eotnet.data").joinpath("benchmark_network.json").read_text())
-    sensors = set(data["sensor_nodes"])
-    kinds = [NodeKind.SENSOR if i in sensors else NodeKind.COMMUNICATION
-             for i in range(len(data["positions"]))]
-    return build_network(data["positions"], kinds, data["comm_radius"])
+    return _network_from_spec(json.loads(
+        resources.files("eotnet.data").joinpath("benchmark_network.json").read_text()))
 
 
 def resolve_network(config: ScenarioConfig) -> SensorNetwork:
     if config.network == "benchmark":
         return benchmark_network()
-    spec = config.network
-    sensors = set(spec["sensor_nodes"])
-    kinds = [NodeKind.SENSOR if i in sensors else NodeKind.COMMUNICATION
-             for i in range(len(spec["positions"]))]
-    return build_network(spec["positions"], kinds, spec["comm_radius"])
+    return _network_from_spec(config.network)
 
 
 def _waypoint_pose(waypoints: np.ndarray, arc: float) -> tuple[np.ndarray, np.ndarray]:

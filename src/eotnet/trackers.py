@@ -1,12 +1,20 @@
 """Sequential extended-object trackers: centralized and two consensus variants.
 
-All three filters process each scan's measurement batch sequentially.  At
-measurement index i, both linear models are built from the index i-1 estimates
-(the extent update consumes the previous kinematic estimate and vice versa),
-the information states are corrected, and for the distributed variants the
-network exchanges either posterior information pairs (CI) or innovation
-contributions (CM) through synchronous averaging rounds.  After the batch, a
-standard information-form prediction advances both states.
+All three filters run one loop over stacked node states: the kinematic and
+the extent information states carry a leading node axis, with one row for the
+centralized filter and one per network node for the distributed ones.  At
+measurement index i, every row holding a detection is linearized at its index
+i-1 estimates (the extent update consumes the previous kinematic estimate and
+vice versa), and each detection's innovation pair is added into its sensor's
+row.  The filters differ only in how the network combines those rows:
+
+- CEOT maps every sensor to row 0, so the centre sums their innovations;
+- CI corrects each sensor row locally, then averages the posteriors;
+- CM averages the innovations, then corrects every row with the weight omega.
+
+Averaging runs synchronous consensus rounds on one packed buffer that holds
+all four information quantities.  After the batch, a standard
+information-form prediction advances both states.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ import numpy as np
 
 from ._linalg import spd_inv, spd_solve, sym
 from .consensus import ConsensusMatrix, SensorNetwork, consensus_rounds
-from .geometry import Extent, shape_matrix, shape_row_jacobians, wrap_angle
+from .geometry import Extent, wrap_angle
 from .info_filter import (
     InformationState,
     InnovationPair,
@@ -30,29 +38,25 @@ from .info_filter import (
     to_moments,
 )
 from .linearization import (
+    _shape_noise,
     centered_pseudo_measurement,
     extent_measurement_matrix,
     extent_noise_moments,
     kinematic_measurement_matrix,
     pseudo_measurement,
+    residual_cov,
 )
 
 __all__ = [
     "FilterKind",
-    "NodeEstimate",
     "FilterConfig",
     "TrackerParams",
     "TrackRecord",
     "ncv_transition",
     "params_from_scenario",
-    "initial_estimate",
-    "predict_estimate",
-    "ceot_correct",
-    "ceot_step",
-    "ci_correct",
-    "ci_step",
-    "cm_correct",
-    "cm_step",
+    "initial_states",
+    "correct_scan",
+    "predict_states",
     "run_filter",
     "fuse_nodes",
 ]
@@ -62,14 +66,6 @@ class FilterKind(enum.Enum):
     CEOT = "ceot"
     CI = "ci"
     CM = "cm"
-
-
-@dataclass(frozen=True)
-class NodeEstimate:
-    """Information states for the kinematics and the extent on one node."""
-
-    kin: InformationState
-    ext: InformationState
 
 
 @dataclass(frozen=True)
@@ -127,29 +123,38 @@ def params_from_scenario(config, net: SensorNetwork) -> TrackerParams:
     )
 
 
-def initial_estimate(x0, cx0, p0, cp0, min_axis: float = 1e-3) -> NodeEstimate:
-    est = NodeEstimate(kin=from_moments(x0, cx0), ext=from_moments(p0, cp0))
-    return NodeEstimate(kin=est.kin, ext=_sanitize_extent(est.ext, min_axis))
+def initial_states(x0, cx0, p0, cp0, nodes: int = 1, min_axis: float = 1e-3):
+    """Stacked (kinematic, extent) information states with the same prior on
+    each of `nodes` rows, the extent mean sanitized."""
+    def stacked(a):
+        return np.repeat(np.asarray(a, dtype=float)[None], nodes, axis=0)
+
+    kin = from_moments(stacked(x0), stacked(cx0))
+    return kin, _sanitize_extent(from_moments(stacked(p0), stacked(cp0)), min_axis)
 
 
-def _sanitize_extent(ext: InformationState, min_axis: float) -> InformationState:
-    """Re-anchor the extent mean after a write: wrap the orientation into
-    (-pi, pi] and clamp semi-axes to the floor.  No-op while the estimate is
-    already in range, so the information state is normally left untouched."""
-    p = spd_solve(ext.omega, ext.q, name="extent information matrix")
-    in_range = (-np.pi < p[0] <= np.pi) and p[1] >= min_axis and p[2] >= min_axis
-    if in_range:
+def _sanitize_extent(ext: InformationState, min_axis: float, rows=None) -> InformationState:
+    """Re-anchor the extent mean of the given rows (default: all) after a
+    write: wrap the orientation into (-pi, pi] and clamp semi-axes to the
+    floor.  Returns ext itself while every row checked is already in range,
+    so the information state is normally left untouched."""
+    rows = np.arange(ext.q.shape[0]) if rows is None else np.asarray(rows)
+    p = spd_solve(ext.omega[rows], ext.q[rows], name="extent information matrix")
+    in_range = (-np.pi < p[:, 0]) & (p[:, 0] <= np.pi) & (p[:, 1:] >= min_axis).all(axis=1)
+    if in_range.all():
         return ext
-    fixed = np.array([wrap_angle(p[0]), max(p[1], min_axis), max(p[2], min_axis)])
-    return InformationState(q=ext.omega @ fixed, omega=ext.omega)
+    q = ext.q.copy()
+    for r, (alpha, l1, l2) in zip(rows[~in_range], p[~in_range]):
+        q[r] = ext.omega[r] @ np.array([wrap_angle(alpha), max(l1, min_axis), max(l2, min_axis)])
+    return InformationState(q=q, omega=ext.omega)
 
 
 @dataclass(frozen=True)
 class _LinPoint:
-    """Shared pieces of both linear models at one node's current estimates."""
+    """Shared pieces of both linear models at one row's current estimates."""
 
     x_hat: np.ndarray
-    cx_pos: np.ndarray  # position block of the kinematic covariance
+    cx: np.ndarray
     p_ext: Extent
     cp: np.ndarray
     h: np.ndarray
@@ -157,35 +162,30 @@ class _LinPoint:
     m_mat: np.ndarray
 
 
-def _lin_point(est: NodeEstimate, ch: np.ndarray, min_axis: float) -> _LinPoint:
-    x_hat, cx = to_moments(est.kin)
-    p_vec, cp = to_moments(est.ext)
+def _lin_point(x_hat, cx, p_vec, cp, ch: np.ndarray, min_axis: float) -> _LinPoint:
+    """Both linear models' shared pieces at one row's moments."""
     p_ext = Extent.from_array(p_vec, min_axis)
-    s_mat = shape_matrix(p_ext)
-    jac = shape_row_jacobians(p_ext)
-    scatter = s_mat @ ch @ s_mat.T
-    spread = np.array([
-        [np.trace(cp @ jac[n].T @ ch @ jac[m]) for n in range(2)]
-        for m in range(2)
-    ])
     return _LinPoint(
         x_hat=x_hat,
-        cx_pos=cx[:2, :2],
+        cx=cx,
         p_ext=p_ext,
         cp=cp,
         h=kinematic_measurement_matrix(x_hat.size),
-        base_noise=sym(scatter + spread),
+        base_noise=sym(_shape_noise(p_ext, cp, ch)),
         m_mat=extent_measurement_matrix(p_ext, ch),
     )
 
 
-def _node_innovations(lp: _LinPoint, y: np.ndarray, cv: np.ndarray):
+def _node_innovations(lp: _LinPoint, y: np.ndarray, cv: np.ndarray, trace=None):
     """Innovation pairs of one detection for the kinematics and the extent,
-    both evaluated at the same pre-update linearization point."""
+    both evaluated at the same pre-update linearization point.  A trace
+    records every kinematic noise covariance Rx that gets inverted."""
     rx = sym(lp.base_noise + cv)
+    if trace is not None:
+        trace.record_rx(rx)
     vx = spd_inv(rx, name="kinematic measurement noise")
     kin_pair = innovation(lp.h, vx, y)
-    cy = sym(lp.cx_pos + rx)
+    cy = residual_cov(lp.cx, rx)
     _, rp = extent_noise_moments(cy, lp.m_mat, lp.cp, lp.p_ext)
     vp = spd_inv(rp, name="extent pseudo-measurement noise")
     y_quad = pseudo_measurement(y, lp.x_hat)
@@ -194,161 +194,84 @@ def _node_innovations(lp: _LinPoint, y: np.ndarray, cv: np.ndarray):
     return kin_pair, ext_pair
 
 
-def _zero_pairs(x_dim: int) -> tuple[InnovationPair, InnovationPair]:
-    return (
-        InnovationPair(np.zeros(x_dim), np.zeros((x_dim, x_dim))),
-        InnovationPair(np.zeros(3), np.zeros((3, 3))),
-    )
+def _average(arrays, pi, rounds: int) -> list[np.ndarray]:
+    """Consensus-average per-node arrays (leading node axis) in one call on a
+    packed (n, k) buffer; averaging is linear column by column, so packing
+    changes only rounding."""
+    n = arrays[0].shape[0]
+    packed = consensus_rounds(np.concatenate([a.reshape(n, -1) for a in arrays], axis=1),
+                              pi, rounds)
+    cuts = np.cumsum([a[0].size for a in arrays])[:-1]
+    return [part.reshape(a.shape) for part, a in zip(np.split(packed, cuts, axis=1), arrays)]
 
 
-def _batch_length(batches) -> int:
-    return max((len(b) for b in batches), default=0)
+def _correct_rows(kin, ext, innov, weight: float, min_axis: float, rows=None):
+    """Add the stacked innovations (dqx, dox, dqp, dop) with a weight, then
+    sanitize the extent rows that changed (default: all)."""
+    dqx, dox, dqp, dop = innov
+    ext = _sanitize_extent(correct(ext, InnovationPair(dqp, dop), weight), min_axis, rows)
+    return correct(kin, InnovationPair(dqx, dox), weight), ext
 
 
-def ceot_correct(
-    est: NodeEstimate,
+def correct_scan(
+    kin: InformationState,
+    ext: InformationState,
     batches,
-    cvs,
     params: TrackerParams,
-) -> NodeEstimate:
-    """Centralized sequential correction over aligned per-sensor batches.
+    config: FilterConfig,
+    pi: ConsensusMatrix | np.ndarray | None = None,
+    trace=None,
+) -> tuple[InformationState, InformationState]:
+    """Sequential correction of the stacked node states over one scan.
 
-    At each index the center fuses one detection from every sensor that still
-    has measurements left by summing their innovation pairs; sensors with
-    shorter batches simply stop contributing.
+    batches[j] holds sensor j's detections; its noise is params.cv_by_node[j]
+    and its innovations go into state row 0 under CEOT and into row j, the
+    sensor's own node, under CI and CM.  At each index the sensors that still
+    have detections contribute; shorter batches simply stop.  The distributed filters need the consensus matrix pi and run
+    config.consensus_iters averaging rounds per index.  A trace records the
+    observed Rx spectra.
     """
-    if len(batches) != len(cvs):
-        raise ValueError("one measurement noise covariance per batch is required")
-    x_dim = est.kin.dim
-    for i in range(_batch_length(batches)):
-        lp = _lin_point(est, params.ch, params.min_axis)
-        kin_total, ext_total = _zero_pairs(x_dim)
-        for batch, cv in zip(batches, cvs):
-            if i >= len(batch):
-                continue
-            kin_pair, ext_pair = _node_innovations(lp, batch[i], cv)
-            kin_total = kin_total + kin_pair
-            ext_total = ext_total + ext_pair
-        est = NodeEstimate(
-            kin=correct(est.kin, kin_total),
-            ext=_sanitize_extent(correct(est.ext, ext_total), params.min_axis),
-        )
-    return est
+    if config.kind is FilterKind.CEOT:
+        rows = [0] * len(batches)
+    elif pi is None:
+        raise ValueError("distributed filters need a consensus matrix")
+    elif len(batches) != kin.q.shape[0]:
+        raise ValueError("distributed filters need one batch per node")
+    else:
+        rows = range(len(batches))
+    rounds, min_axis = config.consensus_iters, params.min_axis
+    omega = config.omega if config.omega is not None else float(kin.q.shape[0])
+    for i in range(max((len(b) for b in batches), default=0)):
+        active = [j for j, batch in enumerate(batches) if i < len(batch)]
+        lin_rows = list(dict.fromkeys(rows[j] for j in active))
+        x, cx = to_moments(InformationState(kin.q[lin_rows], kin.omega[lin_rows]))
+        p, cp = to_moments(InformationState(ext.q[lin_rows], ext.omega[lin_rows]))
+        points = {r: _lin_point(x[k], cx[k], p[k], cp[k], params.ch, min_axis)
+                  for k, r in enumerate(lin_rows)}
+        innov = [np.zeros_like(a) for a in (kin.q, kin.omega, ext.q, ext.omega)]
+        for j in active:
+            kin_pair, ext_pair = _node_innovations(points[rows[j]], batches[j][i],
+                                                   params.cv_by_node[j], trace)
+            for acc, value in zip(innov, (kin_pair.dq, kin_pair.domega,
+                                          ext_pair.dq, ext_pair.domega)):
+                acc[rows[j]] += value
+        # The filters differ only here, in how the network combines the rows.
+        if config.kind is FilterKind.CM:
+            kin, ext = _correct_rows(kin, ext, _average(innov, pi, rounds), omega, min_axis)
+        elif config.kind is FilterKind.CI:
+            kin, ext = _correct_rows(kin, ext, innov, 1.0, min_axis, lin_rows)
+            qx, ox, qp, op = _average([kin.q, kin.omega, ext.q, ext.omega], pi, rounds)
+            kin = InformationState(qx, ox)
+            ext = _sanitize_extent(InformationState(qp, op), min_axis)
+        else:
+            kin, ext = _correct_rows(kin, ext, innov, 1.0, min_axis, lin_rows)
+    return kin, ext
 
 
-def predict_estimate(est: NodeEstimate, params: TrackerParams) -> NodeEstimate:
-    return NodeEstimate(
-        kin=predict(est.kin, params.fx, params.wwx),
-        ext=_sanitize_extent(predict(est.ext, params.fp, params.wwp), params.min_axis),
-    )
-
-
-def ceot_step(est, batches, cvs, params) -> NodeEstimate:
-    """One scan: sequential correction over the batches, then prediction."""
-    return predict_estimate(ceot_correct(est, batches, cvs, params), params)
-
-
-def _consensus_states(ests, pi, rounds: int, min_axis: float) -> list[NodeEstimate]:
-    """Average the four information quantities jointly over the network."""
-    qx = consensus_rounds([e.kin.q for e in ests], pi, rounds)
-    ox = consensus_rounds([e.kin.omega for e in ests], pi, rounds)
-    qp = consensus_rounds([e.ext.q for e in ests], pi, rounds)
-    op = consensus_rounds([e.ext.omega for e in ests], pi, rounds)
-    return [
-        NodeEstimate(
-            kin=InformationState(qx[s], ox[s]),
-            ext=_sanitize_extent(InformationState(qp[s], op[s]), min_axis),
-        )
-        for s in range(len(ests))
-    ]
-
-
-def ci_correct(
-    ests,
-    batches,
-    net: SensorNetwork,
-    pi: ConsensusMatrix | np.ndarray,
-    rounds: int,
-    params: TrackerParams,
-) -> list[NodeEstimate]:
-    """Information-consensus correction: per measurement index, sensor nodes
-    apply their local correction, communication nodes pass through, and the
-    posterior information pairs are averaged for the configured rounds."""
-    ests = list(ests)
-    sensors = set(net.sensor_nodes)
-    for i in range(_batch_length(batches)):
-        for s in sensors:
-            batch = batches[s]
-            if i >= len(batch):
-                continue
-            lp = _lin_point(ests[s], params.ch, params.min_axis)
-            kin_pair, ext_pair = _node_innovations(lp, batch[i], params.cv_by_node[s])
-            ests[s] = NodeEstimate(
-                kin=correct(ests[s].kin, kin_pair),
-                ext=_sanitize_extent(correct(ests[s].ext, ext_pair), params.min_axis),
-            )
-        ests = _consensus_states(ests, pi, rounds, params.min_axis)
-    return ests
-
-
-def ci_step(ests, batches, net, pi, rounds, params) -> list[NodeEstimate]:
-    ests = ci_correct(ests, batches, net, pi, rounds, params)
-    return [predict_estimate(e, params) for e in ests]
-
-
-def cm_correct(
-    ests,
-    batches,
-    net: SensorNetwork,
-    pi: ConsensusMatrix | np.ndarray,
-    rounds: int,
-    params: TrackerParams,
-    omega: float | None = None,
-) -> list[NodeEstimate]:
-    """Measurement-consensus correction: per measurement index, innovation
-    pairs (zero on communication nodes) are averaged over the network and
-    every node corrects with the compensation weight omega (default: node
-    count, which restores the centralized innovation sum under complete
-    averaging)."""
-    ests = list(ests)
-    n = net.size
-    if omega is None:
-        omega = float(n)
-    sensors = set(net.sensor_nodes)
-    x_dim = ests[0].kin.dim
-    for i in range(_batch_length(batches)):
-        dqx = np.zeros((n, x_dim))
-        dox = np.zeros((n, x_dim, x_dim))
-        dqp = np.zeros((n, 3))
-        dop = np.zeros((n, 3, 3))
-        for s in sensors:
-            batch = batches[s]
-            if i >= len(batch):
-                continue
-            lp = _lin_point(ests[s], params.ch, params.min_axis)
-            kin_pair, ext_pair = _node_innovations(lp, batch[i], params.cv_by_node[s])
-            dqx[s], dox[s] = kin_pair.dq, kin_pair.domega
-            dqp[s], dop[s] = ext_pair.dq, ext_pair.domega
-        dqx = consensus_rounds(dqx, pi, rounds)
-        dox = consensus_rounds(dox, pi, rounds)
-        dqp = consensus_rounds(dqp, pi, rounds)
-        dop = consensus_rounds(dop, pi, rounds)
-        ests = [
-            NodeEstimate(
-                kin=correct(ests[s].kin, InnovationPair(dqx[s], dox[s]), weight=omega),
-                ext=_sanitize_extent(
-                    correct(ests[s].ext, InnovationPair(dqp[s], dop[s]), weight=omega),
-                    params.min_axis,
-                ),
-            )
-            for s in range(n)
-        ]
-    return ests
-
-
-def cm_step(ests, batches, net, pi, rounds, params, omega=None) -> list[NodeEstimate]:
-    ests = cm_correct(ests, batches, net, pi, rounds, params, omega)
-    return [predict_estimate(e, params) for e in ests]
+def predict_states(kin: InformationState, ext: InformationState, params: TrackerParams):
+    """Information-form prediction of the stacked states to the next scan."""
+    return (predict(kin, params.fx, params.wwx),
+            _sanitize_extent(predict(ext, params.fp, params.wwp), params.min_axis))
 
 
 @dataclass(frozen=True)
@@ -391,45 +314,25 @@ def run_filter(
     """
     steps = len(scn_run.measurements)
     x_dim = scn_run.x0.size
-    distributed = config.kind is not FilterKind.CEOT
-    if distributed and pi is None:
-        raise ValueError("distributed filters need a consensus matrix")
-    nodes = net.size if distributed else 1
-    first = initial_estimate(scn_run.x0, scn_run.cx0, scn_run.p0, scn_run.cp0, params.min_axis)
-    ests = [first] * nodes
+    nodes = 1 if config.kind is FilterKind.CEOT else net.size
+    kin, ext = initial_states(scn_run.x0, scn_run.cx0, scn_run.p0, scn_run.cp0, nodes,
+                              params.min_axis)
 
     x_mean = np.zeros((steps, nodes, x_dim))
     x_cov = np.zeros((steps, nodes, x_dim, x_dim))
     p_mean = np.zeros((steps, nodes, 3))
     p_cov = np.zeros((steps, nodes, 3, 3))
     seconds = np.zeros(steps)
-    sensors = list(net.sensor_nodes)
 
     for k, batches in enumerate(scn_run.measurements):
         t0 = time.perf_counter()
+        kin, ext = correct_scan(kin, ext, batches, params, config, pi, trace)
+        x_mean[k], x_cov[k] = to_moments(kin)
+        p_mean[k], p_cov[k] = to_moments(ext)
         if trace is not None:
-            _record_noise_spectra(trace, ests, sensors, params, distributed)
-        if config.kind is FilterKind.CEOT:
-            ests = [
-                ceot_correct(
-                    ests[0],
-                    [batches[s] for s in sensors],
-                    [params.cv_by_node[s] for s in sensors],
-                    params,
-                )
-            ]
-        elif config.kind is FilterKind.CI:
-            ests = ci_correct(ests, batches, net, pi, config.consensus_iters, params)
-        else:
-            ests = cm_correct(ests, batches, net, pi, config.consensus_iters, params,
-                              config.omega)
-        for s, est in enumerate(ests):
-            x_mean[k, s], x_cov[k, s] = to_moments(est.kin)
-            p_mean[k, s], p_cov[k, s] = to_moments(est.ext)
-            if trace is not None:
-                trace.record_omega(est.kin.omega)
+            trace.record_omega(kin.omega)
         if k + 1 < steps:
-            ests = [predict_estimate(e, params) for e in ests]
+            kin, ext = predict_states(kin, ext, params)
         seconds[k] = time.perf_counter() - t0
 
     return TrackRecord(
@@ -440,13 +343,6 @@ def run_filter(
         p_cov=p_cov,
         step_seconds=seconds,
     )
-
-
-def _record_noise_spectra(trace, ests, sensors, params, distributed):
-    for s in sensors:
-        est = ests[s] if distributed else ests[0]
-        lp = _lin_point(est, params.ch, params.min_axis)
-        trace.record_rx(sym(lp.base_noise + params.cv_by_node[s]))
 
 
 def fuse_nodes(means: np.ndarray, covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -37,11 +37,11 @@ from eotnet.scenario import build_scenario_run, load_config, benchmark_network
 from eotnet.trackers import (
     FilterConfig,
     FilterKind,
-    ceot_step,
-    cm_step,
+    correct_scan,
     fuse_nodes,
-    initial_estimate,
+    initial_states,
     params_from_scenario,
+    predict_states,
     run_filter,
 )
 from oracles import (
@@ -77,16 +77,18 @@ def test_cm_matches_ceot_oracle():
         pi = metropolis_weights(net)
         params = params_from_scenario(config, net)
         scn = build_scenario_run(config, net, seed=1234)
-        center = initial_estimate(scn.x0, scn.cx0, scn.p0, scn.cp0)
-        nodes = [center] * n
+        ceot = FilterConfig(kind=FilterKind.CEOT)
+        cm = FilterConfig(kind=FilterKind.CM, consensus_iters=1, omega=float(n))
+        center = initial_states(scn.x0, scn.cx0, scn.p0, scn.cp0)
+        nodes = initial_states(scn.x0, scn.cx0, scn.p0, scn.cp0, n)
         for batches in scn.measurements:
-            center = ceot_step(center, list(batches), list(params.cv_by_node), params)
-            nodes = cm_step(nodes, batches, net, pi, 1, params, omega=float(n))
-            xc, _ = to_moments(center.kin)
-            pc, _ = to_moments(center.ext)
-            for node in nodes:
-                xn, _ = to_moments(node.kin)
-                pn, _ = to_moments(node.ext)
+            center = predict_states(
+                *correct_scan(*center, batches, params, ceot), params)
+            nodes = predict_states(
+                *correct_scan(*nodes, batches, params, cm, pi), params)
+            (xc,), _ = to_moments(center[0])
+            (pc,), _ = to_moments(center[1])
+            for xn, pn in zip(to_moments(nodes[0])[0], to_moments(nodes[1])[0]):
                 worst = max(
                     worst,
                     np.abs(xn - xc).max() / np.abs(xc).max(),

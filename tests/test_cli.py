@@ -131,6 +131,16 @@ def test_bad_config_path(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_zero_steps_exits_1_without_traceback(tmp_path, tiny_config, capsys):
+    path = tmp_path / "zero.yaml"
+    path.write_text(tiny_config.read_text().replace("steps: 4", "steps: 0"))
+    rc = main(["--config", str(path), "--filter", "ceot", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "steps must be >= 1" in err
+    assert "Traceback" not in err
+
+
 def test_omega_flag(tmp_path, tiny_config):
     out = tmp_path / "o"
     assert main(["--config", str(tiny_config), "--filter", "cm", "--L", "1",

@@ -5,7 +5,6 @@ from scipy.stats import chi2
 from eotnet.consensus import metropolis_weights
 from eotnet.diagnostics import (
     AssumptionTrace,
-    MetricSeries,
     acee,
     bounded_mse_experiment,
     check_assumptions,
@@ -222,9 +221,6 @@ def test_write_metrics_csv_and_summary(tmp_path):
     assert stats["gwd"][0] == pytest.approx(1.0)
     assert stats["gwd"][2] == 2
     assert set(stats) == {"gwd", "pos_err"}
-    series = MetricSeries.collect(rows)
-    assert np.allclose(series["gwd"].values(), [1.25, 0.75])
-    assert series["pos_err"].entries == [(0, 0, -1, 0.5)]
 
 
 def test_bounded_mse_rejects_single_round():

@@ -1,0 +1,136 @@
+"""Property tests of the stacked filter core over random small networks.
+
+Hypothesis draws connected geometric graphs of 2-6 nodes, sensor subsets,
+priors and per-sensor batch lengths; each property below must hold for every
+draw, not only at the fixed seeds of the other suites.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.csgraph import minimum_spanning_tree
+
+from eotnet.consensus import NodeKind, build_network, consensus_rounds, metropolis_weights
+from eotnet.geometry import Extent, KinematicState, sample_measurements
+from eotnet.info_filter import from_moments, to_moments
+from eotnet.trackers import (
+    FilterConfig,
+    FilterKind,
+    TrackerParams,
+    _average,
+    correct_scan,
+    initial_states,
+    ncv_transition,
+    predict_states,
+)
+
+SETTINGS = settings(max_examples=25, deadline=None)
+TRUTH = (KinematicState(np.zeros(2)), Extent(0.4, 6.0, 2.0))
+
+
+@st.composite
+def networks(draw, complete=False):
+    """A connected network with at least one sensor, its Metropolis weights,
+    and a seed for the numeric draws.  The radius is the longest edge of a
+    minimum spanning tree, stretched a little, so the graph is connected;
+    `complete` makes it cover every pair instead."""
+    n = draw(st.integers(2, 6))
+    seed = draw(st.integers(0, 2**32 - 1))
+    sensors = draw(st.lists(st.booleans(), min_size=n, max_size=n).filter(any))
+    positions = np.random.default_rng(seed).uniform(0.0, 100.0, size=(n, 2))
+    dist = np.linalg.norm(positions[:, None] - positions[None, :], axis=2)
+    radius = dist.max() if complete else minimum_spanning_tree(dist).max()
+    radius *= draw(st.floats(1.0, 1.5))
+    kinds = [NodeKind.SENSOR if s else NodeKind.COMMUNICATION for s in sensors]
+    net = build_network(positions, kinds, radius)
+    return net, metropolis_weights(net), seed
+
+
+def random_params(rng, n):
+    return TrackerParams(
+        ch=np.eye(2) / 4,
+        cv_by_node=tuple(np.diag(rng.uniform(0.5, 10.0, 2)) for _ in range(n)),
+        fx=ncv_transition(2, 1.0),
+        fp=np.eye(3),
+        wwx=np.eye(2),
+        wwp=np.diag([20.0, 1.0, 1.0]),
+    )
+
+
+def random_prior(rng):
+    x0 = rng.normal(size=2) * 3.0
+    cx0 = np.diag(rng.uniform(1.0, 100.0, 2))
+    p0 = np.array([rng.uniform(-np.pi, np.pi), *rng.uniform(1.0, 10.0, 2)])
+    cp0 = np.diag([rng.uniform(0.05, 1.0), *rng.uniform(1.0, 10.0, 2)])
+    return x0, cx0, p0, cp0
+
+
+def random_batches(rng, net, max_len):
+    """Detections of the truth on every sensor, 0..max_len per sensor."""
+    state, ext = TRUTH
+    sensors = set(net.sensor_nodes)
+    return [sample_measurements(state, ext, np.eye(2) / 4, np.eye(2),
+                                int(rng.integers(0, max_len + 1)) if s in sensors else 0, rng)
+            for s in range(net.size)]
+
+
+def random_states(rng, n):
+    """Stacked states whose rows all differ."""
+    covs = [np.diag(rng.uniform(0.5, 5.0, d)) for d in (2, 3) for _ in range(n)]
+    kin = from_moments(rng.normal(size=(n, 2)), np.stack(covs[:n]))
+    ext = from_moments(rng.normal(size=(n, 3)) + [0.0, 5.0, 5.0], np.stack(covs[n:]))
+    return kin, ext
+
+
+@SETTINGS
+@given(networks(), st.integers(1, 6))
+def test_packed_average_equals_separate_rounds_and_keeps_sums(draw, rounds):
+    net, pi, seed = draw
+    kin, ext = random_states(np.random.default_rng(seed), net.size)
+    quantities = [kin.q, kin.omega, ext.q, ext.omega]
+    packed = _average(quantities, pi, rounds)
+    for value, got in zip(quantities, packed):
+        separate = consensus_rounds(value, pi, rounds)
+        assert got.shape == value.shape
+        assert np.abs(got - separate).max() <= 1e-12 * np.abs(separate).max()
+        total = value.sum(axis=0)
+        assert np.abs(got.sum(axis=0) - total).max() <= 1e-10 * np.abs(total).max()
+
+
+@SETTINGS
+@given(networks(), st.sampled_from([FilterKind.CI, FilterKind.CM]), st.integers(1, 3),
+       st.integers(1, 4))
+def test_information_matrices_stay_positive_definite(draw, kind, rounds, max_len):
+    net, pi, seed = draw
+    rng = np.random.default_rng(seed)
+    params = random_params(rng, net.size)
+    kin, ext = initial_states(*random_prior(rng), net.size)
+    config = FilterConfig(kind=kind, consensus_iters=rounds)
+    for _ in range(3):
+        batches = random_batches(rng, net, max_len)
+        kin, ext = correct_scan(kin, ext, batches, params, config, pi)
+        for info in (kin, ext):
+            assert np.isfinite(info.q).all()
+            assert np.linalg.eigvalsh(info.omega).min() > 0
+        kin, ext = predict_states(kin, ext, params)
+
+
+@SETTINGS
+@given(networks(complete=True), st.integers(1, 4))
+def test_cm_with_node_count_weight_equals_ceot_on_complete_graphs(draw, max_len):
+    net, pi, seed = draw
+    n = net.size
+    rng = np.random.default_rng(seed)
+    params = random_params(rng, n)
+    prior = random_prior(rng)
+    center, nodes = initial_states(*prior), initial_states(*prior, n)
+    ceot = FilterConfig(kind=FilterKind.CEOT)
+    cm = FilterConfig(kind=FilterKind.CM, consensus_iters=1)
+    for _ in range(3):
+        batches = random_batches(rng, net, max_len)
+        center = predict_states(*correct_scan(*center, batches, params, ceot), params)
+        nodes = predict_states(*correct_scan(*nodes, batches, params, cm, pi), params)
+        for c_info, n_info in zip(center, nodes):
+            (ref,), _ = to_moments(c_info)
+            means, _ = to_moments(n_info)
+            assert np.abs(means - ref).max() <= 1e-9 * np.abs(ref).max()

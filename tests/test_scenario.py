@@ -219,6 +219,27 @@ def test_config_validation_errors(tmp_path):
         load_config(path2)
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("steps: 40", "steps: 0", "steps must be >= 1"),
+    ("scan_time: 10.0", "scan_time: -10", "scan_time must be > 0"),
+])
+def test_config_rejects_nonpositive_steps_and_scan_time(tmp_path, old, new, message):
+    path = tmp_path / "bad.yaml"
+    path.write_text(preset_text("s2").replace(old, new))
+    with pytest.raises(ValueError, match=message):
+        load_config(path)
+
+
+def test_sensor_index_outside_network_is_rejected():
+    config = load_config("s1").with_overrides(network={
+        "positions": [[0.0, 0.0], [500.0, 0.0], [1000.0, 0.0]],
+        "sensor_nodes": [0, 7],
+        "comm_radius": 600.0,
+    })
+    with pytest.raises(ValueError, match=r"sensor_nodes \[7\] are outside the 3"):
+        resolve_network(config)
+
+
 def test_all_presets_parse():
     for name in PRESETS:
         config = load_config(name)

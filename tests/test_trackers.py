@@ -17,16 +17,14 @@ from eotnet.trackers import (
     FilterConfig,
     FilterKind,
     TrackerParams,
-    ceot_correct,
-    ceot_step,
-    ci_correct,
-    cm_correct,
-    cm_step,
+    correct_scan,
     fuse_nodes,
-    initial_estimate,
+    initial_states,
     ncv_transition,
-    predict_estimate,
+    predict_states,
 )
+
+CEOT = FilterConfig(kind=FilterKind.CEOT)
 
 
 def make_params(n_nodes, ch=None, cv=None, x_dim=2, scan_time=1.0,
@@ -51,6 +49,11 @@ def default_priors(x_dim=2):
     p0 = np.array([0.0, 2.0, 3.0])
     cp0 = np.diag([1.0, 4.0, 9.0])
     return x0, cx0, p0, cp0
+
+
+def scan_step(state, batches, params, config, pi=None):
+    """One scan: sequential correction over the batches, then prediction."""
+    return predict_states(*correct_scan(*state, batches, params, config, pi), params)
 
 
 def draw_batch(rng, truth_ext, m, n):
@@ -96,9 +99,9 @@ def test_single_sensor_sequential_matches_hand_computation():
         x_hat, cx, p_vec, cp = hand_single_update(x_hat, cx, p_vec, cp, y, ch, cv)
 
     params = make_params(1)
-    est = ceot_correct(initial_estimate(x0, cx0, p0, cp0), [ys], [cv], params)
-    x_out, cx_out = to_moments(est.kin)
-    p_out, cp_out = to_moments(est.ext)
+    kin, ext = correct_scan(*initial_states(x0, cx0, p0, cp0), [ys], params, CEOT)
+    (x_out,), (cx_out,) = to_moments(kin)
+    (p_out,), (cp_out,) = to_moments(ext)
     assert np.allclose(x_out, x_hat, rtol=1e-9)
     assert np.allclose(cx_out, cx, rtol=1e-9)
     assert np.allclose(p_out, p_vec, rtol=1e-9)
@@ -146,22 +149,22 @@ def test_ceot_sums_per_node_innovations():
 
     params = TrackerParams(ch=ch, cv_by_node=tuple(cvs), fx=np.eye(2), fp=np.eye(3),
                            wwx=np.eye(2), wwp=np.eye(3))
-    est = ceot_correct(initial_estimate(x0, cx0, p0, cp0),
-                       [y[None, :] for y in ys], cvs, params)
-    assert np.allclose(est.kin.q, q_x, rtol=1e-10)
-    assert np.allclose(est.kin.omega, omega_x, rtol=1e-10)
-    assert np.allclose(est.ext.q, q_p, rtol=1e-10)
-    assert np.allclose(est.ext.omega, omega_p, rtol=1e-10)
+    kin, ext = correct_scan(*initial_states(x0, cx0, p0, cp0),
+                            [y[None, :] for y in ys], params, CEOT)
+    assert np.allclose(kin.q[0], q_x, rtol=1e-10)
+    assert np.allclose(kin.omega[0], omega_x, rtol=1e-10)
+    assert np.allclose(ext.q[0], q_p, rtol=1e-10)
+    assert np.allclose(ext.omega[0], omega_p, rtol=1e-10)
 
 
 def test_empty_batch_is_pure_prediction():
     x0, cx0, p0, cp0 = default_priors()
     params = make_params(1)
-    prior = initial_estimate(x0, cx0, p0, cp0)
-    stepped = ceot_step(prior, [np.zeros((0, 2))], [np.diag([3.0, 9.0])], params)
-    predicted = predict_estimate(prior, params)
-    assert np.allclose(stepped.kin.q, predicted.kin.q)
-    assert np.allclose(stepped.ext.omega, predicted.ext.omega)
+    prior = initial_states(x0, cx0, p0, cp0)
+    stepped = scan_step(prior, [np.zeros((0, 2))], params, CEOT)
+    predicted = predict_states(*prior, params)
+    assert np.allclose(stepped[0].q, predicted[0].q)
+    assert np.allclose(stepped[1].omega, predicted[1].omega)
 
 
 def test_sequential_determinism():
@@ -169,13 +172,12 @@ def test_sequential_determinism():
     x0, cx0, p0, cp0 = default_priors()
     params = make_params(1)
     batch = rng.normal(size=(20, 2)) * 2.0
-    prior = initial_estimate(x0, cx0, p0, cp0)
-    a = ceot_correct(prior, [batch], [np.diag([3.0, 9.0])], params)
-    b = ceot_correct(prior, [batch], [np.diag([3.0, 9.0])], params)
-    assert np.array_equal(a.kin.q, b.kin.q)
-    assert np.array_equal(a.kin.omega, b.kin.omega)
-    assert np.array_equal(a.ext.q, b.ext.q)
-    assert np.array_equal(a.ext.omega, b.ext.omega)
+    prior = initial_states(x0, cx0, p0, cp0)
+    a = correct_scan(*prior, [batch], params, CEOT)
+    b = correct_scan(*prior, [batch], params, CEOT)
+    for one, other in zip(a, b):
+        assert np.array_equal(one.q, other.q)
+        assert np.array_equal(one.omega, other.omega)
 
 
 @pytest.mark.parametrize("n_nodes", [2, 3, 5])
@@ -190,18 +192,17 @@ def test_cm_equals_ceot_on_complete_graph(n_nodes):
     params = make_params(n_nodes)
     truth_ext = Extent(np.pi / 4, 4.0, 9.0)
 
-    center = initial_estimate(x0, cx0, p0, cp0)
-    nodes = [center] * n_nodes
+    cm = FilterConfig(kind=FilterKind.CM, consensus_iters=1, omega=float(n_nodes))
+    center = initial_states(x0, cx0, p0, cp0)
+    nodes = initial_states(x0, cx0, p0, cp0, n_nodes)
     for _ in range(10):
         counts = rng.integers(0, 4, size=n_nodes)  # unequal batch lengths
         batches = [draw_batch(rng, truth_ext, np.zeros(2), int(c)) for c in counts]
-        center = ceot_step(center, batches, list(params.cv_by_node), params)
-        nodes = cm_step(nodes, batches, net, pi, 1, params, omega=float(n_nodes))
-        xc, _ = to_moments(center.kin)
-        pc, _ = to_moments(center.ext)
-        for node in nodes:
-            xn, _ = to_moments(node.kin)
-            pn, _ = to_moments(node.ext)
+        center = scan_step(center, batches, params, CEOT)
+        nodes = scan_step(nodes, batches, params, cm, pi)
+        (xc,), _ = to_moments(center[0])
+        (pc,), _ = to_moments(center[1])
+        for xn, pn in zip(to_moments(nodes[0])[0], to_moments(nodes[1])[0]):
             assert np.allclose(xn, xc, rtol=1e-9, atol=1e-12)
             assert np.allclose(pn, pc, rtol=1e-9, atol=1e-12)
 
@@ -219,14 +220,11 @@ def test_cm_equals_ceot_with_communication_nodes():
     batches = [draw_batch(rng, truth_ext, np.zeros(2), 3),
                np.zeros((0, 2)),
                draw_batch(rng, truth_ext, np.zeros(2), 3)]
-    center = ceot_correct(initial_estimate(x0, cx0, p0, cp0),
-                          [batches[0], batches[2]],
-                          [params.cv_by_node[0], params.cv_by_node[2]], params)
-    nodes = cm_correct([initial_estimate(x0, cx0, p0, cp0)] * 3,
-                       batches, net, pi, 1, params, omega=3.0)
-    xc, _ = to_moments(center.kin)
-    for node in nodes:
-        xn, _ = to_moments(node.kin)
+    center, _ = correct_scan(*initial_states(x0, cx0, p0, cp0), batches, params, CEOT)
+    nodes, _ = correct_scan(*initial_states(x0, cx0, p0, cp0, 3), batches, params,
+                            FilterConfig(kind=FilterKind.CM, omega=3.0), pi)
+    (xc,), _ = to_moments(center)
+    for xn in to_moments(nodes)[0]:
         assert np.allclose(xn, xc, rtol=1e-9)
 
 
@@ -237,12 +235,12 @@ def test_cm_zero_weight_leaves_states_unchanged():
     pi = metropolis_weights(net)
     x0, cx0, p0, cp0 = default_priors()
     params = make_params(3)
-    priors = [initial_estimate(x0, cx0, p0, cp0)] * 3
+    priors = initial_states(x0, cx0, p0, cp0, 3)
     batches = [draw_batch(rng, Extent(0.1, 2, 1), np.zeros(2), 2) for _ in range(3)]
-    out = cm_correct(priors, batches, net, pi, 1, params, omega=0.0)
-    for node, prior in zip(out, priors):
-        assert np.allclose(node.kin.q, prior.kin.q)
-        assert np.allclose(node.ext.omega, prior.ext.omega)
+    out = correct_scan(*priors, batches, params,
+                       FilterConfig(kind=FilterKind.CM, omega=0.0), pi)
+    assert np.allclose(out[0].q, priors[0].q)
+    assert np.allclose(out[1].omega, priors[1].omega)
 
 
 def test_ci_nodes_agree_on_complete_graph_with_many_rounds():
@@ -253,15 +251,14 @@ def test_ci_nodes_agree_on_complete_graph_with_many_rounds():
     pi = metropolis_weights(net)
     x0, cx0, p0, cp0 = default_priors()
     params = make_params(n)
-    nodes = [initial_estimate(x0, cx0, p0, cp0)] * n
+    nodes = initial_states(x0, cx0, p0, cp0, n)
     batches = [draw_batch(rng, Extent(0.5, 3, 1), np.zeros(2), 5) for _ in range(3)]
     batches.append(np.zeros((0, 2)))
-    nodes = ci_correct(nodes, batches, net, pi, rounds=60, params=params)
-    ref_x, _ = to_moments(nodes[0].kin)
-    ref_p, _ = to_moments(nodes[0].ext)
-    for node in nodes[1:]:
-        xn, _ = to_moments(node.kin)
-        pn, _ = to_moments(node.ext)
+    kin, ext = correct_scan(*nodes, batches, params,
+                            FilterConfig(kind=FilterKind.CI, consensus_iters=60), pi)
+    (ref_x, *xs), _ = to_moments(kin)
+    (ref_p, *ps), _ = to_moments(ext)
+    for xn, pn in zip(xs, ps):
         assert np.abs(xn - ref_x).max() < 1e-8
         assert np.abs(pn - ref_p).max() < 1e-8
 
@@ -275,15 +272,15 @@ def test_ci_single_round_stays_positive_definite():
     pi = metropolis_weights(net)
     x0, cx0, p0, cp0 = default_priors()
     params = make_params(4)
-    nodes = [initial_estimate(x0, cx0, p0, cp0)] * 4
+    nodes = initial_states(x0, cx0, p0, cp0, 4)
     batches = [draw_batch(rng, Extent(0.5, 3, 1), np.zeros(2), 4),
                np.zeros((0, 2)), np.zeros((0, 2)),
                draw_batch(rng, Extent(0.5, 3, 1), np.zeros(2), 4)]
-    nodes = ci_correct(nodes, batches, net, pi, rounds=1, params=params)
-    for node in nodes:
-        assert np.isfinite(node.kin.q).all() and np.isfinite(node.ext.q).all()
-        assert np.linalg.eigvalsh(node.kin.omega).min() > 0
-        assert np.linalg.eigvalsh(node.ext.omega).min() > 0
+    kin, ext = correct_scan(*nodes, batches, params,
+                            FilterConfig(kind=FilterKind.CI, consensus_iters=1), pi)
+    assert np.isfinite(kin.q).all() and np.isfinite(ext.q).all()
+    assert np.linalg.eigvalsh(kin.omega).min() > 0
+    assert np.linalg.eigvalsh(ext.omega).min() > 0
 
 
 def test_ci_information_grows_with_sensors_present():
@@ -294,14 +291,14 @@ def test_ci_information_grows_with_sensors_present():
     pi = metropolis_weights(net)
     x0, cx0, p0, cp0 = default_priors()
     params = make_params(3)
-    priors = [initial_estimate(x0, cx0, p0, cp0)] * 3
+    priors = initial_states(x0, cx0, p0, cp0, 3)
     batches = [draw_batch(rng, Extent(0.2, 2, 1), np.zeros(2), 1),
                draw_batch(rng, Extent(0.2, 2, 1), np.zeros(2), 1),
                np.zeros((0, 2))]
-    out = ci_correct(priors, batches, net, pi, rounds=1, params=params)
-    for node, prior in zip(out, priors):
-        gain = node.kin.omega - prior.kin.omega
-        assert np.linalg.eigvalsh(gain).min() > 0  # full-rank position update
+    kin, _ = correct_scan(*priors, batches, params,
+                          FilterConfig(kind=FilterKind.CI, consensus_iters=1), pi)
+    gain = kin.omega - priors[0].omega
+    assert np.linalg.eigvalsh(gain).min() > 0  # full-rank position update on every node
 
 
 def test_ci_without_any_sensors_keeps_priors():
@@ -310,11 +307,25 @@ def test_ci_without_any_sensors_keeps_priors():
     pi = metropolis_weights(net)
     x0, cx0, p0, cp0 = default_priors()
     params = make_params(3)
-    priors = [initial_estimate(x0, cx0, p0, cp0)] * 3
-    out = ci_correct(priors, [np.zeros((0, 2))] * 3, net, pi, rounds=3, params=params)
-    for node, prior in zip(out, priors):
-        assert np.allclose(node.kin.q, prior.kin.q)
-        assert np.allclose(node.ext.q, prior.ext.q)
+    priors = initial_states(x0, cx0, p0, cp0, 3)
+    out = correct_scan(*priors, [np.zeros((0, 2))] * 3, params,
+                       FilterConfig(kind=FilterKind.CI, consensus_iters=3), pi)
+    assert np.allclose(out[0].q, priors[0].q)
+    assert np.allclose(out[1].q, priors[1].q)
+
+
+def test_distributed_scan_needs_matrix_and_one_batch_per_node():
+    net = build_network(np.stack([np.arange(3), np.zeros(3)], axis=1),
+                        [NodeKind.SENSOR] * 3, comm_radius=100.0)
+    pi = metropolis_weights(net)
+    priors = initial_states(*default_priors(), 3)
+    params = make_params(3)
+    for kind in (FilterKind.CI, FilterKind.CM):
+        config = FilterConfig(kind=kind)
+        with pytest.raises(ValueError, match="consensus matrix"):
+            correct_scan(*priors, [np.zeros((0, 2))] * 3, params, config)
+        with pytest.raises(ValueError, match="one batch per node"):
+            correct_scan(*priors, [np.zeros((0, 2))] * 2, params, config, pi)
 
 
 def test_ncv_transition():
@@ -326,10 +337,10 @@ def test_ncv_transition():
 
 
 def test_initial_estimate_clamps_extent():
-    est = initial_estimate(np.zeros(2), np.eye(2),
-                           np.array([7.0, -1.0, 2.0]), np.diag([1.0, 1.0, 1.0]),
-                           min_axis=1e-3)
-    p_vec, _ = to_moments(est.ext)
+    _, ext = initial_states(np.zeros(2), np.eye(2),
+                            np.array([7.0, -1.0, 2.0]), np.diag([1.0, 1.0, 1.0]),
+                            min_axis=1e-3)
+    (p_vec,), _ = to_moments(ext)
     assert -np.pi < p_vec[0] <= np.pi
     assert p_vec[1] >= 1e-3
 
