@@ -30,7 +30,6 @@ from .diagnostics import (
 from .geometry import (
     Extent,
     KinematicState,
-    ShapeKind,
     extent_vertices,
     sample_measurements,
     shape_matrix,
@@ -39,7 +38,6 @@ from .geometry import (
 )
 from .info_filter import (
     InformationState,
-    InnovationPair,
     correct,
     from_moments,
     innovation,
@@ -50,6 +48,7 @@ from .linearization import (
     centered_pseudo_measurement,
     extent_measurement_matrix,
     extent_noise_moments,
+    innovations,
     kinematic_measurement_matrix,
     kinematic_noise_cov,
     pseudo_measurement,

@@ -2,8 +2,8 @@
 
 Every symmetric positive definite solve is checked by a Cholesky factorization
 first, so an indefinite information matrix fails loudly instead of drifting.
-sym, spd_solve and spd_inv take one matrix or a stack of them along a leading
-axis.
+sym, spd_solve, spd_inv and the private helpers take one matrix or a stack of
+them along a leading axis.
 """
 
 from __future__ import annotations
@@ -22,6 +22,17 @@ __all__ = [
 def sym(a: np.ndarray) -> np.ndarray:
     """Symmetrize a matrix or a stack of matrices, removing float drift."""
     return 0.5 * (a + a.swapaxes(-1, -2))
+
+
+def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a @ x for one matrix and vector or for stacks of both."""
+    return (a @ x[..., None])[..., 0]
+
+
+def _from_entries(rows) -> np.ndarray:
+    """A matrix, or a stack of them, from a nested list of equally shaped
+    entries: entry rows[i][j] of shape (...) becomes [..., i, j]."""
+    return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
 
 
 def as_cov(a, name: str = "covariance", *, tol: float = 1e-8) -> np.ndarray:

@@ -144,15 +144,20 @@ class AssumptionTrace:
     omega_max: float = -np.inf
 
     def record_rx(self, rx: np.ndarray) -> None:
-        w = np.linalg.eigvalsh(sym(rx))
-        self.rx_min = min(self.rx_min, float(w[0]))
-        self.rx_max = max(self.rx_max, float(w[-1]))
+        """Record one kinematic noise covariance or a stack of them."""
+        lo, hi = _spectrum_bounds(rx)
+        self.rx_min, self.rx_max = min(self.rx_min, lo), max(self.rx_max, hi)
 
     def record_omega(self, omega: np.ndarray) -> None:
         """Record one information matrix or a stack of them."""
-        w = np.linalg.eigvalsh(sym(omega))
-        self.omega_min = min(self.omega_min, float(w[..., 0].min()))
-        self.omega_max = max(self.omega_max, float(w[..., -1].max()))
+        lo, hi = _spectrum_bounds(omega)
+        self.omega_min, self.omega_max = min(self.omega_min, lo), max(self.omega_max, hi)
+
+
+def _spectrum_bounds(a: np.ndarray) -> tuple[float, float]:
+    """Smallest and largest eigenvalue over a symmetric matrix or a stack."""
+    w = np.linalg.eigvalsh(sym(a))
+    return float(w[..., 0].min()), float(w[..., -1].max())
 
 
 @dataclass(frozen=True)

@@ -9,18 +9,17 @@ shape matrix, plus additive sensor noise.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import as_cov, sqrt_psd
+from ._linalg import _from_entries, as_cov, sqrt_psd
 
 __all__ = [
-    "ShapeKind",
     "Extent",
     "KinematicState",
     "wrap_angle",
+    "clamp_extent",
     "rot2",
     "shape_matrix",
     "shape_row_jacobians",
@@ -31,20 +30,23 @@ __all__ = [
 TWO_PI = 2.0 * np.pi
 
 
-def wrap_angle(angle: float) -> float:
-    """Wrap an angle to (-pi, pi]."""
-    return float(np.pi - (np.pi - angle) % TWO_PI)
+def wrap_angle(angle):
+    """Wrap an angle to (-pi, pi]; an array of angles is wrapped entrywise."""
+    wrapped = np.pi - (np.pi - np.asarray(angle, dtype=float)) % TWO_PI
+    return float(wrapped) if wrapped.ndim == 0 else wrapped
+
+
+def clamp_extent(p, min_axis: float) -> np.ndarray:
+    """An extent vector [alpha, l1, l2], or a stack (..., 3) of them, with the
+    orientation wrapped to (-pi, pi] and the semi-axes clamped to min_axis."""
+    p = np.asarray(p, dtype=float)
+    return np.concatenate([wrap_angle(p[..., :1]), np.maximum(p[..., 1:], min_axis)], axis=-1)
 
 
 def rot2(angle: float) -> np.ndarray:
     """2-D counterclockwise rotation matrix."""
     c, s = np.cos(angle), np.sin(angle)
     return np.array([[c, -s], [s, c]])
-
-
-class ShapeKind(enum.Enum):
-    ELLIPSE = "ellipse"
-    RECTANGLE = "rectangle"
 
 
 @dataclass(frozen=True)
@@ -104,22 +106,28 @@ class KinematicState:
         return 2 + self.mdot.size
 
 
-def shape_matrix(p: Extent) -> np.ndarray:
-    """Shape matrix compacting orientation and size: Rot(alpha) @ diag(l1, l2)."""
-    return rot2(p.alpha) @ np.diag([p.l1, p.l2])
+def shape_matrix(p) -> np.ndarray:
+    """Shape matrix compacting orientation and size, Rot(alpha) @ diag(l1, l2),
+    of an extent vector [alpha, l1, l2] or of a stack (..., 3) of them."""
+    p = np.asarray(p, dtype=float)
+    c, s = np.cos(p[..., 0]), np.sin(p[..., 0])
+    l1, l2 = p[..., 1], p[..., 2]
+    return _from_entries([[c * l1, -s * l2], [s * l1, c * l2]])
 
 
-def shape_row_jacobians(p: Extent) -> tuple[np.ndarray, np.ndarray]:
+def shape_row_jacobians(p) -> tuple[np.ndarray, np.ndarray]:
     """Jacobians of the two rows of the shape matrix w.r.t. [alpha, l1, l2].
 
     Row m of the shape matrix is a function of the extent vector; J_m is the
     2x3 matrix with J_m[a, b] = d(S[m, a]) / d(p[b]).  With a multiplicative
     noise 2-vector h, the first-order perturbation of row m of S @ h is then
-    h.T @ J_m @ dp.
+    h.T @ J_m @ dp.  A stack (..., 3) of extents gives stacks (..., 2, 3).
     """
-    c, s = np.cos(p.alpha), np.sin(p.alpha)
-    j1 = np.array([[-p.l1 * s, c, 0.0], [-p.l2 * c, 0.0, -s]])
-    j2 = np.array([[p.l1 * c, s, 0.0], [-p.l2 * s, 0.0, c]])
+    p = np.asarray(p, dtype=float)
+    c, s = np.cos(p[..., 0]), np.sin(p[..., 0])
+    l1, l2, z = p[..., 1], p[..., 2], np.zeros_like(c)
+    j1 = _from_entries([[-l1 * s, c, z], [-l2 * c, z, -s]])
+    j2 = _from_entries([[l1 * c, s, z], [-l2 * s, z, c]])
     return j1, j2
 
 
@@ -140,7 +148,7 @@ def sample_measurements(
     cv = as_cov(cv, "measurement noise covariance")
     if count < 0:
         raise ValueError("count must be nonnegative")
-    s_mat = shape_matrix(p)
+    s_mat = shape_matrix(p.as_array())
     lh = sqrt_psd(ch)
     lv = sqrt_psd(cv)
     h = rng.standard_normal((count, 2)) @ lh.T

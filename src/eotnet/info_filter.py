@@ -13,11 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import spd_inv, spd_solve, sym
+from ._linalg import _matvec, spd_inv, spd_solve, sym
 
 __all__ = [
     "InformationState",
-    "InnovationPair",
     "innovation",
     "correct",
     "predict",
@@ -50,36 +49,29 @@ class InformationState:
         return self.q.shape[-1]
 
 
-@dataclass(frozen=True)
-class InnovationPair:
-    """Additive information contribution of one measurement (or one node)."""
-
-    dq: np.ndarray
-    domega: np.ndarray
-
-    def __add__(self, other: "InnovationPair") -> "InnovationPair":
-        return InnovationPair(self.dq + other.dq, self.domega + other.domega)
-
-
-def innovation(a: np.ndarray, v: np.ndarray, z: np.ndarray) -> InnovationPair:
+def innovation(a: np.ndarray, v: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Innovation pair (A.T V z, A.T V A) for measurement z with model matrix A
-    and noise information matrix V."""
+    and noise information matrix V; stacks (..., m, d), (..., m, m), (..., m)
+    give stacked pairs, and an unstacked A is shared by a stack of V and z."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     v = np.atleast_2d(np.asarray(v, dtype=float))
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    if a.shape[0] != v.shape[0] or v.shape[0] != v.shape[1] or z.shape != (a.shape[0],):
+    m = a.shape[-2]
+    if v.shape[-2:] != (m, m) or z.shape[-1] != m:
         raise ValueError(
             f"dimension mismatch: A {a.shape}, V {v.shape}, z {z.shape}"
         )
-    av = a.T @ v
-    return InnovationPair(dq=av @ z, domega=sym(av @ a))
+    av = a.swapaxes(-1, -2) @ v
+    return _matvec(av, z), sym(av @ a)
 
 
-def correct(info: InformationState, innov: InnovationPair, weight: float = 1.0) -> InformationState:
-    """Additive measurement update, optionally scaled by a consensus weight."""
+def correct(info: InformationState, dq: np.ndarray, domega: np.ndarray,
+            weight: float = 1.0) -> InformationState:
+    """Additive measurement update by an innovation pair (dq, domega),
+    optionally scaled by a consensus weight."""
     return InformationState(
-        q=info.q + weight * innov.dq,
-        omega=sym(info.omega + weight * innov.domega),
+        q=info.q + weight * dq,
+        omega=sym(info.omega + weight * domega),
     )
 
 
@@ -111,8 +103,3 @@ def from_moments(x_hat, cov) -> InformationState:
     x_hat = np.asarray(x_hat, dtype=float)
     omega = spd_inv(np.asarray(cov, dtype=float), name="covariance")
     return InformationState(q=_matvec(omega, x_hat), omega=omega)
-
-
-def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """a @ x for one matrix and vector or for stacks of both."""
-    return (a @ x[..., None])[..., 0]

@@ -7,18 +7,21 @@ equivalent noise that absorbs the extent uncertainty) and one for the extent
 detection residual).  Both are refreshed at every sequential update from the
 previous estimates, which preserves the cross-correlation between the two
 states.
+
+Extents are [alpha, l1, l2] vectors.  Every function except
+kinematic_noise_cov also takes a leading stack axis on all of its per-item
+arguments (one row per detection); ch is shared by the whole stack.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._linalg import as_cov, sym
-from .geometry import Extent, shape_matrix, shape_row_jacobians
+from ._linalg import _from_entries, _matvec, as_cov, spd_inv, sym
+from .geometry import clamp_extent, shape_matrix, shape_row_jacobians
+from .info_filter import innovation
 
 __all__ = [
-    "SQUARE_PICK",
-    "SQUARE_PICK_SWAP",
     "kinematic_measurement_matrix",
     "kinematic_noise_cov",
     "residual_cov",
@@ -26,26 +29,8 @@ __all__ = [
     "extent_measurement_matrix",
     "extent_noise_moments",
     "centered_pseudo_measurement",
+    "innovations",
 ]
-
-# Selectors picking the (1,1), (2,2), (1,2) entries out of a column-stacked
-# 2x2 Kronecker square; the swap variant picks the (2,1) copy instead of (1,2)
-# so that PICK + SWAP accounts for the duplicated off-diagonal term.
-SQUARE_PICK = np.array([
-    [1.0, 0.0, 0.0, 0.0],
-    [0.0, 0.0, 0.0, 1.0],
-    [0.0, 1.0, 0.0, 0.0],
-])
-SQUARE_PICK_SWAP = np.array([
-    [1.0, 0.0, 0.0, 0.0],
-    [0.0, 0.0, 0.0, 1.0],
-    [0.0, 0.0, 1.0, 0.0],
-])
-
-
-def _vect(a: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization."""
-    return np.asarray(a).reshape(-1, order="F")
 
 
 def kinematic_measurement_matrix(x_dim: int) -> np.ndarray:
@@ -57,7 +42,7 @@ def kinematic_measurement_matrix(x_dim: int) -> np.ndarray:
     return h
 
 
-def kinematic_noise_cov(p_hat: Extent, cp, ch, cv) -> np.ndarray:
+def kinematic_noise_cov(p_hat, cp, ch, cv) -> np.ndarray:
     """Equivalent measurement noise covariance for the kinematic model.
 
     Sum of the shape-scattering term S Ch S.T, the extent-uncertainty term
@@ -68,55 +53,58 @@ def kinematic_noise_cov(p_hat: Extent, cp, ch, cv) -> np.ndarray:
     cp = as_cov(cp, "extent covariance")
     ch = as_cov(ch, "multiplicative noise covariance")
     cv = as_cov(cv, "measurement noise covariance")
-    return sym(_shape_noise(p_hat, cp, ch) + cv)
+    return sym(_shape_noise(np.asarray(p_hat, dtype=float), cp, ch) + cv)
 
 
-def _shape_noise(p_hat: Extent, cp: np.ndarray, ch: np.ndarray) -> np.ndarray:
+def _shape_noise(p_hat: np.ndarray, cp: np.ndarray, ch: np.ndarray) -> np.ndarray:
     """The extent's part of the kinematic measurement noise: the scattering
     term S Ch S.T plus the extent-uncertainty term trace(Cp J_n.T Ch J_m)."""
     s_mat = shape_matrix(p_hat)
-    jac = shape_row_jacobians(p_hat)
-    scatter = s_mat @ ch @ s_mat.T
-    spread = np.array([
-        [np.trace(cp @ jac[n].T @ ch @ jac[m]) for n in range(2)]
-        for m in range(2)
-    ])
-    return scatter + spread
+    jac = np.stack(shape_row_jacobians(p_hat), axis=-3)  # J_m at [..., m, :, :]
+    scatter = s_mat @ ch @ s_mat.swapaxes(-1, -2)
+    # [..., m, n] holds Cp J_n.T Ch J_m.
+    spread = (cp[..., None, None, :, :] @ jac.swapaxes(-1, -2)[..., None, :, :, :]
+              @ ch @ jac[..., :, None, :, :])
+    return scatter + np.trace(spread, axis1=-2, axis2=-1)
 
 
 def residual_cov(cx: np.ndarray, rx: np.ndarray) -> np.ndarray:
     """Covariance of the detection residual: H Cx H.T + Rx."""
     cx = np.asarray(cx, dtype=float)
-    return sym(cx[:2, :2] + rx)
+    return sym(cx[..., :2, :2] + rx)
 
 
 def pseudo_measurement(y, x_hat) -> np.ndarray:
     """Quadratic statistic [d1^2, d2^2, d1 d2] of the residual d = y - H x_hat."""
-    y = np.asarray(y, dtype=float)
-    x_hat = np.asarray(x_hat, dtype=float)
-    d = y - x_hat[:2]
-    return np.array([d[0] ** 2, d[1] ** 2, d[0] * d[1]])
+    d = np.asarray(y, dtype=float) - np.asarray(x_hat, dtype=float)[..., :2]
+    return np.stack([d[..., 0] ** 2, d[..., 1] ** 2, d[..., 0] * d[..., 1]], axis=-1)
 
 
-def extent_measurement_matrix(p_hat: Extent, ch) -> np.ndarray:
+def _square_mean(cy: np.ndarray) -> np.ndarray:
+    """Mean [c11, c22, c12] of the quadratic statistic of a zero-mean
+    residual with covariance cy."""
+    return np.stack([cy[..., 0, 0], cy[..., 1, 1], cy[..., 0, 1]], axis=-1)
+
+
+def extent_measurement_matrix(p_hat, ch) -> np.ndarray:
     """Pseudo-measurement matrix mapping the extent vector to the expected
     quadratic statistic, assembled from shape rows and their Jacobians."""
     ch = np.asarray(ch, dtype=float)
     s_mat = shape_matrix(p_hat)
     j1, j2 = shape_row_jacobians(p_hat)
-    s1, s2 = s_mat[0], s_mat[1]
-    return np.vstack([
+    s1, s2 = s_mat[..., 0:1, :], s_mat[..., 1:2, :]
+    return np.concatenate([
         2.0 * s1 @ ch @ j1,
         2.0 * s2 @ ch @ j2,
         s1 @ ch @ j2 + s2 @ ch @ j1,
-    ])
+    ], axis=-2)
 
 
 def extent_noise_moments(
     cy,
     m_mat,
     cp,
-    p_hat: Extent,
+    p_hat,
     *,
     floor: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -132,17 +120,23 @@ def extent_noise_moments(
     cy = np.asarray(cy, dtype=float)
     m_mat = np.asarray(m_mat, dtype=float)
     cp = np.asarray(cp, dtype=float)
-    vbar = SQUARE_PICK @ _vect(cy) - m_mat @ p_hat.as_array()
-    rp = SQUARE_PICK @ np.kron(cy, cy) @ (SQUARE_PICK + SQUARE_PICK_SWAP).T
-    rp = sym(rp - m_mat @ cp @ m_mat.T)
+    vbar = _square_mean(cy) - _matvec(m_mat, np.asarray(p_hat, dtype=float))
+    c11, c22, c12 = cy[..., 0, 0], cy[..., 1, 1], cy[..., 0, 1]
+    # Covariance of [d1^2, d2^2, d1 d2] for Gaussian d ~ N(0, cy).
+    quartic = _from_entries([
+        [2 * c11 ** 2, 2 * c12 ** 2, 2 * c11 * c12],
+        [2 * c12 ** 2, 2 * c22 ** 2, 2 * c22 * c12],
+        [2 * c11 * c12, 2 * c22 * c12, c11 * c22 + c12 ** 2],
+    ])
+    rp = sym(quartic - m_mat @ cp @ m_mat.swapaxes(-1, -2))
     if floor:
         w, v = np.linalg.eigh(rp)
-        lo = 1e-8 * max(float(np.trace(rp)), 1e-12) / 3.0
-        rp = sym((v * np.maximum(w, lo)) @ v.T)
+        lo = 1e-8 * np.maximum(np.trace(rp, axis1=-2, axis2=-1), 1e-12) / 3.0
+        rp = sym((v * np.maximum(w, lo[..., None])[..., None, :]) @ v.swapaxes(-1, -2))
     return vbar, rp
 
 
-def centered_pseudo_measurement(y_quad, cy, m_mat, p_hat: Extent) -> np.ndarray:
+def centered_pseudo_measurement(y_quad, cy, m_mat, p_hat) -> np.ndarray:
     """Recenter a pseudo-measurement so its noise model is zero-mean.
 
     Subtracts the residual-covariance contribution and adds back the current
@@ -151,4 +145,28 @@ def centered_pseudo_measurement(y_quad, cy, m_mat, p_hat: Extent) -> np.ndarray:
     y_quad = np.asarray(y_quad, dtype=float)
     cy = np.asarray(cy, dtype=float)
     m_mat = np.asarray(m_mat, dtype=float)
-    return y_quad - SQUARE_PICK @ _vect(cy) + m_mat @ p_hat.as_array()
+    return y_quad - _square_mean(cy) + _matvec(m_mat, np.asarray(p_hat, dtype=float))
+
+
+def innovations(x, cx, p, cp, y, ch, cv, min_axis: float, trace=None):
+    """Innovation arrays (dqx, dox, dqp, dop) of a stack of detections.
+
+    Detection y[k] is linearized at its own row's moments x[k], cx[k], p[k],
+    cp[k] and carries the sensor noise cv[k].  Both linear models are built
+    from the same pre-update estimates; the extent mean is first wrapped and
+    its semi-axes clamped to min_axis.  A trace records every kinematic noise
+    covariance Rx that gets inverted.
+    """
+    p = clamp_extent(p, min_axis)
+    rx = sym(_shape_noise(p, cp, ch) + cv)
+    if trace is not None:
+        trace.record_rx(rx)
+    vx = spd_inv(rx, name="kinematic measurement noise")
+    dqx, dox = innovation(kinematic_measurement_matrix(x.shape[-1]), vx, y)
+    cy = residual_cov(cx, rx)
+    m_mat = extent_measurement_matrix(p, ch)
+    _, rp = extent_noise_moments(cy, m_mat, cp, p)
+    vp = spd_inv(rp, name="extent pseudo-measurement noise")
+    y_tilde = centered_pseudo_measurement(pseudo_measurement(y, x), cy, m_mat, p)
+    dqp, dop = innovation(m_mat, vp, y_tilde)
+    return dqx, dox, dqp, dop

@@ -10,7 +10,7 @@ determined by the seed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
@@ -35,6 +35,10 @@ __all__ = [
 ]
 
 PRESETS = ("s1", "s2", "s3")
+CONFIG_KEYS = frozenset({
+    "name", "shape", "semi_axes", "steps", "scan_time", "kinematic_dim", "trajectory",
+    "measurements", "noise", "process", "priors", "network", "runs", "seed",
+})
 
 KMH_TO_MPS = 1000.0 / 3600.0
 
@@ -74,7 +78,6 @@ class ScenarioConfig:
     network: str | dict = "benchmark"
     runs: int = 1
     seed: int = 0
-    raw: dict = field(default_factory=dict, repr=False, compare=False)
 
     def with_overrides(self, **kw) -> "ScenarioConfig":
         return replace(self, **kw)
@@ -97,17 +100,23 @@ class ScenarioRun:
     seed: object
 
 
-def _matrix(spec, name: str) -> np.ndarray:
-    """Parse a config matrix: a flat list means a diagonal matrix."""
+def _matrix(spec, name: str, size: int) -> np.ndarray:
+    """Parse a size x size config matrix: a flat list means a diagonal matrix."""
     arr = np.asarray(spec, dtype=float)
     if arr.ndim == 1:
-        return np.diag(arr)
-    if arr.ndim == 2 and arr.shape[0] == arr.shape[1]:
-        return arr
-    raise ValueError(f"{name} must be a flat diagonal list or a square matrix")
+        arr = np.diag(arr)
+    if arr.shape != (size, size):
+        raise ValueError(f"{name} must be a flat diagonal list of {size} entries or a "
+                         f"{size}x{size} matrix, got shape {np.shape(spec)}")
+    return arr
 
 
 def _parse_config(data: dict, name_hint: str) -> ScenarioConfig:
+    if not isinstance(data, dict):
+        raise ValueError("scenario config must be a mapping")
+    unknown = sorted(set(data) - CONFIG_KEYS)
+    if unknown:
+        raise ValueError(f"unknown scenario config keys: {', '.join(map(str, unknown))}")
     try:
         traj_data = data["trajectory"]
         kind = traj_data["kind"]
@@ -154,6 +163,10 @@ def _parse_config(data: dict, name_hint: str) -> ScenarioConfig:
             raise ValueError(f"steps must be >= 1, got {steps}")
         if scan_time <= 0.0:
             raise ValueError(f"scan_time must be > 0, got {scan_time:g}")
+        x_dim = int(data["kinematic_dim"])
+        if x_dim not in (2, 4):
+            raise ValueError(f"kinematic_dim must be 2 or 4, got {x_dim}")
+        noise, process = data["noise"], data["process"]
 
         return ScenarioConfig(
             name=str(data.get("name", name_hint)),
@@ -161,26 +174,25 @@ def _parse_config(data: dict, name_hint: str) -> ScenarioConfig:
             semi_axes=axes,
             steps=steps,
             scan_time=scan_time,
-            kinematic_dim=int(data["kinematic_dim"]),
+            kinematic_dim=x_dim,
             trajectory=traj,
             meas_law=law,
             meas_count=count,
             meas_rate=rate,
-            ch=_matrix(data["noise"]["multiplicative_cov"], "multiplicative_cov"),
-            cv=_matrix(data["noise"]["measurement_cov"], "measurement_cov"),
-            cxw=_matrix(data["process"]["kinematic_cov"], "process kinematic_cov"),
-            cpw=_matrix(data["process"]["extent_cov"], "process extent_cov"),
+            ch=_matrix(noise["multiplicative_cov"], "noise.multiplicative_cov", 2),
+            cv=_matrix(noise["measurement_cov"], "noise.measurement_cov", 2),
+            cxw=_matrix(process["kinematic_cov"], "process.kinematic_cov", x_dim),
+            cpw=_matrix(process["extent_cov"], "process.extent_cov", 3),
             prior_mode=str(priors.get("mode", "fixed")),
             x0_mean=(np.asarray(priors["kinematic_mean"], dtype=float)
                      if priors.get("kinematic_mean") is not None else None),
-            cx0=_matrix(priors["kinematic_cov"], "prior kinematic_cov"),
+            cx0=_matrix(priors["kinematic_cov"], "priors.kinematic_cov", x_dim),
             p0_mean=(np.asarray(priors["extent_mean"], dtype=float)
                      if priors.get("extent_mean") is not None else None),
-            cp0=_matrix(priors["extent_cov"], "prior extent_cov"),
+            cp0=_matrix(priors["extent_cov"], "priors.extent_cov", 3),
             network=data.get("network", "benchmark"),
             runs=int(data.get("runs", 1)),
             seed=int(data.get("seed", 0)),
-            raw=data,
         )
     except KeyError as exc:
         raise ValueError(f"scenario config is missing key {exc}") from exc
@@ -203,9 +215,11 @@ def load_config(source: str | Path) -> ScenarioConfig:
 
 def _network_from_spec(spec: dict) -> SensorNetwork:
     """Build a network from a {positions, sensor_nodes, comm_radius} mapping;
-    every sensor index must name a position."""
+    there must be a sensor, and every sensor index must name a position."""
     n = len(spec["positions"])
     sensors = set(spec["sensor_nodes"])
+    if not sensors:
+        raise ValueError("sensor_nodes is empty; the network needs at least one sensor")
     outside = sorted(s for s in sensors if not 0 <= s < n)
     if outside:
         raise ValueError(f"sensor_nodes {outside} are outside the {n} network positions")

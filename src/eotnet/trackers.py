@@ -25,27 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import spd_inv, spd_solve, sym
+from ._linalg import _matvec, spd_inv, spd_solve, sym
 from .consensus import ConsensusMatrix, SensorNetwork, consensus_rounds
-from .geometry import Extent, wrap_angle
-from .info_filter import (
-    InformationState,
-    InnovationPair,
-    correct,
-    from_moments,
-    innovation,
-    predict,
-    to_moments,
-)
-from .linearization import (
-    _shape_noise,
-    centered_pseudo_measurement,
-    extent_measurement_matrix,
-    extent_noise_moments,
-    kinematic_measurement_matrix,
-    pseudo_measurement,
-    residual_cov,
-)
+from .geometry import clamp_extent
+from .info_filter import InformationState, correct, from_moments, predict, to_moments
+from .linearization import innovations
 
 __all__ = [
     "FilterKind",
@@ -143,55 +127,10 @@ def _sanitize_extent(ext: InformationState, min_axis: float, rows=None) -> Infor
     in_range = (-np.pi < p[:, 0]) & (p[:, 0] <= np.pi) & (p[:, 1:] >= min_axis).all(axis=1)
     if in_range.all():
         return ext
+    bad = rows[~in_range]
     q = ext.q.copy()
-    for r, (alpha, l1, l2) in zip(rows[~in_range], p[~in_range]):
-        q[r] = ext.omega[r] @ np.array([wrap_angle(alpha), max(l1, min_axis), max(l2, min_axis)])
+    q[bad] = _matvec(ext.omega[bad], clamp_extent(p[~in_range], min_axis))
     return InformationState(q=q, omega=ext.omega)
-
-
-@dataclass(frozen=True)
-class _LinPoint:
-    """Shared pieces of both linear models at one row's current estimates."""
-
-    x_hat: np.ndarray
-    cx: np.ndarray
-    p_ext: Extent
-    cp: np.ndarray
-    h: np.ndarray
-    base_noise: np.ndarray  # scattering + extent-spread terms, without Cv
-    m_mat: np.ndarray
-
-
-def _lin_point(x_hat, cx, p_vec, cp, ch: np.ndarray, min_axis: float) -> _LinPoint:
-    """Both linear models' shared pieces at one row's moments."""
-    p_ext = Extent.from_array(p_vec, min_axis)
-    return _LinPoint(
-        x_hat=x_hat,
-        cx=cx,
-        p_ext=p_ext,
-        cp=cp,
-        h=kinematic_measurement_matrix(x_hat.size),
-        base_noise=sym(_shape_noise(p_ext, cp, ch)),
-        m_mat=extent_measurement_matrix(p_ext, ch),
-    )
-
-
-def _node_innovations(lp: _LinPoint, y: np.ndarray, cv: np.ndarray, trace=None):
-    """Innovation pairs of one detection for the kinematics and the extent,
-    both evaluated at the same pre-update linearization point.  A trace
-    records every kinematic noise covariance Rx that gets inverted."""
-    rx = sym(lp.base_noise + cv)
-    if trace is not None:
-        trace.record_rx(rx)
-    vx = spd_inv(rx, name="kinematic measurement noise")
-    kin_pair = innovation(lp.h, vx, y)
-    cy = residual_cov(lp.cx, rx)
-    _, rp = extent_noise_moments(cy, lp.m_mat, lp.cp, lp.p_ext)
-    vp = spd_inv(rp, name="extent pseudo-measurement noise")
-    y_quad = pseudo_measurement(y, lp.x_hat)
-    y_tilde = centered_pseudo_measurement(y_quad, cy, lp.m_mat, lp.p_ext)
-    ext_pair = innovation(lp.m_mat, vp, y_tilde)
-    return kin_pair, ext_pair
 
 
 def _average(arrays, pi, rounds: int) -> list[np.ndarray]:
@@ -209,8 +148,8 @@ def _correct_rows(kin, ext, innov, weight: float, min_axis: float, rows=None):
     """Add the stacked innovations (dqx, dox, dqp, dop) with a weight, then
     sanitize the extent rows that changed (default: all)."""
     dqx, dox, dqp, dop = innov
-    ext = _sanitize_extent(correct(ext, InnovationPair(dqp, dop), weight), min_axis, rows)
-    return correct(kin, InnovationPair(dqx, dox), weight), ext
+    ext = _sanitize_extent(correct(ext, dqp, dop, weight), min_axis, rows)
+    return correct(kin, dqx, dox, weight), ext
 
 
 def correct_scan(
@@ -227,34 +166,34 @@ def correct_scan(
     batches[j] holds sensor j's detections; its noise is params.cv_by_node[j]
     and its innovations go into state row 0 under CEOT and into row j, the
     sensor's own node, under CI and CM.  At each index the sensors that still
-    have detections contribute; shorter batches simply stop.  The distributed filters need the consensus matrix pi and run
-    config.consensus_iters averaging rounds per index.  A trace records the
-    observed Rx spectra.
+    have detections contribute, all linearized in one stacked call; shorter
+    batches simply stop.  The distributed filters need the consensus matrix pi
+    and run config.consensus_iters averaging rounds per index.  A trace records
+    the observed Rx spectra.
     """
     if config.kind is FilterKind.CEOT:
-        rows = [0] * len(batches)
+        rows = np.zeros(len(batches), dtype=int)
     elif pi is None:
         raise ValueError("distributed filters need a consensus matrix")
     elif len(batches) != kin.q.shape[0]:
         raise ValueError("distributed filters need one batch per node")
     else:
-        rows = range(len(batches))
+        rows = np.arange(len(batches))
     rounds, min_axis = config.consensus_iters, params.min_axis
     omega = config.omega if config.omega is not None else float(kin.q.shape[0])
+    cv = np.asarray(params.cv_by_node, dtype=float)
     for i in range(max((len(b) for b in batches), default=0)):
-        active = [j for j, batch in enumerate(batches) if i < len(batch)]
-        lin_rows = list(dict.fromkeys(rows[j] for j in active))
+        active = np.array([j for j, batch in enumerate(batches) if i < len(batch)])
+        det_rows = rows[active]
+        lin_rows, at = np.unique(det_rows, return_inverse=True)
         x, cx = to_moments(InformationState(kin.q[lin_rows], kin.omega[lin_rows]))
         p, cp = to_moments(InformationState(ext.q[lin_rows], ext.omega[lin_rows]))
-        points = {r: _lin_point(x[k], cx[k], p[k], cp[k], params.ch, min_axis)
-                  for k, r in enumerate(lin_rows)}
+        y = np.array([batches[j][i] for j in active])
         innov = [np.zeros_like(a) for a in (kin.q, kin.omega, ext.q, ext.omega)]
-        for j in active:
-            kin_pair, ext_pair = _node_innovations(points[rows[j]], batches[j][i],
-                                                   params.cv_by_node[j], trace)
-            for acc, value in zip(innov, (kin_pair.dq, kin_pair.domega,
-                                          ext_pair.dq, ext_pair.domega)):
-                acc[rows[j]] += value
+        # np.add.at sums detections that share a row; CEOT maps all to row 0.
+        for acc, value in zip(innov, innovations(x[at], cx[at], p[at], cp[at], y, params.ch,
+                                                 cv[active], min_axis, trace)):
+            np.add.at(acc, det_rows, value)
         # The filters differ only here, in how the network combines the rows.
         if config.kind is FilterKind.CM:
             kin, ext = _correct_rows(kin, ext, _average(innov, pi, rounds), omega, min_axis)

@@ -103,7 +103,7 @@ def test_cm_matches_ceot_oracle():
 
 
 def random_moment_config(rng):
-    p_hat = Extent(rng.uniform(-3, 3), rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0))
+    p_hat = Extent(rng.uniform(-3, 3), rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0)).as_array()
     a = rng.normal(size=(2, 2))
     cx = a @ a.T + 0.2 * np.eye(2)
     cp = np.diag(rng.uniform(0.2, 1.0, 3)) * 0.02
@@ -124,7 +124,7 @@ def test_moment_matching_oracle():
         vbar, rp = extent_noise_moments(cy, m, cp, p_hat, floor=False)
         s = shape_matrix(p_hat)
         j1, j2 = shape_row_jacobians(p_hat)
-        mean_err = np.abs(vbar + m @ p_hat.as_array()
+        mean_err = np.abs(vbar + m @ p_hat
                           - quartic_moment_mean(cx, s, j1, j2, cp, ch, cv)).max()
         cov_err = np.abs(rp + m @ cp @ m.T - quartic_moment_cov(cy)).max()
         worst_closed = max(worst_closed, mean_err, cov_err)
@@ -140,7 +140,7 @@ def test_moment_matching_oracle():
         j1, j2 = shape_row_jacobians(p_hat)
         d = sample_linearized_residuals(rng, 1_000_000, cx, s, j1, j2, cp, ch, cv)
         y = np.stack([d[:, 0] ** 2, d[:, 1] ** 2, d[:, 0] * d[:, 1]], axis=1)
-        mean_model = vbar + m @ p_hat.as_array()
+        mean_model = vbar + m @ p_hat
         cov_model = rp + m @ cp @ m.T
         worst_mc = max(
             worst_mc,

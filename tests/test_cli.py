@@ -141,6 +141,26 @@ def test_zero_steps_exits_1_without_traceback(tmp_path, tiny_config, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("measurement_cov: [1.0, 1.0]", "measurement_cov: [1.0, 1.0, 1.0]",
+     "noise.measurement_cov must be"),
+    ("steps: 4", "steps: 4\nstepz: 4", "unknown scenario config keys: stepz"),
+    ("network: benchmark",
+     "network: {positions: [[0.0, 0.0], [500.0, 0.0]], sensor_nodes: [], comm_radius: 600.0}",
+     "sensor_nodes is empty"),
+])
+def test_bad_config_exits_1_without_traceback(tmp_path, tiny_config, capsys, old, new, message):
+    path = tmp_path / "bad.yaml"
+    text = tiny_config.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new))
+    rc = main(["--config", str(path), "--filter", "ceot", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_omega_flag(tmp_path, tiny_config):
     out = tmp_path / "o"
     assert main(["--config", str(tiny_config), "--filter", "cm", "--L", "1",

@@ -15,7 +15,7 @@ from oracles import fd_shape_jacobians
 
 
 def shape_from_vec(p_vec):
-    return shape_matrix(Extent(p_vec[0], p_vec[1], p_vec[2]))
+    return shape_matrix(Extent(p_vec[0], p_vec[1], p_vec[2]).as_array())
 
 
 def test_wrap_angle_range_and_edges():
@@ -53,15 +53,15 @@ def test_kinematic_state():
 
 
 def test_shape_matrix_identity_rotation():
-    assert np.allclose(shape_matrix(Extent(0.0, 2.0, 3.0)), [[2, 0], [0, 3]])
+    assert np.allclose(shape_matrix(Extent(0.0, 2.0, 3.0).as_array()), [[2, 0], [0, 3]])
 
 
 def test_shape_matrix_pure_rotation():
-    assert np.allclose(shape_matrix(Extent(np.pi / 2, 1.0, 1.0)), [[0, -1], [1, 0]], atol=1e-15)
+    assert np.allclose(shape_matrix(Extent(np.pi / 2, 1.0, 1.0).as_array()), [[0, -1], [1, 0]], atol=1e-15)
 
 
 def test_shape_matrix_quarter_rotation_large_axes():
-    s = shape_matrix(Extent(np.pi / 4, 170.0, 40.0))
+    s = shape_matrix(Extent(np.pi / 4, 170.0, 40.0).as_array())
     c = np.cos(np.pi / 4)
     expected = np.array([[170 * c, -40 * c], [170 * c, 40 * c]])
     assert np.allclose(s, expected, rtol=1e-14)
@@ -71,15 +71,15 @@ def test_shape_matrix_invariants():
     rng = np.random.default_rng(1)
     for _ in range(50):
         a, l1, l2 = rng.uniform(-3, 3), rng.uniform(0.1, 10), rng.uniform(0.1, 10)
-        s = shape_matrix(Extent(a, l1, l2))
+        s = shape_matrix(Extent(a, l1, l2).as_array())
         assert np.isclose(np.linalg.det(s), l1 * l2)
-        circle = shape_matrix(Extent(a, l1, l1))
+        circle = shape_matrix(Extent(a, l1, l1).as_array())
         assert np.allclose(circle @ circle.T, l1 ** 2 * np.eye(2), rtol=1e-12, atol=1e-12)
 
 
 def test_jacobians_zero_angle_closed_form():
     l1, l2 = 2.5, 0.7
-    j1, j2 = shape_row_jacobians(Extent(0.0, l1, l2))
+    j1, j2 = shape_row_jacobians(Extent(0.0, l1, l2).as_array())
     assert np.allclose(j1, [[0, 1, 0], [-l2, 0, 0]])
     assert np.allclose(j2, [[l1, 0, 0], [0, 0, 1]])
 
@@ -88,7 +88,7 @@ def test_jacobians_match_finite_differences():
     rng = np.random.default_rng(2)
     for _ in range(100):
         p = np.array([rng.uniform(-3, 3), rng.uniform(0.5, 8), rng.uniform(0.5, 8)])
-        j1, j2 = shape_row_jacobians(Extent(*p))
+        j1, j2 = shape_row_jacobians(Extent(*p).as_array())
         f1, f2 = fd_shape_jacobians(shape_from_vec, p)
         scale = max(1.0, np.abs(f1).max(), np.abs(f2).max())
         assert np.allclose(j1, f1, atol=1e-6 * scale)
@@ -98,7 +98,7 @@ def test_jacobians_match_finite_differences():
 def test_jacobian_cross_term_vanishes_for_circles():
     # S1 Ch J2 + S2 Ch J1 has a first column proportional to l1^2 - l2^2.
     for alpha in (0.0, 0.4, 1.2):
-        p = Extent(alpha, 1.3, 1.3)
+        p = Extent(alpha, 1.3, 1.3).as_array()
         s = shape_matrix(p)
         j1, j2 = shape_row_jacobians(p)
         ch = 0.7 * np.eye(2)

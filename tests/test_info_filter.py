@@ -3,7 +3,6 @@ import pytest
 
 from eotnet.info_filter import (
     InformationState,
-    InnovationPair,
     correct,
     from_moments,
     innovation,
@@ -19,24 +18,24 @@ def random_pd(rng, n, scale=1.0):
 
 
 def test_innovation_identity():
-    pair = innovation(np.eye(2), np.eye(2), np.array([1.0, 2.0]))
-    assert np.allclose(pair.dq, [1.0, 2.0])
-    assert np.allclose(pair.domega, np.eye(2))
+    dq, domega = innovation(np.eye(2), np.eye(2), np.array([1.0, 2.0]))
+    assert np.allclose(dq, [1.0, 2.0])
+    assert np.allclose(domega, np.eye(2))
 
 
 def test_innovation_zero_measurement():
     rng = np.random.default_rng(0)
     a = rng.normal(size=(2, 4))
     v = random_pd(rng, 2)
-    pair = innovation(a, v, np.zeros(2))
-    assert np.allclose(pair.dq, 0.0)
-    assert np.allclose(pair.domega, a.T @ v @ a)
+    dq, domega = innovation(a, v, np.zeros(2))
+    assert np.allclose(dq, 0.0)
+    assert np.allclose(domega, a.T @ v @ a)
 
 
 def test_innovation_scalar_case():
-    pair = innovation(np.array([[2.0]]), np.array([[3.0]]), np.array([5.0]))
-    assert pair.dq == pytest.approx(30.0)
-    assert pair.domega == pytest.approx(12.0)
+    dq, domega = innovation(np.array([[2.0]]), np.array([[3.0]]), np.array([5.0]))
+    assert dq == pytest.approx(30.0)
+    assert domega == pytest.approx(12.0)
 
 
 def test_innovation_dimension_mismatch():
@@ -50,7 +49,7 @@ def test_correct_weight_zero_is_identity():
     rng = np.random.default_rng(1)
     info = from_moments(rng.normal(size=3), random_pd(rng, 3))
     pair = innovation(np.eye(3), random_pd(rng, 3), rng.normal(size=3))
-    out = correct(info, pair, weight=0.0)
+    out = correct(info, *pair, weight=0.0)
     assert np.array_equal(out.q, info.q)
     assert np.allclose(out.omega, info.omega)
 
@@ -60,9 +59,9 @@ def test_corrections_commute_and_sum():
     info = from_moments(rng.normal(size=2), random_pd(rng, 2))
     p1 = innovation(np.eye(2), random_pd(rng, 2), rng.normal(size=2))
     p2 = innovation(np.eye(2), random_pd(rng, 2), rng.normal(size=2))
-    seq = correct(correct(info, p1), p2)
-    swapped = correct(correct(info, p2), p1)
-    summed = correct(info, p1 + p2)
+    seq = correct(correct(info, *p1), *p2)
+    swapped = correct(correct(info, *p2), *p1)
+    summed = correct(info, p1[0] + p2[0], p1[1] + p2[1])
     assert np.allclose(seq.q, swapped.q)
     assert np.allclose(seq.q, summed.q)
     assert np.allclose(seq.omega, summed.omega)
@@ -72,7 +71,7 @@ def test_correct_information_monotone():
     rng = np.random.default_rng(3)
     info = from_moments(rng.normal(size=3), random_pd(rng, 3))
     pair = innovation(rng.normal(size=(2, 3)), random_pd(rng, 2), rng.normal(size=2))
-    out = correct(info, pair, weight=0.7)
+    out = correct(info, *pair, weight=0.7)
     assert np.linalg.eigvalsh(out.omega - info.omega).min() >= -1e-12
 
 
@@ -143,7 +142,7 @@ def test_symmetry_through_chained_cycles():
     a = rng.normal(size=(2, 3))
     v = np.linalg.inv(random_pd(rng, 2))
     for _ in range(1000):
-        info = correct(info, innovation(a, v, rng.normal(size=2)))
+        info = correct(info, *innovation(a, v, rng.normal(size=2)))
         info = predict(info, f, ww)
         assert np.abs(info.omega - info.omega.T).max() < 1e-12
     assert np.isfinite(info.q).all()

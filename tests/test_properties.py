@@ -1,8 +1,9 @@
 """Property tests of the stacked filter core over random small networks.
 
 Hypothesis draws connected geometric graphs of 2-6 nodes, sensor subsets,
-priors and per-sensor batch lengths; each property below must hold for every
-draw, not only at the fixed seeds of the other suites.
+priors and per-sensor batch lengths, or stacks of 1-6 detections over random
+linearization points; each property below must hold for every draw, not only
+at the fixed seeds of the other suites.
 """
 
 import numpy as np
@@ -12,12 +13,14 @@ from scipy.sparse.csgraph import minimum_spanning_tree
 
 from eotnet.consensus import NodeKind, build_network, consensus_rounds, metropolis_weights
 from eotnet.geometry import Extent, KinematicState, sample_measurements
-from eotnet.info_filter import from_moments, to_moments
+from eotnet.info_filter import InformationState, from_moments, to_moments
+from eotnet.linearization import innovations
 from eotnet.trackers import (
     FilterConfig,
     FilterKind,
     TrackerParams,
     _average,
+    _sanitize_extent,
     correct_scan,
     initial_states,
     ncv_transition,
@@ -134,3 +137,70 @@ def test_cm_with_node_count_weight_equals_ceot_on_complete_graphs(draw, max_len)
             (ref,), _ = to_moments(c_info)
             means, _ = to_moments(n_info)
             assert np.abs(means - ref).max() <= 1e-9 * np.abs(ref).max()
+
+
+def random_points(rng, n):
+    """n linearization points (x, cx, p, cp) with rotated covariances and
+    orientations well outside (-pi, pi]."""
+    def cov(d, lo, hi):
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        return (q * rng.uniform(lo, hi, d)) @ q.T
+
+    x = rng.normal(size=(n, 4)) * 5.0
+    cx = np.stack([cov(4, 0.1, 10.0) for _ in range(n)])
+    p = np.stack([rng.uniform(-7.0, 7.0, n), *rng.uniform(0.5, 10.0, (2, n))], axis=-1)
+    cp = np.stack([cov(3, 0.01, 1.0) for _ in range(n)])
+    return x, cx, p, cp
+
+
+def random_detections(rng, k):
+    ch = np.diag(rng.uniform(0.1, 0.5, 2))
+    cv = np.stack([np.diag(rng.uniform(0.5, 10.0, 2)) for _ in range(k)])
+    return rng.normal(size=(k, 2)) * 10.0, ch, cv
+
+
+def assert_close(got, want, rtol=1e-12):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
+@SETTINGS
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6),
+       st.lists(st.integers(0, 5), min_size=1, max_size=6))
+def test_stacked_innovations_equal_slice_by_slice_calls(seed, n, picks):
+    rng = np.random.default_rng(seed)
+    x, cx, p, cp = random_points(rng, n)
+    rows = np.array(picks) % n  # repeated rows share one linearization point
+    y, ch, cv = random_detections(rng, len(rows))
+    stacked = innovations(x[rows], cx[rows], p[rows], cp[rows], y, ch, cv, 1e-3)
+    for k, r in enumerate(rows):
+        one = innovations(x[r:r + 1], cx[r:r + 1], p[r:r + 1], cp[r:r + 1], y[k:k + 1], ch,
+                          cv[k:k + 1], 1e-3)
+        for got, want in zip(stacked, one):
+            assert_close(got[k], want[0])
+
+
+@SETTINGS
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6))
+def test_ceot_scatter_sums_every_detection_into_its_one_row(seed, k):
+    rng = np.random.default_rng(seed)
+    x, cx, p, cp = random_points(rng, 1)
+    y, ch, cv = random_detections(rng, k)
+    params = TrackerParams(ch=ch, cv_by_node=tuple(cv), fx=np.eye(4), fp=np.eye(3),
+                           wwx=np.eye(4), wwp=np.eye(3))
+    kin, ext = initial_states(x[0], cx[0], p[0], cp[0])
+    xs, cxs = to_moments(kin)
+    ps, cps = to_moments(ext)
+    sums = [np.zeros_like(a) for a in (kin.q, kin.omega, ext.q, ext.omega)]
+    for j in range(k):
+        for acc, value in zip(sums, innovations(xs, cxs, ps, cps, y[j:j + 1], ch, cv[j:j + 1],
+                                                params.min_axis)):
+            acc += value
+    want_ext = _sanitize_extent(InformationState(ext.q + sums[2], ext.omega + sums[3]),
+                                params.min_axis)
+    got_kin, got_ext = correct_scan(kin, ext, [y[j:j + 1] for j in range(k)], params,
+                                    FilterConfig(kind=FilterKind.CEOT))
+    assert_close(got_kin.q, kin.q + sums[0])
+    assert_close(got_kin.omega, kin.omega + sums[1])
+    assert_close(got_ext.q, want_ext.q)
+    assert_close(got_ext.omega, want_ext.omega)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import yaml
 
 from eotnet.consensus import check_primitive, metropolis_weights
 from eotnet.scenario import (
+    CONFIG_KEYS,
     PRESETS,
     TrajectorySpec,
     build_scenario_run,
@@ -167,7 +169,7 @@ def test_measurement_covariance_at_true_pose():
     node = net.sensor_nodes[0]
     ys = run.measurements[0][node]
     _, ext = run.truth[0]
-    s_mat = shape_matrix(ext)
+    s_mat = shape_matrix(ext.as_array())
     expected = s_mat @ config.ch @ s_mat.T + config.cv
     assert np.allclose(np.cov(ys.T), expected, rtol=0.05, atol=0.05 * np.abs(expected).max())
 
@@ -240,7 +242,41 @@ def test_sensor_index_outside_network_is_rejected():
         resolve_network(config)
 
 
+def test_empty_sensor_nodes_are_rejected():
+    config = load_config("s1").with_overrides(network={
+        "positions": [[0.0, 0.0], [500.0, 0.0]],
+        "sensor_nodes": [],
+        "comm_radius": 600.0,
+    })
+    with pytest.raises(ValueError, match="sensor_nodes is empty"):
+        resolve_network(config)
+
+
+def write_s3_with(tmp_path, section, key, value):
+    data = yaml.safe_load(preset_text("s3"))
+    (data[section] if section else data)[key] = value
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(data))
+    return path
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("noise", "measurement_cov", [1.0, 1.0, 1.0]),
+    ("process", "kinematic_cov", [50.0, 50.0]),  # s3 has kinematic_dim 4
+    ("priors", "extent_cov", [0.36, 5.0]),
+])
+def test_config_rejects_matrix_of_wrong_size(tmp_path, section, key, value):
+    with pytest.raises(ValueError, match=rf"{section}\.{key} must be .* got shape \({len(value)},\)"):
+        load_config(write_s3_with(tmp_path, section, key, value))
+
+
+def test_config_rejects_unknown_top_level_key(tmp_path):
+    with pytest.raises(ValueError, match="unknown scenario config keys: stepz"):
+        load_config(write_s3_with(tmp_path, None, "stepz", 40))
+
+
 def test_all_presets_parse():
     for name in PRESETS:
         config = load_config(name)
         assert config.runs >= 1
+        assert set(yaml.safe_load(preset_text(name))) == CONFIG_KEYS

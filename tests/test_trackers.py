@@ -5,7 +5,6 @@ from eotnet.consensus import NodeKind, build_network, metropolis_weights
 from eotnet.geometry import Extent, KinematicState, sample_measurements
 from eotnet.info_filter import to_moments
 from eotnet.linearization import (
-    SQUARE_PICK,
     extent_measurement_matrix,
     extent_noise_moments,
     kinematic_measurement_matrix,
@@ -64,7 +63,7 @@ def draw_batch(rng, truth_ext, m, n):
 def hand_single_update(x_hat, cx, p_vec, cp, y, ch, cv):
     """Independent arrangement of one sequential update: both linear models
     are built from the same pre-update estimates, then both states correct."""
-    p_ext = Extent(*p_vec)
+    p_ext = Extent(*p_vec).as_array()
     h = kinematic_measurement_matrix(x_hat.size)
     rx = kinematic_noise_cov(p_ext, cp, ch, cv)
     vx = np.linalg.inv(rx)
@@ -76,7 +75,7 @@ def hand_single_update(x_hat, cx, p_vec, cp, y, ch, cv):
     _, rp = extent_noise_moments(cy, m_mat, cp, p_ext)
     vp = np.linalg.inv(rp)
     y_quad = pseudo_measurement(y, x_hat)  # pre-update kinematic estimate
-    y_tilde = y_quad - SQUARE_PICK @ cy.reshape(-1, order="F") + m_mat @ p_vec
+    y_tilde = y_quad - np.array([cy[0, 0], cy[1, 1], cy[0, 1]]) + m_mat @ p_vec
     omega_p = np.linalg.inv(cp) + m_mat.T @ vp @ m_mat
     q_p = np.linalg.inv(cp) @ p_vec + m_mat.T @ vp @ y_tilde
 
@@ -127,7 +126,7 @@ def test_ceot_sums_per_node_innovations():
     cvs = [np.diag([3.0, 9.0]), np.diag([1.0, 2.0]), np.eye(2)]
     ys = [rng.normal(size=2) for _ in range(3)]
 
-    p_ext = Extent(*p0)
+    p_ext = Extent(*p0).as_array()
     h = np.eye(2)
     omega_x = np.linalg.inv(cx0).astype(float)
     q_x = omega_x @ x0
@@ -143,7 +142,7 @@ def test_ceot_sums_per_node_innovations():
         _, rp = extent_noise_moments(cy, m_mat, cp0, p_ext)
         vp = np.linalg.inv(rp)
         y_tilde = (pseudo_measurement(y, x0)
-                   - SQUARE_PICK @ cy.reshape(-1, order="F") + m_mat @ p0)
+                   - np.array([cy[0, 0], cy[1, 1], cy[0, 1]]) + m_mat @ p0)
         q_p = q_p + m_mat.T @ vp @ y_tilde
         omega_p = omega_p + m_mat.T @ vp @ m_mat
 
