@@ -12,8 +12,6 @@ import enum
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 __all__ = [
     "NodeKind",
@@ -98,7 +96,9 @@ def build_network(positions, kinds, comm_radius: float) -> SensorNetwork:
         raise ValueError("one node kind per position is required")
     dist = np.linalg.norm(positions[:, None, :] - positions[None, :, :], axis=2)
     adjacency = (dist <= comm_radius) & ~np.eye(n, dtype=bool)
-    pieces, _ = connected_components(csr_matrix(adjacency), directed=False)
+    # Nodes of one component reach exactly the same nodes within n - 1 hops.
+    reach = _bool_mat_pow(adjacency | np.eye(n, dtype=bool), n - 1)
+    pieces = np.unique(reach, axis=0).shape[0]
     if pieces != 1:
         raise ValueError(
             f"network is disconnected ({pieces} components) at radius {comm_radius}"

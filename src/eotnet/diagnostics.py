@@ -10,11 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2
 
 from ._linalg import spd_solve, sym
 from .consensus import ConsensusMatrix, check_primitive
-from .geometry import Extent, extent_vertices, rot2, wrap_angle
+from .geometry import Extent, clamp_extent, extent_vertices, wrap_angle
 
 __all__ = [
     "gwd",
@@ -34,60 +33,71 @@ __all__ = [
 ]
 
 
-def _extent_spd(p: Extent) -> np.ndarray:
-    """Extent as an SPD matrix: squared semi-axes in the rotated frame."""
-    r = rot2(p.alpha)
-    return r @ np.diag([p.l1 ** 2, p.l2 ** 2]) @ r.T
+def gwd(m1, p1, m2, p2):
+    """Gaussian Wasserstein distance between (center, extent) pairs.
 
+    d^2 = |m1 - m2|^2 + tr(X1 + X2 - 2 (X1^1/2 X2 X1^1/2)^1/2), where an
+    extent [alpha, a, b] maps to the SPD matrix X = Rot(alpha) diag(a^2, b^2)
+    Rot(alpha).T.  Centers are (..., 2) and extents (..., 3) stacks that
+    broadcast against each other; one distance per stack entry is returned.
+    Semi-axes must be positive.
 
-def _sqrtm_spd(a: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(sym(a))
-    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
-
-
-def gwd(m1, p1: Extent, m2, p2: Extent) -> float:
-    """Gaussian Wasserstein distance between two (center, extent) pairs.
-
-    d^2 = |m1 - m2|^2 + tr(X1 + X2 - 2 (X1^1/2 X2 X1^1/2)^1/2) with the
-    extents mapped to SPD matrices through their squared semi-axes.
+    For 2x2 SPD matrices tr((X1^1/2 X2 X1^1/2)^1/2) = sqrt(tr(X1 X2) +
+    2 sqrt(det X1 det X2)), which with the orientation difference t is
+    root = sqrt(cos^2 t u^2 + sin^2 t v^2) for u = a1 a2 + b1 b2 and
+    v = a1 b2 + b1 a2.  With T = tr X1 + tr X2 the extent term T - 2 root is
+    evaluated as (cos^2 t (T^2 - 4 u^2) + sin^2 t (T^2 - 4 v^2)) / (T + 2 root),
+    where T^2 - 4 u^2 and T^2 - 4 v^2 are products of sums of squares, so
+    near-equal extents do not lose their distance to cancellation.
     """
-    m1 = np.asarray(m1, dtype=float)
-    m2 = np.asarray(m2, dtype=float)
-    x1 = _extent_spd(p1)
-    x2 = _extent_spd(p2)
-    root = _sqrtm_spd(x1)
-    cross = _sqrtm_spd(root @ x2 @ root)
-    d2 = float(np.sum((m1 - m2) ** 2) + np.trace(x1) + np.trace(x2) - 2.0 * np.trace(cross))
-    return float(np.sqrt(max(d2, 0.0)))
+    m1, p1, m2, p2 = (np.asarray(v, dtype=float) for v in (m1, p1, m2, p2))
+    t = p1[..., 0] - p2[..., 0]
+    cos2, sin2 = np.cos(t) ** 2, np.sin(t) ** 2
+    a1, b1, a2, b2 = p1[..., 1], p1[..., 2], p2[..., 1], p2[..., 2]
+    # T^2 - 4 u^2 = (T - 2 u)(T + 2 u), and likewise for v.
+    u_term = ((a1 - a2) ** 2 + (b1 - b2) ** 2) * ((a1 + a2) ** 2 + (b1 + b2) ** 2)
+    v_term = ((a1 - b2) ** 2 + (b1 - a2) ** 2) * ((a1 + b2) ** 2 + (b1 + a2) ** 2)
+    root = np.sqrt(cos2 * (a1 * a2 + b1 * b2) ** 2 + sin2 * (a1 * b2 + b1 * a2) ** 2)
+    total = a1 ** 2 + b1 ** 2 + a2 ** 2 + b2 ** 2
+    shape_term = (cos2 * u_term + sin2 * v_term) / (total + 2.0 * root)
+    return np.sqrt(np.sum((m1 - m2) ** 2, axis=-1) + shape_term)
 
 
 # The 8 symmetry-preserving correspondences between two ordered 4-vertex
 # boundaries: cyclic shifts and the reversed (reflected) traversals.
-_VERTEX_ALIGNMENTS = [np.roll(np.arange(4), k) for k in range(4)] + [
+_VERTEX_ALIGNMENTS = np.array([np.roll(np.arange(4), k) for k in range(4)] + [
     np.roll(np.arange(4)[::-1], k) for k in range(4)
-]
+])
 
 
-def ospa_vertices(est_vertices, true_vertices, cutoff: float = 100.0, order: int = 2) -> float:
-    """OSPA distance between two 4-vertex sets, restricted to the alignments
-    compatible with a rectangle boundary (cyclic shifts and reflections)."""
+def ospa_vertices(est_vertices, true_vertices, cutoff: float = 100.0, order: int = 2):
+    """OSPA distance between 4-vertex sets, restricted to the alignments
+    compatible with a rectangle boundary (cyclic shifts and reflections).
+
+    Both arguments are (..., 4, 2) stacks that broadcast against each other;
+    one distance per stack entry is returned.
+    """
     est = np.asarray(est_vertices, dtype=float)
     tru = np.asarray(true_vertices, dtype=float)
-    if est.shape != (4, 2) or tru.shape != (4, 2):
+    if est.shape[-2:] != (4, 2) or tru.shape[-2:] != (4, 2):
         raise ValueError("vertex sets must have shape (4, 2)")
-    best = np.inf
-    for idx in _VERTEX_ALIGNMENTS:
-        d = np.minimum(np.linalg.norm(est[idx] - tru, axis=1), cutoff)
-        cost = float(np.mean(d ** order) ** (1.0 / order))
-        if cost < best:
-            best = cost
-    return best
+    # [..., alignment, vertex]: distance of each aligned vertex pair.
+    d = np.minimum(np.linalg.norm(est[..., _VERTEX_ALIGNMENTS, :] - tru[..., None, :, :],
+                                  axis=-1), cutoff)
+    return (np.mean(d ** order, axis=-1) ** (1.0 / order)).min(axis=-1)
 
 
-def nees(est, cov, truth) -> float:
-    """Normalized estimation error squared for one estimate."""
+def _mahalanobis(e, cov, name: str):
+    """e.T cov^-1 e for one error vector or a stack of them."""
+    e = np.asarray(e, dtype=float)
+    return np.sum(e * spd_solve(cov, e, name=name), axis=-1)
+
+
+def nees(est, cov, truth):
+    """Normalized estimation error squared of one estimate, or of a stack
+    (..., d) of estimates with covariances (..., d, d)."""
     e = np.asarray(est, dtype=float) - np.asarray(truth, dtype=float)
-    return float(e @ spd_solve(np.asarray(cov, dtype=float), e, name="estimate covariance"))
+    return _mahalanobis(e, cov, "estimate covariance")
 
 
 def nees_bounds(dim: int, runs: int, confidence: float = 0.95) -> tuple[float, float]:
@@ -95,21 +105,27 @@ def nees_bounds(dim: int, runs: int, confidence: float = 0.95) -> tuple[float, f
     dim*runs degrees of freedom, divided by the run count."""
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must be in (0, 1)")
+    from scipy.stats import chi2  # loaded here only: it dominates the package import time
+
     dof = dim * runs
     lo = chi2.ppf(0.5 * (1.0 - confidence), dof) / runs
     hi = chi2.ppf(0.5 * (1.0 + confidence), dof) / runs
     return float(lo), float(hi)
 
 
-def acee(estimates) -> float:
-    """Averaged pairwise estimate disagreement across nodes:
-    sum of |x_s - x_j| over all ordered pairs, divided by n (n - 1)."""
+def acee(estimates):
+    """Averaged pairwise estimate disagreement across nodes: sum of
+    |x_s - x_j| over all ordered pairs, divided by n (n - 1).
+
+    estimates is (..., n, d), one row per node; one value per stack entry
+    is returned.
+    """
     est = np.asarray(estimates, dtype=float)
-    n = est.shape[0]
+    n = est.shape[-2]
     if n < 2:
         raise ValueError("disagreement needs at least two nodes")
-    diffs = np.linalg.norm(est[:, None, :] - est[None, :, :], axis=2)
-    return float(diffs.sum() / (n * (n - 1)))
+    diffs = np.linalg.norm(est[..., :, None, :] - est[..., None, :, :], axis=-1)
+    return diffs.sum(axis=(-2, -1)) / (n * (n - 1))
 
 
 def extent_alignment_error(p_est: Extent, p_true: Extent) -> tuple[float, float, float]:
@@ -263,35 +279,42 @@ def check_assumptions(
 def evaluate_run(record, scn_run, shape: str, cutoff: float = 100.0, order: int = 2):
     """Per-step metric rows for one tracked run.
 
-    Returns (step, node, metric, value) tuples.  Node -1 carries network-level
+    Returns (step, node, metric, value) tuples, per step the node rows in
+    node order and then the network rows.  Node -1 carries network-level
     values: the centralized filter's single output and the per-step estimate
     disagreement of the distributed filters.  OSPA is emitted for rectangles
-    only, where the four vertices are well defined.
+    only, where the four vertices are well defined.  Every metric is computed
+    over the whole (steps, nodes) grid at once; estimated extents are wrapped
+    and their semi-axes clamped to 1e-3 first.
     """
-    rows = []
-    distributed = record.nodes > 1
-    for k, (state, ext_true) in enumerate(scn_run.truth):
-        x_true = state.as_array()
-        true_verts = extent_vertices(state.m, ext_true) if shape == "rectangle" else None
-        for s in range(record.nodes):
-            node = s if distributed else -1
-            x_est = record.x_mean[k, s]
-            p_est = Extent.from_array(record.p_mean[k, s])
-            rows.append((k, node, "pos_err", float(np.linalg.norm(x_est[:2] - state.m))))
-            rows.append((k, node, "gwd", gwd(x_est[:2], p_est, state.m, ext_true)))
-            if true_verts is not None:
-                est_verts = extent_vertices(x_est[:2], p_est)
-                rows.append((k, node, "ospa",
-                             ospa_vertices(est_verts, true_verts, cutoff, order)))
-            rows.append((k, node, "nees_kin", nees(x_est, record.x_cov[k, s], x_true)))
-            e_p = record.p_mean[k, s] - ext_true.as_array()
-            e_p[0] = wrap_angle(e_p[0])
-            rows.append((k, node, "nees_ext",
-                         float(e_p @ spd_solve(record.p_cov[k, s], e_p, name="extent covariance"))))
-        if distributed:
-            rows.append((k, -1, "acee_kin", acee(record.x_mean[k])))
-            rows.append((k, -1, "acee_ext", acee(record.p_mean[k])))
-    return rows
+    if not np.isfinite(record.p_mean).all():
+        raise ValueError("extent estimate entries must be finite")
+    x_true = np.array([state.as_array() for state, _ in scn_run.truth])[:, None, :]
+    p_true = np.array([ext.as_array() for _, ext in scn_run.truth])[:, None, :]
+    x_est, p_est = record.x_mean, clamp_extent(record.p_mean, 1e-3)
+    e_p = record.p_mean - p_true
+    e_p[..., 0] = wrap_angle(e_p[..., 0])
+    per_node = {
+        "pos_err": np.linalg.norm(x_est[..., :2] - x_true[..., :2], axis=-1),
+        "gwd": gwd(x_est[..., :2], p_est, x_true[..., :2], p_true),
+    }
+    if shape == "rectangle":
+        per_node["ospa"] = ospa_vertices(extent_vertices(x_est[..., :2], p_est),
+                                         extent_vertices(x_true[..., :2], p_true), cutoff, order)
+    per_node["nees_kin"] = nees(x_est, record.x_cov, x_true)
+    per_node["nees_ext"] = _mahalanobis(e_p, record.p_cov, "extent covariance")
+    per_step, nodes = {}, [-1]
+    if record.nodes > 1:
+        per_step = {"acee_kin": acee(record.x_mean), "acee_ext": acee(record.p_mean)}
+        nodes = list(range(record.nodes))
+    # One block of rows per step: each node's metrics in turn, then the network rows.
+    blocks = [np.stack(list(per_node.values()), axis=-1).reshape(record.steps, -1)]
+    blocks += [value[:, None] for value in per_step.values()]
+    node_ids = np.repeat(nodes, len(per_node)).tolist() + [-1] * len(per_step)
+    metrics = list(per_node) * len(nodes) + list(per_step)
+    return list(zip(np.repeat(np.arange(record.steps), len(metrics)).tolist(),
+                    node_ids * record.steps, metrics * record.steps,
+                    np.concatenate(blocks, axis=1).ravel().tolist()))
 
 
 def write_metrics_csv(path, rows) -> None:

@@ -160,9 +160,12 @@ def sample_measurements(
 _CORNER_SIGNS = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
 
 
-def extent_vertices(m, p: Extent) -> np.ndarray:
+def extent_vertices(m, p) -> np.ndarray:
     """Corners of the rectangle centered at m with half-lengths l1, l2 rotated
-    by alpha, counterclockwise from the body-frame (+l1, +l2) corner."""
+    by alpha, counterclockwise from the body-frame (+l1, +l2) corner.
+
+    m is a center (..., 2) and p an extent [alpha, l1, l2] or a stack (..., 3);
+    the corners come out as (..., 4, 2).
+    """
     m = np.asarray(m, dtype=float)
-    corners = _CORNER_SIGNS * np.array([p.l1, p.l2])
-    return m + corners @ rot2(p.alpha).T
+    return m[..., None, :] + _CORNER_SIGNS @ shape_matrix(p).swapaxes(-1, -2)

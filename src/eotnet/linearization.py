@@ -53,14 +53,13 @@ def kinematic_noise_cov(p_hat, cp, ch, cv) -> np.ndarray:
     cp = as_cov(cp, "extent covariance")
     ch = as_cov(ch, "multiplicative noise covariance")
     cv = as_cov(cv, "measurement noise covariance")
-    return sym(_shape_noise(np.asarray(p_hat, dtype=float), cp, ch) + cv)
+    return sym(_shape_noise(shape_matrix(p_hat), *shape_row_jacobians(p_hat), cp, ch) + cv)
 
 
-def _shape_noise(p_hat: np.ndarray, cp: np.ndarray, ch: np.ndarray) -> np.ndarray:
+def _shape_noise(s_mat, j1, j2, cp: np.ndarray, ch: np.ndarray) -> np.ndarray:
     """The extent's part of the kinematic measurement noise: the scattering
     term S Ch S.T plus the extent-uncertainty term trace(Cp J_n.T Ch J_m)."""
-    s_mat = shape_matrix(p_hat)
-    jac = np.stack(shape_row_jacobians(p_hat), axis=-3)  # J_m at [..., m, :, :]
+    jac = np.stack((j1, j2), axis=-3)  # J_m at [..., m, :, :]
     scatter = s_mat @ ch @ s_mat.swapaxes(-1, -2)
     # [..., m, n] holds Cp J_n.T Ch J_m.
     spread = (cp[..., None, None, :, :] @ jac.swapaxes(-1, -2)[..., None, :, :, :]
@@ -89,9 +88,12 @@ def _square_mean(cy: np.ndarray) -> np.ndarray:
 def extent_measurement_matrix(p_hat, ch) -> np.ndarray:
     """Pseudo-measurement matrix mapping the extent vector to the expected
     quadratic statistic, assembled from shape rows and their Jacobians."""
-    ch = np.asarray(ch, dtype=float)
-    s_mat = shape_matrix(p_hat)
-    j1, j2 = shape_row_jacobians(p_hat)
+    return _measurement_matrix(shape_matrix(p_hat), *shape_row_jacobians(p_hat),
+                               np.asarray(ch, dtype=float))
+
+
+def _measurement_matrix(s_mat, j1, j2, ch: np.ndarray) -> np.ndarray:
+    """extent_measurement_matrix from the shape matrix S and its row Jacobians."""
     s1, s2 = s_mat[..., 0:1, :], s_mat[..., 1:2, :]
     return np.concatenate([
         2.0 * s1 @ ch @ j1,
@@ -158,13 +160,15 @@ def innovations(x, cx, p, cp, y, ch, cv, min_axis: float, trace=None):
     covariance Rx that gets inverted.
     """
     p = clamp_extent(p, min_axis)
-    rx = sym(_shape_noise(p, cp, ch) + cv)
+    # S and its row Jacobians feed both linear models; build them once.
+    geometry = (shape_matrix(p), *shape_row_jacobians(p))
+    rx = sym(_shape_noise(*geometry, cp, ch) + cv)
     if trace is not None:
         trace.record_rx(rx)
     vx = spd_inv(rx, name="kinematic measurement noise")
     dqx, dox = innovation(kinematic_measurement_matrix(x.shape[-1]), vx, y)
     cy = residual_cov(cx, rx)
-    m_mat = extent_measurement_matrix(p, ch)
+    m_mat = _measurement_matrix(*geometry, ch)
     _, rp = extent_noise_moments(cy, m_mat, cp, p)
     vp = spd_inv(rp, name="extent pseudo-measurement noise")
     y_tilde = centered_pseudo_measurement(pseudo_measurement(y, x), cy, m_mat, p)

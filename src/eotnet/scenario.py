@@ -111,22 +111,41 @@ def _matrix(spec, name: str, size: int) -> np.ndarray:
     return arr
 
 
-def _parse_config(data: dict, name_hint: str) -> ScenarioConfig:
-    if not isinstance(data, dict):
-        raise ValueError("scenario config must be a mapping")
-    unknown = sorted(set(data) - CONFIG_KEYS)
+def _vector(spec, name: str, size: int) -> np.ndarray | None:
+    """Parse an optional config vector of the given length; None stays None."""
+    if spec is None:
+        return None
+    arr = np.asarray(spec, dtype=float)
+    if arr.shape != (size,):
+        raise ValueError(f"{name} must be a list of {size} entries, got shape {np.shape(spec)}")
+    return arr
+
+
+def _check_keys(mapping, allowed, prefix: str = "") -> None:
+    """Reject a non-mapping or any key outside allowed; a nested section's
+    keys are named with its prefix, as in noise.measurement_cov."""
+    if not isinstance(mapping, dict):
+        raise ValueError(f"{prefix.rstrip('.') or 'scenario config'} must be a mapping")
+    unknown = sorted(set(mapping) - set(allowed))
     if unknown:
-        raise ValueError(f"unknown scenario config keys: {', '.join(map(str, unknown))}")
+        raise ValueError("unknown scenario config keys: "
+                         + ", ".join(f"{prefix}{key}" for key in unknown))
+
+
+def _parse_config(data: dict, name_hint: str) -> ScenarioConfig:
+    _check_keys(data, CONFIG_KEYS)
     try:
         traj_data = data["trajectory"]
         kind = traj_data["kind"]
         if kind == "stationary":
+            _check_keys(traj_data, {"kind", "position", "orientation"}, "trajectory.")
             traj = TrajectorySpec(
                 kind="stationary",
                 position=np.asarray(traj_data["position"], dtype=float),
                 orientation=float(traj_data["orientation"]),
             )
         elif kind == "waypoints":
+            _check_keys(traj_data, {"kind", "waypoints", "speed_kmh"}, "trajectory.")
             waypoints = np.asarray(traj_data["waypoints"], dtype=float)
             if waypoints.ndim != 2 or waypoints.shape[0] < 2 or waypoints.shape[1] != 2:
                 raise ValueError("waypoint trajectories need at least 2 planar points")
@@ -141,10 +160,12 @@ def _parse_config(data: dict, name_hint: str) -> ScenarioConfig:
         meas = data["measurements"]
         law = meas["law"]
         if law == "fixed":
+            _check_keys(meas, {"law", "count"}, "measurements.")
             count, rate = int(meas["count"]), 0.0
             if count < 1:
                 raise ValueError("fixed measurement count must be >= 1")
         elif law == "poisson":
+            _check_keys(meas, {"law", "rate"}, "measurements.")
             count, rate = 0, float(meas["rate"])
             if rate <= 0.0:
                 raise ValueError("poisson measurement rate must be > 0")
@@ -152,6 +173,8 @@ def _parse_config(data: dict, name_hint: str) -> ScenarioConfig:
             raise ValueError(f"unknown measurement law {law!r}")
 
         priors = data["priors"]
+        _check_keys(priors, {"mode", "kinematic_mean", "kinematic_cov", "extent_mean",
+                             "extent_cov"}, "priors.")
         shape = data["shape"]
         if shape not in ("ellipse", "rectangle"):
             raise ValueError(f"unknown shape {shape!r}")
@@ -167,6 +190,8 @@ def _parse_config(data: dict, name_hint: str) -> ScenarioConfig:
         if x_dim not in (2, 4):
             raise ValueError(f"kinematic_dim must be 2 or 4, got {x_dim}")
         noise, process = data["noise"], data["process"]
+        _check_keys(noise, {"multiplicative_cov", "measurement_cov"}, "noise.")
+        _check_keys(process, {"kinematic_cov", "extent_cov"}, "process.")
 
         return ScenarioConfig(
             name=str(data.get("name", name_hint)),
@@ -184,11 +209,9 @@ def _parse_config(data: dict, name_hint: str) -> ScenarioConfig:
             cxw=_matrix(process["kinematic_cov"], "process.kinematic_cov", x_dim),
             cpw=_matrix(process["extent_cov"], "process.extent_cov", 3),
             prior_mode=str(priors.get("mode", "fixed")),
-            x0_mean=(np.asarray(priors["kinematic_mean"], dtype=float)
-                     if priors.get("kinematic_mean") is not None else None),
+            x0_mean=_vector(priors.get("kinematic_mean"), "priors.kinematic_mean", x_dim),
             cx0=_matrix(priors["kinematic_cov"], "priors.kinematic_cov", x_dim),
-            p0_mean=(np.asarray(priors["extent_mean"], dtype=float)
-                     if priors.get("extent_mean") is not None else None),
+            p0_mean=_vector(priors.get("extent_mean"), "priors.extent_mean", 3),
             cp0=_matrix(priors["extent_cov"], "priors.extent_cov", 3),
             network=data.get("network", "benchmark"),
             runs=int(data.get("runs", 1)),
@@ -322,8 +345,6 @@ def _realize_priors(truth, config: ScenarioConfig, rng) -> tuple[np.ndarray, np.
     state0, ext0 = truth[0]
     x_mean = config.x0_mean if config.x0_mean is not None else state0.as_array()
     p_mean = config.p0_mean if config.p0_mean is not None else ext0.as_array()
-    if x_mean.size != config.kinematic_dim:
-        raise ValueError("prior kinematic mean has the wrong dimension")
     if config.prior_mode == "fixed":
         return x_mean.copy(), p_mean.copy()
     if config.prior_mode != "sampled":

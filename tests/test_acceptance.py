@@ -215,7 +215,7 @@ def test_s1_convergence():
     params = params_from_scenario(config, net)
     scn = build_scenario_run(config, net, seed=67)
     truth_state, truth_ext = scn.truth[0]
-    true_verts = extent_vertices(truth_state.m, truth_ext)
+    true_verts = extent_vertices(truth_state.m, truth_ext.as_array())
 
     results = {}
     for name, fc in (
@@ -231,7 +231,8 @@ def test_s1_convergence():
             p, _ = fuse_nodes(rec.p_mean[-1], rec.p_cov[-1])
         pos_err = float(np.linalg.norm(x[:2] - truth_state.m))
         dl1, dl2, _ = extent_alignment_error(Extent.from_array(p), truth_ext)
-        ospa = ospa_vertices(extent_vertices(x[:2], Extent.from_array(p)), true_verts)
+        ospa = ospa_vertices(extent_vertices(x[:2], Extent.from_array(p).as_array()),
+                             true_verts)
         results[name] = (pos_err, max(dl1, dl2), ospa)
 
     elapsed = time.perf_counter() - t0

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import eotnet
 from eotnet.cli import main
 from eotnet.scenario import preset_text
 
@@ -145,6 +151,8 @@ def test_zero_steps_exits_1_without_traceback(tmp_path, tiny_config, capsys):
     ("measurement_cov: [1.0, 1.0]", "measurement_cov: [1.0, 1.0, 1.0]",
      "noise.measurement_cov must be"),
     ("steps: 4", "steps: 4\nstepz: 4", "unknown scenario config keys: stepz"),
+    ("measurement_cov: [1.0, 1.0]", "measurement_cov: [1.0, 1.0]\n  measurment_covv: [1.0, 1.0]",
+     "unknown scenario config keys: noise.measurment_covv"),
     ("network: benchmark",
      "network: {positions: [[0.0, 0.0], [500.0, 0.0]], sensor_nodes: [], comm_radius: 600.0}",
      "sensor_nodes is empty"),
@@ -170,3 +178,13 @@ def test_omega_flag(tmp_path, tiny_config):
     assert main(["--config", str(tiny_config), "--filter", "cm", "--L", "1",
                  "--runs", "1", "--omega", "12.5", "--out", str(out2)]) == 0
     assert "omega: 12.5" in (out2 / "summary.txt").read_text()
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported only inside nees_bounds, so it stays off the CLI's import path
+    src = str(Path(eotnet.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, eotnet.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -32,6 +32,11 @@ def test_build_network_pair():
 def test_build_network_disconnected():
     with pytest.raises(ValueError, match="disconnected"):
         line_network(3000.0, 2, radius=2000.0)
+    # two pairs and a lone node
+    positions = np.array([[0.0, 0.0], [1000.0, 0.0], [5000.0, 0.0], [6000.0, 0.0],
+                          [9000.0, 0.0]])
+    with pytest.raises(ValueError, match=r"disconnected \(3 components\)"):
+        build_network(positions, [NodeKind.SENSOR] * 5, 2000.0)
 
 
 def test_build_network_too_small():

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.stats import chi2
@@ -8,6 +10,7 @@ from eotnet.diagnostics import (
     acee,
     bounded_mse_experiment,
     check_assumptions,
+    evaluate_run,
     extent_alignment_error,
     gwd,
     nees,
@@ -16,31 +19,38 @@ from eotnet.diagnostics import (
     summarize_metrics,
     write_metrics_csv,
 )
-from eotnet.geometry import Extent, extent_vertices, rot2
-from eotnet.scenario import load_config, benchmark_network
-from eotnet.trackers import FilterConfig, FilterKind, ncv_transition
+from eotnet.geometry import Extent, KinematicState, extent_vertices, rot2, wrap_angle
+from eotnet.scenario import benchmark_network, build_scenario_run, load_config
+from eotnet.trackers import (
+    FilterConfig,
+    FilterKind,
+    TrackRecord,
+    ncv_transition,
+    params_from_scenario,
+    run_filter,
+)
 from oracles import ospa_all_permutations
 
 
 def random_pose(rng):
     m = rng.normal(size=2) * 10
-    p = Extent(rng.uniform(-3, 3), rng.uniform(0.5, 8), rng.uniform(0.5, 8))
+    p = Extent(rng.uniform(-3, 3), rng.uniform(0.5, 8), rng.uniform(0.5, 8)).as_array()
     return m, p
 
 
 def test_gwd_identity():
-    m, p = np.array([1.0, 2.0]), Extent(0.4, 3.0, 1.0)
+    m, p = np.array([1.0, 2.0]), Extent(0.4, 3.0, 1.0).as_array()
     assert gwd(m, p, m, p) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_gwd_pure_translation():
-    p = Extent(0.7, 3.0, 1.0)
+    p = Extent(0.7, 3.0, 1.0).as_array()
     assert gwd([0.0, 0.0], p, [3.0, 4.0], p) == pytest.approx(5.0, rel=1e-9)
 
 
 def test_gwd_concentric_circles():
     r1, r2 = 2.0, 5.0
-    d = gwd([0, 0], Extent(0.0, r1, r1), [0, 0], Extent(1.0, r2, r2))
+    d = gwd([0, 0], Extent(0.0, r1, r1).as_array(), [0, 0], Extent(1.0, r2, r2).as_array())
     assert d == pytest.approx(np.sqrt(2.0) * abs(r1 - r2), rel=1e-9)
 
 
@@ -56,25 +66,25 @@ def test_gwd_metric_properties():
 
 
 def test_gwd_orientation_invariance_for_circles():
-    d = gwd([0, 0], Extent(0.3, 2, 2), [0, 0], Extent(-1.2, 2, 2))
+    d = gwd([0, 0], Extent(0.3, 2, 2).as_array(), [0, 0], Extent(-1.2, 2, 2).as_array())
     assert d == pytest.approx(0.0, abs=1e-9)
 
 
 def test_ospa_identical():
-    v = extent_vertices(np.zeros(2), Extent(0.3, 2, 1))
+    v = extent_vertices(np.zeros(2), Extent(0.3, 2, 1).as_array())
     assert ospa_vertices(v, v) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_ospa_translation():
-    p = Extent(0.0, 2.0, 1.0)
+    p = Extent(0.0, 2.0, 1.0).as_array()
     v0 = extent_vertices(np.zeros(2), p)
     v1 = extent_vertices(np.array([3.0, 4.0]), p)
     assert ospa_vertices(v1, v0) == pytest.approx(5.0, rel=1e-12)
 
 
 def test_ospa_half_turn_is_zero():
-    p0 = Extent(0.4, 2.0, 1.0)
-    p1 = Extent(0.4 + np.pi, 2.0, 1.0)
+    p0 = Extent(0.4, 2.0, 1.0).as_array()
+    p1 = Extent(0.4 + np.pi, 2.0, 1.0).as_array()
     v0 = extent_vertices(np.zeros(2), p0)
     v1 = extent_vertices(np.zeros(2), p1)
     assert ospa_vertices(v1, v0) == pytest.approx(0.0, abs=1e-9)
@@ -83,16 +93,16 @@ def test_ospa_half_turn_is_zero():
 
 def test_ospa_axis_swap_is_zero():
     # quarter turn with swapped axes describes the same rectangle
-    v0 = extent_vertices(np.zeros(2), Extent(0.2, 2.0, 1.0))
-    v1 = extent_vertices(np.zeros(2), Extent(0.2 + np.pi / 2, 1.0, 2.0))
+    v0 = extent_vertices(np.zeros(2), Extent(0.2, 2.0, 1.0).as_array())
+    v1 = extent_vertices(np.zeros(2), Extent(0.2 + np.pi / 2, 1.0, 2.0).as_array())
     assert ospa_vertices(v1, v0) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_ospa_matches_exhaustive_oracle():
     rng = np.random.default_rng(1)
     for _ in range(50):
-        va = extent_vertices(rng.normal(size=2), Extent(rng.uniform(-3, 3), 2.5, 1.0))
-        vb = extent_vertices(rng.normal(size=2), Extent(rng.uniform(-3, 3), 2.5, 1.0))
+        va = extent_vertices(rng.normal(size=2), Extent(rng.uniform(-3, 3), 2.5, 1.0).as_array())
+        vb = extent_vertices(rng.normal(size=2), Extent(rng.uniform(-3, 3), 2.5, 1.0).as_array())
         ours = ospa_vertices(va, vb)
         oracle = ospa_all_permutations(va, vb, 100.0, 2)
         # restricted alignments can only do as well as the exhaustive search
@@ -102,8 +112,8 @@ def test_ospa_matches_exhaustive_oracle():
 def test_ospa_bounded_by_cutoff():
     rng = np.random.default_rng(2)
     for _ in range(50):
-        va = extent_vertices(rng.normal(size=2) * 500, Extent(0.1, 3, 1))
-        vb = extent_vertices(rng.normal(size=2) * 500, Extent(0.7, 2, 1))
+        va = extent_vertices(rng.normal(size=2) * 500, Extent(0.1, 3, 1).as_array())
+        vb = extent_vertices(rng.normal(size=2) * 500, Extent(0.7, 2, 1).as_array())
         assert ospa_vertices(va, vb, cutoff=100.0) <= 100.0 + 1e-12
 
 
@@ -207,6 +217,49 @@ def test_check_assumptions_detects_nonprimitive():
     report = check_assumptions(np.eye(2), np.eye(2), np.eye(2), flip, 1, 1.0, trace)
     assert not report.primitive
     assert not report.a3_pass and not report.all_pass
+
+
+def test_evaluate_run_rows_follow_the_per_estimate_layout():
+    config = load_config("s3").with_overrides(steps=3)
+    net = benchmark_network()
+    scn = build_scenario_run(config, net, 5)
+    rec = run_filter(scn, net, params_from_scenario(config, net),
+                     FilterConfig(kind=FilterKind.CM, consensus_iters=1), metropolis_weights(net))
+    want = []
+    for k, (state, ext) in enumerate(scn.truth):
+        x_true, p_true = state.as_array(), ext.as_array()
+        true_verts = extent_vertices(state.m, p_true)
+        for s in range(rec.nodes):
+            x, p = rec.x_mean[k, s], Extent.from_array(rec.p_mean[k, s]).as_array()
+            e_p = rec.p_mean[k, s] - p_true
+            e_p[0] = wrap_angle(e_p[0])
+            want += [(k, s, "pos_err", np.linalg.norm(x[:2] - state.m)),
+                     (k, s, "gwd", gwd(x[:2], p, state.m, p_true)),
+                     (k, s, "ospa", ospa_vertices(extent_vertices(x[:2], p), true_verts)),
+                     (k, s, "nees_kin", nees(x, rec.x_cov[k, s], x_true)),
+                     (k, s, "nees_ext", nees(e_p, rec.p_cov[k, s], np.zeros(3)))]
+        want += [(k, -1, "acee_kin", acee(rec.x_mean[k])), (k, -1, "acee_ext", acee(rec.p_mean[k]))]
+    rows = evaluate_run(rec, scn, "rectangle")
+    assert [row[:3] for row in rows] == [w[:3] for w in want]
+    assert all(type(row[3]) is float for row in rows)
+    np.testing.assert_allclose([row[3] for row in rows], [w[3] for w in want], rtol=1e-12)
+
+
+@pytest.mark.parametrize("field, index", [
+    ("p_mean", (1, 2, 0)), ("p_mean", (0, 0, 2)), ("p_cov", (1, 1, 2, 2)), ("x_cov", (0, 2, 1, 1)),
+])
+def test_evaluate_run_rejects_non_finite_estimates(field, index):
+    truth = tuple((KinematicState(np.zeros(2)), Extent(0.3, 4.0, 2.0)) for _ in range(2))
+    arrays = {
+        "x_mean": np.zeros((2, 3, 2)),
+        "x_cov": np.tile(np.eye(2), (2, 3, 1, 1)),
+        "p_mean": np.tile([0.3, 4.0, 2.0], (2, 3, 1)),
+        "p_cov": np.tile(np.eye(3), (2, 3, 1, 1)),
+    }
+    arrays[field][index] = np.nan
+    rec = TrackRecord(kind=FilterKind.CM, step_seconds=np.zeros(2), **arrays)
+    with pytest.raises(ValueError, match="finite|NaN|nan"):
+        evaluate_run(rec, SimpleNamespace(truth=truth), "rectangle")
 
 
 def test_write_metrics_csv_and_summary(tmp_path):

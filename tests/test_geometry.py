@@ -141,25 +141,25 @@ def test_sample_measurements_rejects_bad_covariance():
 
 
 def test_extent_vertices_unit_square():
-    v = extent_vertices(np.zeros(2), Extent(0.0, 1.0, 1.0))
+    v = extent_vertices(np.zeros(2), Extent(0.0, 1.0, 1.0).as_array())
     assert np.allclose(v, [[1, 1], [-1, 1], [-1, -1], [1, -1]])
 
 
 def test_extent_vertices_translation():
-    p = Extent(0.7, 2.0, 1.0)
+    p = Extent(0.7, 2.0, 1.0).as_array()
     v0 = extent_vertices(np.zeros(2), p)
     v1 = extent_vertices(np.array([5.0, 0.0]), p)
     assert np.allclose(v1 - v0, [5.0, 0.0])
 
 
 def test_extent_vertices_quarter_turn():
-    base = extent_vertices(np.zeros(2), Extent(0.0, 2.0, 1.0))
-    turned = extent_vertices(np.zeros(2), Extent(np.pi / 2, 2.0, 1.0))
+    base = extent_vertices(np.zeros(2), Extent(0.0, 2.0, 1.0).as_array())
+    turned = extent_vertices(np.zeros(2), Extent(np.pi / 2, 2.0, 1.0).as_array())
     assert np.allclose(turned, base @ rot2(np.pi / 2).T, atol=1e-12)
 
 
 def test_extent_vertices_half_turn_same_set():
-    p0 = extent_vertices(np.zeros(2), Extent(0.4, 2.0, 1.0))
-    p1 = extent_vertices(np.zeros(2), Extent(0.4 + np.pi, 2.0, 1.0))
+    p0 = extent_vertices(np.zeros(2), Extent(0.4, 2.0, 1.0).as_array())
+    p1 = extent_vertices(np.zeros(2), Extent(0.4 + np.pi, 2.0, 1.0).as_array())
     # same vertex set, cyclically shifted by two
     assert np.allclose(np.roll(p1, 2, axis=0), p0, atol=1e-12)

@@ -1,9 +1,9 @@
-"""Property tests of the stacked filter core over random small networks.
+"""Property tests of the stacked filter core and metrics over random draws.
 
 Hypothesis draws connected geometric graphs of 2-6 nodes, sensor subsets,
-priors and per-sensor batch lengths, or stacks of 1-6 detections over random
-linearization points; each property below must hold for every draw, not only
-at the fixed seeds of the other suites.
+priors and per-sensor batch lengths, stacks of 1-6 detections over random
+linearization points, or stacks of estimates to score; each property below
+must hold for every draw, not only at the fixed seeds of the other suites.
 """
 
 import numpy as np
@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import minimum_spanning_tree
 
 from eotnet.consensus import NodeKind, build_network, consensus_rounds, metropolis_weights
-from eotnet.geometry import Extent, KinematicState, sample_measurements
+from eotnet.diagnostics import acee, gwd, nees, ospa_vertices
+from eotnet.geometry import Extent, KinematicState, extent_vertices, sample_measurements
 from eotnet.info_filter import InformationState, from_moments, to_moments
 from eotnet.linearization import innovations
 from eotnet.trackers import (
@@ -26,6 +27,7 @@ from eotnet.trackers import (
     ncv_transition,
     predict_states,
 )
+from oracles import gwd_eigh, gwd_eigh_rounding
 
 SETTINGS = settings(max_examples=25, deadline=None)
 TRUTH = (KinematicState(np.zeros(2)), Extent(0.4, 6.0, 2.0))
@@ -204,3 +206,53 @@ def test_ceot_scatter_sums_every_detection_into_its_one_row(seed, k):
     assert_close(got_kin.omega, kin.omega + sums[1])
     assert_close(got_ext.q, want_ext.q)
     assert_close(got_ext.omega, want_ext.omega)
+
+
+AXES = st.one_of(st.just(1e-3), st.floats(1e-3, 200.0))
+ANGLES = st.floats(-7.0, 7.0, exclude_min=True, exclude_max=True)
+COORDS = st.floats(-100.0, 100.0)
+
+
+@st.composite
+def poses(draw, n):
+    """n centers (n, 2) and extents (n, 3): orientations in (-7, 7) rad and
+    semi-axes from the 1e-3 m floor to 200 m, circles among them."""
+    centers, extents = [], []
+    for _ in range(n):
+        l1 = draw(AXES)
+        l2 = l1 if draw(st.booleans()) else draw(AXES)
+        centers.append([draw(COORDS), draw(COORDS)])
+        extents.append([draw(ANGLES), l1, l2])
+    return np.array(centers), np.array(extents)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(poses(n), poses(1))))
+def test_stacked_gwd_matches_eigh_oracle(draw):
+    (m, p), (m_true, p_true) = draw
+    got = gwd(m, p, m_true[0], p_true[0])
+    assert got.shape == (len(p),)
+    for k, d in enumerate(got):
+        want = gwd_eigh(m[k], p[k], m_true[0], p_true[0])
+        # The oracle's squared distance is only good to e2; the distances then
+        # differ by at most e2 / (d + want), and never by more than sqrt(e2).
+        e2 = gwd_eigh_rounding(m[k], p[k], m_true[0], p_true[0])
+        assert abs(d - want) <= 1e-9 * want + 1e-9 + e2 / max(d + want, np.sqrt(e2))
+
+
+@SETTINGS
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(2, 5))
+def test_stacked_ospa_nees_and_acee_equal_slice_by_slice_calls(seed, n, nodes):
+    rng = np.random.default_rng(seed)
+    x, cx, p, _ = random_points(rng, n)
+    truth = rng.normal(size=4) * 5.0
+    true_verts = extent_vertices(truth[:2], [0.3, 5.0, 2.0])
+    verts = extent_vertices(x[:, :2], p)
+    ospa, errors = ospa_vertices(verts, true_verts, cutoff=10.0), nees(x, cx, truth)
+    grid = rng.normal(size=(n, nodes, 3)) * 5.0
+    spread = acee(grid)
+    for k in range(n):
+        assert_close(verts[k], extent_vertices(x[k, :2], p[k]))
+        assert_close(ospa[k], ospa_vertices(verts[k], true_verts, cutoff=10.0))
+        assert_close(errors[k], nees(x[k], cx[k], truth))
+        assert_close(spread[k], acee(grid[k]))

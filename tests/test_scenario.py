@@ -270,6 +270,23 @@ def test_config_rejects_matrix_of_wrong_size(tmp_path, section, key, value):
         load_config(write_s3_with(tmp_path, section, key, value))
 
 
+@pytest.mark.parametrize("section, key, value, message", [
+    ("noise", "measurment_covv", [1.0, 1.0], "unknown scenario config keys: noise.measurment_covv"),
+    ("process", "extent_covv", [0.1, 0.1, 0.1], "unknown scenario config keys: process.extent_covv"),
+    ("priors", "extent_mena", [0.0, 5.0, 5.0], "unknown scenario config keys: priors.extent_mena"),
+    ("trajectory", "speed_kph", 50.0, "unknown scenario config keys: trajectory.speed_kph"),
+    # s3 draws Poisson counts, so a fixed count is not read
+    ("measurements", "count", 5, "unknown scenario config keys: measurements.count"),
+    ("priors", "kinematic_mean", [0.0, 0.0],
+     r"priors.kinematic_mean must be a list of 4 entries, got shape \(2,\)"),
+    ("priors", "extent_mean", [0.0, 5.0],
+     r"priors.extent_mean must be a list of 3 entries, got shape \(2,\)"),
+])
+def test_config_rejects_bad_nested_entries(tmp_path, section, key, value, message):
+    with pytest.raises(ValueError, match=message):
+        load_config(write_s3_with(tmp_path, section, key, value))
+
+
 def test_config_rejects_unknown_top_level_key(tmp_path):
     with pytest.raises(ValueError, match="unknown scenario config keys: stepz"):
         load_config(write_s3_with(tmp_path, None, "stepz", 40))

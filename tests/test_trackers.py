@@ -381,8 +381,8 @@ def test_cm_gwd_improves_with_more_rounds():
                              FilterConfig(kind=FilterKind.CM, consensus_iters=rounds), pi)
             for k, (state, ext) in enumerate(scn.truth):
                 vals.extend(
-                    gwd(rec.x_mean[k, s][:2], Extent.from_array(rec.p_mean[k, s]),
-                        state.m, ext)
+                    gwd(rec.x_mean[k, s][:2], Extent.from_array(rec.p_mean[k, s]).as_array(),
+                        state.m, ext.as_array())
                     for s in range(rec.nodes)
                 )
         means.append(float(np.mean(vals)))
