@@ -64,19 +64,25 @@ def sqrt_psd(a: np.ndarray) -> np.ndarray:
 
 def _checked_spd(a, name: str) -> np.ndarray:
     """sym(a), after checking that it is finite and that a Cholesky
-    factorization exists; a failing stack slice is named by its index."""
+    factorization exists.  A failing slice of a stack is named by its full
+    index: the node of an (n, d, d) stack, the run and node of an
+    (R, n, d, d) stack."""
     a = sym(np.asarray(a, dtype=float))
     if not np.isfinite(a).all():
         raise ValueError(f"{name} must not contain infs or NaNs")
     try:
         np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
-        node, bad = "", a
-        if a.ndim == 3:
-            i = int(np.argmin(np.linalg.eigvalsh(a)[:, 0]))
-            node, bad = f" (node {i})", a[i]
+        where, bad = "", a
+        if a.ndim > 2:
+            index = np.unravel_index(int(np.argmin(np.linalg.eigvalsh(a)[..., 0])), a.shape[:-2])
+            bad = a[index]
+            # Deeper stacks than (run, node) are named by their index tuple alone.
+            labels = ("run", "node")[-len(index):] if len(index) <= 2 else ("slice",)
+            index = [int(i) for i in index] if len(index) <= 2 else [tuple(map(int, index))]
+            where = " (" + ", ".join(f"{label} {i}" for label, i in zip(labels, index)) + ")"
         raise np.linalg.LinAlgError(
-            f"{name}{node} is singular or not positive definite "
+            f"{name}{where} is singular or not positive definite "
             f"(cond {float(np.linalg.cond(bad)):.3e})"
         ) from exc
     return a

@@ -2,7 +2,9 @@
 
 Loads a scenario (preset or YAML file), runs the selected filter over Monte
 Carlo realizations, and writes metrics.csv / summary.txt / assumptions.txt
-into the output directory.  Sweeps repeat this per consensus-iteration or
+into the output directory.  Each worker of the pool runs its contiguous share
+of the realizations as one stacked filter pass, and assumptions.txt covers
+every realization.  Sweeps repeat this per consensus-iteration or
 measurement-rate setting and add a combined comparison file.  Outputs are
 deterministic for a fixed seed; EOT_THREADS caps the worker pool.
 """
@@ -10,6 +12,7 @@ deterministic for a fixed seed; EOT_THREADS caps the worker pool.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -67,14 +70,16 @@ def _load_with_overrides(spec: RunSpec):
 
 
 def _worker(payload):
-    """Run one Monte Carlo realization; executed in the worker pool."""
-    (run_idx, config, net, params, filter_config, pi, child, with_trace) = payload
-    trace = AssumptionTrace() if with_trace else None
-    scn = build_scenario_run(config, net, child)
-    record = run_filter(scn, net, params, filter_config, pi, trace=trace)
+    """Run one worker's share of the Monte Carlo realizations as one stacked
+    filter pass; executed in the worker pool."""
+    (run_ids, config, net, params, filter_config, pi, children) = payload
+    trace = AssumptionTrace()
+    scns = [build_scenario_run(config, net, child) for child in children]
+    records = run_filter(scns, net, params, filter_config, pi, trace=trace)
     rows = [(run_idx, step, node, metric, value)
+            for run_idx, record, scn in zip(run_ids, records, scns)
             for step, node, metric, value in evaluate_run(record, scn, config.shape)]
-    return run_idx, rows, record.step_seconds, trace
+    return rows, np.concatenate([record.step_seconds for record in records]), trace
 
 
 def _pool_size(runs: int) -> int:
@@ -96,22 +101,21 @@ def run(spec: RunSpec) -> list:
     )
     params = params_from_scenario(config, net)
     children = np.random.SeedSequence(config.seed).spawn(config.runs)
+    # Each worker gets a contiguous share of the runs, so the rows stay in run order.
     payloads = [
-        (idx, config, net, params, filter_config, pi, child, idx == 0)
-        for idx, child in enumerate(children)
+        (share.tolist(), config, net, params, filter_config, pi, [children[i] for i in share])
+        for share in np.array_split(np.arange(config.runs), _pool_size(config.runs))
     ]
 
-    workers = _pool_size(config.runs)
-    if workers == 1:
-        results = [_worker(p) for p in payloads]
+    if len(payloads) == 1:
+        results = [_worker(payloads[0])]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
             results = list(pool.map(_worker, payloads))
 
-    results.sort(key=lambda r: r[0])
-    rows = [row for _, run_rows, _, _ in results for row in run_rows]
-    step_seconds = np.concatenate([secs for _, _, secs, _ in results])
-    trace = results[0][3]
+    rows = [row for run_rows, _, _ in results for row in run_rows]
+    step_seconds = np.concatenate([secs for _, secs, _ in results])
+    trace = functools.reduce(AssumptionTrace.merge, [trace for _, _, trace in results])
 
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -155,8 +155,10 @@ def consensus_rounds(values, pi, rounds: int) -> np.ndarray:
 
     Every node's new value is the weighted combination of all neighbors'
     previous-round values (read-old / write-new), so the total sum is
-    preserved each round by double stochasticity.  values has one leading
-    axis per node; entries may be vectors or matrices of a common shape.
+    preserved each round by double stochasticity.  values is a vector (n,)
+    with one entry per node, or a (..., n, k) stack whose row i of each
+    (n, k) slice is node i's value; each slice is averaged on its own, so
+    stacked problems never mix.
     """
     if isinstance(pi, ConsensusMatrix):
         pi = pi.pi
@@ -164,10 +166,11 @@ def consensus_rounds(values, pi, rounds: int) -> np.ndarray:
     if rounds < 0:
         raise ValueError("rounds must be nonnegative")
     out = np.array(values, dtype=float)
-    if out.shape[0] != pi.shape[0]:
+    nodes = out.shape[0] if out.ndim == 1 else out.shape[-2]
+    if nodes != pi.shape[0]:
         raise ValueError(
-            f"got {out.shape[0]} node values for a {pi.shape[0]}-node consensus matrix"
+            f"got {nodes} node values for a {pi.shape[0]}-node consensus matrix"
         )
     for _ in range(rounds):
-        out = np.tensordot(pi, out, axes=(1, 0))
+        out = pi @ out
     return out

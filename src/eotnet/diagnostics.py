@@ -169,6 +169,12 @@ class AssumptionTrace:
         lo, hi = _spectrum_bounds(omega)
         self.omega_min, self.omega_max = min(self.omega_min, lo), max(self.omega_max, hi)
 
+    def merge(self, other: "AssumptionTrace") -> "AssumptionTrace":
+        """The bounds of both traces: the min of the mins, the max of the maxes."""
+        return AssumptionTrace(min(self.rx_min, other.rx_min), max(self.rx_max, other.rx_max),
+                               min(self.omega_min, other.omega_min),
+                               max(self.omega_max, other.omega_max))
+
 
 def _spectrum_bounds(a: np.ndarray) -> tuple[float, float]:
     """Smallest and largest eigenvalue over a symmetric matrix or a stack."""
@@ -350,7 +356,8 @@ class BoundedMseResult:
 
 
 def bounded_mse_experiment(config, filter_config, steps: int, runs: int) -> BoundedMseResult:
-    """Empirical mean-square kinematic error per step over Monte Carlo runs.
+    """Empirical mean-square kinematic error per step over Monte Carlo runs,
+    all of them stacked in one filter pass.
 
     The tail (last quarter of the steps) is compared against the mid-run mean
     (second and third quarters): a bounded-error filter keeps the tail below
@@ -370,16 +377,13 @@ def bounded_mse_experiment(config, filter_config, steps: int, runs: int) -> Boun
     pi = metropolis_weights(net)
     params = params_from_scenario(config, net)
     children = np.random.SeedSequence(config.seed).spawn(runs)
+    scns = [build_scenario_run(config, net, child) for child in children]
     total = np.zeros(steps)
-    count = 0
-    for child in children:
-        scn = build_scenario_run(config, net, child)
-        record = run_filter(scn, net, params, filter_config, pi)
+    for scn, record in zip(scns, run_filter(scns, net, params, filter_config, pi)):
         truth = np.array([state.as_array() for state, _ in scn.truth])
         err = record.x_mean - truth[:, None, :]
         total += (err ** 2).sum(axis=2).mean(axis=1)
-        count += 1
-    mse = total / count
+    mse = total / runs
     quarter = steps // 4
     mid = float(mse[quarter:steps - quarter].mean())
     tail = float(mse[steps - quarter:].mean())

@@ -146,14 +146,18 @@ def sample_measurements(
     """
     ch = as_cov(ch, "multiplicative noise covariance")
     cv = as_cov(cv, "measurement noise covariance")
+    return _scatter(x.m, shape_matrix(p.as_array()), sqrt_psd(ch), sqrt_psd(cv), count, rng)
+
+
+def _scatter(m, s_mat, lh, lv, count: int, rng: np.random.Generator) -> np.ndarray:
+    """count detections m + S h + v around center m with shape matrix S, the
+    noises drawn through the factors lh and lv of their covariances: first
+    every h, then every v."""
     if count < 0:
         raise ValueError("count must be nonnegative")
-    s_mat = shape_matrix(p.as_array())
-    lh = sqrt_psd(ch)
-    lv = sqrt_psd(cv)
     h = rng.standard_normal((count, 2)) @ lh.T
     v = rng.standard_normal((count, 2)) @ lv.T
-    return x.m + h @ s_mat.T + v
+    return m + h @ s_mat.T + v
 
 
 # Body-frame corners in fixed counterclockwise order, starting at (+l1, +l2).

@@ -2,9 +2,10 @@
 
 State is carried as an information vector q = Omega @ x_hat and information
 matrix Omega = C^-1, which makes measurement corrections additive and lets
-distributed schemes fuse by summation or averaging.  A state may carry a
-leading node axis, q (n, d) and Omega (n, d, d); every primitive below then
-acts on each node's slice.
+distributed schemes fuse by summation or averaging.  A state may carry
+leading stack axes, such as a node axis, q (n, d) and Omega (n, d, d), or a
+realization and a node axis, q (R, n, d) and Omega (R, n, d, d); every
+primitive below then acts on each slice.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ __all__ = [
 @dataclass(frozen=True)
 class InformationState:
     """Information vector and information matrix for one estimated quantity,
-    on one node (q (d,), omega (d, d)) or stacked over nodes (q (n, d),
-    omega (n, d, d))."""
+    on one node (q (d,), omega (d, d)) or stacked (q (..., d),
+    omega (..., d, d))."""
 
     q: np.ndarray
     omega: np.ndarray
@@ -37,7 +38,7 @@ class InformationState:
     def __post_init__(self):
         q = np.asarray(self.q, dtype=float)
         omega = np.asarray(self.omega, dtype=float)
-        if q.ndim not in (1, 2) or omega.shape != q.shape + q.shape[-1:]:
+        if q.ndim < 1 or omega.shape != q.shape + q.shape[-1:]:
             raise ValueError(
                 f"inconsistent information state shapes {q.shape} / {omega.shape}"
             )

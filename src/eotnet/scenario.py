@@ -18,7 +18,8 @@ import numpy as np
 import yaml
 
 from .consensus import NodeKind, SensorNetwork, build_network
-from .geometry import Extent, KinematicState, sample_measurements, wrap_angle
+from ._linalg import as_cov, sqrt_psd
+from .geometry import Extent, KinematicState, _scatter, shape_matrix, wrap_angle
 
 __all__ = [
     "TrajectorySpec",
@@ -39,6 +40,7 @@ CONFIG_KEYS = frozenset({
     "name", "shape", "semi_axes", "steps", "scan_time", "kinematic_dim", "trajectory",
     "measurements", "noise", "process", "priors", "network", "runs", "seed",
 })
+NETWORK_KEYS = frozenset({"positions", "sensor_nodes", "comm_radius"})
 
 KMH_TO_MPS = 1000.0 / 3600.0
 
@@ -192,6 +194,13 @@ def _parse_config(data: dict, name_hint: str) -> ScenarioConfig:
         noise, process = data["noise"], data["process"]
         _check_keys(noise, {"multiplicative_cov", "measurement_cov"}, "noise.")
         _check_keys(process, {"kinematic_cov", "extent_cov"}, "process.")
+        network = data.get("network", "benchmark")
+        if network != "benchmark":
+            _check_keys(network, NETWORK_KEYS, "network.")
+            missing = sorted(NETWORK_KEYS - set(network))
+            if missing:
+                raise ValueError("scenario config is missing keys: "
+                                 + ", ".join(f"network.{key}" for key in missing))
 
         return ScenarioConfig(
             name=str(data.get("name", name_hint)),
@@ -213,7 +222,7 @@ def _parse_config(data: dict, name_hint: str) -> ScenarioConfig:
             cx0=_matrix(priors["kinematic_cov"], "priors.kinematic_cov", x_dim),
             p0_mean=_vector(priors.get("extent_mean"), "priors.extent_mean", 3),
             cp0=_matrix(priors["extent_cov"], "priors.extent_cov", 3),
-            network=data.get("network", "benchmark"),
+            network=network,
             runs=int(data.get("runs", 1)),
             seed=int(data.get("seed", 0)),
         )
@@ -315,10 +324,14 @@ def generate_measurements(
     """
     rng = np.random.default_rng(seed)
     x0, p0 = _realize_priors(truth, config, rng)
+    # Validate and factor the noises once; sample_measurements draws the same way.
+    lh = sqrt_psd(as_cov(config.ch, "multiplicative noise covariance"))
+    lv = sqrt_psd(as_cov(config.cv, "measurement noise covariance"))
     sensor_set = set(net.sensor_nodes)
     empty = np.zeros((0, 2))
     steps = []
     for state, ext in truth:
+        s_mat = shape_matrix(ext.as_array())
         per_node = []
         for s in range(net.size):
             if s not in sensor_set:
@@ -328,7 +341,7 @@ def generate_measurements(
                 n = config.meas_count
             else:
                 n = int(rng.poisson(config.meas_rate))
-            per_node.append(sample_measurements(state, ext, config.ch, config.cv, n, rng))
+            per_node.append(_scatter(state.m, s_mat, lh, lv, n, rng))
         steps.append(tuple(per_node))
     return ScenarioRun(
         truth=tuple(truth),
@@ -349,8 +362,6 @@ def _realize_priors(truth, config: ScenarioConfig, rng) -> tuple[np.ndarray, np.
         return x_mean.copy(), p_mean.copy()
     if config.prior_mode != "sampled":
         raise ValueError(f"unknown prior mode {config.prior_mode!r}")
-    from ._linalg import sqrt_psd  # local import to keep module load light
-
     x0 = x_mean + sqrt_psd(config.cx0) @ rng.standard_normal(x_mean.size)
     p0 = p_mean + sqrt_psd(config.cp0) @ rng.standard_normal(3)
     p0[0] = wrap_angle(p0[0])

@@ -1,8 +1,9 @@
 """Sequential extended-object trackers: centralized and two consensus variants.
 
 All three filters run one loop over stacked node states: the kinematic and
-the extent information states carry a leading node axis, with one row for the
-centralized filter and one per network node for the distributed ones.  At
+the extent information states carry a node axis, with one row for the
+centralized filter and one per network node for the distributed ones, behind
+a leading axis of Monte Carlo realizations that run in lock-step.  At
 measurement index i, every row holding a detection is linearized at its index
 i-1 estimates (the extent update consumes the previous kinematic estimate and
 vice versa), and each detection's innovation pair is added into its sensor's
@@ -13,8 +14,8 @@ row.  The filters differ only in how the network combines those rows:
 - CM averages the innovations, then corrects every row with the weight omega.
 
 Averaging runs synchronous consensus rounds on one packed buffer that holds
-all four information quantities.  After the batch, a standard
-information-form prediction advances both states.
+all four information quantities, one (n, k) slice per realization.  After
+the batch, a standard information-form prediction advances both states.
 """
 
 from __future__ import annotations
@@ -109,44 +110,55 @@ def params_from_scenario(config, net: SensorNetwork) -> TrackerParams:
 
 def initial_states(x0, cx0, p0, cp0, nodes: int = 1, min_axis: float = 1e-3):
     """Stacked (kinematic, extent) information states with the same prior on
-    each of `nodes` rows, the extent mean sanitized."""
-    def stacked(a):
-        return np.repeat(np.asarray(a, dtype=float)[None], nodes, axis=0)
+    each of `nodes` rows, the extent mean sanitized.  Priors with a leading
+    realization axis, x0 (R, d) and cx0 (R, d, d), give (R, nodes, ...) states."""
+    def stacked(a, entry_dims):
+        a = np.asarray(a, dtype=float)
+        axis = a.ndim - entry_dims
+        return np.repeat(np.expand_dims(a, axis), nodes, axis=axis)
 
-    kin = from_moments(stacked(x0), stacked(cx0))
-    return kin, _sanitize_extent(from_moments(stacked(p0), stacked(cp0)), min_axis)
+    kin = from_moments(stacked(x0, 1), stacked(cx0, 2))
+    return kin, _sanitize_extent(from_moments(stacked(p0, 1), stacked(cp0, 2)), min_axis)
+
+
+def _rows(info: InformationState, rows) -> InformationState:
+    """The given rows of a stacked state, indexed on its flattened stack axes."""
+    d = info.dim
+    return InformationState(info.q.reshape(-1, d)[rows], info.omega.reshape(-1, d, d)[rows])
 
 
 def _sanitize_extent(ext: InformationState, min_axis: float, rows=None) -> InformationState:
-    """Re-anchor the extent mean of the given rows (default: all) after a
-    write: wrap the orientation into (-pi, pi] and clamp semi-axes to the
-    floor.  Returns ext itself while every row checked is already in range,
-    so the information state is normally left untouched."""
-    rows = np.arange(ext.q.shape[0]) if rows is None else np.asarray(rows)
-    p = spd_solve(ext.omega[rows], ext.q[rows], name="extent information matrix")
+    """Re-anchor the extent mean of the given rows (flat indices into the
+    stacked rows; default: all) after a write: wrap the orientation into
+    (-pi, pi] and clamp semi-axes to the floor.  Returns ext itself while
+    every row checked is already in range, so the information state is
+    normally left untouched."""
+    rows = np.arange(ext.q.size // 3) if rows is None else np.asarray(rows)
+    sub = _rows(ext, rows)
+    p = spd_solve(sub.omega, sub.q, name="extent information matrix")
     in_range = (-np.pi < p[:, 0]) & (p[:, 0] <= np.pi) & (p[:, 1:] >= min_axis).all(axis=1)
     if in_range.all():
         return ext
-    bad = rows[~in_range]
-    q = ext.q.copy()
-    q[bad] = _matvec(ext.omega[bad], clamp_extent(p[~in_range], min_axis))
-    return InformationState(q=q, omega=ext.omega)
+    q = ext.q.reshape(-1, 3).copy()
+    q[rows[~in_range]] = _matvec(sub.omega[~in_range], clamp_extent(p[~in_range], min_axis))
+    return InformationState(q=q.reshape(ext.q.shape), omega=ext.omega)
 
 
 def _average(arrays, pi, rounds: int) -> list[np.ndarray]:
-    """Consensus-average per-node arrays (leading node axis) in one call on a
-    packed (n, k) buffer; averaging is linear column by column, so packing
-    changes only rounding."""
-    n = arrays[0].shape[0]
-    packed = consensus_rounds(np.concatenate([a.reshape(n, -1) for a in arrays], axis=1),
+    """Consensus-average stacked per-node arrays in one call on a packed
+    (..., n, k) buffer.  arrays[0] is an information vector stack (..., n, d),
+    which fixes the leading (..., n) axes the others share; averaging is
+    linear column by column, so packing changes only rounding."""
+    lead = arrays[0].shape[:-1]
+    packed = consensus_rounds(np.concatenate([a.reshape(*lead, -1) for a in arrays], axis=-1),
                               pi, rounds)
-    cuts = np.cumsum([a[0].size for a in arrays])[:-1]
-    return [part.reshape(a.shape) for part, a in zip(np.split(packed, cuts, axis=1), arrays)]
+    cuts = np.cumsum([a[(0,) * len(lead)].size for a in arrays])[:-1]
+    return [part.reshape(a.shape) for part, a in zip(np.split(packed, cuts, axis=-1), arrays)]
 
 
 def _correct_rows(kin, ext, innov, weight: float, min_axis: float, rows=None):
     """Add the stacked innovations (dqx, dox, dqp, dop) with a weight, then
-    sanitize the extent rows that changed (default: all)."""
+    sanitize the extent rows that changed (flat indices; default: all)."""
     dqx, dox, dqp, dop = innov
     ext = _sanitize_extent(correct(ext, dqp, dop, weight), min_axis, rows)
     return correct(kin, dqx, dox, weight), ext
@@ -163,48 +175,82 @@ def correct_scan(
 ) -> tuple[InformationState, InformationState]:
     """Sequential correction of the stacked node states over one scan.
 
-    batches[j] holds sensor j's detections; its noise is params.cv_by_node[j]
-    and its innovations go into state row 0 under CEOT and into row j, the
+    The states are (n, d) node stacks with batches[j] holding sensor j's
+    detections, or (R, n, d) stacks of R realizations with batches[r][j]
+    holding realization r's.  Sensor j's noise is params.cv_by_node[j] and
+    its innovations go into state row 0 under CEOT and into row j, the
     sensor's own node, under CI and CM.  At each index the sensors that still
-    have detections contribute, all linearized in one stacked call; shorter
-    batches simply stop.  The distributed filters need the consensus matrix pi
-    and run config.consensus_iters averaging rounds per index.  A trace records
-    the observed Rx spectra.
+    have detections contribute, all realizations linearized in one stacked
+    call; shorter batches simply stop, and a realization whose longest batch
+    has ended takes no further correction or averaging.  Realizations never
+    mix.  The distributed filters need the consensus matrix pi and run
+    config.consensus_iters averaging rounds per index.  A trace records the
+    observed Rx spectra.
     """
+    if kin.q.ndim == 2:
+        lifted = (InformationState(s.q[None], s.omega[None]) for s in (kin, ext))
+        kin, ext = correct_scan(*lifted, [batches], params, config, pi, trace)
+        return InformationState(kin.q[0], kin.omega[0]), InformationState(ext.q[0], ext.omega[0])
+    runs, nodes = kin.q.shape[:2]
+    if len(batches) != runs:
+        raise ValueError(f"got {len(batches)} batch lists for {runs} stacked realizations")
+    sensors = len(batches[0])
+    if any(len(b) != sensors for b in batches):
+        raise ValueError("every realization needs one batch per sensor")
     if config.kind is FilterKind.CEOT:
-        rows = np.zeros(len(batches), dtype=int)
+        rows = np.zeros(sensors, dtype=int)
     elif pi is None:
         raise ValueError("distributed filters need a consensus matrix")
-    elif len(batches) != kin.q.shape[0]:
+    elif sensors != nodes:
         raise ValueError("distributed filters need one batch per node")
     else:
-        rows = np.arange(len(batches))
+        rows = np.arange(nodes)
     rounds, min_axis = config.consensus_iters, params.min_axis
-    omega = config.omega if config.omega is not None else float(kin.q.shape[0])
+    omega = config.omega if config.omega is not None else float(nodes)
     cv = np.asarray(params.cv_by_node, dtype=float)
-    for i in range(max((len(b) for b in batches), default=0)):
-        active = np.array([j for j, batch in enumerate(batches) if i < len(batch)])
-        det_rows = rows[active]
+
+    # Every detection of the scan with its realization, sensor and index;
+    # order[bounds[i]:bounds[i + 1]] picks index i's in (realization, sensor) order.
+    flat = [np.reshape(b, (-1, 2)) for run in batches for b in run]
+    counts = np.array([len(b) for b in flat], dtype=int)
+    ends = counts.reshape(runs, sensors).max(axis=1, initial=0)
+    y_all = np.concatenate([np.zeros((0, 2)), *flat])
+    det_run, det_sensor = (np.repeat(a.ravel(), counts) for a in np.indices((runs, sensors)))
+    det_index = np.concatenate([np.zeros(0, dtype=int), *map(np.arange, counts)])
+    order = np.argsort(det_index, kind="stable")
+    bounds = np.searchsorted(det_index[order], np.arange(ends.max(initial=0) + 1))
+
+    states = [kin.q.copy(), kin.omega.copy(), ext.q.copy(), ext.omega.copy()]
+    for i in range(ends.max(initial=0)):
+        live = np.flatnonzero(ends > i)
+        at_i = order[bounds[i]:bounds[i + 1]]
+        sensor = det_sensor[at_i]
+        # Flat row of each detection in the stack of live realizations.
+        det_rows = np.searchsorted(live, det_run[at_i]) * nodes + rows[sensor]
+        kin_i = InformationState(states[0][live], states[1][live])
+        ext_i = InformationState(states[2][live], states[3][live])
         lin_rows, at = np.unique(det_rows, return_inverse=True)
-        x, cx = to_moments(InformationState(kin.q[lin_rows], kin.omega[lin_rows]))
-        p, cp = to_moments(InformationState(ext.q[lin_rows], ext.omega[lin_rows]))
-        y = np.array([batches[j][i] for j in active])
-        innov = [np.zeros_like(a) for a in (kin.q, kin.omega, ext.q, ext.omega)]
+        x, cx = to_moments(_rows(kin_i, lin_rows))
+        p, cp = to_moments(_rows(ext_i, lin_rows))
+        innov = [np.zeros_like(a) for a in (kin_i.q, kin_i.omega, ext_i.q, ext_i.omega)]
         # np.add.at sums detections that share a row; CEOT maps all to row 0.
-        for acc, value in zip(innov, innovations(x[at], cx[at], p[at], cp[at], y, params.ch,
-                                                 cv[active], min_axis, trace)):
-            np.add.at(acc, det_rows, value)
+        for acc, value in zip(innov, innovations(x[at], cx[at], p[at], cp[at], y_all[at_i],
+                                                 params.ch, cv[sensor], min_axis, trace)):
+            np.add.at(acc.reshape(-1, *acc.shape[2:]), det_rows, value)
         # The filters differ only here, in how the network combines the rows.
         if config.kind is FilterKind.CM:
-            kin, ext = _correct_rows(kin, ext, _average(innov, pi, rounds), omega, min_axis)
+            kin_i, ext_i = _correct_rows(kin_i, ext_i, _average(innov, pi, rounds), omega,
+                                         min_axis)
         elif config.kind is FilterKind.CI:
-            kin, ext = _correct_rows(kin, ext, innov, 1.0, min_axis, lin_rows)
-            qx, ox, qp, op = _average([kin.q, kin.omega, ext.q, ext.omega], pi, rounds)
-            kin = InformationState(qx, ox)
-            ext = _sanitize_extent(InformationState(qp, op), min_axis)
+            kin_i, ext_i = _correct_rows(kin_i, ext_i, innov, 1.0, min_axis, lin_rows)
+            qx, ox, qp, op = _average([kin_i.q, kin_i.omega, ext_i.q, ext_i.omega], pi, rounds)
+            kin_i = InformationState(qx, ox)
+            ext_i = _sanitize_extent(InformationState(qp, op), min_axis)
         else:
-            kin, ext = _correct_rows(kin, ext, innov, 1.0, min_axis, lin_rows)
-    return kin, ext
+            kin_i, ext_i = _correct_rows(kin_i, ext_i, innov, 1.0, min_axis, lin_rows)
+        for state, value in zip(states, (kin_i.q, kin_i.omega, ext_i.q, ext_i.omega)):
+            state[live] = value
+    return InformationState(*states[:2]), InformationState(*states[2:])
 
 
 def predict_states(kin: InformationState, ext: InformationState, params: TrackerParams):
@@ -219,6 +265,8 @@ class TrackRecord:
 
     The centralized filter records a single pseudo-node.  Outputs are taken
     after the scan's correction, before the prediction to the next scan.
+    step_seconds holds each step's wall time divided by the number of runs
+    the step advanced together.
     """
 
     kind: FilterKind
@@ -226,7 +274,7 @@ class TrackRecord:
     x_cov: np.ndarray  # (steps, nodes, x_dim, x_dim)
     p_mean: np.ndarray  # (steps, nodes, 3)
     p_cov: np.ndarray  # (steps, nodes, 3, 3)
-    step_seconds: np.ndarray  # (steps,)
+    step_seconds: np.ndarray  # (steps,), amortized over the stacked runs
 
     @property
     def steps(self) -> int:
@@ -238,50 +286,55 @@ class TrackRecord:
 
 
 def run_filter(
-    scn_run,
+    scn_runs,
     net: SensorNetwork,
     params: TrackerParams,
     config: FilterConfig,
     pi: ConsensusMatrix | np.ndarray | None = None,
     trace=None,
-) -> TrackRecord:
-    """Drive one filter over a realized scenario run.
+) -> list[TrackRecord]:
+    """Drive one filter over realized runs of one scenario config, all of
+    them stacked in one pass, and return one TrackRecord per run.
 
-    For the distributed filters a consensus matrix is required.  An optional
-    trace object (record_rx / record_omega) collects observed noise and
-    information-matrix spectra for the stability assumption checks.
+    Each run's record equals the one a pass over that run alone gives; a
+    step's wall time is split evenly over the runs it advanced.  For the
+    distributed filters a consensus matrix is required.  An optional trace
+    object (record_rx / record_omega) collects observed noise and
+    information-matrix spectra of every run for the stability assumption
+    checks.
     """
-    steps = len(scn_run.measurements)
-    x_dim = scn_run.x0.size
+    scn_runs = list(scn_runs)
+    if not scn_runs:
+        raise ValueError("run_filter needs at least one scenario run")
+    runs, steps = len(scn_runs), len(scn_runs[0].measurements)
+    if any(len(scn.measurements) != steps for scn in scn_runs):
+        raise ValueError("stacked scenario runs must have the same number of steps")
+    x_dim = scn_runs[0].x0.size
     nodes = 1 if config.kind is FilterKind.CEOT else net.size
-    kin, ext = initial_states(scn_run.x0, scn_run.cx0, scn_run.p0, scn_run.cp0, nodes,
-                              params.min_axis)
+    kin, ext = initial_states(*(np.stack([getattr(scn, name) for scn in scn_runs])
+                                for name in ("x0", "cx0", "p0", "cp0")),
+                              nodes, params.min_axis)
 
-    x_mean = np.zeros((steps, nodes, x_dim))
-    x_cov = np.zeros((steps, nodes, x_dim, x_dim))
-    p_mean = np.zeros((steps, nodes, 3))
-    p_cov = np.zeros((steps, nodes, 3, 3))
+    x_mean = np.zeros((runs, steps, nodes, x_dim))
+    x_cov = np.zeros((runs, steps, nodes, x_dim, x_dim))
+    p_mean = np.zeros((runs, steps, nodes, 3))
+    p_cov = np.zeros((runs, steps, nodes, 3, 3))
     seconds = np.zeros(steps)
 
-    for k, batches in enumerate(scn_run.measurements):
+    for k in range(steps):
         t0 = time.perf_counter()
-        kin, ext = correct_scan(kin, ext, batches, params, config, pi, trace)
-        x_mean[k], x_cov[k] = to_moments(kin)
-        p_mean[k], p_cov[k] = to_moments(ext)
+        kin, ext = correct_scan(kin, ext, [scn.measurements[k] for scn in scn_runs], params,
+                                config, pi, trace)
+        x_mean[:, k], x_cov[:, k] = to_moments(kin)
+        p_mean[:, k], p_cov[:, k] = to_moments(ext)
         if trace is not None:
             trace.record_omega(kin.omega)
         if k + 1 < steps:
             kin, ext = predict_states(kin, ext, params)
-        seconds[k] = time.perf_counter() - t0
+        seconds[k] = (time.perf_counter() - t0) / runs
 
-    return TrackRecord(
-        kind=config.kind,
-        x_mean=x_mean,
-        x_cov=x_cov,
-        p_mean=p_mean,
-        p_cov=p_cov,
-        step_seconds=seconds,
-    )
+    return [TrackRecord(kind=config.kind, x_mean=x_mean[r], x_cov=x_cov[r], p_mean=p_mean[r],
+                        p_cov=p_cov[r], step_seconds=seconds) for r in range(runs)]
 
 
 def fuse_nodes(means: np.ndarray, covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

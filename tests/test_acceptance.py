@@ -223,7 +223,7 @@ def test_s1_convergence():
         ("ci", FilterConfig(kind=FilterKind.CI, consensus_iters=6)),
         ("cm", FilterConfig(kind=FilterKind.CM, consensus_iters=6)),
     ):
-        rec = run_filter(scn, net, params, fc, pi)
+        (rec,) = run_filter([scn], net, params, fc, pi)
         if rec.nodes == 1:
             x, p = rec.x_mean[-1, 0], rec.p_mean[-1, 0]
         else:
@@ -257,14 +257,13 @@ def test_acee_iteration_trend():
     pi = metropolis_weights(net)
     params = params_from_scenario(config, net)
     children = np.random.SeedSequence(config.seed).spawn(10)
+    scns = [build_scenario_run(config, net, child) for child in children]
     means = {}
     for kind in (FilterKind.CI, FilterKind.CM):
         for rounds in (1, 6):
             kin_vals, ext_vals = [], []
-            for child in children:
-                scn = build_scenario_run(config, net, child)
-                rec = run_filter(scn, net, params,
-                                 FilterConfig(kind=kind, consensus_iters=rounds), pi)
+            for rec in run_filter(scns, net, params,
+                                  FilterConfig(kind=kind, consensus_iters=rounds), pi):
                 kin_vals.extend(acee(rec.x_mean[k]) for k in range(rec.steps))
                 ext_vals.extend(acee(rec.p_mean[k]) for k in range(rec.steps))
             means[(kind, rounds)] = (float(np.mean(kin_vals)), float(np.mean(ext_vals)))
@@ -299,7 +298,7 @@ def test_bounded_mse_and_assumptions():
     params = params_from_scenario(config, net)
     trace = AssumptionTrace()
     scn = build_scenario_run(config.with_overrides(steps=20), net, seed=0)
-    run_filter(scn, net, params, FilterConfig(kind=FilterKind.CM, consensus_iters=2),
+    run_filter([scn], net, params, FilterConfig(kind=FilterKind.CM, consensus_iters=2),
                pi, trace=trace)
     rep = check_assumptions(params.fx, kinematic_measurement_matrix(4), config.cxw,
                             pi, rounds=2, omega=float(net.size), trace=trace)
@@ -324,9 +323,9 @@ def test_nees_consistency():
     runs = 50
     children = np.random.SeedSequence(config.seed).spawn(runs)
     per_step = np.zeros((runs, config.steps))
-    for m, child in enumerate(children):
-        scn = build_scenario_run(config, net, child)
-        rec = run_filter(scn, net, params, FilterConfig(kind=FilterKind.CEOT), pi)
+    scns = [build_scenario_run(config, net, child) for child in children]
+    recs = run_filter(scns, net, params, FilterConfig(kind=FilterKind.CEOT), pi)
+    for m, (scn, rec) in enumerate(zip(scns, recs)):
         for k, (state, _) in enumerate(scn.truth):
             per_step[m, k] = nees(rec.x_mean[k, 0], rec.x_cov[k, 0], state.as_array())
     mean_nees = float(per_step.mean())

@@ -65,15 +65,18 @@ def test_run_deterministic(tmp_path, tiny_config):
     assert read(out1 / "metrics.csv") == read(out2 / "metrics.csv")
 
 
-def test_run_parallel_matches_serial(tmp_path, tiny_config, monkeypatch):
+@pytest.mark.parametrize("kind", ["ceot", "ci", "cm"])
+def test_run_parallel_matches_serial(tmp_path, tiny_config, monkeypatch, kind):
+    # Poisson counts end the realizations' scans at different indices
     out1, out2 = tmp_path / "serial", tmp_path / "par"
-    args = ["--config", str(tiny_config), "--filter", "ci", "--L", "1",
+    args = ["--config", str(tiny_config), "--filter", kind, "--L", "1", "--lambda", "3",
             "--runs", "3", "--seed", "5"]
     monkeypatch.setenv("EOT_THREADS", "1")
     assert main(args + ["--out", str(out1)]) == 0
     monkeypatch.setenv("EOT_THREADS", "3")
     assert main(args + ["--out", str(out2)]) == 0
-    assert read(out1 / "metrics.csv") == read(out2 / "metrics.csv")
+    for name in ("metrics.csv", "assumptions.txt"):
+        assert read(out1 / name) == read(out2 / name)
 
 
 def test_distributed_csv_has_network_rows(tmp_path, tiny_config):
@@ -156,6 +159,13 @@ def test_zero_steps_exits_1_without_traceback(tmp_path, tiny_config, capsys):
     ("network: benchmark",
      "network: {positions: [[0.0, 0.0], [500.0, 0.0]], sensor_nodes: [], comm_radius: 600.0}",
      "sensor_nodes is empty"),
+    ("network: benchmark",
+     "network: {positions: [[0.0, 0.0], [500.0, 0.0]], sensor_nodes: [0], comm_radus: 600.0}",
+     "unknown scenario config keys: network.comm_radus"),
+    ("network: benchmark",
+     "network: {positions: [[0.0, 0.0], [500.0, 0.0]], sensor_nodes: [0], comm_radius: 600.0,"
+     " extra: 1}",
+     "unknown scenario config keys: network.extra"),
 ])
 def test_bad_config_exits_1_without_traceback(tmp_path, tiny_config, capsys, old, new, message):
     path = tmp_path / "bad.yaml"

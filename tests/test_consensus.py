@@ -121,12 +121,27 @@ def test_consensus_rounds_sum_conserved_and_contracting():
 
 
 def test_consensus_rounds_matrix_values():
+    # matrix entries are averaged as the flattened rows of an (n, k) buffer
     rng = np.random.default_rng(1)
     pi = metropolis_weights(benchmark_network())
     mats = rng.normal(size=(20, 3, 3))
-    out = consensus_rounds(mats, pi, 5)
+    out = consensus_rounds(mats.reshape(20, 9), pi, 5).reshape(mats.shape)
     assert out.shape == (20, 3, 3)
     assert np.abs(out.sum(axis=0) - mats.sum(axis=0)).max() < 1e-10
+
+
+def test_consensus_rounds_keeps_stacked_problems_apart():
+    # each (n, k) slice of an (R, n, k) stack averages on its own, bit for bit
+    rng = np.random.default_rng(4)
+    pi = metropolis_weights(benchmark_network())
+    for k in (1, 13, 32):
+        stack = rng.normal(size=(3, 20, k))
+        out = consensus_rounds(stack, pi, 4)
+        for r in range(3):
+            assert np.array_equal(out[r], consensus_rounds(stack[r], pi, 4))
+        assert np.abs(out.sum(axis=1) - stack.sum(axis=1)).max() < 1e-10
+    with pytest.raises(ValueError):
+        consensus_rounds(np.zeros((3, 19, 2)), pi, 1)
 
 
 def test_consensus_rounds_converges_to_average():

@@ -209,6 +209,19 @@ def test_check_assumptions_static_parts():
     assert "A1" in text and "A3" in text and "pass" in text
 
 
+def test_assumption_traces_merge_to_their_joint_bounds():
+    a, b = AssumptionTrace(), AssumptionTrace()
+    a.record_rx(np.diag([2.0, 3.0]))
+    a.record_omega(np.diag([0.5, 4.0]))
+    b.record_rx(np.diag([1.0, 2.5]))
+    b.record_omega(np.diag([0.7, 5.0]))
+    merged = a.merge(b)
+    assert (merged.rx_min, merged.rx_max) == (1.0, 3.0)
+    assert (merged.omega_min, merged.omega_max) == (0.5, 5.0)
+    assert merged == b.merge(a)
+    assert a.merge(AssumptionTrace()) == a
+
+
 def test_check_assumptions_detects_nonprimitive():
     trace = AssumptionTrace()
     trace.record_rx(np.eye(2))
@@ -223,8 +236,9 @@ def test_evaluate_run_rows_follow_the_per_estimate_layout():
     config = load_config("s3").with_overrides(steps=3)
     net = benchmark_network()
     scn = build_scenario_run(config, net, 5)
-    rec = run_filter(scn, net, params_from_scenario(config, net),
-                     FilterConfig(kind=FilterKind.CM, consensus_iters=1), metropolis_weights(net))
+    (rec,) = run_filter([scn], net, params_from_scenario(config, net),
+                        FilterConfig(kind=FilterKind.CM, consensus_iters=1),
+                        metropolis_weights(net))
     want = []
     for k, (state, ext) in enumerate(scn.truth):
         x_true, p_true = state.as_array(), ext.as_array()

@@ -151,3 +151,14 @@ def test_symmetry_through_chained_cycles():
 def test_information_state_validation():
     with pytest.raises(ValueError):
         InformationState(q=np.zeros(2), omega=np.zeros((3, 3)))
+
+
+def test_indefinite_slice_of_a_run_node_stack_is_named():
+    rng = np.random.default_rng(9)
+    omega = np.stack([np.stack([random_pd(rng, 3) for _ in range(4)]) for _ in range(2)])
+    omega[1, 2] = np.diag([1.0, -1.0, 1.0])
+    info = InformationState(q=np.zeros((2, 4, 3)), omega=omega)
+    with pytest.raises(np.linalg.LinAlgError, match=r"information matrix \(run 1, node 2\)"):
+        to_moments(info)
+    with pytest.raises(np.linalg.LinAlgError, match=r"\(node 2\)"):
+        to_moments(InformationState(q=info.q[1], omega=omega[1]))

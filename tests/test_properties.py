@@ -95,7 +95,7 @@ def test_packed_average_equals_separate_rounds_and_keeps_sums(draw, rounds):
     quantities = [kin.q, kin.omega, ext.q, ext.omega]
     packed = _average(quantities, pi, rounds)
     for value, got in zip(quantities, packed):
-        separate = consensus_rounds(value, pi, rounds)
+        separate = consensus_rounds(value.reshape(net.size, -1), pi, rounds).reshape(value.shape)
         assert got.shape == value.shape
         assert np.abs(got - separate).max() <= 1e-12 * np.abs(separate).max()
         total = value.sum(axis=0)

@@ -15,6 +15,7 @@ from eotnet.scenario import (
     preset_text,
     resolve_network,
 )
+from eotnet.geometry import sample_measurements
 
 
 def test_presets_load_and_match_parameter_tables():
@@ -297,3 +298,45 @@ def test_all_presets_parse():
         config = load_config(name)
         assert config.runs >= 1
         assert set(yaml.safe_load(preset_text(name))) == CONFIG_KEYS
+
+
+POSITIONS = [[0.0, 0.0], [500.0, 0.0]]
+
+
+@pytest.mark.parametrize("network, message", [
+    ({"positions": POSITIONS, "sensor_nodes": [0], "comm_radus": 600.0},
+     "unknown scenario config keys: network.comm_radus"),
+    ({"positions": POSITIONS, "sensor_nodes": [0], "comm_radius": 600.0, "extra": 1},
+     "unknown scenario config keys: network.extra"),
+    ({"positions": POSITIONS, "sensor_nodes": [0]},
+     "scenario config is missing keys: network.comm_radius"),
+    ({"comm_radius": 600.0},
+     "scenario config is missing keys: network.positions, network.sensor_nodes"),
+])
+def test_config_checks_inline_network_keys(tmp_path, network, message):
+    with pytest.raises(ValueError, match=message):
+        load_config(write_s3_with(tmp_path, None, "network", network))
+
+
+def test_config_rejects_network_that_is_not_a_mapping(tmp_path):
+    with pytest.raises(ValueError, match="network must be a mapping"):
+        load_config(write_s3_with(tmp_path, None, "network", "benchmrk"))
+
+
+@pytest.mark.parametrize("preset", ["s1", "s2"])
+def test_generate_measurements_draws_like_sample_measurements(preset):
+    # fixed priors draw nothing, so both generators start at the first count
+    config = load_config(preset).with_overrides(steps=3, prior_mode="fixed")
+    net = benchmark_network()
+    truth = generate_truth(config)
+    run = generate_measurements(truth, net, config, 2024)
+    rng = np.random.default_rng(2024)
+    for (state, ext), per_node in zip(truth, run.measurements):
+        for s in range(net.size):
+            if s not in net.sensor_nodes:
+                assert per_node[s].shape == (0, 2)
+                continue
+            n = config.meas_count if config.meas_law == "fixed" else int(rng.poisson(
+                config.meas_rate))
+            assert np.array_equal(per_node[s],
+                                  sample_measurements(state, ext, config.ch, config.cv, n, rng))

@@ -372,13 +372,13 @@ def test_cm_gwd_improves_with_more_rounds():
     pi = metropolis_weights(net)
     params = params_from_scenario(config, net)
     children = np.random.SeedSequence(11).spawn(5)
+    scns = [build_scenario_run(config, net, child) for child in children]
     means = []
     for rounds in range(1, 7):
         vals = []
-        for child in children:
-            scn = build_scenario_run(config, net, child)
-            rec = run_filter(scn, net, params,
-                             FilterConfig(kind=FilterKind.CM, consensus_iters=rounds), pi)
+        recs = run_filter(scns, net, params,
+                          FilterConfig(kind=FilterKind.CM, consensus_iters=rounds), pi)
+        for scn, rec in zip(scns, recs):
             for k, (state, ext) in enumerate(scn.truth):
                 vals.extend(
                     gwd(rec.x_mean[k, s][:2], Extent.from_array(rec.p_mean[k, s]).as_array(),
@@ -400,9 +400,49 @@ def test_kinematic_covariance_stays_bounded_on_long_run():
     pi = metropolis_weights(net)
     params = params_from_scenario(config, net)
     scn = build_scenario_run(config, net, seed=42)
-    rec = run_filter(scn, net, params, FilterConfig(kind=FilterKind.CEOT), pi)
+    (rec,) = run_filter([scn], net, params, FilterConfig(kind=FilterKind.CEOT), pi)
     traces = np.trace(rec.x_cov, axis1=2, axis2=3)
     assert np.isfinite(traces).all()
     # steady state: the last three quarters stay within a small band
     tail = traces[rec.steps // 4:]
     assert tail.max() < 5.0 * tail.min()
+
+
+@pytest.mark.parametrize("kind", [FilterKind.CEOT, FilterKind.CI, FilterKind.CM])
+def test_stacked_runs_equal_one_run_calls(kind):
+    # stacking the realizations must not change one bit of any of them
+    from eotnet.consensus import metropolis_weights
+    from eotnet.scenario import build_scenario_run, load_config, benchmark_network
+    from eotnet.trackers import params_from_scenario, run_filter
+
+    config = load_config("s2").with_overrides(steps=4)
+    net = benchmark_network()
+    pi = metropolis_weights(net)
+    params = params_from_scenario(config, net)
+    scns = [build_scenario_run(config, net, child)
+            for child in np.random.SeedSequence(21).spawn(4)]
+    # Poisson counts: the realizations' scans end at different indices
+    ends = [[max(len(b) for b in scn.measurements[k]) for scn in scns] for k in range(4)]
+    assert all(len(set(step)) > 1 for step in ends)
+    fc = FilterConfig(kind=kind, consensus_iters=2)
+    stacked = run_filter(scns, net, params, fc, pi)
+    assert len(stacked) == len(scns)
+    for scn, got in zip(scns, stacked):
+        (want,) = run_filter([scn], net, params, fc, pi)
+        for field in ("x_mean", "x_cov", "p_mean", "p_cov"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
+
+def test_run_filter_rejects_runs_of_different_lengths():
+    from eotnet.scenario import build_scenario_run, load_config, benchmark_network
+    from eotnet.trackers import params_from_scenario, run_filter
+
+    config = load_config("s2").with_overrides(steps=2)
+    net = benchmark_network()
+    params = params_from_scenario(config, net)
+    scns = [build_scenario_run(config, net, 1),
+            build_scenario_run(config.with_overrides(steps=3), net, 2)]
+    with pytest.raises(ValueError, match="same number of steps"):
+        run_filter(scns, net, params, CEOT)
+    with pytest.raises(ValueError, match="at least one"):
+        run_filter([], net, params, CEOT)
