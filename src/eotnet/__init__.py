@@ -33,7 +33,6 @@ from .geometry import (
     extent_vertices,
     sample_measurements,
     shape_matrix,
-    shape_row_jacobians,
     wrap_angle,
 )
 from .info_filter import (
@@ -44,16 +43,7 @@ from .info_filter import (
     predict,
     to_moments,
 )
-from .linearization import (
-    centered_pseudo_measurement,
-    extent_measurement_matrix,
-    extent_noise_moments,
-    innovations,
-    kinematic_measurement_matrix,
-    kinematic_noise_cov,
-    pseudo_measurement,
-    residual_cov,
-)
+from .linearization import innovations, kinematic_measurement_matrix
 from .scenario import (
     ScenarioConfig,
     ScenarioRun,

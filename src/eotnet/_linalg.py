@@ -62,6 +62,19 @@ def sqrt_psd(a: np.ndarray) -> np.ndarray:
     return v * np.sqrt(np.clip(w, 0.0, None))
 
 
+def _first_slice(flags: np.ndarray) -> tuple[tuple, str]:
+    """Index of the first set flag of a stack of flags, and its name by the
+    full index: ' (node n)' in an (n,) stack, ' (run r, node n)' in an (R, n)
+    stack, '' for a single flag."""
+    index = np.unravel_index(int(np.argmax(flags)), flags.shape)
+    if not index:
+        return index, ""
+    # Deeper stacks than (run, node) are named by their index tuple alone.
+    labels = ("run", "node")[-len(index):] if len(index) <= 2 else ("slice",)
+    values = [int(i) for i in index] if len(index) <= 2 else [tuple(map(int, index))]
+    return index, " (" + ", ".join(f"{label} {i}" for label, i in zip(labels, values)) + ")"
+
+
 def _checked_spd(a, name: str) -> np.ndarray:
     """sym(a), after checking that it is finite and that a Cholesky
     factorization exists.  A failing slice of a stack is named by its full
@@ -69,21 +82,16 @@ def _checked_spd(a, name: str) -> np.ndarray:
     (R, n, d, d) stack."""
     a = sym(np.asarray(a, dtype=float))
     if not np.isfinite(a).all():
-        raise ValueError(f"{name} must not contain infs or NaNs")
+        _, where = _first_slice(~np.isfinite(a).all(axis=(-2, -1)))
+        raise ValueError(f"{name}{where} must not contain infs or NaNs")
     try:
         np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
-        where, bad = "", a
-        if a.ndim > 2:
-            index = np.unravel_index(int(np.argmin(np.linalg.eigvalsh(a)[..., 0])), a.shape[:-2])
-            bad = a[index]
-            # Deeper stacks than (run, node) are named by their index tuple alone.
-            labels = ("run", "node")[-len(index):] if len(index) <= 2 else ("slice",)
-            index = [int(i) for i in index] if len(index) <= 2 else [tuple(map(int, index))]
-            where = " (" + ", ".join(f"{label} {i}" for label, i in zip(labels, index)) + ")"
+        lowest = np.linalg.eigvalsh(a)[..., 0]
+        index, where = _first_slice(lowest == lowest.min())
         raise np.linalg.LinAlgError(
             f"{name}{where} is singular or not positive definite "
-            f"(cond {float(np.linalg.cond(bad)):.3e})"
+            f"(cond {float(np.linalg.cond(a[index])):.3e})"
         ) from exc
     return a
 
@@ -105,3 +113,23 @@ def spd_solve(a: np.ndarray, b: np.ndarray, name: str = "matrix") -> np.ndarray:
 def spd_inv(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Inverse of a symmetric positive definite matrix, or of a stack of them."""
     return sym(np.linalg.inv(_checked_spd(a, name)))
+
+
+# The adjugate [d, -b, -c, a] of a flat 2x2 matrix [a, b, c, d]: picks and signs.
+_ADJUGATE, _ADJUGATE_SIGNS = np.array([3, 1, 2, 0]), np.array([1.0, -1.0, -1.0, 1.0])
+
+
+def _spd_inv2(a: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """spd_inv of a stack (..., 2, 2) of exactly symmetric matrices, in closed
+    form.  A slice that fails Sylvester's criterion (as infs and NaNs do)
+    raises _checked_spd's named error, or, if it passes Cholesky but its
+    determinant is not a positive finite number, a named LinAlgError."""
+    e = a.reshape(-1, 4)
+    det = e[:, 0] * e[:, 3] - e[:, 1] * e[:, 2]
+    bad = ~((e[:, 0] > 0.0) & (det > 0.0) & (det < np.inf))
+    if bad.any():
+        _checked_spd(a, name)
+        _, where = _first_slice(bad.reshape(a.shape[:-2]))
+        raise np.linalg.LinAlgError(f"{name}{where} is singular or not positive definite "
+                                    f"(determinant {float(det[bad][0]):.3e})")
+    return (np.take(e, _ADJUGATE, axis=1) * _ADJUGATE_SIGNS / det[:, None]).reshape(a.shape)

@@ -152,34 +152,43 @@ def extent_alignment_error(p_est: Extent, p_true: Extent) -> tuple[float, float,
 
 @dataclass
 class AssumptionTrace:
-    """Running spectra bounds observed during a filter run."""
+    """Running spectra bounds observed during a filter run, and how many
+    linearized rows had their pseudo-measurement noise eigenvalue-floored."""
 
     rx_min: float = np.inf
     rx_max: float = -np.inf
     omega_min: float = np.inf
     omega_max: float = -np.inf
+    rp_floor_rows: int = 0
+    rp_rows: int = 0
 
     def record_rx(self, rx: np.ndarray) -> None:
-        """Record one kinematic noise covariance or a stack of them."""
-        lo, hi = _spectrum_bounds(rx)
+        """Record one 2x2 kinematic noise covariance or a stack of them; the
+        eigenvalues of a symmetric 2x2 matrix are mid +/- radius."""
+        a, b, c = rx[..., 0, 0], rx[..., 1, 1], rx[..., 0, 1]
+        mid, radius = 0.5 * (a + b), np.hypot(0.5 * (a - b), c)
+        lo, hi = float((mid - radius).min()), float((mid + radius).max())
         self.rx_min, self.rx_max = min(self.rx_min, lo), max(self.rx_max, hi)
+
+    def record_rp_floor(self, floored: int, rows: int) -> None:
+        """Count linearized rows, and those whose Rp needed the floor."""
+        self.rp_floor_rows += floored
+        self.rp_rows += rows
 
     def record_omega(self, omega: np.ndarray) -> None:
         """Record one information matrix or a stack of them."""
-        lo, hi = _spectrum_bounds(omega)
+        w = np.linalg.eigvalsh(sym(omega))
+        lo, hi = float(w[..., 0].min()), float(w[..., -1].max())
         self.omega_min, self.omega_max = min(self.omega_min, lo), max(self.omega_max, hi)
 
     def merge(self, other: "AssumptionTrace") -> "AssumptionTrace":
-        """The bounds of both traces: the min of the mins, the max of the maxes."""
+        """The bounds of both traces (the min of the mins, the max of the
+        maxes) and the sums of their row counts."""
         return AssumptionTrace(min(self.rx_min, other.rx_min), max(self.rx_max, other.rx_max),
                                min(self.omega_min, other.omega_min),
-                               max(self.omega_max, other.omega_max))
-
-
-def _spectrum_bounds(a: np.ndarray) -> tuple[float, float]:
-    """Smallest and largest eigenvalue over a symmetric matrix or a stack."""
-    w = np.linalg.eigvalsh(sym(a))
-    return float(w[..., 0].min()), float(w[..., -1].max())
+                               max(self.omega_max, other.omega_max),
+                               self.rp_floor_rows + other.rp_floor_rows,
+                               self.rp_rows + other.rp_rows)
 
 
 @dataclass(frozen=True)
@@ -196,6 +205,7 @@ class AssumptionReport:
     info_bounds: tuple[float, float]
     doubly_stochastic: bool
     primitive: bool
+    rp_floor: tuple[int, int] = (0, 0)  # rows floored, rows linearized
 
     @property
     def a1_pass(self) -> bool:
@@ -233,6 +243,7 @@ class AssumptionReport:
             f" -> {'pass' if self.a2_pass else 'FAIL'}",
             f"A3 doubly stochastic: {self.doubly_stochastic}, "
             f"primitive: {self.primitive} -> {'pass' if self.a3_pass else 'FAIL'}",
+            f"Rp eigenvalue floor: {self.rp_floor[0]} of {self.rp_floor[1]} linearized rows",
         ]
         return "\n".join(lines)
 
@@ -279,6 +290,7 @@ def check_assumptions(
         info_bounds=(trace.omega_min, trace.omega_max),
         doubly_stochastic=doubly,
         primitive=check_primitive(pi_arr),
+        rp_floor=(trace.rp_floor_rows, trace.rp_rows),
     )
 
 

@@ -22,7 +22,6 @@ __all__ = [
     "clamp_extent",
     "rot2",
     "shape_matrix",
-    "shape_row_jacobians",
     "sample_measurements",
     "extent_vertices",
 ]
@@ -113,22 +112,6 @@ def shape_matrix(p) -> np.ndarray:
     c, s = np.cos(p[..., 0]), np.sin(p[..., 0])
     l1, l2 = p[..., 1], p[..., 2]
     return _from_entries([[c * l1, -s * l2], [s * l1, c * l2]])
-
-
-def shape_row_jacobians(p) -> tuple[np.ndarray, np.ndarray]:
-    """Jacobians of the two rows of the shape matrix w.r.t. [alpha, l1, l2].
-
-    Row m of the shape matrix is a function of the extent vector; J_m is the
-    2x3 matrix with J_m[a, b] = d(S[m, a]) / d(p[b]).  With a multiplicative
-    noise 2-vector h, the first-order perturbation of row m of S @ h is then
-    h.T @ J_m @ dp.  A stack (..., 3) of extents gives stacks (..., 2, 3).
-    """
-    p = np.asarray(p, dtype=float)
-    c, s = np.cos(p[..., 0]), np.sin(p[..., 0])
-    l1, l2, z = p[..., 1], p[..., 2], np.zeros_like(c)
-    j1 = _from_entries([[-l1 * s, c, z], [-l2 * c, z, -s]])
-    j2 = _from_entries([[l1 * c, s, z], [-l2 * s, z, c]])
-    return j1, j2
 
 
 def sample_measurements(

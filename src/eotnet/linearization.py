@@ -8,29 +8,59 @@ detection residual).  Both are refreshed at every sequential update from the
 previous estimates, which preserves the cross-correlation between the two
 states.
 
-Extents are [alpha, l1, l2] vectors.  Every function except
-kinematic_noise_cov also takes a leading stack axis on all of its per-item
-arguments (one row per detection); ch is shared by the whole stack.
+Extents are [alpha, l1, l2] vectors.  innovations builds both models for a
+whole stack of detections from one Gram matrix.  The shape matrix S and the
+Jacobians J1, J2 of its rows are the columns of one 2 x 8 matrix
+W = [S.T, J1, J2] per detection, and every product the models need is a block
+of W.T Ch W: the scattering term S Ch S.T, the rows s_m Ch J_n of the
+pseudo-measurement matrix, and the J_m.T Ch J_n whose traces against Cp give
+the extent-spread term.  The tests keep the same formulas piece by piece as
+their oracle.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._linalg import _from_entries, _matvec, as_cov, spd_inv, sym
-from .geometry import clamp_extent, shape_matrix, shape_row_jacobians
+from ._linalg import _checked_spd, _matvec, _spd_inv2, sym
+from .geometry import clamp_extent
 from .info_filter import innovation
 
 __all__ = [
     "kinematic_measurement_matrix",
-    "kinematic_noise_cov",
-    "residual_cov",
-    "pseudo_measurement",
-    "extent_measurement_matrix",
-    "extent_noise_moments",
-    "centered_pseudo_measurement",
     "innovations",
 ]
+
+# W = [S.T, J1, J2] row-major (2 x 8), as signed 1-based picks from
+# f = [c, s, l1 c, l1 s, l2 c, l2 s] with c, s the orientation's cosine and
+# sine; a 0 pick is a zero entry.  W = f @ _W_BASIS.
+_W_PICKS = [3, 4, -4, 1, 0, 3, 2, 0,
+            -6, 5, -5, 0, -2, -6, 0, 1]
+_W_BASIS = np.array([[(pick > 0) - (pick < 0) if abs(pick) == j else 0 for pick in _W_PICKS]
+                     for j in range(1, 7)], dtype=float)
+# Picks from the flat 8x8 Gram matrix G = W.T Ch W, whose rows and columns
+# are s1, s2, then J1's and J2's three columns each:
+# - S Ch S.T, the top-left 2x2 block;
+# - the pseudo-measurement matrix M = [2 s1 Ch J1; 2 s2 Ch J2; s1 Ch J2 + s2 Ch J1]
+#   as the sum of two 3x3 picks from the rows s_m Ch J_n;
+# - (J_m.T Ch J_n)[a, b] = G[2 + 3m + a, 2 + 3n + b] at [(a, b), (m, n)],
+#   which Cp contracts into the spread term sum_ab Cp[a, b] (J_m.T Ch J_n)[a, b].
+_a, _b, _m, _n = np.ix_(range(3), range(3), range(2), range(2))
+_GRAM_PICKS = np.concatenate([
+    [0, 1, 8, 9],
+    [2, 3, 4, 13, 14, 15, 5, 6, 7],
+    [2, 3, 4, 13, 14, 15, 10, 11, 12],
+    (8 * (2 + 3 * _m + _a) + 2 + 3 * _n + _b).ravel(),
+])
+# Residual index pair (a, b) of each entry d_a d_b of the quadratic statistic
+# [d1^2, d2^2, d1 d2], and the flat index 2a + b of C[a, b] in a 2x2 matrix.
+_PAIRS = np.array([[0, 0], [1, 1], [0, 1]])
+_SQUARE = 2 * _PAIRS[:, 0] + _PAIRS[:, 1]
+# Isserlis: cov(d_a d_b, d_c d_e) = C[a, c] C[b, e] + C[a, e] C[b, c], four
+# flat-index factors per (3, 3) entry.
+_ab, _ce = _PAIRS[:, None, :], _PAIRS[None, :, :]
+_QUARTIC = np.stack([2 * _ab[..., 0] + _ce[..., 0], 2 * _ab[..., 1] + _ce[..., 1],
+                     2 * _ab[..., 0] + _ce[..., 1], 2 * _ab[..., 1] + _ce[..., 0]])
 
 
 def kinematic_measurement_matrix(x_dim: int) -> np.ndarray:
@@ -42,135 +72,61 @@ def kinematic_measurement_matrix(x_dim: int) -> np.ndarray:
     return h
 
 
-def kinematic_noise_cov(p_hat, cp, ch, cv) -> np.ndarray:
-    """Equivalent measurement noise covariance for the kinematic model.
-
-    Sum of the shape-scattering term S Ch S.T, the extent-uncertainty term
-    with entries trace(Cp J_n.T Ch J_m), and the additive sensor noise.  The
-    first two terms are evaluated at the previous extent estimate and treated
-    as constants during the update they feed.
-    """
-    cp = as_cov(cp, "extent covariance")
-    ch = as_cov(ch, "multiplicative noise covariance")
-    cv = as_cov(cv, "measurement noise covariance")
-    return sym(_shape_noise(shape_matrix(p_hat), *shape_row_jacobians(p_hat), cp, ch) + cv)
-
-
-def _shape_noise(s_mat, j1, j2, cp: np.ndarray, ch: np.ndarray) -> np.ndarray:
-    """The extent's part of the kinematic measurement noise: the scattering
-    term S Ch S.T plus the extent-uncertainty term trace(Cp J_n.T Ch J_m)."""
-    jac = np.stack((j1, j2), axis=-3)  # J_m at [..., m, :, :]
-    scatter = s_mat @ ch @ s_mat.swapaxes(-1, -2)
-    # [..., m, n] holds Cp J_n.T Ch J_m.
-    spread = (cp[..., None, None, :, :] @ jac.swapaxes(-1, -2)[..., None, :, :, :]
-              @ ch @ jac[..., :, None, :, :])
-    return scatter + np.trace(spread, axis1=-2, axis2=-1)
-
-
-def residual_cov(cx: np.ndarray, rx: np.ndarray) -> np.ndarray:
-    """Covariance of the detection residual: H Cx H.T + Rx."""
-    cx = np.asarray(cx, dtype=float)
-    return sym(cx[..., :2, :2] + rx)
-
-
-def pseudo_measurement(y, x_hat) -> np.ndarray:
-    """Quadratic statistic [d1^2, d2^2, d1 d2] of the residual d = y - H x_hat."""
-    d = np.asarray(y, dtype=float) - np.asarray(x_hat, dtype=float)[..., :2]
-    return np.stack([d[..., 0] ** 2, d[..., 1] ** 2, d[..., 0] * d[..., 1]], axis=-1)
-
-
-def _square_mean(cy: np.ndarray) -> np.ndarray:
-    """Mean [c11, c22, c12] of the quadratic statistic of a zero-mean
-    residual with covariance cy."""
-    return np.stack([cy[..., 0, 0], cy[..., 1, 1], cy[..., 0, 1]], axis=-1)
-
-
-def extent_measurement_matrix(p_hat, ch) -> np.ndarray:
-    """Pseudo-measurement matrix mapping the extent vector to the expected
-    quadratic statistic, assembled from shape rows and their Jacobians."""
-    return _measurement_matrix(shape_matrix(p_hat), *shape_row_jacobians(p_hat),
-                               np.asarray(ch, dtype=float))
-
-
-def _measurement_matrix(s_mat, j1, j2, ch: np.ndarray) -> np.ndarray:
-    """extent_measurement_matrix from the shape matrix S and its row Jacobians."""
-    s1, s2 = s_mat[..., 0:1, :], s_mat[..., 1:2, :]
-    return np.concatenate([
-        2.0 * s1 @ ch @ j1,
-        2.0 * s2 @ ch @ j2,
-        s1 @ ch @ j2 + s2 @ ch @ j1,
-    ], axis=-2)
-
-
-def extent_noise_moments(
-    cy,
-    m_mat,
-    cp,
-    p_hat,
-    *,
-    floor: bool = True,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and covariance of the pseudo-measurement noise.
-
-    vbar collects the residual-covariance contribution minus the recentering
-    by the current extent estimate; rp is the fourth-moment covariance of the
-    quadratic statistic minus the part explained by the extent prior.  The
-    subtraction can leave rp indefinite, so by default it is symmetrized and
-    eigenvalue-floored at 1e-8 * trace / 3 to keep information updates
-    well-posed; pass floor=False for the raw moment-matched matrix.
-    """
-    cy = np.asarray(cy, dtype=float)
-    m_mat = np.asarray(m_mat, dtype=float)
-    cp = np.asarray(cp, dtype=float)
-    vbar = _square_mean(cy) - _matvec(m_mat, np.asarray(p_hat, dtype=float))
-    c11, c22, c12 = cy[..., 0, 0], cy[..., 1, 1], cy[..., 0, 1]
-    # Covariance of [d1^2, d2^2, d1 d2] for Gaussian d ~ N(0, cy).
-    quartic = _from_entries([
-        [2 * c11 ** 2, 2 * c12 ** 2, 2 * c11 * c12],
-        [2 * c12 ** 2, 2 * c22 ** 2, 2 * c22 * c12],
-        [2 * c11 * c12, 2 * c22 * c12, c11 * c22 + c12 ** 2],
-    ])
-    rp = sym(quartic - m_mat @ cp @ m_mat.swapaxes(-1, -2))
-    if floor:
-        w, v = np.linalg.eigh(rp)
-        lo = 1e-8 * np.maximum(np.trace(rp, axis1=-2, axis2=-1), 1e-12) / 3.0
-        rp = sym((v * np.maximum(w, lo[..., None])[..., None, :]) @ v.swapaxes(-1, -2))
-    return vbar, rp
-
-
-def centered_pseudo_measurement(y_quad, cy, m_mat, p_hat) -> np.ndarray:
-    """Recenter a pseudo-measurement so its noise model is zero-mean.
-
-    Subtracts the residual-covariance contribution and adds back the current
-    extent estimate mapped through the pseudo-measurement matrix.
-    """
-    y_quad = np.asarray(y_quad, dtype=float)
-    cy = np.asarray(cy, dtype=float)
-    m_mat = np.asarray(m_mat, dtype=float)
-    return y_quad - _square_mean(cy) + _matvec(m_mat, np.asarray(p_hat, dtype=float))
-
-
 def innovations(x, cx, p, cp, y, ch, cv, min_axis: float, trace=None):
     """Innovation arrays (dqx, dox, dqp, dop) of a stack of detections.
 
     Detection y[k] is linearized at its own row's moments x[k], cx[k], p[k],
-    cp[k] and carries the sensor noise cv[k].  Both linear models are built
-    from the same pre-update estimates; the extent mean is first wrapped and
-    its semi-axes clamped to min_axis.  A trace records every kinematic noise
-    covariance Rx that gets inverted.
+    cp[k] and carries the sensor noise cv[k]; ch is shared.  Both linear
+    models are built from the same pre-update estimates; the extent mean is
+    first wrapped and its semi-axes clamped to min_axis.
+
+    The kinematic noise is Rx = S Ch S.T + [trace(Cp J_n.T Ch J_m)] + Cv.
+    The pseudo-measurement noise Rp is the Gaussian fourth-moment covariance
+    of the residual d = y - H x, with covariance Cy = H Cx H.T + Rx, minus
+    M Cp M.T.  The subtraction can leave Rp indefinite.  A row whose Rp has
+    an eigenvalue below lo = 1e-8 * trace / 3, which Sylvester's criterion on
+    Rp - lo I detects, has those eigenvalues raised to lo; the other rows keep
+    Rp as computed.  Each row's numbers depend on that row alone.  A trace
+    records every Rx that gets inverted and how many rows the floor changed.
     """
     p = clamp_extent(p, min_axis)
-    # S and its row Jacobians feed both linear models; build them once.
-    geometry = (shape_matrix(p), *shape_row_jacobians(p))
-    rx = sym(_shape_noise(*geometry, cp, ch) + cv)
+    k, d = len(p), x.shape[-1]
+    cos_sin, lengths = np.empty((k, 2)), np.ones((k, 3))
+    np.cos(p[:, 0], out=cos_sin[:, 0])
+    np.sin(p[:, 0], out=cos_sin[:, 1])
+    lengths[:, 1:] = p[:, 1:]
+    w = ((lengths[:, :, None] * cos_sin[:, None, :]).reshape(k, 6) @ _W_BASIS).reshape(k, 2, 8)
+    # np.take and matmul keep every operand C-ordered whatever k is, so each
+    # row takes the same path alone as in any stack.
+    picks = np.take((w.swapaxes(-1, -2) @ (ch @ w)).reshape(k, 64), _GRAM_PICKS, axis=1)
+    spread = cp.reshape(k, 1, 9) @ picks[:, 22:].reshape(k, 9, 4)
+    rx = sym(picks[:, :4].reshape(k, 2, 2) + spread.reshape(k, 2, 2) + cv)
+    vx = _spd_inv2(rx, name="kinematic measurement noise")
+    # H = [I 0] only picks the position block.
+    dqx, dox = np.zeros((k, d)), np.zeros((k, d, d))
+    dqx[:, :2], dox[:, :2, :2] = _matvec(vx, y), vx
+
+    cy = (cx[:, :2, :2] + rx).reshape(k, 4)
+    m_mat = (picks[:, 4:13] + picks[:, 13:22]).reshape(k, 3, 3)
+    quartic = np.take(cy, _QUARTIC, axis=1)
+    rp = sym(quartic[:, 0] * quartic[:, 1] + quartic[:, 2] * quartic[:, 3]
+             - m_mat @ cp @ m_mat.swapaxes(-1, -2))
+    lo = 1e-8 * np.maximum(np.trace(rp, axis1=-2, axis2=-1), 1e-12) / 3.0
+    shifted = rp - lo[:, None, None] * np.eye(3)
+    s = shifted.reshape(k, 9)
+    floored = ~((s[:, 0] > 0.0) & (s[:, 0] * s[:, 4] - s[:, 1] * s[:, 3] > 0.0)
+                & (np.linalg.det(shifted) > 0.0))
+    if floored.any():
+        eig, vec = np.linalg.eigh(rp[floored])
+        eig = np.maximum(eig, lo[floored, None])
+        rp[floored] = sym((vec * eig[:, None, :]) @ vec.swapaxes(-1, -2))
+        _checked_spd(rp, name="extent pseudo-measurement noise")
+    vp = sym(np.linalg.inv(rp))
+    residual = y - x[:, :2]
+    y_quad = np.take(residual, _PAIRS[:, 0], axis=1) * np.take(residual, _PAIRS[:, 1], axis=1)
+    y_tilde = y_quad - np.take(cy, _SQUARE, axis=1) + _matvec(m_mat, p)
+    dqp, dop = innovation(m_mat, vp, y_tilde)
     if trace is not None:
         trace.record_rx(rx)
-    vx = spd_inv(rx, name="kinematic measurement noise")
-    dqx, dox = innovation(kinematic_measurement_matrix(x.shape[-1]), vx, y)
-    cy = residual_cov(cx, rx)
-    m_mat = _measurement_matrix(*geometry, ch)
-    _, rp = extent_noise_moments(cy, m_mat, cp, p)
-    vp = spd_inv(rp, name="extent pseudo-measurement noise")
-    y_tilde = centered_pseudo_measurement(pseudo_measurement(y, x), cy, m_mat, p)
-    dqp, dop = innovation(m_mat, vp, y_tilde)
+        trace.record_rp_floor(np.count_nonzero(floored), k)
     return dqx, dox, dqp, dop

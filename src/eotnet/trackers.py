@@ -13,9 +13,11 @@ row.  The filters differ only in how the network combines those rows:
 - CI corrects each sensor row locally, then averages the posteriors;
 - CM averages the innovations, then corrects every row with the weight omega.
 
-Averaging runs synchronous consensus rounds on one packed buffer that holds
-all four information quantities, one (n, k) slice per realization.  After
-the batch, a standard information-form prediction advances both states.
+Through a scan the two states travel as one packed (R, n, k) array, one row
+[qx, Ωx, qp, Ωp] per node, so each index gathers and scatters the live
+realizations once, and correction, symmetrization and the synchronous
+consensus rounds act on all four information quantities at once.  After the
+batch, a standard information-form prediction advances both states.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 from ._linalg import _matvec, spd_inv, spd_solve, sym
 from .consensus import ConsensusMatrix, SensorNetwork, consensus_rounds
 from .geometry import clamp_extent
-from .info_filter import InformationState, correct, from_moments, predict, to_moments
+from .info_filter import InformationState, from_moments, predict, to_moments
 from .linearization import innovations
 
 __all__ = [
@@ -121,12 +123,6 @@ def initial_states(x0, cx0, p0, cp0, nodes: int = 1, min_axis: float = 1e-3):
     return kin, _sanitize_extent(from_moments(stacked(p0, 1), stacked(cp0, 2)), min_axis)
 
 
-def _rows(info: InformationState, rows) -> InformationState:
-    """The given rows of a stacked state, indexed on its flattened stack axes."""
-    d = info.dim
-    return InformationState(info.q.reshape(-1, d)[rows], info.omega.reshape(-1, d, d)[rows])
-
-
 def _sanitize_extent(ext: InformationState, min_axis: float, rows=None) -> InformationState:
     """Re-anchor the extent mean of the given rows (flat indices into the
     stacked rows; default: all) after a write: wrap the orientation into
@@ -134,7 +130,7 @@ def _sanitize_extent(ext: InformationState, min_axis: float, rows=None) -> Infor
     every row checked is already in range, so the information state is
     normally left untouched."""
     rows = np.arange(ext.q.size // 3) if rows is None else np.asarray(rows)
-    sub = _rows(ext, rows)
+    sub = InformationState(ext.q.reshape(-1, 3)[rows], ext.omega.reshape(-1, 3, 3)[rows])
     p = spd_solve(sub.omega, sub.q, name="extent information matrix")
     in_range = (-np.pi < p[:, 0]) & (p[:, 0] <= np.pi) & (p[:, 1:] >= min_axis).all(axis=1)
     if in_range.all():
@@ -144,24 +140,35 @@ def _sanitize_extent(ext: InformationState, min_axis: float, rows=None) -> Infor
     return InformationState(q=q.reshape(ext.q.shape), omega=ext.omega)
 
 
-def _average(arrays, pi, rounds: int) -> list[np.ndarray]:
-    """Consensus-average stacked per-node arrays in one call on a packed
-    (..., n, k) buffer.  arrays[0] is an information vector stack (..., n, d),
-    which fixes the leading (..., n) axes the others share; averaging is
-    linear column by column, so packing changes only rounding."""
-    lead = arrays[0].shape[:-1]
-    packed = consensus_rounds(np.concatenate([a.reshape(*lead, -1) for a in arrays], axis=-1),
-                              pi, rounds)
-    cuts = np.cumsum([a[(0,) * len(lead)].size for a in arrays])[:-1]
-    return [part.reshape(a.shape) for part, a in zip(np.split(packed, cuts, axis=-1), arrays)]
+def _pack(kin: InformationState, ext: InformationState) -> np.ndarray:
+    """One packed row [qx, Ωx, qp, Ωp] per stacked (realization, node)."""
+    lead = kin.q.shape[:-1]
+    return np.concatenate([kin.q, kin.omega.reshape(*lead, -1), ext.q,
+                           ext.omega.reshape(*lead, -1)], axis=-1)
 
 
-def _correct_rows(kin, ext, innov, weight: float, min_axis: float, rows=None):
-    """Add the stacked innovations (dqx, dox, dqp, dop) with a weight, then
-    sanitize the extent rows that changed (flat indices; default: all)."""
-    dqx, dox, dqp, dop = innov
-    ext = _sanitize_extent(correct(ext, dqp, dop, weight), min_axis, rows)
-    return correct(kin, dqx, dox, weight), ext
+def _unpack(packed: np.ndarray, d: int) -> tuple[InformationState, InformationState]:
+    """The (kinematic, extent) states of packed rows, as views."""
+    lead, e = packed.shape[:-1], d + d * d
+    return (InformationState(packed[..., :d], packed[..., d:e].reshape(*lead, d, d)),
+            InformationState(packed[..., e:e + 3], packed[..., e + 3:].reshape(*lead, 3, 3)))
+
+
+def _mirror(d: int) -> np.ndarray:
+    """Column of each packed entry's transpose: itself for a vector entry,
+    the entry across the diagonal for a matrix entry."""
+    def t(size):
+        return np.arange(size * size).reshape(size, size).T.ravel()
+
+    return np.concatenate([np.arange(d), d + t(d), d + d * d + np.arange(3), d + d * d + 3 + t(3)])
+
+
+def _sanitize_rows(flat: np.ndarray, d: int, min_axis: float, rows=None) -> None:
+    """_sanitize_extent on the extent columns of packed rows, in place."""
+    _, ext = _unpack(flat, d)
+    fixed = _sanitize_extent(ext, min_axis, rows)
+    if fixed is not ext:
+        ext.q[...] = fixed.q
 
 
 def correct_scan(
@@ -185,7 +192,7 @@ def correct_scan(
     has ended takes no further correction or averaging.  Realizations never
     mix.  The distributed filters need the consensus matrix pi and run
     config.consensus_iters averaging rounds per index.  A trace records the
-    observed Rx spectra.
+    observed Rx spectra and the Rp floor hits.
     """
     if kin.q.ndim == 2:
         lifted = (InformationState(s.q[None], s.omega[None]) for s in (kin, ext))
@@ -220,37 +227,47 @@ def correct_scan(
     order = np.argsort(det_index, kind="stable")
     bounds = np.searchsorted(det_index[order], np.arange(ends.max(initial=0) + 1))
 
-    states = [kin.q.copy(), kin.omega.copy(), ext.q.copy(), ext.omega.copy()]
+    d = kin.dim
+    state = _pack(kin, ext)
+    width, mirror = state.shape[-1], _mirror(d)
     for i in range(ends.max(initial=0)):
         live = np.flatnonzero(ends > i)
         at_i = order[bounds[i]:bounds[i + 1]]
         sensor = det_sensor[at_i]
-        # Flat row of each detection in the stack of live realizations.
+        # Flat row of each detection among the live realizations' rows.  Under
+        # CI and CM these rows are distinct.  Under CEOT every live
+        # realization has a detection at i, and its detections share its row.
         det_rows = np.searchsorted(live, det_run[at_i]) * nodes + rows[sensor]
-        kin_i = InformationState(states[0][live], states[1][live])
-        ext_i = InformationState(states[2][live], states[3][live])
-        lin_rows, at = np.unique(det_rows, return_inverse=True)
-        x, cx = to_moments(_rows(kin_i, lin_rows))
-        p, cp = to_moments(_rows(ext_i, lin_rows))
-        innov = [np.zeros_like(a) for a in (kin_i.q, kin_i.omega, ext_i.q, ext_i.omega)]
-        # np.add.at sums detections that share a row; CEOT maps all to row 0.
-        for acc, value in zip(innov, innovations(x[at], cx[at], p[at], cp[at], y_all[at_i],
-                                                 params.ch, cv[sensor], min_axis, trace)):
-            np.add.at(acc.reshape(-1, *acc.shape[2:]), det_rows, value)
+        rows_i = state[live].reshape(-1, width)
+        lin, at = (slice(None), det_rows) if config.kind is FilterKind.CEOT else (det_rows, ...)
+        kin_i, ext_i = _unpack(rows_i[lin], d)
+        x, cx = to_moments(kin_i)
+        p, cp = to_moments(ext_i)
+        innov = innovations(x[at], cx[at], p[at], cp[at], y_all[at_i], params.ch, cv[sensor],
+                            min_axis, trace)
+        packed = np.concatenate([a.reshape(len(at_i), -1) for a in innov], axis=1)
+        delta = np.zeros_like(rows_i)
+        if config.kind is FilterKind.CEOT:  # sum the detections that share a row
+            np.add.at(delta, det_rows, packed)
+        else:
+            delta[det_rows] = packed
         # The filters differ only here, in how the network combines the rows.
         if config.kind is FilterKind.CM:
-            kin_i, ext_i = _correct_rows(kin_i, ext_i, _average(innov, pi, rounds), omega,
-                                         min_axis)
-        elif config.kind is FilterKind.CI:
-            kin_i, ext_i = _correct_rows(kin_i, ext_i, innov, 1.0, min_axis, lin_rows)
-            qx, ox, qp, op = _average([kin_i.q, kin_i.omega, ext_i.q, ext_i.omega], pi, rounds)
-            kin_i = InformationState(qx, ox)
-            ext_i = _sanitize_extent(InformationState(qp, op), min_axis)
+            delta = consensus_rounds(delta.reshape(-1, nodes, width), pi, rounds)
+            rows_i = rows_i + omega * delta.reshape(-1, width)
         else:
-            kin_i, ext_i = _correct_rows(kin_i, ext_i, innov, 1.0, min_axis, lin_rows)
-        for state, value in zip(states, (kin_i.q, kin_i.omega, ext_i.q, ext_i.omega)):
-            state[live] = value
-    return InformationState(*states[:2]), InformationState(*states[2:])
+            rows_i = rows_i + delta
+        # Symmetrize the matrices; a vector entry is its own mirror and stays exact.
+        rows_i = 0.5 * (rows_i + np.take(rows_i, mirror, axis=1))
+        _sanitize_rows(rows_i, d, min_axis, lin if config.kind is FilterKind.CI else None)
+        if config.kind is FilterKind.CI:
+            rows_i = consensus_rounds(rows_i.reshape(-1, nodes, width), pi, rounds)
+            rows_i = rows_i.reshape(-1, width)
+            _sanitize_rows(rows_i, d, min_axis)
+        state[live] = rows_i.reshape(-1, nodes, width)
+    kin, ext = _unpack(state, d)
+    return (InformationState(kin.q.copy(), kin.omega.copy()),
+            InformationState(ext.q.copy(), ext.omega.copy()))
 
 
 def predict_states(kin: InformationState, ext: InformationState, params: TrackerParams):
@@ -298,10 +315,12 @@ def run_filter(
 
     Each run's record equals the one a pass over that run alone gives; a
     step's wall time is split evenly over the runs it advanced.  For the
-    distributed filters a consensus matrix is required.  An optional trace
-    object (record_rx / record_omega) collects observed noise and
-    information-matrix spectra of every run for the stability assumption
-    checks.
+    distributed filters a consensus matrix is required.  A non-finite
+    detection fails before any filtering, naming its run (its position in
+    scn_runs), step and sensor.  An optional trace object (record_rx,
+    record_rp_floor, record_omega) collects observed noise and
+    information-matrix spectra and Rp floor hits of every run for the
+    stability assumption checks.
     """
     scn_runs = list(scn_runs)
     if not scn_runs:
@@ -309,6 +328,12 @@ def run_filter(
     runs, steps = len(scn_runs), len(scn_runs[0].measurements)
     if any(len(scn.measurements) != steps for scn in scn_runs):
         raise ValueError("stacked scenario runs must have the same number of steps")
+    for r, scn in enumerate(scn_runs):
+        if not np.isfinite(np.concatenate([b for scan in scn.measurements for b in scan],
+                                          axis=None)).all():
+            k, j = next((k, j) for k, scan in enumerate(scn.measurements)
+                        for j, b in enumerate(scan) if not np.isfinite(b).all())
+            raise ValueError(f"detections of run {r}, step {k}, sensor {j} must be finite")
     x_dim = scn_runs[0].x0.size
     nodes = 1 if config.kind is FilterKind.CEOT else net.size
     kin, ext = initial_states(*(np.stack([getattr(scn, name) for scn in scn_runs])

@@ -2,12 +2,20 @@
 
 Everything here is implemented from first principles (finite differences,
 explicit moment expansion, covariance-form Kalman algebra, exhaustive
-assignment search) and deliberately avoids the code paths under test.
+assignment search) and deliberately avoids the code paths under test.  The
+piecewise linearization builds the two measurement models one matrix product
+at a time, from the shape-matrix row Jacobians, as the library did before it
+moved to one Gram matrix per detection.
 """
 
 from itertools import permutations
 
 import numpy as np
+
+from eotnet._linalg import _from_entries, _matvec, as_cov, spd_inv, sym
+from eotnet.geometry import clamp_extent, shape_matrix
+from eotnet.info_filter import innovation
+from eotnet.linearization import kinematic_measurement_matrix
 
 
 def fd_shape_jacobians(shape_fn, p_vec, step=1e-6):
@@ -22,6 +30,142 @@ def fd_shape_jacobians(shape_fn, p_vec, step=1e-6):
         lo[b] -= step
         j[:, :, b] = (shape_fn(hi) - shape_fn(lo)) / (2.0 * step)
     return j[0], j[1]
+
+
+def shape_row_jacobians(p):
+    """Jacobians of the two rows of the shape matrix w.r.t. [alpha, l1, l2].
+
+    Row m of the shape matrix is a function of the extent vector; J_m is the
+    2x3 matrix with J_m[a, b] = d(S[m, a]) / d(p[b]).  With a multiplicative
+    noise 2-vector h, the first-order perturbation of row m of S @ h is then
+    h.T @ J_m @ dp.  A stack (..., 3) of extents gives stacks (..., 2, 3).
+    """
+    p = np.asarray(p, dtype=float)
+    c, s = np.cos(p[..., 0]), np.sin(p[..., 0])
+    l1, l2, z = p[..., 1], p[..., 2], np.zeros_like(c)
+    j1 = _from_entries([[-l1 * s, c, z], [-l2 * c, z, -s]])
+    j2 = _from_entries([[l1 * c, s, z], [-l2 * s, z, c]])
+    return j1, j2
+
+
+# The linearization one piece at a time: the oracle of eotnet.linearization's
+# Gram-matrix innovations.  Every function except kinematic_noise_cov also
+# takes a leading stack axis on its per-item arguments; ch is shared.
+
+
+def kinematic_noise_cov(p_hat, cp, ch, cv):
+    """Equivalent measurement noise covariance for the kinematic model.
+
+    Sum of the shape-scattering term S Ch S.T, the extent-uncertainty term
+    with entries trace(Cp J_n.T Ch J_m), and the additive sensor noise.
+    """
+    cp = as_cov(cp, "extent covariance")
+    ch = as_cov(ch, "multiplicative noise covariance")
+    cv = as_cov(cv, "measurement noise covariance")
+    return sym(shape_noise(shape_matrix(p_hat), *shape_row_jacobians(p_hat), cp, ch) + cv)
+
+
+def shape_noise(s_mat, j1, j2, cp, ch):
+    """The extent's part of the kinematic measurement noise: the scattering
+    term S Ch S.T plus the extent-uncertainty term trace(Cp J_n.T Ch J_m)."""
+    jac = np.stack((j1, j2), axis=-3)  # J_m at [..., m, :, :]
+    scatter = s_mat @ ch @ s_mat.swapaxes(-1, -2)
+    # [..., m, n] holds Cp J_n.T Ch J_m.
+    spread = (cp[..., None, None, :, :] @ jac.swapaxes(-1, -2)[..., None, :, :, :]
+              @ ch @ jac[..., :, None, :, :])
+    return scatter + np.trace(spread, axis1=-2, axis2=-1)
+
+
+def residual_cov(cx, rx):
+    """Covariance of the detection residual: H Cx H.T + Rx."""
+    cx = np.asarray(cx, dtype=float)
+    return sym(cx[..., :2, :2] + rx)
+
+
+def pseudo_measurement(y, x_hat):
+    """Quadratic statistic [d1^2, d2^2, d1 d2] of the residual d = y - H x_hat."""
+    d = np.asarray(y, dtype=float) - np.asarray(x_hat, dtype=float)[..., :2]
+    return np.stack([d[..., 0] ** 2, d[..., 1] ** 2, d[..., 0] * d[..., 1]], axis=-1)
+
+
+def square_mean(cy):
+    """Mean [c11, c22, c12] of the quadratic statistic of a zero-mean
+    residual with covariance cy."""
+    return np.stack([cy[..., 0, 0], cy[..., 1, 1], cy[..., 0, 1]], axis=-1)
+
+
+def extent_measurement_matrix(p_hat, ch):
+    """Pseudo-measurement matrix mapping the extent vector to the expected
+    quadratic statistic, assembled from shape rows and their Jacobians."""
+    return measurement_matrix(shape_matrix(p_hat), *shape_row_jacobians(p_hat),
+                              np.asarray(ch, dtype=float))
+
+
+def measurement_matrix(s_mat, j1, j2, ch):
+    """extent_measurement_matrix from the shape matrix S and its row Jacobians."""
+    s1, s2 = s_mat[..., 0:1, :], s_mat[..., 1:2, :]
+    return np.concatenate([
+        2.0 * s1 @ ch @ j1,
+        2.0 * s2 @ ch @ j2,
+        s1 @ ch @ j2 + s2 @ ch @ j1,
+    ], axis=-2)
+
+
+def extent_noise_moments(cy, m_mat, cp, p_hat, *, floor=True):
+    """Mean and covariance of the pseudo-measurement noise.
+
+    vbar collects the residual-covariance contribution minus the recentering
+    by the current extent estimate; rp is the fourth-moment covariance of the
+    quadratic statistic minus the part explained by the extent prior.  By
+    default rp is symmetrized and eigenvalue-floored at 1e-8 * trace / 3
+    through an eigendecomposition of every row; pass floor=False for the raw
+    moment-matched matrix.
+    """
+    cy = np.asarray(cy, dtype=float)
+    m_mat = np.asarray(m_mat, dtype=float)
+    cp = np.asarray(cp, dtype=float)
+    vbar = square_mean(cy) - _matvec(m_mat, np.asarray(p_hat, dtype=float))
+    c11, c22, c12 = cy[..., 0, 0], cy[..., 1, 1], cy[..., 0, 1]
+    # Covariance of [d1^2, d2^2, d1 d2] for Gaussian d ~ N(0, cy).
+    quartic = _from_entries([
+        [2 * c11 ** 2, 2 * c12 ** 2, 2 * c11 * c12],
+        [2 * c12 ** 2, 2 * c22 ** 2, 2 * c22 * c12],
+        [2 * c11 * c12, 2 * c22 * c12, c11 * c22 + c12 ** 2],
+    ])
+    rp = sym(quartic - m_mat @ cp @ m_mat.swapaxes(-1, -2))
+    if floor:
+        w, v = np.linalg.eigh(rp)
+        lo = 1e-8 * np.maximum(np.trace(rp, axis1=-2, axis2=-1), 1e-12) / 3.0
+        rp = sym((v * np.maximum(w, lo[..., None])[..., None, :]) @ v.swapaxes(-1, -2))
+    return vbar, rp
+
+
+def centered_pseudo_measurement(y_quad, cy, m_mat, p_hat):
+    """Recenter a pseudo-measurement so its noise model is zero-mean.
+
+    Subtracts the residual-covariance contribution and adds back the current
+    extent estimate mapped through the pseudo-measurement matrix.
+    """
+    y_quad = np.asarray(y_quad, dtype=float)
+    cy = np.asarray(cy, dtype=float)
+    m_mat = np.asarray(m_mat, dtype=float)
+    return y_quad - square_mean(cy) + _matvec(m_mat, np.asarray(p_hat, dtype=float))
+
+
+def innovations_by_pieces(x, cx, p, cp, y, ch, cv, min_axis):
+    """The innovation arrays (dqx, dox, dqp, dop) of a stack of detections,
+    composed from the pieces above: generic products with H = [I 0] and M,
+    LAPACK inverses and the eigh floor on every row."""
+    p = clamp_extent(p, min_axis)
+    s_mat, (j1, j2) = shape_matrix(p), shape_row_jacobians(p)
+    rx = sym(shape_noise(s_mat, j1, j2, cp, ch) + cv)
+    dqx, dox = innovation(kinematic_measurement_matrix(x.shape[-1]), spd_inv(rx), y)
+    cy = residual_cov(cx, rx)
+    m_mat = measurement_matrix(s_mat, j1, j2, ch)
+    _, rp = extent_noise_moments(cy, m_mat, cp, p)
+    y_tilde = centered_pseudo_measurement(pseudo_measurement(y, x), cy, m_mat, p)
+    dqp, dop = innovation(m_mat, spd_inv(rp), y_tilde)
+    return dqx, dox, dqp, dop
 
 
 def quartic_moment_mean(cx_pos, s_mat, j1, j2, cp, ch, cv):

@@ -24,15 +24,9 @@ from eotnet.diagnostics import (
     nees_bounds,
     ospa_vertices,
 )
-from eotnet.geometry import Extent, extent_vertices, shape_matrix, shape_row_jacobians
+from eotnet.geometry import Extent, extent_vertices, shape_matrix
 from eotnet.info_filter import from_moments, predict, to_moments
-from eotnet.linearization import (
-    extent_measurement_matrix,
-    extent_noise_moments,
-    kinematic_measurement_matrix,
-    kinematic_noise_cov,
-    residual_cov,
-)
+from eotnet.linearization import kinematic_measurement_matrix
 from eotnet.scenario import build_scenario_run, load_config, benchmark_network
 from eotnet.trackers import (
     FilterConfig,
@@ -45,10 +39,15 @@ from eotnet.trackers import (
     run_filter,
 )
 from oracles import (
+    extent_measurement_matrix,
+    extent_noise_moments,
     kalman_predict_moments,
+    kinematic_noise_cov,
     quartic_moment_cov,
     quartic_moment_mean,
+    residual_cov,
     sample_linearized_residuals,
+    shape_row_jacobians,
 )
 
 

@@ -222,6 +222,31 @@ def test_assumption_traces_merge_to_their_joint_bounds():
     assert a.merge(AssumptionTrace()) == a
 
 
+def test_rx_spectrum_is_recorded_in_closed_form():
+    rng = np.random.default_rng(17)
+    a = rng.normal(size=(50, 2, 2))
+    rx = a @ a.swapaxes(-1, -2) + 0.1 * np.eye(2)
+    trace = AssumptionTrace()
+    trace.record_rx(rx)
+    w = np.linalg.eigvalsh(rx)
+    assert trace.rx_min == pytest.approx(w[:, 0].min(), rel=1e-12)
+    assert trace.rx_max == pytest.approx(w[:, 1].max(), rel=1e-12)
+
+
+def test_rp_floor_counts_add_up_across_merges_and_reach_the_report():
+    a, b = AssumptionTrace(), AssumptionTrace()
+    a.record_rp_floor(0, 6)
+    a.record_rp_floor(2, 5)
+    b.record_rp_floor(1, 4)
+    merged = a.merge(b)
+    assert (merged.rp_floor_rows, merged.rp_rows) == (3, 15)
+    merged.record_rx(np.eye(2))
+    merged.record_omega(np.eye(2))
+    report = check_assumptions(np.eye(2), np.eye(2), np.eye(2), np.eye(2), 1, 1.0, merged)
+    lines = report.as_text().splitlines()
+    assert lines[3].startswith("A3") and lines[4] == "Rp eigenvalue floor: 3 of 15 linearized rows"
+
+
 def test_check_assumptions_detects_nonprimitive():
     trace = AssumptionTrace()
     trace.record_rx(np.eye(2))

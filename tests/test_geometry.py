@@ -8,10 +8,9 @@ from eotnet.geometry import (
     rot2,
     sample_measurements,
     shape_matrix,
-    shape_row_jacobians,
     wrap_angle,
 )
-from oracles import fd_shape_jacobians
+from oracles import fd_shape_jacobians, shape_row_jacobians
 
 
 def shape_from_vec(p_vec):

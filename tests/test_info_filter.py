@@ -162,3 +162,14 @@ def test_indefinite_slice_of_a_run_node_stack_is_named():
         to_moments(info)
     with pytest.raises(np.linalg.LinAlgError, match=r"\(node 2\)"):
         to_moments(InformationState(q=info.q[1], omega=omega[1]))
+
+
+def test_nonfinite_slice_of_a_run_node_stack_is_named():
+    rng = np.random.default_rng(10)
+    omega = np.stack([np.stack([random_pd(rng, 3) for _ in range(4)]) for _ in range(2)])
+    omega[1, 3, 0, 2] = omega[1, 3, 2, 0] = np.nan
+    info = InformationState(q=np.zeros((2, 4, 3)), omega=omega)
+    with pytest.raises(ValueError, match=r"information matrix \(run 1, node 3\) must not"):
+        to_moments(info)
+    with pytest.raises(ValueError, match=r"information matrix must not contain infs"):
+        to_moments(InformationState(q=info.q[1, 3], omega=omega[1, 3]))

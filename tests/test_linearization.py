@@ -1,20 +1,20 @@
 import numpy as np
 import pytest
 
-from eotnet.geometry import Extent, shape_matrix, shape_row_jacobians
-from eotnet.linearization import (
+from eotnet.geometry import Extent, shape_matrix
+from eotnet._linalg import _spd_inv2
+from eotnet.linearization import innovations, kinematic_measurement_matrix
+from oracles import (
     centered_pseudo_measurement,
     extent_measurement_matrix,
     extent_noise_moments,
-    kinematic_measurement_matrix,
     kinematic_noise_cov,
     pseudo_measurement,
-    residual_cov,
-)
-from oracles import (
     quartic_moment_cov,
     quartic_moment_mean,
+    residual_cov,
     sample_linearized_residuals,
+    shape_row_jacobians,
 )
 
 
@@ -202,3 +202,44 @@ def test_centered_pseudo_measurement_mean_is_model_prediction():
     target = m @ p_hat
     tol = 0.03 * max(1.0, np.abs(target).max())
     assert np.abs(centered.mean(0) - target).max() < 5 * tol  # 50k-sample mean
+
+
+def test_closed_form_2x2_inverse_matches_lapack():
+    rng = np.random.default_rng(15)
+    a = rng.normal(size=(500, 2, 2))
+    # condition numbers from 1 to about 1e8
+    scale = np.exp(rng.uniform(-9.0, 9.0, (500, 1)))
+    spd = a @ a.swapaxes(-1, -2) + np.eye(2) * scale[:, :, None] * 1e-1
+    spd = 0.5 * (spd + spd.swapaxes(-1, -2))
+    got, want = _spd_inv2(spd), np.linalg.inv(spd)
+    cond = np.linalg.cond(spd)
+    err = np.abs(got - want).max(axis=(1, 2)) / np.abs(want).max(axis=(1, 2))
+    assert (err <= 1e-14 * cond).all()
+
+
+def test_innovations_name_the_bad_kinematic_noise_row():
+    rng = np.random.default_rng(16)
+    p_hat, _, cp, ch, cv = random_config(rng)
+    x, cx = np.zeros((3, 4)), np.stack([np.eye(4)] * 3)
+    p, cps, cvs = np.stack([p_hat] * 3), np.stack([cp] * 3), np.stack([cv] * 3)
+    y = rng.normal(size=(3, 2))
+    indefinite = cvs.copy()
+    indefinite[1] = -100.0 * np.eye(2)
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=r"kinematic measurement noise \(node 1\) is singular"):
+        innovations(x, cx, p, cps, y, ch, indefinite, 1e-3)
+    nonfinite = cvs.copy()
+    nonfinite[2, 0, 0] = np.nan
+    with pytest.raises(ValueError,
+                       match=r"kinematic measurement noise \(node 2\) must not contain"):
+        innovations(x, cx, p, cps, y, ch, nonfinite, 1e-3)
+
+
+def test_closed_form_2x2_inverse_names_a_row_singular_to_working_precision():
+    # Cholesky succeeds on this matrix, but a d - b^2 rounds to 0.
+    edge = np.array([[0.5247914532927936, 1.7199053588004087],
+                     [1.7199053588004087, 5.6366665742553215]])
+    assert edge[0, 0] * edge[1, 1] - edge[0, 1] ** 2 == 0.0
+    np.linalg.cholesky(edge)
+    with pytest.raises(np.linalg.LinAlgError, match=r"noise \(node 1\) is singular"):
+        _spd_inv2(np.stack([np.diag([2.0, 4.0]), edge]), "noise")

@@ -20,14 +20,15 @@ from eotnet.trackers import (
     FilterConfig,
     FilterKind,
     TrackerParams,
-    _average,
+    _pack,
     _sanitize_extent,
+    _unpack,
     correct_scan,
     initial_states,
     ncv_transition,
     predict_states,
 )
-from oracles import gwd_eigh, gwd_eigh_rounding
+from oracles import gwd_eigh, gwd_eigh_rounding, innovations_by_pieces
 
 SETTINGS = settings(max_examples=25, deadline=None)
 TRUTH = (KinematicState(np.zeros(2)), Extent(0.4, 6.0, 2.0))
@@ -93,7 +94,8 @@ def test_packed_average_equals_separate_rounds_and_keeps_sums(draw, rounds):
     net, pi, seed = draw
     kin, ext = random_states(np.random.default_rng(seed), net.size)
     quantities = [kin.q, kin.omega, ext.q, ext.omega]
-    packed = _average(quantities, pi, rounds)
+    got_kin, got_ext = _unpack(consensus_rounds(_pack(kin, ext), pi, rounds), 2)
+    packed = [got_kin.q, got_kin.omega, got_ext.q, got_ext.omega]
     for value, got in zip(quantities, packed):
         separate = consensus_rounds(value.reshape(net.size, -1), pi, rounds).reshape(value.shape)
         assert got.shape == value.shape
@@ -180,6 +182,60 @@ def test_stacked_innovations_equal_slice_by_slice_calls(seed, n, picks):
                           cv[k:k + 1], 1e-3)
         for got, want in zip(stacked, one):
             assert_close(got[k], want[0])
+
+
+@SETTINGS
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6))
+def test_gram_matrix_innovations_equal_the_piecewise_composition(seed, n):
+    rng = np.random.default_rng(seed)
+    x, cx, p, cp = random_points(rng, n)
+    y, ch, cv = random_detections(rng, n)
+    got = innovations(x, cx, p, cp, y, ch, cv, 1e-3)
+    for g, want in zip(got, innovations_by_pieces(x, cx, p, cp, y, ch, cv, 1e-3)):
+        assert_close(g, want)
+
+
+class FloorCount:
+    """The trace hooks innovations calls, counting the floored rows."""
+
+    def __init__(self):
+        self.floored = self.rows = 0
+
+    def record_rx(self, rx):
+        pass
+
+    def record_rp_floor(self, floored, rows):
+        self.floored += floored
+        self.rows += rows
+
+
+@SETTINGS
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.data())
+def test_forced_rp_floor_changes_only_its_own_row(seed, n, data):
+    rng = np.random.default_rng(seed)
+    x, cx, p, cp = random_points(rng, n)
+    y, ch, cv = random_detections(rng, n)
+    ch = np.eye(2) * rng.uniform(0.1, 0.5)
+    # A thin extent with next to no other noise makes Cy nearly rank one, so
+    # Rp has an eigenvalue near (l2 / l1)^4 of its largest, below the floor.
+    r = data.draw(st.integers(0, n - 1))
+    l1 = rng.uniform(5.0, 20.0)
+    p[r, 1:] = l1, l1 * rng.uniform(2e-3, 5e-3)
+    cx[r], cp[r], cv[r] = np.eye(4) * 1e-6, np.eye(3) * 1e-9, np.eye(2) * 1e-6
+    count = FloorCount()
+    got = innovations(x, cx, p, cp, y, ch, cv, 1e-3, count)
+    assert (count.floored, count.rows) == (1, n)
+    # This row's Rx has a condition number up to 2.5e5, so its closed-form
+    # inverse agrees with LAPACK's to about 1e-11.
+    want = innovations_by_pieces(x[r:r + 1], cx[r:r + 1], p[r:r + 1], cp[r:r + 1], y[r:r + 1],
+                                 ch, cv[r:r + 1], 1e-3)
+    for g, w in zip(got, want):
+        assert_close(g[r], w[0], rtol=1e-9)
+    for k in range(n):
+        one = innovations(x[k:k + 1], cx[k:k + 1], p[k:k + 1], cp[k:k + 1], y[k:k + 1], ch,
+                          cv[k:k + 1], 1e-3)
+        for g, w in zip(got, one):
+            assert np.array_equal(g[k], w[0])
 
 
 @SETTINGS

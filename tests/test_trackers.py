@@ -4,14 +4,7 @@ import pytest
 from eotnet.consensus import NodeKind, build_network, metropolis_weights
 from eotnet.geometry import Extent, KinematicState, sample_measurements
 from eotnet.info_filter import to_moments
-from eotnet.linearization import (
-    extent_measurement_matrix,
-    extent_noise_moments,
-    kinematic_measurement_matrix,
-    kinematic_noise_cov,
-    pseudo_measurement,
-    residual_cov,
-)
+from eotnet.linearization import kinematic_measurement_matrix
 from eotnet.trackers import (
     FilterConfig,
     FilterKind,
@@ -21,6 +14,13 @@ from eotnet.trackers import (
     initial_states,
     ncv_transition,
     predict_states,
+)
+from oracles import (
+    extent_measurement_matrix,
+    extent_noise_moments,
+    kinematic_noise_cov,
+    pseudo_measurement,
+    residual_cov,
 )
 
 CEOT = FilterConfig(kind=FilterKind.CEOT)
@@ -446,3 +446,26 @@ def test_run_filter_rejects_runs_of_different_lengths():
         run_filter(scns, net, params, CEOT)
     with pytest.raises(ValueError, match="at least one"):
         run_filter([], net, params, CEOT)
+
+
+@pytest.mark.parametrize("kind", [FilterKind.CEOT, FilterKind.CI, FilterKind.CM])
+def test_nonfinite_detection_is_named_before_filtering(kind):
+    from dataclasses import replace
+
+    from eotnet.consensus import metropolis_weights
+    from eotnet.scenario import build_scenario_run, load_config, benchmark_network
+    from eotnet.trackers import params_from_scenario, run_filter
+
+    config = load_config("s2").with_overrides(steps=3)
+    net = benchmark_network()
+    params = params_from_scenario(config, net)
+    scns = [build_scenario_run(config, net, child)
+            for child in np.random.SeedSequence(5).spawn(3)]
+    sensor = next(j for j, b in enumerate(scns[1].measurements[2]) if len(b))
+    scans = [list(scan) for scan in scns[1].measurements]
+    scans[2][sensor] = scans[2][sensor].copy()
+    scans[2][sensor][-1, 1] = np.nan
+    scns[1] = replace(scns[1], measurements=tuple(map(tuple, scans)))
+    with pytest.raises(ValueError, match=rf"run 1, step 2, sensor {sensor} must be finite"):
+        run_filter(scns, net, params, FilterConfig(kind=kind, consensus_iters=2),
+                   metropolis_weights(net))
