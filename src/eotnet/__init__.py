@@ -28,16 +28,12 @@ from .diagnostics import (
     ospa_vertices,
 )
 from .geometry import (
-    Extent,
-    KinematicState,
     extent_vertices,
-    sample_measurements,
     shape_matrix,
     wrap_angle,
 )
 from .info_filter import (
     InformationState,
-    correct,
     from_moments,
     innovation,
     predict,
@@ -60,7 +56,6 @@ from .trackers import (
     TrackerParams,
     TrackRecord,
     correct_scan,
-    fuse_nodes,
     initial_states,
     ncv_transition,
     params_from_scenario,

@@ -13,7 +13,7 @@ import numpy as np
 
 from ._linalg import spd_solve, sym
 from .consensus import ConsensusMatrix, check_primitive
-from .geometry import Extent, clamp_extent, extent_vertices, wrap_angle
+from .geometry import clamp_extent, extent_vertices, wrap_angle
 
 __all__ = [
     "gwd",
@@ -21,7 +21,6 @@ __all__ = [
     "nees",
     "nees_bounds",
     "acee",
-    "extent_alignment_error",
     "AssumptionTrace",
     "AssumptionReport",
     "check_assumptions",
@@ -126,28 +125,6 @@ def acee(estimates):
         raise ValueError("disagreement needs at least two nodes")
     diffs = np.linalg.norm(est[..., :, None, :] - est[..., None, :, :], axis=-1)
     return diffs.sum(axis=(-2, -1)) / (n * (n - 1))
-
-
-def extent_alignment_error(p_est: Extent, p_true: Extent) -> tuple[float, float, float]:
-    """Per-axis and orientation errors modulo the rectangle symmetries.
-
-    The same shape is described by (alpha, l1, l2), by alpha + pi, and by the
-    quarter-turn with swapped axes; errors are reported for the equivalent
-    representation closest to the truth.  Returns (|dl1|, |dl2|, |dalpha|).
-    """
-    candidates = [
-        (p_est.alpha, p_est.l1, p_est.l2),
-        (p_est.alpha + np.pi / 2, p_est.l2, p_est.l1),
-        (p_est.alpha - np.pi / 2, p_est.l2, p_est.l1),
-    ]
-    best = None
-    for a, l1, l2 in candidates:
-        da = abs(wrap_angle(a - p_true.alpha + np.pi / 2) - np.pi / 2) % np.pi
-        da = min(da, np.pi - da)
-        err = (abs(l1 - p_true.l1), abs(l2 - p_true.l2), da)
-        if best is None or max(err[0], err[1]) < max(best[0], best[1]):
-            best = err
-    return best
 
 
 @dataclass
@@ -307,8 +284,7 @@ def evaluate_run(record, scn_run, shape: str, cutoff: float = 100.0, order: int 
     """
     if not np.isfinite(record.p_mean).all():
         raise ValueError("extent estimate entries must be finite")
-    x_true = np.array([state.as_array() for state, _ in scn_run.truth])[:, None, :]
-    p_true = np.array([ext.as_array() for _, ext in scn_run.truth])[:, None, :]
+    x_true, p_true = scn_run.x_true[:, None, :], scn_run.p_true[:, None, :]
     x_est, p_est = record.x_mean, clamp_extent(record.p_mean, 1e-3)
     e_p = record.p_mean - p_true
     e_p[..., 0] = wrap_angle(e_p[..., 0])
@@ -392,8 +368,7 @@ def bounded_mse_experiment(config, filter_config, steps: int, runs: int) -> Boun
     scns = [build_scenario_run(config, net, child) for child in children]
     total = np.zeros(steps)
     for scn, record in zip(scns, run_filter(scns, net, params, filter_config, pi)):
-        truth = np.array([state.as_array() for state, _ in scn.truth])
-        err = record.x_mean - truth[:, None, :]
+        err = record.x_mean - scn.x_true[:, None, :]
         total += (err ** 2).sum(axis=2).mean(axis=1)
     mse = total / runs
     quarter = steps // 4

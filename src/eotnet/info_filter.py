@@ -1,4 +1,4 @@
-"""Information-form correction and prediction primitives.
+"""Information-form primitives: innovation pairs, prediction and moment conversion.
 
 State is carried as an information vector q = Omega @ x_hat and information
 matrix Omega = C^-1, which makes measurement corrections additive and lets
@@ -19,7 +19,6 @@ from ._linalg import _matvec, spd_inv, spd_solve, sym
 __all__ = [
     "InformationState",
     "innovation",
-    "correct",
     "predict",
     "to_moments",
     "from_moments",
@@ -64,16 +63,6 @@ def innovation(a: np.ndarray, v: np.ndarray, z: np.ndarray) -> tuple[np.ndarray,
         )
     av = a.swapaxes(-1, -2) @ v
     return _matvec(av, z), sym(av @ a)
-
-
-def correct(info: InformationState, dq: np.ndarray, domega: np.ndarray,
-            weight: float = 1.0) -> InformationState:
-    """Additive measurement update by an innovation pair (dq, domega),
-    optionally scaled by a consensus weight."""
-    return InformationState(
-        q=info.q + weight * dq,
-        omega=sym(info.omega + weight * domega),
-    )
 
 
 def predict(info: InformationState, f: np.ndarray, ww: np.ndarray) -> InformationState:

@@ -3,8 +3,9 @@
 A scenario is described by a YAML config (shape, trajectory, noise levels,
 priors, network, Monte Carlo settings).  Presets s1/s2/s3 ship with the
 package: a stationary high-noise rectangle, a moving ellipse, and a moving
-rectangle.  Truth generation is deterministic; measurement synthesis is fully
-determined by the seed.
+rectangle.  The ground truth is a pair of arrays, the kinematic states
+(steps, d) and the extents (steps, 3), generated deterministically from the
+config; measurement synthesis is fully determined by the seed.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import yaml
 
 from .consensus import NodeKind, SensorNetwork, build_network
 from ._linalg import as_cov, sqrt_psd
-from .geometry import Extent, KinematicState, _scatter, shape_matrix, wrap_angle
+from .geometry import _scatter, clamp_extent, shape_matrix, wrap_angle
 
 __all__ = [
     "TrajectorySpec",
@@ -89,11 +90,13 @@ class ScenarioConfig:
 class ScenarioRun:
     """One realized scenario: truth, per-node measurements, and priors.
 
-    measurements[k][s] is the (n, 2) detection array of node s at step k;
-    communication nodes always carry empty arrays.
+    x_true[k] and p_true[k] are the true kinematic state and extent
+    [alpha, l1, l2] at step k.  measurements[k][s] is the (n, 2) detection
+    array of node s at step k; communication nodes always carry empty arrays.
     """
 
-    truth: tuple[tuple[KinematicState, Extent], ...]
+    x_true: np.ndarray  # (steps, d)
+    p_true: np.ndarray  # (steps, 3)
     measurements: tuple[tuple[np.ndarray, ...], ...]
     x0: np.ndarray
     cx0: np.ndarray
@@ -113,14 +116,21 @@ def _matrix(spec, name: str, size: int) -> np.ndarray:
     return arr
 
 
-def _vector(spec, name: str, size: int) -> np.ndarray | None:
-    """Parse an optional config vector of the given length; None stays None."""
-    if spec is None:
+def _vector(spec, name: str, size: int, *, optional: bool = False) -> np.ndarray | None:
+    """Parse a config vector of `size` finite entries; an optional one may be None."""
+    if spec is None and optional:
         return None
     arr = np.asarray(spec, dtype=float)
     if arr.shape != (size,):
         raise ValueError(f"{name} must be a list of {size} entries, got shape {np.shape(spec)}")
-    return arr
+    return _finite(arr, name)
+
+
+def _finite(value, name: str):
+    """A config number or array, which must be finite throughout."""
+    if not np.isfinite(value).all():
+        raise ValueError(f"{name} must be finite, got {np.asarray(value).tolist()}")
+    return value
 
 
 def _check_keys(mapping, allowed, prefix: str = "") -> None:
@@ -143,19 +153,18 @@ def _parse_config(data: dict, name_hint: str) -> ScenarioConfig:
             _check_keys(traj_data, {"kind", "position", "orientation"}, "trajectory.")
             traj = TrajectorySpec(
                 kind="stationary",
-                position=np.asarray(traj_data["position"], dtype=float),
-                orientation=float(traj_data["orientation"]),
+                position=_vector(traj_data["position"], "trajectory.position", 2),
+                orientation=_finite(float(traj_data["orientation"]), "trajectory.orientation"),
             )
         elif kind == "waypoints":
             _check_keys(traj_data, {"kind", "waypoints", "speed_kmh"}, "trajectory.")
             waypoints = np.asarray(traj_data["waypoints"], dtype=float)
             if waypoints.ndim != 2 or waypoints.shape[0] < 2 or waypoints.shape[1] != 2:
                 raise ValueError("waypoint trajectories need at least 2 planar points")
-            traj = TrajectorySpec(
-                kind="waypoints",
-                waypoints=waypoints,
-                speed_mps=float(traj_data["speed_kmh"]) * KMH_TO_MPS,
-            )
+            _finite(waypoints, "trajectory.waypoints")
+            speed = _finite(float(traj_data["speed_kmh"]), "trajectory.speed_kmh")
+            traj = TrajectorySpec(kind="waypoints", waypoints=waypoints,
+                                  speed_mps=speed * KMH_TO_MPS)
         else:
             raise ValueError(f"unknown trajectory kind {kind!r}")
 
@@ -181,8 +190,8 @@ def _parse_config(data: dict, name_hint: str) -> ScenarioConfig:
         if shape not in ("ellipse", "rectangle"):
             raise ValueError(f"unknown shape {shape!r}")
         axes = tuple(float(v) for v in data["semi_axes"])
-        if len(axes) != 2 or min(axes) <= 0:
-            raise ValueError("semi_axes must be two positive lengths")
+        if len(axes) != 2 or not (min(axes) > 0 and max(axes) < np.inf):
+            raise ValueError(f"semi_axes must be two positive finite lengths, got {axes}")
         steps, scan_time = int(data["steps"]), float(data["scan_time"])
         if steps < 1:
             raise ValueError(f"steps must be >= 1, got {steps}")
@@ -218,9 +227,10 @@ def _parse_config(data: dict, name_hint: str) -> ScenarioConfig:
             cxw=_matrix(process["kinematic_cov"], "process.kinematic_cov", x_dim),
             cpw=_matrix(process["extent_cov"], "process.extent_cov", 3),
             prior_mode=str(priors.get("mode", "fixed")),
-            x0_mean=_vector(priors.get("kinematic_mean"), "priors.kinematic_mean", x_dim),
+            x0_mean=_vector(priors.get("kinematic_mean"), "priors.kinematic_mean", x_dim,
+                            optional=True),
             cx0=_matrix(priors["kinematic_cov"], "priors.kinematic_cov", x_dim),
-            p0_mean=_vector(priors.get("extent_mean"), "priors.extent_mean", 3),
+            p0_mean=_vector(priors.get("extent_mean"), "priors.extent_mean", 3, optional=True),
             cp0=_matrix(priors["extent_cov"], "priors.extent_cov", 3),
             network=network,
             runs=int(data.get("runs", 1)),
@@ -290,25 +300,34 @@ def _waypoint_pose(waypoints: np.ndarray, arc: float) -> tuple[np.ndarray, np.nd
     raise AssertionError("unreachable")
 
 
-def generate_truth(config: ScenarioConfig) -> tuple[tuple[KinematicState, Extent], ...]:
-    """Deterministic ground-truth sequence for the configured trajectory."""
-    l1, l2 = config.semi_axes
-    out = []
-    traj = config.trajectory
-    extra = config.kinematic_dim - 2
+def generate_truth(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic ground truth for the configured trajectory: the kinematic
+    states x_true (steps, d) and the extents p_true (steps, 3).
+
+    A config built past load_config, as with_overrides does, is checked here:
+    the truth must be finite with positive semi-axes.
+    """
+    traj, steps, extra = config.trajectory, config.steps, config.kinematic_dim - 2
     if extra not in (0, 2):
         raise ValueError("kinematic dimension must be 2 (position) or 4 (position+velocity)")
+    x_true, p_true = np.zeros((steps, 2 + extra)), np.empty((steps, 3))
+    p_true[:, 1:] = config.semi_axes
     if traj.kind == "stationary":
-        state = KinematicState(traj.position, np.zeros(extra))
-        ext = Extent(traj.orientation, l1, l2)
-        return tuple((state, ext) for _ in range(config.steps))
-    step_len = traj.speed_mps * config.scan_time
-    for k in range(config.steps):
-        pos, heading = _waypoint_pose(traj.waypoints, k * step_len)
-        vel = traj.speed_mps * heading
-        state = KinematicState(pos, vel[:extra] if extra else np.zeros(0))
-        out.append((state, Extent(wrap_angle(float(np.arctan2(heading[1], heading[0]))), l1, l2)))
-    return tuple(out)
+        x_true[:, :2] = traj.position
+        p_true[:, 0] = wrap_angle(traj.orientation)
+    else:
+        step_len = traj.speed_mps * config.scan_time
+        for k in range(steps):
+            pos, heading = _waypoint_pose(traj.waypoints, k * step_len)
+            x_true[k, :2], x_true[k, 2:] = pos, (traj.speed_mps * heading)[:extra]
+            # Wrapped twice on purpose: a second wrap can move an angle by one
+            # ulp, and every seeded run is pinned to the truth's current bits.
+            p_true[k, 0] = wrap_angle(wrap_angle(float(np.arctan2(heading[1], heading[0]))))
+    if not (np.isfinite(x_true).all() and np.isfinite(p_true).all()
+            and (p_true[:, 1:] > 0).all()):
+        raise ValueError("ground truth must be finite with positive semi-axes; "
+                         "check the trajectory and semi_axes")
+    return x_true, p_true
 
 
 def generate_measurements(
@@ -317,21 +336,23 @@ def generate_measurements(
     config: ScenarioConfig,
     seed,
 ) -> ScenarioRun:
-    """Synthesize per-node detections and realize the priors for one run.
+    """Synthesize per-node detections and realize the priors for one run of
+    the truth pair (x_true, p_true).
 
     The draw order (priors, then step-by-step node-by-node counts and
     detections) is fixed, so equal seeds give bit-identical runs.
     """
+    x_true, p_true = truth
     rng = np.random.default_rng(seed)
-    x0, p0 = _realize_priors(truth, config, rng)
-    # Validate and factor the noises once; sample_measurements draws the same way.
+    x0, p0 = _realize_priors(x_true, p_true, config, rng)
+    # Validate and factor the noises once for every draw.
     lh = sqrt_psd(as_cov(config.ch, "multiplicative noise covariance"))
     lv = sqrt_psd(as_cov(config.cv, "measurement noise covariance"))
     sensor_set = set(net.sensor_nodes)
     empty = np.zeros((0, 2))
     steps = []
-    for state, ext in truth:
-        s_mat = shape_matrix(ext.as_array())
+    for x, p in zip(x_true, p_true):
+        s_mat = shape_matrix(p)
         per_node = []
         for s in range(net.size):
             if s not in sensor_set:
@@ -341,10 +362,11 @@ def generate_measurements(
                 n = config.meas_count
             else:
                 n = int(rng.poisson(config.meas_rate))
-            per_node.append(_scatter(state.m, s_mat, lh, lv, n, rng))
+            per_node.append(_scatter(x[:2], s_mat, lh, lv, n, rng))
         steps.append(tuple(per_node))
     return ScenarioRun(
-        truth=tuple(truth),
+        x_true=x_true,
+        p_true=p_true,
         measurements=tuple(steps),
         x0=x0,
         cx0=config.cx0.copy(),
@@ -354,19 +376,16 @@ def generate_measurements(
     )
 
 
-def _realize_priors(truth, config: ScenarioConfig, rng) -> tuple[np.ndarray, np.ndarray]:
-    state0, ext0 = truth[0]
-    x_mean = config.x0_mean if config.x0_mean is not None else state0.as_array()
-    p_mean = config.p0_mean if config.p0_mean is not None else ext0.as_array()
+def _realize_priors(x_true, p_true, config: ScenarioConfig, rng):
+    x_mean = config.x0_mean if config.x0_mean is not None else x_true[0]
+    p_mean = config.p0_mean if config.p0_mean is not None else p_true[0]
     if config.prior_mode == "fixed":
         return x_mean.copy(), p_mean.copy()
     if config.prior_mode != "sampled":
         raise ValueError(f"unknown prior mode {config.prior_mode!r}")
     x0 = x_mean + sqrt_psd(config.cx0) @ rng.standard_normal(x_mean.size)
     p0 = p_mean + sqrt_psd(config.cp0) @ rng.standard_normal(3)
-    p0[0] = wrap_angle(p0[0])
-    p0[1:] = np.maximum(p0[1:], 1e-3)
-    return x0, p0
+    return x0, clamp_extent(p0, 1e-3)
 
 
 def build_scenario_run(config: ScenarioConfig, net: SensorNetwork, seed) -> ScenarioRun:

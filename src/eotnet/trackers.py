@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import _matvec, spd_inv, spd_solve, sym
+from ._linalg import _matvec, spd_inv, spd_solve
 from .consensus import ConsensusMatrix, SensorNetwork, consensus_rounds
 from .geometry import clamp_extent
 from .info_filter import InformationState, from_moments, predict, to_moments
@@ -45,7 +45,6 @@ __all__ = [
     "correct_scan",
     "predict_states",
     "run_filter",
-    "fuse_nodes",
 ]
 
 
@@ -182,22 +181,19 @@ def correct_scan(
 ) -> tuple[InformationState, InformationState]:
     """Sequential correction of the stacked node states over one scan.
 
-    The states are (n, d) node stacks with batches[j] holding sensor j's
-    detections, or (R, n, d) stacks of R realizations with batches[r][j]
-    holding realization r's.  Sensor j's noise is params.cv_by_node[j] and
-    its innovations go into state row 0 under CEOT and into row j, the
-    sensor's own node, under CI and CM.  At each index the sensors that still
-    have detections contribute, all realizations linearized in one stacked
-    call; shorter batches simply stop, and a realization whose longest batch
-    has ended takes no further correction or averaging.  Realizations never
-    mix.  The distributed filters need the consensus matrix pi and run
-    config.consensus_iters averaging rounds per index.  A trace records the
-    observed Rx spectra and the Rp floor hits.
+    The states are (R, n, d) node stacks of R realizations, and batches[r][j]
+    holds sensor j's detections in realization r.  Sensor j's noise is
+    params.cv_by_node[j] and its innovations go into state row 0 under CEOT
+    and into row j, the sensor's own node, under CI and CM.  At each index
+    the sensors that still have detections contribute, all realizations
+    linearized in one stacked call; shorter batches simply stop, and a
+    realization whose longest batch has ended takes no further correction or
+    averaging.  Realizations never mix.  The distributed filters need the
+    consensus matrix pi and run config.consensus_iters averaging rounds per
+    index.  A trace records the observed Rx spectra and the Rp floor hits.
     """
-    if kin.q.ndim == 2:
-        lifted = (InformationState(s.q[None], s.omega[None]) for s in (kin, ext))
-        kin, ext = correct_scan(*lifted, [batches], params, config, pi, trace)
-        return InformationState(kin.q[0], kin.omega[0]), InformationState(ext.q[0], ext.omega[0])
+    if kin.q.ndim != 3:
+        raise ValueError(f"correct_scan needs (R, n, d) states, got shape {kin.q.shape}")
     runs, nodes = kin.q.shape[:2]
     if len(batches) != runs:
         raise ValueError(f"got {len(batches)} batch lists for {runs} stacked realizations")
@@ -360,13 +356,3 @@ def run_filter(
 
     return [TrackRecord(kind=config.kind, x_mean=x_mean[r], x_cov=x_cov[r], p_mean=p_mean[r],
                         p_cov=p_cov[r], step_seconds=seconds) for r in range(runs)]
-
-
-def fuse_nodes(means: np.ndarray, covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Information-weighted fusion of per-node estimates into one summary
-    (sum of information matrices against the sum of information vectors)."""
-    omegas = [spd_inv(c, name="node covariance") for c in covs]
-    total = sym(sum(omegas))
-    q = sum(om @ m for om, m in zip(omegas, means))
-    cov = spd_inv(total, name="fused information")
-    return cov @ q, cov

@@ -5,15 +5,16 @@ explicit moment expansion, covariance-form Kalman algebra, exhaustive
 assignment search) and deliberately avoids the code paths under test.  The
 piecewise linearization builds the two measurement models one matrix product
 at a time, from the shape-matrix row Jacobians, as the library did before it
-moved to one Gram matrix per detection.
+moved to one Gram matrix per detection.  Detection sampling, node fusion and
+the rectangle alignment error serve the tests only, so they live here too.
 """
 
 from itertools import permutations
 
 import numpy as np
 
-from eotnet._linalg import _from_entries, _matvec, as_cov, spd_inv, sym
-from eotnet.geometry import clamp_extent, shape_matrix
+from eotnet._linalg import _from_entries, _matvec, as_cov, spd_inv, sqrt_psd, sym
+from eotnet.geometry import _scatter, clamp_extent, shape_matrix, wrap_angle
 from eotnet.info_filter import innovation
 from eotnet.linearization import kinematic_measurement_matrix
 
@@ -262,3 +263,49 @@ def gwd_eigh_rounding(m1, p1, m2, p2):
     cross = min(np.sqrt(eps) * long1 * long2, eps * (long1 * long2) ** 2 / (short1 * short2))
     total = np.sum(p1[1:] ** 2) + np.sum(p2[1:] ** 2) + np.sum((m1 - m2) ** 2)
     return 16.0 * (cross + eps * total)
+
+
+def rot2(angle: float) -> np.ndarray:
+    """2-D counterclockwise rotation matrix."""
+    c, s = np.cos(angle), np.sin(angle)
+    return np.array([[c, -s], [s, c]])
+
+
+def sample_measurements(m, p, ch, cv, count: int, rng: np.random.Generator) -> np.ndarray:
+    """count detections y = m + S(p) h + v around center m of an object with
+    extent p = [alpha, l1, l2], h ~ N(0, ch) and v ~ N(0, cv): the draws of
+    eotnet.scenario.generate_measurements for one sensor and step.  It shares
+    the library's scatter, so it pins the draw order and the per-step center
+    and extent; the scatter itself is checked against its moments."""
+    lh, lv = (sqrt_psd(np.asarray(c, dtype=float)) for c in (ch, cv))
+    return _scatter(np.asarray(m, dtype=float), shape_matrix(p), lh, lv, count, rng)
+
+
+def fuse_nodes(means, covs):
+    """Information-weighted fusion of per-node estimates into one summary
+    (sum of information matrices against the sum of information vectors)."""
+    omegas = [spd_inv(c, name="node covariance") for c in covs]
+    total = sym(sum(omegas))
+    q = sum(om @ m for om, m in zip(omegas, means))
+    cov = spd_inv(total, name="fused information")
+    return cov @ q, cov
+
+
+def extent_alignment_error(p_est, p_true):
+    """Per-axis and orientation errors of an extent [alpha, l1, l2] modulo
+    the rectangle symmetries.
+
+    The same shape is described by (alpha, l1, l2), by alpha + pi, and by the
+    quarter-turn with swapped axes; errors are reported for the equivalent
+    representation closest to the truth.  Returns (|dl1|, |dl2|, |dalpha|).
+    """
+    alpha, l1, l2 = p_est
+    candidates = [(alpha, l1, l2), (alpha + np.pi / 2, l2, l1), (alpha - np.pi / 2, l2, l1)]
+    best = None
+    for a, c1, c2 in candidates:
+        da = abs(wrap_angle(a - p_true[0] + np.pi / 2) - np.pi / 2) % np.pi
+        da = min(da, np.pi - da)
+        err = (abs(c1 - p_true[1]), abs(c2 - p_true[2]), da)
+        if best is None or max(err[0], err[1]) < max(best[0], best[1]):
+            best = err
+    return best

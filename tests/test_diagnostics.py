@@ -11,7 +11,6 @@ from eotnet.diagnostics import (
     bounded_mse_experiment,
     check_assumptions,
     evaluate_run,
-    extent_alignment_error,
     gwd,
     nees,
     nees_bounds,
@@ -19,7 +18,7 @@ from eotnet.diagnostics import (
     summarize_metrics,
     write_metrics_csv,
 )
-from eotnet.geometry import Extent, KinematicState, extent_vertices, rot2, wrap_angle
+from eotnet.geometry import clamp_extent, extent_vertices, wrap_angle
 from eotnet.scenario import benchmark_network, build_scenario_run, load_config
 from eotnet.trackers import (
     FilterConfig,
@@ -29,28 +28,28 @@ from eotnet.trackers import (
     params_from_scenario,
     run_filter,
 )
-from oracles import ospa_all_permutations
+from oracles import extent_alignment_error, ospa_all_permutations
 
 
 def random_pose(rng):
     m = rng.normal(size=2) * 10
-    p = Extent(rng.uniform(-3, 3), rng.uniform(0.5, 8), rng.uniform(0.5, 8)).as_array()
+    p = np.array([rng.uniform(-3, 3), rng.uniform(0.5, 8), rng.uniform(0.5, 8)])
     return m, p
 
 
 def test_gwd_identity():
-    m, p = np.array([1.0, 2.0]), Extent(0.4, 3.0, 1.0).as_array()
+    m, p = np.array([1.0, 2.0]), np.array([0.4, 3.0, 1.0])
     assert gwd(m, p, m, p) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_gwd_pure_translation():
-    p = Extent(0.7, 3.0, 1.0).as_array()
+    p = np.array([0.7, 3.0, 1.0])
     assert gwd([0.0, 0.0], p, [3.0, 4.0], p) == pytest.approx(5.0, rel=1e-9)
 
 
 def test_gwd_concentric_circles():
     r1, r2 = 2.0, 5.0
-    d = gwd([0, 0], Extent(0.0, r1, r1).as_array(), [0, 0], Extent(1.0, r2, r2).as_array())
+    d = gwd([0, 0], np.array([0.0, r1, r1]), [0, 0], np.array([1.0, r2, r2]))
     assert d == pytest.approx(np.sqrt(2.0) * abs(r1 - r2), rel=1e-9)
 
 
@@ -66,25 +65,25 @@ def test_gwd_metric_properties():
 
 
 def test_gwd_orientation_invariance_for_circles():
-    d = gwd([0, 0], Extent(0.3, 2, 2).as_array(), [0, 0], Extent(-1.2, 2, 2).as_array())
+    d = gwd([0, 0], np.array([0.3, 2, 2]), [0, 0], np.array([-1.2, 2, 2]))
     assert d == pytest.approx(0.0, abs=1e-9)
 
 
 def test_ospa_identical():
-    v = extent_vertices(np.zeros(2), Extent(0.3, 2, 1).as_array())
+    v = extent_vertices(np.zeros(2), np.array([0.3, 2, 1]))
     assert ospa_vertices(v, v) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_ospa_translation():
-    p = Extent(0.0, 2.0, 1.0).as_array()
+    p = np.array([0.0, 2.0, 1.0])
     v0 = extent_vertices(np.zeros(2), p)
     v1 = extent_vertices(np.array([3.0, 4.0]), p)
     assert ospa_vertices(v1, v0) == pytest.approx(5.0, rel=1e-12)
 
 
 def test_ospa_half_turn_is_zero():
-    p0 = Extent(0.4, 2.0, 1.0).as_array()
-    p1 = Extent(0.4 + np.pi, 2.0, 1.0).as_array()
+    p0 = np.array([0.4, 2.0, 1.0])
+    p1 = np.array([wrap_angle(0.4 + np.pi), 2.0, 1.0])
     v0 = extent_vertices(np.zeros(2), p0)
     v1 = extent_vertices(np.zeros(2), p1)
     assert ospa_vertices(v1, v0) == pytest.approx(0.0, abs=1e-9)
@@ -93,16 +92,16 @@ def test_ospa_half_turn_is_zero():
 
 def test_ospa_axis_swap_is_zero():
     # quarter turn with swapped axes describes the same rectangle
-    v0 = extent_vertices(np.zeros(2), Extent(0.2, 2.0, 1.0).as_array())
-    v1 = extent_vertices(np.zeros(2), Extent(0.2 + np.pi / 2, 1.0, 2.0).as_array())
+    v0 = extent_vertices(np.zeros(2), np.array([0.2, 2.0, 1.0]))
+    v1 = extent_vertices(np.zeros(2), np.array([0.2 + np.pi / 2, 1.0, 2.0]))
     assert ospa_vertices(v1, v0) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_ospa_matches_exhaustive_oracle():
     rng = np.random.default_rng(1)
     for _ in range(50):
-        va = extent_vertices(rng.normal(size=2), Extent(rng.uniform(-3, 3), 2.5, 1.0).as_array())
-        vb = extent_vertices(rng.normal(size=2), Extent(rng.uniform(-3, 3), 2.5, 1.0).as_array())
+        va = extent_vertices(rng.normal(size=2), np.array([rng.uniform(-3, 3), 2.5, 1.0]))
+        vb = extent_vertices(rng.normal(size=2), np.array([rng.uniform(-3, 3), 2.5, 1.0]))
         ours = ospa_vertices(va, vb)
         oracle = ospa_all_permutations(va, vb, 100.0, 2)
         # restricted alignments can only do as well as the exhaustive search
@@ -112,8 +111,8 @@ def test_ospa_matches_exhaustive_oracle():
 def test_ospa_bounded_by_cutoff():
     rng = np.random.default_rng(2)
     for _ in range(50):
-        va = extent_vertices(rng.normal(size=2) * 500, Extent(0.1, 3, 1).as_array())
-        vb = extent_vertices(rng.normal(size=2) * 500, Extent(0.7, 2, 1).as_array())
+        va = extent_vertices(rng.normal(size=2) * 500, np.array([0.1, 3, 1]))
+        vb = extent_vertices(rng.normal(size=2) * 500, np.array([0.7, 2, 1]))
         assert ospa_vertices(va, vb, cutoff=100.0) <= 100.0 + 1e-12
 
 
@@ -172,13 +171,13 @@ def test_acee_values():
 
 
 def test_extent_alignment_error_handles_axis_swap():
-    truth = Extent(np.pi / 4, 4.0, 9.0)
-    swapped = Extent(np.pi / 4 - np.pi / 2, 9.1, 3.8)
+    truth = np.array([np.pi / 4, 4.0, 9.0])
+    swapped = np.array([np.pi / 4 - np.pi / 2, 9.1, 3.8])
     dl1, dl2, da = extent_alignment_error(swapped, truth)
     assert dl1 == pytest.approx(0.2, abs=1e-12)
     assert dl2 == pytest.approx(0.1, abs=1e-12)
     assert da == pytest.approx(0.0, abs=1e-12)
-    plain = extent_alignment_error(Extent(np.pi / 4, 4.3, 9.2), truth)
+    plain = extent_alignment_error(np.array([np.pi / 4, 4.3, 9.2]), truth)
     assert plain[0] == pytest.approx(0.3, abs=1e-12)
     assert plain[1] == pytest.approx(0.2, abs=1e-12)
 
@@ -265,15 +264,14 @@ def test_evaluate_run_rows_follow_the_per_estimate_layout():
                         FilterConfig(kind=FilterKind.CM, consensus_iters=1),
                         metropolis_weights(net))
     want = []
-    for k, (state, ext) in enumerate(scn.truth):
-        x_true, p_true = state.as_array(), ext.as_array()
-        true_verts = extent_vertices(state.m, p_true)
+    for k, (x_true, p_true) in enumerate(zip(scn.x_true, scn.p_true)):
+        true_verts = extent_vertices(x_true[:2], p_true)
         for s in range(rec.nodes):
-            x, p = rec.x_mean[k, s], Extent.from_array(rec.p_mean[k, s]).as_array()
+            x, p = rec.x_mean[k, s], clamp_extent(rec.p_mean[k, s], 1e-3)
             e_p = rec.p_mean[k, s] - p_true
             e_p[0] = wrap_angle(e_p[0])
-            want += [(k, s, "pos_err", np.linalg.norm(x[:2] - state.m)),
-                     (k, s, "gwd", gwd(x[:2], p, state.m, p_true)),
+            want += [(k, s, "pos_err", np.linalg.norm(x[:2] - x_true[:2])),
+                     (k, s, "gwd", gwd(x[:2], p, x_true[:2], p_true)),
                      (k, s, "ospa", ospa_vertices(extent_vertices(x[:2], p), true_verts)),
                      (k, s, "nees_kin", nees(x, rec.x_cov[k, s], x_true)),
                      (k, s, "nees_ext", nees(e_p, rec.p_cov[k, s], np.zeros(3)))]
@@ -288,7 +286,7 @@ def test_evaluate_run_rows_follow_the_per_estimate_layout():
     ("p_mean", (1, 2, 0)), ("p_mean", (0, 0, 2)), ("p_cov", (1, 1, 2, 2)), ("x_cov", (0, 2, 1, 1)),
 ])
 def test_evaluate_run_rejects_non_finite_estimates(field, index):
-    truth = tuple((KinematicState(np.zeros(2)), Extent(0.3, 4.0, 2.0)) for _ in range(2))
+    truth = SimpleNamespace(x_true=np.zeros((2, 2)), p_true=np.tile([0.3, 4.0, 2.0], (2, 1)))
     arrays = {
         "x_mean": np.zeros((2, 3, 2)),
         "x_cov": np.tile(np.eye(2), (2, 3, 1, 1)),
@@ -298,7 +296,7 @@ def test_evaluate_run_rejects_non_finite_estimates(field, index):
     arrays[field][index] = np.nan
     rec = TrackRecord(kind=FilterKind.CM, step_seconds=np.zeros(2), **arrays)
     with pytest.raises(ValueError, match="finite|NaN|nan"):
-        evaluate_run(rec, SimpleNamespace(truth=truth), "rectangle")
+        evaluate_run(rec, truth, "rectangle")
 
 
 def test_write_metrics_csv_and_summary(tmp_path):

@@ -3,7 +3,6 @@ import pytest
 
 from eotnet.info_filter import (
     InformationState,
-    correct,
     from_moments,
     innovation,
     predict,
@@ -43,36 +42,6 @@ def test_innovation_dimension_mismatch():
         innovation(np.eye(2), np.eye(3), np.zeros(2))
     with pytest.raises(ValueError):
         innovation(np.eye(2), np.eye(2), np.zeros(3))
-
-
-def test_correct_weight_zero_is_identity():
-    rng = np.random.default_rng(1)
-    info = from_moments(rng.normal(size=3), random_pd(rng, 3))
-    pair = innovation(np.eye(3), random_pd(rng, 3), rng.normal(size=3))
-    out = correct(info, *pair, weight=0.0)
-    assert np.array_equal(out.q, info.q)
-    assert np.allclose(out.omega, info.omega)
-
-
-def test_corrections_commute_and_sum():
-    rng = np.random.default_rng(2)
-    info = from_moments(rng.normal(size=2), random_pd(rng, 2))
-    p1 = innovation(np.eye(2), random_pd(rng, 2), rng.normal(size=2))
-    p2 = innovation(np.eye(2), random_pd(rng, 2), rng.normal(size=2))
-    seq = correct(correct(info, *p1), *p2)
-    swapped = correct(correct(info, *p2), *p1)
-    summed = correct(info, p1[0] + p2[0], p1[1] + p2[1])
-    assert np.allclose(seq.q, swapped.q)
-    assert np.allclose(seq.q, summed.q)
-    assert np.allclose(seq.omega, summed.omega)
-
-
-def test_correct_information_monotone():
-    rng = np.random.default_rng(3)
-    info = from_moments(rng.normal(size=3), random_pd(rng, 3))
-    pair = innovation(rng.normal(size=(2, 3)), random_pd(rng, 2), rng.normal(size=2))
-    out = correct(info, *pair, weight=0.7)
-    assert np.linalg.eigvalsh(out.omega - info.omega).min() >= -1e-12
 
 
 def test_predict_scalar():
@@ -142,7 +111,8 @@ def test_symmetry_through_chained_cycles():
     a = rng.normal(size=(2, 3))
     v = np.linalg.inv(random_pd(rng, 2))
     for _ in range(1000):
-        info = correct(info, *innovation(a, v, rng.normal(size=2)))
+        dq, domega = innovation(a, v, rng.normal(size=2))
+        info = InformationState(info.q + dq, info.omega + domega)
         info = predict(info, f, ww)
         assert np.abs(info.omega - info.omega.T).max() < 1e-12
     assert np.isfinite(info.q).all()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from eotnet.geometry import Extent, shape_matrix
+from eotnet.geometry import shape_matrix, wrap_angle
 from eotnet._linalg import _spd_inv2
 from eotnet.linearization import innovations, kinematic_measurement_matrix
 from oracles import (
@@ -20,7 +20,7 @@ from oracles import (
 
 def random_config(rng, cp_scale=0.02):
     """A well-scaled linearization point: O(1) extents, modest prior spread."""
-    p_hat = Extent(rng.uniform(-3, 3), rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0)).as_array()
+    p_hat = np.array([rng.uniform(-3, 3), rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0)])
     a = rng.normal(size=(2, 2))
     cx = a @ a.T + 0.2 * np.eye(2)
     cp = np.diag(rng.uniform(0.2, 1.0, 3)) * cp_scale
@@ -38,7 +38,7 @@ def test_kinematic_measurement_matrix():
 
 
 def test_kinematic_noise_cov_no_extent_uncertainty():
-    rx = kinematic_noise_cov(Extent(0.0, 1.0, 1.0).as_array(), np.zeros((3, 3)),
+    rx = kinematic_noise_cov(np.array([0.0, 1.0, 1.0]), np.zeros((3, 3)),
                              np.eye(2) / 3, np.diag([3.0, 9.0]))
     assert np.allclose(rx, np.diag([1 / 3 + 3, 1 / 3 + 9]))
 
@@ -57,7 +57,7 @@ def test_kinematic_noise_cov_spread_symmetry_and_reduction():
 
 def test_kinematic_noise_cov_rejects_non_psd():
     with pytest.raises(ValueError):
-        kinematic_noise_cov(Extent(0, 1, 1).as_array(), -np.eye(3), np.eye(2), np.eye(2))
+        kinematic_noise_cov(np.array([0, 1, 1]), -np.eye(3), np.eye(2), np.eye(2))
 
 
 def test_kinematic_noise_cov_matches_sampling():
@@ -88,7 +88,7 @@ def test_pseudo_measurement_values():
 
 
 def test_extent_measurement_matrix_closed_form():
-    m = extent_measurement_matrix(Extent(0.0, 2.0, 1.0).as_array(), np.eye(2))
+    m = extent_measurement_matrix(np.array([0.0, 2.0, 1.0]), np.eye(2))
     assert np.allclose(m, [[0, 4, 0], [0, 0, 2], [3, 0, 0]], atol=1e-14)
 
 
@@ -104,13 +104,13 @@ def test_extent_measurement_matrix_half_turn_invariant():
     rng = np.random.default_rng(9)
     for _ in range(10):
         p_hat, _, _, ch, _ = random_config(rng)
-        flipped = Extent(p_hat[0] + np.pi, p_hat[1], p_hat[2]).as_array()
+        flipped = np.array([wrap_angle(p_hat[0] + np.pi), p_hat[1], p_hat[2]])
         assert np.allclose(extent_measurement_matrix(p_hat, ch),
                            extent_measurement_matrix(flipped, ch), atol=1e-12)
 
 
 def test_extent_noise_moments_identity_case():
-    p_hat = Extent(0.0, 1.0, 1.0).as_array()
+    p_hat = np.array([0.0, 1.0, 1.0])
     vbar, rp = extent_noise_moments(np.eye(2), np.zeros((3, 3)), np.zeros((3, 3)),
                                     p_hat, floor=False)
     assert np.allclose(vbar, [1.0, 1.0, 0.0])
@@ -166,7 +166,7 @@ def test_extent_model_matches_monte_carlo():
 
 
 def test_centered_pseudo_measurement_zero_case():
-    p_hat = Extent(0.0, 1.0, 1.0).as_array()
+    p_hat = np.array([0.0, 1.0, 1.0])
     cy = np.array([[2.0, 0.3], [0.3, 1.0]])
     y = np.array([cy[0, 0], cy[1, 1], cy[0, 1]])
     out = centered_pseudo_measurement(y, cy, np.zeros((3, 3)), p_hat)

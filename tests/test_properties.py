@@ -13,7 +13,7 @@ from scipy.sparse.csgraph import minimum_spanning_tree
 
 from eotnet.consensus import NodeKind, build_network, consensus_rounds, metropolis_weights
 from eotnet.diagnostics import acee, gwd, nees, ospa_vertices
-from eotnet.geometry import Extent, KinematicState, extent_vertices, sample_measurements
+from eotnet.geometry import extent_vertices
 from eotnet.info_filter import InformationState, from_moments, to_moments
 from eotnet.linearization import innovations
 from eotnet.trackers import (
@@ -28,10 +28,10 @@ from eotnet.trackers import (
     ncv_transition,
     predict_states,
 )
-from oracles import gwd_eigh, gwd_eigh_rounding, innovations_by_pieces
+from oracles import gwd_eigh, gwd_eigh_rounding, innovations_by_pieces, sample_measurements
 
 SETTINGS = settings(max_examples=25, deadline=None)
-TRUTH = (KinematicState(np.zeros(2)), Extent(0.4, 6.0, 2.0))
+TRUTH = (np.zeros(2), np.array([0.4, 6.0, 2.0]))  # center and extent
 
 
 @st.composite
@@ -64,18 +64,19 @@ def random_params(rng, n):
 
 
 def random_prior(rng):
+    """A prior of one realization: x0 (1, 2), cx0 (1, 2, 2), p0 (1, 3), cp0 (1, 3, 3)."""
     x0 = rng.normal(size=2) * 3.0
     cx0 = np.diag(rng.uniform(1.0, 100.0, 2))
     p0 = np.array([rng.uniform(-np.pi, np.pi), *rng.uniform(1.0, 10.0, 2)])
     cp0 = np.diag([rng.uniform(0.05, 1.0), *rng.uniform(1.0, 10.0, 2)])
-    return x0, cx0, p0, cp0
+    return x0[None], cx0[None], p0[None], cp0[None]
 
 
 def random_batches(rng, net, max_len):
     """Detections of the truth on every sensor, 0..max_len per sensor."""
-    state, ext = TRUTH
+    m, p = TRUTH
     sensors = set(net.sensor_nodes)
-    return [sample_measurements(state, ext, np.eye(2) / 4, np.eye(2),
+    return [sample_measurements(m, p, np.eye(2) / 4, np.eye(2),
                                 int(rng.integers(0, max_len + 1)) if s in sensors else 0, rng)
             for s in range(net.size)]
 
@@ -115,7 +116,7 @@ def test_information_matrices_stay_positive_definite(draw, kind, rounds, max_len
     config = FilterConfig(kind=kind, consensus_iters=rounds)
     for _ in range(3):
         batches = random_batches(rng, net, max_len)
-        kin, ext = correct_scan(kin, ext, batches, params, config, pi)
+        kin, ext = correct_scan(kin, ext, [batches], params, config, pi)
         for info in (kin, ext):
             assert np.isfinite(info.q).all()
             assert np.linalg.eigvalsh(info.omega).min() > 0
@@ -135,10 +136,10 @@ def test_cm_with_node_count_weight_equals_ceot_on_complete_graphs(draw, max_len)
     cm = FilterConfig(kind=FilterKind.CM, consensus_iters=1)
     for _ in range(3):
         batches = random_batches(rng, net, max_len)
-        center = predict_states(*correct_scan(*center, batches, params, ceot), params)
-        nodes = predict_states(*correct_scan(*nodes, batches, params, cm, pi), params)
+        center = predict_states(*correct_scan(*center, [batches], params, ceot), params)
+        nodes = predict_states(*correct_scan(*nodes, [batches], params, cm, pi), params)
         for c_info, n_info in zip(center, nodes):
-            (ref,), _ = to_moments(c_info)
+            ((ref,),), _ = to_moments(c_info)
             means, _ = to_moments(n_info)
             assert np.abs(means - ref).max() <= 1e-9 * np.abs(ref).max()
 
@@ -246,9 +247,9 @@ def test_ceot_scatter_sums_every_detection_into_its_one_row(seed, k):
     y, ch, cv = random_detections(rng, k)
     params = TrackerParams(ch=ch, cv_by_node=tuple(cv), fx=np.eye(4), fp=np.eye(3),
                            wwx=np.eye(4), wwp=np.eye(3))
-    kin, ext = initial_states(x[0], cx[0], p[0], cp[0])
-    xs, cxs = to_moments(kin)
-    ps, cps = to_moments(ext)
+    kin, ext = initial_states(x[:1], cx[:1], p[:1], cp[:1])
+    xs, cxs = (v[0] for v in to_moments(kin))
+    ps, cps = (v[0] for v in to_moments(ext))
     sums = [np.zeros_like(a) for a in (kin.q, kin.omega, ext.q, ext.omega)]
     for j in range(k):
         for acc, value in zip(sums, innovations(xs, cxs, ps, cps, y[j:j + 1], ch, cv[j:j + 1],
@@ -256,7 +257,7 @@ def test_ceot_scatter_sums_every_detection_into_its_one_row(seed, k):
             acc += value
     want_ext = _sanitize_extent(InformationState(ext.q + sums[2], ext.omega + sums[3]),
                                 params.min_axis)
-    got_kin, got_ext = correct_scan(kin, ext, [y[j:j + 1] for j in range(k)], params,
+    got_kin, got_ext = correct_scan(kin, ext, [[y[j:j + 1] for j in range(k)]], params,
                                     FilterConfig(kind=FilterKind.CEOT))
     assert_close(got_kin.q, kin.q + sums[0])
     assert_close(got_kin.omega, kin.omega + sums[1])

@@ -15,7 +15,7 @@ from eotnet.scenario import (
     preset_text,
     resolve_network,
 )
-from eotnet.geometry import sample_measurements
+from oracles import sample_measurements
 
 
 def test_presets_load_and_match_parameter_tables():
@@ -66,14 +66,11 @@ def test_unknown_preset():
 
 def test_stationary_truth_constant():
     config = load_config("s1").with_overrides(steps=5)
-    truth = generate_truth(config)
-    assert len(truth) == 5
-    first_state, first_ext = truth[0]
-    for state, ext in truth:
-        assert np.array_equal(state.as_array(), first_state.as_array())
-        assert ext == first_ext
-    assert first_ext.alpha == pytest.approx(np.pi / 4)
-    assert (first_ext.l1, first_ext.l2) == (4.0, 9.0)
+    x_true, p_true = generate_truth(config)
+    assert x_true.shape == (5, 2) and p_true.shape == (5, 3)
+    assert (x_true == x_true[0]).all() and (p_true == p_true[0]).all()
+    assert p_true[0, 0] == pytest.approx(np.pi / 4)
+    assert tuple(p_true[0, 1:]) == (4.0, 9.0)
 
 
 def test_straight_course_spacing():
@@ -82,16 +79,15 @@ def test_straight_course_spacing():
         waypoints=np.array([[0.0, 0.0], [10000.0, 0.0]]),
         speed_mps=50000.0 / 3600.0,
     ))
-    truth = generate_truth(config)
-    positions = np.array([state.m for state, _ in truth])
+    positions = generate_truth(config)[0][:, :2]
     gaps = np.linalg.norm(np.diff(positions, axis=0), axis=1)
     assert np.allclose(gaps, 50000.0 / 3600.0 * 10.0, atol=1e-9)
 
 
 def test_waypoint_truth_heading_and_velocity():
     config = load_config("s2")
-    truth = generate_truth(config)
-    positions = np.array([state.m for state, _ in truth])
+    x_true, p_true = generate_truth(config)
+    positions = x_true[:, :2]
     # arc length along the course advances one step length per scan, so all
     # chord gaps except the corner-straddling one equal the step length
     gaps = np.linalg.norm(np.diff(positions, axis=0), axis=1)
@@ -100,22 +96,22 @@ def test_waypoint_truth_heading_and_velocity():
     assert len(off) <= 1  # only the corner chord is shorter
     assert np.all(gaps[off] < step)
     # first leg heads +x, after the turn +y
-    alphas = np.array([ext.alpha for _, ext in truth])
+    alphas = p_true[:, 0]
     assert alphas[0] == pytest.approx(0.0)
     assert alphas[-1] == pytest.approx(np.pi / 2)
     assert set(np.round(alphas, 12)) <= {0.0, round(np.pi / 2, 12)}
     # velocities follow the heading
-    v0 = truth[0][0].mdot
+    v0 = x_true[0, 2:]
     assert np.allclose(v0, [50000.0 / 3600.0, 0.0])
 
 
 def test_waypoint_truth_extends_past_last_waypoint():
     config = load_config("s2").with_overrides(steps=200)
-    truth = generate_truth(config)
-    assert len(truth) == 200
+    x_true, p_true = generate_truth(config)
+    assert len(x_true) == len(p_true) == 200
     # tail keeps the final heading
-    assert truth[-1][1].alpha == pytest.approx(np.pi / 2)
-    assert truth[-1][0].m[1] > truth[-2][0].m[1]
+    assert p_true[-1, 0] == pytest.approx(np.pi / 2)
+    assert x_true[-1, 1] > x_true[-2, 1]
 
 
 def test_generate_measurements_counts_and_empty_relays():
@@ -169,8 +165,7 @@ def test_measurement_covariance_at_true_pose():
     run = build_scenario_run(config, net, seed=5)
     node = net.sensor_nodes[0]
     ys = run.measurements[0][node]
-    _, ext = run.truth[0]
-    s_mat = shape_matrix(ext.as_array())
+    s_mat = shape_matrix(run.p_true[0])
     expected = s_mat @ config.ch @ s_mat.T + config.cv
     assert np.allclose(np.cov(ys.T), expected, rtol=0.05, atol=0.05 * np.abs(expected).max())
 
@@ -187,7 +182,7 @@ def test_sampled_priors_center_on_truth():
     config = load_config("s2").with_overrides(steps=1)
     net = benchmark_network()
     draws = np.array([build_scenario_run(config, net, seed=i).x0 for i in range(300)])
-    truth0 = generate_truth(config)[0][0].as_array()
+    truth0 = generate_truth(config)[0][0]
     spread = np.sqrt(np.diag(config.cx0))
     assert np.all(np.abs(draws.mean(0) - truth0) < 4 * spread / np.sqrt(300))
 
@@ -331,7 +326,7 @@ def test_generate_measurements_draws_like_sample_measurements(preset):
     truth = generate_truth(config)
     run = generate_measurements(truth, net, config, 2024)
     rng = np.random.default_rng(2024)
-    for (state, ext), per_node in zip(truth, run.measurements):
+    for x, p, per_node in zip(*truth, run.measurements):
         for s in range(net.size):
             if s not in net.sensor_nodes:
                 assert per_node[s].shape == (0, 2)
@@ -339,4 +334,46 @@ def test_generate_measurements_draws_like_sample_measurements(preset):
             n = config.meas_count if config.meas_law == "fixed" else int(rng.poisson(
                 config.meas_rate))
             assert np.array_equal(per_node[s],
-                                  sample_measurements(state, ext, config.ch, config.cv, n, rng))
+                                  sample_measurements(x[:2], p, config.ch, config.cv, n, rng))
+
+
+def test_generate_measurements_rejects_bad_covariance():
+    config = load_config("s1").with_overrides(steps=1)
+    net = benchmark_network()
+    truth = generate_truth(config)
+    for bad in (np.array([[1, 2], [2, 1]]) * -1.0, np.array([[1.0, 0.5], [0.3, 1.0]])):
+        with pytest.raises(ValueError, match="multiplicative noise covariance"):
+            generate_measurements(truth, net, config.with_overrides(ch=bad), 0)
+        with pytest.raises(ValueError, match="measurement noise covariance"):
+            generate_measurements(truth, net, config.with_overrides(cv=bad), 0)
+
+
+@pytest.mark.parametrize("preset, path, value, message", [
+    ("s2", ["semi_axes", 0], float("nan"), "semi_axes must be two positive finite"),
+    ("s2", ["trajectory", "speed_kmh"], float("nan"), "trajectory.speed_kmh must be finite"),
+    ("s2", ["trajectory", "waypoints", 1, 0], float("nan"), "trajectory.waypoints must be finite"),
+    ("s1", ["trajectory", "orientation"], float("nan"), "trajectory.orientation must be finite"),
+    ("s1", ["trajectory", "position", 0], float("inf"), "trajectory.position must be finite"),
+], ids=["semi_axes", "speed", "waypoint", "orientation", "position"])
+def test_config_rejects_nonfinite_truth(tmp_path, preset, path, value, message):
+    data = yaml.safe_load(preset_text(preset))
+    entry = data
+    for key in path[:-1]:
+        entry = entry[key]
+    entry[path[-1]] = value
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump(data))
+    with pytest.raises(ValueError, match=message):
+        load_config(bad)
+
+
+@pytest.mark.parametrize("preset, overrides", [
+    ("s2", {"semi_axes": (float("nan"), 2.0)}),
+    ("s2", {"semi_axes": (0.0, 2.0)}),
+    ("s2", {"scan_time": float("nan")}),
+    ("s1", {"trajectory": TrajectorySpec(kind="stationary", position=np.array([0.0, np.nan]))}),
+])
+def test_truth_of_overridden_config_must_be_finite(preset, overrides):
+    config = load_config(preset).with_overrides(**overrides)
+    with pytest.raises(ValueError, match="ground truth must be finite"):
+        generate_truth(config)

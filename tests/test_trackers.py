@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from eotnet.consensus import NodeKind, build_network, metropolis_weights
-from eotnet.geometry import Extent, KinematicState, sample_measurements
+from eotnet.geometry import clamp_extent
 from eotnet.info_filter import to_moments
 from eotnet.linearization import kinematic_measurement_matrix
 from eotnet.trackers import (
@@ -10,7 +10,6 @@ from eotnet.trackers import (
     FilterKind,
     TrackerParams,
     correct_scan,
-    fuse_nodes,
     initial_states,
     ncv_transition,
     predict_states,
@@ -18,9 +17,11 @@ from eotnet.trackers import (
 from oracles import (
     extent_measurement_matrix,
     extent_noise_moments,
+    fuse_nodes,
     kinematic_noise_cov,
     pseudo_measurement,
     residual_cov,
+    sample_measurements,
 )
 
 CEOT = FilterConfig(kind=FilterKind.CEOT)
@@ -50,20 +51,25 @@ def default_priors(x_dim=2):
     return x0, cx0, p0, cp0
 
 
+def one_run(x0, cx0, p0, cp0, nodes=1):
+    """The (1, nodes, ...) states of one realization with the given prior."""
+    return initial_states(x0[None], cx0[None], p0[None], cp0[None], nodes)
+
+
 def scan_step(state, batches, params, config, pi=None):
-    """One scan: sequential correction over the batches, then prediction."""
-    return predict_states(*correct_scan(*state, batches, params, config, pi), params)
+    """One scan of one realization: sequential correction over the batches,
+    then prediction."""
+    return predict_states(*correct_scan(*state, [batches], params, config, pi), params)
 
 
 def draw_batch(rng, truth_ext, m, n):
-    state = KinematicState(m)
-    return sample_measurements(state, truth_ext, np.eye(2) / 3, np.diag([3.0, 9.0]), n, rng)
+    return sample_measurements(m, truth_ext, np.eye(2) / 3, np.diag([3.0, 9.0]), n, rng)
 
 
 def hand_single_update(x_hat, cx, p_vec, cp, y, ch, cv):
     """Independent arrangement of one sequential update: both linear models
     are built from the same pre-update estimates, then both states correct."""
-    p_ext = Extent(*p_vec).as_array()
+    p_ext = clamp_extent(p_vec, 1e-3)
     h = kinematic_measurement_matrix(x_hat.size)
     rx = kinematic_noise_cov(p_ext, cp, ch, cv)
     vx = np.linalg.inv(rx)
@@ -98,9 +104,9 @@ def test_single_sensor_sequential_matches_hand_computation():
         x_hat, cx, p_vec, cp = hand_single_update(x_hat, cx, p_vec, cp, y, ch, cv)
 
     params = make_params(1)
-    kin, ext = correct_scan(*initial_states(x0, cx0, p0, cp0), [ys], params, CEOT)
-    (x_out,), (cx_out,) = to_moments(kin)
-    (p_out,), (cp_out,) = to_moments(ext)
+    kin, ext = correct_scan(*one_run(x0, cx0, p0, cp0), [[ys]], params, CEOT)
+    ((x_out,),), ((cx_out,),) = to_moments(kin)
+    ((p_out,),), ((cp_out,),) = to_moments(ext)
     assert np.allclose(x_out, x_hat, rtol=1e-9)
     assert np.allclose(cx_out, cx, rtol=1e-9)
     assert np.allclose(p_out, p_vec, rtol=1e-9)
@@ -126,7 +132,7 @@ def test_ceot_sums_per_node_innovations():
     cvs = [np.diag([3.0, 9.0]), np.diag([1.0, 2.0]), np.eye(2)]
     ys = [rng.normal(size=2) for _ in range(3)]
 
-    p_ext = Extent(*p0).as_array()
+    p_ext = p0
     h = np.eye(2)
     omega_x = np.linalg.inv(cx0).astype(float)
     q_x = omega_x @ x0
@@ -148,18 +154,18 @@ def test_ceot_sums_per_node_innovations():
 
     params = TrackerParams(ch=ch, cv_by_node=tuple(cvs), fx=np.eye(2), fp=np.eye(3),
                            wwx=np.eye(2), wwp=np.eye(3))
-    kin, ext = correct_scan(*initial_states(x0, cx0, p0, cp0),
-                            [y[None, :] for y in ys], params, CEOT)
-    assert np.allclose(kin.q[0], q_x, rtol=1e-10)
-    assert np.allclose(kin.omega[0], omega_x, rtol=1e-10)
-    assert np.allclose(ext.q[0], q_p, rtol=1e-10)
-    assert np.allclose(ext.omega[0], omega_p, rtol=1e-10)
+    kin, ext = correct_scan(*one_run(x0, cx0, p0, cp0),
+                            [[y[None, :] for y in ys]], params, CEOT)
+    assert np.allclose(kin.q[0, 0], q_x, rtol=1e-10)
+    assert np.allclose(kin.omega[0, 0], omega_x, rtol=1e-10)
+    assert np.allclose(ext.q[0, 0], q_p, rtol=1e-10)
+    assert np.allclose(ext.omega[0, 0], omega_p, rtol=1e-10)
 
 
 def test_empty_batch_is_pure_prediction():
     x0, cx0, p0, cp0 = default_priors()
     params = make_params(1)
-    prior = initial_states(x0, cx0, p0, cp0)
+    prior = one_run(x0, cx0, p0, cp0)
     stepped = scan_step(prior, [np.zeros((0, 2))], params, CEOT)
     predicted = predict_states(*prior, params)
     assert np.allclose(stepped[0].q, predicted[0].q)
@@ -171,9 +177,9 @@ def test_sequential_determinism():
     x0, cx0, p0, cp0 = default_priors()
     params = make_params(1)
     batch = rng.normal(size=(20, 2)) * 2.0
-    prior = initial_states(x0, cx0, p0, cp0)
-    a = correct_scan(*prior, [batch], params, CEOT)
-    b = correct_scan(*prior, [batch], params, CEOT)
+    prior = one_run(x0, cx0, p0, cp0)
+    a = correct_scan(*prior, [[batch]], params, CEOT)
+    b = correct_scan(*prior, [[batch]], params, CEOT)
     for one, other in zip(a, b):
         assert np.array_equal(one.q, other.q)
         assert np.array_equal(one.omega, other.omega)
@@ -189,19 +195,19 @@ def test_cm_equals_ceot_on_complete_graph(n_nodes):
     pi = metropolis_weights(net)
     x0, cx0, p0, cp0 = default_priors()
     params = make_params(n_nodes)
-    truth_ext = Extent(np.pi / 4, 4.0, 9.0)
+    truth_ext = np.array([np.pi / 4, 4.0, 9.0])
 
     cm = FilterConfig(kind=FilterKind.CM, consensus_iters=1, omega=float(n_nodes))
-    center = initial_states(x0, cx0, p0, cp0)
-    nodes = initial_states(x0, cx0, p0, cp0, n_nodes)
+    center = one_run(x0, cx0, p0, cp0)
+    nodes = one_run(x0, cx0, p0, cp0, n_nodes)
     for _ in range(10):
         counts = rng.integers(0, 4, size=n_nodes)  # unequal batch lengths
         batches = [draw_batch(rng, truth_ext, np.zeros(2), int(c)) for c in counts]
         center = scan_step(center, batches, params, CEOT)
         nodes = scan_step(nodes, batches, params, cm, pi)
-        (xc,), _ = to_moments(center[0])
-        (pc,), _ = to_moments(center[1])
-        for xn, pn in zip(to_moments(nodes[0])[0], to_moments(nodes[1])[0]):
+        ((xc,),), _ = to_moments(center[0])
+        ((pc,),), _ = to_moments(center[1])
+        for xn, pn in zip(to_moments(nodes[0])[0][0], to_moments(nodes[1])[0][0]):
             assert np.allclose(xn, xc, rtol=1e-9, atol=1e-12)
             assert np.allclose(pn, pc, rtol=1e-9, atol=1e-12)
 
@@ -215,15 +221,15 @@ def test_cm_equals_ceot_with_communication_nodes():
     pi = metropolis_weights(net)
     x0, cx0, p0, cp0 = default_priors()
     params = make_params(3)
-    truth_ext = Extent(0.3, 2.0, 1.0)
+    truth_ext = np.array([0.3, 2.0, 1.0])
     batches = [draw_batch(rng, truth_ext, np.zeros(2), 3),
                np.zeros((0, 2)),
                draw_batch(rng, truth_ext, np.zeros(2), 3)]
-    center, _ = correct_scan(*initial_states(x0, cx0, p0, cp0), batches, params, CEOT)
-    nodes, _ = correct_scan(*initial_states(x0, cx0, p0, cp0, 3), batches, params,
+    center, _ = correct_scan(*one_run(x0, cx0, p0, cp0), [batches], params, CEOT)
+    nodes, _ = correct_scan(*one_run(x0, cx0, p0, cp0, 3), [batches], params,
                             FilterConfig(kind=FilterKind.CM, omega=3.0), pi)
-    (xc,), _ = to_moments(center)
-    for xn in to_moments(nodes)[0]:
+    ((xc,),), _ = to_moments(center)
+    for xn in to_moments(nodes)[0][0]:
         assert np.allclose(xn, xc, rtol=1e-9)
 
 
@@ -234,9 +240,9 @@ def test_cm_zero_weight_leaves_states_unchanged():
     pi = metropolis_weights(net)
     x0, cx0, p0, cp0 = default_priors()
     params = make_params(3)
-    priors = initial_states(x0, cx0, p0, cp0, 3)
-    batches = [draw_batch(rng, Extent(0.1, 2, 1), np.zeros(2), 2) for _ in range(3)]
-    out = correct_scan(*priors, batches, params,
+    priors = one_run(x0, cx0, p0, cp0, 3)
+    batches = [draw_batch(rng, np.array([0.1, 2, 1]), np.zeros(2), 2) for _ in range(3)]
+    out = correct_scan(*priors, [batches], params,
                        FilterConfig(kind=FilterKind.CM, omega=0.0), pi)
     assert np.allclose(out[0].q, priors[0].q)
     assert np.allclose(out[1].omega, priors[1].omega)
@@ -250,13 +256,13 @@ def test_ci_nodes_agree_on_complete_graph_with_many_rounds():
     pi = metropolis_weights(net)
     x0, cx0, p0, cp0 = default_priors()
     params = make_params(n)
-    nodes = initial_states(x0, cx0, p0, cp0, n)
-    batches = [draw_batch(rng, Extent(0.5, 3, 1), np.zeros(2), 5) for _ in range(3)]
+    nodes = one_run(x0, cx0, p0, cp0, n)
+    batches = [draw_batch(rng, np.array([0.5, 3, 1]), np.zeros(2), 5) for _ in range(3)]
     batches.append(np.zeros((0, 2)))
-    kin, ext = correct_scan(*nodes, batches, params,
+    kin, ext = correct_scan(*nodes, [batches], params,
                             FilterConfig(kind=FilterKind.CI, consensus_iters=60), pi)
-    (ref_x, *xs), _ = to_moments(kin)
-    (ref_p, *ps), _ = to_moments(ext)
+    ((ref_x, *xs),), _ = to_moments(kin)
+    ((ref_p, *ps),), _ = to_moments(ext)
     for xn, pn in zip(xs, ps):
         assert np.abs(xn - ref_x).max() < 1e-8
         assert np.abs(pn - ref_p).max() < 1e-8
@@ -271,11 +277,11 @@ def test_ci_single_round_stays_positive_definite():
     pi = metropolis_weights(net)
     x0, cx0, p0, cp0 = default_priors()
     params = make_params(4)
-    nodes = initial_states(x0, cx0, p0, cp0, 4)
-    batches = [draw_batch(rng, Extent(0.5, 3, 1), np.zeros(2), 4),
+    nodes = one_run(x0, cx0, p0, cp0, 4)
+    batches = [draw_batch(rng, np.array([0.5, 3, 1]), np.zeros(2), 4),
                np.zeros((0, 2)), np.zeros((0, 2)),
-               draw_batch(rng, Extent(0.5, 3, 1), np.zeros(2), 4)]
-    kin, ext = correct_scan(*nodes, batches, params,
+               draw_batch(rng, np.array([0.5, 3, 1]), np.zeros(2), 4)]
+    kin, ext = correct_scan(*nodes, [batches], params,
                             FilterConfig(kind=FilterKind.CI, consensus_iters=1), pi)
     assert np.isfinite(kin.q).all() and np.isfinite(ext.q).all()
     assert np.linalg.eigvalsh(kin.omega).min() > 0
@@ -290,11 +296,11 @@ def test_ci_information_grows_with_sensors_present():
     pi = metropolis_weights(net)
     x0, cx0, p0, cp0 = default_priors()
     params = make_params(3)
-    priors = initial_states(x0, cx0, p0, cp0, 3)
-    batches = [draw_batch(rng, Extent(0.2, 2, 1), np.zeros(2), 1),
-               draw_batch(rng, Extent(0.2, 2, 1), np.zeros(2), 1),
+    priors = one_run(x0, cx0, p0, cp0, 3)
+    batches = [draw_batch(rng, np.array([0.2, 2, 1]), np.zeros(2), 1),
+               draw_batch(rng, np.array([0.2, 2, 1]), np.zeros(2), 1),
                np.zeros((0, 2))]
-    kin, _ = correct_scan(*priors, batches, params,
+    kin, _ = correct_scan(*priors, [batches], params,
                           FilterConfig(kind=FilterKind.CI, consensus_iters=1), pi)
     gain = kin.omega - priors[0].omega
     assert np.linalg.eigvalsh(gain).min() > 0  # full-rank position update on every node
@@ -306,8 +312,8 @@ def test_ci_without_any_sensors_keeps_priors():
     pi = metropolis_weights(net)
     x0, cx0, p0, cp0 = default_priors()
     params = make_params(3)
-    priors = initial_states(x0, cx0, p0, cp0, 3)
-    out = correct_scan(*priors, [np.zeros((0, 2))] * 3, params,
+    priors = one_run(x0, cx0, p0, cp0, 3)
+    out = correct_scan(*priors, [[np.zeros((0, 2))] * 3], params,
                        FilterConfig(kind=FilterKind.CI, consensus_iters=3), pi)
     assert np.allclose(out[0].q, priors[0].q)
     assert np.allclose(out[1].q, priors[1].q)
@@ -317,14 +323,20 @@ def test_distributed_scan_needs_matrix_and_one_batch_per_node():
     net = build_network(np.stack([np.arange(3), np.zeros(3)], axis=1),
                         [NodeKind.SENSOR] * 3, comm_radius=100.0)
     pi = metropolis_weights(net)
-    priors = initial_states(*default_priors(), 3)
+    priors = one_run(*default_priors(), 3)
     params = make_params(3)
     for kind in (FilterKind.CI, FilterKind.CM):
         config = FilterConfig(kind=kind)
         with pytest.raises(ValueError, match="consensus matrix"):
-            correct_scan(*priors, [np.zeros((0, 2))] * 3, params, config)
+            correct_scan(*priors, [[np.zeros((0, 2))] * 3], params, config)
         with pytest.raises(ValueError, match="one batch per node"):
-            correct_scan(*priors, [np.zeros((0, 2))] * 2, params, config, pi)
+            correct_scan(*priors, [[np.zeros((0, 2))] * 2], params, config, pi)
+
+
+def test_correct_scan_needs_a_realization_axis():
+    kin, ext = initial_states(*default_priors())  # (1, d) rows, no realization axis
+    with pytest.raises(ValueError, match=r"needs \(R, n, d\) states, got shape \(1, 2\)"):
+        correct_scan(kin, ext, [[np.zeros((0, 2))]], make_params(1), CEOT)
 
 
 def test_ncv_transition():
@@ -379,10 +391,10 @@ def test_cm_gwd_improves_with_more_rounds():
         recs = run_filter(scns, net, params,
                           FilterConfig(kind=FilterKind.CM, consensus_iters=rounds), pi)
         for scn, rec in zip(scns, recs):
-            for k, (state, ext) in enumerate(scn.truth):
+            for k in range(rec.steps):
                 vals.extend(
-                    gwd(rec.x_mean[k, s][:2], Extent.from_array(rec.p_mean[k, s]).as_array(),
-                        state.m, ext.as_array())
+                    gwd(rec.x_mean[k, s][:2], clamp_extent(rec.p_mean[k, s], 1e-3),
+                        scn.x_true[k, :2], scn.p_true[k])
                     for s in range(rec.nodes)
                 )
         means.append(float(np.mean(vals)))
