@@ -71,15 +71,13 @@ def _load_with_overrides(spec: RunSpec):
 
 def _worker(payload):
     """Run one worker's share of the Monte Carlo realizations as one stacked
-    filter pass; executed in the worker pool."""
-    (run_ids, config, net, params, filter_config, pi, children) = payload
+    filter pass in the worker pool; returns its metric table, step times and trace."""
+    (config, net, params, filter_config, pi, children) = payload
     trace = AssumptionTrace()
     scns = [build_scenario_run(config, net, child) for child in children]
     records = run_filter(scns, net, params, filter_config, pi, trace=trace)
-    rows = [(run_idx, step, node, metric, value)
-            for run_idx, record, scn in zip(run_ids, records, scns)
-            for step, node, metric, value in evaluate_run(record, scn, config.shape)]
-    return rows, np.concatenate([record.step_seconds for record in records]), trace
+    columns, values = zip(*[evaluate_run(r, scn, config.shape) for r, scn in zip(records, scns)])
+    return columns[0], np.stack(values), np.concatenate([r.step_seconds for r in records]), trace
 
 
 def _pool_size(runs: int) -> int:
@@ -88,9 +86,9 @@ def _pool_size(runs: int) -> int:
     return max(1, min(runs, limit))
 
 
-def run(spec: RunSpec) -> list:
+def run(spec: RunSpec) -> tuple[list, np.ndarray]:
     """Execute one scenario x filter benchmark, write its artifacts, and
-    return its (run, step, node, metric, value) rows."""
+    return its metric table (columns, values) with values (runs, steps, columns)."""
     config = _load_with_overrides(spec)
     net = resolve_network(config)
     pi = metropolis_weights(net)
@@ -101,9 +99,9 @@ def run(spec: RunSpec) -> list:
     )
     params = params_from_scenario(config, net)
     children = np.random.SeedSequence(config.seed).spawn(config.runs)
-    # Each worker gets a contiguous share of the runs, so the rows stay in run order.
+    # Each worker gets a contiguous share of the runs, so the table stays in run order.
     payloads = [
-        (share.tolist(), config, net, params, filter_config, pi, [children[i] for i in share])
+        (config, net, params, filter_config, pi, [children[i] for i in share])
         for share in np.array_split(np.arange(config.runs), _pool_size(config.runs))
     ]
 
@@ -113,13 +111,13 @@ def run(spec: RunSpec) -> list:
         with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
             results = list(pool.map(_worker, payloads))
 
-    rows = [row for run_rows, _, _ in results for row in run_rows]
-    step_seconds = np.concatenate([secs for _, secs, _ in results])
-    trace = functools.reduce(AssumptionTrace.merge, [trace for _, _, trace in results])
+    columns, values, step_seconds, traces = zip(*results)
+    columns, values, step_seconds = columns[0], np.concatenate(values), np.concatenate(step_seconds)
+    trace = functools.reduce(AssumptionTrace.merge, traces)
 
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_metrics_csv(out / "metrics.csv", rows)
+    write_metrics_csv(out / "metrics.csv", columns, values)
 
     omega_val = filter_config.omega if filter_config.omega is not None else float(net.size)
     report = check_assumptions(
@@ -148,10 +146,10 @@ def run(spec: RunSpec) -> list:
         "",
         "metric means +/- std over all (run, step, node) samples:",
     ]
-    for metric, (mean, std, count) in summarize_metrics(rows).items():
+    for metric, (mean, std, count) in summarize_metrics(columns, values).items():
         lines.append(f"  {metric:10s} {mean:.6g} +/- {std:.6g}  (n={count})")
     (out / "summary.txt").write_text("\n".join(lines) + "\n")
-    return rows
+    return columns, values
 
 
 def sweep(spec: RunSpec, values, which: str) -> int:
@@ -168,12 +166,10 @@ def sweep(spec: RunSpec, values, which: str) -> int:
         else:
             sub = replace(spec, poisson_rate=float(value), out_dir=out / f"lambda_{value:g}")
             label = f"lambda={value:g}"
-        for metric, (mean, std, count) in summarize_metrics(run(sub)).items():
-            combined.append((label, metric, mean, std, count))
-    with open(out / "combined.csv", "w", newline="\n") as fh:
-        fh.write("setting,metric,mean,std,count\n")
-        for label, metric, mean, std, count in combined:
-            fh.write(f"{label},{metric},{mean:.9g},{std:.9g},{count}\n")
+        for metric, (mean, std, count) in summarize_metrics(*run(sub)).items():
+            combined.append(f"{label},{metric},{mean:.9g},{std:.9g},{count}\n")
+    (out / "combined.csv").write_text("setting,metric,mean,std,count\n" + "".join(combined),
+                                      newline="\n")
     return 0
 
 

@@ -271,16 +271,16 @@ def check_assumptions(
     )
 
 
-def evaluate_run(record, scn_run, shape: str, cutoff: float = 100.0, order: int = 2):
-    """Per-step metric rows for one tracked run.
+def evaluate_run(record, scn_run, shape: str):
+    """Per-step metric table (columns, values) of one tracked run.
 
-    Returns (step, node, metric, value) tuples, per step the node rows in
-    node order and then the network rows.  Node -1 carries network-level
-    values: the centralized filter's single output and the per-step estimate
-    disagreement of the distributed filters.  OSPA is emitted for rectangles
-    only, where the four vertices are well defined.  Every metric is computed
-    over the whole (steps, nodes) grid at once; estimated extents are wrapped
-    and their semi-axes clamped to 1e-3 first.
+    columns lists the (node, metric) labels: each node's metrics in node
+    order, then the network columns; values is (steps, len(columns)).  Node -1
+    carries network-level values: the centralized filter's single output and
+    the per-step estimate disagreement of the distributed filters.  OSPA is
+    scored for rectangles only, where the four vertices are well defined.
+    Every metric is computed over the whole (steps, nodes) grid at once;
+    estimated extents are wrapped and their semi-axes clamped to 1e-3 first.
     """
     if not np.isfinite(record.p_mean).all():
         raise ValueError("extent estimate entries must be finite")
@@ -294,40 +294,38 @@ def evaluate_run(record, scn_run, shape: str, cutoff: float = 100.0, order: int 
     }
     if shape == "rectangle":
         per_node["ospa"] = ospa_vertices(extent_vertices(x_est[..., :2], p_est),
-                                         extent_vertices(x_true[..., :2], p_true), cutoff, order)
+                                         extent_vertices(x_true[..., :2], p_true))
     per_node["nees_kin"] = nees(x_est, record.x_cov, x_true)
     per_node["nees_ext"] = _mahalanobis(e_p, record.p_cov, "extent covariance")
     per_step, nodes = {}, [-1]
     if record.nodes > 1:
         per_step = {"acee_kin": acee(record.x_mean), "acee_ext": acee(record.p_mean)}
         nodes = list(range(record.nodes))
-    # One block of rows per step: each node's metrics in turn, then the network rows.
-    blocks = [np.stack(list(per_node.values()), axis=-1).reshape(record.steps, -1)]
-    blocks += [value[:, None] for value in per_step.values()]
-    node_ids = np.repeat(nodes, len(per_node)).tolist() + [-1] * len(per_step)
-    metrics = list(per_node) * len(nodes) + list(per_step)
-    return list(zip(np.repeat(np.arange(record.steps), len(metrics)).tolist(),
-                    node_ids * record.steps, metrics * record.steps,
-                    np.concatenate(blocks, axis=1).ravel().tolist()))
+    columns = [(node, metric) for node in nodes for metric in per_node]
+    columns += [(-1, metric) for metric in per_step]
+    values = np.column_stack([np.stack(list(per_node.values()), axis=-1).reshape(record.steps, -1),
+                              *per_step.values()])
+    return columns, values
 
 
-def write_metrics_csv(path, rows) -> None:
-    """Write (run, step, node, metric, value) rows with a fixed header and
-    %.9g float formatting, so equal inputs give byte-identical files."""
+def write_metrics_csv(path, columns, values) -> None:
+    """Write a (runs, steps, len(columns)) metric table as (run, step, node,
+    metric, value) lines in %.9g, so equal inputs give byte-identical files."""
+    block = "".join(f"{{0}},{{1}},{node},{metric},{{{i}:.9g}}\n"
+                    for i, (node, metric) in enumerate(columns, start=2))
     with open(path, "w", newline="\n") as fh:
         fh.write("run,step,node,metric,value\n")
-        for run, step, node, metric, value in rows:
-            fh.write(f"{run},{step},{node},{metric},{value:.9g}\n")
+        for run, steps in enumerate(values.tolist()):
+            for step, row in enumerate(steps):
+                fh.write(block.format(run, step, *row))
 
 
-def summarize_metrics(rows) -> dict[str, tuple[float, float, int]]:
-    """Mean, standard deviation, and count per metric over all rows."""
-    series: dict[str, list[float]] = {}
-    for _, _, _, metric, value in rows:
-        series.setdefault(metric, []).append(value)
+def summarize_metrics(columns, values) -> dict[str, tuple[float, float, int]]:
+    """Mean, standard deviation, and count per metric over every (run, step,
+    node) sample of a (..., len(columns)) metric table."""
     out = {}
-    for metric in sorted(series):
-        vals = np.array(series[metric], dtype=float)
+    for metric in sorted({metric for _, metric in columns}):
+        vals = values[..., [m == metric for _, m in columns]].ravel()
         out[metric] = (float(vals.mean()), float(vals.std()), vals.size)
     return out
 

@@ -163,6 +163,8 @@ def _parse_config(data: dict, name_hint: str) -> ScenarioConfig:
                 raise ValueError("waypoint trajectories need at least 2 planar points")
             _finite(waypoints, "trajectory.waypoints")
             speed = _finite(float(traj_data["speed_kmh"]), "trajectory.speed_kmh")
+            if speed < 0.0:
+                raise ValueError(f"trajectory.speed_kmh must be >= 0, got {speed:g}")
             traj = TrajectorySpec(kind="waypoints", waypoints=waypoints,
                                   speed_mps=speed * KMH_TO_MPS)
         else:
@@ -177,9 +179,9 @@ def _parse_config(data: dict, name_hint: str) -> ScenarioConfig:
                 raise ValueError("fixed measurement count must be >= 1")
         elif law == "poisson":
             _check_keys(meas, {"law", "rate"}, "measurements.")
-            count, rate = 0, float(meas["rate"])
+            count, rate = 0, _finite(float(meas["rate"]), "measurements.rate")
             if rate <= 0.0:
-                raise ValueError("poisson measurement rate must be > 0")
+                raise ValueError(f"measurements.rate must be > 0, got {rate:g}")
         else:
             raise ValueError(f"unknown measurement law {law!r}")
 

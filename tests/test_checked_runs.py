@@ -1,9 +1,12 @@
 """Golden digests of the checked runs.
 
-metrics.csv of the four checked runs (seed 0) must stay byte-identical across
-refactors and worker-pool sizes: a change that moves a printed digit shows up
-here.  The digests were recorded with numpy 2.4.6; under another numpy,
-different BLAS kernels may round differently, so the test skips.
+metrics.csv and summary.txt of the four checked runs (seed 0), and
+combined.csv of two sweeps, must stay byte-identical across refactors and
+worker-pool sizes: a change that moves a printed digit shows up here.
+summary.txt is digested without its wall-time line, the one line that varies
+between equal runs.  The digests were recorded with numpy 2.4.6; under
+another numpy, different BLAS kernels may round differently, so the tests
+skip.
 """
 
 import hashlib
@@ -14,23 +17,61 @@ import pytest
 from eotnet.cli import main
 
 RECORDED_NUMPY = "2.4.6"
+WALL_TIME_LINE = "mean wall time per tracking step:"
+# run -> (metrics.csv digest, summary.txt digest without the wall-time line)
 CHECKED_RUNS = {
-    "s2 cm --L 6 --runs 3": "bf48f488db05f50907af8892dce709f09da919a32160370331456499818f800e",
-    "s2 ceot --runs 8": "a6dc37080b62bb0a25eaf44f5e85a6253075bd1bda910378145f67d95af8a5ca",
-    "s1 ci --L 6 --runs 1": "8d8f3f0db0588e7fd9f71b7c416098e8c26c53637e00058496cfb631b218f2a9",
-    "s3 cm --L 6 --runs 2": "d018b5b85836406fc8e8eef7a9be1a794093d82f4394fad417640e4efd750f0a",
+    "s2 cm --L 6 --runs 3": (
+        "bf48f488db05f50907af8892dce709f09da919a32160370331456499818f800e",
+        "62736673d44c801cb7396cc9b5a6399960149880194d03da180625d5c850d06f"),
+    "s2 ceot --runs 8": (
+        "a6dc37080b62bb0a25eaf44f5e85a6253075bd1bda910378145f67d95af8a5ca",
+        "e6735696b80e0205eb70c4e0c89144fe170421e49ae8ffa81bec3a243af4e837"),
+    "s1 ci --L 6 --runs 1": (
+        "8d8f3f0db0588e7fd9f71b7c416098e8c26c53637e00058496cfb631b218f2a9",
+        "b1c8a916d8939e7824e095f9dfabeb9ffbacb28fca940c8e2459e85e7104ce63"),
+    "s3 cm --L 6 --runs 2": (
+        "d018b5b85836406fc8e8eef7a9be1a794093d82f4394fad417640e4efd750f0a",
+        "b40f49b9793e1df16f5d0eaf470f6d99335b28b34b4cfb5ed832fa711e99e9b5"),
+}
+# sweep -> combined.csv digest
+CHECKED_SWEEPS = {
+    "s2 cm --sweep-L 1,6 --runs 3":
+        "6ee8645b6b17eb3a93aea1fc18ac656ed424ef3e06d42b15cf2ed4e396ed5af6",
+    "s3 ceot --sweep-lambda 2,5 --runs 3":
+        "df9bf9150452c9f90f7e4d6d3d629c2e2244f55579eea9fe212aad795b0c58ec",
 }
 
+needs_recorded_numpy = pytest.mark.skipif(
+    np.__version__ != RECORDED_NUMPY,
+    reason=f"digests recorded with numpy {RECORDED_NUMPY}, running numpy {np.__version__}")
 
-@pytest.mark.skipif(np.__version__ != RECORDED_NUMPY,
-                    reason=f"digests recorded with numpy {RECORDED_NUMPY}, "
-                           f"running numpy {np.__version__}")
+
+def run_cli(args: str, out) -> None:
+    scenario, kind, *rest = args.split()
+    assert main(["--scenario", scenario, "--filter", kind, *rest, "--seed", "0",
+                 "--out", str(out)]) == 0
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@needs_recorded_numpy
 @pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("run", list(CHECKED_RUNS))
 def test_checked_run_metrics_are_byte_identical(run, threads, tmp_path, monkeypatch):
     monkeypatch.setenv("EOT_THREADS", threads)
-    scenario, kind, *rest = run.split()
-    assert main(["--scenario", scenario, "--filter", kind, *rest, "--seed", "0",
-                 "--out", str(tmp_path)]) == 0
-    digest = hashlib.sha256((tmp_path / "metrics.csv").read_bytes()).hexdigest()
-    assert digest == CHECKED_RUNS[run]
+    run_cli(run, tmp_path)
+    metrics_digest, summary_digest = CHECKED_RUNS[run]
+    assert sha256((tmp_path / "metrics.csv").read_bytes()) == metrics_digest
+    summary = (tmp_path / "summary.txt").read_text().splitlines(keepends=True)
+    kept = [line for line in summary if not line.startswith(WALL_TIME_LINE)]
+    assert len(kept) == len(summary) - 1
+    assert sha256("".join(kept).encode()) == summary_digest
+
+
+@needs_recorded_numpy
+@pytest.mark.parametrize("sweep", list(CHECKED_SWEEPS))
+def test_checked_sweep_combined_csv_is_byte_identical(sweep, tmp_path):
+    run_cli(sweep, tmp_path)
+    assert sha256((tmp_path / "combined.csv").read_bytes()) == CHECKED_SWEEPS[sweep]

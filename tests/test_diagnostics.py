@@ -263,23 +263,26 @@ def test_evaluate_run_rows_follow_the_per_estimate_layout():
     (rec,) = run_filter([scn], net, params_from_scenario(config, net),
                         FilterConfig(kind=FilterKind.CM, consensus_iters=1),
                         metropolis_weights(net))
-    want = []
+    metrics = ["pos_err", "gwd", "ospa", "nees_kin", "nees_ext"]
+    want_columns = [(s, metric) for s in range(rec.nodes) for metric in metrics]
+    want_columns += [(-1, "acee_kin"), (-1, "acee_ext")]
+    columns, values = evaluate_run(rec, scn, "rectangle")
+    assert columns == want_columns
+    assert values.shape == (rec.steps, len(want_columns)) and values.dtype == float
     for k, (x_true, p_true) in enumerate(zip(scn.x_true, scn.p_true)):
         true_verts = extent_vertices(x_true[:2], p_true)
+        want = []
         for s in range(rec.nodes):
             x, p = rec.x_mean[k, s], clamp_extent(rec.p_mean[k, s], 1e-3)
             e_p = rec.p_mean[k, s] - p_true
             e_p[0] = wrap_angle(e_p[0])
-            want += [(k, s, "pos_err", np.linalg.norm(x[:2] - x_true[:2])),
-                     (k, s, "gwd", gwd(x[:2], p, x_true[:2], p_true)),
-                     (k, s, "ospa", ospa_vertices(extent_vertices(x[:2], p), true_verts)),
-                     (k, s, "nees_kin", nees(x, rec.x_cov[k, s], x_true)),
-                     (k, s, "nees_ext", nees(e_p, rec.p_cov[k, s], np.zeros(3)))]
-        want += [(k, -1, "acee_kin", acee(rec.x_mean[k])), (k, -1, "acee_ext", acee(rec.p_mean[k]))]
-    rows = evaluate_run(rec, scn, "rectangle")
-    assert [row[:3] for row in rows] == [w[:3] for w in want]
-    assert all(type(row[3]) is float for row in rows)
-    np.testing.assert_allclose([row[3] for row in rows], [w[3] for w in want], rtol=1e-12)
+            want += [np.linalg.norm(x[:2] - x_true[:2]),
+                     gwd(x[:2], p, x_true[:2], p_true),
+                     ospa_vertices(extent_vertices(x[:2], p), true_verts),
+                     nees(x, rec.x_cov[k, s], x_true),
+                     nees(e_p, rec.p_cov[k, s], np.zeros(3))]
+        want += [acee(rec.x_mean[k]), acee(rec.p_mean[k])]
+        np.testing.assert_allclose(values[k], want, rtol=1e-12)
 
 
 @pytest.mark.parametrize("field, index", [
@@ -300,14 +303,17 @@ def test_evaluate_run_rejects_non_finite_estimates(field, index):
 
 
 def test_write_metrics_csv_and_summary(tmp_path):
-    rows = [(0, 0, -1, "gwd", 1.25), (0, 0, -1, "pos_err", 0.5),
-            (1, 0, -1, "gwd", 0.75)]
+    # Two runs of one step each: (runs, steps, columns).
+    columns = [(-1, "gwd"), (-1, "pos_err")]
+    values = np.array([[[1.25, 0.5]], [[0.75, 1.0 / 3.0]]])
     path = tmp_path / "metrics.csv"
-    write_metrics_csv(path, rows)
+    write_metrics_csv(path, columns, values)
     text = path.read_text()
     assert text.splitlines()[0] == "run,step,node,metric,value"
     assert "0,0,-1,gwd,1.25" in text
-    stats = summarize_metrics(rows)
+    assert text.splitlines()[1:] == ["0,0,-1,gwd,1.25", "0,0,-1,pos_err,0.5",
+                                     "1,0,-1,gwd,0.75", "1,0,-1,pos_err,0.333333333"]
+    stats = summarize_metrics(columns, values)
     assert stats["gwd"][0] == pytest.approx(1.0)
     assert stats["gwd"][2] == 2
     assert set(stats) == {"gwd", "pos_err"}

@@ -277,10 +277,18 @@ def test_config_rejects_matrix_of_wrong_size(tmp_path, section, key, value):
      r"priors.kinematic_mean must be a list of 4 entries, got shape \(2,\)"),
     ("priors", "extent_mean", [0.0, 5.0],
      r"priors.extent_mean must be a list of 3 entries, got shape \(2,\)"),
+    ("measurements", "rate", float("nan"), "measurements.rate must be finite"),
+    ("measurements", "rate", float("inf"), "measurements.rate must be finite"),
+    ("trajectory", "speed_kmh", -50.0, "trajectory.speed_kmh must be >= 0"),
 ])
 def test_config_rejects_bad_nested_entries(tmp_path, section, key, value, message):
     with pytest.raises(ValueError, match=message):
         load_config(write_s3_with(tmp_path, section, key, value))
+
+
+def test_config_accepts_zero_speed(tmp_path):
+    config = load_config(write_s3_with(tmp_path, "trajectory", "speed_kmh", 0.0))
+    assert config.trajectory.speed_mps == 0.0
 
 
 def test_config_rejects_unknown_top_level_key(tmp_path):
