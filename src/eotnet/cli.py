@@ -16,7 +16,6 @@ import functools
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,40 +32,7 @@ from .linearization import kinematic_measurement_matrix
 from .scenario import PRESETS, build_scenario_run, load_config, preset_text, resolve_network
 from .trackers import FilterConfig, FilterKind, params_from_scenario, run_filter
 
-__all__ = ["RunSpec", "run", "sweep", "main"]
-
-
-@dataclass(frozen=True)
-class RunSpec:
-    """Everything one benchmark invocation needs."""
-
-    scenario: str | Path
-    filter_kind: FilterKind
-    out_dir: Path
-    consensus_iters: int | None = None
-    poisson_rate: float | None = None
-    fixed_count: int | None = None
-    runs: int | None = None
-    seed: int | None = None
-    omega: float | None = None  # None -> node count
-
-
-def _load_with_overrides(spec: RunSpec):
-    config = load_config(spec.scenario)
-    overrides = {}
-    if spec.poisson_rate is not None:
-        overrides.update(meas_law="poisson", meas_rate=float(spec.poisson_rate), meas_count=0)
-    if spec.fixed_count is not None:
-        overrides.update(meas_law="fixed", meas_count=int(spec.fixed_count), meas_rate=0.0)
-    if spec.runs is not None:
-        overrides["runs"] = int(spec.runs)
-    if spec.seed is not None:
-        overrides["seed"] = int(spec.seed)
-    if overrides:
-        config = config.with_overrides(**overrides)
-    if config.runs < 1:
-        raise ValueError("at least one Monte Carlo run is required")
-    return config
+__all__ = ["run", "sweep", "main"]
 
 
 def _worker(payload):
@@ -86,17 +52,12 @@ def _pool_size(runs: int) -> int:
     return max(1, min(runs, limit))
 
 
-def run(spec: RunSpec) -> tuple[list, np.ndarray]:
-    """Execute one scenario x filter benchmark, write its artifacts, and
-    return its metric table (columns, values) with values (runs, steps, columns)."""
-    config = _load_with_overrides(spec)
+def run(config, filter_config: FilterConfig, out_dir) -> tuple[list, np.ndarray]:
+    """Run one scenario config under one filter, write its artifacts into
+    out_dir, and return its metric table (columns, values) with values
+    (runs, steps, columns)."""
     net = resolve_network(config)
     pi = metropolis_weights(net)
-    filter_config = FilterConfig(
-        kind=spec.filter_kind,
-        consensus_iters=spec.consensus_iters if spec.consensus_iters is not None else 1,
-        omega=spec.omega,
-    )
     params = params_from_scenario(config, net)
     children = np.random.SeedSequence(config.seed).spawn(config.runs)
     # Each worker gets a contiguous share of the runs, so the table stays in run order.
@@ -115,7 +76,7 @@ def run(spec: RunSpec) -> tuple[list, np.ndarray]:
     columns, values, step_seconds = columns[0], np.concatenate(values), np.concatenate(step_seconds)
     trace = functools.reduce(AssumptionTrace.merge, traces)
 
-    out = Path(spec.out_dir)
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_metrics_csv(out / "metrics.csv", columns, values)
 
@@ -126,14 +87,14 @@ def run(spec: RunSpec) -> tuple[list, np.ndarray]:
         q_cov=config.cxw,
         pi=pi,
         rounds=filter_config.consensus_iters,
-        omega=omega_val if spec.filter_kind is FilterKind.CM else 1.0,
+        omega=omega_val if filter_config.kind is FilterKind.CM else 1.0,
         trace=trace,
     )
     (out / "assumptions.txt").write_text(report.as_text() + "\n")
 
     lines = [
         f"scenario: {config.name}",
-        f"filter: {spec.filter_kind.value}",
+        f"filter: {filter_config.kind.value}",
         f"runs: {config.runs}",
         f"seed: {config.seed}",
         f"steps: {config.steps}",
@@ -152,21 +113,17 @@ def run(spec: RunSpec) -> tuple[list, np.ndarray]:
     return columns, values
 
 
-def sweep(spec: RunSpec, values, which: str) -> int:
-    """Run one artifact set per sweep value plus a combined comparison CSV."""
-    if not values:
+def sweep(settings, out_dir) -> int:
+    """Run each (label, config, filter_config) setting into the subdirectory
+    its label names, L=6 into L_6, and write a combined comparison CSV."""
+    if not settings:
         raise ValueError("sweep list must not be empty")
-    out = Path(spec.out_dir)
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     combined = []
-    for value in values:
-        if which == "L":
-            sub = replace(spec, consensus_iters=int(value), out_dir=out / f"L_{int(value)}")
-            label = f"L={int(value)}"
-        else:
-            sub = replace(spec, poisson_rate=float(value), out_dir=out / f"lambda_{value:g}")
-            label = f"lambda={value:g}"
-        for metric, (mean, std, count) in summarize_metrics(*run(sub)).items():
+    for label, config, filter_config in settings:
+        table = run(config, filter_config, out / label.replace("=", "_"))
+        for metric, (mean, std, count) in summarize_metrics(*table).items():
             combined.append(f"{label},{metric},{mean:.9g},{std:.9g},{count}\n")
     (out / "combined.csv").write_text("setting,metric,mean,std,count\n" + "".join(combined),
                                       newline="\n")
@@ -246,29 +203,38 @@ def main(argv=None) -> int:
         parser.error("--lambda and --fixed-n are mutually exclusive")
     if args.sweep_L is not None and args.sweep_lambda is not None:
         parser.error("only one sweep may be given")
+    if args.sweep_L is not None and args.consensus_iters is not None:
+        parser.error("--L and --sweep-L are mutually exclusive")
+    if args.sweep_lambda is not None and (args.poisson_rate, args.fixed_count) != (None, None):
+        parser.error("--sweep-lambda excludes --lambda and --fixed-n")
 
     kind = FilterKind(args.filter)
     if kind is not FilterKind.CEOT and args.consensus_iters is not None \
             and args.consensus_iters < 1:
         parser.error("--L must be >= 1 for distributed filters")
 
-    spec = RunSpec(
-        scenario=source,
-        filter_kind=kind,
-        out_dir=args.out,
-        consensus_iters=args.consensus_iters,
-        poisson_rate=args.poisson_rate,
-        fixed_count=args.fixed_count,
-        runs=args.runs,
-        seed=args.seed,
-        omega=args.omega,
-    )
+    overrides = {key: value for key, value in (("runs", args.runs), ("seed", args.seed))
+                 if value is not None}
+    if args.poisson_rate is not None:
+        overrides["measurements"] = {"law": "poisson", "rate": args.poisson_rate}
+    if args.fixed_count is not None:
+        overrides["measurements"] = {"law": "fixed", "count": args.fixed_count}
+
+    def filter_config(rounds):
+        return FilterConfig(kind, rounds if rounds is not None else 1, args.omega)
+
     try:
-        if args.sweep_L is not None:
-            return sweep(spec, args.sweep_L, "L")
         if args.sweep_lambda is not None:
-            return sweep(spec, args.sweep_lambda, "lambda")
-        run(spec)
+            return sweep([(f"lambda={rate:g}",
+                           load_config(source, **overrides,
+                                       measurements={"law": "poisson", "rate": rate}),
+                           filter_config(args.consensus_iters))
+                          for rate in args.sweep_lambda], args.out)
+        config = load_config(source, **overrides)
+        if args.sweep_L is not None:
+            return sweep([(f"L={rounds}", config, filter_config(rounds))
+                          for rounds in args.sweep_L], args.out)
+        run(config, filter_config(args.consensus_iters), args.out)
         return 0
     except (OSError, ValueError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -280,12 +280,12 @@ def evaluate_run(record, scn_run, shape: str):
     the per-step estimate disagreement of the distributed filters.  OSPA is
     scored for rectangles only, where the four vertices are well defined.
     Every metric is computed over the whole (steps, nodes) grid at once;
-    estimated extents are wrapped and their semi-axes clamped to 1e-3 first.
+    estimated extents are wrapped and their semi-axes clamped to MIN_AXIS first.
     """
     if not np.isfinite(record.p_mean).all():
         raise ValueError("extent estimate entries must be finite")
     x_true, p_true = scn_run.x_true[:, None, :], scn_run.p_true[:, None, :]
-    x_est, p_est = record.x_mean, clamp_extent(record.p_mean, 1e-3)
+    x_est, p_est = record.x_mean, clamp_extent(record.p_mean)
     e_p = record.p_mean - p_true
     e_p[..., 0] = wrap_angle(e_p[..., 0])
     per_node = {

@@ -15,6 +15,7 @@ import numpy as np
 from ._linalg import _from_entries
 
 __all__ = [
+    "MIN_AXIS",
     "wrap_angle",
     "clamp_extent",
     "shape_matrix",
@@ -22,6 +23,7 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * np.pi
+MIN_AXIS = 1e-3  # floor of a tracked semi-axis, in metres
 
 
 def wrap_angle(angle):
@@ -30,11 +32,11 @@ def wrap_angle(angle):
     return float(wrapped) if wrapped.ndim == 0 else wrapped
 
 
-def clamp_extent(p, min_axis: float) -> np.ndarray:
+def clamp_extent(p) -> np.ndarray:
     """An extent vector [alpha, l1, l2], or a stack (..., 3) of them, with the
-    orientation wrapped to (-pi, pi] and the semi-axes clamped to min_axis."""
+    orientation wrapped to (-pi, pi] and the semi-axes clamped to MIN_AXIS."""
     p = np.asarray(p, dtype=float)
-    return np.concatenate([wrap_angle(p[..., :1]), np.maximum(p[..., 1:], min_axis)], axis=-1)
+    return np.concatenate([wrap_angle(p[..., :1]), np.maximum(p[..., 1:], MIN_AXIS)], axis=-1)
 
 
 def shape_matrix(p) -> np.ndarray:

@@ -72,13 +72,13 @@ def kinematic_measurement_matrix(x_dim: int) -> np.ndarray:
     return h
 
 
-def innovations(x, cx, p, cp, y, ch, cv, min_axis: float, trace=None):
+def innovations(x, cx, p, cp, y, ch, cv, trace=None):
     """Innovation arrays (dqx, dox, dqp, dop) of a stack of detections.
 
     Detection y[k] is linearized at its own row's moments x[k], cx[k], p[k],
     cp[k] and carries the sensor noise cv[k]; ch is shared.  Both linear
     models are built from the same pre-update estimates; the extent mean is
-    first wrapped and its semi-axes clamped to min_axis.
+    first wrapped and its semi-axes clamped to MIN_AXIS.
 
     The kinematic noise is Rx = S Ch S.T + [trace(Cp J_n.T Ch J_m)] + Cv.
     The pseudo-measurement noise Rp is the Gaussian fourth-moment covariance
@@ -89,7 +89,7 @@ def innovations(x, cx, p, cp, y, ch, cv, min_axis: float, trace=None):
     Rp as computed.  Each row's numbers depend on that row alone.  A trace
     records every Rx that gets inverted and how many rows the floor changed.
     """
-    p = clamp_extent(p, min_axis)
+    p = clamp_extent(p)
     k, d = len(p), x.shape[-1]
     cos_sin, lengths = np.empty((k, 2)), np.ones((k, 3))
     np.cos(p[:, 0], out=cos_sin[:, 0])

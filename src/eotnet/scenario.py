@@ -102,7 +102,6 @@ class ScenarioRun:
     cx0: np.ndarray
     p0: np.ndarray
     cp0: np.ndarray
-    seed: object
 
 
 def _matrix(spec, name: str, size: int) -> np.ndarray:
@@ -176,7 +175,7 @@ def _parse_config(data: dict, name_hint: str) -> ScenarioConfig:
             _check_keys(meas, {"law", "count"}, "measurements.")
             count, rate = int(meas["count"]), 0.0
             if count < 1:
-                raise ValueError("fixed measurement count must be >= 1")
+                raise ValueError(f"measurements.count must be >= 1, got {count}")
         elif law == "poisson":
             _check_keys(meas, {"law", "rate"}, "measurements.")
             count, rate = 0, _finite(float(meas["rate"]), "measurements.rate")
@@ -212,6 +211,11 @@ def _parse_config(data: dict, name_hint: str) -> ScenarioConfig:
             if missing:
                 raise ValueError("scenario config is missing keys: "
                                  + ", ".join(f"network.{key}" for key in missing))
+        runs, seed = int(data.get("runs", 1)), int(data.get("seed", 0))
+        if runs < 1:
+            raise ValueError(f"runs must be >= 1, got {runs}")
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
 
         return ScenarioConfig(
             name=str(data.get("name", name_hint)),
@@ -235,8 +239,8 @@ def _parse_config(data: dict, name_hint: str) -> ScenarioConfig:
             p0_mean=_vector(priors.get("extent_mean"), "priors.extent_mean", 3, optional=True),
             cp0=_matrix(priors["extent_cov"], "priors.extent_cov", 3),
             network=network,
-            runs=int(data.get("runs", 1)),
-            seed=int(data.get("seed", 0)),
+            runs=runs,
+            seed=seed,
         )
     except KeyError as exc:
         raise ValueError(f"scenario config is missing key {exc}") from exc
@@ -248,13 +252,20 @@ def preset_text(name: str) -> str:
     return resources.files("eotnet.data").joinpath(f"{name}.yaml").read_text()
 
 
-def load_config(source: str | Path) -> ScenarioConfig:
-    """Load a scenario config from a preset name or a YAML file path."""
+def load_config(source: str | Path, **overrides) -> ScenarioConfig:
+    """Load a scenario config from a preset name or a YAML file path.
+
+    Each override replaces a top-level entry of the YAML mapping before it is
+    checked, as measurements={"law": "poisson", "rate": 5.0} or runs=10 does,
+    so an override gets the same named errors as the entry it replaces.
+    """
     if isinstance(source, str) and source in PRESETS:
-        return _parse_config(yaml.safe_load(preset_text(source)), source)
-    path = Path(source)
-    with path.open() as fh:
-        return _parse_config(yaml.safe_load(fh), path.stem)
+        data, name = yaml.safe_load(preset_text(source)), source
+    else:
+        path = Path(source)
+        with path.open() as fh:
+            data, name = yaml.safe_load(fh), path.stem
+    return _parse_config({**data, **overrides} if isinstance(data, dict) else data, name)
 
 
 def _network_from_spec(spec: dict) -> SensorNetwork:
@@ -374,7 +385,6 @@ def generate_measurements(
         cx0=config.cx0.copy(),
         p0=p0,
         cp0=config.cp0.copy(),
-        seed=seed,
     )
 
 
@@ -387,7 +397,7 @@ def _realize_priors(x_true, p_true, config: ScenarioConfig, rng):
         raise ValueError(f"unknown prior mode {config.prior_mode!r}")
     x0 = x_mean + sqrt_psd(config.cx0) @ rng.standard_normal(x_mean.size)
     p0 = p_mean + sqrt_psd(config.cp0) @ rng.standard_normal(3)
-    return x0, clamp_extent(p0, 1e-3)
+    return x0, clamp_extent(p0)
 
 
 def build_scenario_run(config: ScenarioConfig, net: SensorNetwork, seed) -> ScenarioRun:

@@ -30,7 +30,7 @@ import numpy as np
 
 from ._linalg import _matvec, spd_inv, spd_solve
 from .consensus import ConsensusMatrix, SensorNetwork, consensus_rounds
-from .geometry import clamp_extent
+from .geometry import MIN_AXIS, clamp_extent
 from .info_filter import InformationState, from_moments, predict, to_moments
 from .linearization import innovations
 
@@ -74,15 +74,14 @@ class FilterConfig:
 
 @dataclass(frozen=True)
 class TrackerParams:
-    """Models shared by every node: noises, transitions, and the axis floor."""
+    """Models shared by every node: noises and the kinematic transition; the
+    extent transition is the identity."""
 
     ch: np.ndarray
     cv_by_node: tuple[np.ndarray, ...]
     fx: np.ndarray
-    fp: np.ndarray
     wwx: np.ndarray
     wwp: np.ndarray
-    min_axis: float = 1e-3
 
 
 def ncv_transition(x_dim: int, scan_time: float) -> np.ndarray:
@@ -103,13 +102,12 @@ def params_from_scenario(config, net: SensorNetwork) -> TrackerParams:
         ch=np.asarray(config.ch, dtype=float),
         cv_by_node=tuple(np.asarray(config.cv, dtype=float) for _ in range(net.size)),
         fx=ncv_transition(config.kinematic_dim, config.scan_time),
-        fp=np.eye(3),
         wwx=spd_inv(np.asarray(config.cxw, dtype=float), name="kinematic process covariance"),
         wwp=spd_inv(np.asarray(config.cpw, dtype=float), name="extent process covariance"),
     )
 
 
-def initial_states(x0, cx0, p0, cp0, nodes: int = 1, min_axis: float = 1e-3):
+def initial_states(x0, cx0, p0, cp0, nodes: int = 1):
     """Stacked (kinematic, extent) information states with the same prior on
     each of `nodes` rows, the extent mean sanitized.  Priors with a leading
     realization axis, x0 (R, d) and cx0 (R, d, d), give (R, nodes, ...) states."""
@@ -119,10 +117,10 @@ def initial_states(x0, cx0, p0, cp0, nodes: int = 1, min_axis: float = 1e-3):
         return np.repeat(np.expand_dims(a, axis), nodes, axis=axis)
 
     kin = from_moments(stacked(x0, 1), stacked(cx0, 2))
-    return kin, _sanitize_extent(from_moments(stacked(p0, 1), stacked(cp0, 2)), min_axis)
+    return kin, _sanitize_extent(from_moments(stacked(p0, 1), stacked(cp0, 2)))
 
 
-def _sanitize_extent(ext: InformationState, min_axis: float, rows=None) -> InformationState:
+def _sanitize_extent(ext: InformationState, rows=None) -> InformationState:
     """Re-anchor the extent mean of the given rows (flat indices into the
     stacked rows; default: all) after a write: wrap the orientation into
     (-pi, pi] and clamp semi-axes to the floor.  Returns ext itself while
@@ -131,11 +129,11 @@ def _sanitize_extent(ext: InformationState, min_axis: float, rows=None) -> Infor
     rows = np.arange(ext.q.size // 3) if rows is None else np.asarray(rows)
     sub = InformationState(ext.q.reshape(-1, 3)[rows], ext.omega.reshape(-1, 3, 3)[rows])
     p = spd_solve(sub.omega, sub.q, name="extent information matrix")
-    in_range = (-np.pi < p[:, 0]) & (p[:, 0] <= np.pi) & (p[:, 1:] >= min_axis).all(axis=1)
+    in_range = (-np.pi < p[:, 0]) & (p[:, 0] <= np.pi) & (p[:, 1:] >= MIN_AXIS).all(axis=1)
     if in_range.all():
         return ext
     q = ext.q.reshape(-1, 3).copy()
-    q[rows[~in_range]] = _matvec(sub.omega[~in_range], clamp_extent(p[~in_range], min_axis))
+    q[rows[~in_range]] = _matvec(sub.omega[~in_range], clamp_extent(p[~in_range]))
     return InformationState(q=q.reshape(ext.q.shape), omega=ext.omega)
 
 
@@ -162,10 +160,10 @@ def _mirror(d: int) -> np.ndarray:
     return np.concatenate([np.arange(d), d + t(d), d + d * d + np.arange(3), d + d * d + 3 + t(3)])
 
 
-def _sanitize_rows(flat: np.ndarray, d: int, min_axis: float, rows=None) -> None:
+def _sanitize_rows(flat: np.ndarray, d: int, rows=None) -> None:
     """_sanitize_extent on the extent columns of packed rows, in place."""
     _, ext = _unpack(flat, d)
-    fixed = _sanitize_extent(ext, min_axis, rows)
+    fixed = _sanitize_extent(ext, rows)
     if fixed is not ext:
         ext.q[...] = fixed.q
 
@@ -208,7 +206,7 @@ def correct_scan(
         raise ValueError("distributed filters need one batch per node")
     else:
         rows = np.arange(nodes)
-    rounds, min_axis = config.consensus_iters, params.min_axis
+    rounds = config.consensus_iters
     omega = config.omega if config.omega is not None else float(nodes)
     cv = np.asarray(params.cv_by_node, dtype=float)
 
@@ -240,7 +238,7 @@ def correct_scan(
         x, cx = to_moments(kin_i)
         p, cp = to_moments(ext_i)
         innov = innovations(x[at], cx[at], p[at], cp[at], y_all[at_i], params.ch, cv[sensor],
-                            min_axis, trace)
+                            trace)
         packed = np.concatenate([a.reshape(len(at_i), -1) for a in innov], axis=1)
         delta = np.zeros_like(rows_i)
         if config.kind is FilterKind.CEOT:  # sum the detections that share a row
@@ -255,11 +253,11 @@ def correct_scan(
             rows_i = rows_i + delta
         # Symmetrize the matrices; a vector entry is its own mirror and stays exact.
         rows_i = 0.5 * (rows_i + np.take(rows_i, mirror, axis=1))
-        _sanitize_rows(rows_i, d, min_axis, lin if config.kind is FilterKind.CI else None)
+        _sanitize_rows(rows_i, d, lin if config.kind is FilterKind.CI else None)
         if config.kind is FilterKind.CI:
             rows_i = consensus_rounds(rows_i.reshape(-1, nodes, width), pi, rounds)
             rows_i = rows_i.reshape(-1, width)
-            _sanitize_rows(rows_i, d, min_axis)
+            _sanitize_rows(rows_i, d)
         state[live] = rows_i.reshape(-1, nodes, width)
     kin, ext = _unpack(state, d)
     return (InformationState(kin.q.copy(), kin.omega.copy()),
@@ -269,7 +267,7 @@ def correct_scan(
 def predict_states(kin: InformationState, ext: InformationState, params: TrackerParams):
     """Information-form prediction of the stacked states to the next scan."""
     return (predict(kin, params.fx, params.wwx),
-            _sanitize_extent(predict(ext, params.fp, params.wwp), params.min_axis))
+            _sanitize_extent(predict(ext, np.eye(3), params.wwp)))
 
 
 @dataclass(frozen=True)
@@ -282,7 +280,6 @@ class TrackRecord:
     the step advanced together.
     """
 
-    kind: FilterKind
     x_mean: np.ndarray  # (steps, nodes, x_dim)
     x_cov: np.ndarray  # (steps, nodes, x_dim, x_dim)
     p_mean: np.ndarray  # (steps, nodes, 3)
@@ -334,7 +331,7 @@ def run_filter(
     nodes = 1 if config.kind is FilterKind.CEOT else net.size
     kin, ext = initial_states(*(np.stack([getattr(scn, name) for scn in scn_runs])
                                 for name in ("x0", "cx0", "p0", "cp0")),
-                              nodes, params.min_axis)
+                              nodes)
 
     x_mean = np.zeros((runs, steps, nodes, x_dim))
     x_cov = np.zeros((runs, steps, nodes, x_dim, x_dim))
@@ -354,5 +351,5 @@ def run_filter(
             kin, ext = predict_states(kin, ext, params)
         seconds[k] = (time.perf_counter() - t0) / runs
 
-    return [TrackRecord(kind=config.kind, x_mean=x_mean[r], x_cov=x_cov[r], p_mean=p_mean[r],
-                        p_cov=p_cov[r], step_seconds=seconds) for r in range(runs)]
+    return [TrackRecord(x_mean=x_mean[r], x_cov=x_cov[r], p_mean=p_mean[r], p_cov=p_cov[r],
+                        step_seconds=seconds) for r in range(runs)]

@@ -153,11 +153,11 @@ def centered_pseudo_measurement(y_quad, cy, m_mat, p_hat):
     return y_quad - square_mean(cy) + _matvec(m_mat, np.asarray(p_hat, dtype=float))
 
 
-def innovations_by_pieces(x, cx, p, cp, y, ch, cv, min_axis):
+def innovations_by_pieces(x, cx, p, cp, y, ch, cv):
     """The innovation arrays (dqx, dox, dqp, dop) of a stack of detections,
     composed from the pieces above: generic products with H = [I 0] and M,
     LAPACK inverses and the eigh floor on every row."""
-    p = clamp_extent(p, min_axis)
+    p = clamp_extent(p)
     s_mat, (j1, j2) = shape_matrix(p), shape_row_jacobians(p)
     rx = sym(shape_noise(s_mat, j1, j2, cp, ch) + cv)
     dqx, dox = innovation(kinematic_measurement_matrix(x.shape[-1]), spd_inv(rx), y)

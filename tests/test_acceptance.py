@@ -229,7 +229,7 @@ def test_s1_convergence():
             x, _ = fuse_nodes(rec.x_mean[-1], rec.x_cov[-1])
             p, _ = fuse_nodes(rec.p_mean[-1], rec.p_cov[-1])
         pos_err = float(np.linalg.norm(x[:2] - truth_m))
-        p = clamp_extent(p, 1e-3)
+        p = clamp_extent(p)
         dl1, dl2, _ = extent_alignment_error(p, truth_p)
         ospa = ospa_vertices(extent_vertices(x[:2], p), true_verts)
         results[name] = (pos_err, max(dl1, dl2), ospa)

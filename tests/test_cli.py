@@ -131,6 +131,16 @@ def test_usage_errors(tmp_path, tiny_config):
     with pytest.raises(SystemExit):
         main(["--scenario", "s1", "--filter", "cm", "--out", str(tmp_path),
               "--sweep-L", ""])
+    # A sweep sets its own value, so a flag for the same value would mislabel its rows.
+    with pytest.raises(SystemExit):
+        main(["--config", str(tiny_config), "--filter", "ceot", "--out", str(tmp_path),
+              "--fixed-n", "4", "--sweep-lambda", "2,9"])
+    with pytest.raises(SystemExit):
+        main(["--config", str(tiny_config), "--filter", "ceot", "--out", str(tmp_path),
+              "--lambda", "3", "--sweep-lambda", "2,9"])
+    with pytest.raises(SystemExit):
+        main(["--config", str(tiny_config), "--filter", "cm", "--out", str(tmp_path),
+              "--L", "3", "--sweep-L", "1,2"])
 
 
 def test_bad_config_path(tmp_path, capsys):
@@ -166,6 +176,9 @@ def test_zero_steps_exits_1_without_traceback(tmp_path, tiny_config, capsys):
      "network: {positions: [[0.0, 0.0], [500.0, 0.0]], sensor_nodes: [0], comm_radius: 600.0,"
      " extra: 1}",
      "unknown scenario config keys: network.extra"),
+    ("count: 2", "count: 0", "measurements.count must be >= 1, got 0"),
+    ("runs: 50", "runs: 0", "runs must be >= 1, got 0"),
+    ("seed: 0", "seed: -1", "seed must be >= 0, got -1"),
 ])
 def test_bad_config_exits_1_without_traceback(tmp_path, tiny_config, capsys, old, new, message):
     path = tmp_path / "bad.yaml"
@@ -176,6 +189,25 @@ def test_bad_config_exits_1_without_traceback(tmp_path, tiny_config, capsys, old
     assert rc == 1
     err = capsys.readouterr().err
     assert message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag, key", [
+    ("--lambda=nan", "measurements.rate"),
+    ("--lambda=inf", "measurements.rate"),
+    ("--lambda=-1", "measurements.rate"),
+    ("--lambda=0", "measurements.rate"),
+    ("--fixed-n=0", "measurements.count"),
+    ("--runs=0", "runs"),
+    ("--seed=-1", "seed"),
+])
+def test_bad_override_exits_1_naming_its_config_key(tmp_path, tiny_config, capsys, flag, key):
+    # An override is checked like the config entry it replaces.
+    rc = main(["--config", str(tiny_config), "--filter", "ceot", flag,
+               "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must be")
     assert "Traceback" not in err
 
 

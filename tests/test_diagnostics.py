@@ -273,7 +273,7 @@ def test_evaluate_run_rows_follow_the_per_estimate_layout():
         true_verts = extent_vertices(x_true[:2], p_true)
         want = []
         for s in range(rec.nodes):
-            x, p = rec.x_mean[k, s], clamp_extent(rec.p_mean[k, s], 1e-3)
+            x, p = rec.x_mean[k, s], clamp_extent(rec.p_mean[k, s])
             e_p = rec.p_mean[k, s] - p_true
             e_p[0] = wrap_angle(e_p[0])
             want += [np.linalg.norm(x[:2] - x_true[:2]),
@@ -297,7 +297,7 @@ def test_evaluate_run_rejects_non_finite_estimates(field, index):
         "p_cov": np.tile(np.eye(3), (2, 3, 1, 1)),
     }
     arrays[field][index] = np.nan
-    rec = TrackRecord(kind=FilterKind.CM, step_seconds=np.zeros(2), **arrays)
+    rec = TrackRecord(step_seconds=np.zeros(2), **arrays)
     with pytest.raises(ValueError, match="finite|NaN|nan"):
         evaluate_run(rec, truth, "rectangle")
 

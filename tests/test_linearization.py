@@ -227,12 +227,12 @@ def test_innovations_name_the_bad_kinematic_noise_row():
     indefinite[1] = -100.0 * np.eye(2)
     with pytest.raises(np.linalg.LinAlgError,
                        match=r"kinematic measurement noise \(node 1\) is singular"):
-        innovations(x, cx, p, cps, y, ch, indefinite, 1e-3)
+        innovations(x, cx, p, cps, y, ch, indefinite)
     nonfinite = cvs.copy()
     nonfinite[2, 0, 0] = np.nan
     with pytest.raises(ValueError,
                        match=r"kinematic measurement noise \(node 2\) must not contain"):
-        innovations(x, cx, p, cps, y, ch, nonfinite, 1e-3)
+        innovations(x, cx, p, cps, y, ch, nonfinite)
 
 
 def test_closed_form_2x2_inverse_names_a_row_singular_to_working_precision():

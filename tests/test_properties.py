@@ -57,7 +57,6 @@ def random_params(rng, n):
         ch=np.eye(2) / 4,
         cv_by_node=tuple(np.diag(rng.uniform(0.5, 10.0, 2)) for _ in range(n)),
         fx=ncv_transition(2, 1.0),
-        fp=np.eye(3),
         wwx=np.eye(2),
         wwp=np.diag([20.0, 1.0, 1.0]),
     )
@@ -177,10 +176,10 @@ def test_stacked_innovations_equal_slice_by_slice_calls(seed, n, picks):
     x, cx, p, cp = random_points(rng, n)
     rows = np.array(picks) % n  # repeated rows share one linearization point
     y, ch, cv = random_detections(rng, len(rows))
-    stacked = innovations(x[rows], cx[rows], p[rows], cp[rows], y, ch, cv, 1e-3)
+    stacked = innovations(x[rows], cx[rows], p[rows], cp[rows], y, ch, cv)
     for k, r in enumerate(rows):
         one = innovations(x[r:r + 1], cx[r:r + 1], p[r:r + 1], cp[r:r + 1], y[k:k + 1], ch,
-                          cv[k:k + 1], 1e-3)
+                          cv[k:k + 1])
         for got, want in zip(stacked, one):
             assert_close(got[k], want[0])
 
@@ -191,8 +190,8 @@ def test_gram_matrix_innovations_equal_the_piecewise_composition(seed, n):
     rng = np.random.default_rng(seed)
     x, cx, p, cp = random_points(rng, n)
     y, ch, cv = random_detections(rng, n)
-    got = innovations(x, cx, p, cp, y, ch, cv, 1e-3)
-    for g, want in zip(got, innovations_by_pieces(x, cx, p, cp, y, ch, cv, 1e-3)):
+    got = innovations(x, cx, p, cp, y, ch, cv)
+    for g, want in zip(got, innovations_by_pieces(x, cx, p, cp, y, ch, cv)):
         assert_close(g, want)
 
 
@@ -224,17 +223,17 @@ def test_forced_rp_floor_changes_only_its_own_row(seed, n, data):
     p[r, 1:] = l1, l1 * rng.uniform(2e-3, 5e-3)
     cx[r], cp[r], cv[r] = np.eye(4) * 1e-6, np.eye(3) * 1e-9, np.eye(2) * 1e-6
     count = FloorCount()
-    got = innovations(x, cx, p, cp, y, ch, cv, 1e-3, count)
+    got = innovations(x, cx, p, cp, y, ch, cv, count)
     assert (count.floored, count.rows) == (1, n)
     # This row's Rx has a condition number up to 2.5e5, so its closed-form
     # inverse agrees with LAPACK's to about 1e-11.
     want = innovations_by_pieces(x[r:r + 1], cx[r:r + 1], p[r:r + 1], cp[r:r + 1], y[r:r + 1],
-                                 ch, cv[r:r + 1], 1e-3)
+                                 ch, cv[r:r + 1])
     for g, w in zip(got, want):
         assert_close(g[r], w[0], rtol=1e-9)
     for k in range(n):
         one = innovations(x[k:k + 1], cx[k:k + 1], p[k:k + 1], cp[k:k + 1], y[k:k + 1], ch,
-                          cv[k:k + 1], 1e-3)
+                          cv[k:k + 1])
         for g, w in zip(got, one):
             assert np.array_equal(g[k], w[0])
 
@@ -245,18 +244,16 @@ def test_ceot_scatter_sums_every_detection_into_its_one_row(seed, k):
     rng = np.random.default_rng(seed)
     x, cx, p, cp = random_points(rng, 1)
     y, ch, cv = random_detections(rng, k)
-    params = TrackerParams(ch=ch, cv_by_node=tuple(cv), fx=np.eye(4), fp=np.eye(3),
+    params = TrackerParams(ch=ch, cv_by_node=tuple(cv), fx=np.eye(4),
                            wwx=np.eye(4), wwp=np.eye(3))
     kin, ext = initial_states(x[:1], cx[:1], p[:1], cp[:1])
     xs, cxs = (v[0] for v in to_moments(kin))
     ps, cps = (v[0] for v in to_moments(ext))
     sums = [np.zeros_like(a) for a in (kin.q, kin.omega, ext.q, ext.omega)]
     for j in range(k):
-        for acc, value in zip(sums, innovations(xs, cxs, ps, cps, y[j:j + 1], ch, cv[j:j + 1],
-                                                params.min_axis)):
+        for acc, value in zip(sums, innovations(xs, cxs, ps, cps, y[j:j + 1], ch, cv[j:j + 1])):
             acc += value
-    want_ext = _sanitize_extent(InformationState(ext.q + sums[2], ext.omega + sums[3]),
-                                params.min_axis)
+    want_ext = _sanitize_extent(InformationState(ext.q + sums[2], ext.omega + sums[3]))
     got_kin, got_ext = correct_scan(kin, ext, [[y[j:j + 1] for j in range(k)]], params,
                                     FilterConfig(kind=FilterKind.CEOT))
     assert_close(got_kin.q, kin.q + sums[0])

@@ -37,7 +37,6 @@ def make_params(n_nodes, ch=None, cv=None, x_dim=2, scan_time=1.0,
         ch=ch,
         cv_by_node=tuple(cv for _ in range(n_nodes)),
         fx=ncv_transition(x_dim, scan_time),
-        fp=np.eye(3),
         wwx=np.linalg.inv(cxw),
         wwp=np.linalg.inv(cpw),
     )
@@ -69,7 +68,7 @@ def draw_batch(rng, truth_ext, m, n):
 def hand_single_update(x_hat, cx, p_vec, cp, y, ch, cv):
     """Independent arrangement of one sequential update: both linear models
     are built from the same pre-update estimates, then both states correct."""
-    p_ext = clamp_extent(p_vec, 1e-3)
+    p_ext = clamp_extent(p_vec)
     h = kinematic_measurement_matrix(x_hat.size)
     rx = kinematic_noise_cov(p_ext, cp, ch, cv)
     vx = np.linalg.inv(rx)
@@ -152,8 +151,8 @@ def test_ceot_sums_per_node_innovations():
         q_p = q_p + m_mat.T @ vp @ y_tilde
         omega_p = omega_p + m_mat.T @ vp @ m_mat
 
-    params = TrackerParams(ch=ch, cv_by_node=tuple(cvs), fx=np.eye(2), fp=np.eye(3),
-                           wwx=np.eye(2), wwp=np.eye(3))
+    params = TrackerParams(ch=ch, cv_by_node=tuple(cvs), fx=np.eye(2), wwx=np.eye(2),
+                           wwp=np.eye(3))
     kin, ext = correct_scan(*one_run(x0, cx0, p0, cp0),
                             [[y[None, :] for y in ys]], params, CEOT)
     assert np.allclose(kin.q[0, 0], q_x, rtol=1e-10)
@@ -349,8 +348,7 @@ def test_ncv_transition():
 
 def test_initial_estimate_clamps_extent():
     _, ext = initial_states(np.zeros(2), np.eye(2),
-                            np.array([7.0, -1.0, 2.0]), np.diag([1.0, 1.0, 1.0]),
-                            min_axis=1e-3)
+                            np.array([7.0, -1.0, 2.0]), np.diag([1.0, 1.0, 1.0]))
     (p_vec,), _ = to_moments(ext)
     assert -np.pi < p_vec[0] <= np.pi
     assert p_vec[1] >= 1e-3
@@ -393,7 +391,7 @@ def test_cm_gwd_improves_with_more_rounds():
         for scn, rec in zip(scns, recs):
             for k in range(rec.steps):
                 vals.extend(
-                    gwd(rec.x_mean[k, s][:2], clamp_extent(rec.p_mean[k, s], 1e-3),
+                    gwd(rec.x_mean[k, s][:2], clamp_extent(rec.p_mean[k, s]),
                         scn.x_true[k, :2], scn.p_true[k])
                     for s in range(rec.nodes)
                 )
