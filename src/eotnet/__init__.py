@@ -39,7 +39,7 @@ from .info_filter import (
     predict,
     to_moments,
 )
-from .linearization import innovations, kinematic_measurement_matrix
+from .linearization import innovations
 from .scenario import (
     ScenarioConfig,
     ScenarioRun,

@@ -62,33 +62,37 @@ def sqrt_psd(a: np.ndarray) -> np.ndarray:
     return v * np.sqrt(np.clip(w, 0.0, None))
 
 
-def _first_slice(flags: np.ndarray) -> tuple[tuple, str]:
+# The axis names of an (R, n) stack of realizations and nodes.
+_RUN_NODE = ("run", "node")
+
+
+def _first_slice(flags: np.ndarray, axes=_RUN_NODE) -> tuple[tuple, str]:
     """Index of the first set flag of a stack of flags, and its name by the
-    full index: ' (node n)' in an (n,) stack, ' (run r, node n)' in an (R, n)
-    stack, '' for a single flag."""
+    full index and the two axis names: ' (node n)' in an (n,) stack,
+    ' (run r, node n)' in an (R, n) stack, '' for a single flag."""
     index = np.unravel_index(int(np.argmax(flags)), flags.shape)
     if not index:
         return index, ""
-    # Deeper stacks than (run, node) are named by their index tuple alone.
-    labels = ("run", "node")[-len(index):] if len(index) <= 2 else ("slice",)
+    # Deeper stacks than the two named axes are named by their index tuple alone.
+    labels = axes[-len(index):] if len(index) <= 2 else ("slice",)
     values = [int(i) for i in index] if len(index) <= 2 else [tuple(map(int, index))]
     return index, " (" + ", ".join(f"{label} {i}" for label, i in zip(labels, values)) + ")"
 
 
-def _checked_spd(a, name: str) -> np.ndarray:
+def _checked_spd(a, name: str, axes=_RUN_NODE) -> np.ndarray:
     """sym(a), after checking that it is finite and that a Cholesky
     factorization exists.  A failing slice of a stack is named by its full
     index: the node of an (n, d, d) stack, the run and node of an
-    (R, n, d, d) stack."""
+    (R, n, d, d) stack, or whatever two axes names."""
     a = sym(np.asarray(a, dtype=float))
     if not np.isfinite(a).all():
-        _, where = _first_slice(~np.isfinite(a).all(axis=(-2, -1)))
+        _, where = _first_slice(~np.isfinite(a).all(axis=(-2, -1)), axes)
         raise ValueError(f"{name}{where} must not contain infs or NaNs")
     try:
         np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
         lowest = np.linalg.eigvalsh(a)[..., 0]
-        index, where = _first_slice(lowest == lowest.min())
+        index, where = _first_slice(lowest == lowest.min(), axes)
         raise np.linalg.LinAlgError(
             f"{name}{where} is singular or not positive definite "
             f"(cond {float(np.linalg.cond(a[index])):.3e})"
@@ -96,14 +100,16 @@ def _checked_spd(a, name: str) -> np.ndarray:
     return a
 
 
-def spd_solve(a: np.ndarray, b: np.ndarray, name: str = "matrix") -> np.ndarray:
+def spd_solve(a: np.ndarray, b: np.ndarray, name: str = "matrix",
+              axes=_RUN_NODE) -> np.ndarray:
     """Solve a @ x = b for symmetric positive definite a.
 
     a may carry a leading stack axis, (n, d, d) against b of shape (n, d) or
-    (n, d, k); each slice is solved on its own.  NumPy has no stacked
-    triangular solve, so the Cholesky factor serves only as the check.
+    (n, d, k); each slice is solved on its own, and a failing one is named
+    by axes.  NumPy has no stacked triangular solve, so the Cholesky factor
+    serves only as the check.
     """
-    a = _checked_spd(a, name)
+    a = _checked_spd(a, name, axes)
     b = np.asarray(b, dtype=float)
     if b.ndim == a.ndim - 1:
         return np.linalg.solve(a, b[..., None])[..., 0]

@@ -28,7 +28,6 @@ from .diagnostics import (
     summarize_metrics,
     write_metrics_csv,
 )
-from .linearization import kinematic_measurement_matrix
 from .scenario import PRESETS, build_scenario_run, load_config, preset_text, resolve_network
 from .trackers import FilterConfig, FilterKind, params_from_scenario, run_filter
 
@@ -83,7 +82,7 @@ def run(config, filter_config: FilterConfig, out_dir) -> tuple[list, np.ndarray]
     omega_val = filter_config.omega if filter_config.omega is not None else float(net.size)
     report = check_assumptions(
         fx=params.fx,
-        h=kinematic_measurement_matrix(config.kinematic_dim),
+        h=np.eye(2, config.kinematic_dim),
         q_cov=config.cxw,
         pi=pi,
         rounds=filter_config.consensus_iters,

@@ -9,7 +9,7 @@ repeated rounds drive every node to the network-wide mean.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +22,9 @@ __all__ = [
     "check_primitive",
     "consensus_rounds",
 ]
+
+# Rounding slack of the doubly-stochastic check on weights and their sums.
+_TOL = 1e-12
 
 
 class NodeKind(enum.Enum):
@@ -54,28 +57,27 @@ class SensorNetwork:
     def communication_nodes(self) -> tuple[int, ...]:
         return tuple(i for i, k in enumerate(self.kinds) if k is NodeKind.COMMUNICATION)
 
-    def neighbors(self, s: int) -> np.ndarray:
-        """Neighboring node indices, excluding s itself."""
-        return np.flatnonzero(self.adjacency[s])
-
 
 @dataclass(frozen=True)
 class ConsensusMatrix:
-    """Doubly stochastic averaging weights supported on the network edges."""
+    """Doubly stochastic averaging weights supported on the network edges.
+
+    The weights are checked when the matrix is built: square, nonnegative,
+    and every row and column sums to 1 (the doubly stochastic part of the
+    stability assumption A3), each to within 1e-12.
+    """
 
     pi: np.ndarray
-    tol: float = field(default=1e-12, repr=False)
 
     def __post_init__(self):
         pi = np.asarray(self.pi, dtype=float)
         object.__setattr__(self, "pi", pi)
-        n = pi.shape[0]
-        if pi.ndim != 2 or pi.shape != (n, n):
+        if pi.ndim != 2 or pi.shape[0] != pi.shape[1]:
             raise ValueError("consensus matrix must be square")
-        if pi.min() < -self.tol:
+        if pi.min() < -_TOL:
             raise ValueError("consensus weights must be nonnegative")
-        if (np.abs(pi.sum(axis=0) - 1.0).max() > self.tol
-                or np.abs(pi.sum(axis=1) - 1.0).max() > self.tol):
+        if (np.abs(pi.sum(axis=0) - 1.0).max() > _TOL
+                or np.abs(pi.sum(axis=1) - 1.0).max() > _TOL):
             raise ValueError("consensus matrix must be doubly stochastic")
 
     @property
@@ -115,12 +117,8 @@ def metropolis_weights(net: SensorNetwork) -> ConsensusMatrix:
     """Metropolis rule: 1 / (1 + max(deg s, deg j)) on edges, diagonal fills
     the row to 1.  Symmetric by construction, hence doubly stochastic."""
     deg = net.degrees
-    n = net.size
-    pi = np.zeros((n, n))
-    for s in range(n):
-        nbrs = net.neighbors(s)
-        pi[s, nbrs] = 1.0 / (1.0 + np.maximum(deg[s], deg[nbrs]))
-        pi[s, s] = 1.0 - pi[s].sum()
+    pi = np.where(net.adjacency, 1.0 / (1.0 + np.maximum.outer(deg, deg)), 0.0)
+    np.fill_diagonal(pi, 1.0 - pi.sum(axis=1))
     return ConsensusMatrix(pi=pi)
 
 
@@ -136,21 +134,16 @@ def _bool_mat_pow(b: np.ndarray, power: int) -> np.ndarray:
     return result
 
 
-def check_primitive(pi) -> bool:
-    """True iff some power of the nonnegative matrix is entrywise positive.
+def check_primitive(pi: ConsensusMatrix) -> bool:
+    """True iff some power of the weight matrix is entrywise positive.
 
     The Wielandt bound n^2 - 2n + 2 caps the power that needs checking.
     """
-    if isinstance(pi, ConsensusMatrix):
-        pi = pi.pi
-    pi = np.asarray(pi, dtype=float)
-    n = pi.shape[0]
-    if pi.ndim != 2 or pi.shape != (n, n) or pi.min() < 0:
-        raise ValueError("primitivity check needs a square nonnegative matrix")
-    return bool(_bool_mat_pow(pi > 0, n * n - 2 * n + 2).all())
+    n = pi.size
+    return bool(_bool_mat_pow(pi.pi > 0, n * n - 2 * n + 2).all())
 
 
-def consensus_rounds(values, pi, rounds: int) -> np.ndarray:
+def consensus_rounds(values, pi: ConsensusMatrix, rounds: int) -> np.ndarray:
     """Run synchronous averaging rounds over per-node values.
 
     Every node's new value is the weighted combination of all neighbors'
@@ -160,17 +153,12 @@ def consensus_rounds(values, pi, rounds: int) -> np.ndarray:
     (n, k) slice is node i's value; each slice is averaged on its own, so
     stacked problems never mix.
     """
-    if isinstance(pi, ConsensusMatrix):
-        pi = pi.pi
-    pi = np.asarray(pi, dtype=float)
     if rounds < 0:
         raise ValueError("rounds must be nonnegative")
     out = np.array(values, dtype=float)
     nodes = out.shape[0] if out.ndim == 1 else out.shape[-2]
-    if nodes != pi.shape[0]:
-        raise ValueError(
-            f"got {nodes} node values for a {pi.shape[0]}-node consensus matrix"
-        )
+    if nodes != pi.size:
+        raise ValueError(f"got {nodes} node values for a {pi.size}-node consensus matrix")
     for _ in range(rounds):
-        out = pi @ out
+        out = pi.pi @ out
     return out

@@ -11,9 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import spd_solve, sym
-from .consensus import ConsensusMatrix, check_primitive
+from ._linalg import _first_slice, spd_solve, sym
+from .consensus import ConsensusMatrix, check_primitive, metropolis_weights
 from .geometry import clamp_extent, extent_vertices, wrap_angle
+from .scenario import build_scenario_run, resolve_network
+from .trackers import FilterKind, params_from_scenario, run_filter
 
 __all__ = [
     "gwd",
@@ -86,10 +88,15 @@ def ospa_vertices(est_vertices, true_vertices, cutoff: float = 100.0, order: int
     return (np.mean(d ** order, axis=-1) ** (1.0 / order)).min(axis=-1)
 
 
+# A metric table's stacks are (steps, nodes); a failing entry is named by both.
+_TABLE_AXES = ("step", "node")
+
+
 def _mahalanobis(e, cov, name: str):
-    """e.T cov^-1 e for one error vector or a stack of them."""
+    """e.T cov^-1 e for one error vector or a stack of them; a failing
+    covariance of a (steps, nodes) stack is named by its step and node."""
     e = np.asarray(e, dtype=float)
-    return np.sum(e * spd_solve(cov, e, name=name), axis=-1)
+    return np.sum(e * spd_solve(cov, e, name=name, axes=_TABLE_AXES), axis=-1)
 
 
 def nees(est, cov, truth):
@@ -170,7 +177,12 @@ class AssumptionTrace:
 
 @dataclass(frozen=True)
 class AssumptionReport:
-    """Observed bounds for the stability assumptions and their verdicts."""
+    """Observed bounds for the stability assumptions and their verdicts.
+
+    A3 asks for doubly stochastic, primitive consensus weights; a
+    ConsensusMatrix is doubly stochastic by construction, so only primitivity
+    is a verdict here.
+    """
 
     beta_bounds: tuple[float, float]
     f_bounds: tuple[float, float]
@@ -180,7 +192,6 @@ class AssumptionReport:
     q_bounds: tuple[float, float]
     r_bounds: tuple[float, float]
     info_bounds: tuple[float, float]
-    doubly_stochastic: bool
     primitive: bool
     rp_floor: tuple[int, int] = (0, 0)  # rows floored, rows linearized
 
@@ -200,7 +211,7 @@ class AssumptionReport:
 
     @property
     def a3_pass(self) -> bool:
-        return self.doubly_stochastic and self.primitive
+        return self.primitive
 
     @property
     def all_pass(self) -> bool:
@@ -218,7 +229,7 @@ class AssumptionReport:
             f"A2 tau {rng(self.tau_bounds)} omega {rng(self.omega_bounds)} "
             f"Q {rng(self.q_bounds)} R {rng(self.r_bounds)} info {rng(self.info_bounds)}"
             f" -> {'pass' if self.a2_pass else 'FAIL'}",
-            f"A3 doubly stochastic: {self.doubly_stochastic}, "
+            "A3 doubly stochastic: True, "
             f"primitive: {self.primitive} -> {'pass' if self.a3_pass else 'FAIL'}",
             f"Rp eigenvalue floor: {self.rp_floor[0]} of {self.rp_floor[1]} linearized rows",
         ]
@@ -229,7 +240,7 @@ def check_assumptions(
     fx: np.ndarray,
     h: np.ndarray,
     q_cov: np.ndarray,
-    pi: ConsensusMatrix | np.ndarray,
+    pi: ConsensusMatrix,
     rounds: int,
     omega: float,
     trace: AssumptionTrace,
@@ -239,23 +250,16 @@ def check_assumptions(
     The compensation gain is identity in the filters (it is an analysis
     device only), so its bounds are exactly 1.
     """
-    pi_arr = pi.pi if isinstance(pi, ConsensusMatrix) else np.asarray(pi, dtype=float)
     f_sv = np.linalg.svd(np.asarray(fx, dtype=float), compute_uv=False)
     h_sv = np.linalg.svd(np.asarray(h, dtype=float), compute_uv=False)
     q_eigs = np.linalg.eigvalsh(sym(np.asarray(q_cov, dtype=float)))
 
     # Perron left eigenvector of the consensus matrix power, normalized to a
     # distribution; for a doubly stochastic matrix it is uniform.
-    pil = np.linalg.matrix_power(pi_arr, max(rounds, 1))
+    pil = np.linalg.matrix_power(pi.pi, max(rounds, 1))
     w, v = np.linalg.eig(pil.T)
     tau = np.real(v[:, np.argmax(np.real(w))])
     tau = tau / tau.sum()
-
-    doubly = bool(
-        np.abs(pi_arr.sum(axis=0) - 1.0).max() < 1e-12
-        and np.abs(pi_arr.sum(axis=1) - 1.0).max() < 1e-12
-        and pi_arr.min() > -1e-12
-    )
     return AssumptionReport(
         beta_bounds=(1.0, 1.0),
         f_bounds=(float(f_sv.min()), float(f_sv.max())),
@@ -265,8 +269,7 @@ def check_assumptions(
         q_bounds=(float(q_eigs.min()), float(q_eigs.max())),
         r_bounds=(trace.rx_min, trace.rx_max),
         info_bounds=(trace.omega_min, trace.omega_max),
-        doubly_stochastic=doubly,
-        primitive=check_primitive(pi_arr),
+        primitive=check_primitive(pi),
         rp_floor=(trace.rp_floor_rows, trace.rp_rows),
     )
 
@@ -283,7 +286,8 @@ def evaluate_run(record, scn_run, shape: str):
     estimated extents are wrapped and their semi-axes clamped to MIN_AXIS first.
     """
     if not np.isfinite(record.p_mean).all():
-        raise ValueError("extent estimate entries must be finite")
+        _, where = _first_slice(~np.isfinite(record.p_mean).all(axis=-1), _TABLE_AXES)
+        raise ValueError(f"extent estimate{where} entries must be finite")
     x_true, p_true = scn_run.x_true[:, None, :], scn_run.p_true[:, None, :]
     x_est, p_est = record.x_mean, clamp_extent(record.p_mean)
     e_p = record.p_mean - p_true
@@ -350,10 +354,6 @@ def bounded_mse_experiment(config, filter_config, steps: int, runs: int) -> Boun
     twice the mid-run level.  Distributed filters require more than one
     consensus iteration here.
     """
-    from .consensus import metropolis_weights
-    from .scenario import build_scenario_run, resolve_network
-    from .trackers import FilterKind, params_from_scenario, run_filter
-
     if steps < 8:
         raise ValueError("the tail/mid split needs at least 8 steps")
     if filter_config.kind is not FilterKind.CEOT and filter_config.consensus_iters <= 1:

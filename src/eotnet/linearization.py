@@ -27,7 +27,6 @@ from .geometry import clamp_extent
 from .info_filter import innovation
 
 __all__ = [
-    "kinematic_measurement_matrix",
     "innovations",
 ]
 
@@ -61,15 +60,6 @@ _SQUARE = 2 * _PAIRS[:, 0] + _PAIRS[:, 1]
 _ab, _ce = _PAIRS[:, None, :], _PAIRS[None, :, :]
 _QUARTIC = np.stack([2 * _ab[..., 0] + _ce[..., 0], 2 * _ab[..., 1] + _ce[..., 1],
                      2 * _ab[..., 0] + _ce[..., 1], 2 * _ab[..., 1] + _ce[..., 0]])
-
-
-def kinematic_measurement_matrix(x_dim: int) -> np.ndarray:
-    """Position extraction matrix [I_2 0] for a kinematic state of size x_dim."""
-    if x_dim < 2:
-        raise ValueError("kinematic state must include a 2-D position")
-    h = np.zeros((2, x_dim))
-    h[:, :2] = np.eye(2)
-    return h
 
 
 def innovations(x, cx, p, cp, y, ch, cv, trace=None):

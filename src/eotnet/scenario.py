@@ -132,6 +132,31 @@ def _finite(value, name: str):
     return value
 
 
+def _number(value, name: str, *, integer: bool = False, low: float | None = None,
+            strict: bool = False):
+    """A config number, which must be finite and at least low (above it if
+    strict).  An integer entry must be integral: a fraction is rejected,
+    not truncated.  A boolean is not a number here."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be {'an integer' if integer else 'a number'}, "
+                         f"got {value!r}")
+    if integer and isinstance(value, (int, np.integer)):
+        number = int(value)
+    else:
+        try:
+            number = float(value)
+        except (TypeError, OverflowError, ValueError):
+            raise ValueError(f"{name} must be a number, got {value!r}") from None
+        _finite(number, name)
+        if integer:
+            if not number.is_integer():
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            number = int(number)
+    if low is not None and (number <= low if strict else number < low):
+        raise ValueError(f"{name} must be {'>' if strict else '>='} {low:g}, got {number:g}")
+    return number
+
+
 def _check_keys(mapping, allowed, prefix: str = "") -> None:
     """Reject a non-mapping or any key outside allowed; a nested section's
     keys are named with its prefix, as in noise.measurement_cov."""
@@ -153,7 +178,7 @@ def _parse_config(data: dict, name_hint: str) -> ScenarioConfig:
             traj = TrajectorySpec(
                 kind="stationary",
                 position=_vector(traj_data["position"], "trajectory.position", 2),
-                orientation=_finite(float(traj_data["orientation"]), "trajectory.orientation"),
+                orientation=_number(traj_data["orientation"], "trajectory.orientation"),
             )
         elif kind == "waypoints":
             _check_keys(traj_data, {"kind", "waypoints", "speed_kmh"}, "trajectory.")
@@ -161,9 +186,7 @@ def _parse_config(data: dict, name_hint: str) -> ScenarioConfig:
             if waypoints.ndim != 2 or waypoints.shape[0] < 2 or waypoints.shape[1] != 2:
                 raise ValueError("waypoint trajectories need at least 2 planar points")
             _finite(waypoints, "trajectory.waypoints")
-            speed = _finite(float(traj_data["speed_kmh"]), "trajectory.speed_kmh")
-            if speed < 0.0:
-                raise ValueError(f"trajectory.speed_kmh must be >= 0, got {speed:g}")
+            speed = _number(traj_data["speed_kmh"], "trajectory.speed_kmh", low=0)
             traj = TrajectorySpec(kind="waypoints", waypoints=waypoints,
                                   speed_mps=speed * KMH_TO_MPS)
         else:
@@ -173,32 +196,28 @@ def _parse_config(data: dict, name_hint: str) -> ScenarioConfig:
         law = meas["law"]
         if law == "fixed":
             _check_keys(meas, {"law", "count"}, "measurements.")
-            count, rate = int(meas["count"]), 0.0
-            if count < 1:
-                raise ValueError(f"measurements.count must be >= 1, got {count}")
+            count, rate = _number(meas["count"], "measurements.count", integer=True, low=1), 0.0
         elif law == "poisson":
             _check_keys(meas, {"law", "rate"}, "measurements.")
-            count, rate = 0, _finite(float(meas["rate"]), "measurements.rate")
-            if rate <= 0.0:
-                raise ValueError(f"measurements.rate must be > 0, got {rate:g}")
+            count, rate = 0, _number(meas["rate"], "measurements.rate", low=0, strict=True)
         else:
             raise ValueError(f"unknown measurement law {law!r}")
 
         priors = data["priors"]
         _check_keys(priors, {"mode", "kinematic_mean", "kinematic_cov", "extent_mean",
                              "extent_cov"}, "priors.")
+        prior_mode = priors.get("mode", "fixed")
+        if prior_mode not in ("fixed", "sampled"):
+            raise ValueError(f"priors.mode must be fixed or sampled, got {prior_mode!r}")
         shape = data["shape"]
         if shape not in ("ellipse", "rectangle"):
             raise ValueError(f"unknown shape {shape!r}")
         axes = tuple(float(v) for v in data["semi_axes"])
         if len(axes) != 2 or not (min(axes) > 0 and max(axes) < np.inf):
             raise ValueError(f"semi_axes must be two positive finite lengths, got {axes}")
-        steps, scan_time = int(data["steps"]), float(data["scan_time"])
-        if steps < 1:
-            raise ValueError(f"steps must be >= 1, got {steps}")
-        if scan_time <= 0.0:
-            raise ValueError(f"scan_time must be > 0, got {scan_time:g}")
-        x_dim = int(data["kinematic_dim"])
+        steps = _number(data["steps"], "steps", integer=True, low=1)
+        scan_time = _number(data["scan_time"], "scan_time", low=0, strict=True)
+        x_dim = _number(data["kinematic_dim"], "kinematic_dim", integer=True)
         if x_dim not in (2, 4):
             raise ValueError(f"kinematic_dim must be 2 or 4, got {x_dim}")
         noise, process = data["noise"], data["process"]
@@ -211,11 +230,8 @@ def _parse_config(data: dict, name_hint: str) -> ScenarioConfig:
             if missing:
                 raise ValueError("scenario config is missing keys: "
                                  + ", ".join(f"network.{key}" for key in missing))
-        runs, seed = int(data.get("runs", 1)), int(data.get("seed", 0))
-        if runs < 1:
-            raise ValueError(f"runs must be >= 1, got {runs}")
-        if seed < 0:
-            raise ValueError(f"seed must be >= 0, got {seed}")
+        runs = _number(data.get("runs", 1), "runs", integer=True, low=1)
+        seed = _number(data.get("seed", 0), "seed", integer=True, low=0)
 
         return ScenarioConfig(
             name=str(data.get("name", name_hint)),
@@ -232,7 +248,7 @@ def _parse_config(data: dict, name_hint: str) -> ScenarioConfig:
             cv=_matrix(noise["measurement_cov"], "noise.measurement_cov", 2),
             cxw=_matrix(process["kinematic_cov"], "process.kinematic_cov", x_dim),
             cpw=_matrix(process["extent_cov"], "process.extent_cov", 3),
-            prior_mode=str(priors.get("mode", "fixed")),
+            prior_mode=prior_mode,
             x0_mean=_vector(priors.get("kinematic_mean"), "priors.kinematic_mean", x_dim,
                             optional=True),
             cx0=_matrix(priors["kinematic_cov"], "priors.kinematic_cov", x_dim),

@@ -174,7 +174,7 @@ def correct_scan(
     batches,
     params: TrackerParams,
     config: FilterConfig,
-    pi: ConsensusMatrix | np.ndarray | None = None,
+    pi: ConsensusMatrix | None = None,
     trace=None,
 ) -> tuple[InformationState, InformationState]:
     """Sequential correction of the stacked node states over one scan.
@@ -300,7 +300,7 @@ def run_filter(
     net: SensorNetwork,
     params: TrackerParams,
     config: FilterConfig,
-    pi: ConsensusMatrix | np.ndarray | None = None,
+    pi: ConsensusMatrix | None = None,
     trace=None,
 ) -> list[TrackRecord]:
     """Drive one filter over realized runs of one scenario config, all of

@@ -16,7 +16,6 @@ import numpy as np
 from eotnet._linalg import _from_entries, _matvec, as_cov, spd_inv, sqrt_psd, sym
 from eotnet.geometry import _scatter, clamp_extent, shape_matrix, wrap_angle
 from eotnet.info_filter import innovation
-from eotnet.linearization import kinematic_measurement_matrix
 
 
 def fd_shape_jacobians(shape_fn, p_vec, step=1e-6):
@@ -160,7 +159,7 @@ def innovations_by_pieces(x, cx, p, cp, y, ch, cv):
     p = clamp_extent(p)
     s_mat, (j1, j2) = shape_matrix(p), shape_row_jacobians(p)
     rx = sym(shape_noise(s_mat, j1, j2, cp, ch) + cv)
-    dqx, dox = innovation(kinematic_measurement_matrix(x.shape[-1]), spd_inv(rx), y)
+    dqx, dox = innovation(np.eye(2, x.shape[-1]), spd_inv(rx), y)
     cy = residual_cov(cx, rx)
     m_mat = measurement_matrix(s_mat, j1, j2, ch)
     _, rp = extent_noise_moments(cy, m_mat, cp, p)

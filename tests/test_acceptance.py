@@ -25,7 +25,6 @@ from eotnet.diagnostics import (
 )
 from eotnet.geometry import clamp_extent, extent_vertices, shape_matrix
 from eotnet.info_filter import from_moments, predict, to_moments
-from eotnet.linearization import kinematic_measurement_matrix
 from eotnet.scenario import build_scenario_run, load_config, benchmark_network
 from eotnet.trackers import (
     FilterConfig,
@@ -299,7 +298,7 @@ def test_bounded_mse_and_assumptions():
     scn = build_scenario_run(config.with_overrides(steps=20), net, seed=0)
     run_filter([scn], net, params, FilterConfig(kind=FilterKind.CM, consensus_iters=2),
                pi, trace=trace)
-    rep = check_assumptions(params.fx, kinematic_measurement_matrix(4), config.cxw,
+    rep = check_assumptions(params.fx, np.eye(2, 4), config.cxw,
                             pi, rounds=2, omega=float(net.size), trace=trace)
     report(
         "bounded mean-square error",

@@ -179,6 +179,7 @@ def test_zero_steps_exits_1_without_traceback(tmp_path, tiny_config, capsys):
     ("count: 2", "count: 0", "measurements.count must be >= 1, got 0"),
     ("runs: 50", "runs: 0", "runs must be >= 1, got 0"),
     ("seed: 0", "seed: -1", "seed must be >= 0, got -1"),
+    ("steps: 4", "steps: .inf", "steps must be finite, got inf"),
 ])
 def test_bad_config_exits_1_without_traceback(tmp_path, tiny_config, capsys, old, new, message):
     path = tmp_path / "bad.yaml"

@@ -88,10 +88,10 @@ def test_consensus_matrix_validation():
 
 def test_check_primitive():
     assert check_primitive(metropolis_weights(complete_network(3)))
-    assert not check_primitive(np.array([[0.0, 1.0], [1.0, 0.0]]))  # period 2
+    assert not check_primitive(ConsensusMatrix(np.array([[0.0, 1.0], [1.0, 0.0]])))  # period 2
     assert check_primitive(metropolis_weights(benchmark_network()))
     with pytest.raises(ValueError):
-        check_primitive(np.array([[0.5, -0.5], [0.5, 0.5]]))
+        check_primitive(ConsensusMatrix(np.array([[0.5, -0.5], [0.5, 0.5]])))
 
 
 def test_consensus_rounds_uniform_average_k3():

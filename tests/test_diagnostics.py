@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from eotnet.consensus import metropolis_weights
+from eotnet.consensus import ConsensusMatrix, metropolis_weights
 from eotnet.diagnostics import (
     AssumptionTrace,
     acee,
@@ -241,7 +241,8 @@ def test_rp_floor_counts_add_up_across_merges_and_reach_the_report():
     assert (merged.rp_floor_rows, merged.rp_rows) == (3, 15)
     merged.record_rx(np.eye(2))
     merged.record_omega(np.eye(2))
-    report = check_assumptions(np.eye(2), np.eye(2), np.eye(2), np.eye(2), 1, 1.0, merged)
+    report = check_assumptions(np.eye(2), np.eye(2), np.eye(2), ConsensusMatrix(np.eye(2)), 1, 1.0,
+                               merged)
     lines = report.as_text().splitlines()
     assert lines[3].startswith("A3") and lines[4] == "Rp eigenvalue floor: 3 of 15 linearized rows"
 
@@ -250,7 +251,7 @@ def test_check_assumptions_detects_nonprimitive():
     trace = AssumptionTrace()
     trace.record_rx(np.eye(2))
     trace.record_omega(np.eye(2))
-    flip = np.array([[0.0, 1.0], [1.0, 0.0]])
+    flip = ConsensusMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
     report = check_assumptions(np.eye(2), np.eye(2), np.eye(2), flip, 1, 1.0, trace)
     assert not report.primitive
     assert not report.a3_pass and not report.all_pass
@@ -285,6 +286,10 @@ def test_evaluate_run_rows_follow_the_per_estimate_layout():
         np.testing.assert_allclose(values[k], want, rtol=1e-12)
 
 
+NON_FINITE_NAMES = {"p_mean": "extent estimate", "p_cov": "extent covariance",
+                    "x_cov": "estimate covariance"}
+
+
 @pytest.mark.parametrize("field, index", [
     ("p_mean", (1, 2, 0)), ("p_mean", (0, 0, 2)), ("p_cov", (1, 1, 2, 2)), ("x_cov", (0, 2, 1, 1)),
 ])
@@ -298,7 +303,9 @@ def test_evaluate_run_rejects_non_finite_estimates(field, index):
     }
     arrays[field][index] = np.nan
     rec = TrackRecord(step_seconds=np.zeros(2), **arrays)
-    with pytest.raises(ValueError, match="finite|NaN|nan"):
+    # The (steps, nodes) stacks name the failing step and node, not a run.
+    where = rf"{NON_FINITE_NAMES[field]} \(step {index[0]}, node {index[1]}\)"
+    with pytest.raises(ValueError, match=rf"{where} (entries must be finite|must not contain)"):
         evaluate_run(rec, truth, "rectangle")
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from eotnet.geometry import shape_matrix, wrap_angle
 from eotnet._linalg import _spd_inv2
-from eotnet.linearization import innovations, kinematic_measurement_matrix
+from eotnet.linearization import innovations
 from oracles import (
     centered_pseudo_measurement,
     extent_measurement_matrix,
@@ -27,14 +27,6 @@ def random_config(rng, cp_scale=0.02):
     ch = np.eye(2) * rng.uniform(0.2, 0.5)
     cv = np.diag(rng.uniform(0.2, 1.5, 2))
     return p_hat, cx, cp, ch, cv
-
-
-def test_kinematic_measurement_matrix():
-    assert np.array_equal(kinematic_measurement_matrix(4),
-                          [[1, 0, 0, 0], [0, 1, 0, 0]])
-    assert np.array_equal(kinematic_measurement_matrix(2), np.eye(2))
-    with pytest.raises(ValueError):
-        kinematic_measurement_matrix(1)
 
 
 def test_kinematic_noise_cov_no_extent_uncertainty():

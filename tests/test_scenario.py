@@ -220,6 +220,16 @@ def test_config_validation_errors(tmp_path):
 @pytest.mark.parametrize("old, new, message", [
     ("steps: 40", "steps: 0", "steps must be >= 1"),
     ("scan_time: 10.0", "scan_time: -10", "scan_time must be > 0"),
+    # integers are checked, not truncated; every number must be finite
+    ("steps: 40", "steps: 3.9", "steps must be an integer, got 3.9"),
+    ("steps: 40", "steps: .inf", "steps must be finite"),
+    ("steps: 40", "steps: true", "steps must be an integer, got True"),
+    ("scan_time: 10.0", "scan_time: .nan", "scan_time must be finite"),
+    ("scan_time: 10.0", "scan_time: .inf", "scan_time must be finite"),
+    ("runs: 50", "runs: 2.5", "runs must be an integer, got 2.5"),
+    ("runs: 50", "runs: .nan", "runs must be finite"),
+    ("runs: 50", "runs: true", "runs must be an integer, got True"),
+    ("seed: 0", "seed: 1.5", "seed must be an integer, got 1.5"),
 ])
 def test_config_rejects_nonpositive_steps_and_scan_time(tmp_path, old, new, message):
     path = tmp_path / "bad.yaml"
@@ -280,6 +290,11 @@ def test_config_rejects_matrix_of_wrong_size(tmp_path, section, key, value):
     ("measurements", "rate", float("nan"), "measurements.rate must be finite"),
     ("measurements", "rate", float("inf"), "measurements.rate must be finite"),
     ("trajectory", "speed_kmh", -50.0, "trajectory.speed_kmh must be >= 0"),
+    (None, "measurements", {"law": "fixed", "count": 2.5},
+     "measurements.count must be an integer, got 2.5"),
+    ("measurements", "rate", "fast", "measurements.rate must be a number, got 'fast'"),
+    ("trajectory", "speed_kmh", True, "trajectory.speed_kmh must be a number, got True"),
+    ("priors", "mode", "bogus", "priors.mode must be fixed or sampled, got 'bogus'"),
 ])
 def test_config_rejects_bad_nested_entries(tmp_path, section, key, value, message):
     with pytest.raises(ValueError, match=message):

@@ -4,7 +4,6 @@ import pytest
 from eotnet.consensus import NodeKind, build_network, metropolis_weights
 from eotnet.geometry import clamp_extent
 from eotnet.info_filter import to_moments
-from eotnet.linearization import kinematic_measurement_matrix
 from eotnet.trackers import (
     FilterConfig,
     FilterKind,
@@ -69,7 +68,7 @@ def hand_single_update(x_hat, cx, p_vec, cp, y, ch, cv):
     """Independent arrangement of one sequential update: both linear models
     are built from the same pre-update estimates, then both states correct."""
     p_ext = clamp_extent(p_vec)
-    h = kinematic_measurement_matrix(x_hat.size)
+    h = np.eye(2, x_hat.size)
     rx = kinematic_noise_cov(p_ext, cp, ch, cv)
     vx = np.linalg.inv(rx)
     omega_x = np.linalg.inv(cx) + h.T @ vx @ h
