@@ -35,7 +35,6 @@ from .geometry import (
 from .info_filter import (
     InformationState,
     from_moments,
-    innovation,
     predict,
     to_moments,
 )

@@ -7,7 +7,8 @@ bands, and the averaged pairwise estimate disagreement across nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -134,25 +135,37 @@ def acee(estimates):
     return diffs.sum(axis=(-2, -1)) / (n * (n - 1))
 
 
-@dataclass
+@dataclass(eq=False)
 class AssumptionTrace:
     """Running spectra bounds observed during a filter run, and how many
-    linearized rows had their pseudo-measurement noise eigenvalue-floored."""
+    linearized rows had their pseudo-measurement noise eigenvalue-floored.
+    Kinematic noise stacks are kept as recorded and reduced once per scan,
+    by record_omega, or when rx_min or rx_max is read."""
 
-    rx_min: float = np.inf
-    rx_max: float = -np.inf
     omega_min: float = np.inf
     omega_max: float = -np.inf
     rp_floor_rows: int = 0
     rp_rows: int = 0
+    # The rx bounds so far, then the stacks recorded since.
+    _rx: list = field(default_factory=lambda: [(np.inf, -np.inf)], repr=False)
+    rx_min = property(lambda self: self._reduce_rx()[0])
+    rx_max = property(lambda self: self._reduce_rx()[1])
+
+    def _reduce_rx(self) -> tuple[float, float]:
+        """Fold the recorded stacks into the bounds; the eigenvalues of a
+        symmetric 2x2 matrix are mid +/- radius."""
+        (lo, hi), *stacks = self._rx
+        if stacks:
+            rx = np.concatenate([s.reshape(-1, 4) for s in stacks])
+            a, b, c = rx[:, 0], rx[:, 3], rx[:, 1]
+            mid, radius = 0.5 * (a + b), np.hypot(0.5 * (a - b), c)
+            self._rx = [(min(lo, float((mid - radius).min(initial=np.inf))),
+                         max(hi, float((mid + radius).max(initial=-np.inf))))]
+        return self._rx[0]
 
     def record_rx(self, rx: np.ndarray) -> None:
-        """Record one 2x2 kinematic noise covariance or a stack of them; the
-        eigenvalues of a symmetric 2x2 matrix are mid +/- radius."""
-        a, b, c = rx[..., 0, 0], rx[..., 1, 1], rx[..., 0, 1]
-        mid, radius = 0.5 * (a + b), np.hypot(0.5 * (a - b), c)
-        lo, hi = float((mid - radius).min()), float((mid + radius).max())
-        self.rx_min, self.rx_max = min(self.rx_min, lo), max(self.rx_max, hi)
+        """Record one 2x2 kinematic noise covariance or a stack of them."""
+        self._rx.append(np.asarray(rx, dtype=float))
 
     def record_rp_floor(self, floored: int, rows: int) -> None:
         """Count linearized rows, and those whose Rp needed the floor."""
@@ -161,18 +174,26 @@ class AssumptionTrace:
 
     def record_omega(self, omega: np.ndarray) -> None:
         """Record one information matrix or a stack of them."""
+        self._reduce_rx()
         w = np.linalg.eigvalsh(sym(omega))
         lo, hi = float(w[..., 0].min()), float(w[..., -1].max())
         self.omega_min, self.omega_max = min(self.omega_min, lo), max(self.omega_max, hi)
 
+    def __eq__(self, other) -> bool:
+        return isinstance(other, AssumptionTrace) and _TRACE_KEY(self) == _TRACE_KEY(other)
+
     def merge(self, other: "AssumptionTrace") -> "AssumptionTrace":
         """The bounds of both traces (the min of the mins, the max of the
         maxes) and the sums of their row counts."""
-        return AssumptionTrace(min(self.rx_min, other.rx_min), max(self.rx_max, other.rx_max),
-                               min(self.omega_min, other.omega_min),
+        return AssumptionTrace(min(self.omega_min, other.omega_min),
                                max(self.omega_max, other.omega_max),
                                self.rp_floor_rows + other.rp_floor_rows,
-                               self.rp_rows + other.rp_rows)
+                               self.rp_rows + other.rp_rows,
+                               [(min(self.rx_min, other.rx_min), max(self.rx_max, other.rx_max))])
+
+
+# What two equal traces agree on.
+_TRACE_KEY = attrgetter("rx_min", "rx_max", "omega_min", "omega_max", "rp_floor_rows", "rp_rows")
 
 
 @dataclass(frozen=True)
@@ -284,10 +305,12 @@ def evaluate_run(record, scn_run, shape: str):
     scored for rectangles only, where the four vertices are well defined.
     Every metric is computed over the whole (steps, nodes) grid at once;
     estimated extents are wrapped and their semi-axes clamped to MIN_AXIS first.
+    A non-finite kinematic or extent mean fails, naming its step and node.
     """
-    if not np.isfinite(record.p_mean).all():
-        _, where = _first_slice(~np.isfinite(record.p_mean).all(axis=-1), _TABLE_AXES)
-        raise ValueError(f"extent estimate{where} entries must be finite")
+    for label, mean in (("kinematic", record.x_mean), ("extent", record.p_mean)):
+        if not np.isfinite(mean).all():
+            _, where = _first_slice(~np.isfinite(mean).all(axis=-1), _TABLE_AXES)
+            raise ValueError(f"{label} estimate{where} entries must be finite")
     x_true, p_true = scn_run.x_true[:, None, :], scn_run.p_true[:, None, :]
     x_est, p_est = record.x_mean, clamp_extent(record.p_mean)
     e_p = record.p_mean - p_true

@@ -1,4 +1,4 @@
-"""Information-form primitives: innovation pairs, prediction and moment conversion.
+"""Information-form primitives: prediction and moment conversion.
 
 State is carried as an information vector q = Omega @ x_hat and information
 matrix Omega = C^-1, which makes measurement corrections additive and lets
@@ -18,7 +18,6 @@ from ._linalg import _matvec, spd_inv, spd_solve, sym
 
 __all__ = [
     "InformationState",
-    "innovation",
     "predict",
     "to_moments",
     "from_moments",
@@ -47,22 +46,6 @@ class InformationState:
     @property
     def dim(self) -> int:
         return self.q.shape[-1]
-
-
-def innovation(a: np.ndarray, v: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Innovation pair (A.T V z, A.T V A) for measurement z with model matrix A
-    and noise information matrix V; stacks (..., m, d), (..., m, m), (..., m)
-    give stacked pairs, and an unstacked A is shared by a stack of V and z."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    v = np.atleast_2d(np.asarray(v, dtype=float))
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    m = a.shape[-2]
-    if v.shape[-2:] != (m, m) or z.shape[-1] != m:
-        raise ValueError(
-            f"dimension mismatch: A {a.shape}, V {v.shape}, z {z.shape}"
-        )
-    av = a.swapaxes(-1, -2) @ v
-    return _matvec(av, z), sym(av @ a)
 
 
 def predict(info: InformationState, f: np.ndarray, ww: np.ndarray) -> InformationState:

@@ -24,7 +24,6 @@ import numpy as np
 
 from ._linalg import _checked_spd, _matvec, _spd_inv2, sym
 from .geometry import clamp_extent
-from .info_filter import innovation
 
 __all__ = [
     "innovations",
@@ -60,6 +59,7 @@ _SQUARE = 2 * _PAIRS[:, 0] + _PAIRS[:, 1]
 _ab, _ce = _PAIRS[:, None, :], _PAIRS[None, :, :]
 _QUARTIC = np.stack([2 * _ab[..., 0] + _ce[..., 0], 2 * _ab[..., 1] + _ce[..., 1],
                      2 * _ab[..., 0] + _ce[..., 1], 2 * _ab[..., 1] + _ce[..., 0]])
+_EYE3 = np.eye(3)
 
 
 def innovations(x, cx, p, cp, y, ch, cv, trace=None):
@@ -102,7 +102,7 @@ def innovations(x, cx, p, cp, y, ch, cv, trace=None):
     rp = sym(quartic[:, 0] * quartic[:, 1] + quartic[:, 2] * quartic[:, 3]
              - m_mat @ cp @ m_mat.swapaxes(-1, -2))
     lo = 1e-8 * np.maximum(np.trace(rp, axis1=-2, axis2=-1), 1e-12) / 3.0
-    shifted = rp - lo[:, None, None] * np.eye(3)
+    shifted = rp - lo[:, None, None] * _EYE3
     s = shifted.reshape(k, 9)
     floored = ~((s[:, 0] > 0.0) & (s[:, 0] * s[:, 4] - s[:, 1] * s[:, 3] > 0.0)
                 & (np.linalg.det(shifted) > 0.0))
@@ -115,7 +115,9 @@ def innovations(x, cx, p, cp, y, ch, cv, trace=None):
     residual = y - x[:, :2]
     y_quad = np.take(residual, _PAIRS[:, 0], axis=1) * np.take(residual, _PAIRS[:, 1], axis=1)
     y_tilde = y_quad - np.take(cy, _SQUARE, axis=1) + _matvec(m_mat, p)
-    dqp, dop = innovation(m_mat, vp, y_tilde)
+    # The extent innovation pair (M.T Vp y~, M.T Vp M).
+    mv = m_mat.swapaxes(-1, -2) @ vp
+    dqp, dop = _matvec(mv, y_tilde), sym(mv @ m_mat)
     if trace is not None:
         trace.record_rx(rx)
         trace.record_rp_floor(np.count_nonzero(floored), k)

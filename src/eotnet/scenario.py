@@ -276,11 +276,11 @@ def load_config(source: str | Path, **overrides) -> ScenarioConfig:
     so an override gets the same named errors as the entry it replaces.
     """
     if isinstance(source, str) and source in PRESETS:
-        data, name = yaml.safe_load(preset_text(source)), source
+        text, name = preset_text(source), source
     else:
-        path = Path(source)
-        with path.open() as fh:
-            data, name = yaml.safe_load(fh), path.stem
+        text, name = Path(source).read_text(), Path(source).stem
+    # libyaml's C parser where PyYAML has it: the same mapping, several times faster.
+    data = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     return _parse_config({**data, **overrides} if isinstance(data, dict) else data, name)
 
 

@@ -116,25 +116,27 @@ def initial_states(x0, cx0, p0, cp0, nodes: int = 1):
         axis = a.ndim - entry_dims
         return np.repeat(np.expand_dims(a, axis), nodes, axis=axis)
 
-    kin = from_moments(stacked(x0, 1), stacked(cx0, 2))
-    return kin, _sanitize_extent(from_moments(stacked(p0, 1), stacked(cp0, 2)))
+    ext = from_moments(stacked(p0, 1), stacked(cp0, 2))
+    _sanitize_extent(ext.q, ext.omega)
+    return from_moments(stacked(x0, 1), stacked(cx0, 2)), ext
 
 
-def _sanitize_extent(ext: InformationState, rows=None) -> InformationState:
-    """Re-anchor the extent mean of the given rows (flat indices into the
-    stacked rows; default: all) after a write: wrap the orientation into
-    (-pi, pi] and clamp semi-axes to the floor.  Returns ext itself while
-    every row checked is already in range, so the information state is
-    normally left untouched."""
-    rows = np.arange(ext.q.size // 3) if rows is None else np.asarray(rows)
-    sub = InformationState(ext.q.reshape(-1, 3)[rows], ext.omega.reshape(-1, 3, 3)[rows])
-    p = spd_solve(sub.omega, sub.q, name="extent information matrix")
+def _sanitize_extent(q: np.ndarray, omega: np.ndarray, rows=None) -> np.ndarray:
+    """Re-anchor, in place, the extent means of the given rows (flat indices
+    into the rows of q (..., 3), whose reshape(-1, 3) must be a view, and
+    omega (..., 3, 3); default: all) after a write: wrap the orientation into
+    (-pi, pi] and clamp semi-axes to the floor.  Returns q while every row
+    checked is in range, which leaves it untouched, else the rows it wrote."""
+    q_all, omega_all = q.reshape(-1, 3), omega.reshape(-1, 3, 3)
+    q_rows, omega_rows = (q_all, omega_all) if rows is None else (q_all[rows], omega_all[rows])
+    p = spd_solve(omega_rows, q_rows, name="extent information matrix")
     in_range = (-np.pi < p[:, 0]) & (p[:, 0] <= np.pi) & (p[:, 1:] >= MIN_AXIS).all(axis=1)
     if in_range.all():
-        return ext
-    q = ext.q.reshape(-1, 3).copy()
-    q[rows[~in_range]] = _matvec(sub.omega[~in_range], clamp_extent(p[~in_range]))
-    return InformationState(q=q.reshape(ext.q.shape), omega=ext.omega)
+        return q
+    bad = np.flatnonzero(~in_range)
+    fixed = _matvec(omega_rows[bad], clamp_extent(p[bad]))
+    q_all[bad if rows is None else np.asarray(rows)[bad]] = fixed
+    return fixed
 
 
 def _pack(kin: InformationState, ext: InformationState) -> np.ndarray:
@@ -145,10 +147,11 @@ def _pack(kin: InformationState, ext: InformationState) -> np.ndarray:
 
 
 def _unpack(packed: np.ndarray, d: int) -> tuple[InformationState, InformationState]:
-    """The (kinematic, extent) states of packed rows, as views."""
+    """The (kinematic, extent) states of packed rows, as copies."""
     lead, e = packed.shape[:-1], d + d * d
-    return (InformationState(packed[..., :d], packed[..., d:e].reshape(*lead, d, d)),
-            InformationState(packed[..., e:e + 3], packed[..., e + 3:].reshape(*lead, 3, 3)))
+    return (InformationState(packed[..., :d].copy(), packed[..., d:e].reshape(*lead, d, d).copy()),
+            InformationState(packed[..., e:e + 3].copy(),
+                             packed[..., e + 3:].reshape(*lead, 3, 3).copy()))
 
 
 def _mirror(d: int) -> np.ndarray:
@@ -160,12 +163,9 @@ def _mirror(d: int) -> np.ndarray:
     return np.concatenate([np.arange(d), d + t(d), d + d * d + np.arange(3), d + d * d + 3 + t(3)])
 
 
-def _sanitize_rows(flat: np.ndarray, d: int, rows=None) -> None:
-    """_sanitize_extent on the extent columns of packed rows, in place."""
-    _, ext = _unpack(flat, d)
-    fixed = _sanitize_extent(ext, rows)
-    if fixed is not ext:
-        ext.q[...] = fixed.q
+def _sanitize_rows(flat: np.ndarray, e: int, rows=None) -> None:
+    """_sanitize_extent on the extent columns, from column e on, of packed rows."""
+    _sanitize_extent(flat[:, e:e + 3], flat[:, e + 3:].reshape(-1, 3, 3), rows)
 
 
 def correct_scan(
@@ -222,6 +222,7 @@ def correct_scan(
     bounds = np.searchsorted(det_index[order], np.arange(ends.max(initial=0) + 1))
 
     d = kin.dim
+    e = d + d * d  # first extent column of a packed row
     state = _pack(kin, ext)
     width, mirror = state.shape[-1], _mirror(d)
     for i in range(ends.max(initial=0)):
@@ -234,9 +235,10 @@ def correct_scan(
         det_rows = np.searchsorted(live, det_run[at_i]) * nodes + rows[sensor]
         rows_i = state[live].reshape(-1, width)
         lin, at = (slice(None), det_rows) if config.kind is FilterKind.CEOT else (det_rows, ...)
-        kin_i, ext_i = _unpack(rows_i[lin], d)
-        x, cx = to_moments(kin_i)
-        p, cp = to_moments(ext_i)
+        lin_rows = rows_i[lin]
+        cx = spd_inv(lin_rows[:, d:e].reshape(-1, d, d), name="information matrix")
+        cp = spd_inv(lin_rows[:, e + 3:].reshape(-1, 3, 3), name="information matrix")
+        x, p = _matvec(cx, lin_rows[:, :d]), _matvec(cp, lin_rows[:, e:e + 3])
         innov = innovations(x[at], cx[at], p[at], cp[at], y_all[at_i], params.ch, cv[sensor],
                             trace)
         packed = np.concatenate([a.reshape(len(at_i), -1) for a in innov], axis=1)
@@ -253,21 +255,20 @@ def correct_scan(
             rows_i = rows_i + delta
         # Symmetrize the matrices; a vector entry is its own mirror and stays exact.
         rows_i = 0.5 * (rows_i + np.take(rows_i, mirror, axis=1))
-        _sanitize_rows(rows_i, d, lin if config.kind is FilterKind.CI else None)
+        _sanitize_rows(rows_i, e, lin if config.kind is FilterKind.CI else None)
         if config.kind is FilterKind.CI:
             rows_i = consensus_rounds(rows_i.reshape(-1, nodes, width), pi, rounds)
             rows_i = rows_i.reshape(-1, width)
-            _sanitize_rows(rows_i, d)
+            _sanitize_rows(rows_i, e)
         state[live] = rows_i.reshape(-1, nodes, width)
-    kin, ext = _unpack(state, d)
-    return (InformationState(kin.q.copy(), kin.omega.copy()),
-            InformationState(ext.q.copy(), ext.omega.copy()))
+    return _unpack(state, d)
 
 
 def predict_states(kin: InformationState, ext: InformationState, params: TrackerParams):
     """Information-form prediction of the stacked states to the next scan."""
-    return (predict(kin, params.fx, params.wwx),
-            _sanitize_extent(predict(ext, np.eye(3), params.wwp)))
+    ext = predict(ext, np.eye(3), params.wwp)
+    _sanitize_extent(ext.q, ext.omega)
+    return predict(kin, params.fx, params.wwx), ext
 
 
 @dataclass(frozen=True)
@@ -307,13 +308,13 @@ def run_filter(
     them stacked in one pass, and return one TrackRecord per run.
 
     Each run's record equals the one a pass over that run alone gives; a
-    step's wall time is split evenly over the runs it advanced.  For the
-    distributed filters a consensus matrix is required.  A non-finite
-    detection fails before any filtering, naming its run (its position in
-    scn_runs), step and sensor.  An optional trace object (record_rx,
-    record_rp_floor, record_omega) collects observed noise and
-    information-matrix spectra and Rp floor hits of every run for the
-    stability assumption checks.
+    step's wall time is split evenly over the runs it advanced.  The
+    distributed filters require a consensus matrix of the network's size,
+    weighting only its edges and diagonal.  A non-finite detection fails
+    before any filtering, naming its run (its position in scn_runs), step
+    and sensor.  An optional trace object (record_rx, record_rp_floor,
+    record_omega) collects observed noise and information-matrix spectra and
+    Rp floor hits of every run for the stability assumption checks.
     """
     scn_runs = list(scn_runs)
     if not scn_runs:
@@ -329,6 +330,14 @@ def run_filter(
             raise ValueError(f"detections of run {r}, step {k}, sensor {j} must be finite")
     x_dim = scn_runs[0].x0.size
     nodes = 1 if config.kind is FilterKind.CEOT else net.size
+    if nodes > 1 and pi is not None:
+        if pi.size != nodes:
+            raise ValueError(f"a {pi.size}-node consensus matrix does not fit a {nodes}-node "
+                             "network")
+        off_edge = np.argwhere((pi.pi != 0.0) & ~net.adjacency & ~np.eye(nodes, dtype=bool))
+        if off_edge.size:
+            raise ValueError("consensus weight pi[{0}, {1}] is nonzero, but nodes {0} and {1} "
+                             "share no network edge".format(*off_edge[0]))
     kin, ext = initial_states(*(np.stack([getattr(scn, name) for scn in scn_runs])
                                 for name in ("x0", "cx0", "p0", "cp0")),
                               nodes)

@@ -6,7 +6,8 @@ assignment search) and deliberately avoids the code paths under test.  The
 piecewise linearization builds the two measurement models one matrix product
 at a time, from the shape-matrix row Jacobians, as the library did before it
 moved to one Gram matrix per detection.  Detection sampling, node fusion and
-the rectangle alignment error serve the tests only, so they live here too.
+the rectangle alignment error serve the tests only, so they live here too,
+as does the generic innovation pair the piecewise linearization uses.
 """
 
 from itertools import permutations
@@ -14,8 +15,21 @@ from itertools import permutations
 import numpy as np
 
 from eotnet._linalg import _from_entries, _matvec, as_cov, spd_inv, sqrt_psd, sym
-from eotnet.geometry import _scatter, clamp_extent, shape_matrix, wrap_angle
-from eotnet.info_filter import innovation
+from eotnet.geometry import MIN_AXIS, _scatter, clamp_extent, shape_matrix, wrap_angle
+
+
+def innovation(a, v, z):
+    """Innovation pair (A.T V z, A.T V A) for measurement z with model matrix A
+    and noise information matrix V; stacks (..., m, d), (..., m, m), (..., m)
+    give stacked pairs, and an unstacked A is shared by a stack of V and z."""
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    v = np.atleast_2d(np.asarray(v, dtype=float))
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    m = a.shape[-2]
+    if v.shape[-2:] != (m, m) or z.shape[-1] != m:
+        raise ValueError(f"dimension mismatch: A {a.shape}, V {v.shape}, z {z.shape}")
+    av = a.swapaxes(-1, -2) @ v
+    return _matvec(av, z), sym(av @ a)
 
 
 def fd_shape_jacobians(shape_fn, p_vec, step=1e-6):
@@ -288,6 +302,30 @@ def fuse_nodes(means, covs):
     q = sum(om @ m for om, m in zip(omegas, means))
     cov = spd_inv(total, name="fused information")
     return cov @ q, cov
+
+
+def sanitize_extent_by_rows(q, omega, rows=None):
+    """The extent information vectors q (k, 3), with information matrices
+    omega (k, 3, 3), after re-anchoring the listed rows (default: all) one
+    row at a time: a row whose mean has its orientation outside (-pi, pi] or
+    a semi-axis below MIN_AXIS gets Omega @ clamp_extent(mean) as its vector."""
+    out = np.array(q, dtype=float)
+    for r in range(len(out)) if rows is None else rows:
+        mean = np.linalg.solve(sym(omega[r]), q[r])
+        if not (-np.pi < mean[0] <= np.pi and min(mean[1:]) >= MIN_AXIS):
+            out[r] = omega[r] @ clamp_extent(mean)
+    return out
+
+
+def rx_bounds_by_calls(stacks):
+    """The lowest and highest eigenvalue over stacks of symmetric 2x2
+    matrices, mid -/+ radius in closed form, reduced eagerly stack by stack."""
+    lo, hi = np.inf, -np.inf
+    for rx in stacks:
+        a, b, c = rx[..., 0, 0], rx[..., 1, 1], rx[..., 0, 1]
+        mid, radius = 0.5 * (a + b), np.hypot(0.5 * (a - b), c)
+        lo, hi = min(lo, float((mid - radius).min())), max(hi, float((mid + radius).max()))
+    return lo, hi
 
 
 def extent_alignment_error(p_est, p_true):

@@ -1,8 +1,9 @@
 """Golden digests of the checked runs.
 
-metrics.csv and summary.txt of the four checked runs (seed 0), and
-combined.csv of two sweeps, must stay byte-identical across refactors and
-worker-pool sizes: a change that moves a printed digit shows up here.
+metrics.csv, summary.txt and assumptions.txt of the four checked runs
+(seed 0), and combined.csv of two sweeps, must stay byte-identical across
+refactors and worker-pool sizes of 1, 2 and 3: a change that moves a printed
+digit shows up here.
 summary.txt is digested without its wall-time line, the one line that varies
 between equal runs.  The digests were recorded with numpy 2.4.6; under
 another numpy, different BLAS kernels may round differently, so the tests
@@ -33,6 +34,13 @@ CHECKED_RUNS = {
         "d018b5b85836406fc8e8eef7a9be1a794093d82f4394fad417640e4efd750f0a",
         "b40f49b9793e1df16f5d0eaf470f6d99335b28b34b4cfb5ed832fa711e99e9b5"),
 }
+# run -> assumptions.txt digest, which the recorded noise spectra print into
+CHECKED_ASSUMPTIONS = {
+    "s2 cm --L 6 --runs 3": "8e9a78979ff1c2a02acd24bf42b5fd3c91637f146138bea688d63746ff10783d",
+    "s2 ceot --runs 8": "0c1db6b3a44d6884d172fcd8e3d1592c19f6ad44d02d4a4149f6438ab40efb2b",
+    "s1 ci --L 6 --runs 1": "15be2a169c028e3d3a38f6147a50ded0e613b07cbcae9a55725515c497ccbef7",
+    "s3 cm --L 6 --runs 2": "c0d96d1b53f6cb58ea5b7bc2ed8d323c020d1751ca81a49a6be8fe537c5ce55d",
+}
 # sweep -> combined.csv digest
 CHECKED_SWEEPS = {
     "s2 cm --sweep-L 1,6 --runs 3":
@@ -57,7 +65,7 @@ def sha256(data: bytes) -> str:
 
 
 @needs_recorded_numpy
-@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
 @pytest.mark.parametrize("run", list(CHECKED_RUNS))
 def test_checked_run_metrics_are_byte_identical(run, threads, tmp_path, monkeypatch):
     monkeypatch.setenv("EOT_THREADS", threads)
@@ -68,6 +76,7 @@ def test_checked_run_metrics_are_byte_identical(run, threads, tmp_path, monkeypa
     kept = [line for line in summary if not line.startswith(WALL_TIME_LINE)]
     assert len(kept) == len(summary) - 1
     assert sha256("".join(kept).encode()) == summary_digest
+    assert sha256((tmp_path / "assumptions.txt").read_bytes()) == CHECKED_ASSUMPTIONS[run]
 
 
 @needs_recorded_numpy

@@ -16,13 +16,16 @@ def single_worker(monkeypatch):
     monkeypatch.setenv("EOT_THREADS", "1")
 
 
+def tiny_config_text():
+    """s3 trimmed down for fast end-to-end runs."""
+    text = preset_text("s3").replace("steps: 40", "steps: 4")
+    return text.replace("law: poisson", "law: fixed").replace("rate: 5.0", "count: 2")
+
+
 @pytest.fixture
 def tiny_config(tmp_path):
-    # s3 trimmed down for fast end-to-end runs
-    text = preset_text("s3").replace("steps: 40", "steps: 4")
-    text = text.replace("law: poisson", "law: fixed").replace("rate: 5.0", "count: 2")
     path = tmp_path / "tiny.yaml"
-    path.write_text(text)
+    path.write_text(tiny_config_text())
     return path
 
 
@@ -160,7 +163,8 @@ def test_zero_steps_exits_1_without_traceback(tmp_path, tiny_config, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("old, new, message", [
+# (old, new, message): edits of the tiny config and the error each must give.
+BAD_CONFIG_EDITS = [
     ("measurement_cov: [1.0, 1.0]", "measurement_cov: [1.0, 1.0, 1.0]",
      "noise.measurement_cov must be"),
     ("steps: 4", "steps: 4\nstepz: 4", "unknown scenario config keys: stepz"),
@@ -180,7 +184,10 @@ def test_zero_steps_exits_1_without_traceback(tmp_path, tiny_config, capsys):
     ("runs: 50", "runs: 0", "runs must be >= 1, got 0"),
     ("seed: 0", "seed: -1", "seed must be >= 0, got -1"),
     ("steps: 4", "steps: .inf", "steps must be finite, got inf"),
-])
+]
+
+
+@pytest.mark.parametrize("old, new, message", BAD_CONFIG_EDITS)
 def test_bad_config_exits_1_without_traceback(tmp_path, tiny_config, capsys, old, new, message):
     path = tmp_path / "bad.yaml"
     text = tiny_config.read_text()

@@ -287,11 +287,12 @@ def test_evaluate_run_rows_follow_the_per_estimate_layout():
 
 
 NON_FINITE_NAMES = {"p_mean": "extent estimate", "p_cov": "extent covariance",
-                    "x_cov": "estimate covariance"}
+                    "x_cov": "estimate covariance", "x_mean": "kinematic estimate"}
 
 
 @pytest.mark.parametrize("field, index", [
     ("p_mean", (1, 2, 0)), ("p_mean", (0, 0, 2)), ("p_cov", (1, 1, 2, 2)), ("x_cov", (0, 2, 1, 1)),
+    ("x_mean", (1, 2, 0)), ("x_mean", (0, 1, 1)),
 ])
 def test_evaluate_run_rejects_non_finite_estimates(field, index):
     truth = SimpleNamespace(x_true=np.zeros((2, 2)), p_true=np.tile([0.3, 4.0, 2.0], (2, 1)))

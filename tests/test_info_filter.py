@@ -4,11 +4,10 @@ import pytest
 from eotnet.info_filter import (
     InformationState,
     from_moments,
-    innovation,
     predict,
     to_moments,
 )
-from oracles import kalman_predict_moments
+from oracles import innovation, kalman_predict_moments
 
 
 def random_pd(rng, n, scale=1.0):

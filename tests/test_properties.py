@@ -11,8 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import minimum_spanning_tree
 
+from eotnet._linalg import sym
 from eotnet.consensus import NodeKind, build_network, consensus_rounds, metropolis_weights
-from eotnet.diagnostics import acee, gwd, nees, ospa_vertices
+from eotnet.diagnostics import AssumptionTrace, acee, gwd, nees, ospa_vertices
+from eotnet.geometry import MIN_AXIS
 from eotnet.geometry import extent_vertices
 from eotnet.info_filter import InformationState, from_moments, to_moments
 from eotnet.linearization import innovations
@@ -22,13 +24,21 @@ from eotnet.trackers import (
     TrackerParams,
     _pack,
     _sanitize_extent,
+    _sanitize_rows,
     _unpack,
     correct_scan,
     initial_states,
     ncv_transition,
     predict_states,
 )
-from oracles import gwd_eigh, gwd_eigh_rounding, innovations_by_pieces, sample_measurements
+from oracles import (
+    gwd_eigh,
+    gwd_eigh_rounding,
+    innovations_by_pieces,
+    rx_bounds_by_calls,
+    sample_measurements,
+    sanitize_extent_by_rows,
+)
 
 SETTINGS = settings(max_examples=25, deadline=None)
 TRUTH = (np.zeros(2), np.array([0.4, 6.0, 2.0]))  # center and extent
@@ -253,7 +263,8 @@ def test_ceot_scatter_sums_every_detection_into_its_one_row(seed, k):
     for j in range(k):
         for acc, value in zip(sums, innovations(xs, cxs, ps, cps, y[j:j + 1], ch, cv[j:j + 1])):
             acc += value
-    want_ext = _sanitize_extent(InformationState(ext.q + sums[2], ext.omega + sums[3]))
+    want_ext = InformationState(ext.q + sums[2], ext.omega + sums[3])
+    _sanitize_extent(want_ext.q, want_ext.omega)
     got_kin, got_ext = correct_scan(kin, ext, [[y[j:j + 1] for j in range(k)]], params,
                                     FilterConfig(kind=FilterKind.CEOT))
     assert_close(got_kin.q, kin.q + sums[0])
@@ -310,3 +321,59 @@ def test_stacked_ospa_nees_and_acee_equal_slice_by_slice_calls(seed, n, nodes):
         assert_close(ospa[k], ospa_vertices(verts[k], true_verts, cutoff=10.0))
         assert_close(errors[k], nees(x[k], cx[k], truth))
         assert_close(spread[k], acee(grid[k]))
+
+
+def random_spd(rng, k, size):
+    """k random symmetric positive definite (size, size) matrices."""
+    a = rng.normal(size=(k, size, size))
+    return sym(a @ a.swapaxes(-1, -2)) + rng.uniform(0.1, 2.0, (k, 1, 1)) * np.eye(size)
+
+
+@SETTINGS
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.sampled_from([2, 4]), st.data())
+def test_packed_sanitize_equals_the_row_loop_oracle(seed, k, d, data):
+    rng = np.random.default_rng(seed)
+    # Means with orientations in (-7, 7) and semi-axes from -1 to 10, many of
+    # them out of range, plus some exactly at the floor and at pi.
+    means = np.column_stack([rng.uniform(-7.0, 7.0, k), rng.uniform(-1.0, 10.0, (k, 2))])
+    means[rng.random(k) < 0.2, 0] = np.pi
+    means[:, 1:][rng.random((k, 2)) < 0.2] = MIN_AXIS
+    omega = random_spd(rng, k, 3)
+    q = (omega @ means[..., None])[..., 0]
+    kin = rng.normal(size=(k, d + d * d))
+    flat = np.concatenate([kin, q, omega.reshape(k, 9)], axis=1)
+    rows = data.draw(st.none() | st.lists(st.integers(0, k - 1), unique=True)
+                     .map(lambda r: np.array(r, dtype=int)))
+    want = sanitize_extent_by_rows(q, omega, rows)
+    _sanitize_rows(flat, d + d * d, rows)
+    assert np.array_equal(flat[:, d + d * d:d + d * d + 3], want)
+    assert np.array_equal(flat[:, :d + d * d], kin)
+    assert np.array_equal(flat[:, d + d * d + 3:], omega.reshape(k, 9))
+    # The stacked (R, n, 3) form of priors and predictions gives the same
+    # rows, and returns q itself while every mean is in range.
+    stacked = q.reshape(1, k, 3).copy()
+    _sanitize_extent(stacked, omega.reshape(1, k, 3, 3))
+    assert np.array_equal(stacked[0], sanitize_extent_by_rows(q, omega))
+    calm = np.column_stack([rng.uniform(-3.0, 3.0, k), rng.uniform(1.0, 10.0, (k, 2))])
+    q_calm = (omega @ calm[..., None])[..., 0]
+    assert _sanitize_extent(q_calm, omega) is q_calm
+
+
+@SETTINGS
+@given(st.integers(0, 2**32 - 1), st.lists(st.integers(1, 6), min_size=1, max_size=8),
+       st.lists(st.integers(1, 6), max_size=8), st.data())
+def test_deferred_rx_bounds_equal_eager_per_call_bounds(seed, sizes_a, sizes_b, data):
+    rng = np.random.default_rng(seed)
+    stacks_a, stacks_b = ([random_spd(rng, n, 2) * rng.uniform(1e-3, 1e3) for n in sizes]
+                          for sizes in (sizes_a, sizes_b))
+    a, b = AssumptionTrace(), AssumptionTrace()
+    for rx in stacks_a:
+        a.record_rx(rx)
+        if data.draw(st.booleans()):  # a scan ends and reduces what it recorded
+            a.record_omega(np.eye(2))
+    for rx in stacks_b:
+        b.record_rx(rx)
+    assert (a.rx_min, a.rx_max) == rx_bounds_by_calls(stacks_a)
+    merged = b.merge(a)
+    assert (merged.rx_min, merged.rx_max) == rx_bounds_by_calls(stacks_b + stacks_a)
+    assert (b.rx_min, b.rx_max) == rx_bounds_by_calls(stacks_b)

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 import yaml
@@ -203,21 +205,25 @@ def test_resolve_inline_network():
     assert net.sensor_nodes == (0, 2)
 
 
+def s1_without_steps():
+    return "\n".join(line for line in preset_text("s1").splitlines()
+                     if not line.startswith("steps"))
+
+
 def test_config_validation_errors(tmp_path):
     bad = preset_text("s1").replace("law: fixed", "law: nonsense")
     path = tmp_path / "bad.yaml"
     path.write_text(bad)
     with pytest.raises(ValueError):
         load_config(path)
-    missing = "\n".join(line for line in preset_text("s1").splitlines()
-                        if not line.startswith("steps"))
     path2 = tmp_path / "missing.yaml"
-    path2.write_text(missing)
+    path2.write_text(s1_without_steps())
     with pytest.raises(ValueError, match="missing"):
         load_config(path2)
 
 
-@pytest.mark.parametrize("old, new, message", [
+# (old, new, message): edits of the s2 preset text and the error each must give.
+S2_EDITS = [
     ("steps: 40", "steps: 0", "steps must be >= 1"),
     ("scan_time: 10.0", "scan_time: -10", "scan_time must be > 0"),
     # integers are checked, not truncated; every number must be finite
@@ -230,7 +236,10 @@ def test_config_validation_errors(tmp_path):
     ("runs: 50", "runs: .nan", "runs must be finite"),
     ("runs: 50", "runs: true", "runs must be an integer, got True"),
     ("seed: 0", "seed: 1.5", "seed must be an integer, got 1.5"),
-])
+]
+
+
+@pytest.mark.parametrize("old, new, message", S2_EDITS)
 def test_config_rejects_nonpositive_steps_and_scan_time(tmp_path, old, new, message):
     path = tmp_path / "bad.yaml"
     path.write_text(preset_text("s2").replace(old, new))
@@ -258,25 +267,38 @@ def test_empty_sensor_nodes_are_rejected():
         resolve_network(config)
 
 
+def preset_with(preset, keys, value):
+    """The YAML text of a preset with the entry at the path of keys replaced."""
+    data = yaml.safe_load(preset_text(preset))
+    entry = data
+    for key in keys[:-1]:
+        entry = entry[key]
+    entry[keys[-1]] = value
+    return yaml.safe_dump(data)
+
+
 def write_s3_with(tmp_path, section, key, value):
-    data = yaml.safe_load(preset_text("s3"))
-    (data[section] if section else data)[key] = value
     path = tmp_path / "bad.yaml"
-    path.write_text(yaml.safe_dump(data))
+    path.write_text(preset_with("s3", [section, key] if section else [key], value))
     return path
 
 
-@pytest.mark.parametrize("section, key, value", [
+# (section, key, value): s3 entries of the wrong size.
+WRONG_SIZE_ENTRIES = [
     ("noise", "measurement_cov", [1.0, 1.0, 1.0]),
     ("process", "kinematic_cov", [50.0, 50.0]),  # s3 has kinematic_dim 4
     ("priors", "extent_cov", [0.36, 5.0]),
-])
+]
+
+
+@pytest.mark.parametrize("section, key, value", WRONG_SIZE_ENTRIES)
 def test_config_rejects_matrix_of_wrong_size(tmp_path, section, key, value):
     with pytest.raises(ValueError, match=rf"{section}\.{key} must be .* got shape \({len(value)},\)"):
         load_config(write_s3_with(tmp_path, section, key, value))
 
 
-@pytest.mark.parametrize("section, key, value, message", [
+# (section, key, value, message): bad s3 entries and the error each must give.
+BAD_NESTED_ENTRIES = [
     ("noise", "measurment_covv", [1.0, 1.0], "unknown scenario config keys: noise.measurment_covv"),
     ("process", "extent_covv", [0.1, 0.1, 0.1], "unknown scenario config keys: process.extent_covv"),
     ("priors", "extent_mena", [0.0, 5.0, 5.0], "unknown scenario config keys: priors.extent_mena"),
@@ -295,7 +317,10 @@ def test_config_rejects_matrix_of_wrong_size(tmp_path, section, key, value):
     ("measurements", "rate", "fast", "measurements.rate must be a number, got 'fast'"),
     ("trajectory", "speed_kmh", True, "trajectory.speed_kmh must be a number, got True"),
     ("priors", "mode", "bogus", "priors.mode must be fixed or sampled, got 'bogus'"),
-])
+]
+
+
+@pytest.mark.parametrize("section, key, value, message", BAD_NESTED_ENTRIES)
 def test_config_rejects_bad_nested_entries(tmp_path, section, key, value, message):
     with pytest.raises(ValueError, match=message):
         load_config(write_s3_with(tmp_path, section, key, value))
@@ -371,21 +396,21 @@ def test_generate_measurements_rejects_bad_covariance():
             generate_measurements(truth, net, config.with_overrides(cv=bad), 0)
 
 
-@pytest.mark.parametrize("preset, path, value, message", [
+# (preset, path, value, message): non-finite truth entries and their errors.
+NONFINITE_TRUTH_ENTRIES = [
     ("s2", ["semi_axes", 0], float("nan"), "semi_axes must be two positive finite"),
     ("s2", ["trajectory", "speed_kmh"], float("nan"), "trajectory.speed_kmh must be finite"),
     ("s2", ["trajectory", "waypoints", 1, 0], float("nan"), "trajectory.waypoints must be finite"),
     ("s1", ["trajectory", "orientation"], float("nan"), "trajectory.orientation must be finite"),
     ("s1", ["trajectory", "position", 0], float("inf"), "trajectory.position must be finite"),
-], ids=["semi_axes", "speed", "waypoint", "orientation", "position"])
+]
+
+
+@pytest.mark.parametrize("preset, path, value, message", NONFINITE_TRUTH_ENTRIES,
+                         ids=["semi_axes", "speed", "waypoint", "orientation", "position"])
 def test_config_rejects_nonfinite_truth(tmp_path, preset, path, value, message):
-    data = yaml.safe_load(preset_text(preset))
-    entry = data
-    for key in path[:-1]:
-        entry = entry[key]
-    entry[path[-1]] = value
     bad = tmp_path / "bad.yaml"
-    bad.write_text(yaml.safe_dump(data))
+    bad.write_text(preset_with(preset, path, value))
     with pytest.raises(ValueError, match=message):
         load_config(bad)
 
@@ -400,3 +425,37 @@ def test_truth_of_overridden_config_must_be_finite(preset, overrides):
     config = load_config(preset).with_overrides(**overrides)
     with pytest.raises(ValueError, match="ground truth must be finite"):
         generate_truth(config)
+
+
+def written_documents():
+    """Every YAML document the tests write: the presets and their edits."""
+    from test_cli import BAD_CONFIG_EDITS, tiny_config_text
+
+    tiny, s1, s2 = tiny_config_text(), preset_text("s1"), preset_text("s2")
+    return [
+        *(preset_text(name) for name in PRESETS),
+        tiny, tiny.replace("steps: 4", "steps: 0"),
+        *(tiny.replace(old, new) for old, new, _ in BAD_CONFIG_EDITS),
+        s2.replace("steps: 40", "steps: 7"), s1.replace("law: fixed", "law: nonsense"),
+        s1_without_steps(),
+        *(s2.replace(old, new) for old, new, _ in S2_EDITS),
+        *(preset_with("s3", [section, key] if section else [key], value)
+          for section, key, value, *_ in WRONG_SIZE_ENTRIES + BAD_NESTED_ENTRIES
+          + [("trajectory", "speed_kmh", 0.0), (None, "stepz", 40)]),
+        *(preset_with(preset, path, value) for preset, path, value, _ in NONFINITE_TRUTH_ENTRIES),
+    ]
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML is built without libyaml")
+def test_c_and_python_yaml_loaders_parse_every_written_document_alike():
+    documents = written_documents()
+    assert len(documents) == 53
+    for text in documents:
+        # repr compares types and NaNs too, which == on the mappings does not.
+        assert repr(yaml.load(text, Loader=yaml.CSafeLoader)) == repr(yaml.safe_load(text))
+
+
+def test_load_config_falls_back_to_the_python_loader(monkeypatch):
+    loaded = [pickle.dumps(load_config(name)) for name in PRESETS]
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    assert [pickle.dumps(load_config(name)) for name in PRESETS] == loaded

@@ -478,3 +478,30 @@ def test_nonfinite_detection_is_named_before_filtering(kind):
     with pytest.raises(ValueError, match=rf"run 1, step 2, sensor {sensor} must be finite"):
         run_filter(scns, net, params, FilterConfig(kind=kind, consensus_iters=2),
                    metropolis_weights(net))
+
+
+@pytest.mark.parametrize("kind", [FilterKind.CI, FilterKind.CM])
+def test_run_filter_checks_the_consensus_matrix_against_its_network(kind):
+    from eotnet.consensus import ConsensusMatrix
+    from eotnet.scenario import build_scenario_run, load_config, benchmark_network
+    from eotnet.trackers import params_from_scenario, run_filter
+
+    config = load_config("s2").with_overrides(steps=2)
+    net = benchmark_network()
+    params = params_from_scenario(config, net)
+    scns = [build_scenario_run(config, net, 1)]
+    filter_config = FilterConfig(kind=kind, consensus_iters=2)
+    # Uniform weights put messages on all 380 ordered pairs, 90 of them edges.
+    uniform = ConsensusMatrix(np.full((20, 20), 1 / 20))
+    s, j = next((s, j) for s in range(20) for j in range(20)
+                if s != j and not net.adjacency[s, j])
+    with pytest.raises(ValueError, match=rf"pi\[{s}, {j}\] is nonzero, but nodes {s} and {j} "
+                                         "share no network edge"):
+        run_filter(scns, net, params, filter_config, uniform)
+    small = metropolis_weights(build_network(np.stack([np.arange(3), np.zeros(3)], axis=1),
+                                             [NodeKind.SENSOR] * 3, 100.0))
+    with pytest.raises(ValueError, match="3-node consensus matrix does not fit a 20-node network"):
+        run_filter(scns, net, params, filter_config, small)
+    # The network's own weights pass, and the centralized filter takes no matrix.
+    assert len(run_filter(scns, net, params, filter_config, metropolis_weights(net))) == 1
+    assert len(run_filter(scns, net, params, CEOT, uniform)) == 1
