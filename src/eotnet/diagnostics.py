@@ -147,7 +147,7 @@ class AssumptionTrace:
     rp_floor_rows: int = 0
     rp_rows: int = 0
     # The rx bounds so far, then the stacks recorded since.
-    _rx: list = field(default_factory=lambda: [(np.inf, -np.inf)], repr=False)
+    _rx: list = field(default_factory=lambda: [(np.inf, -np.inf)])
     rx_min = property(lambda self: self._reduce_rx()[0])
     rx_max = property(lambda self: self._reduce_rx()[1])
 

@@ -14,8 +14,7 @@ from scipy.sparse.csgraph import minimum_spanning_tree
 from eotnet._linalg import sym
 from eotnet.consensus import NodeKind, build_network, consensus_rounds, metropolis_weights
 from eotnet.diagnostics import AssumptionTrace, acee, gwd, nees, ospa_vertices
-from eotnet.geometry import MIN_AXIS
-from eotnet.geometry import extent_vertices
+from eotnet.geometry import MIN_AXIS, extent_vertices
 from eotnet.info_filter import InformationState, from_moments, to_moments
 from eotnet.linearization import innovations
 from eotnet.trackers import (
