@@ -68,14 +68,14 @@ _RUN_NODE = ("run", "node")
 
 def _first_slice(flags: np.ndarray, axes=_RUN_NODE) -> tuple[tuple, str]:
     """Index of the first set flag of a stack of flags, and its name by the
-    full index and the two axis names: ' (node n)' in an (n,) stack,
+    full index and the last axis names: ' (node n)' in an (n,) stack,
     ' (run r, node n)' in an (R, n) stack, '' for a single flag."""
     index = np.unravel_index(int(np.argmax(flags)), flags.shape)
     if not index:
         return index, ""
-    # Deeper stacks than the two named axes are named by their index tuple alone.
-    labels = axes[-len(index):] if len(index) <= 2 else ("slice",)
-    values = [int(i) for i in index] if len(index) <= 2 else [tuple(map(int, index))]
+    # Deeper stacks than the named axes are named by their index tuple alone.
+    labels = axes[-len(index):] if len(index) <= len(axes) else ("slice",)
+    values = [int(i) for i in index] if len(index) <= len(axes) else [tuple(map(int, index))]
     return index, " (" + ", ".join(f"{label} {i}" for label, i in zip(labels, values)) + ")"
 
 

@@ -15,7 +15,6 @@ import argparse
 import functools
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -39,10 +38,11 @@ def _worker(payload):
     filter pass in the worker pool; returns its metric table, step times and trace."""
     (config, net, params, filter_config, pi, children) = payload
     trace = AssumptionTrace()
-    scns = [build_scenario_run(config, net, child) for child in children]
-    records = run_filter(scns, net, params, filter_config, pi, trace=trace)
-    columns, values = zip(*[evaluate_run(r, scn, config.shape) for r, scn in zip(records, scns)])
-    return columns[0], np.stack(values), np.concatenate([r.step_seconds for r in records]), trace
+    scns = build_scenario_run(config, net, children)
+    record = run_filter(scns, net, params, filter_config, pi, trace=trace)
+    columns, values = evaluate_run(record, (scns[0].x_true, scns[0].p_true), config.shape)
+    # Each run's step times, as the summary averages them over runs.
+    return columns, values, np.tile(record.step_seconds, len(children)), trace
 
 
 def _pool_size(runs: int) -> int:
@@ -68,6 +68,9 @@ def run(config, filter_config: FilterConfig, out_dir) -> tuple[list, np.ndarray]
     if len(payloads) == 1:
         results = [_worker(payloads[0])]
     else:
+        # Imported only for a pool: it is a tenth of the CLI's import time.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
             results = list(pool.map(_worker, payloads))
 

@@ -89,13 +89,13 @@ def ospa_vertices(est_vertices, true_vertices, cutoff: float = 100.0, order: int
     return (np.mean(d ** order, axis=-1) ** (1.0 / order)).min(axis=-1)
 
 
-# A metric table's stacks are (steps, nodes); a failing entry is named by both.
-_TABLE_AXES = ("step", "node")
+# A metric table's stacks are (runs, steps, nodes); a failing entry is named by all three.
+_TABLE_AXES = ("run", "step", "node")
 
 
 def _mahalanobis(e, cov, name: str):
     """e.T cov^-1 e for one error vector or a stack of them; a failing
-    covariance of a (steps, nodes) stack is named by its step and node."""
+    covariance of a (runs, steps, nodes) stack is named by its run, step and node."""
     e = np.asarray(e, dtype=float)
     return np.sum(e * spd_solve(cov, e, name=name, axes=_TABLE_AXES), axis=-1)
 
@@ -295,23 +295,25 @@ def check_assumptions(
     )
 
 
-def evaluate_run(record, scn_run, shape: str):
-    """Per-step metric table (columns, values) of one tracked run.
+def evaluate_run(record, truth, shape: str):
+    """Per-step metric table (columns, values) of a record's tracked runs
+    against the truth pair (x_true, p_true) they share.
 
     columns lists the (node, metric) labels: each node's metrics in node
-    order, then the network columns; values is (steps, len(columns)).  Node -1
-    carries network-level values: the centralized filter's single output and
-    the per-step estimate disagreement of the distributed filters.  OSPA is
-    scored for rectangles only, where the four vertices are well defined.
-    Every metric is computed over the whole (steps, nodes) grid at once;
-    estimated extents are wrapped and their semi-axes clamped to MIN_AXIS first.
-    A non-finite kinematic or extent mean fails, naming its step and node.
+    order, then the network columns; values is (runs, steps, len(columns)).
+    Node -1 carries network-level values: the centralized filter's single
+    output and the per-step estimate disagreement of the distributed filters.
+    OSPA is scored for rectangles only, where the four vertices are well
+    defined.  Every metric is computed over the whole (runs, steps, nodes)
+    grid at once; estimated extents are wrapped and their semi-axes clamped
+    to MIN_AXIS first.  A non-finite kinematic or extent mean fails, naming
+    its run, step and node.
     """
     for label, mean in (("kinematic", record.x_mean), ("extent", record.p_mean)):
         if not np.isfinite(mean).all():
             _, where = _first_slice(~np.isfinite(mean).all(axis=-1), _TABLE_AXES)
             raise ValueError(f"{label} estimate{where} entries must be finite")
-    x_true, p_true = scn_run.x_true[:, None, :], scn_run.p_true[:, None, :]
+    x_true, p_true = (np.asarray(t, dtype=float)[:, None, :] for t in truth)
     x_est, p_est = record.x_mean, clamp_extent(record.p_mean)
     e_p = record.p_mean - p_true
     e_p[..., 0] = wrap_angle(e_p[..., 0])
@@ -326,12 +328,14 @@ def evaluate_run(record, scn_run, shape: str):
     per_node["nees_ext"] = _mahalanobis(e_p, record.p_cov, "extent covariance")
     per_step, nodes = {}, [-1]
     if record.nodes > 1:
-        per_step = {"acee_kin": acee(record.x_mean), "acee_ext": acee(record.p_mean)}
+        # One run at a time keeps acee's (steps, n, n, d) differences small.
+        per_step = {name: np.stack([acee(run) for run in mean]) for name, mean in
+                    (("acee_kin", record.x_mean), ("acee_ext", record.p_mean))}
         nodes = list(range(record.nodes))
     columns = [(node, metric) for node in nodes for metric in per_node]
     columns += [(-1, metric) for metric in per_step]
-    values = np.column_stack([np.stack(list(per_node.values()), axis=-1).reshape(record.steps, -1),
-                              *per_step.values()])
+    table = np.stack(list(per_node.values()), axis=-1).reshape(record.runs, record.steps, -1)
+    values = np.concatenate([table, *(v[..., None] for v in per_step.values())], axis=-1)
     return columns, values
 
 
@@ -385,13 +389,9 @@ def bounded_mse_experiment(config, filter_config, steps: int, runs: int) -> Boun
     net = resolve_network(config)
     pi = metropolis_weights(net)
     params = params_from_scenario(config, net)
-    children = np.random.SeedSequence(config.seed).spawn(runs)
-    scns = [build_scenario_run(config, net, child) for child in children]
-    total = np.zeros(steps)
-    for scn, record in zip(scns, run_filter(scns, net, params, filter_config, pi)):
-        err = record.x_mean - scn.x_true[:, None, :]
-        total += (err ** 2).sum(axis=2).mean(axis=1)
-    mse = total / runs
+    scns = build_scenario_run(config, net, np.random.SeedSequence(config.seed).spawn(runs))
+    err = run_filter(scns, net, params, filter_config, pi).x_mean - scns[0].x_true[:, None, :]
+    mse = (err ** 2).sum(axis=3).mean(axis=2).sum(axis=0) / runs
     quarter = steps // 4
     mid = float(mse[quarter:steps - quarter].mean())
     tail = float(mse[steps - quarter:].mean())

@@ -51,12 +51,11 @@ def shape_matrix(p) -> np.ndarray:
 def _scatter(m, s_mat, lh, lv, count: int, rng: np.random.Generator) -> np.ndarray:
     """count detections m + S h + v around center m with shape matrix S, the
     noises drawn through the factors lh and lv of their covariances: first
-    every h, then every v."""
+    every h, then every v, in one draw."""
     if count < 0:
         raise ValueError("count must be nonnegative")
-    h = rng.standard_normal((count, 2)) @ lh.T
-    v = rng.standard_normal((count, 2)) @ lv.T
-    return m + h @ s_mat.T + v
+    h, v = rng.standard_normal((2, count, 2))
+    return m + (h @ lh.T) @ s_mat.T + v @ lv.T
 
 
 # Body-frame corners in fixed counterclockwise order, starting at (+l1, +l2).

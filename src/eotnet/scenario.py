@@ -5,7 +5,8 @@ priors, network, Monte Carlo settings).  Presets s1/s2/s3 ship with the
 package: a stationary high-noise rectangle, a moving ellipse, and a moving
 rectangle.  The ground truth is a pair of arrays, the kinematic states
 (steps, d) and the extents (steps, 3), generated deterministically from the
-config; measurement synthesis is fully determined by the seed.
+config once for all its realizations; each realization's detections are
+fully determined by its seed.
 """
 
 from __future__ import annotations
@@ -88,30 +89,46 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class ScenarioRun:
-    """One realized scenario: truth, per-node measurements, and priors.
+    """One realized scenario: truth, detections, and priors.
 
     x_true[k] and p_true[k] are the true kinematic state and extent
-    [alpha, l1, l2] at step k.  measurements[k][s] is the (n, 2) detection
-    array of node s at step k; communication nodes always carry empty arrays.
+    [alpha, l1, l2] at step k, shared by every realization of a config.
+    detections holds all of the run's detections as one (N, 2) array in
+    (step, node, index) order, and counts[k, s] is how many of them node s
+    made at step k; communication nodes always count 0.
     """
 
     x_true: np.ndarray  # (steps, d)
     p_true: np.ndarray  # (steps, 3)
-    measurements: tuple[tuple[np.ndarray, ...], ...]
+    detections: np.ndarray  # (N, 2)
+    counts: np.ndarray  # (steps, nodes)
     x0: np.ndarray
     cx0: np.ndarray
     p0: np.ndarray
     cp0: np.ndarray
 
 
-def _matrix(spec, name: str, size: int) -> np.ndarray:
-    """Parse a size x size config matrix: a flat list means a diagonal matrix."""
-    arr = np.asarray(spec, dtype=float)
+def _array(spec, name: str) -> np.ndarray:
+    """A config entry as a float array; anything but (nested lists of)
+    numbers is rejected by name."""
+    try:
+        return np.asarray(spec, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be numbers, got {spec!r}") from None
+
+
+def _matrix(spec, name: str, size: int, *, definite: bool = False) -> np.ndarray:
+    """Parse a finite size x size config covariance: a flat list means a
+    diagonal matrix.  One the filters invert must be positive definite."""
+    arr = _array(spec, name)
     if arr.ndim == 1:
         arr = np.diag(arr)
     if arr.shape != (size, size):
         raise ValueError(f"{name} must be a flat diagonal list of {size} entries or a "
                          f"{size}x{size} matrix, got shape {np.shape(spec)}")
+    _finite(arr, name)
+    if definite and not np.linalg.eigvalsh(arr)[0] > 0:
+        raise ValueError(f"{name} must be positive definite, got {arr.tolist()}")
     return arr
 
 
@@ -119,7 +136,7 @@ def _vector(spec, name: str, size: int, *, optional: bool = False) -> np.ndarray
     """Parse a config vector of `size` finite entries; an optional one may be None."""
     if spec is None and optional:
         return None
-    arr = np.asarray(spec, dtype=float)
+    arr = _array(spec, name)
     if arr.shape != (size,):
         raise ValueError(f"{name} must be a list of {size} entries, got shape {np.shape(spec)}")
     return _finite(arr, name)
@@ -157,109 +174,145 @@ def _number(value, name: str, *, integer: bool = False, low: float | None = None
     return number
 
 
-def _check_keys(mapping, allowed, prefix: str = "") -> None:
-    """Reject a non-mapping or any key outside allowed; a nested section's
-    keys are named with its prefix, as in noise.measurement_cov."""
-    if not isinstance(mapping, dict):
+class _Section(dict):
+    """A config mapping that names a missing key by its path, as in
+    trajectory.kind."""
+
+    def __init__(self, data: dict, prefix: str):
+        super().__init__(data)
+        self.prefix = prefix
+
+    def __missing__(self, key):
+        raise ValueError(f"scenario config is missing key {self.prefix}{key}")
+
+
+def _section(value, prefix: str = "") -> _Section:
+    """A config section, which must be a mapping before its keys are read;
+    a nested section's keys are named with its prefix, as in noise.measurement_cov."""
+    if not isinstance(value, dict):
         raise ValueError(f"{prefix.rstrip('.') or 'scenario config'} must be a mapping")
-    unknown = sorted(set(mapping) - set(allowed))
+    return _Section(value, prefix)
+
+
+def _check_keys(mapping, allowed, prefix: str = "") -> _Section:
+    """The config section mapping, after rejecting any key outside allowed."""
+    section = _section(mapping, prefix)
+    unknown = sorted(map(str, set(section) - set(allowed)))
     if unknown:
         raise ValueError("unknown scenario config keys: "
                          + ", ".join(f"{prefix}{key}" for key in unknown))
+    return section
+
+
+def _network_spec(spec) -> dict:
+    """An inline {positions, sensor_nodes, comm_radius} network, every entry
+    checked and converted: finite planar positions, integral node indices and
+    a positive finite radius."""
+    _check_keys(spec, NETWORK_KEYS, "network.")
+    missing = sorted(NETWORK_KEYS - set(spec))
+    if missing:
+        raise ValueError("scenario config is missing keys: "
+                         + ", ".join(f"network.{key}" for key in missing))
+    positions = _array(spec["positions"], "network.positions")
+    if positions.ndim != 2 or positions.shape[1] != 2:
+        raise ValueError("network.positions must be a list of planar points, "
+                         f"got shape {positions.shape}")
+    if not isinstance(spec["sensor_nodes"], list):
+        raise ValueError(f"network.sensor_nodes must be a list of node indices, "
+                         f"got {spec['sensor_nodes']!r}")
+    return {
+        "positions": _finite(positions, "network.positions").tolist(),
+        "sensor_nodes": [_number(s, "network.sensor_nodes", integer=True)
+                         for s in spec["sensor_nodes"]],
+        "comm_radius": _number(spec["comm_radius"], "network.comm_radius", low=0, strict=True),
+    }
 
 
 def _parse_config(data: dict, name_hint: str) -> ScenarioConfig:
-    _check_keys(data, CONFIG_KEYS)
-    try:
-        traj_data = data["trajectory"]
-        kind = traj_data["kind"]
-        if kind == "stationary":
-            _check_keys(traj_data, {"kind", "position", "orientation"}, "trajectory.")
-            traj = TrajectorySpec(
-                kind="stationary",
-                position=_vector(traj_data["position"], "trajectory.position", 2),
-                orientation=_number(traj_data["orientation"], "trajectory.orientation"),
-            )
-        elif kind == "waypoints":
-            _check_keys(traj_data, {"kind", "waypoints", "speed_kmh"}, "trajectory.")
-            waypoints = np.asarray(traj_data["waypoints"], dtype=float)
-            if waypoints.ndim != 2 or waypoints.shape[0] < 2 or waypoints.shape[1] != 2:
-                raise ValueError("waypoint trajectories need at least 2 planar points")
-            _finite(waypoints, "trajectory.waypoints")
-            speed = _number(traj_data["speed_kmh"], "trajectory.speed_kmh", low=0)
-            traj = TrajectorySpec(kind="waypoints", waypoints=waypoints,
-                                  speed_mps=speed * KMH_TO_MPS)
-        else:
-            raise ValueError(f"unknown trajectory kind {kind!r}")
-
-        meas = data["measurements"]
-        law = meas["law"]
-        if law == "fixed":
-            _check_keys(meas, {"law", "count"}, "measurements.")
-            count, rate = _number(meas["count"], "measurements.count", integer=True, low=1), 0.0
-        elif law == "poisson":
-            _check_keys(meas, {"law", "rate"}, "measurements.")
-            count, rate = 0, _number(meas["rate"], "measurements.rate", low=0, strict=True)
-        else:
-            raise ValueError(f"unknown measurement law {law!r}")
-
-        priors = data["priors"]
-        _check_keys(priors, {"mode", "kinematic_mean", "kinematic_cov", "extent_mean",
-                             "extent_cov"}, "priors.")
-        prior_mode = priors.get("mode", "fixed")
-        if prior_mode not in ("fixed", "sampled"):
-            raise ValueError(f"priors.mode must be fixed or sampled, got {prior_mode!r}")
-        shape = data["shape"]
-        if shape not in ("ellipse", "rectangle"):
-            raise ValueError(f"unknown shape {shape!r}")
-        axes = tuple(float(v) for v in data["semi_axes"])
-        if len(axes) != 2 or not (min(axes) > 0 and max(axes) < np.inf):
-            raise ValueError(f"semi_axes must be two positive finite lengths, got {axes}")
-        steps = _number(data["steps"], "steps", integer=True, low=1)
-        scan_time = _number(data["scan_time"], "scan_time", low=0, strict=True)
-        x_dim = _number(data["kinematic_dim"], "kinematic_dim", integer=True)
-        if x_dim not in (2, 4):
-            raise ValueError(f"kinematic_dim must be 2 or 4, got {x_dim}")
-        noise, process = data["noise"], data["process"]
-        _check_keys(noise, {"multiplicative_cov", "measurement_cov"}, "noise.")
-        _check_keys(process, {"kinematic_cov", "extent_cov"}, "process.")
-        network = data.get("network", "benchmark")
-        if network != "benchmark":
-            _check_keys(network, NETWORK_KEYS, "network.")
-            missing = sorted(NETWORK_KEYS - set(network))
-            if missing:
-                raise ValueError("scenario config is missing keys: "
-                                 + ", ".join(f"network.{key}" for key in missing))
-        runs = _number(data.get("runs", 1), "runs", integer=True, low=1)
-        seed = _number(data.get("seed", 0), "seed", integer=True, low=0)
-
-        return ScenarioConfig(
-            name=str(data.get("name", name_hint)),
-            shape=shape,
-            semi_axes=axes,
-            steps=steps,
-            scan_time=scan_time,
-            kinematic_dim=x_dim,
-            trajectory=traj,
-            meas_law=law,
-            meas_count=count,
-            meas_rate=rate,
-            ch=_matrix(noise["multiplicative_cov"], "noise.multiplicative_cov", 2),
-            cv=_matrix(noise["measurement_cov"], "noise.measurement_cov", 2),
-            cxw=_matrix(process["kinematic_cov"], "process.kinematic_cov", x_dim),
-            cpw=_matrix(process["extent_cov"], "process.extent_cov", 3),
-            prior_mode=prior_mode,
-            x0_mean=_vector(priors.get("kinematic_mean"), "priors.kinematic_mean", x_dim,
-                            optional=True),
-            cx0=_matrix(priors["kinematic_cov"], "priors.kinematic_cov", x_dim),
-            p0_mean=_vector(priors.get("extent_mean"), "priors.extent_mean", 3, optional=True),
-            cp0=_matrix(priors["extent_cov"], "priors.extent_cov", 3),
-            network=network,
-            runs=runs,
-            seed=seed,
+    data = _check_keys(data, CONFIG_KEYS)
+    traj_data = _section(data["trajectory"], "trajectory.")
+    kind = traj_data["kind"]
+    if kind == "stationary":
+        _check_keys(traj_data, {"kind", "position", "orientation"}, "trajectory.")
+        traj = TrajectorySpec(
+            kind="stationary",
+            position=_vector(traj_data["position"], "trajectory.position", 2),
+            orientation=_number(traj_data["orientation"], "trajectory.orientation"),
         )
-    except KeyError as exc:
-        raise ValueError(f"scenario config is missing key {exc}") from exc
+    elif kind == "waypoints":
+        _check_keys(traj_data, {"kind", "waypoints", "speed_kmh"}, "trajectory.")
+        waypoints = _array(traj_data["waypoints"], "trajectory.waypoints")
+        if waypoints.ndim != 2 or waypoints.shape[0] < 2 or waypoints.shape[1] != 2:
+            raise ValueError("trajectory.waypoints must be at least 2 planar points, "
+                             f"got shape {waypoints.shape}")
+        _finite(waypoints, "trajectory.waypoints")
+        speed = _number(traj_data["speed_kmh"], "trajectory.speed_kmh", low=0)
+        traj = TrajectorySpec(kind="waypoints", waypoints=waypoints,
+                              speed_mps=speed * KMH_TO_MPS)
+    else:
+        raise ValueError(f"unknown trajectory kind {kind!r}")
+
+    meas = _section(data["measurements"], "measurements.")
+    law = meas["law"]
+    if law == "fixed":
+        _check_keys(meas, {"law", "count"}, "measurements.")
+        count, rate = _number(meas["count"], "measurements.count", integer=True, low=1), 0.0
+    elif law == "poisson":
+        _check_keys(meas, {"law", "rate"}, "measurements.")
+        count, rate = 0, _number(meas["rate"], "measurements.rate", low=0, strict=True)
+    else:
+        raise ValueError(f"unknown measurement law {law!r}")
+
+    priors = _check_keys(data["priors"], {"mode", "kinematic_mean", "kinematic_cov",
+                                          "extent_mean", "extent_cov"}, "priors.")
+    prior_mode = priors.get("mode", "fixed")
+    if prior_mode not in ("fixed", "sampled"):
+        raise ValueError(f"priors.mode must be fixed or sampled, got {prior_mode!r}")
+    shape = data["shape"]
+    if shape not in ("ellipse", "rectangle"):
+        raise ValueError(f"unknown shape {shape!r}")
+    axes = _array(data["semi_axes"], "semi_axes")
+    if axes.shape != (2,) or not (axes.min() > 0 and axes.max() < np.inf):
+        raise ValueError(f"semi_axes must be two positive finite lengths, "
+                         f"got {axes.tolist()}")
+    steps = _number(data["steps"], "steps", integer=True, low=1)
+    scan_time = _number(data["scan_time"], "scan_time", low=0, strict=True)
+    x_dim = _number(data["kinematic_dim"], "kinematic_dim", integer=True)
+    if x_dim not in (2, 4):
+        raise ValueError(f"kinematic_dim must be 2 or 4, got {x_dim}")
+    noise = _check_keys(data["noise"], {"multiplicative_cov", "measurement_cov"}, "noise.")
+    process = _check_keys(data["process"], {"kinematic_cov", "extent_cov"}, "process.")
+    network = data.get("network", "benchmark")
+    if network != "benchmark":
+        network = _network_spec(network)
+    runs = _number(data.get("runs", 1), "runs", integer=True, low=1)
+    seed = _number(data.get("seed", 0), "seed", integer=True, low=0)
+
+    return ScenarioConfig(
+        name=str(data.get("name", name_hint)),
+        shape=shape,
+        semi_axes=tuple(axes.tolist()),
+        steps=steps,
+        scan_time=scan_time,
+        kinematic_dim=x_dim,
+        trajectory=traj,
+        meas_law=law,
+        meas_count=count,
+        meas_rate=rate,
+        ch=_matrix(noise["multiplicative_cov"], "noise.multiplicative_cov", 2),
+        cv=_matrix(noise["measurement_cov"], "noise.measurement_cov", 2),
+        cxw=_matrix(process["kinematic_cov"], "process.kinematic_cov", x_dim, definite=True),
+        cpw=_matrix(process["extent_cov"], "process.extent_cov", 3, definite=True),
+        prior_mode=prior_mode,
+        x0_mean=_vector(priors.get("kinematic_mean"), "priors.kinematic_mean", x_dim,
+                        optional=True),
+        cx0=_matrix(priors["kinematic_cov"], "priors.kinematic_cov", x_dim, definite=True),
+        p0_mean=_vector(priors.get("extent_mean"), "priors.extent_mean", 3, optional=True),
+        cp0=_matrix(priors["extent_cov"], "priors.extent_cov", 3, definite=True),
+        network=network,
+        runs=runs,
+        seed=seed,
+    )
 
 
 def preset_text(name: str) -> str:
@@ -359,49 +412,36 @@ def generate_truth(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
     return x_true, p_true
 
 
-def generate_measurements(
-    truth,
-    net: SensorNetwork,
-    config: ScenarioConfig,
-    seed,
-) -> ScenarioRun:
-    """Synthesize per-node detections and realize the priors for one run of
-    the truth pair (x_true, p_true).
+def generate_measurements(truth, net: SensorNetwork, config: ScenarioConfig,
+                          seeds) -> list[ScenarioRun]:
+    """Synthesize per-node detections and realize the priors of one run of
+    the truth pair (x_true, p_true) per seed.
 
-    The draw order (priors, then step-by-step node-by-node counts and
-    detections) is fixed, so equal seeds give bit-identical runs.
+    The noise factors and the truth's shape matrices are computed once for
+    every run.  A run's draw order (priors, then step-by-step node-by-node
+    counts and detections) is fixed, so equal seeds give bit-identical runs.
     """
     x_true, p_true = truth
-    rng = np.random.default_rng(seed)
-    x0, p0 = _realize_priors(x_true, p_true, config, rng)
     # Validate and factor the noises once for every draw.
     lh = sqrt_psd(as_cov(config.ch, "multiplicative noise covariance"))
     lv = sqrt_psd(as_cov(config.cv, "measurement noise covariance"))
-    sensor_set = set(net.sensor_nodes)
-    empty = np.zeros((0, 2))
-    steps = []
-    for x, p in zip(x_true, p_true):
-        s_mat = shape_matrix(p)
-        per_node = []
-        for s in range(net.size):
-            if s not in sensor_set:
-                per_node.append(empty)
-                continue
-            if config.meas_law == "fixed":
-                n = config.meas_count
-            else:
-                n = int(rng.poisson(config.meas_rate))
-            per_node.append(_scatter(x[:2], s_mat, lh, lv, n, rng))
-        steps.append(tuple(per_node))
-    return ScenarioRun(
-        x_true=x_true,
-        p_true=p_true,
-        measurements=tuple(steps),
-        x0=x0,
-        cx0=config.cx0.copy(),
-        p0=p0,
-        cp0=config.cp0.copy(),
-    )
+    shapes, sensors = shape_matrix(p_true), net.sensor_nodes
+    runs = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        x0, p0 = _realize_priors(x_true, p_true, config, rng)
+        counts = np.zeros((len(x_true), net.size), dtype=int)
+        draws = [np.zeros((0, 2))]
+        for k, (x, s_mat) in enumerate(zip(x_true, shapes)):
+            for s in sensors:
+                n = (config.meas_count if config.meas_law == "fixed"
+                     else int(rng.poisson(config.meas_rate)))
+                counts[k, s] = n
+                draws.append(_scatter(x[:2], s_mat, lh, lv, n, rng))
+        runs.append(ScenarioRun(x_true=x_true, p_true=p_true, detections=np.concatenate(draws),
+                                counts=counts, x0=x0, cx0=config.cx0.copy(), p0=p0,
+                                cp0=config.cp0.copy()))
+    return runs
 
 
 def _realize_priors(x_true, p_true, config: ScenarioConfig, rng):
@@ -416,6 +456,6 @@ def _realize_priors(x_true, p_true, config: ScenarioConfig, rng):
     return x0, clamp_extent(p0)
 
 
-def build_scenario_run(config: ScenarioConfig, net: SensorNetwork, seed) -> ScenarioRun:
-    """Truth plus measurements in one call."""
-    return generate_measurements(generate_truth(config), net, config, seed)
+def build_scenario_run(config: ScenarioConfig, net: SensorNetwork, seeds) -> list[ScenarioRun]:
+    """The truth of config, generated once, and one run of it per seed."""
+    return generate_measurements(generate_truth(config), net, config, seeds)

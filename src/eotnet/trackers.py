@@ -171,7 +171,8 @@ def _sanitize_rows(flat: np.ndarray, e: int, rows=None) -> None:
 def correct_scan(
     kin: InformationState,
     ext: InformationState,
-    batches,
+    y,
+    counts,
     params: TrackerParams,
     config: FilterConfig,
     pi: ConsensusMatrix | None = None,
@@ -179,25 +180,26 @@ def correct_scan(
 ) -> tuple[InformationState, InformationState]:
     """Sequential correction of the stacked node states over one scan.
 
-    The states are (R, n, d) node stacks of R realizations, and batches[r][j]
-    holds sensor j's detections in realization r.  Sensor j's noise is
-    params.cv_by_node[j] and its innovations go into state row 0 under CEOT
-    and into row j, the sensor's own node, under CI and CM.  At each index
-    the sensors that still have detections contribute, all realizations
-    linearized in one stacked call; shorter batches simply stop, and a
-    realization whose longest batch has ended takes no further correction or
-    averaging.  Realizations never mix.  The distributed filters need the
+    The states are (R, n, d) node stacks of R realizations.  The scan's
+    detections y (M, 2) come in (realization, sensor, index) order, and
+    counts[r, j] of them are sensor j's batch in realization r.  Sensor j's
+    noise is params.cv_by_node[j] and its innovations go into state row 0
+    under CEOT and into row j, the sensor's own node, under CI and CM.  At
+    each index the sensors that still have detections contribute, all
+    realizations linearized in one stacked call; shorter batches simply
+    stop, and a realization whose longest batch has ended takes no further
+    correction or averaging.  Realizations never mix.  The distributed filters need the
     consensus matrix pi and run config.consensus_iters averaging rounds per
     index.  A trace records the observed Rx spectra and the Rp floor hits.
     """
     if kin.q.ndim != 3:
         raise ValueError(f"correct_scan needs (R, n, d) states, got shape {kin.q.shape}")
     runs, nodes = kin.q.shape[:2]
-    if len(batches) != runs:
-        raise ValueError(f"got {len(batches)} batch lists for {runs} stacked realizations")
-    sensors = len(batches[0])
-    if any(len(b) != sensors for b in batches):
-        raise ValueError("every realization needs one batch per sensor")
+    counts, y_all = np.asarray(counts), np.reshape(y, (-1, 2))
+    if counts.ndim != 2 or counts.shape[0] != runs or len(y_all) != counts.sum():
+        raise ValueError(f"got {len(y_all)} detections in {counts.shape} batch counts for "
+                         f"{runs} stacked realizations")
+    sensors, sizes = counts.shape[1], counts.ravel()
     if config.kind is FilterKind.CEOT:
         rows = np.zeros(sensors, dtype=int)
     elif pi is None:
@@ -212,12 +214,9 @@ def correct_scan(
 
     # Every detection of the scan with its realization, sensor and index;
     # order[bounds[i]:bounds[i + 1]] picks index i's in (realization, sensor) order.
-    flat = [np.reshape(b, (-1, 2)) for run in batches for b in run]
-    counts = np.array([len(b) for b in flat], dtype=int)
-    ends = counts.reshape(runs, sensors).max(axis=1, initial=0)
-    y_all = np.concatenate([np.zeros((0, 2)), *flat])
-    det_run, det_sensor = (np.repeat(a.ravel(), counts) for a in np.indices((runs, sensors)))
-    det_index = np.concatenate([np.zeros(0, dtype=int), *map(np.arange, counts)])
+    ends = counts.max(axis=1, initial=0)
+    det_run, det_sensor = (np.repeat(a.ravel(), sizes) for a in np.indices((runs, sensors)))
+    det_index = np.arange(len(y_all)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     order = np.argsort(det_index, kind="stable")
     bounds = np.searchsorted(det_index[order], np.arange(ends.max(initial=0) + 1))
 
@@ -273,7 +272,7 @@ def predict_states(kin: InformationState, ext: InformationState, params: Tracker
 
 @dataclass(frozen=True)
 class TrackRecord:
-    """Per-step, per-node moment outputs of one tracked run.
+    """Per-run, per-step, per-node moment outputs of one stacked filter pass.
 
     The centralized filter records a single pseudo-node.  Outputs are taken
     after the scan's correction, before the prediction to the next scan.
@@ -281,19 +280,23 @@ class TrackRecord:
     the step advanced together.
     """
 
-    x_mean: np.ndarray  # (steps, nodes, x_dim)
-    x_cov: np.ndarray  # (steps, nodes, x_dim, x_dim)
-    p_mean: np.ndarray  # (steps, nodes, 3)
-    p_cov: np.ndarray  # (steps, nodes, 3, 3)
+    x_mean: np.ndarray  # (runs, steps, nodes, x_dim)
+    x_cov: np.ndarray  # (runs, steps, nodes, x_dim, x_dim)
+    p_mean: np.ndarray  # (runs, steps, nodes, 3)
+    p_cov: np.ndarray  # (runs, steps, nodes, 3, 3)
     step_seconds: np.ndarray  # (steps,), amortized over the stacked runs
 
     @property
-    def steps(self) -> int:
+    def runs(self) -> int:
         return self.x_mean.shape[0]
 
     @property
-    def nodes(self) -> int:
+    def steps(self) -> int:
         return self.x_mean.shape[1]
+
+    @property
+    def nodes(self) -> int:
+        return self.x_mean.shape[2]
 
 
 def run_filter(
@@ -303,11 +306,12 @@ def run_filter(
     config: FilterConfig,
     pi: ConsensusMatrix | None = None,
     trace=None,
-) -> list[TrackRecord]:
+) -> TrackRecord:
     """Drive one filter over realized runs of one scenario config, all of
-    them stacked in one pass, and return one TrackRecord per run.
+    them stacked in one pass, and return their TrackRecord, whose leading
+    axis follows scn_runs.
 
-    Each run's record equals the one a pass over that run alone gives; a
+    Each run's slice equals the record a pass over that run alone gives; a
     step's wall time is split evenly over the runs it advanced.  The
     distributed filters require a consensus matrix of the network's size,
     weighting only its edges and diagonal.  A non-finite detection fails
@@ -319,15 +323,25 @@ def run_filter(
     scn_runs = list(scn_runs)
     if not scn_runs:
         raise ValueError("run_filter needs at least one scenario run")
-    runs, steps = len(scn_runs), len(scn_runs[0].measurements)
-    if any(len(scn.measurements) != steps for scn in scn_runs):
-        raise ValueError("stacked scenario runs must have the same number of steps")
-    for r, scn in enumerate(scn_runs):
-        if not np.isfinite(np.concatenate([b for scan in scn.measurements for b in scan],
-                                          axis=None)).all():
-            k, j = next((k, j) for k, scan in enumerate(scn.measurements)
-                        for j, b in enumerate(scan) if not np.isfinite(b).all())
-            raise ValueError(f"detections of run {r}, step {k}, sensor {j} must be finite")
+    if len({scn.counts.shape for scn in scn_runs}) > 1:
+        raise ValueError("stacked scenario runs must have the same number of steps and nodes")
+    counts = np.stack([scn.counts for scn in scn_runs])  # (runs, steps, sensors)
+    runs, steps = counts.shape[:2]
+    per_scan = counts.sum(axis=2)  # (runs, steps)
+    if [len(scn.detections) for scn in scn_runs] != per_scan.sum(axis=1).tolist():
+        raise ValueError("every run's detections must match its count table")
+    # The batch's detections, (run, step, sensor, index) ordered, checked at once.
+    y = np.concatenate([np.zeros((0, 2)), *(scn.detections for scn in scn_runs)])
+    bad = ~np.isfinite(y).all(axis=1)
+    if bad.any():
+        first = np.searchsorted(np.cumsum(counts), np.argmax(bad), side="right")
+        r, k, j = np.unravel_index(first, counts.shape)
+        raise ValueError(f"detections of run {r}, step {k}, sensor {j} must be finite")
+    # One gather, a stable sort by step, into (step, run, sensor, index) order:
+    # scan k is the slice y[bounds[k]:bounds[k + 1]], its batches counted by counts[:, k].
+    y = y[np.argsort(np.repeat(np.tile(np.arange(steps), runs), per_scan.ravel()), kind="stable")]
+    bounds = np.concatenate([[0], np.cumsum(per_scan.sum(axis=0))])
+
     x_dim = scn_runs[0].x0.size
     nodes = 1 if config.kind is FilterKind.CEOT else net.size
     if nodes > 1 and pi is not None:
@@ -350,7 +364,7 @@ def run_filter(
 
     for k in range(steps):
         t0 = time.perf_counter()
-        kin, ext = correct_scan(kin, ext, [scn.measurements[k] for scn in scn_runs], params,
+        kin, ext = correct_scan(kin, ext, y[bounds[k]:bounds[k + 1]], counts[:, k], params,
                                 config, pi, trace)
         x_mean[:, k], x_cov[:, k] = to_moments(kin)
         p_mean[:, k], p_cov[:, k] = to_moments(ext)
@@ -360,5 +374,5 @@ def run_filter(
             kin, ext = predict_states(kin, ext, params)
         seconds[k] = (time.perf_counter() - t0) / runs
 
-    return [TrackRecord(x_mean=x_mean[r], x_cov=x_cov[r], p_mean=p_mean[r], p_cov=p_cov[r],
-                        step_seconds=seconds) for r in range(runs)]
+    return TrackRecord(x_mean=x_mean, x_cov=x_cov, p_mean=p_mean, p_cov=p_cov,
+                       step_seconds=seconds)

@@ -7,7 +7,8 @@ piecewise linearization builds the two measurement models one matrix product
 at a time, from the shape-matrix row Jacobians, as the library did before it
 moved to one Gram matrix per detection.  Detection sampling, node fusion and
 the rectangle alignment error serve the tests only, so they live here too,
-as does the generic innovation pair the piecewise linearization uses.
+as do the generic innovation pair the piecewise linearization uses and the
+converters between nested per-sensor batches and the flat detection layout.
 """
 
 from itertools import permutations
@@ -292,6 +293,27 @@ def sample_measurements(m, p, ch, cv, count: int, rng: np.random.Generator) -> n
     and extent; the scatter itself is checked against its moments."""
     lh, lv = (sqrt_psd(np.asarray(c, dtype=float)) for c in (ch, cv))
     return _scatter(np.asarray(m, dtype=float), shape_matrix(p), lh, lv, count, rng)
+
+
+def flat_scan(batches):
+    """correct_scan's (detections, counts) arguments for nested batches:
+    batches[r][j] holds sensor j's detections in realization r."""
+    flat = [[np.reshape(b, (-1, 2)) for b in run] for run in batches]
+    counts = np.array([[len(b) for b in run] for run in flat], dtype=int).reshape(len(flat), -1)
+    return np.concatenate([np.zeros((0, 2)), *(b for run in flat for b in run)]), counts
+
+
+def scan_batches(scn):
+    """A ScenarioRun's detections as nested [step][node] arrays, split one
+    array at a time by its count table."""
+    batches, start = [], 0
+    for counts in scn.counts:
+        batches.append([])
+        for n in counts:
+            batches[-1].append(scn.detections[start:start + n])
+            start += n
+    assert start == len(scn.detections)
+    return batches
 
 
 def fuse_nodes(means, covs):

@@ -39,6 +39,7 @@ from oracles import (
     extent_alignment_error,
     extent_measurement_matrix,
     extent_noise_moments,
+    flat_scan,
     fuse_nodes,
     kalman_predict_moments,
     kinematic_noise_cov,
@@ -46,6 +47,7 @@ from oracles import (
     quartic_moment_mean,
     residual_cov,
     sample_linearized_residuals,
+    scan_batches,
     shape_row_jacobians,
 )
 
@@ -74,16 +76,16 @@ def test_cm_matches_ceot_oracle():
         config = load_config("s2").with_overrides(steps=50, network=spec)
         pi = metropolis_weights(net)
         params = params_from_scenario(config, net)
-        scn = build_scenario_run(config, net, seed=1234)
+        (scn,) = build_scenario_run(config, net, [1234])
         ceot = FilterConfig(kind=FilterKind.CEOT)
         cm = FilterConfig(kind=FilterKind.CM, consensus_iters=1, omega=float(n))
         prior = (scn.x0[None], scn.cx0[None], scn.p0[None], scn.cp0[None])
         center, nodes = initial_states(*prior), initial_states(*prior, n)
-        for batches in scn.measurements:
+        for batches in scan_batches(scn):
             center = predict_states(
-                *correct_scan(*center, [batches], params, ceot), params)
+                *correct_scan(*center, *flat_scan([batches]), params, ceot), params)
             nodes = predict_states(
-                *correct_scan(*nodes, [batches], params, cm, pi), params)
+                *correct_scan(*nodes, *flat_scan([batches]), params, cm, pi), params)
             ((xc,),), _ = to_moments(center[0])
             ((pc,),), _ = to_moments(center[1])
             for xn, pn in zip(to_moments(nodes[0])[0][0], to_moments(nodes[1])[0][0]):
@@ -211,7 +213,7 @@ def test_s1_convergence():
     net = benchmark_network()
     pi = metropolis_weights(net)
     params = params_from_scenario(config, net)
-    scn = build_scenario_run(config, net, seed=67)
+    (scn,) = build_scenario_run(config, net, [67])
     truth_m, truth_p = scn.x_true[0, :2], scn.p_true[0]
     true_verts = extent_vertices(truth_m, truth_p)
 
@@ -221,12 +223,12 @@ def test_s1_convergence():
         ("ci", FilterConfig(kind=FilterKind.CI, consensus_iters=6)),
         ("cm", FilterConfig(kind=FilterKind.CM, consensus_iters=6)),
     ):
-        (rec,) = run_filter([scn], net, params, fc, pi)
+        rec = run_filter([scn], net, params, fc, pi)
         if rec.nodes == 1:
-            x, p = rec.x_mean[-1, 0], rec.p_mean[-1, 0]
+            x, p = rec.x_mean[0, -1, 0], rec.p_mean[0, -1, 0]
         else:
-            x, _ = fuse_nodes(rec.x_mean[-1], rec.x_cov[-1])
-            p, _ = fuse_nodes(rec.p_mean[-1], rec.p_cov[-1])
+            x, _ = fuse_nodes(rec.x_mean[0, -1], rec.x_cov[0, -1])
+            p, _ = fuse_nodes(rec.p_mean[0, -1], rec.p_cov[0, -1])
         pos_err = float(np.linalg.norm(x[:2] - truth_m))
         p = clamp_extent(p)
         dl1, dl2, _ = extent_alignment_error(p, truth_p)
@@ -255,15 +257,16 @@ def test_acee_iteration_trend():
     pi = metropolis_weights(net)
     params = params_from_scenario(config, net)
     children = np.random.SeedSequence(config.seed).spawn(10)
-    scns = [build_scenario_run(config, net, child) for child in children]
+    scns = build_scenario_run(config, net, children)
     means = {}
     for kind in (FilterKind.CI, FilterKind.CM):
         for rounds in (1, 6):
             kin_vals, ext_vals = [], []
-            for rec in run_filter(scns, net, params,
-                                  FilterConfig(kind=kind, consensus_iters=rounds), pi):
-                kin_vals.extend(acee(rec.x_mean[k]) for k in range(rec.steps))
-                ext_vals.extend(acee(rec.p_mean[k]) for k in range(rec.steps))
+            rec = run_filter(scns, net, params,
+                             FilterConfig(kind=kind, consensus_iters=rounds), pi)
+            for r in range(rec.runs):
+                kin_vals.extend(acee(rec.x_mean[r, k]) for k in range(rec.steps))
+                ext_vals.extend(acee(rec.p_mean[r, k]) for k in range(rec.steps))
             means[(kind, rounds)] = (float(np.mean(kin_vals)), float(np.mean(ext_vals)))
     elapsed = time.perf_counter() - t0
     ok = all(
@@ -295,8 +298,8 @@ def test_bounded_mse_and_assumptions():
     pi = metropolis_weights(net)
     params = params_from_scenario(config, net)
     trace = AssumptionTrace()
-    scn = build_scenario_run(config.with_overrides(steps=20), net, seed=0)
-    run_filter([scn], net, params, FilterConfig(kind=FilterKind.CM, consensus_iters=2),
+    scns = build_scenario_run(config.with_overrides(steps=20), net, [0])
+    run_filter(scns, net, params, FilterConfig(kind=FilterKind.CM, consensus_iters=2),
                pi, trace=trace)
     rep = check_assumptions(params.fx, np.eye(2, 4), config.cxw,
                             pi, rounds=2, omega=float(net.size), trace=trace)
@@ -321,10 +324,10 @@ def test_nees_consistency():
     runs = 50
     children = np.random.SeedSequence(config.seed).spawn(runs)
     per_step = np.zeros((runs, config.steps))
-    scns = [build_scenario_run(config, net, child) for child in children]
-    recs = run_filter(scns, net, params, FilterConfig(kind=FilterKind.CEOT), pi)
-    for m, (scn, rec) in enumerate(zip(scns, recs)):
-        per_step[m] = nees(rec.x_mean[:, 0], rec.x_cov[:, 0], scn.x_true)
+    scns = build_scenario_run(config, net, children)
+    rec = run_filter(scns, net, params, FilterConfig(kind=FilterKind.CEOT), pi)
+    for m, scn in enumerate(scns):
+        per_step[m] = nees(rec.x_mean[m, :, 0], rec.x_cov[m, :, 0], scn.x_true)
     mean_nees = float(per_step.mean())
     dim = 4
     lo, hi = nees_bounds(dim, runs, confidence=0.99)

@@ -184,6 +184,11 @@ BAD_CONFIG_EDITS = [
     ("runs: 50", "runs: 0", "runs must be >= 1, got 0"),
     ("seed: 0", "seed: -1", "seed must be >= 0, got -1"),
     ("steps: 4", "steps: .inf", "steps must be finite, got inf"),
+    ("semi_axes: [10.0, 5.0]", "semi_axes: 5", "semi_axes must be two positive finite lengths"),
+    ("measurement_cov: [1.0, 1.0]", "measurement_cov: [.nan, 1.0]",
+     "noise.measurement_cov must be finite"),
+    ("measurements:\n  law: fixed\n  count: 2", "measurements: [1]",
+     "measurements must be a mapping"),
 ]
 
 

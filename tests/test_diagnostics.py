@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from scipy.stats import chi2
@@ -260,30 +258,30 @@ def test_check_assumptions_detects_nonprimitive():
 def test_evaluate_run_rows_follow_the_per_estimate_layout():
     config = load_config("s3").with_overrides(steps=3)
     net = benchmark_network()
-    scn = build_scenario_run(config, net, 5)
-    (rec,) = run_filter([scn], net, params_from_scenario(config, net),
-                        FilterConfig(kind=FilterKind.CM, consensus_iters=1),
-                        metropolis_weights(net))
+    (scn,) = build_scenario_run(config, net, [5])
+    rec = run_filter([scn], net, params_from_scenario(config, net),
+                     FilterConfig(kind=FilterKind.CM, consensus_iters=1),
+                     metropolis_weights(net))
     metrics = ["pos_err", "gwd", "ospa", "nees_kin", "nees_ext"]
     want_columns = [(s, metric) for s in range(rec.nodes) for metric in metrics]
     want_columns += [(-1, "acee_kin"), (-1, "acee_ext")]
-    columns, values = evaluate_run(rec, scn, "rectangle")
+    columns, values = evaluate_run(rec, (scn.x_true, scn.p_true), "rectangle")
     assert columns == want_columns
-    assert values.shape == (rec.steps, len(want_columns)) and values.dtype == float
+    assert values.shape == (1, rec.steps, len(want_columns)) and values.dtype == float
     for k, (x_true, p_true) in enumerate(zip(scn.x_true, scn.p_true)):
         true_verts = extent_vertices(x_true[:2], p_true)
         want = []
         for s in range(rec.nodes):
-            x, p = rec.x_mean[k, s], clamp_extent(rec.p_mean[k, s])
-            e_p = rec.p_mean[k, s] - p_true
+            x, p = rec.x_mean[0, k, s], clamp_extent(rec.p_mean[0, k, s])
+            e_p = rec.p_mean[0, k, s] - p_true
             e_p[0] = wrap_angle(e_p[0])
             want += [np.linalg.norm(x[:2] - x_true[:2]),
                      gwd(x[:2], p, x_true[:2], p_true),
                      ospa_vertices(extent_vertices(x[:2], p), true_verts),
-                     nees(x, rec.x_cov[k, s], x_true),
-                     nees(e_p, rec.p_cov[k, s], np.zeros(3))]
-        want += [acee(rec.x_mean[k]), acee(rec.p_mean[k])]
-        np.testing.assert_allclose(values[k], want, rtol=1e-12)
+                     nees(x, rec.x_cov[0, k, s], x_true),
+                     nees(e_p, rec.p_cov[0, k, s], np.zeros(3))]
+        want += [acee(rec.x_mean[0, k]), acee(rec.p_mean[0, k])]
+        np.testing.assert_allclose(values[0, k], want, rtol=1e-12)
 
 
 NON_FINITE_NAMES = {"p_mean": "extent estimate", "p_cov": "extent covariance",
@@ -295,17 +293,17 @@ NON_FINITE_NAMES = {"p_mean": "extent estimate", "p_cov": "extent covariance",
     ("x_mean", (1, 2, 0)), ("x_mean", (0, 1, 1)),
 ])
 def test_evaluate_run_rejects_non_finite_estimates(field, index):
-    truth = SimpleNamespace(x_true=np.zeros((2, 2)), p_true=np.tile([0.3, 4.0, 2.0], (2, 1)))
+    truth = (np.zeros((2, 2)), np.tile([0.3, 4.0, 2.0], (2, 1)))
     arrays = {
-        "x_mean": np.zeros((2, 3, 2)),
-        "x_cov": np.tile(np.eye(2), (2, 3, 1, 1)),
-        "p_mean": np.tile([0.3, 4.0, 2.0], (2, 3, 1)),
-        "p_cov": np.tile(np.eye(3), (2, 3, 1, 1)),
+        "x_mean": np.zeros((2, 2, 3, 2)),
+        "x_cov": np.tile(np.eye(2), (2, 2, 3, 1, 1)),
+        "p_mean": np.tile([0.3, 4.0, 2.0], (2, 2, 3, 1)),
+        "p_cov": np.tile(np.eye(3), (2, 2, 3, 1, 1)),
     }
-    arrays[field][index] = np.nan
+    arrays[field][(1, *index)] = np.nan
     rec = TrackRecord(step_seconds=np.zeros(2), **arrays)
-    # The (steps, nodes) stacks name the failing step and node, not a run.
-    where = rf"{NON_FINITE_NAMES[field]} \(step {index[0]}, node {index[1]}\)"
+    # The (runs, steps, nodes) stacks name the failing run, step and node.
+    where = rf"{NON_FINITE_NAMES[field]} \(run 1, step {index[0]}, node {index[1]}\)"
     with pytest.raises(ValueError, match=rf"{where} (entries must be finite|must not contain)"):
         evaluate_run(rec, truth, "rectangle")
 

@@ -1,9 +1,10 @@
 """Property tests of the stacked filter core and metrics over random draws.
 
 Hypothesis draws connected geometric graphs of 2-6 nodes, sensor subsets,
-priors and per-sensor batch lengths, stacks of 1-6 detections over random
-linearization points, or stacks of estimates to score; each property below
-must hold for every draw, not only at the fixed seeds of the other suites.
+priors and per-sensor batch lengths, count tables of stacked realizations,
+stacks of 1-6 detections over random linearization points, or stacks of
+estimates to score; each property below must hold for every draw, not only
+at the fixed seeds of the other suites.
 """
 
 import numpy as np
@@ -17,6 +18,7 @@ from eotnet.diagnostics import AssumptionTrace, acee, gwd, nees, ospa_vertices
 from eotnet.geometry import MIN_AXIS, extent_vertices
 from eotnet.info_filter import InformationState, from_moments, to_moments
 from eotnet.linearization import innovations
+from eotnet.scenario import ScenarioRun, generate_measurements, generate_truth, load_config
 from eotnet.trackers import (
     FilterConfig,
     FilterKind,
@@ -29,14 +31,17 @@ from eotnet.trackers import (
     initial_states,
     ncv_transition,
     predict_states,
+    run_filter,
 )
 from oracles import (
+    flat_scan,
     gwd_eigh,
     gwd_eigh_rounding,
     innovations_by_pieces,
     rx_bounds_by_calls,
     sample_measurements,
     sanitize_extent_by_rows,
+    scan_batches,
 )
 
 SETTINGS = settings(max_examples=25, deadline=None)
@@ -124,7 +129,7 @@ def test_information_matrices_stay_positive_definite(draw, kind, rounds, max_len
     config = FilterConfig(kind=kind, consensus_iters=rounds)
     for _ in range(3):
         batches = random_batches(rng, net, max_len)
-        kin, ext = correct_scan(kin, ext, [batches], params, config, pi)
+        kin, ext = correct_scan(kin, ext, *flat_scan([batches]), params, config, pi)
         for info in (kin, ext):
             assert np.isfinite(info.q).all()
             assert np.linalg.eigvalsh(info.omega).min() > 0
@@ -144,12 +149,63 @@ def test_cm_with_node_count_weight_equals_ceot_on_complete_graphs(draw, max_len)
     cm = FilterConfig(kind=FilterKind.CM, consensus_iters=1)
     for _ in range(3):
         batches = random_batches(rng, net, max_len)
-        center = predict_states(*correct_scan(*center, [batches], params, ceot), params)
-        nodes = predict_states(*correct_scan(*nodes, [batches], params, cm, pi), params)
+        scan = flat_scan([batches])
+        center = predict_states(*correct_scan(*center, *scan, params, ceot), params)
+        nodes = predict_states(*correct_scan(*nodes, *scan, params, cm, pi), params)
         for c_info, n_info in zip(center, nodes):
             ((ref,),), _ = to_moments(c_info)
             means, _ = to_moments(n_info)
             assert np.abs(means - ref).max() <= 1e-9 * np.abs(ref).max()
+
+
+@SETTINGS
+@given(networks(), st.sampled_from(list(FilterKind)), st.integers(1, 4), st.integers(1, 3),
+       st.data())
+def test_stacked_flat_runs_equal_their_solo_passes(draw, kind, runs, steps, data):
+    # Count tables of 0-5 detections per (step, sensor); some realizations
+    # detect nothing at all, and the others' scans end at different indices.
+    net, pi, seed = draw
+    rng = np.random.default_rng(seed)
+    params = random_params(rng, net.size)
+    sensors = list(net.sensor_nodes)
+    scns = []
+    for _ in range(runs):
+        counts = np.zeros((steps, net.size), dtype=int)
+        if data.draw(st.booleans()):
+            counts[:, sensors] = np.reshape(data.draw(st.lists(
+                st.integers(0, 5), min_size=steps * len(sensors),
+                max_size=steps * len(sensors))), (steps, len(sensors)))
+        detections = np.concatenate([np.zeros((0, 2))] + [
+            sample_measurements(*TRUTH, np.eye(2) / 4, np.eye(2), n, rng)
+            for n in counts.ravel()])
+        scns.append(ScenarioRun(np.zeros((steps, 2)), np.tile(TRUTH[1], (steps, 1)),
+                                detections, counts, *(a[0] for a in random_prior(rng))))
+    config = FilterConfig(kind=kind, consensus_iters=2)
+    stacked = run_filter(scns, net, params, config, pi)
+    assert (stacked.runs, stacked.steps) == (runs, steps)
+    for r, scn in enumerate(scns):
+        solo = run_filter([scn], net, params, config, pi)
+        for field in ("x_mean", "x_cov", "p_mean", "p_cov"):
+            assert np.array_equal(getattr(stacked, field)[r], getattr(solo, field)[0]), field
+
+
+@SETTINGS
+@given(networks(), st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4),
+       st.integers(1, 3), st.floats(0.2, 3.0))
+def test_flat_detections_slice_into_per_sensor_draws(draw, seeds, steps, rate):
+    net, _, _ = draw
+    # fixed priors draw nothing, so the oracle starts at the first count
+    config = load_config("s2").with_overrides(steps=steps, prior_mode="fixed", meas_rate=rate)
+    truth = generate_truth(config)
+    for seed, run in zip(seeds, generate_measurements(truth, net, config, seeds)):
+        assert run.counts.shape == (steps, net.size)
+        assert not run.counts[:, list(net.communication_nodes)].any()
+        rng = np.random.default_rng(seed)
+        for x, p, per_node in zip(*truth, scan_batches(run)):
+            for s in net.sensor_nodes:
+                n = int(rng.poisson(rate))
+                assert np.array_equal(per_node[s],
+                                      sample_measurements(x[:2], p, config.ch, config.cv, n, rng))
 
 
 def random_points(rng, n):
@@ -264,7 +320,7 @@ def test_ceot_scatter_sums_every_detection_into_its_one_row(seed, k):
             acc += value
     want_ext = InformationState(ext.q + sums[2], ext.omega + sums[3])
     _sanitize_extent(want_ext.q, want_ext.omega)
-    got_kin, got_ext = correct_scan(kin, ext, [[y[j:j + 1] for j in range(k)]], params,
+    got_kin, got_ext = correct_scan(kin, ext, *flat_scan([[y[j:j + 1] for j in range(k)]]), params,
                                     FilterConfig(kind=FilterKind.CEOT))
     assert_close(got_kin.q, kin.q + sums[0])
     assert_close(got_kin.omega, kin.omega + sums[1])

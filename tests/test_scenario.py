@@ -17,7 +17,7 @@ from eotnet.scenario import (
     preset_text,
     resolve_network,
 )
-from oracles import sample_measurements
+from oracles import sample_measurements, scan_batches
 
 
 def test_presets_load_and_match_parameter_tables():
@@ -119,9 +119,9 @@ def test_waypoint_truth_extends_past_last_waypoint():
 def test_generate_measurements_counts_and_empty_relays():
     config = load_config("s1")
     net = benchmark_network()
-    run = build_scenario_run(config, net, seed=123)
-    assert len(run.measurements) == 1
-    per_node = run.measurements[0]
+    (run,) = build_scenario_run(config, net, [123])
+    assert len(scan_batches(run)) == 1
+    per_node = scan_batches(run)[0]
     for s in range(net.size):
         if s in net.sensor_nodes:
             assert per_node[s].shape == (100, 2)
@@ -135,9 +135,8 @@ def test_poisson_counts_mean():
     counts = []
     truth = generate_truth(config)
     rng_seed = np.random.SeedSequence(42)
-    for child in rng_seed.spawn(1700):
-        run = generate_measurements(truth, net, config, child)
-        counts.extend(len(run.measurements[0][s]) for s in net.sensor_nodes)
+    for run in generate_measurements(truth, net, config, rng_seed.spawn(1700)):
+        counts.extend(len(scan_batches(run)[0][s]) for s in net.sensor_nodes)
     counts = np.array(counts, dtype=float)
     assert counts.size >= 10_000
     tol = 3.0 * np.sqrt(5.0 / counts.size)
@@ -147,14 +146,14 @@ def test_poisson_counts_mean():
 def test_same_seed_bit_identical():
     config = load_config("s2").with_overrides(steps=3)
     net = benchmark_network()
-    a = build_scenario_run(config, net, seed=99)
-    b = build_scenario_run(config, net, seed=99)
+    (a,) = build_scenario_run(config, net, [99])
+    (b,) = build_scenario_run(config, net, [99])
     assert np.array_equal(a.x0, b.x0)
     assert np.array_equal(a.p0, b.p0)
-    for step_a, step_b in zip(a.measurements, b.measurements):
+    for step_a, step_b in zip(scan_batches(a), scan_batches(b)):
         for node_a, node_b in zip(step_a, step_b):
             assert np.array_equal(node_a, node_b)
-    c = build_scenario_run(config, net, seed=100)
+    (c,) = build_scenario_run(config, net, [100])
     assert not np.array_equal(a.x0, c.x0)
 
 
@@ -164,9 +163,9 @@ def test_measurement_covariance_at_true_pose():
 
     config = load_config("s1").with_overrides(meas_count=60_000)
     net = benchmark_network()
-    run = build_scenario_run(config, net, seed=5)
+    (run,) = build_scenario_run(config, net, [5])
     node = net.sensor_nodes[0]
-    ys = run.measurements[0][node]
+    ys = scan_batches(run)[0][node]
     s_mat = shape_matrix(run.p_true[0])
     expected = s_mat @ config.ch @ s_mat.T + config.cv
     assert np.allclose(np.cov(ys.T), expected, rtol=0.05, atol=0.05 * np.abs(expected).max())
@@ -175,7 +174,7 @@ def test_measurement_covariance_at_true_pose():
 def test_fixed_prior_mode_uses_configured_means():
     config = load_config("s1")
     net = benchmark_network()
-    run = build_scenario_run(config, net, seed=1)
+    (run,) = build_scenario_run(config, net, [1])
     assert np.array_equal(run.x0, [1.0, 1.0])
     assert np.array_equal(run.p0, [0.0, 2.0, 12.0])
 
@@ -183,7 +182,7 @@ def test_fixed_prior_mode_uses_configured_means():
 def test_sampled_priors_center_on_truth():
     config = load_config("s2").with_overrides(steps=1)
     net = benchmark_network()
-    draws = np.array([build_scenario_run(config, net, seed=i).x0 for i in range(300)])
+    draws = np.array([run.x0 for run in build_scenario_run(config, net, range(300))])
     truth0 = generate_truth(config)[0][0]
     spread = np.sqrt(np.diag(config.cx0))
     assert np.all(np.abs(draws.mean(0) - truth0) < 4 * spread / np.sqrt(300))
@@ -317,6 +316,34 @@ BAD_NESTED_ENTRIES = [
     ("measurements", "rate", "fast", "measurements.rate must be a number, got 'fast'"),
     ("trajectory", "speed_kmh", True, "trajectory.speed_kmh must be a number, got True"),
     ("priors", "mode", "bogus", "priors.mode must be fixed or sampled, got 'bogus'"),
+    # a section or entry of the wrong type is named before it is read
+    (None, "semi_axes", 5, r"semi_axes must be two positive finite lengths, got 5.0"),
+    (None, "semi_axes", None, "semi_axes must be two positive finite lengths"),
+    (None, "semi_axes", ["long", 5.0], r"semi_axes must be numbers, got \['long', 5.0\]"),
+    (None, "trajectory", 5, "trajectory must be a mapping"),
+    (None, "measurements", 3, "measurements must be a mapping"),
+    (None, "measurements", [1], "measurements must be a mapping"),
+    # a covariance entry is finite and numeric, and one the filters invert positive definite
+    ("noise", "measurement_cov", [float("nan"), 1.0], "noise.measurement_cov must be finite"),
+    ("priors", "kinematic_cov", [float("nan"), 1.0, 1.0, 1.0],
+     "priors.kinematic_cov must be finite"),
+    ("noise", "measurement_cov", ["a", 1.0], "noise.measurement_cov must be numbers"),
+    ("noise", "measurement_cov", [[1.0, 0.0], [0.0]], "noise.measurement_cov must be numbers"),
+    ("priors", "kinematic_cov", [50.0, -50.0, 1.0, 1.0],
+     "priors.kinematic_cov must be positive definite"),
+    ("process", "extent_cov", [0.05, 0.0, 0.001], "process.extent_cov must be positive definite"),
+    # an inline network's entries are checked at load
+    (None, "network", {"positions": [[0.0, 0.0], [500.0, 0.0]], "sensor_nodes": [0.5, 1.0],
+                       "comm_radius": 600.0}, "network.sensor_nodes must be an integer, got 0.5"),
+    (None, "network", {"positions": [[0.0, 0.0], [500.0, 0.0]], "sensor_nodes": [True],
+                       "comm_radius": 600.0}, "network.sensor_nodes must be an integer, got True"),
+    (None, "network", {"positions": [[0.0, 0.0], [500.0, 0.0]], "sensor_nodes": 0,
+                       "comm_radius": 600.0},
+     "network.sensor_nodes must be a list of node indices, got 0"),
+    (None, "network", {"positions": [[0.0, 0.0], [500.0, float("nan")]], "sensor_nodes": [0],
+                       "comm_radius": 600.0}, "network.positions must be finite"),
+    (None, "network", {"positions": [[0.0, 0.0], [500.0, 0.0]], "sensor_nodes": [0],
+                       "comm_radius": float("nan")}, "network.comm_radius must be finite"),
 ]
 
 
@@ -372,9 +399,9 @@ def test_generate_measurements_draws_like_sample_measurements(preset):
     config = load_config(preset).with_overrides(steps=3, prior_mode="fixed")
     net = benchmark_network()
     truth = generate_truth(config)
-    run = generate_measurements(truth, net, config, 2024)
+    (run,) = generate_measurements(truth, net, config, [2024])
     rng = np.random.default_rng(2024)
-    for x, p, per_node in zip(*truth, run.measurements):
+    for x, p, per_node in zip(*truth, scan_batches(run)):
         for s in range(net.size):
             if s not in net.sensor_nodes:
                 assert per_node[s].shape == (0, 2)
@@ -391,9 +418,9 @@ def test_generate_measurements_rejects_bad_covariance():
     truth = generate_truth(config)
     for bad in (np.array([[1, 2], [2, 1]]) * -1.0, np.array([[1.0, 0.5], [0.3, 1.0]])):
         with pytest.raises(ValueError, match="multiplicative noise covariance"):
-            generate_measurements(truth, net, config.with_overrides(ch=bad), 0)
+            generate_measurements(truth, net, config.with_overrides(ch=bad), [0])
         with pytest.raises(ValueError, match="measurement noise covariance"):
-            generate_measurements(truth, net, config.with_overrides(cv=bad), 0)
+            generate_measurements(truth, net, config.with_overrides(cv=bad), [0])
 
 
 # (preset, path, value, message): non-finite truth entries and their errors.
@@ -449,7 +476,7 @@ def written_documents():
 @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML is built without libyaml")
 def test_c_and_python_yaml_loaders_parse_every_written_document_alike():
     documents = written_documents()
-    assert len(documents) == 53
+    assert len(documents) == 73
     for text in documents:
         # repr compares types and NaNs too, which == on the mappings does not.
         assert repr(yaml.load(text, Loader=yaml.CSafeLoader)) == repr(yaml.safe_load(text))

@@ -16,6 +16,7 @@ from eotnet.trackers import (
 from oracles import (
     extent_measurement_matrix,
     extent_noise_moments,
+    flat_scan,
     fuse_nodes,
     kinematic_noise_cov,
     pseudo_measurement,
@@ -57,7 +58,7 @@ def one_run(x0, cx0, p0, cp0, nodes=1):
 def scan_step(state, batches, params, config, pi=None):
     """One scan of one realization: sequential correction over the batches,
     then prediction."""
-    return predict_states(*correct_scan(*state, [batches], params, config, pi), params)
+    return predict_states(*correct_scan(*state, *flat_scan([batches]), params, config, pi), params)
 
 
 def draw_batch(rng, truth_ext, m, n):
@@ -102,7 +103,7 @@ def test_single_sensor_sequential_matches_hand_computation():
         x_hat, cx, p_vec, cp = hand_single_update(x_hat, cx, p_vec, cp, y, ch, cv)
 
     params = make_params(1)
-    kin, ext = correct_scan(*one_run(x0, cx0, p0, cp0), [[ys]], params, CEOT)
+    kin, ext = correct_scan(*one_run(x0, cx0, p0, cp0), *flat_scan([[ys]]), params, CEOT)
     ((x_out,),), ((cx_out,),) = to_moments(kin)
     ((p_out,),), ((cp_out,),) = to_moments(ext)
     assert np.allclose(x_out, x_hat, rtol=1e-9)
@@ -153,7 +154,7 @@ def test_ceot_sums_per_node_innovations():
     params = TrackerParams(ch=ch, cv_by_node=tuple(cvs), fx=np.eye(2), wwx=np.eye(2),
                            wwp=np.eye(3))
     kin, ext = correct_scan(*one_run(x0, cx0, p0, cp0),
-                            [[y[None, :] for y in ys]], params, CEOT)
+                            *flat_scan([[y[None, :] for y in ys]]), params, CEOT)
     assert np.allclose(kin.q[0, 0], q_x, rtol=1e-10)
     assert np.allclose(kin.omega[0, 0], omega_x, rtol=1e-10)
     assert np.allclose(ext.q[0, 0], q_p, rtol=1e-10)
@@ -176,8 +177,8 @@ def test_sequential_determinism():
     params = make_params(1)
     batch = rng.normal(size=(20, 2)) * 2.0
     prior = one_run(x0, cx0, p0, cp0)
-    a = correct_scan(*prior, [[batch]], params, CEOT)
-    b = correct_scan(*prior, [[batch]], params, CEOT)
+    a = correct_scan(*prior, *flat_scan([[batch]]), params, CEOT)
+    b = correct_scan(*prior, *flat_scan([[batch]]), params, CEOT)
     for one, other in zip(a, b):
         assert np.array_equal(one.q, other.q)
         assert np.array_equal(one.omega, other.omega)
@@ -223,8 +224,8 @@ def test_cm_equals_ceot_with_communication_nodes():
     batches = [draw_batch(rng, truth_ext, np.zeros(2), 3),
                np.zeros((0, 2)),
                draw_batch(rng, truth_ext, np.zeros(2), 3)]
-    center, _ = correct_scan(*one_run(x0, cx0, p0, cp0), [batches], params, CEOT)
-    nodes, _ = correct_scan(*one_run(x0, cx0, p0, cp0, 3), [batches], params,
+    center, _ = correct_scan(*one_run(x0, cx0, p0, cp0), *flat_scan([batches]), params, CEOT)
+    nodes, _ = correct_scan(*one_run(x0, cx0, p0, cp0, 3), *flat_scan([batches]), params,
                             FilterConfig(kind=FilterKind.CM, omega=3.0), pi)
     ((xc,),), _ = to_moments(center)
     for xn in to_moments(nodes)[0][0]:
@@ -240,7 +241,7 @@ def test_cm_zero_weight_leaves_states_unchanged():
     params = make_params(3)
     priors = one_run(x0, cx0, p0, cp0, 3)
     batches = [draw_batch(rng, np.array([0.1, 2, 1]), np.zeros(2), 2) for _ in range(3)]
-    out = correct_scan(*priors, [batches], params,
+    out = correct_scan(*priors, *flat_scan([batches]), params,
                        FilterConfig(kind=FilterKind.CM, omega=0.0), pi)
     assert np.allclose(out[0].q, priors[0].q)
     assert np.allclose(out[1].omega, priors[1].omega)
@@ -257,7 +258,7 @@ def test_ci_nodes_agree_on_complete_graph_with_many_rounds():
     nodes = one_run(x0, cx0, p0, cp0, n)
     batches = [draw_batch(rng, np.array([0.5, 3, 1]), np.zeros(2), 5) for _ in range(3)]
     batches.append(np.zeros((0, 2)))
-    kin, ext = correct_scan(*nodes, [batches], params,
+    kin, ext = correct_scan(*nodes, *flat_scan([batches]), params,
                             FilterConfig(kind=FilterKind.CI, consensus_iters=60), pi)
     ((ref_x, *xs),), _ = to_moments(kin)
     ((ref_p, *ps),), _ = to_moments(ext)
@@ -279,7 +280,7 @@ def test_ci_single_round_stays_positive_definite():
     batches = [draw_batch(rng, np.array([0.5, 3, 1]), np.zeros(2), 4),
                np.zeros((0, 2)), np.zeros((0, 2)),
                draw_batch(rng, np.array([0.5, 3, 1]), np.zeros(2), 4)]
-    kin, ext = correct_scan(*nodes, [batches], params,
+    kin, ext = correct_scan(*nodes, *flat_scan([batches]), params,
                             FilterConfig(kind=FilterKind.CI, consensus_iters=1), pi)
     assert np.isfinite(kin.q).all() and np.isfinite(ext.q).all()
     assert np.linalg.eigvalsh(kin.omega).min() > 0
@@ -298,7 +299,7 @@ def test_ci_information_grows_with_sensors_present():
     batches = [draw_batch(rng, np.array([0.2, 2, 1]), np.zeros(2), 1),
                draw_batch(rng, np.array([0.2, 2, 1]), np.zeros(2), 1),
                np.zeros((0, 2))]
-    kin, _ = correct_scan(*priors, [batches], params,
+    kin, _ = correct_scan(*priors, *flat_scan([batches]), params,
                           FilterConfig(kind=FilterKind.CI, consensus_iters=1), pi)
     gain = kin.omega - priors[0].omega
     assert np.linalg.eigvalsh(gain).min() > 0  # full-rank position update on every node
@@ -311,7 +312,7 @@ def test_ci_without_any_sensors_keeps_priors():
     x0, cx0, p0, cp0 = default_priors()
     params = make_params(3)
     priors = one_run(x0, cx0, p0, cp0, 3)
-    out = correct_scan(*priors, [[np.zeros((0, 2))] * 3], params,
+    out = correct_scan(*priors, *flat_scan([[np.zeros((0, 2))] * 3]), params,
                        FilterConfig(kind=FilterKind.CI, consensus_iters=3), pi)
     assert np.allclose(out[0].q, priors[0].q)
     assert np.allclose(out[1].q, priors[1].q)
@@ -326,15 +327,18 @@ def test_distributed_scan_needs_matrix_and_one_batch_per_node():
     for kind in (FilterKind.CI, FilterKind.CM):
         config = FilterConfig(kind=kind)
         with pytest.raises(ValueError, match="consensus matrix"):
-            correct_scan(*priors, [[np.zeros((0, 2))] * 3], params, config)
+            correct_scan(*priors, *flat_scan([[np.zeros((0, 2))] * 3]), params, config)
         with pytest.raises(ValueError, match="one batch per node"):
-            correct_scan(*priors, [[np.zeros((0, 2))] * 2], params, config, pi)
+            correct_scan(*priors, *flat_scan([[np.zeros((0, 2))] * 2]), params, config, pi)
+        with pytest.raises(ValueError, match=r"got 1 detections in \(1, 3\) batch counts"):
+            correct_scan(*priors, np.zeros((1, 2)), np.zeros((1, 3), dtype=int), params, config,
+                         pi)
 
 
 def test_correct_scan_needs_a_realization_axis():
     kin, ext = initial_states(*default_priors())  # (1, d) rows, no realization axis
     with pytest.raises(ValueError, match=r"needs \(R, n, d\) states, got shape \(1, 2\)"):
-        correct_scan(kin, ext, [[np.zeros((0, 2))]], make_params(1), CEOT)
+        correct_scan(kin, ext, *flat_scan([[np.zeros((0, 2))]]), make_params(1), CEOT)
 
 
 def test_ncv_transition():
@@ -381,16 +385,16 @@ def test_cm_gwd_improves_with_more_rounds():
     pi = metropolis_weights(net)
     params = params_from_scenario(config, net)
     children = np.random.SeedSequence(11).spawn(5)
-    scns = [build_scenario_run(config, net, child) for child in children]
+    scns = build_scenario_run(config, net, children)
     means = []
     for rounds in range(1, 7):
         vals = []
-        recs = run_filter(scns, net, params,
-                          FilterConfig(kind=FilterKind.CM, consensus_iters=rounds), pi)
-        for scn, rec in zip(scns, recs):
+        rec = run_filter(scns, net, params,
+                         FilterConfig(kind=FilterKind.CM, consensus_iters=rounds), pi)
+        for r, scn in enumerate(scns):
             for k in range(rec.steps):
                 vals.extend(
-                    gwd(rec.x_mean[k, s][:2], clamp_extent(rec.p_mean[k, s]),
+                    gwd(rec.x_mean[r, k, s][:2], clamp_extent(rec.p_mean[r, k, s]),
                         scn.x_true[k, :2], scn.p_true[k])
                     for s in range(rec.nodes)
                 )
@@ -408,9 +412,9 @@ def test_kinematic_covariance_stays_bounded_on_long_run():
     net = benchmark_network()
     pi = metropolis_weights(net)
     params = params_from_scenario(config, net)
-    scn = build_scenario_run(config, net, seed=42)
-    (rec,) = run_filter([scn], net, params, FilterConfig(kind=FilterKind.CEOT), pi)
-    traces = np.trace(rec.x_cov, axis1=2, axis2=3)
+    scns = build_scenario_run(config, net, [42])
+    rec = run_filter(scns, net, params, FilterConfig(kind=FilterKind.CEOT), pi)
+    traces = np.trace(rec.x_cov[0], axis1=2, axis2=3)
     assert np.isfinite(traces).all()
     # steady state: the last three quarters stay within a small band
     tail = traces[rec.steps // 4:]
@@ -428,33 +432,38 @@ def test_stacked_runs_equal_one_run_calls(kind):
     net = benchmark_network()
     pi = metropolis_weights(net)
     params = params_from_scenario(config, net)
-    scns = [build_scenario_run(config, net, child)
-            for child in np.random.SeedSequence(21).spawn(4)]
+    scns = build_scenario_run(config, net, np.random.SeedSequence(21).spawn(4))
     # Poisson counts: the realizations' scans end at different indices
-    ends = [[max(len(b) for b in scn.measurements[k]) for scn in scns] for k in range(4)]
+    ends = [[scn.counts[k].max() for scn in scns] for k in range(4)]
     assert all(len(set(step)) > 1 for step in ends)
     fc = FilterConfig(kind=kind, consensus_iters=2)
     stacked = run_filter(scns, net, params, fc, pi)
-    assert len(stacked) == len(scns)
-    for scn, got in zip(scns, stacked):
-        (want,) = run_filter([scn], net, params, fc, pi)
+    assert stacked.runs == len(scns)
+    for r, scn in enumerate(scns):
+        want = run_filter([scn], net, params, fc, pi)
         for field in ("x_mean", "x_cov", "p_mean", "p_cov"):
-            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+            assert np.array_equal(getattr(stacked, field)[r], getattr(want, field)[0]), field
 
 
 def test_run_filter_rejects_runs_of_different_lengths():
+    from dataclasses import replace
+
     from eotnet.scenario import build_scenario_run, load_config, benchmark_network
     from eotnet.trackers import params_from_scenario, run_filter
 
     config = load_config("s2").with_overrides(steps=2)
     net = benchmark_network()
     params = params_from_scenario(config, net)
-    scns = [build_scenario_run(config, net, 1),
-            build_scenario_run(config.with_overrides(steps=3), net, 2)]
+    scns = [*build_scenario_run(config, net, [1]),
+            *build_scenario_run(config.with_overrides(steps=3), net, [2])]
     with pytest.raises(ValueError, match="same number of steps"):
         run_filter(scns, net, params, CEOT)
     with pytest.raises(ValueError, match="at least one"):
         run_filter([], net, params, CEOT)
+    # A count table must account for every detection of its run.
+    short = replace(scns[0], detections=scns[0].detections[:-1])
+    with pytest.raises(ValueError, match="detections must match its count table"):
+        run_filter([scns[0], short], net, params, CEOT)
 
 
 @pytest.mark.parametrize("kind", [FilterKind.CEOT, FilterKind.CI, FilterKind.CM])
@@ -468,13 +477,12 @@ def test_nonfinite_detection_is_named_before_filtering(kind):
     config = load_config("s2").with_overrides(steps=3)
     net = benchmark_network()
     params = params_from_scenario(config, net)
-    scns = [build_scenario_run(config, net, child)
-            for child in np.random.SeedSequence(5).spawn(3)]
-    sensor = next(j for j, b in enumerate(scns[1].measurements[2]) if len(b))
-    scans = [list(scan) for scan in scns[1].measurements]
-    scans[2][sensor] = scans[2][sensor].copy()
-    scans[2][sensor][-1, 1] = np.nan
-    scns[1] = replace(scns[1], measurements=tuple(map(tuple, scans)))
+    scns = build_scenario_run(config, net, np.random.SeedSequence(5).spawn(3))
+    sensor = next(j for j, n in enumerate(scns[1].counts[2]) if n)
+    detections = scns[1].detections.copy()
+    # the last detection of that sensor at step 2
+    detections[scns[1].counts[:2].sum() + scns[1].counts[2, :sensor + 1].sum() - 1, 1] = np.nan
+    scns[1] = replace(scns[1], detections=detections)
     with pytest.raises(ValueError, match=rf"run 1, step 2, sensor {sensor} must be finite"):
         run_filter(scns, net, params, FilterConfig(kind=kind, consensus_iters=2),
                    metropolis_weights(net))
@@ -489,7 +497,7 @@ def test_run_filter_checks_the_consensus_matrix_against_its_network(kind):
     config = load_config("s2").with_overrides(steps=2)
     net = benchmark_network()
     params = params_from_scenario(config, net)
-    scns = [build_scenario_run(config, net, 1)]
+    scns = build_scenario_run(config, net, [1])
     filter_config = FilterConfig(kind=kind, consensus_iters=2)
     # Uniform weights put messages on all 380 ordered pairs, 90 of them edges.
     uniform = ConsensusMatrix(np.full((20, 20), 1 / 20))
@@ -503,5 +511,5 @@ def test_run_filter_checks_the_consensus_matrix_against_its_network(kind):
     with pytest.raises(ValueError, match="3-node consensus matrix does not fit a 20-node network"):
         run_filter(scns, net, params, filter_config, small)
     # The network's own weights pass, and the centralized filter takes no matrix.
-    assert len(run_filter(scns, net, params, filter_config, metropolis_weights(net))) == 1
-    assert len(run_filter(scns, net, params, CEOT, uniform)) == 1
+    assert run_filter(scns, net, params, filter_config, metropolis_weights(net)).runs == 1
+    assert run_filter(scns, net, params, CEOT, uniform).runs == 1
