@@ -66,33 +66,40 @@ def sqrt_psd(a: np.ndarray) -> np.ndarray:
 _RUN_NODE = ("run", "node")
 
 
-def _first_slice(flags: np.ndarray, axes=_RUN_NODE) -> tuple[tuple, str]:
+def _first_slice(flags: np.ndarray, axes=_RUN_NODE, at=None) -> tuple[tuple, str]:
     """Index of the first set flag of a stack of flags, and its name by the
     full index and the last axis names: ' (node n)' in an (n,) stack,
-    ' (run r, node n)' in an (R, n) stack, '' for a single flag."""
-    index = np.unravel_index(int(np.argmax(flags)), flags.shape)
-    if not index:
+    ' (run r, node n)' in an (R, n) stack, '' for a single flag.  A stack of
+    gathered rows names a flag by its own index instead: at holds each
+    flag's index by all of axes, one row (..., len(axes)) per flag."""
+    flat = int(np.argmax(flags))
+    index = np.unravel_index(flat, flags.shape)
+    if at is not None:
+        labels, values = axes, [int(i) for i in np.reshape(at, (-1, len(axes)))[flat]]
+    elif not index:
         return index, ""
-    # Deeper stacks than the named axes are named by their index tuple alone.
-    labels = axes[-len(index):] if len(index) <= len(axes) else ("slice",)
-    values = [int(i) for i in index] if len(index) <= len(axes) else [tuple(map(int, index))]
+    elif len(index) <= len(axes):
+        labels, values = axes[-len(index):], [int(i) for i in index]
+    else:  # deeper stacks than the named axes are named by their index tuple alone
+        labels, values = ("slice",), [tuple(map(int, index))]
     return index, " (" + ", ".join(f"{label} {i}" for label, i in zip(labels, values)) + ")"
 
 
-def _checked_spd(a, name: str, axes=_RUN_NODE) -> np.ndarray:
+def _checked_spd(a, name: str, axes=_RUN_NODE, at=None) -> np.ndarray:
     """sym(a), after checking that it is finite and that a Cholesky
     factorization exists.  A failing slice of a stack is named by its full
     index: the node of an (n, d, d) stack, the run and node of an
-    (R, n, d, d) stack, or whatever two axes names."""
+    (R, n, d, d) stack, or whatever two axes names; or by its row of at,
+    as _first_slice names it."""
     a = sym(np.asarray(a, dtype=float))
     if not np.isfinite(a).all():
-        _, where = _first_slice(~np.isfinite(a).all(axis=(-2, -1)), axes)
+        _, where = _first_slice(~np.isfinite(a).all(axis=(-2, -1)), axes, at)
         raise ValueError(f"{name}{where} must not contain infs or NaNs")
     try:
         np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
         lowest = np.linalg.eigvalsh(a)[..., 0]
-        index, where = _first_slice(lowest == lowest.min(), axes)
+        index, where = _first_slice(lowest == lowest.min(), axes, at)
         raise np.linalg.LinAlgError(
             f"{name}{where} is singular or not positive definite "
             f"(cond {float(np.linalg.cond(a[index])):.3e})"
@@ -101,24 +108,25 @@ def _checked_spd(a, name: str, axes=_RUN_NODE) -> np.ndarray:
 
 
 def spd_solve(a: np.ndarray, b: np.ndarray, name: str = "matrix",
-              axes=_RUN_NODE) -> np.ndarray:
+              axes=_RUN_NODE, at=None) -> np.ndarray:
     """Solve a @ x = b for symmetric positive definite a.
 
     a may carry a leading stack axis, (n, d, d) against b of shape (n, d) or
     (n, d, k); each slice is solved on its own, and a failing one is named
-    by axes.  NumPy has no stacked triangular solve, so the Cholesky factor
-    serves only as the check.
+    by axes, or by its row of at.  NumPy has no stacked triangular solve, so
+    the Cholesky factor serves only as the check.
     """
-    a = _checked_spd(a, name, axes)
+    a = _checked_spd(a, name, axes, at)
     b = np.asarray(b, dtype=float)
     if b.ndim == a.ndim - 1:
         return np.linalg.solve(a, b[..., None])[..., 0]
     return np.linalg.solve(a, b)
 
 
-def spd_inv(a: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Inverse of a symmetric positive definite matrix, or of a stack of them."""
-    return sym(np.linalg.inv(_checked_spd(a, name)))
+def spd_inv(a: np.ndarray, name: str = "matrix", at=None) -> np.ndarray:
+    """Inverse of a symmetric positive definite matrix, or of a stack of them;
+    a failing slice is named as _checked_spd names it."""
+    return sym(np.linalg.inv(_checked_spd(a, name, at=at)))
 
 
 # The adjugate [d, -b, -c, a] of a flat 2x2 matrix [a, b, c, d]: picks and signs.

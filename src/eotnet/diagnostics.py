@@ -93,11 +93,12 @@ def ospa_vertices(est_vertices, true_vertices, cutoff: float = 100.0, order: int
 _TABLE_AXES = ("run", "step", "node")
 
 
-def _mahalanobis(e, cov, name: str):
+def _mahalanobis(e, cov, name: str, at=None):
     """e.T cov^-1 e for one error vector or a stack of them; a failing
-    covariance of a (runs, steps, nodes) stack is named by its run, step and node."""
+    covariance of a (runs, steps, nodes) stack is named by its run, step and
+    node, or by its row of at, as _first_slice names it."""
     e = np.asarray(e, dtype=float)
-    return np.sum(e * spd_solve(cov, e, name=name, axes=_TABLE_AXES), axis=-1)
+    return np.sum(e * spd_solve(cov, e, name=name, axes=_TABLE_AXES, at=at), axis=-1)
 
 
 def nees(est, cov, truth):
@@ -295,6 +296,11 @@ def check_assumptions(
     )
 
 
+# Runs scored at a time.  The metric temporaries grow with the runs scored
+# together; every run's numbers are its own, so chunks only bound the memory.
+EVAL_CHUNK_RUNS = 8
+
+
 def evaluate_run(record, truth, shape: str):
     """Per-step metric table (columns, values) of a record's tracked runs
     against the truth pair (x_true, p_true) they share.
@@ -304,18 +310,29 @@ def evaluate_run(record, truth, shape: str):
     Node -1 carries network-level values: the centralized filter's single
     output and the per-step estimate disagreement of the distributed filters.
     OSPA is scored for rectangles only, where the four vertices are well
-    defined.  Every metric is computed over the whole (runs, steps, nodes)
-    grid at once; estimated extents are wrapped and their semi-axes clamped
-    to MIN_AXIS first.  A non-finite kinematic or extent mean fails, naming
-    its run, step and node.
+    defined.  Every metric is computed over a (runs, steps, nodes) grid of
+    EVAL_CHUNK_RUNS runs at once; estimated extents are wrapped and their
+    semi-axes clamped to MIN_AXIS first.  A non-finite kinematic or extent
+    mean fails, naming its run, step and node.
     """
     for label, mean in (("kinematic", record.x_mean), ("extent", record.p_mean)):
         if not np.isfinite(mean).all():
             _, where = _first_slice(~np.isfinite(mean).all(axis=-1), _TABLE_AXES)
             raise ValueError(f"{label} estimate{where} entries must be finite")
+    chunks = [_score_runs(*(getattr(record, name)[r:r + EVAL_CHUNK_RUNS]
+                            for name in ("x_mean", "x_cov", "p_mean", "p_cov")), truth, shape, r)
+              for r in range(0, record.runs, EVAL_CHUNK_RUNS)]
+    return chunks[0][0], np.concatenate([values for _, values in chunks])
+
+
+def _score_runs(x_mean, x_cov, p_mean, p_cov, truth, shape: str, first_run: int):
+    """evaluate_run's table of the (runs, steps, nodes) estimate grids given,
+    whose runs are the record's from first_run on."""
+    runs, steps, nodes = x_mean.shape[:3]
+    at = np.stack(np.indices((runs, steps, nodes)), axis=-1) + (first_run, 0, 0)
     x_true, p_true = (np.asarray(t, dtype=float)[:, None, :] for t in truth)
-    x_est, p_est = record.x_mean, clamp_extent(record.p_mean)
-    e_p = record.p_mean - p_true
+    x_est, p_est = x_mean, clamp_extent(p_mean)
+    e_p = p_mean - p_true
     e_p[..., 0] = wrap_angle(e_p[..., 0])
     per_node = {
         "pos_err": np.linalg.norm(x_est[..., :2] - x_true[..., :2], axis=-1),
@@ -324,17 +341,17 @@ def evaluate_run(record, truth, shape: str):
     if shape == "rectangle":
         per_node["ospa"] = ospa_vertices(extent_vertices(x_est[..., :2], p_est),
                                          extent_vertices(x_true[..., :2], p_true))
-    per_node["nees_kin"] = nees(x_est, record.x_cov, x_true)
-    per_node["nees_ext"] = _mahalanobis(e_p, record.p_cov, "extent covariance")
-    per_step, nodes = {}, [-1]
-    if record.nodes > 1:
+    per_node["nees_kin"] = _mahalanobis(x_est - x_true, x_cov, "estimate covariance", at)
+    per_node["nees_ext"] = _mahalanobis(e_p, p_cov, "extent covariance", at)
+    per_step, labels = {}, [-1]
+    if nodes > 1:
         # One run at a time keeps acee's (steps, n, n, d) differences small.
         per_step = {name: np.stack([acee(run) for run in mean]) for name, mean in
-                    (("acee_kin", record.x_mean), ("acee_ext", record.p_mean))}
-        nodes = list(range(record.nodes))
-    columns = [(node, metric) for node in nodes for metric in per_node]
+                    (("acee_kin", x_mean), ("acee_ext", p_mean))}
+        labels = list(range(nodes))
+    columns = [(node, metric) for node in labels for metric in per_node]
     columns += [(-1, metric) for metric in per_step]
-    table = np.stack(list(per_node.values()), axis=-1).reshape(record.runs, record.steps, -1)
+    table = np.stack(list(per_node.values()), axis=-1).reshape(runs, steps, -1)
     values = np.concatenate([table, *(v[..., None] for v in per_step.values())], axis=-1)
     return columns, values
 

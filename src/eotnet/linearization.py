@@ -63,7 +63,7 @@ _EYE3 = np.eye(3)
 
 
 def innovations(x, cx, p, cp, y, ch, cv, trace=None):
-    """Innovation arrays (dqx, dox, dqp, dop) of a stack of detections.
+    """Innovation rows [dqx, dox, dqp, dop], (k, d + d * d + 12), of k detections.
 
     Detection y[k] is linearized at its own row's moments x[k], cx[k], p[k],
     cp[k] and carries the sensor noise cv[k]; ch is shared.  Both linear
@@ -93,8 +93,8 @@ def innovations(x, cx, p, cp, y, ch, cv, trace=None):
     rx = sym(picks[:, :4].reshape(k, 2, 2) + spread.reshape(k, 2, 2) + cv)
     vx = _spd_inv2(rx, name="kinematic measurement noise")
     # H = [I 0] only picks the position block.
-    dqx, dox = np.zeros((k, d)), np.zeros((k, d, d))
-    dqx[:, :2], dox[:, :2, :2] = _matvec(vx, y), vx
+    block, e = np.zeros((k, d + d * d + 12)), d + d * d
+    block[:, :2], block[:, d:e].reshape(k, d, d)[:, :2, :2] = _matvec(vx, y), vx
 
     cy = (cx[:, :2, :2] + rx).reshape(k, 4)
     m_mat = (picks[:, 4:13] + picks[:, 13:22]).reshape(k, 3, 3)
@@ -117,8 +117,8 @@ def innovations(x, cx, p, cp, y, ch, cv, trace=None):
     y_tilde = y_quad - np.take(cy, _SQUARE, axis=1) + _matvec(m_mat, p)
     # The extent innovation pair (M.T Vp y~, M.T Vp M).
     mv = m_mat.swapaxes(-1, -2) @ vp
-    dqp, dop = _matvec(mv, y_tilde), sym(mv @ m_mat)
+    block[:, e:e + 3], block[:, e + 3:] = _matvec(mv, y_tilde), sym(mv @ m_mat).reshape(k, 9)
     if trace is not None:
         trace.record_rx(rx)
         trace.record_rp_floor(np.count_nonzero(floored), k)
-    return dqx, dox, dqp, dop
+    return block

@@ -14,10 +14,10 @@ row.  The filters differ only in how the network combines those rows:
 - CM averages the innovations, then corrects every row with the weight omega.
 
 Through a scan the two states travel as one packed (R, n, k) array, one row
-[qx, Ωx, qp, Ωp] per node, so each index gathers and scatters the live
-realizations once, and correction, symmetrization and the synchronous
-consensus rounds act on all four information quantities at once.  After the
-batch, a standard information-form prediction advances both states.
+[qx, Ωx, qp, Ωp] per node, and correction, symmetrization and the consensus
+rounds act on all four information quantities at once.  One checked extent
+inverse per write gives the range check, the next index's extent
+linearization point and the record.  Then a prediction advances both states.
 """
 
 from __future__ import annotations
@@ -54,13 +54,18 @@ class FilterKind(enum.Enum):
     CM = "cm"
 
 
+# The largest measurement-consensus weight: omega = |G| compensates the
+# averaging over a network of |G| nodes, and far larger weights only overflow.
+MAX_OMEGA = 1e6
+
+
 @dataclass(frozen=True)
 class FilterConfig:
     """Which filter to run and its consensus settings.
 
     omega None means the node-count compensation |G|, which makes the
     measurement-consensus filter match the centralized filter exactly when
-    averaging is complete.
+    averaging is complete; a given omega is a number in [0, MAX_OMEGA].
     """
 
     kind: FilterKind
@@ -70,6 +75,9 @@ class FilterConfig:
     def __post_init__(self):
         if self.kind is not FilterKind.CEOT and self.consensus_iters < 1:
             raise ValueError("distributed filters need at least one consensus iteration")
+        if self.omega is not None and not 0.0 <= self.omega <= MAX_OMEGA:
+            raise ValueError(f"omega must be 'G' or a number in [0, {MAX_OMEGA:g}], "
+                             f"got {self.omega}")
 
 
 @dataclass(frozen=True)
@@ -121,16 +129,27 @@ def initial_states(x0, cx0, p0, cp0, nodes: int = 1):
     return from_moments(stacked(x0, 1), stacked(cx0, 2)), ext
 
 
-def _sanitize_extent(q: np.ndarray, omega: np.ndarray, rows=None) -> np.ndarray:
+def _in_range(p: np.ndarray) -> np.ndarray:
+    """Which extent means (..., 3) lie in (-pi, pi] x [MIN_AXIS, inf)^2."""
+    return (-np.pi < p[..., 0]) & (p[..., 0] <= np.pi) & (p[..., 1:] >= MIN_AXIS).all(axis=-1)
+
+
+def _sanitize_extent(q: np.ndarray, omega: np.ndarray, rows=None, at=None) -> np.ndarray:
     """Re-anchor, in place, the extent means of the given rows (flat indices
     into the rows of q (..., 3), whose reshape(-1, 3) must be a view, and
     omega (..., 3, 3); default: all) after a write: wrap the orientation into
     (-pi, pi] and clamp semi-axes to the floor.  Returns q while every row
-    checked is in range, which leaves it untouched, else the rows it wrote."""
+    checked is in range, which leaves it untouched, else the rows it wrote.
+    A failing row is named by its index in the stack, or by its row of at
+    when rows are given."""
     q_all, omega_all = q.reshape(-1, 3), omega.reshape(-1, 3, 3)
-    q_rows, omega_rows = (q_all, omega_all) if rows is None else (q_all[rows], omega_all[rows])
-    p = spd_solve(omega_rows, q_rows, name="extent information matrix")
-    in_range = (-np.pi < p[:, 0]) & (p[:, 0] <= np.pi) & (p[:, 1:] >= MIN_AXIS).all(axis=1)
+    if rows is None:
+        p = spd_solve(omega, q, name="extent information matrix").reshape(-1, 3)
+        q_rows, omega_rows = q_all, omega_all
+    else:
+        q_rows, omega_rows = q_all[rows], omega_all[rows]
+        p = spd_solve(omega_rows, q_rows, name="extent information matrix", at=at)
+    in_range = _in_range(p)
     if in_range.all():
         return q
     bad = np.flatnonzero(~in_range)
@@ -163,9 +182,20 @@ def _mirror(d: int) -> np.ndarray:
     return np.concatenate([np.arange(d), d + t(d), d + d * d + np.arange(3), d + d * d + 3 + t(3)])
 
 
-def _sanitize_rows(flat: np.ndarray, e: int, rows=None) -> None:
+def _sanitize_rows(flat: np.ndarray, e: int, rows=None, at=None) -> None:
     """_sanitize_extent on the extent columns, from column e on, of packed rows."""
-    _sanitize_extent(flat[:, e:e + 3], flat[:, e + 3:].reshape(-1, 3, 3), rows)
+    _sanitize_extent(flat[:, e:e + 3], flat[:, e + 3:].reshape(-1, 3, 3), rows, at)
+
+
+def _extent_moments(flat: np.ndarray, e: int, at=None):
+    """to_moments (p, Cp) of packed rows' extents, out-of-range rows re-anchored first."""
+    cp = spd_inv(flat[:, e + 3:].reshape(-1, 3, 3), name="extent information matrix", at=at)
+    p = _matvec(cp, flat[:, e:e + 3])
+    bad = np.flatnonzero(~_in_range(p))
+    if bad.size:
+        _sanitize_rows(flat, e, bad)
+        p[bad] = _matvec(cp[bad], flat[bad, e:e + 3])
+    return p, cp
 
 
 def correct_scan(
@@ -192,6 +222,11 @@ def correct_scan(
     consensus matrix pi and run config.consensus_iters averaging rounds per
     index.  A trace records the observed Rx spectra and the Rp floor hits.
     """
+    return _correct_scan(kin, ext, y, counts, params, config, pi, trace)[:2]
+
+
+def _correct_scan(kin, ext, y, counts, params, config, pi=None, trace=None):
+    """correct_scan, plus the moments (p, Cp) of every extent row it leaves."""
     if kin.q.ndim != 3:
         raise ValueError(f"correct_scan needs (R, n, d) states, got shape {kin.q.shape}")
     runs, nodes = kin.q.shape[:2]
@@ -212,35 +247,40 @@ def correct_scan(
     omega = config.omega if config.omega is not None else float(nodes)
     cv = np.asarray(params.cv_by_node, dtype=float)
 
-    # Every detection of the scan with its realization, sensor and index;
-    # order[bounds[i]:bounds[i + 1]] picks index i's in (realization, sensor) order.
+    # Every detection of the scan with its realization, sensor and index,
+    # sorted once by index in (realization, sensor) order: index i's are the
+    # slice bounds[i]:bounds[i + 1] of each column.  The scan reorders the
+    # realizations longest first, so at every index the live ones are a
+    # leading slice of the rows; realizations never mix, so no bit moves.
     ends = counts.max(axis=1, initial=0)
-    det_run, det_sensor = (np.repeat(a.ravel(), sizes) for a in np.indices((runs, sensors)))
+    by_end = np.argsort(-ends, kind="stable")
+    rank = np.argsort(by_end)
     det_index = np.arange(len(y_all)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     order = np.argsort(det_index, kind="stable")
     bounds = np.searchsorted(det_index[order], np.arange(ends.max(initial=0) + 1))
+    det_run, det_sensor = (np.repeat(a.ravel(), sizes)[order] for a in np.indices((runs, sensors)))
+    y_all, cv_all, det_node = y_all[order], cv[det_sensor], rows[det_sensor]
+    det_flat = rank[det_run] * nodes + det_node  # flat row of each detection's row
+    det_at = np.column_stack([det_run, det_node])  # its (realization, node)
+    grid = np.stack(np.indices((runs, nodes)), axis=-1)[by_end]  # (realization, node) of a row
 
     d = kin.dim
     e = d + d * d  # first extent column of a packed row
-    state = _pack(kin, ext)
+    state, (p_all, cp_all) = _pack(kin, ext)[by_end], (m[by_end] for m in to_moments(ext))
     width, mirror = state.shape[-1], _mirror(d)
     for i in range(ends.max(initial=0)):
-        live = np.flatnonzero(ends > i)
-        at_i = order[bounds[i]:bounds[i + 1]]
-        sensor = det_sensor[at_i]
-        # Flat row of each detection among the live realizations' rows.  Under
-        # CI and CM these rows are distinct.  Under CEOT every live
-        # realization has a detection at i, and its detections share its row.
-        det_rows = np.searchsorted(live, det_run[at_i]) * nodes + rows[sensor]
-        rows_i = state[live].reshape(-1, width)
-        lin, at = (slice(None), det_rows) if config.kind is FilterKind.CEOT else (det_rows, ...)
+        at_i, live = slice(bounds[i], bounds[i + 1]), slice(0, np.count_nonzero(ends > i))
+        # Under CI and CM the detections' rows are distinct.  Under CEOT every
+        # live realization has a detection at i, and its detections share its row.
+        det_rows, rows_i = det_flat[at_i], state[live].reshape(-1, width)
+        lin, at, lin_at = ((slice(None), det_rows, grid[live]) if config.kind is FilterKind.CEOT
+                           else (det_rows, ..., det_at[at_i]))
         lin_rows = rows_i[lin]
-        cx = spd_inv(lin_rows[:, d:e].reshape(-1, d, d), name="information matrix")
-        cp = spd_inv(lin_rows[:, e + 3:].reshape(-1, 3, 3), name="information matrix")
-        x, p = _matvec(cx, lin_rows[:, :d]), _matvec(cp, lin_rows[:, e:e + 3])
-        innov = innovations(x[at], cx[at], p[at], cp[at], y_all[at_i], params.ch, cv[sensor],
-                            trace)
-        packed = np.concatenate([a.reshape(len(at_i), -1) for a in innov], axis=1)
+        cx = spd_inv(lin_rows[:, d:e].reshape(-1, d, d), name="information matrix", at=lin_at)
+        x = _matvec(cx, lin_rows[:, :d])
+        packed = innovations(x[at], cx[at], p_all.reshape(-1, 3)[det_rows],
+                             cp_all.reshape(-1, 3, 3)[det_rows], y_all[at_i], params.ch,
+                             cv_all[at_i], trace)
         delta = np.zeros_like(rows_i)
         if config.kind is FilterKind.CEOT:  # sum the detections that share a row
             np.add.at(delta, det_rows, packed)
@@ -254,13 +294,15 @@ def correct_scan(
             rows_i = rows_i + delta
         # Symmetrize the matrices; a vector entry is its own mirror and stays exact.
         rows_i = 0.5 * (rows_i + np.take(rows_i, mirror, axis=1))
-        _sanitize_rows(rows_i, e, lin if config.kind is FilterKind.CI else None)
         if config.kind is FilterKind.CI:
+            _sanitize_rows(rows_i, e, lin, lin_at)
             rows_i = consensus_rounds(rows_i.reshape(-1, nodes, width), pi, rounds)
             rows_i = rows_i.reshape(-1, width)
-            _sanitize_rows(rows_i, e)
+        # One checked inverse per write gives the next index its extent moments.
+        p_i, cp_i = _extent_moments(rows_i, e, grid[live])
         state[live] = rows_i.reshape(-1, nodes, width)
-    return _unpack(state, d)
+        p_all[live], cp_all[live] = p_i.reshape(-1, nodes, 3), cp_i.reshape(-1, nodes, 3, 3)
+    return (*_unpack(state[rank], d), (p_all[rank], cp_all[rank]))
 
 
 def predict_states(kin: InformationState, ext: InformationState, params: TrackerParams):
@@ -364,10 +406,9 @@ def run_filter(
 
     for k in range(steps):
         t0 = time.perf_counter()
-        kin, ext = correct_scan(kin, ext, y[bounds[k]:bounds[k + 1]], counts[:, k], params,
-                                config, pi, trace)
+        kin, ext, (p_mean[:, k], p_cov[:, k]) = _correct_scan(
+            kin, ext, y[bounds[k]:bounds[k + 1]], counts[:, k], params, config, pi, trace)
         x_mean[:, k], x_cov[:, k] = to_moments(kin)
-        p_mean[:, k], p_cov[:, k] = to_moments(ext)
         if trace is not None:
             trace.record_omega(kin.omega)
         if k + 1 < steps:

@@ -183,6 +183,13 @@ def innovations_by_pieces(x, cx, p, cp, y, ch, cv):
     return dqx, dox, dqp, dop
 
 
+def split_innovations(block, d):
+    """The arrays (dqx, dox, dqp, dop) of an innovation block (k, d + d * d + 12)."""
+    k, e = len(block), d + d * d
+    return (block[:, :d], block[:, d:e].reshape(k, d, d), block[:, e:e + 3],
+            block[:, e + 3:].reshape(k, 3, 3))
+
+
 def quartic_moment_mean(cx_pos, s_mat, j1, j2, cp, ch, cv):
     """Closed-form mean of the quadratic residual statistic, expanded term by
     term: position covariance + scattering + extent-spread trace + sensor

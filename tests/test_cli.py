@@ -235,6 +235,18 @@ def test_omega_flag(tmp_path, tiny_config):
     assert "omega: 12.5" in (out2 / "summary.txt").read_text()
 
 
+@pytest.mark.parametrize("omega", ["nan", "inf", "1e308", "-5"])
+def test_bad_omega_exits_1_naming_omega(tmp_path, capsys, omega):
+    # Rejected when the filter config is built, before any filtering can overflow.
+    rc = main(["--scenario", "s2", "--filter", "cm", "--L", "2", "--runs", "1",
+               f"--omega={omega}", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: omega must be 'G' or a number in [0, 1e+06]")
+    assert "Traceback" not in err and "Warning" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_import_loads_no_scipy():
     # scipy is imported only inside nees_bounds, so it stays off the CLI's import path
     src = str(Path(eotnet.__file__).parents[1])

@@ -308,6 +308,42 @@ def test_evaluate_run_rejects_non_finite_estimates(field, index):
         evaluate_run(rec, truth, "rectangle")
 
 
+def random_record(rng, runs, steps, nodes):
+    """A record of random estimates with random positive definite covariances."""
+    def covs(d):
+        a = rng.normal(size=(runs, steps, nodes, d, d))
+        return a @ a.swapaxes(-1, -2) + 0.1 * np.eye(d)
+
+    x_mean = rng.normal(size=(runs, steps, nodes, 4)) * 10.0
+    p_mean = np.stack([rng.uniform(-7.0, 7.0, (runs, steps, nodes)),
+                       *rng.uniform(-1.0, 10.0, (2, runs, steps, nodes))], axis=-1)
+    return TrackRecord(x_mean, covs(4), p_mean, covs(3), np.zeros(steps))
+
+
+@pytest.mark.parametrize("shape, nodes", [("rectangle", 4), ("ellipse", 1)])
+def test_run_chunks_score_like_the_whole_grid(monkeypatch, shape, nodes):
+    import eotnet.diagnostics as diagnostics
+
+    rng = np.random.default_rng(21)
+    rec = random_record(rng, 50, 3, nodes)
+    truth = (rng.normal(size=(3, 4)), np.tile([0.3, 4.0, 2.0], (3, 1)))
+    columns, values = evaluate_run(rec, truth, shape)
+    monkeypatch.setattr(diagnostics, "EVAL_CHUNK_RUNS", 50)
+    whole_columns, whole = evaluate_run(rec, truth, shape)
+    assert columns == whole_columns
+    assert values.shape == whole.shape == (50, 3, len(columns))
+    assert np.array_equal(values, whole)
+
+
+def test_a_failing_covariance_is_named_by_its_run_in_the_record():
+    rng = np.random.default_rng(22)
+    rec = random_record(rng, 20, 2, 3)
+    rec.x_cov[17, 1, 2] = -np.eye(4)
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=r"estimate covariance \(run 17, step 1, node 2\) is singular"):
+        evaluate_run(rec, (np.zeros((2, 4)), np.tile([0.3, 4.0, 2.0], (2, 1))), "ellipse")
+
+
 def test_write_metrics_csv_and_summary(tmp_path):
     # Two runs of one step each: (runs, steps, columns).
     columns = [(-1, "gwd"), (-1, "pos_err")]

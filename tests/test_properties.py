@@ -7,6 +7,8 @@ estimates to score; each property below must hold for every draw, not only
 at the fixed seeds of the other suites.
 """
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,10 +21,12 @@ from eotnet.geometry import MIN_AXIS, extent_vertices
 from eotnet.info_filter import InformationState, from_moments, to_moments
 from eotnet.linearization import innovations
 from eotnet.scenario import ScenarioRun, generate_measurements, generate_truth, load_config
+from eotnet import trackers
 from eotnet.trackers import (
     FilterConfig,
     FilterKind,
     TrackerParams,
+    _correct_scan,
     _pack,
     _sanitize_extent,
     _sanitize_rows,
@@ -42,6 +46,7 @@ from oracles import (
     sample_measurements,
     sanitize_extent_by_rows,
     scan_batches,
+    split_innovations,
 )
 
 SETTINGS = settings(max_examples=25, deadline=None)
@@ -208,6 +213,66 @@ def test_flat_detections_slice_into_per_sensor_draws(draw, seeds, steps, rate):
                                       sample_measurements(x[:2], p, config.ch, config.cv, n, rng))
 
 
+class SanitizeSpy:
+    """trackers._sanitize_extent, keeping the rows of every call that wrote:
+    its extent rows (q, omega) before the call, the rows it checked, and q
+    after it."""
+
+    def __init__(self):
+        self.real, self.writes = trackers._sanitize_extent, []
+
+    def __call__(self, q, omega, rows=None, at=None):
+        before = q.reshape(-1, 3).copy()
+        out = self.real(q, omega, rows, at)
+        if out is not q:
+            self.writes.append((before, omega.reshape(-1, 3, 3).copy(), rows,
+                                q.reshape(-1, 3).copy()))
+        return out
+
+
+def scans_at_the_range_edges(kind, runs, steps, seed, max_len):
+    """Run `steps` scans of `runs` realizations whose priors sit at the edge of
+    the extent range, orientation pi or a semi-axis at MIN_AXIS, so that the
+    corrections push rows out of range; after every scan, check the carried
+    moments against to_moments of the written extent.  Returns the writes
+    of _sanitize_extent."""
+    rng = np.random.default_rng(seed)
+    net = build_network(rng.uniform(0.0, 30.0, (4, 2)), [NodeKind.SENSOR] * 4, 100.0)
+    pi, params = metropolis_weights(net), random_params(rng, 4)
+    priors = [np.concatenate(a) for a in zip(*(random_prior(rng) for _ in range(runs)))]
+    priors[2][::2, 0] = np.pi
+    priors[2][1::2, 2] = MIN_AXIS
+    priors[3][:] = np.diag([4.0, 1.0, 1.0])
+    kin, ext = initial_states(*priors, 1 if kind is FilterKind.CEOT else 4)
+    config = FilterConfig(kind=kind, consensus_iters=2)
+    spy = SanitizeSpy()
+    with mock.patch.object(trackers, "_sanitize_extent", spy):
+        for _ in range(steps):
+            # Batches of 0-max_len detections, so realizations end at different indices.
+            batches = [random_batches(rng, net, max_len) for _ in range(runs)]
+            kin, ext, (p, cp) = _correct_scan(kin, ext, *flat_scan(batches), params, config, pi)
+            want_p, want_cp = to_moments(ext)
+            assert np.array_equal(p, want_p) and np.array_equal(cp, want_cp)
+            kin, ext = predict_states(kin, ext, params)
+    for before, omega, rows, after in spy.writes:
+        assert np.array_equal(after, sanitize_extent_by_rows(before, omega, rows))
+    return spy.writes
+
+
+@SETTINGS
+@given(st.sampled_from(list(FilterKind)), st.integers(1, 3), st.integers(1, 3),
+       st.integers(0, 2**32 - 1), st.integers(1, 4))
+def test_carried_extent_moments_are_the_moments_of_every_write(kind, runs, steps, seed, max_len):
+    scans_at_the_range_edges(kind, runs, steps, seed, max_len)
+
+
+def test_rows_pushed_out_of_range_mid_scan_carry_their_re_anchored_moments():
+    for kind in FilterKind:
+        writes = scans_at_the_range_edges(kind, 3, 2, 5, 4)
+        # Some row left the range after a correction, not only after a prediction.
+        assert any(rows is not None for _, _, rows, _ in writes), kind
+
+
 def random_points(rng, n):
     """n linearization points (x, cx, p, cp) with rotated covariances and
     orientations well outside (-pi, pi]."""
@@ -241,10 +306,10 @@ def test_stacked_innovations_equal_slice_by_slice_calls(seed, n, picks):
     x, cx, p, cp = random_points(rng, n)
     rows = np.array(picks) % n  # repeated rows share one linearization point
     y, ch, cv = random_detections(rng, len(rows))
-    stacked = innovations(x[rows], cx[rows], p[rows], cp[rows], y, ch, cv)
+    stacked = split_innovations(innovations(x[rows], cx[rows], p[rows], cp[rows], y, ch, cv), 4)
     for k, r in enumerate(rows):
-        one = innovations(x[r:r + 1], cx[r:r + 1], p[r:r + 1], cp[r:r + 1], y[k:k + 1], ch,
-                          cv[k:k + 1])
+        one = split_innovations(innovations(x[r:r + 1], cx[r:r + 1], p[r:r + 1], cp[r:r + 1],
+                                            y[k:k + 1], ch, cv[k:k + 1]), 4)
         for got, want in zip(stacked, one):
             assert_close(got[k], want[0])
 
@@ -255,7 +320,7 @@ def test_gram_matrix_innovations_equal_the_piecewise_composition(seed, n):
     rng = np.random.default_rng(seed)
     x, cx, p, cp = random_points(rng, n)
     y, ch, cv = random_detections(rng, n)
-    got = innovations(x, cx, p, cp, y, ch, cv)
+    got = split_innovations(innovations(x, cx, p, cp, y, ch, cv), 4)
     for g, want in zip(got, innovations_by_pieces(x, cx, p, cp, y, ch, cv)):
         assert_close(g, want)
 
@@ -288,7 +353,7 @@ def test_forced_rp_floor_changes_only_its_own_row(seed, n, data):
     p[r, 1:] = l1, l1 * rng.uniform(2e-3, 5e-3)
     cx[r], cp[r], cv[r] = np.eye(4) * 1e-6, np.eye(3) * 1e-9, np.eye(2) * 1e-6
     count = FloorCount()
-    got = innovations(x, cx, p, cp, y, ch, cv, count)
+    got = split_innovations(innovations(x, cx, p, cp, y, ch, cv, count), 4)
     assert (count.floored, count.rows) == (1, n)
     # This row's Rx has a condition number up to 2.5e5, so its closed-form
     # inverse agrees with LAPACK's to about 1e-11.
@@ -297,8 +362,8 @@ def test_forced_rp_floor_changes_only_its_own_row(seed, n, data):
     for g, w in zip(got, want):
         assert_close(g[r], w[0], rtol=1e-9)
     for k in range(n):
-        one = innovations(x[k:k + 1], cx[k:k + 1], p[k:k + 1], cp[k:k + 1], y[k:k + 1], ch,
-                          cv[k:k + 1])
+        one = split_innovations(innovations(x[k:k + 1], cx[k:k + 1], p[k:k + 1], cp[k:k + 1],
+                                            y[k:k + 1], ch, cv[k:k + 1]), 4)
         for g, w in zip(got, one):
             assert np.array_equal(g[k], w[0])
 
@@ -316,7 +381,8 @@ def test_ceot_scatter_sums_every_detection_into_its_one_row(seed, k):
     ps, cps = (v[0] for v in to_moments(ext))
     sums = [np.zeros_like(a) for a in (kin.q, kin.omega, ext.q, ext.omega)]
     for j in range(k):
-        for acc, value in zip(sums, innovations(xs, cxs, ps, cps, y[j:j + 1], ch, cv[j:j + 1])):
+        block = innovations(xs, cxs, ps, cps, y[j:j + 1], ch, cv[j:j + 1])
+        for acc, value in zip(sums, split_innovations(block, 4)):
             acc += value
     want_ext = InformationState(ext.q + sums[2], ext.omega + sums[3])
     _sanitize_extent(want_ext.q, want_ext.omega)

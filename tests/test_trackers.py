@@ -3,11 +3,14 @@ import pytest
 
 from eotnet.consensus import NodeKind, build_network, metropolis_weights
 from eotnet.geometry import clamp_extent
-from eotnet.info_filter import to_moments
+from eotnet.info_filter import InformationState, to_moments
 from eotnet.trackers import (
     FilterConfig,
     FilterKind,
     TrackerParams,
+    _extent_moments,
+    _pack,
+    _sanitize_extent,
     correct_scan,
     initial_states,
     ncv_transition,
@@ -370,6 +373,51 @@ def test_filter_config_validation():
     with pytest.raises(ValueError):
         FilterConfig(kind=FilterKind.CI, consensus_iters=0)
     FilterConfig(kind=FilterKind.CEOT, consensus_iters=0)  # centralized: fine
+    for omega in (np.nan, np.inf, -np.inf, 1e308, -5.0, -1e-300):
+        with pytest.raises(ValueError, match="omega must be 'G' or a number in"):
+            FilterConfig(kind=FilterKind.CM, omega=omega)
+    for omega in (None, 0.0, 12.5, 1e6):
+        assert FilterConfig(kind=FilterKind.CM, omega=omega).omega == omega
+
+
+def two_runs_of_five_nodes():
+    """A 5-node line of sensors and the states of two realizations on it."""
+    net = build_network(np.stack([np.arange(5) * 10.0, np.zeros(5)], axis=1),
+                        [NodeKind.SENSOR] * 5, comm_radius=15.0)
+    prior = [np.stack([a, a]) for a in default_priors()]
+    return net, metropolis_weights(net), initial_states(*prior, 5)
+
+
+def indefinite_at(info, run, node):
+    omega = info.omega.copy()
+    omega[run, node] = -np.eye(info.dim)
+    return InformationState(info.q, omega)
+
+
+def test_a_failing_stacked_row_is_named_by_its_run_and_node():
+    net, pi, (kin, ext) = two_runs_of_five_nodes()
+    bad_ext = indefinite_at(ext, 1, 3)
+    where = r"\(run 1, node 3\) is singular or not positive definite"
+    with pytest.raises(np.linalg.LinAlgError, match="extent information matrix " + where):
+        _sanitize_extent(bad_ext.q.copy(), bad_ext.omega)
+    grid = np.stack(np.indices((2, 5)), axis=-1).reshape(-1, 2)
+    with pytest.raises(np.linalg.LinAlgError, match="extent information matrix " + where):
+        _extent_moments(_pack(kin, bad_ext).reshape(10, -1), 6, grid)
+    params = make_params(5)
+    # Run 0 detects nothing, so only run 1 is live, and node 3 is the one
+    # sensor that detects: the linearization inverse is a one-row stack.
+    batches = [[np.zeros((0, 2))] * 5,
+               [np.zeros((0, 2))] * 3 + [np.ones((1, 2)), np.zeros((0, 2))]]
+    for kind in (FilterKind.CI, FilterKind.CM):
+        config = FilterConfig(kind=kind)
+        with pytest.raises(np.linalg.LinAlgError, match="information matrix " + where):
+            correct_scan(kin, bad_ext, *flat_scan(batches), params, config, pi)
+        with pytest.raises(np.linalg.LinAlgError, match="^information matrix " + where):
+            correct_scan(indefinite_at(kin, 1, 3), ext, *flat_scan(batches), params, config, pi)
+    center = [InformationState(a.q[:, :1], a.omega[:, :1]) for a in (kin, ext)]
+    with pytest.raises(np.linalg.LinAlgError, match=r"^information matrix \(run 1, node 0\)"):
+        correct_scan(indefinite_at(center[0], 1, 0), center[1], *flat_scan(batches), params,
+                     CEOT)
 
 
 def test_cm_gwd_improves_with_more_rounds():
