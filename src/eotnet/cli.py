@@ -46,9 +46,16 @@ def _worker(payload):
 
 
 def _pool_size(runs: int) -> int:
+    """Workers for runs realizations: at most EOT_THREADS, a positive
+    integer, or the CPU count when it is unset or blank."""
     cap = os.environ.get("EOT_THREADS", "").strip()
-    limit = int(cap) if cap else (os.cpu_count() or 1)
-    return max(1, min(runs, limit))
+    try:
+        limit = int(cap) if cap else (os.cpu_count() or 1)
+    except ValueError:
+        limit = 0
+    if limit < 1:
+        raise ValueError(f"EOT_THREADS must be a positive integer, got {cap!r}")
+    return min(runs, limit)
 
 
 def run(config, filter_config: FilterConfig, out_dir) -> tuple[list, np.ndarray]:
@@ -120,9 +127,7 @@ def sweep(settings, out_dir) -> int:
     its label names, L=6 into L_6, and write a combined comparison CSV."""
     if not settings:
         raise ValueError("sweep list must not be empty")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    combined = []
+    out, combined = Path(out_dir), []  # the first run makes out
     for label, config, filter_config in settings:
         table = run(config, filter_config, out / label.replace("=", "_"))
         for metric, (mean, std, count) in summarize_metrics(*table).items():

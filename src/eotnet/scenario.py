@@ -118,8 +118,9 @@ def _array(spec, name: str) -> np.ndarray:
 
 
 def _matrix(spec, name: str, size: int, *, definite: bool = False) -> np.ndarray:
-    """Parse a finite size x size config covariance: a flat list means a
-    diagonal matrix.  One the filters invert must be positive definite."""
+    """Parse a finite, symmetric positive semidefinite size x size config
+    covariance: a flat list means a diagonal matrix.  One the filters invert
+    must be positive definite."""
     arr = _array(spec, name)
     if arr.ndim == 1:
         arr = np.diag(arr)
@@ -129,6 +130,7 @@ def _matrix(spec, name: str, size: int, *, definite: bool = False) -> np.ndarray
     _finite(arr, name)
     if definite and not np.linalg.eigvalsh(arr)[0] > 0:
         raise ValueError(f"{name} must be positive definite, got {arr.tolist()}")
+    as_cov(arr, name)
     return arr
 
 
@@ -246,6 +248,11 @@ def _parse_config(data: dict, name_hint: str) -> ScenarioConfig:
             raise ValueError("trajectory.waypoints must be at least 2 planar points, "
                              f"got shape {waypoints.shape}")
         _finite(waypoints, "trajectory.waypoints")
+        repeated = np.flatnonzero(np.linalg.norm(np.diff(waypoints, axis=0), axis=1) <= 0)
+        if repeated.size:
+            raise ValueError("consecutive trajectory.waypoints must be distinct, got "
+                             f"{waypoints[repeated[0]].tolist()} at {repeated[0]} and "
+                             f"{repeated[0] + 1}")
         speed = _number(traj_data["speed_kmh"], "trajectory.speed_kmh", low=0)
         traj = TrajectorySpec(kind="waypoints", waypoints=waypoints,
                               speed_mps=speed * KMH_TO_MPS)

@@ -15,8 +15,9 @@ row.  The filters differ only in how the network combines those rows:
 
 Through a scan the two states travel as one packed (R, n, k) array, one row
 [qx, Ωx, qp, Ωp] per node, and correction, symmetrization and the consensus
-rounds act on all four information quantities at once.  One checked extent
-inverse per write gives the range check, the next index's extent
+rounds act on all four information quantities at once.  The scan owns the
+extent range check: one checked inverse per row, of the scan's starting rows
+and after each write, gives the verdict, the next index's extent
 linearization point and the record.  Then a prediction advances both states.
 """
 
@@ -117,16 +118,16 @@ def params_from_scenario(config, net: SensorNetwork) -> TrackerParams:
 
 def initial_states(x0, cx0, p0, cp0, nodes: int = 1):
     """Stacked (kinematic, extent) information states with the same prior on
-    each of `nodes` rows, the extent mean sanitized.  Priors with a leading
-    realization axis, x0 (R, d) and cx0 (R, d, d), give (R, nodes, ...) states."""
+    each of `nodes` rows.  Priors with a leading realization axis, x0 (R, d)
+    and cx0 (R, d, d), give (R, nodes, ...) states.  The extent mean is left
+    as given: a scan re-anchors it if out of range before linearizing it."""
     def stacked(a, entry_dims):
         a = np.asarray(a, dtype=float)
         axis = a.ndim - entry_dims
         return np.repeat(np.expand_dims(a, axis), nodes, axis=axis)
 
-    ext = from_moments(stacked(p0, 1), stacked(cp0, 2))
-    _sanitize_extent(ext.q, ext.omega)
-    return from_moments(stacked(x0, 1), stacked(cx0, 2)), ext
+    return (from_moments(stacked(x0, 1), stacked(cx0, 2)),
+            from_moments(stacked(p0, 1), stacked(cp0, 2)))
 
 
 def _in_range(p: np.ndarray) -> np.ndarray:
@@ -134,28 +135,29 @@ def _in_range(p: np.ndarray) -> np.ndarray:
     return (-np.pi < p[..., 0]) & (p[..., 0] <= np.pi) & (p[..., 1:] >= MIN_AXIS).all(axis=-1)
 
 
-def _sanitize_extent(q: np.ndarray, omega: np.ndarray, rows=None, at=None) -> np.ndarray:
-    """Re-anchor, in place, the extent means of the given rows (flat indices
-    into the rows of q (..., 3), whose reshape(-1, 3) must be a view, and
-    omega (..., 3, 3); default: all) after a write: wrap the orientation into
-    (-pi, pi] and clamp semi-axes to the floor.  Returns q while every row
-    checked is in range, which leaves it untouched, else the rows it wrote.
-    A failing row is named by its index in the stack, or by its row of at
-    when rows are given."""
-    q_all, omega_all = q.reshape(-1, 3), omega.reshape(-1, 3, 3)
-    if rows is None:
-        p = spd_solve(omega, q, name="extent information matrix").reshape(-1, 3)
-        q_rows, omega_rows = q_all, omega_all
-    else:
-        q_rows, omega_rows = q_all[rows], omega_all[rows]
-        p = spd_solve(omega_rows, q_rows, name="extent information matrix", at=at)
-    in_range = _in_range(p)
-    if in_range.all():
-        return q
-    bad = np.flatnonzero(~in_range)
-    fixed = _matvec(omega_rows[bad], clamp_extent(p[bad]))
-    q_all[bad if rows is None else np.asarray(rows)[bad]] = fixed
-    return fixed
+def _sanitize_extent(q: np.ndarray, omega: np.ndarray, rows: np.ndarray) -> None:
+    """Re-anchor, in place, each row of q (..., 3) flagged by the boolean mask
+    rows whose mean, solved from omega (..., 3, 3), is out of range: wrap its
+    orientation into (-pi, pi] and clamp its semi-axes to the floor."""
+    at = np.nonzero(rows)
+    p = spd_solve(omega[at], q[at], name="extent information matrix")
+    bad = ~_in_range(p)
+    at = tuple(i[bad] for i in at)
+    q[at] = _matvec(omega[at], clamp_extent(p[bad]))
+
+
+def _extent_moments(q: np.ndarray, omega: np.ndarray, at=None):
+    """to_moments (p, Cp) of the extent rows q (..., 3) and omega (..., 3, 3),
+    views into a stack, from one checked inverse per row.  A row whose p is
+    out of range is re-anchored in place by _sanitize_extent first, and its p
+    taken again.  A failing row is named as spd_inv names it, by at if given."""
+    cp = spd_inv(omega, name="extent information matrix", at=at)
+    p = _matvec(cp, q)
+    bad = ~_in_range(p)
+    if bad.any():
+        _sanitize_extent(q, omega, bad)
+        p[bad] = _matvec(cp[bad], q[bad])
+    return p, cp
 
 
 def _pack(kin: InformationState, ext: InformationState) -> np.ndarray:
@@ -180,22 +182,6 @@ def _mirror(d: int) -> np.ndarray:
         return np.arange(size * size).reshape(size, size).T.ravel()
 
     return np.concatenate([np.arange(d), d + t(d), d + d * d + np.arange(3), d + d * d + 3 + t(3)])
-
-
-def _sanitize_rows(flat: np.ndarray, e: int, rows=None, at=None) -> None:
-    """_sanitize_extent on the extent columns, from column e on, of packed rows."""
-    _sanitize_extent(flat[:, e:e + 3], flat[:, e + 3:].reshape(-1, 3, 3), rows, at)
-
-
-def _extent_moments(flat: np.ndarray, e: int, at=None):
-    """to_moments (p, Cp) of packed rows' extents, out-of-range rows re-anchored first."""
-    cp = spd_inv(flat[:, e + 3:].reshape(-1, 3, 3), name="extent information matrix", at=at)
-    p = _matvec(cp, flat[:, e:e + 3])
-    bad = np.flatnonzero(~_in_range(p))
-    if bad.size:
-        _sanitize_rows(flat, e, bad)
-        p[bad] = _matvec(cp[bad], flat[bad, e:e + 3])
-    return p, cp
 
 
 def correct_scan(
@@ -266,8 +252,14 @@ def _correct_scan(kin, ext, y, counts, params, config, pi=None, trace=None):
 
     d = kin.dim
     e = d + d * d  # first extent column of a packed row
-    state, (p_all, cp_all) = _pack(kin, ext)[by_end], (m[by_end] for m in to_moments(ext))
+
+    def extent(rows):  # the extent (qp, Ωp) of packed rows; qp is a view
+        return rows[..., e:e + 3], rows[..., e + 3:].reshape(*rows.shape[:-1], 3, 3)
+
+    state = _pack(kin, ext)[by_end]
     width, mirror = state.shape[-1], _mirror(d)
+    # Every extent row is range-checked before it is first linearized.
+    p_all, cp_all = _extent_moments(*extent(state), grid)
     for i in range(ends.max(initial=0)):
         at_i, live = slice(bounds[i], bounds[i + 1]), slice(0, np.count_nonzero(ends > i))
         # Under CI and CM the detections' rows are distinct.  Under CEOT every
@@ -281,7 +273,7 @@ def _correct_scan(kin, ext, y, counts, params, config, pi=None, trace=None):
         packed = innovations(x[at], cx[at], p_all.reshape(-1, 3)[det_rows],
                              cp_all.reshape(-1, 3, 3)[det_rows], y_all[at_i], params.ch,
                              cv_all[at_i], trace)
-        delta = np.zeros_like(rows_i)
+        delta = np.zeros(rows_i.shape)
         if config.kind is FilterKind.CEOT:  # sum the detections that share a row
             np.add.at(delta, det_rows, packed)
         else:
@@ -293,13 +285,15 @@ def _correct_scan(kin, ext, y, counts, params, config, pi=None, trace=None):
         else:
             rows_i = rows_i + delta
         # Symmetrize the matrices; a vector entry is its own mirror and stays exact.
-        rows_i = 0.5 * (rows_i + np.take(rows_i, mirror, axis=1))
+        rows_i = 0.5 * (rows_i + rows_i.take(mirror, axis=1))
         if config.kind is FilterKind.CI:
-            _sanitize_rows(rows_i, e, lin, lin_at)
+            checked = rows_i[lin]
+            _extent_moments(*extent(checked), lin_at)
+            rows_i[lin] = checked
             rows_i = consensus_rounds(rows_i.reshape(-1, nodes, width), pi, rounds)
             rows_i = rows_i.reshape(-1, width)
         # One checked inverse per write gives the next index its extent moments.
-        p_i, cp_i = _extent_moments(rows_i, e, grid[live])
+        p_i, cp_i = _extent_moments(*extent(rows_i), grid[live])
         state[live] = rows_i.reshape(-1, nodes, width)
         p_all[live], cp_all[live] = p_i.reshape(-1, nodes, 3), cp_i.reshape(-1, nodes, 3, 3)
     return (*_unpack(state[rank], d), (p_all[rank], cp_all[rank]))
@@ -307,9 +301,7 @@ def _correct_scan(kin, ext, y, counts, params, config, pi=None, trace=None):
 
 def predict_states(kin: InformationState, ext: InformationState, params: TrackerParams):
     """Information-form prediction of the stacked states to the next scan."""
-    ext = predict(ext, np.eye(3), params.wwp)
-    _sanitize_extent(ext.q, ext.omega)
-    return predict(kin, params.fx, params.wwx), ext
+    return predict(kin, params.fx, params.wwx), predict(ext, np.eye(3), params.wwp)
 
 
 @dataclass(frozen=True)

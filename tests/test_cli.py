@@ -247,6 +247,19 @@ def test_bad_omega_exits_1_naming_omega(tmp_path, capsys, omega):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("threads", ["abc", "1.5", "0", "-2"])
+@pytest.mark.parametrize("sweep", [[], ["--sweep-L", "1,2"]])
+def test_bad_eot_threads_exits_1_naming_it(tmp_path, tiny_config, capsys, monkeypatch, threads,
+                                           sweep):
+    monkeypatch.setenv("EOT_THREADS", threads)
+    rc = main(["--config", str(tiny_config), "--filter", "cm", "--runs", "2", *sweep,
+               "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == f"error: EOT_THREADS must be a positive integer, got {threads!r}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_import_loads_no_scipy():
     # scipy is imported only inside nees_bounds, so it stays off the CLI's import path
     src = str(Path(eotnet.__file__).parents[1])

@@ -115,6 +115,11 @@ def assert_named(exc: ValueError, path) -> None:
 @example(("s2-inline", ("network", "sensor_nodes", 0), "true"), FilterKind.CM)
 @example(("s2-inline", ("network", "positions", 3, 0), "nan"), FilterKind.CM)
 @example(("s2-inline", ("network", "comm_radius"), "nan"), FilterKind.CM)
+# Entries that failed only in the run, under a message that named no key.
+@example(("s2", ("noise", "measurement_cov", 0), "negative"), FilterKind.CEOT)
+@example(("s1", ("noise", "multiplicative_cov"), "negative"), FilterKind.CI)
+@example(("s2", ("trajectory", "waypoints"), "longer"), FilterKind.CEOT)
+@example(("s3", ("trajectory", "waypoints"), "zero"), FilterKind.CM)
 def test_one_changed_entry_runs_or_fails_by_name(case, kind):
     base, path, mutation = case
     with tempfile.TemporaryDirectory() as tmp:
@@ -126,6 +131,9 @@ def test_one_changed_entry_runs_or_fails_by_name(case, kind):
             assert_named(exc, path)
             return
         assert mutation != "nan" or path == ("name",), f"NaN at {path} loaded"
+        assert (mutation, path[0]) != ("negative", "noise"), f"indefinite {path} loaded"
+        assert mutation not in ("longer", "zero") or path != ("trajectory", "waypoints"), \
+            f"repeated {path} loaded"
         config = config.with_overrides(steps=min(config.steps, 2), runs=1)
         try:
             run(config, FilterConfig(kind, 1), Path(tmp) / "out")

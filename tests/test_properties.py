@@ -29,7 +29,6 @@ from eotnet.trackers import (
     _correct_scan,
     _pack,
     _sanitize_extent,
-    _sanitize_rows,
     _unpack,
     correct_scan,
     initial_states,
@@ -214,20 +213,24 @@ def test_flat_detections_slice_into_per_sensor_draws(draw, seeds, steps, rate):
 
 
 class SanitizeSpy:
-    """trackers._sanitize_extent, keeping the rows of every call that wrote:
-    its extent rows (q, omega) before the call, the rows it checked, and q
-    after it."""
+    """trackers._sanitize_extent, keeping the rows of every call: its extent
+    rows (q, omega) before the call, the flat indices of the rows it was
+    given, q after it, and whether the scan had linearized before the call,
+    so that a correction, not the prior or prediction, left the row out of
+    range.  Set mid_scan to False at the start of each scan."""
 
     def __init__(self):
-        self.real, self.writes = trackers._sanitize_extent, []
+        self.real, self.writes, self.mid_scan = trackers._sanitize_extent, [], False
 
-    def __call__(self, q, omega, rows=None, at=None):
+    def __call__(self, q, omega, rows):
         before = q.reshape(-1, 3).copy()
-        out = self.real(q, omega, rows, at)
-        if out is not q:
-            self.writes.append((before, omega.reshape(-1, 3, 3).copy(), rows,
-                                q.reshape(-1, 3).copy()))
-        return out
+        self.real(q, omega, rows)
+        self.writes.append((before, omega.reshape(-1, 3, 3).copy(), np.flatnonzero(rows),
+                            q.reshape(-1, 3).copy(), self.mid_scan))
+
+    def innovations(self, *args):
+        self.mid_scan = True
+        return innovations(*args)
 
 
 def scans_at_the_range_edges(kind, runs, steps, seed, max_len):
@@ -246,15 +249,17 @@ def scans_at_the_range_edges(kind, runs, steps, seed, max_len):
     kin, ext = initial_states(*priors, 1 if kind is FilterKind.CEOT else 4)
     config = FilterConfig(kind=kind, consensus_iters=2)
     spy = SanitizeSpy()
-    with mock.patch.object(trackers, "_sanitize_extent", spy):
+    with mock.patch.object(trackers, "_sanitize_extent", spy), \
+            mock.patch.object(trackers, "innovations", spy.innovations):
         for _ in range(steps):
+            spy.mid_scan = False
             # Batches of 0-max_len detections, so realizations end at different indices.
             batches = [random_batches(rng, net, max_len) for _ in range(runs)]
             kin, ext, (p, cp) = _correct_scan(kin, ext, *flat_scan(batches), params, config, pi)
             want_p, want_cp = to_moments(ext)
             assert np.array_equal(p, want_p) and np.array_equal(cp, want_cp)
             kin, ext = predict_states(kin, ext, params)
-    for before, omega, rows, after in spy.writes:
+    for before, omega, rows, after, _ in spy.writes:
         assert np.array_equal(after, sanitize_extent_by_rows(before, omega, rows))
     return spy.writes
 
@@ -270,7 +275,7 @@ def test_rows_pushed_out_of_range_mid_scan_carry_their_re_anchored_moments():
     for kind in FilterKind:
         writes = scans_at_the_range_edges(kind, 3, 2, 5, 4)
         # Some row left the range after a correction, not only after a prediction.
-        assert any(rows is not None for _, _, rows, _ in writes), kind
+        assert any(mid_scan for *_, mid_scan in writes), kind
 
 
 def random_points(rng, n):
@@ -377,6 +382,8 @@ def test_ceot_scatter_sums_every_detection_into_its_one_row(seed, k):
     params = TrackerParams(ch=ch, cv_by_node=tuple(cv), fx=np.eye(4),
                            wwx=np.eye(4), wwp=np.eye(3))
     kin, ext = initial_states(x[:1], cx[:1], p[:1], cp[:1])
+    # The scan re-anchors the prior before it linearizes it.
+    ext = InformationState(sanitize_extent_by_rows(ext.q[0], ext.omega[0])[None], ext.omega)
     xs, cxs = (v[0] for v in to_moments(kin))
     ps, cps = (v[0] for v in to_moments(ext))
     sums = [np.zeros_like(a) for a in (kin.q, kin.omega, ext.q, ext.omega)]
@@ -384,8 +391,9 @@ def test_ceot_scatter_sums_every_detection_into_its_one_row(seed, k):
         block = innovations(xs, cxs, ps, cps, y[j:j + 1], ch, cv[j:j + 1])
         for acc, value in zip(sums, split_innovations(block, 4)):
             acc += value
-    want_ext = InformationState(ext.q + sums[2], ext.omega + sums[3])
-    _sanitize_extent(want_ext.q, want_ext.omega)
+    omega_p = ext.omega + sums[3]
+    want_ext = InformationState(sanitize_extent_by_rows((ext.q + sums[2])[0], omega_p[0])[None],
+                                omega_p)
     got_kin, got_ext = correct_scan(kin, ext, *flat_scan([[y[j:j + 1] for j in range(k)]]), params,
                                     FilterConfig(kind=FilterKind.CEOT))
     assert_close(got_kin.q, kin.q + sums[0])
@@ -465,19 +473,24 @@ def test_packed_sanitize_equals_the_row_loop_oracle(seed, k, d, data):
     flat = np.concatenate([kin, q, omega.reshape(k, 9)], axis=1)
     rows = data.draw(st.none() | st.lists(st.integers(0, k - 1), unique=True)
                      .map(lambda r: np.array(r, dtype=int)))
+    mask = np.zeros(k, dtype=bool)
+    mask[slice(None) if rows is None else rows] = True
     want = sanitize_extent_by_rows(q, omega, rows)
-    _sanitize_rows(flat, d + d * d, rows)
+    _sanitize_extent(flat[:, d + d * d:d + d * d + 3], flat[:, d + d * d + 3:].reshape(k, 3, 3),
+                     mask)
     assert np.array_equal(flat[:, d + d * d:d + d * d + 3], want)
     assert np.array_equal(flat[:, :d + d * d], kin)
     assert np.array_equal(flat[:, d + d * d + 3:], omega.reshape(k, 9))
-    # The stacked (R, n, 3) form of priors and predictions gives the same
-    # rows, and returns q itself while every mean is in range.
+    # The stacked (R, n, 3) form of a scan's starting rows gives the same
+    # rows, and leaves q untouched while every mean is in range.
     stacked = q.reshape(1, k, 3).copy()
-    _sanitize_extent(stacked, omega.reshape(1, k, 3, 3))
+    _sanitize_extent(stacked, omega.reshape(1, k, 3, 3), np.ones((1, k), dtype=bool))
     assert np.array_equal(stacked[0], sanitize_extent_by_rows(q, omega))
     calm = np.column_stack([rng.uniform(-3.0, 3.0, k), rng.uniform(1.0, 10.0, (k, 2))])
     q_calm = (omega @ calm[..., None])[..., 0]
-    assert _sanitize_extent(q_calm, omega) is q_calm
+    got = q_calm.copy()
+    _sanitize_extent(got, omega, np.ones(k, dtype=bool))
+    assert np.array_equal(got, q_calm)
 
 
 @SETTINGS

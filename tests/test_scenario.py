@@ -344,6 +344,18 @@ BAD_NESTED_ENTRIES = [
                        "comm_radius": 600.0}, "network.positions must be finite"),
     (None, "network", {"positions": [[0.0, 0.0], [500.0, 0.0]], "sensor_nodes": [0],
                        "comm_radius": float("nan")}, "network.comm_radius must be finite"),
+    # a full covariance matrix must be symmetric, and a noise one positive semidefinite
+    ("priors", "kinematic_cov", [[100.0, 5.0, 0.0, 0.0], [0.0, 100.0, 0.0, 0.0],
+                                 [0.0, 0.0, 10.0, 0.0], [0.0, 0.0, 0.0, 10.0]],
+     "priors.kinematic_cov is not symmetric"),
+    ("noise", "measurement_cov", [[1.0, 0.5], [0.3, 1.0]], "noise.measurement_cov is not symmetric"),
+    ("noise", "measurement_cov", [[1.0, 2.0], [2.0, 1.0]],
+     "noise.measurement_cov is not positive semidefinite"),
+    ("noise", "multiplicative_cov", [0.25, -0.25],
+     "noise.multiplicative_cov is not positive semidefinite"),
+    # a course that repeats a point has no heading there
+    ("trajectory", "waypoints", [[500.0, 1000.0], [3500.0, 1000.0], [3500.0, 1000.0]],
+     r"consecutive trajectory.waypoints must be distinct, got \[3500.0, 1000.0\] at 1 and 2"),
 ]
 
 
@@ -476,7 +488,7 @@ def written_documents():
 @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML is built without libyaml")
 def test_c_and_python_yaml_loaders_parse_every_written_document_alike():
     documents = written_documents()
-    assert len(documents) == 73
+    assert len(documents) == 78
     for text in documents:
         # repr compares types and NaNs too, which == on the mappings does not.
         assert repr(yaml.load(text, Loader=yaml.CSafeLoader)) == repr(yaml.safe_load(text))

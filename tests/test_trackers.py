@@ -1,16 +1,19 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from eotnet import trackers
 from eotnet.consensus import NodeKind, build_network, metropolis_weights
 from eotnet.geometry import clamp_extent
 from eotnet.info_filter import InformationState, to_moments
+from eotnet.linearization import innovations
 from eotnet.trackers import (
     FilterConfig,
     FilterKind,
     TrackerParams,
     _extent_moments,
     _pack,
-    _sanitize_extent,
     correct_scan,
     initial_states,
     ncv_transition,
@@ -353,11 +356,19 @@ def test_ncv_transition():
 
 
 def test_initial_estimate_clamps_extent():
-    _, ext = initial_states(np.zeros(2), np.eye(2),
-                            np.array([7.0, -1.0, 2.0]), np.diag([1.0, 1.0, 1.0]))
-    (p_vec,), _ = to_moments(ext)
+    # initial_states keeps the prior as given; the scan re-anchors it before
+    # its first linearization, and returns it re-anchored without detections.
+    prior = one_run(np.zeros(2), np.eye(2), np.array([7.0, -1.0, 2.0]), np.eye(3))
+    want = clamp_extent(np.array([7.0, -1.0, 2.0]))
+    assert np.array_equal(to_moments(prior[1])[0][0, 0], [7.0, -1.0, 2.0])
+    _, ext = correct_scan(*prior, *flat_scan([[np.zeros((0, 2))]]), make_params(1), CEOT)
+    p_vec = to_moments(ext)[0][0, 0]
     assert -np.pi < p_vec[0] <= np.pi
     assert p_vec[1] >= 1e-3
+    assert np.array_equal(p_vec, want)
+    with mock.patch.object(trackers, "innovations", wraps=innovations) as spy:
+        correct_scan(*prior, *flat_scan([[np.ones((1, 2))]]), make_params(1), CEOT)
+    assert np.array_equal(spy.call_args.args[2], [want])
 
 
 def test_fuse_nodes_identical_inputs():
@@ -399,10 +410,11 @@ def test_a_failing_stacked_row_is_named_by_its_run_and_node():
     bad_ext = indefinite_at(ext, 1, 3)
     where = r"\(run 1, node 3\) is singular or not positive definite"
     with pytest.raises(np.linalg.LinAlgError, match="extent information matrix " + where):
-        _sanitize_extent(bad_ext.q.copy(), bad_ext.omega)
+        _extent_moments(bad_ext.q.copy(), bad_ext.omega)
     grid = np.stack(np.indices((2, 5)), axis=-1).reshape(-1, 2)
+    flat = _pack(kin, bad_ext).reshape(10, -1)
     with pytest.raises(np.linalg.LinAlgError, match="extent information matrix " + where):
-        _extent_moments(_pack(kin, bad_ext).reshape(10, -1), 6, grid)
+        _extent_moments(flat[:, 6:9], flat[:, 9:].reshape(-1, 3, 3), grid)
     params = make_params(5)
     # Run 0 detects nothing, so only run 1 is live, and node 3 is the one
     # sensor that detects: the linearization inverse is a one-row stack.
