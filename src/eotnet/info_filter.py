@@ -48,12 +48,14 @@ class InformationState:
         return self.q.shape[-1]
 
 
-def predict(info: InformationState, f: np.ndarray, ww: np.ndarray) -> InformationState:
-    """Time update in information form.
+def predict(info: InformationState, f: np.ndarray, ww: np.ndarray,
+            x_hat: np.ndarray) -> InformationState:
+    """Time update in information form of a state whose mean x_hat the
+    caller already holds.
 
     Uses the inverse-free arrangement: with G = Omega + F.T Ww F,
-    Omega' = Ww - Ww F G^-1 F.T Ww and q' = Omega' F Omega^-1 q.  All inner
-    inversions are symmetric positive definite solves.
+    Omega' = Ww - Ww F G^-1 F.T Ww and q' = Omega' F x_hat.  The inner
+    inversion is a symmetric positive definite solve.
     """
     f = np.asarray(f, dtype=float)
     ww = np.asarray(ww, dtype=float)
@@ -61,8 +63,8 @@ def predict(info: InformationState, f: np.ndarray, ww: np.ndarray) -> Informatio
     b = ww @ f  # Omega' = Ww - B G^-1 B.T
     omega_next = sym(ww - b @ spd_solve(gram, np.broadcast_to(b.T, gram.shape),
                                         name="predicted information gram"))
-    x_hat = spd_solve(info.omega, info.q, name="information matrix")
-    return InformationState(q=_matvec(omega_next, x_hat @ f.T), omega=omega_next)
+    return InformationState(q=_matvec(omega_next, np.asarray(x_hat, dtype=float) @ f.T),
+                            omega=omega_next)
 
 
 def to_moments(info: InformationState) -> tuple[np.ndarray, np.ndarray]:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._linalg import _checked_spd, _matvec, _spd_inv2, sym
+from ._linalg import _cofactor_inv3, _matvec, _not_spd, _spd_inv2, sym
 from .geometry import clamp_extent
 
 __all__ = [
@@ -62,7 +62,7 @@ _QUARTIC = np.stack([2 * _ab[..., 0] + _ce[..., 0], 2 * _ab[..., 1] + _ce[..., 1
 _EYE3 = np.eye(3)
 
 
-def innovations(x, cx, p, cp, y, ch, cv, trace=None):
+def innovations(x, cx, p, cp, y, ch, cv, trace=None, at=None):
     """Innovation rows [dqx, dox, dqp, dop], (k, d + d * d + 12), of k detections.
 
     Detection y[k] is linearized at its own row's moments x[k], cx[k], p[k],
@@ -76,8 +76,11 @@ def innovations(x, cx, p, cp, y, ch, cv, trace=None):
     M Cp M.T.  The subtraction can leave Rp indefinite.  A row whose Rp has
     an eigenvalue below lo = 1e-8 * trace / 3, which Sylvester's criterion on
     Rp - lo I detects, has those eigenvalues raised to lo; the other rows keep
-    Rp as computed.  Each row's numbers depend on that row alone.  A trace
-    records every Rx that gets inverted and how many rows the floor changed.
+    Rp as computed.  One cofactor pass over Rp - lo I and Rp gives that
+    verdict and Rp's inverse.  Each row's numbers depend on that row alone.
+    A failing Rx or Rp is named by its detection's (run, node) row of at,
+    (k, 2), or by its position (node i) without at.  A trace records every
+    Rx that gets inverted and how many rows the floor changed.
     """
     p = clamp_extent(p)
     k, d = len(p), x.shape[-1]
@@ -91,7 +94,7 @@ def innovations(x, cx, p, cp, y, ch, cv, trace=None):
     picks = np.take((w.swapaxes(-1, -2) @ (ch @ w)).reshape(k, 64), _GRAM_PICKS, axis=1)
     spread = cp.reshape(k, 1, 9) @ picks[:, 22:].reshape(k, 9, 4)
     rx = sym(picks[:, :4].reshape(k, 2, 2) + spread.reshape(k, 2, 2) + cv)
-    vx = _spd_inv2(rx, name="kinematic measurement noise")
+    vx = _spd_inv2(rx, "kinematic measurement noise", at=at)
     # H = [I 0] only picks the position block.
     block, e = np.zeros((k, d + d * d + 12)), d + d * d
     block[:, :2], block[:, d:e].reshape(k, d, d)[:, :2, :2] = _matvec(vx, y), vx
@@ -102,16 +105,15 @@ def innovations(x, cx, p, cp, y, ch, cv, trace=None):
     rp = sym(quartic[:, 0] * quartic[:, 1] + quartic[:, 2] * quartic[:, 3]
              - m_mat @ cp @ m_mat.swapaxes(-1, -2))
     lo = 1e-8 * np.maximum(np.trace(rp, axis1=-2, axis2=-1), 1e-12) / 3.0
-    shifted = rp - lo[:, None, None] * _EYE3
-    s = shifted.reshape(k, 9)
-    floored = ~((s[:, 0] > 0.0) & (s[:, 0] * s[:, 4] - s[:, 1] * s[:, 3] > 0.0)
-                & (np.linalg.det(shifted) > 0.0))
+    inv, ok, det = _cofactor_inv3(np.concatenate([rp - lo[:, None, None] * _EYE3, rp]))
+    floored, vp = ~ok[:k], inv[k:]
     if floored.any():
         eig, vec = np.linalg.eigh(rp[floored])
         eig = np.maximum(eig, lo[floored, None])
         rp[floored] = sym((vec * eig[:, None, :]) @ vec.swapaxes(-1, -2))
-        _checked_spd(rp, name="extent pseudo-measurement noise")
-    vp = sym(np.linalg.inv(rp))
+        vp[floored], ok[k:][floored], det[k:][floored] = _cofactor_inv3(rp[floored])
+    if not ok[k:].all():
+        _not_spd(rp, ~ok[k:], det[k:], "extent pseudo-measurement noise", at=at)
     residual = y - x[:, :2]
     y_quad = np.take(residual, _PAIRS[:, 0], axis=1) * np.take(residual, _PAIRS[:, 1], axis=1)
     y_tilde = y_quad - np.take(cy, _SQUARE, axis=1) + _matvec(m_mat, p)

@@ -272,7 +272,7 @@ def _correct_scan(kin, ext, y, counts, params, config, pi=None, trace=None):
         x = _matvec(cx, lin_rows[:, :d])
         packed = innovations(x[at], cx[at], p_all.reshape(-1, 3)[det_rows],
                              cp_all.reshape(-1, 3, 3)[det_rows], y_all[at_i], params.ch,
-                             cv_all[at_i], trace)
+                             cv_all[at_i], trace, det_at[at_i])
         delta = np.zeros(rows_i.shape)
         if config.kind is FilterKind.CEOT:  # sum the detections that share a row
             np.add.at(delta, det_rows, packed)
@@ -299,9 +299,11 @@ def _correct_scan(kin, ext, y, counts, params, config, pi=None, trace=None):
     return (*_unpack(state[rank], d), (p_all[rank], cp_all[rank]))
 
 
-def predict_states(kin: InformationState, ext: InformationState, params: TrackerParams):
-    """Information-form prediction of the stacked states to the next scan."""
-    return predict(kin, params.fx, params.wwx), predict(ext, np.eye(3), params.wwp)
+def predict_states(kin: InformationState, ext: InformationState, params: TrackerParams,
+                   x_hat: np.ndarray, p_hat: np.ndarray):
+    """Information-form prediction of the stacked states, whose means x_hat
+    and p_hat the record already holds, to the next scan."""
+    return predict(kin, params.fx, params.wwx, x_hat), predict(ext, np.eye(3), params.wwp, p_hat)
 
 
 @dataclass(frozen=True)
@@ -404,7 +406,7 @@ def run_filter(
         if trace is not None:
             trace.record_omega(kin.omega)
         if k + 1 < steps:
-            kin, ext = predict_states(kin, ext, params)
+            kin, ext = predict_states(kin, ext, params, x_mean[:, k], p_mean[:, k])
         seconds[k] = (time.perf_counter() - t0) / runs
 
     return TrackRecord(x_mean=x_mean, x_cov=x_cov, p_mean=p_mean, p_cov=p_cov,

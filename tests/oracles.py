@@ -9,6 +9,8 @@ moved to one Gram matrix per detection.  Detection sampling, node fusion and
 the rectangle alignment error serve the tests only, so they live here too,
 as do the generic innovation pair the piecewise linearization uses and the
 converters between nested per-sensor batches and the flat detection layout.
+reference_filter runs the whole filter from the paper's equations with plain
+loops, one detection at a time, as the tolerance oracle of run_filter.
 """
 
 from itertools import permutations
@@ -17,6 +19,8 @@ import numpy as np
 
 from eotnet._linalg import _from_entries, _matvec, as_cov, spd_inv, sqrt_psd, sym
 from eotnet.geometry import MIN_AXIS, _scatter, clamp_extent, shape_matrix, wrap_angle
+from eotnet.info_filter import to_moments
+from eotnet.trackers import FilterKind, predict_states
 
 
 def innovation(a, v, z):
@@ -170,7 +174,7 @@ def centered_pseudo_measurement(y_quad, cy, m_mat, p_hat):
 def innovations_by_pieces(x, cx, p, cp, y, ch, cv):
     """The innovation arrays (dqx, dox, dqp, dop) of a stack of detections,
     composed from the pieces above: generic products with H = [I 0] and M,
-    LAPACK inverses and the eigh floor on every row."""
+    spd_inv's inverses and the eigh floor on every row."""
     p = clamp_extent(p)
     s_mat, (j1, j2) = shape_matrix(p), shape_row_jacobians(p)
     rx = sym(shape_noise(s_mat, j1, j2, cp, ch) + cv)
@@ -310,6 +314,12 @@ def flat_scan(batches):
     return np.concatenate([np.zeros((0, 2)), *(b for run in flat for b in run)]), counts
 
 
+def predicted(kin, ext, params):
+    """predict_states of stacked states at their own means, as run_filter
+    predicts at the means it records."""
+    return predict_states(kin, ext, params, to_moments(kin)[0], to_moments(ext)[0])
+
+
 def scan_batches(scn):
     """A ScenarioRun's detections as nested [step][node] arrays, split one
     array at a time by its count table."""
@@ -375,3 +385,83 @@ def extent_alignment_error(p_est, p_true):
         if best is None or max(err[0], err[1]) < max(best[0], best[1]):
             best = err
     return best
+
+
+def _moments(row):
+    """(x, Cx, p, Cp) of one node's [qx, Ωx, qp, Ωp] through LAPACK inverses."""
+    cx, cp = np.linalg.inv(row[1]), np.linalg.inv(row[3])
+    return cx @ row[0], cx, cp @ row[2], cp
+
+
+def _averaged(rows, net, pi, rounds):
+    """rounds of consensus over per-node rows of arrays, each node's new row
+    the explicit weighted sum of its own and its neighbours' old rows."""
+    flat = [np.concatenate([a.ravel() for a in row]) for row in rows]
+    for _ in range(rounds):
+        flat = [sum(pi.pi[j, m] * flat[m] for m in [j, *np.flatnonzero(net.adjacency[j])])
+                for j in range(len(flat))]
+    ends = np.cumsum([a.size for a in rows[0]])[:-1]
+    return [[part.reshape(a.shape) for part, a in zip(np.split(v, ends), rows[0])] for v in flat]
+
+
+def reference_filter(scn_run, net, params, config, pi):
+    """The filter of one ScenarioRun from the paper's equations, one detection
+    at a time: {"x_mean", "x_cov", "p_mean", "p_cov"} of shape (steps,
+    nodes, ...), nodes 1 under CEOT.
+
+    Each node holds its information pair [qx, Ωx, qp, Ωp].  At index i of a
+    scan every detecting sensor's innovations come from innovations_by_pieces
+    at its row's pre-index moments.  CEOT sums them into its one row; CI adds
+    them to the sensor's row, then averages the posteriors; CM averages them,
+    then adds omega times the average to every row.  An extent whose mean
+    leaves (-pi, pi] x [MIN_AXIS, inf)^2 is re-anchored to its wrapped and
+    clamped mean at the start of each scan and after every write.  The
+    prediction is the covariance-form Kalman step.
+    """
+    central = config.kind is FilterKind.CEOT
+    nodes = 1 if central else net.size
+    weight = float(nodes) if config.omega is None else config.omega
+    rounds = config.consensus_iters
+    qx, qp = np.linalg.inv(params.wwx), np.linalg.inv(params.wwp)
+    ox0, op0 = np.linalg.inv(scn_run.cx0), np.linalg.inv(scn_run.cp0)
+    state = [[ox0 @ scn_run.x0, ox0, op0 @ scn_run.p0, op0] for _ in range(nodes)]
+
+    def anchored(row):
+        p = np.linalg.solve(row[3], row[2])
+        if -np.pi < p[0] <= np.pi and min(p[1:]) >= MIN_AXIS:
+            return row
+        return [row[0], row[1], row[3] @ clamp_extent(p), row[3]]
+
+    out = {name: [] for name in ("x_mean", "x_cov", "p_mean", "p_cov")}
+    for k, batch in enumerate(scan_batches(scn_run)):
+        state = [anchored(row) for row in state]
+        for i in range(max(len(b) for b in batch)):
+            points = [_moments(row) for row in state]
+            delta = [[np.zeros_like(a) for a in row] for row in state]
+            for j, b in enumerate(batch):
+                if len(b) > i:
+                    r = 0 if central else j
+                    x, cx, p, cp = (a[None] for a in points[r])
+                    pieces = innovations_by_pieces(x, cx, p, cp, b[i][None], params.ch,
+                                                   params.cv_by_node[j][None])
+                    delta[r] = [a + piece[0] for a, piece in zip(delta[r], pieces)]
+            if config.kind is FilterKind.CM:
+                delta = [[weight * a for a in row] for row in _averaged(delta, net, pi, rounds)]
+            state = [[a + da for a, da in zip(row, drow)] for row, drow in zip(state, delta)]
+            state = [[row[0], sym(row[1]), row[2], sym(row[3])] for row in state]
+            if config.kind is FilterKind.CI:
+                state = _averaged([anchored(row) for row in state], net, pi, rounds)
+            state = [anchored(row) for row in state]
+        moments = [_moments(row) for row in state]
+        for name, values in zip(out, zip(*moments)):  # x, Cx, p, Cp per node
+            out[name].extend(values)
+        if k + 1 < len(scn_run.counts):
+            state = []
+            for x, cx, p, cp in moments:
+                x, cx = kalman_predict_moments(x, cx, params.fx, qx)
+                p, cp = kalman_predict_moments(p, cp, np.eye(3), qp)
+                ox, op = np.linalg.inv(cx), np.linalg.inv(cp)
+                state.append([ox @ x, ox, op @ p, op])
+    steps = len(scn_run.counts)
+    return {name: np.reshape(values, (steps, nodes, *np.shape(values[0])))
+            for name, values in out.items()}

@@ -32,7 +32,6 @@ from eotnet.trackers import (
     correct_scan,
     initial_states,
     params_from_scenario,
-    predict_states,
     run_filter,
 )
 from oracles import (
@@ -43,6 +42,7 @@ from oracles import (
     fuse_nodes,
     kalman_predict_moments,
     kinematic_noise_cov,
+    predicted,
     quartic_moment_cov,
     quartic_moment_mean,
     residual_cov,
@@ -82,9 +82,9 @@ def test_cm_matches_ceot_oracle():
         prior = (scn.x0[None], scn.cx0[None], scn.p0[None], scn.cp0[None])
         center, nodes = initial_states(*prior), initial_states(*prior, n)
         for batches in scan_batches(scn):
-            center = predict_states(
+            center = predicted(
                 *correct_scan(*center, *flat_scan([batches]), params, ceot), params)
-            nodes = predict_states(
+            nodes = predicted(
                 *correct_scan(*nodes, *flat_scan([batches]), params, cm, pi), params)
             ((xc,),), _ = to_moments(center[0])
             ((pc,),), _ = to_moments(center[1])
@@ -168,7 +168,7 @@ def test_prediction_equivalence_oracle():
         f = rng.normal(size=(n, n)) + np.eye(n)
         b = rng.normal(size=(n, n))
         q_cov = b @ b.T + n * np.eye(n)
-        out = predict(from_moments(x, cov), f, np.linalg.inv(q_cov))
+        out = predict(from_moments(x, cov), f, np.linalg.inv(q_cov), x)
         x_ref, cov_ref = kalman_predict_moments(x, cov, f, q_cov)
         x_out, cov_out = to_moments(out)
         worst = max(

@@ -1,9 +1,9 @@
 """Golden digests of the checked runs.
 
 metrics.csv, summary.txt and assumptions.txt of the four checked runs
-(seed 0), and combined.csv of two sweeps, must stay byte-identical across
-refactors and worker-pool sizes of 1, 2 and 3: a change that moves a printed
-digit shows up here.
+(seed 0) and of s1 under a prior the scan must re-anchor, and combined.csv of
+two sweeps, must stay byte-identical across refactors and worker-pool sizes
+of 1, 2 and 3: a change that moves a printed digit shows up here.
 summary.txt is digested without its wall-time line, the one line that varies
 between equal runs.  The digests were recorded with numpy 2.4.6; under
 another numpy, different BLAS kernels may round differently, so the tests
@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from eotnet.cli import main
+from eotnet.scenario import preset_text
 
 RECORDED_NUMPY = "2.4.6"
 WALL_TIME_LINE = "mean wall time per tracking step:"
@@ -41,6 +42,15 @@ CHECKED_ASSUMPTIONS = {
     "s1 ci --L 6 --runs 1": "15be2a169c028e3d3a38f6147a50ded0e613b07cbcae9a55725515c497ccbef7",
     "s3 cm --L 6 --runs 2": "c0d96d1b53f6cb58ea5b7bc2ed8d323c020d1751ca81a49a6be8fe537c5ce55d",
 }
+# s1 CI L=6 through --config with a prior the scan re-anchors before its first
+# linearization: orientation 4 lies outside (-pi, pi] and semi-axis 1e-4 below
+# MIN_AXIS.  (metrics.csv, summary.txt without the wall-time line,
+# assumptions.txt) digests.
+REANCHORED_PRIOR = ("extent_mean: [0.0, 2.0, 12.0]", "extent_mean: [4.0, 2.0, 1e-4]")
+REANCHORED_RUN = (
+    "9052b625f9fc265485426f84ddb16b46abca2798733d7a2f605c20854ebfce85",
+    "bf39dd8b6abf64091c800f58ebeb227a30a75bce652255af74e05a635b59a948",
+    "4e4d5668b48b9040b4cc0fdeee730cac193399b79cba2f901d811d27869812c0")
 # sweep -> combined.csv digest
 CHECKED_SWEEPS = {
     "s2 cm --sweep-L 1,6 --runs 3":
@@ -64,19 +74,34 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def assert_artifact_digests(out, metrics_digest, summary_digest, assumptions_digest) -> None:
+    assert sha256((out / "metrics.csv").read_bytes()) == metrics_digest
+    summary = (out / "summary.txt").read_text().splitlines(keepends=True)
+    kept = [line for line in summary if not line.startswith(WALL_TIME_LINE)]
+    assert len(kept) == len(summary) - 1
+    assert sha256("".join(kept).encode()) == summary_digest
+    assert sha256((out / "assumptions.txt").read_bytes()) == assumptions_digest
+
+
 @needs_recorded_numpy
 @pytest.mark.parametrize("threads", ["1", "2", "3"])
 @pytest.mark.parametrize("run", list(CHECKED_RUNS))
 def test_checked_run_metrics_are_byte_identical(run, threads, tmp_path, monkeypatch):
     monkeypatch.setenv("EOT_THREADS", threads)
     run_cli(run, tmp_path)
-    metrics_digest, summary_digest = CHECKED_RUNS[run]
-    assert sha256((tmp_path / "metrics.csv").read_bytes()) == metrics_digest
-    summary = (tmp_path / "summary.txt").read_text().splitlines(keepends=True)
-    kept = [line for line in summary if not line.startswith(WALL_TIME_LINE)]
-    assert len(kept) == len(summary) - 1
-    assert sha256("".join(kept).encode()) == summary_digest
-    assert sha256((tmp_path / "assumptions.txt").read_bytes()) == CHECKED_ASSUMPTIONS[run]
+    assert_artifact_digests(tmp_path, *CHECKED_RUNS[run], CHECKED_ASSUMPTIONS[run])
+
+
+@needs_recorded_numpy
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+def test_checked_run_with_a_re_anchored_prior_is_byte_identical(threads, tmp_path, monkeypatch):
+    config = tmp_path / "s1_reanchored.yaml"
+    config.write_text(preset_text("s1").replace(*REANCHORED_PRIOR))
+    monkeypatch.setenv("EOT_THREADS", threads)
+    out = tmp_path / "out"
+    assert main(["--config", str(config), "--filter", "ci", "--L", "6", "--seed", "0",
+                 "--out", str(out)]) == 0
+    assert_artifact_digests(out, *REANCHORED_RUN)
 
 
 @needs_recorded_numpy

@@ -45,7 +45,7 @@ def test_innovation_dimension_mismatch():
 
 def test_predict_scalar():
     info = InformationState(q=np.array([1.0]), omega=np.array([[1.0]]))
-    out = predict(info, np.array([[1.0]]), np.array([[1.0]]))
+    out = predict(info, np.array([[1.0]]), np.array([[1.0]]), np.array([1.0]))
     assert out.omega[0, 0] == pytest.approx(0.5)  # covariance 2 = P + Q
 
 
@@ -58,7 +58,7 @@ def test_predict_matches_covariance_form():
         f = rng.normal(size=(n, n)) + np.eye(n)
         q_cov = random_pd(rng, n)
         info = from_moments(x, cov)
-        out = predict(info, f, np.linalg.inv(q_cov))
+        out = predict(info, f, np.linalg.inv(q_cov), x)
         x_ref, cov_ref = kalman_predict_moments(x, cov, f, q_cov)
         x_out, cov_out = to_moments(out)
         assert np.allclose(x_out, x_ref, rtol=1e-10, atol=1e-10 * np.abs(x_ref).max())
@@ -71,7 +71,7 @@ def test_predict_tiny_process_noise_limit():
     info = from_moments(x, random_pd(rng, 4))
     f = np.eye(4)
     f[0, 2] = f[1, 3] = 2.0
-    out = predict(info, f, 1e8 * np.eye(4))
+    out = predict(info, f, 1e8 * np.eye(4), x)
     x_out, _ = to_moments(out)
     assert np.allclose(x_out, f @ x, atol=1e-4)
 
@@ -79,7 +79,7 @@ def test_predict_tiny_process_noise_limit():
 def test_predict_singular_gram_raises():
     info = InformationState(q=np.zeros(2), omega=np.zeros((2, 2)))
     with pytest.raises(np.linalg.LinAlgError, match="cond"):
-        predict(info, np.zeros((2, 2)), np.zeros((2, 2)))
+        predict(info, np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(2))
 
 
 def test_moments_round_trip():
@@ -112,7 +112,7 @@ def test_symmetry_through_chained_cycles():
     for _ in range(1000):
         dq, domega = innovation(a, v, rng.normal(size=2))
         info = InformationState(info.q + dq, info.omega + domega)
-        info = predict(info, f, ww)
+        info = predict(info, f, ww, to_moments(info)[0])
         assert np.abs(info.omega - info.omega.T).max() < 1e-12
     assert np.isfinite(info.q).all()
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from eotnet.geometry import shape_matrix, wrap_angle
-from eotnet._linalg import _spd_inv2
+from eotnet._linalg import _cofactor_inv3, _spd_inv2, spd_inv
 from eotnet.linearization import innovations
 from oracles import (
     centered_pseudo_measurement,
@@ -225,6 +225,28 @@ def test_innovations_name_the_bad_kinematic_noise_row():
     with pytest.raises(ValueError,
                        match=r"kinematic measurement noise \(node 2\) must not contain"):
         innovations(x, cx, p, cps, y, ch, nonfinite)
+    # With at, a failing row is named by its detection's (run, node).
+    at = np.array([[0, 4], [1, 2], [1, 5]])
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=r"kinematic measurement noise \(run 1, node 2\) is singular"):
+        innovations(x, cx, p, cps, y, ch, indefinite, at=at)
+
+
+def test_innovations_name_the_bad_extent_noise_row():
+    rng = np.random.default_rng(16)
+    p_hat, _, cp, ch, cv = random_config(rng)
+    x, cx = np.zeros((3, 4)), np.stack([np.eye(4)] * 3)
+    p, cps, cvs = np.stack([p_hat] * 3), np.stack([cp] * 3), np.stack([cv] * 3)
+    # A residual covariance of 1e75 gives an Rp of about 1e150, whose
+    # determinant overflows: Cholesky accepts it, Sylvester's criterion does not.
+    cx[2, :2, :2] = 1e75 * np.eye(2)
+    y = rng.normal(size=(3, 2))
+    with pytest.raises(np.linalg.LinAlgError, match=r"extent pseudo-measurement noise "
+                       r"\(node 2\) is singular .*\(determinant inf\)"):
+        innovations(x, cx, p, cps, y, ch, cvs)
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=r"extent pseudo-measurement noise \(run 1, node 5\) is singular"):
+        innovations(x, cx, p, cps, y, ch, cvs, at=np.array([[0, 4], [1, 2], [1, 5]]))
 
 
 def test_closed_form_2x2_inverse_names_a_row_singular_to_working_precision():
@@ -235,3 +257,93 @@ def test_closed_form_2x2_inverse_names_a_row_singular_to_working_precision():
     np.linalg.cholesky(edge)
     with pytest.raises(np.linalg.LinAlgError, match=r"noise \(node 1\) is singular"):
         _spd_inv2(np.stack([np.diag([2.0, 4.0]), edge]), "noise")
+
+
+def random_rotations(rng, n, d):
+    q, r = np.linalg.qr(rng.normal(size=(n, d, d)))
+    return q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, None, :]
+
+
+def test_closed_form_3x3_inverse_matches_lapack():
+    rng = np.random.default_rng(17)
+    # condition numbers from 1 to 1e8, at scales from 1e-6 to 1e6
+    cond = np.exp(rng.uniform(0.0, np.log(1e8), 500))
+    eig = np.stack([np.ones(500), cond ** rng.uniform(0.0, 1.0, 500), cond], axis=-1)
+    eig *= np.exp(rng.uniform(-14.0, 14.0, (500, 1)))
+    q = random_rotations(rng, 500, 3)
+    spd = (q * eig[:, None, :]) @ q.swapaxes(-1, -2)
+    spd = 0.5 * (spd + spd.swapaxes(-1, -2))
+    got, want = spd_inv(spd), np.linalg.inv(spd)
+    err = np.abs(got - want).max(axis=(1, 2)) / np.abs(want).max(axis=(1, 2))
+    assert (err <= 1e-14 * np.linalg.cond(spd)).all()
+    assert np.array_equal(got, got.swapaxes(-1, -2))
+    assert np.array_equal(got, _cofactor_inv3(spd)[0])
+
+
+def test_sylvester_verdict_equals_choleskys_on_symmetric_matrices():
+    rng = np.random.default_rng(18)
+    n = 20000
+    # Rotated spectra whose smallest eigenvalue, of either sign, lies 1 to
+    # 1e-6 times the others: definite and indefinite draws with condition
+    # numbers up to 1e8, far from where rounding decides the verdict; and the
+    # symmetric parts of Gaussian matrices, mostly indefinite.
+    eig = np.stack([rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-6.0, 0.0, n),
+                    *10.0 ** rng.uniform(0.0, 2.0, (2, n))], axis=-1)
+    q = random_rotations(rng, n, 3)
+    g = rng.normal(size=(n, 3, 3))
+    draws = np.concatenate([(q * eig[:, None, :]) @ q.swapaxes(-1, -2), g + g.swapaxes(-1, -2)])
+    draws = 0.5 * (draws + draws.swapaxes(-1, -2))
+    _, ok, _ = _cofactor_inv3(draws)
+
+    def cholesky_accepts(m):
+        try:
+            np.linalg.cholesky(m)
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
+    want = np.array([cholesky_accepts(m) for m in draws])
+    assert 0.2 < want.mean() < 0.8
+    assert np.array_equal(ok, want)
+
+
+def test_closed_form_3x3_inverse_names_a_row_singular_to_working_precision():
+    # Cholesky succeeds on this matrix, but its determinant rounds to 0.
+    edge = np.eye(3)
+    edge[:2, :2] = [[0.5247914532927936, 1.7199053588004087],
+                    [1.7199053588004087, 5.6366665742553215]]
+    np.linalg.cholesky(edge)
+    assert _cofactor_inv3(edge)[2] == 0.0
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=r"noise \(run 1, node 0\) is singular .*\(determinant 0"):
+        spd_inv(np.stack([np.stack([np.eye(3), np.eye(3)]), np.stack([edge, np.eye(3)])]),
+                "noise")
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 1), (0, 2), (1, 2), (2, 2)])
+def test_closed_form_inverses_reject_infs_and_nans(value, entry):
+    for kernel, d in ((_spd_inv2, 2), (spd_inv, 3)):
+        if max(entry) >= d:
+            continue
+        bad = np.stack([np.eye(d) * 2.0] * 3)
+        bad[1][entry] = bad[1][entry[::-1]] = value
+        with pytest.raises(ValueError, match=r"noise \(node 1\) must not contain infs or NaNs"):
+            kernel(bad, "noise")
+
+
+@pytest.mark.parametrize("kernel, d", [(_spd_inv2, 2), (spd_inv, 3)])
+def test_stacked_closed_form_inverses_equal_slice_by_slice_calls(kernel, d):
+    rng = np.random.default_rng(19)
+    a = rng.normal(size=(4, 5, d, d))
+    spd = a @ a.swapaxes(-1, -2) + 0.1 * np.eye(d)
+    spd = 0.5 * (spd + spd.swapaxes(-1, -2))
+    stacked = kernel(spd)
+    assert stacked.flags.c_contiguous and stacked.shape == spd.shape
+    for index in np.ndindex(4, 5):
+        solo = kernel(spd[index])
+        assert solo.flags.c_contiguous and solo.shape == (d, d)
+        assert np.array_equal(stacked[index], solo)
+        assert np.array_equal(kernel(spd[index][None])[0], solo)
+    # a non-contiguous stack reads the same numbers
+    assert np.array_equal(kernel(spd.swapaxes(0, 1)), stacked.swapaxes(0, 1))

@@ -10,6 +10,7 @@ at the fixed seeds of the other suites.
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import minimum_spanning_tree
@@ -20,7 +21,14 @@ from eotnet.diagnostics import AssumptionTrace, acee, gwd, nees, ospa_vertices
 from eotnet.geometry import MIN_AXIS, extent_vertices
 from eotnet.info_filter import InformationState, from_moments, to_moments
 from eotnet.linearization import innovations
-from eotnet.scenario import ScenarioRun, generate_measurements, generate_truth, load_config
+from eotnet.scenario import (
+    ScenarioRun,
+    build_scenario_run,
+    generate_measurements,
+    generate_truth,
+    load_config,
+    resolve_network,
+)
 from eotnet import trackers
 from eotnet.trackers import (
     FilterConfig,
@@ -33,6 +41,7 @@ from eotnet.trackers import (
     correct_scan,
     initial_states,
     ncv_transition,
+    params_from_scenario,
     predict_states,
     run_filter,
 )
@@ -41,6 +50,8 @@ from oracles import (
     gwd_eigh,
     gwd_eigh_rounding,
     innovations_by_pieces,
+    predicted,
+    reference_filter,
     rx_bounds_by_calls,
     sample_measurements,
     sanitize_extent_by_rows,
@@ -137,7 +148,7 @@ def test_information_matrices_stay_positive_definite(draw, kind, rounds, max_len
         for info in (kin, ext):
             assert np.isfinite(info.q).all()
             assert np.linalg.eigvalsh(info.omega).min() > 0
-        kin, ext = predict_states(kin, ext, params)
+        kin, ext = predicted(kin, ext, params)
 
 
 @SETTINGS
@@ -154,12 +165,33 @@ def test_cm_with_node_count_weight_equals_ceot_on_complete_graphs(draw, max_len)
     for _ in range(3):
         batches = random_batches(rng, net, max_len)
         scan = flat_scan([batches])
-        center = predict_states(*correct_scan(*center, *scan, params, ceot), params)
-        nodes = predict_states(*correct_scan(*nodes, *scan, params, cm, pi), params)
+        center = predicted(*correct_scan(*center, *scan, params, ceot), params)
+        nodes = predicted(*correct_scan(*nodes, *scan, params, cm, pi), params)
         for c_info, n_info in zip(center, nodes):
             ((ref,),), _ = to_moments(c_info)
             means, _ = to_moments(n_info)
             assert np.abs(means - ref).max() <= 1e-9 * np.abs(ref).max()
+
+
+def sensor_counts(data, net, steps):
+    """A (steps, nodes) count table of 0-5 detections per (step, sensor);
+    relays count 0."""
+    sensors = list(net.sensor_nodes)
+    counts = np.zeros((steps, net.size), dtype=int)
+    counts[:, sensors] = np.reshape(data.draw(st.lists(
+        st.integers(0, 5), min_size=steps * len(sensors), max_size=steps * len(sensors))),
+        (steps, len(sensors)))
+    return counts
+
+
+def truth_run(rng, counts):
+    """A ScenarioRun of counts[k, s] detections of the truth per (step, node)
+    and a random prior."""
+    steps = len(counts)
+    detections = np.concatenate([np.zeros((0, 2))] + [
+        sample_measurements(*TRUTH, np.eye(2) / 4, np.eye(2), n, rng) for n in counts.ravel()])
+    return ScenarioRun(np.zeros((steps, 2)), np.tile(TRUTH[1], (steps, 1)), detections, counts,
+                       *(a[0] for a in random_prior(rng)))
 
 
 @SETTINGS
@@ -171,19 +203,11 @@ def test_stacked_flat_runs_equal_their_solo_passes(draw, kind, runs, steps, data
     net, pi, seed = draw
     rng = np.random.default_rng(seed)
     params = random_params(rng, net.size)
-    sensors = list(net.sensor_nodes)
     scns = []
     for _ in range(runs):
-        counts = np.zeros((steps, net.size), dtype=int)
-        if data.draw(st.booleans()):
-            counts[:, sensors] = np.reshape(data.draw(st.lists(
-                st.integers(0, 5), min_size=steps * len(sensors),
-                max_size=steps * len(sensors))), (steps, len(sensors)))
-        detections = np.concatenate([np.zeros((0, 2))] + [
-            sample_measurements(*TRUTH, np.eye(2) / 4, np.eye(2), n, rng)
-            for n in counts.ravel()])
-        scns.append(ScenarioRun(np.zeros((steps, 2)), np.tile(TRUTH[1], (steps, 1)),
-                                detections, counts, *(a[0] for a in random_prior(rng))))
+        counts = (sensor_counts(data, net, steps) if data.draw(st.booleans())
+                  else np.zeros((steps, net.size), dtype=int))
+        scns.append(truth_run(rng, counts))
     config = FilterConfig(kind=kind, consensus_iters=2)
     stacked = run_filter(scns, net, params, config, pi)
     assert (stacked.runs, stacked.steps) == (runs, steps)
@@ -191,6 +215,53 @@ def test_stacked_flat_runs_equal_their_solo_passes(draw, kind, runs, steps, data
         solo = run_filter([scn], net, params, config, pi)
         for field in ("x_mean", "x_cov", "p_mean", "p_cov"):
             assert np.array_equal(getattr(stacked, field)[r], getattr(solo, field)[0]), field
+
+
+def assert_matches_reference(record, scn, net, params, config, pi, rtol=1e-9):
+    """Every record field of the one-run record equals reference_filter's, per
+    (step, node) entry to rtol relative to that entry's largest value."""
+    for field, want in reference_filter(scn, net, params, config, pi).items():
+        got = getattr(record, field)[0]
+        assert got.shape == want.shape, field
+        axes = tuple(range(2, want.ndim))
+        err = np.abs(got - want).max(axis=axes) / np.abs(want).max(axis=axes)
+        assert err.max() <= rtol, (field, err.max())
+
+
+@SETTINGS
+@given(networks(), st.sampled_from(list(FilterKind)), st.integers(1, 4), st.integers(1, 3),
+       st.data())
+def test_run_filter_matches_the_loop_level_reference_filter(draw, kind, steps, rounds, data):
+    net, pi, seed = draw
+    rng = np.random.default_rng(seed)
+    params = random_params(rng, net.size)
+    scn = truth_run(rng, sensor_counts(data, net, steps))
+    config = FilterConfig(kind=kind, consensus_iters=rounds)
+    assert_matches_reference(run_filter([scn], net, params, config, pi), scn, net, params,
+                             config, pi)
+
+
+# The checked runs' scenarios and filters, and s1 under a prior the scan must
+# re-anchor: its orientation lies outside (-pi, pi] and a semi-axis below MIN_AXIS.
+REANCHORED_PRIOR = {"mode": "fixed", "kinematic_mean": [1.0, 1.0], "kinematic_cov": [1.0, 1.0],
+                    "extent_mean": [4.0, 2.0, 1e-4], "extent_cov": [1.0, 4.0, 9.0]}
+
+
+@pytest.mark.parametrize("scenario, kind, rounds, priors", [
+    ("s1", "ci", 6, None), ("s1", "ci", 6, REANCHORED_PRIOR), ("s2", "cm", 6, None),
+    ("s2", "ceot", 1, None), ("s3", "cm", 6, None)])
+def test_first_steps_of_the_presets_match_the_reference_filter(scenario, kind, rounds, priors):
+    config = load_config(scenario, **({} if priors is None else {"priors": priors}))
+    config = config.with_overrides(steps=min(3, config.steps))
+    net = resolve_network(config)
+    pi = metropolis_weights(net)
+    params = params_from_scenario(config, net)
+    (scn,) = build_scenario_run(config, net, np.random.SeedSequence(0).spawn(1))
+    filter_config = FilterConfig(kind=FilterKind(kind), consensus_iters=rounds)
+    record = run_filter([scn], net, params, filter_config, pi)
+    assert_matches_reference(record, scn, net, params, filter_config, pi)
+    if priors is not None:
+        assert not trackers._in_range(scn.p0) and trackers._in_range(record.p_mean).all()
 
 
 @SETTINGS
@@ -258,7 +329,7 @@ def scans_at_the_range_edges(kind, runs, steps, seed, max_len):
             kin, ext, (p, cp) = _correct_scan(kin, ext, *flat_scan(batches), params, config, pi)
             want_p, want_cp = to_moments(ext)
             assert np.array_equal(p, want_p) and np.array_equal(cp, want_cp)
-            kin, ext = predict_states(kin, ext, params)
+            kin, ext = predict_states(kin, ext, params, to_moments(kin)[0], p)
     for before, omega, rows, after, _ in spy.writes:
         assert np.array_equal(after, sanitize_extent_by_rows(before, omega, rows))
     return spy.writes

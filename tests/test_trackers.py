@@ -1,3 +1,4 @@
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -17,7 +18,6 @@ from eotnet.trackers import (
     correct_scan,
     initial_states,
     ncv_transition,
-    predict_states,
 )
 from oracles import (
     extent_measurement_matrix,
@@ -25,6 +25,7 @@ from oracles import (
     flat_scan,
     fuse_nodes,
     kinematic_noise_cov,
+    predicted,
     pseudo_measurement,
     residual_cov,
     sample_measurements,
@@ -64,7 +65,7 @@ def one_run(x0, cx0, p0, cp0, nodes=1):
 def scan_step(state, batches, params, config, pi=None):
     """One scan of one realization: sequential correction over the batches,
     then prediction."""
-    return predict_states(*correct_scan(*state, *flat_scan([batches]), params, config, pi), params)
+    return predicted(*correct_scan(*state, *flat_scan([batches]), params, config, pi), params)
 
 
 def draw_batch(rng, truth_ext, m, n):
@@ -172,9 +173,9 @@ def test_empty_batch_is_pure_prediction():
     params = make_params(1)
     prior = one_run(x0, cx0, p0, cp0)
     stepped = scan_step(prior, [np.zeros((0, 2))], params, CEOT)
-    predicted = predict_states(*prior, params)
-    assert np.allclose(stepped[0].q, predicted[0].q)
-    assert np.allclose(stepped[1].omega, predicted[1].omega)
+    want = predicted(*prior, params)
+    assert np.allclose(stepped[0].q, want[0].q)
+    assert np.allclose(stepped[1].omega, want[1].omega)
 
 
 def test_sequential_determinism():
@@ -430,6 +431,27 @@ def test_a_failing_stacked_row_is_named_by_its_run_and_node():
     with pytest.raises(np.linalg.LinAlgError, match=r"^information matrix \(run 1, node 0\)"):
         correct_scan(indefinite_at(center[0], 1, 0), center[1], *flat_scan(batches), params,
                      CEOT)
+
+
+def test_a_failing_noise_is_named_by_its_detections_run_and_node():
+    net, pi, (kin, ext) = two_runs_of_five_nodes()
+    # Node 3's sensor noise is indefinite.  At index 0, run 0 detects on
+    # nodes 0 and 1 and run 1 on nodes 1 and 3: the failing Rx is the fourth
+    # of the index's rows, and its own (run, node) names it.
+    params = make_params(5)
+    cv = list(params.cv_by_node)
+    cv[3] = -100.0 * np.eye(2)
+    params = replace(params, cv_by_node=tuple(cv))
+    none, one = np.zeros((0, 2)), np.ones((1, 2))
+    batches = [[one, one, none, none, none], [none, one, none, one, none]]
+    for kind in (FilterKind.CI, FilterKind.CM):
+        with pytest.raises(np.linalg.LinAlgError, match=r"^kinematic measurement noise "
+                           r"\(run 1, node 3\) is singular"):
+            correct_scan(kin, ext, *flat_scan(batches), params, FilterConfig(kind=kind), pi)
+    center = [InformationState(a.q[:, :1], a.omega[:, :1]) for a in (kin, ext)]
+    with pytest.raises(np.linalg.LinAlgError, match=r"^kinematic measurement noise "
+                       r"\(run 1, node 0\) is singular"):
+        correct_scan(*center, *flat_scan(batches), params, CEOT)
 
 
 def test_cm_gwd_improves_with_more_rounds():
