@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._linalg import _cofactor_inv3, _matvec, _not_spd, _spd_inv2, sym
+from ._linalg import _closed_form, _cofactor_pass, _matvec, _not_spd, _spd_inv2, sym
 from .geometry import clamp_extent
 
 __all__ = [
@@ -76,8 +76,9 @@ def innovations(x, cx, p, cp, y, ch, cv, trace=None, at=None):
     M Cp M.T.  The subtraction can leave Rp indefinite.  A row whose Rp has
     an eigenvalue below lo = 1e-8 * trace / 3, which Sylvester's criterion on
     Rp - lo I detects, has those eigenvalues raised to lo; the other rows keep
-    Rp as computed.  One cofactor pass over Rp - lo I and Rp gives that
-    verdict and Rp's inverse.  Each row's numbers depend on that row alone.
+    Rp as computed, and a row whose Rp is not finite fails.  One cofactor
+    pass over Rp - lo I and Rp gives that verdict and Rp's inverse.  Each
+    row's numbers depend on that row alone.
     A failing Rx or Rp is named by its detection's (run, node) row of at,
     (k, 2), or by its position (node i) without at.  A trace records every
     Rx that gets inverted and how many rows the floor changed.
@@ -105,15 +106,15 @@ def innovations(x, cx, p, cp, y, ch, cv, trace=None, at=None):
     rp = sym(quartic[:, 0] * quartic[:, 1] + quartic[:, 2] * quartic[:, 3]
              - m_mat @ cp @ m_mat.swapaxes(-1, -2))
     lo = 1e-8 * np.maximum(np.trace(rp, axis1=-2, axis2=-1), 1e-12) / 3.0
-    inv, ok, det = _cofactor_inv3(np.concatenate([rp - lo[:, None, None] * _EYE3, rp]))
-    floored, vp = ~ok[:k], inv[k:]
+    inv, ok = _closed_form(_cofactor_pass, np.concatenate([rp - lo[:, None, None] * _EYE3, rp]))
+    floored, vp = ~ok[:k] & np.isfinite(lo), inv[k:]
     if floored.any():
         eig, vec = np.linalg.eigh(rp[floored])
         eig = np.maximum(eig, lo[floored, None])
         rp[floored] = sym((vec * eig[:, None, :]) @ vec.swapaxes(-1, -2))
-        vp[floored], ok[k:][floored], det[k:][floored] = _cofactor_inv3(rp[floored])
+        vp[floored], ok[k:][floored] = _closed_form(_cofactor_pass, rp[floored])
     if not ok[k:].all():
-        _not_spd(rp, ~ok[k:], det[k:], "extent pseudo-measurement noise", at=at)
+        _not_spd(rp, ~ok[k:], "extent pseudo-measurement noise", at=at)
     residual = y - x[:, :2]
     y_quad = np.take(residual, _PAIRS[:, 0], axis=1) * np.take(residual, _PAIRS[:, 1], axis=1)
     y_tilde = y_quad - np.take(cy, _SQUARE, axis=1) + _matvec(m_mat, p)

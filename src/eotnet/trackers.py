@@ -206,7 +206,9 @@ def correct_scan(
     stop, and a realization whose longest batch has ended takes no further
     correction or averaging.  Realizations never mix.  The distributed filters need the
     consensus matrix pi and run config.consensus_iters averaging rounds per
-    index.  A trace records the observed Rx spectra and the Rp floor hits.
+    index.  A failing Rx or Rp is named by its detection's realization and
+    sensor, (run r, node j).  A trace records the observed Rx spectra and the
+    Rp floor hits.
     """
     return _correct_scan(kin, ext, y, counts, params, config, pi, trace)[:2]
 
@@ -247,7 +249,9 @@ def _correct_scan(kin, ext, y, counts, params, config, pi=None, trace=None):
     det_run, det_sensor = (np.repeat(a.ravel(), sizes)[order] for a in np.indices((runs, sensors)))
     y_all, cv_all, det_node = y_all[order], cv[det_sensor], rows[det_sensor]
     det_flat = rank[det_run] * nodes + det_node  # flat row of each detection's row
-    det_at = np.column_stack([det_run, det_node])  # its (realization, node)
+    # Its (realization, sensor), which names a failing noise; under CI and CM
+    # the sensor is also the node of its row.
+    det_at = np.column_stack([det_run, det_sensor])
     grid = np.stack(np.indices((runs, nodes)), axis=-1)[by_end]  # (realization, node) of a row
 
     d = kin.dim

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from eotnet.geometry import shape_matrix, wrap_angle
-from eotnet._linalg import _cofactor_inv3, _spd_inv2, spd_inv
+from eotnet._linalg import _closed_form, _cofactor_pass, _spd_inv2, spd_inv
 from eotnet.linearization import innovations
 from oracles import (
     centered_pseudo_measurement,
@@ -237,16 +237,20 @@ def test_innovations_name_the_bad_extent_noise_row():
     p_hat, _, cp, ch, cv = random_config(rng)
     x, cx = np.zeros((3, 4)), np.stack([np.eye(4)] * 3)
     p, cps, cvs = np.stack([p_hat] * 3), np.stack([cp] * 3), np.stack([cv] * 3)
-    # A residual covariance of 1e75 gives an Rp of about 1e150, whose
-    # determinant overflows: Cholesky accepts it, Sylvester's criterion does not.
-    cx[2, :2, :2] = 1e75 * np.eye(2)
     y = rng.normal(size=(3, 2))
-    with pytest.raises(np.linalg.LinAlgError, match=r"extent pseudo-measurement noise "
-                       r"\(node 2\) is singular .*\(determinant inf\)"):
-        innovations(x, cx, p, cps, y, ch, cvs)
-    with pytest.raises(np.linalg.LinAlgError,
-                       match=r"extent pseudo-measurement noise \(run 1, node 5\) is singular"):
-        innovations(x, cx, p, cps, y, ch, cvs, at=np.array([[0, 4], [1, 2], [1, 5]]))
+    # A residual covariance of 1e75 gives an Rp of about 1e150, whose
+    # determinant overflows; Rp is still inverted, as LAPACK would.
+    huge = cx.copy()
+    huge[2, :2, :2] = 1e75 * np.eye(2)
+    assert np.isfinite(innovations(x, huge, p, cps, y, ch, cvs)).all()
+    # A NaN in the residual covariance makes Rp NaN, which is named, not floored.
+    nan = cx.copy()
+    nan[2, 0, 0] = np.nan
+    with pytest.raises(ValueError, match=r"extent pseudo-measurement noise "
+                       r"\(node 2\) must not contain infs or NaNs"):
+        innovations(x, nan, p, cps, y, ch, cvs)
+    with pytest.raises(ValueError, match=r"extent pseudo-measurement noise \(run 1, node 5\)"):
+        innovations(x, nan, p, cps, y, ch, cvs, at=np.array([[0, 4], [1, 2], [1, 5]]))
 
 
 def test_closed_form_2x2_inverse_names_a_row_singular_to_working_precision():
@@ -277,7 +281,7 @@ def test_closed_form_3x3_inverse_matches_lapack():
     err = np.abs(got - want).max(axis=(1, 2)) / np.abs(want).max(axis=(1, 2))
     assert (err <= 1e-14 * np.linalg.cond(spd)).all()
     assert np.array_equal(got, got.swapaxes(-1, -2))
-    assert np.array_equal(got, _cofactor_inv3(spd)[0])
+    assert np.array_equal(got, _closed_form(_cofactor_pass, spd)[0])
 
 
 def test_sylvester_verdict_equals_choleskys_on_symmetric_matrices():
@@ -293,7 +297,7 @@ def test_sylvester_verdict_equals_choleskys_on_symmetric_matrices():
     g = rng.normal(size=(n, 3, 3))
     draws = np.concatenate([(q * eig[:, None, :]) @ q.swapaxes(-1, -2), g + g.swapaxes(-1, -2)])
     draws = 0.5 * (draws + draws.swapaxes(-1, -2))
-    _, ok, _ = _cofactor_inv3(draws)
+    _, ok = _closed_form(_cofactor_pass, draws)
 
     def cholesky_accepts(m):
         try:
@@ -313,9 +317,9 @@ def test_closed_form_3x3_inverse_names_a_row_singular_to_working_precision():
     edge[:2, :2] = [[0.5247914532927936, 1.7199053588004087],
                     [1.7199053588004087, 5.6366665742553215]]
     np.linalg.cholesky(edge)
-    assert _cofactor_inv3(edge)[2] == 0.0
+    assert not _closed_form(_cofactor_pass, edge)[1]
     with pytest.raises(np.linalg.LinAlgError,
-                       match=r"noise \(run 1, node 0\) is singular .*\(determinant 0"):
+                       match=r"noise \(run 1, node 0\) is singular .*\(cond "):
         spd_inv(np.stack([np.stack([np.eye(3), np.eye(3)]), np.stack([edge, np.eye(3)])]),
                 "noise")
 
@@ -347,3 +351,39 @@ def test_stacked_closed_form_inverses_equal_slice_by_slice_calls(kernel, d):
         assert np.array_equal(kernel(spd[index][None])[0], solo)
     # a non-contiguous stack reads the same numbers
     assert np.array_equal(kernel(spd.swapaxes(0, 1)), stacked.swapaxes(0, 1))
+
+
+@pytest.mark.parametrize("kernel, d", [(_spd_inv2, 2), (spd_inv, 3)])
+def test_closed_form_inverses_keep_lapacks_range(kernel, d):
+    # Scaled by 1e+-100, 1e-160 or 1e+-300, a slice's determinant leaves the
+    # double range or turns subnormal, but its inverse does not: it must come
+    # out as LAPACK's.
+    w = 0.75 * np.eye(d) + 0.25
+    scaled = np.stack([s * m for s in (1e-300, 1e-160, 1e-100, 1e100, 1e300)
+                       for m in (np.eye(d), w)])
+    got, want = kernel(scaled), np.linalg.inv(scaled)
+    err = np.abs(got - want).max(axis=(1, 2)) / np.abs(want).max(axis=(1, 2))
+    assert (err <= 1e-15).all()
+    assert kernel(np.zeros((0, d, d))).shape == (0, d, d)
+    # Each slice is scaled on its own, whatever the stack around it.
+    mixed = kernel(np.concatenate([scaled, w[None]]))
+    assert np.array_equal(mixed[:-1], got) and np.array_equal(mixed[-1], kernel(w))
+    # Diagonals 2^1000 apart, and, for 3x3, slices whose cofactor C00
+    # overflows or C11 underflows although their determinant does neither.
+    # Scaling by powers of two is exact, so the inverse is the unscaled
+    # one's, rescaled, bit for bit.
+    g = np.random.default_rng(21).normal(size=(d, d))
+    u = g @ g.T + np.eye(d)  # entries with full mantissas, which rounding can show
+    u = 0.5 * (u + u.T)
+    v = u.copy()
+    v[-1, -2] = v[-2, -1] = 0.0
+    for m, s in ((u, [2.0 ** -500, 1.0, 2.0 ** 500]), (v, [2.0 ** -300, 2.0 ** 300, 2.0 ** 300]),
+                 (u, [2.0 ** -280, 2.0 ** 300, 2.0 ** -240])):
+        s = np.array(s[:d])
+        assert np.array_equal(kernel(m * s[:, None] * s), kernel(m) / s[:, None] / s)
+    # A slice whose determinant overflows because it is indefinite is named
+    # by the Cholesky check, with no floating-point warning first.
+    bad = np.stack([np.eye(d), np.eye(d)])
+    bad[1, 0, 1] = bad[1, 1, 0] = 1e200
+    with pytest.raises(np.linalg.LinAlgError, match=r"noise \(node 1\) is singular"):
+        kernel(bad, "noise")

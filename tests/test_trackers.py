@@ -448,9 +448,11 @@ def test_a_failing_noise_is_named_by_its_detections_run_and_node():
         with pytest.raises(np.linalg.LinAlgError, match=r"^kinematic measurement noise "
                            r"\(run 1, node 3\) is singular"):
             correct_scan(kin, ext, *flat_scan(batches), params, FilterConfig(kind=kind), pi)
+    # Under CEOT every detection updates the one center row, but its noise
+    # is still its sensor's: node 3's.
     center = [InformationState(a.q[:, :1], a.omega[:, :1]) for a in (kin, ext)]
     with pytest.raises(np.linalg.LinAlgError, match=r"^kinematic measurement noise "
-                       r"\(run 1, node 0\) is singular"):
+                       r"\(run 1, node 3\) is singular"):
         correct_scan(*center, *flat_scan(batches), params, CEOT)
 
 
