@@ -58,7 +58,6 @@ from .trackers import (
     initial_states,
     ncv_transition,
     params_from_scenario,
-    predict_states,
     run_filter,
 )
 

@@ -112,18 +112,15 @@ def _checked_spd(a, name: str, axes=_RUN_NODE, at=None) -> np.ndarray:
 
 def spd_solve(a: np.ndarray, b: np.ndarray, name: str = "matrix",
               axes=_RUN_NODE, at=None) -> np.ndarray:
-    """Solve a @ x = b for symmetric positive definite a.
+    """Solve a @ x = b for symmetric positive definite a and a vector b.
 
-    a may carry a leading stack axis, (n, d, d) against b of shape (n, d) or
-    (n, d, k); each slice is solved on its own, and a failing one is named
-    by axes, or by its row of at.  NumPy has no stacked triangular solve, so
-    the Cholesky factor serves only as the check.
+    a may carry a leading stack axis, (n, d, d) against b of shape (n, d);
+    each slice is solved on its own, and a failing one is named by axes, or
+    by its row of at.  NumPy has no stacked triangular solve, so the
+    Cholesky factor serves only as the check.
     """
     a = _checked_spd(a, name, axes, at)
-    b = np.asarray(b, dtype=float)
-    if b.ndim == a.ndim - 1:
-        return np.linalg.solve(a, b[..., None])[..., 0]
-    return np.linalg.solve(a, b)
+    return np.linalg.solve(a, np.asarray(b, dtype=float)[..., None])[..., 0]
 
 
 def spd_inv(a: np.ndarray, name: str = "matrix", at=None) -> np.ndarray:
@@ -199,11 +196,6 @@ def _adjugate_pass(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     det = m[:, 0] * m[:, 3] - m[:, 1] * m[:, 2]
     ok = (np.minimum(m[:, 0], det) >= _TINY) & (det < np.inf)
     return np.take(m, _ADJUGATE, axis=1) * _ADJUGATE_SIGNS / det[:, None], ok
-
-
-def _spd_inv2(a: np.ndarray, name: str = "matrix", at=None) -> np.ndarray:
-    """spd_inv of a stack (..., 2, 2) of exactly symmetric matrices."""
-    return _closed_form(_adjugate_pass, a, name, at)[0]
 
 
 # Cofactor C[i, j] = m[p] m[q] - m[r] m[s] of a symmetric 3x3 matrix m, flat

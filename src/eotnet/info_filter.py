@@ -2,10 +2,11 @@
 
 State is carried as an information vector q = Omega @ x_hat and information
 matrix Omega = C^-1, which makes measurement corrections additive and lets
-distributed schemes fuse by summation or averaging.  A state may carry
-leading stack axes, such as a node axis, q (n, d) and Omega (n, d, d), or a
-realization and a node axis, q (R, n, d) and Omega (R, n, d, d); every
-primitive below then acts on each slice.
+distributed schemes fuse by summation or averaging.  The time update needs no
+such form: it predicts the moments the filter records anyway and converts
+the result back.  A state may carry leading stack axes, such as a node axis,
+q (n, d) and Omega (n, d, d), or a realization and a node axis, q (R, n, d)
+and Omega (R, n, d, d); every primitive below then acts on each slice.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import _matvec, spd_inv, spd_solve, sym
+from ._linalg import _matvec, spd_inv
 
 __all__ = [
     "InformationState",
@@ -48,23 +49,13 @@ class InformationState:
         return self.q.shape[-1]
 
 
-def predict(info: InformationState, f: np.ndarray, ww: np.ndarray,
-            x_hat: np.ndarray) -> InformationState:
-    """Time update in information form of a state whose mean x_hat the
-    caller already holds.
-
-    Uses the inverse-free arrangement: with G = Omega + F.T Ww F,
-    Omega' = Ww - Ww F G^-1 F.T Ww and q' = Omega' F x_hat.  The inner
-    inversion is a symmetric positive definite solve.
-    """
+def predict(x_hat: np.ndarray, cov: np.ndarray, f: np.ndarray,
+            cw: np.ndarray) -> InformationState:
+    """Time update of a state whose moments (x_hat, C) the caller already
+    holds, with transition F and process covariance Cw: the covariance-form
+    Kalman step (F x_hat, F C F.T + Cw), returned in information form."""
     f = np.asarray(f, dtype=float)
-    ww = np.asarray(ww, dtype=float)
-    gram = sym(info.omega + f.T @ ww @ f)
-    b = ww @ f  # Omega' = Ww - B G^-1 B.T
-    omega_next = sym(ww - b @ spd_solve(gram, np.broadcast_to(b.T, gram.shape),
-                                        name="predicted information gram"))
-    return InformationState(q=_matvec(omega_next, np.asarray(x_hat, dtype=float) @ f.T),
-                            omega=omega_next)
+    return from_moments(x_hat @ f.T, f @ cov @ f.T + cw)
 
 
 def to_moments(info: InformationState) -> tuple[np.ndarray, np.ndarray]:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._linalg import _closed_form, _cofactor_pass, _matvec, _not_spd, _spd_inv2, sym
+from ._linalg import _adjugate_pass, _closed_form, _cofactor_pass, _matvec, _not_spd, sym
 from .geometry import clamp_extent
 
 __all__ = [
@@ -62,6 +62,19 @@ _QUARTIC = np.stack([2 * _ab[..., 0] + _ce[..., 0], 2 * _ab[..., 1] + _ce[..., 1
 _EYE3 = np.eye(3)
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _pseudo_noise(cy, m_mat, cp):
+    """Rp of each row, (k, 3, 3), from its flat residual covariance cy (k, 4),
+    its floor lo (k,) and Rp - lo I.  A residual covariance beyond about 1e154
+    overflows Rp to infs and NaNs with no floating-point warning, so that
+    innovations names the row."""
+    quartic = np.take(cy, _QUARTIC, axis=1)
+    rp = sym(quartic[:, 0] * quartic[:, 1] + quartic[:, 2] * quartic[:, 3]
+             - m_mat @ cp @ m_mat.swapaxes(-1, -2))
+    lo = 1e-8 * np.maximum(np.trace(rp, axis1=-2, axis2=-1), 1e-12) / 3.0
+    return rp, lo, rp - lo[:, None, None] * _EYE3
+
+
 def innovations(x, cx, p, cp, y, ch, cv, trace=None, at=None):
     """Innovation rows [dqx, dox, dqp, dop], (k, d + d * d + 12), of k detections.
 
@@ -95,18 +108,15 @@ def innovations(x, cx, p, cp, y, ch, cv, trace=None, at=None):
     picks = np.take((w.swapaxes(-1, -2) @ (ch @ w)).reshape(k, 64), _GRAM_PICKS, axis=1)
     spread = cp.reshape(k, 1, 9) @ picks[:, 22:].reshape(k, 9, 4)
     rx = sym(picks[:, :4].reshape(k, 2, 2) + spread.reshape(k, 2, 2) + cv)
-    vx = _spd_inv2(rx, "kinematic measurement noise", at=at)
+    vx = _closed_form(_adjugate_pass, rx, "kinematic measurement noise", at)[0]
     # H = [I 0] only picks the position block.
     block, e = np.zeros((k, d + d * d + 12)), d + d * d
     block[:, :2], block[:, d:e].reshape(k, d, d)[:, :2, :2] = _matvec(vx, y), vx
 
     cy = (cx[:, :2, :2] + rx).reshape(k, 4)
     m_mat = (picks[:, 4:13] + picks[:, 13:22]).reshape(k, 3, 3)
-    quartic = np.take(cy, _QUARTIC, axis=1)
-    rp = sym(quartic[:, 0] * quartic[:, 1] + quartic[:, 2] * quartic[:, 3]
-             - m_mat @ cp @ m_mat.swapaxes(-1, -2))
-    lo = 1e-8 * np.maximum(np.trace(rp, axis1=-2, axis2=-1), 1e-12) / 3.0
-    inv, ok = _closed_form(_cofactor_pass, np.concatenate([rp - lo[:, None, None] * _EYE3, rp]))
+    rp, lo, shifted = _pseudo_noise(cy, m_mat, cp)
+    inv, ok = _closed_form(_cofactor_pass, np.concatenate([shifted, rp]))
     floored, vp = ~ok[:k] & np.isfinite(lo), inv[k:]
     if floored.any():
         eig, vec = np.linalg.eigh(rp[floored])

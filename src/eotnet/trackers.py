@@ -18,7 +18,9 @@ Through a scan the two states travel as one packed (R, n, k) array, one row
 rounds act on all four information quantities at once.  The scan owns the
 extent range check: one checked inverse per row, of the scan's starting rows
 and after each write, gives the verdict, the next index's extent
-linearization point and the record.  Then a prediction advances both states.
+linearization point and the record.  run_filter carries the packed state from
+the prior to the last scan; between scans it predicts both states from the
+moments it has just recorded and writes them back into the packed rows.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ __all__ = [
     "params_from_scenario",
     "initial_states",
     "correct_scan",
-    "predict_states",
     "run_filter",
 ]
 
@@ -83,14 +84,14 @@ class FilterConfig:
 
 @dataclass(frozen=True)
 class TrackerParams:
-    """Models shared by every node: noises and the kinematic transition; the
-    extent transition is the identity."""
+    """Models shared by every node: noises, the kinematic transition and the
+    process covariances cxw and cpw; the extent transition is the identity."""
 
     ch: np.ndarray
     cv_by_node: tuple[np.ndarray, ...]
     fx: np.ndarray
-    wwx: np.ndarray
-    wwp: np.ndarray
+    cxw: np.ndarray
+    cpw: np.ndarray
 
 
 def ncv_transition(x_dim: int, scan_time: float) -> np.ndarray:
@@ -111,8 +112,8 @@ def params_from_scenario(config, net: SensorNetwork) -> TrackerParams:
         ch=np.asarray(config.ch, dtype=float),
         cv_by_node=tuple(np.asarray(config.cv, dtype=float) for _ in range(net.size)),
         fx=ncv_transition(config.kinematic_dim, config.scan_time),
-        wwx=spd_inv(np.asarray(config.cxw, dtype=float), name="kinematic process covariance"),
-        wwp=spd_inv(np.asarray(config.cpw, dtype=float), name="extent process covariance"),
+        cxw=np.asarray(config.cxw, dtype=float),
+        cpw=np.asarray(config.cpw, dtype=float),
     )
 
 
@@ -160,28 +161,27 @@ def _extent_moments(q: np.ndarray, omega: np.ndarray, at=None):
     return p, cp
 
 
+def _columns(packed: np.ndarray, d: int):
+    """Views (qx, Ωx, qp, Ωp) into packed rows (..., d + d * d + 12) of a
+    d-dimensional kinematic and a 3-dimensional extent state."""
+    lead, e = packed.shape[:-1], d + d * d
+    return (packed[..., :d], packed[..., d:e].reshape(lead + (d, d)),
+            packed[..., e:e + 3], packed[..., e + 3:].reshape(lead + (3, 3)))
+
+
 def _pack(kin: InformationState, ext: InformationState) -> np.ndarray:
     """One packed row [qx, Ωx, qp, Ωp] per stacked (realization, node)."""
-    lead = kin.q.shape[:-1]
-    return np.concatenate([kin.q, kin.omega.reshape(*lead, -1), ext.q,
-                           ext.omega.reshape(*lead, -1)], axis=-1)
+    d = kin.dim
+    packed = np.empty((*kin.q.shape[:-1], d + d * d + 12))
+    for view, value in zip(_columns(packed, d), (kin.q, kin.omega, ext.q, ext.omega)):
+        view[...] = value
+    return packed
 
 
 def _unpack(packed: np.ndarray, d: int) -> tuple[InformationState, InformationState]:
     """The (kinematic, extent) states of packed rows, as copies."""
-    lead, e = packed.shape[:-1], d + d * d
-    return (InformationState(packed[..., :d].copy(), packed[..., d:e].reshape(*lead, d, d).copy()),
-            InformationState(packed[..., e:e + 3].copy(),
-                             packed[..., e + 3:].reshape(*lead, 3, 3).copy()))
-
-
-def _mirror(d: int) -> np.ndarray:
-    """Column of each packed entry's transpose: itself for a vector entry,
-    the entry across the diagonal for a matrix entry."""
-    def t(size):
-        return np.arange(size * size).reshape(size, size).T.ravel()
-
-    return np.concatenate([np.arange(d), d + t(d), d + d * d + np.arange(3), d + d * d + 3 + t(3)])
+    qx, ox, qp, op = (view.copy() for view in _columns(packed, d))
+    return InformationState(qx, ox), InformationState(qp, op)
 
 
 def correct_scan(
@@ -210,14 +210,18 @@ def correct_scan(
     sensor, (run r, node j).  A trace records the observed Rx spectra and the
     Rp floor hits.
     """
-    return _correct_scan(kin, ext, y, counts, params, config, pi, trace)[:2]
-
-
-def _correct_scan(kin, ext, y, counts, params, config, pi=None, trace=None):
-    """correct_scan, plus the moments (p, Cp) of every extent row it leaves."""
     if kin.q.ndim != 3:
         raise ValueError(f"correct_scan needs (R, n, d) states, got shape {kin.q.shape}")
-    runs, nodes = kin.q.shape[:2]
+    state = _pack(kin, ext)
+    _correct_scan(state, kin.dim, y, counts, params, config, pi, trace)
+    return _unpack(state, kin.dim)
+
+
+def _correct_scan(state, d, y, counts, params, config, pi=None, trace=None):
+    """correct_scan of packed rows state (R, n, k) of d-dimensional kinematic
+    states, in place; returns the moments (p, Cp) of every extent row it
+    leaves."""
+    runs, nodes = state.shape[:2]
     counts, y_all = np.asarray(counts), np.reshape(y, (-1, 2))
     if counts.ndim != 2 or counts.shape[0] != runs or len(y_all) != counts.sum():
         raise ValueError(f"got {len(y_all)} detections in {counts.shape} batch counts for "
@@ -252,62 +256,55 @@ def _correct_scan(kin, ext, y, counts, params, config, pi=None, trace=None):
     # Its (realization, sensor), which names a failing noise; under CI and CM
     # the sensor is also the node of its row.
     det_at = np.column_stack([det_run, det_sensor])
-    grid = np.stack(np.indices((runs, nodes)), axis=-1)[by_end]  # (realization, node) of a row
+    # The (realization, node) of each flat row.
+    grid = np.stack(np.indices((runs, nodes)), axis=-1)[by_end].reshape(-1, 2)
 
-    d = kin.dim
-    e = d + d * d  # first extent column of a packed row
-
-    def extent(rows):  # the extent (qp, Ωp) of packed rows; qp is a view
-        return rows[..., e:e + 3], rows[..., e + 3:].reshape(*rows.shape[:-1], 3, 3)
-
-    state = _pack(kin, ext)[by_end]
-    width, mirror = state.shape[-1], _mirror(d)
+    # The rows in scan order, one per (realization, node), and their views.
+    rows_all, width = state[by_end], state.shape[-1]
+    flat = rows_all.reshape(-1, width)
+    qx_all, ox_all, qp_all, op_all = _columns(flat, d)
+    # The column of each packed entry's transpose: itself for a vector entry,
+    # the entry across the diagonal for a matrix entry.
+    mirror = np.arange(width)
+    for matrix in _columns(mirror, d)[1::2]:
+        matrix[...] = matrix.T.copy()
     # Every extent row is range-checked before it is first linearized.
-    p_all, cp_all = _extent_moments(*extent(state), grid)
+    p_all, cp_all = _extent_moments(qp_all, op_all, grid)
     for i in range(ends.max(initial=0)):
-        at_i, live = slice(bounds[i], bounds[i + 1]), slice(0, np.count_nonzero(ends > i))
+        at_i, live = slice(bounds[i], bounds[i + 1]), slice(0, np.count_nonzero(ends > i) * nodes)
         # Under CI and CM the detections' rows are distinct.  Under CEOT every
         # live realization has a detection at i, and its detections share its row.
-        det_rows, rows_i = det_flat[at_i], state[live].reshape(-1, width)
-        lin, at, lin_at = ((slice(None), det_rows, grid[live]) if config.kind is FilterKind.CEOT
+        det_rows, rows_i = det_flat[at_i], flat[live]
+        lin, at, lin_at = ((live, det_rows, grid[live]) if config.kind is FilterKind.CEOT
                            else (det_rows, ..., det_at[at_i]))
-        lin_rows = rows_i[lin]
-        cx = spd_inv(lin_rows[:, d:e].reshape(-1, d, d), name="information matrix", at=lin_at)
-        x = _matvec(cx, lin_rows[:, :d])
-        packed = innovations(x[at], cx[at], p_all.reshape(-1, 3)[det_rows],
-                             cp_all.reshape(-1, 3, 3)[det_rows], y_all[at_i], params.ch,
-                             cv_all[at_i], trace, det_at[at_i])
+        cx = spd_inv(ox_all[lin], name="information matrix", at=lin_at)
+        x = _matvec(cx, qx_all[lin])
+        packed = innovations(x[at], cx[at], p_all[det_rows], cp_all[det_rows], y_all[at_i],
+                             params.ch, cv_all[at_i], trace, det_at[at_i])
         delta = np.zeros(rows_i.shape)
         if config.kind is FilterKind.CEOT:  # sum the detections that share a row
             np.add.at(delta, det_rows, packed)
         else:
             delta[det_rows] = packed
-        # The filters differ only here, in how the network combines the rows.
+        # The filters differ only here, in how the network combines the rows,
+        # which are written in place.
         if config.kind is FilterKind.CM:
             delta = consensus_rounds(delta.reshape(-1, nodes, width), pi, rounds)
-            rows_i = rows_i + omega * delta.reshape(-1, width)
+            rows_i += omega * delta.reshape(-1, width)
         else:
-            rows_i = rows_i + delta
+            rows_i += delta
         # Symmetrize the matrices; a vector entry is its own mirror and stays exact.
-        rows_i = 0.5 * (rows_i + rows_i.take(mirror, axis=1))
+        rows_i[...] = 0.5 * (rows_i + rows_i.take(mirror, axis=1))
         if config.kind is FilterKind.CI:
-            checked = rows_i[lin]
-            _extent_moments(*extent(checked), lin_at)
-            rows_i[lin] = checked
-            rows_i = consensus_rounds(rows_i.reshape(-1, nodes, width), pi, rounds)
-            rows_i = rows_i.reshape(-1, width)
+            checked = qp_all[lin]
+            _extent_moments(checked, op_all[lin], lin_at)
+            qp_all[lin] = checked
+            rows_i[...] = consensus_rounds(rows_i.reshape(-1, nodes, width), pi,
+                                           rounds).reshape(-1, width)
         # One checked inverse per write gives the next index its extent moments.
-        p_i, cp_i = _extent_moments(*extent(rows_i), grid[live])
-        state[live] = rows_i.reshape(-1, nodes, width)
-        p_all[live], cp_all[live] = p_i.reshape(-1, nodes, 3), cp_i.reshape(-1, nodes, 3, 3)
-    return (*_unpack(state[rank], d), (p_all[rank], cp_all[rank]))
-
-
-def predict_states(kin: InformationState, ext: InformationState, params: TrackerParams,
-                   x_hat: np.ndarray, p_hat: np.ndarray):
-    """Information-form prediction of the stacked states, whose means x_hat
-    and p_hat the record already holds, to the next scan."""
-    return predict(kin, params.fx, params.wwx, x_hat), predict(ext, np.eye(3), params.wwp, p_hat)
+        p_all[live], cp_all[live] = _extent_moments(qp_all[live], op_all[live], grid[live])
+    state[by_end] = rows_all
+    return p_all.reshape(runs, nodes, 3)[rank], cp_all.reshape(runs, nodes, 3, 3)[rank]
 
 
 @dataclass(frozen=True)
@@ -392,9 +389,10 @@ def run_filter(
         if off_edge.size:
             raise ValueError("consensus weight pi[{0}, {1}] is nonzero, but nodes {0} and {1} "
                              "share no network edge".format(*off_edge[0]))
-    kin, ext = initial_states(*(np.stack([getattr(scn, name) for scn in scn_runs])
-                                for name in ("x0", "cx0", "p0", "cp0")),
-                              nodes)
+    state = _pack(*initial_states(*(np.stack([getattr(scn, name) for scn in scn_runs])
+                                    for name in ("x0", "cx0", "p0", "cp0")),
+                                  nodes))
+    qx, ox, qp, op = _columns(state, x_dim)
 
     x_mean = np.zeros((runs, steps, nodes, x_dim))
     x_cov = np.zeros((runs, steps, nodes, x_dim, x_dim))
@@ -404,13 +402,15 @@ def run_filter(
 
     for k in range(steps):
         t0 = time.perf_counter()
-        kin, ext, (p_mean[:, k], p_cov[:, k]) = _correct_scan(
-            kin, ext, y[bounds[k]:bounds[k + 1]], counts[:, k], params, config, pi, trace)
-        x_mean[:, k], x_cov[:, k] = to_moments(kin)
+        p_mean[:, k], p_cov[:, k] = _correct_scan(
+            state, x_dim, y[bounds[k]:bounds[k + 1]], counts[:, k], params, config, pi, trace)
+        x_mean[:, k], x_cov[:, k] = to_moments(InformationState(qx, ox))
         if trace is not None:
-            trace.record_omega(kin.omega)
+            trace.record_omega(ox)
         if k + 1 < steps:
-            kin, ext = predict_states(kin, ext, params, x_mean[:, k], p_mean[:, k])
+            kin = predict(x_mean[:, k], x_cov[:, k], params.fx, params.cxw)
+            ext = predict(p_mean[:, k], p_cov[:, k], np.eye(3), params.cpw)
+            qx[...], ox[...], qp[...], op[...] = kin.q, kin.omega, ext.q, ext.omega
         seconds[k] = (time.perf_counter() - t0) / runs
 
     return TrackRecord(x_mean=x_mean, x_cov=x_cov, p_mean=p_mean, p_cov=p_cov,

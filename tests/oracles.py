@@ -19,8 +19,8 @@ import numpy as np
 
 from eotnet._linalg import _from_entries, _matvec, as_cov, spd_inv, sqrt_psd, sym
 from eotnet.geometry import MIN_AXIS, _scatter, clamp_extent, shape_matrix, wrap_angle
-from eotnet.info_filter import to_moments
-from eotnet.trackers import FilterKind, predict_states
+from eotnet.info_filter import predict, to_moments
+from eotnet.trackers import FilterKind
 
 
 def innovation(a, v, z):
@@ -315,9 +315,10 @@ def flat_scan(batches):
 
 
 def predicted(kin, ext, params):
-    """predict_states of stacked states at their own means, as run_filter
-    predicts at the means it records."""
-    return predict_states(kin, ext, params, to_moments(kin)[0], to_moments(ext)[0])
+    """The prediction of stacked states from their own moments, as run_filter
+    predicts from the moments it records."""
+    (x, cx), (p, cp) = to_moments(kin), to_moments(ext)
+    return predict(x, cx, params.fx, params.cxw), predict(p, cp, np.eye(3), params.cpw)
 
 
 def scan_batches(scn):
@@ -422,7 +423,6 @@ def reference_filter(scn_run, net, params, config, pi):
     nodes = 1 if central else net.size
     weight = float(nodes) if config.omega is None else config.omega
     rounds = config.consensus_iters
-    qx, qp = np.linalg.inv(params.wwx), np.linalg.inv(params.wwp)
     ox0, op0 = np.linalg.inv(scn_run.cx0), np.linalg.inv(scn_run.cp0)
     state = [[ox0 @ scn_run.x0, ox0, op0 @ scn_run.p0, op0] for _ in range(nodes)]
 
@@ -458,8 +458,8 @@ def reference_filter(scn_run, net, params, config, pi):
         if k + 1 < len(scn_run.counts):
             state = []
             for x, cx, p, cp in moments:
-                x, cx = kalman_predict_moments(x, cx, params.fx, qx)
-                p, cp = kalman_predict_moments(p, cp, np.eye(3), qp)
+                x, cx = kalman_predict_moments(x, cx, params.fx, params.cxw)
+                p, cp = kalman_predict_moments(p, cp, np.eye(3), params.cpw)
                 ox, op = np.linalg.inv(cx), np.linalg.inv(cp)
                 state.append([ox @ x, ox, op @ p, op])
     steps = len(scn_run.counts)

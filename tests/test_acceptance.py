@@ -24,7 +24,7 @@ from eotnet.diagnostics import (
     ospa_vertices,
 )
 from eotnet.geometry import clamp_extent, extent_vertices, shape_matrix
-from eotnet.info_filter import from_moments, predict, to_moments
+from eotnet.info_filter import predict, to_moments
 from eotnet.scenario import build_scenario_run, load_config, benchmark_network
 from eotnet.trackers import (
     FilterConfig,
@@ -168,7 +168,7 @@ def test_prediction_equivalence_oracle():
         f = rng.normal(size=(n, n)) + np.eye(n)
         b = rng.normal(size=(n, n))
         q_cov = b @ b.T + n * np.eye(n)
-        out = predict(from_moments(x, cov), f, np.linalg.inv(q_cov), x)
+        out = predict(x, cov, f, q_cov)
         x_ref, cov_ref = kalman_predict_moments(x, cov, f, q_cov)
         x_out, cov_out = to_moments(out)
         worst = max(

@@ -44,8 +44,7 @@ def test_innovation_dimension_mismatch():
 
 
 def test_predict_scalar():
-    info = InformationState(q=np.array([1.0]), omega=np.array([[1.0]]))
-    out = predict(info, np.array([[1.0]]), np.array([[1.0]]), np.array([1.0]))
+    out = predict(np.array([1.0]), np.array([[1.0]]), np.array([[1.0]]), np.array([[1.0]]))
     assert out.omega[0, 0] == pytest.approx(0.5)  # covariance 2 = P + Q
 
 
@@ -57,29 +56,37 @@ def test_predict_matches_covariance_form():
         cov = random_pd(rng, n)
         f = rng.normal(size=(n, n)) + np.eye(n)
         q_cov = random_pd(rng, n)
-        info = from_moments(x, cov)
-        out = predict(info, f, np.linalg.inv(q_cov), x)
+        out = predict(x, cov, f, q_cov)
         x_ref, cov_ref = kalman_predict_moments(x, cov, f, q_cov)
         x_out, cov_out = to_moments(out)
         assert np.allclose(x_out, x_ref, rtol=1e-10, atol=1e-10 * np.abs(x_ref).max())
         assert np.allclose(cov_out, cov_ref, rtol=1e-10, atol=1e-10 * np.abs(cov_ref).max())
+    # A stacked (R, n, d) state predicts each slice as the unstacked step does.
+    x = rng.normal(size=(2, 3, 4))
+    cov = np.stack([np.stack([random_pd(rng, 4) for _ in range(3)]) for _ in range(2)])
+    f, q_cov = rng.normal(size=(4, 4)) + np.eye(4), random_pd(rng, 4)
+    x_out, cov_out = to_moments(predict(x, cov, f, q_cov))
+    for index in np.ndindex(2, 3):
+        x_ref, cov_ref = kalman_predict_moments(x[index], cov[index], f, q_cov)
+        assert np.allclose(x_out[index], x_ref, rtol=1e-10, atol=1e-10 * np.abs(x_ref).max())
+        assert np.allclose(cov_out[index], cov_ref, rtol=1e-10,
+                           atol=1e-10 * np.abs(cov_ref).max())
 
 
 def test_predict_tiny_process_noise_limit():
     rng = np.random.default_rng(5)
     x = rng.normal(size=4)
-    info = from_moments(x, random_pd(rng, 4))
+    cov = random_pd(rng, 4)
     f = np.eye(4)
     f[0, 2] = f[1, 3] = 2.0
-    out = predict(info, f, 1e8 * np.eye(4), x)
+    out = predict(x, cov, f, 1e-8 * np.eye(4))
     x_out, _ = to_moments(out)
     assert np.allclose(x_out, f @ x, atol=1e-4)
 
 
-def test_predict_singular_gram_raises():
-    info = InformationState(q=np.zeros(2), omega=np.zeros((2, 2)))
+def test_predict_singular_covariance_raises():
     with pytest.raises(np.linalg.LinAlgError, match="cond"):
-        predict(info, np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(2))
+        predict(np.zeros(2), np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)))
 
 
 def test_moments_round_trip():
@@ -106,13 +113,13 @@ def test_symmetry_through_chained_cycles():
     rng = np.random.default_rng(7)
     info = from_moments(rng.normal(size=3), random_pd(rng, 3))
     f = np.eye(3) + 0.1 * rng.normal(size=(3, 3))
-    ww = np.linalg.inv(random_pd(rng, 3))
+    cw = random_pd(rng, 3)
     a = rng.normal(size=(2, 3))
     v = np.linalg.inv(random_pd(rng, 2))
     for _ in range(1000):
         dq, domega = innovation(a, v, rng.normal(size=2))
         info = InformationState(info.q + dq, info.omega + domega)
-        info = predict(info, f, ww, to_moments(info)[0])
+        info = predict(*to_moments(info), f, cw)
         assert np.abs(info.omega - info.omega.T).max() < 1e-12
     assert np.isfinite(info.q).all()
 

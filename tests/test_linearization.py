@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from eotnet.geometry import shape_matrix, wrap_angle
-from eotnet._linalg import _closed_form, _cofactor_pass, _spd_inv2, spd_inv
+from eotnet._linalg import _closed_form, _cofactor_pass, spd_inv
 from eotnet.linearization import innovations
 from oracles import (
     centered_pseudo_measurement,
@@ -203,7 +203,7 @@ def test_closed_form_2x2_inverse_matches_lapack():
     scale = np.exp(rng.uniform(-9.0, 9.0, (500, 1)))
     spd = a @ a.swapaxes(-1, -2) + np.eye(2) * scale[:, :, None] * 1e-1
     spd = 0.5 * (spd + spd.swapaxes(-1, -2))
-    got, want = _spd_inv2(spd), np.linalg.inv(spd)
+    got, want = spd_inv(spd), np.linalg.inv(spd)
     cond = np.linalg.cond(spd)
     err = np.abs(got - want).max(axis=(1, 2)) / np.abs(want).max(axis=(1, 2))
     assert (err <= 1e-14 * cond).all()
@@ -243,6 +243,12 @@ def test_innovations_name_the_bad_extent_noise_row():
     huge = cx.copy()
     huge[2, :2, :2] = 1e75 * np.eye(2)
     assert np.isfinite(innovations(x, huge, p, cps, y, ch, cvs)).all()
+    # At 1e160 Rp's fourth moments overflow: the row is named, with no
+    # floating-point warning first.
+    huge[2, :2, :2] = 1e160 * np.eye(2)
+    with pytest.raises(ValueError, match=r"extent pseudo-measurement noise "
+                       r"\(node 2\) must not contain infs or NaNs"):
+        innovations(x, huge, p, cps, y, ch, cvs)
     # A NaN in the residual covariance makes Rp NaN, which is named, not floored.
     nan = cx.copy()
     nan[2, 0, 0] = np.nan
@@ -260,7 +266,7 @@ def test_closed_form_2x2_inverse_names_a_row_singular_to_working_precision():
     assert edge[0, 0] * edge[1, 1] - edge[0, 1] ** 2 == 0.0
     np.linalg.cholesky(edge)
     with pytest.raises(np.linalg.LinAlgError, match=r"noise \(node 1\) is singular"):
-        _spd_inv2(np.stack([np.diag([2.0, 4.0]), edge]), "noise")
+        spd_inv(np.stack([np.diag([2.0, 4.0]), edge]), "noise")
 
 
 def random_rotations(rng, n, d):
@@ -327,47 +333,47 @@ def test_closed_form_3x3_inverse_names_a_row_singular_to_working_precision():
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 1), (0, 2), (1, 2), (2, 2)])
 def test_closed_form_inverses_reject_infs_and_nans(value, entry):
-    for kernel, d in ((_spd_inv2, 2), (spd_inv, 3)):
+    for d in (2, 3):
         if max(entry) >= d:
             continue
         bad = np.stack([np.eye(d) * 2.0] * 3)
         bad[1][entry] = bad[1][entry[::-1]] = value
         with pytest.raises(ValueError, match=r"noise \(node 1\) must not contain infs or NaNs"):
-            kernel(bad, "noise")
+            spd_inv(bad, "noise")
 
 
-@pytest.mark.parametrize("kernel, d", [(_spd_inv2, 2), (spd_inv, 3)])
-def test_stacked_closed_form_inverses_equal_slice_by_slice_calls(kernel, d):
+@pytest.mark.parametrize("d", [2, 3], ids=["spd_inv-2", "spd_inv-3"])
+def test_stacked_closed_form_inverses_equal_slice_by_slice_calls(d):
     rng = np.random.default_rng(19)
     a = rng.normal(size=(4, 5, d, d))
     spd = a @ a.swapaxes(-1, -2) + 0.1 * np.eye(d)
     spd = 0.5 * (spd + spd.swapaxes(-1, -2))
-    stacked = kernel(spd)
+    stacked = spd_inv(spd)
     assert stacked.flags.c_contiguous and stacked.shape == spd.shape
     for index in np.ndindex(4, 5):
-        solo = kernel(spd[index])
+        solo = spd_inv(spd[index])
         assert solo.flags.c_contiguous and solo.shape == (d, d)
         assert np.array_equal(stacked[index], solo)
-        assert np.array_equal(kernel(spd[index][None])[0], solo)
+        assert np.array_equal(spd_inv(spd[index][None])[0], solo)
     # a non-contiguous stack reads the same numbers
-    assert np.array_equal(kernel(spd.swapaxes(0, 1)), stacked.swapaxes(0, 1))
+    assert np.array_equal(spd_inv(spd.swapaxes(0, 1)), stacked.swapaxes(0, 1))
 
 
-@pytest.mark.parametrize("kernel, d", [(_spd_inv2, 2), (spd_inv, 3)])
-def test_closed_form_inverses_keep_lapacks_range(kernel, d):
+@pytest.mark.parametrize("d", [2, 3], ids=["spd_inv-2", "spd_inv-3"])
+def test_closed_form_inverses_keep_lapacks_range(d):
     # Scaled by 1e+-100, 1e-160 or 1e+-300, a slice's determinant leaves the
     # double range or turns subnormal, but its inverse does not: it must come
     # out as LAPACK's.
     w = 0.75 * np.eye(d) + 0.25
     scaled = np.stack([s * m for s in (1e-300, 1e-160, 1e-100, 1e100, 1e300)
                        for m in (np.eye(d), w)])
-    got, want = kernel(scaled), np.linalg.inv(scaled)
+    got, want = spd_inv(scaled), np.linalg.inv(scaled)
     err = np.abs(got - want).max(axis=(1, 2)) / np.abs(want).max(axis=(1, 2))
     assert (err <= 1e-15).all()
-    assert kernel(np.zeros((0, d, d))).shape == (0, d, d)
+    assert spd_inv(np.zeros((0, d, d))).shape == (0, d, d)
     # Each slice is scaled on its own, whatever the stack around it.
-    mixed = kernel(np.concatenate([scaled, w[None]]))
-    assert np.array_equal(mixed[:-1], got) and np.array_equal(mixed[-1], kernel(w))
+    mixed = spd_inv(np.concatenate([scaled, w[None]]))
+    assert np.array_equal(mixed[:-1], got) and np.array_equal(mixed[-1], spd_inv(w))
     # Diagonals 2^1000 apart, and, for 3x3, slices whose cofactor C00
     # overflows or C11 underflows although their determinant does neither.
     # Scaling by powers of two is exact, so the inverse is the unscaled
@@ -380,10 +386,10 @@ def test_closed_form_inverses_keep_lapacks_range(kernel, d):
     for m, s in ((u, [2.0 ** -500, 1.0, 2.0 ** 500]), (v, [2.0 ** -300, 2.0 ** 300, 2.0 ** 300]),
                  (u, [2.0 ** -280, 2.0 ** 300, 2.0 ** -240])):
         s = np.array(s[:d])
-        assert np.array_equal(kernel(m * s[:, None] * s), kernel(m) / s[:, None] / s)
+        assert np.array_equal(spd_inv(m * s[:, None] * s), spd_inv(m) / s[:, None] / s)
     # A slice whose determinant overflows because it is indefinite is named
     # by the Cholesky check, with no floating-point warning first.
     bad = np.stack([np.eye(d), np.eye(d)])
     bad[1, 0, 1] = bad[1, 1, 0] = 1e200
     with pytest.raises(np.linalg.LinAlgError, match=r"noise \(node 1\) is singular"):
-        kernel(bad, "noise")
+        spd_inv(bad, "noise")

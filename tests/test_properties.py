@@ -42,7 +42,6 @@ from eotnet.trackers import (
     initial_states,
     ncv_transition,
     params_from_scenario,
-    predict_states,
     run_filter,
 )
 from oracles import (
@@ -86,8 +85,8 @@ def random_params(rng, n):
         ch=np.eye(2) / 4,
         cv_by_node=tuple(np.diag(rng.uniform(0.5, 10.0, 2)) for _ in range(n)),
         fx=ncv_transition(2, 1.0),
-        wwx=np.eye(2),
-        wwp=np.diag([20.0, 1.0, 1.0]),
+        cxw=np.eye(2),
+        cpw=np.diag([0.05, 1.0, 1.0]),
     )
 
 
@@ -317,7 +316,7 @@ def scans_at_the_range_edges(kind, runs, steps, seed, max_len):
     priors[2][::2, 0] = np.pi
     priors[2][1::2, 2] = MIN_AXIS
     priors[3][:] = np.diag([4.0, 1.0, 1.0])
-    kin, ext = initial_states(*priors, 1 if kind is FilterKind.CEOT else 4)
+    state = _pack(*initial_states(*priors, 1 if kind is FilterKind.CEOT else 4))
     config = FilterConfig(kind=kind, consensus_iters=2)
     spy = SanitizeSpy()
     with mock.patch.object(trackers, "_sanitize_extent", spy), \
@@ -326,10 +325,11 @@ def scans_at_the_range_edges(kind, runs, steps, seed, max_len):
             spy.mid_scan = False
             # Batches of 0-max_len detections, so realizations end at different indices.
             batches = [random_batches(rng, net, max_len) for _ in range(runs)]
-            kin, ext, (p, cp) = _correct_scan(kin, ext, *flat_scan(batches), params, config, pi)
+            p, cp = _correct_scan(state, 2, *flat_scan(batches), params, config, pi)
+            kin, ext = _unpack(state, 2)
             want_p, want_cp = to_moments(ext)
             assert np.array_equal(p, want_p) and np.array_equal(cp, want_cp)
-            kin, ext = predict_states(kin, ext, params, to_moments(kin)[0], p)
+            state = _pack(*predicted(kin, ext, params))
     for before, omega, rows, after, _ in spy.writes:
         assert np.array_equal(after, sanitize_extent_by_rows(before, omega, rows))
     return spy.writes
@@ -451,7 +451,7 @@ def test_ceot_scatter_sums_every_detection_into_its_one_row(seed, k):
     x, cx, p, cp = random_points(rng, 1)
     y, ch, cv = random_detections(rng, k)
     params = TrackerParams(ch=ch, cv_by_node=tuple(cv), fx=np.eye(4),
-                           wwx=np.eye(4), wwp=np.eye(3))
+                           cxw=np.eye(4), cpw=np.eye(3))
     kin, ext = initial_states(x[:1], cx[:1], p[:1], cp[:1])
     # The scan re-anchors the prior before it linearizes it.
     ext = InformationState(sanitize_extent_by_rows(ext.q[0], ext.omega[0])[None], ext.omega)

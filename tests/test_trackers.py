@@ -44,8 +44,8 @@ def make_params(n_nodes, ch=None, cv=None, x_dim=2, scan_time=1.0,
         ch=ch,
         cv_by_node=tuple(cv for _ in range(n_nodes)),
         fx=ncv_transition(x_dim, scan_time),
-        wwx=np.linalg.inv(cxw),
-        wwp=np.linalg.inv(cpw),
+        cxw=cxw,
+        cpw=cpw,
     )
 
 
@@ -158,8 +158,8 @@ def test_ceot_sums_per_node_innovations():
         q_p = q_p + m_mat.T @ vp @ y_tilde
         omega_p = omega_p + m_mat.T @ vp @ m_mat
 
-    params = TrackerParams(ch=ch, cv_by_node=tuple(cvs), fx=np.eye(2), wwx=np.eye(2),
-                           wwp=np.eye(3))
+    params = TrackerParams(ch=ch, cv_by_node=tuple(cvs), fx=np.eye(2), cxw=np.eye(2),
+                           cpw=np.eye(3))
     kin, ext = correct_scan(*one_run(x0, cx0, p0, cp0),
                             *flat_scan([[y[None, :] for y in ys]]), params, CEOT)
     assert np.allclose(kin.q[0, 0], q_x, rtol=1e-10)
