@@ -33,7 +33,6 @@ from .geometry import (
     wrap_angle,
 )
 from .info_filter import (
-    InformationState,
     from_moments,
     predict,
     to_moments,

@@ -1,71 +1,68 @@
-"""Information-form primitives: prediction and moment conversion.
+"""Information-form primitives: the packed state layout, prediction and
+moment conversion.
 
 State is carried as an information vector q = Omega @ x_hat and information
 matrix Omega = C^-1, which makes measurement corrections additive and lets
 distributed schemes fuse by summation or averaging.  The time update needs no
 such form: it predicts the moments the filter records anyway and converts
-the result back.  A state may carry leading stack axes, such as a node axis,
-q (n, d) and Omega (n, d, d), or a realization and a node axis, q (R, n, d)
-and Omega (R, n, d, d); every primitive below then acts on each slice.
+the result back.  A pair (q, Omega) may carry leading stack axes, such as a
+node axis, q (n, d) and Omega (n, d, d), or a realization and a node axis,
+q (R, n, d) and Omega (R, n, d, d); every primitive below then acts on each
+slice.  The filters hold a node's kinematic and extent pairs in one packed
+row [qx, Ωx, qp, Ωp], whose layout only _rows and _columns know.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from math import isqrt
 
 import numpy as np
 
 from ._linalg import _matvec, spd_inv
 
 __all__ = [
-    "InformationState",
     "predict",
     "to_moments",
     "from_moments",
 ]
 
 
-@dataclass(frozen=True)
-class InformationState:
-    """Information vector and information matrix for one estimated quantity,
-    on one node (q (d,), omega (d, d)) or stacked (q (..., d),
-    omega (..., d, d))."""
+def _rows(lead: tuple, d: int):
+    """Zeroed packed rows (*lead, d + d * d + 12) of a d-dimensional kinematic
+    and a 3-dimensional extent state, and their _columns views."""
+    packed = np.zeros((*lead, d + d * d + 12))
+    return packed, _columns(packed)
 
-    q: np.ndarray
-    omega: np.ndarray
 
-    def __post_init__(self):
-        q = np.asarray(self.q, dtype=float)
-        omega = np.asarray(self.omega, dtype=float)
-        if q.ndim < 1 or omega.shape != q.shape + q.shape[-1:]:
-            raise ValueError(
-                f"inconsistent information state shapes {q.shape} / {omega.shape}"
-            )
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "omega", omega)
-
-    @property
-    def dim(self) -> int:
-        return self.q.shape[-1]
+def _columns(packed: np.ndarray):
+    """Views (qx, Ωx, qp, Ωp) into packed rows (..., k).  The kinematic
+    dimension d is the one positive root of k = d + d * d + 12, that is
+    (2d + 1)^2 = 4k - 47; a width no d fits is rejected."""
+    lead, width = packed.shape[:-1], packed.shape[-1]
+    d = (isqrt(max(4 * width - 47, 0)) - 1) // 2
+    if d < 1 or width != d + d * d + 12:
+        raise ValueError(f"packed rows of width {width} hold no kinematic dimension")
+    e = d + d * d
+    return (packed[..., :d], packed[..., d:e].reshape(lead + (d, d)),
+            packed[..., e:e + 3], packed[..., e + 3:].reshape(lead + (3, 3)))
 
 
 def predict(x_hat: np.ndarray, cov: np.ndarray, f: np.ndarray,
-            cw: np.ndarray) -> InformationState:
+            cw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Time update of a state whose moments (x_hat, C) the caller already
     holds, with transition F and process covariance Cw: the covariance-form
-    Kalman step (F x_hat, F C F.T + Cw), returned in information form."""
+    Kalman step (F x_hat, F C F.T + Cw), returned as its pair (q, Ω)."""
     f = np.asarray(f, dtype=float)
     return from_moments(x_hat @ f.T, f @ cov @ f.T + cw)
 
 
-def to_moments(info: InformationState) -> tuple[np.ndarray, np.ndarray]:
-    """Recover (x_hat, C) from an information state."""
-    cov = spd_inv(info.omega, name="information matrix")
-    return _matvec(cov, info.q), cov
+def to_moments(q: np.ndarray, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Recover (x_hat, C) from an information pair (q, Ω)."""
+    cov = spd_inv(omega, name="information matrix")
+    return _matvec(cov, np.asarray(q, dtype=float)), cov
 
 
-def from_moments(x_hat, cov) -> InformationState:
-    """Build an information state from a mean and positive definite covariance."""
-    x_hat = np.asarray(x_hat, dtype=float)
+def from_moments(x_hat, cov) -> tuple[np.ndarray, np.ndarray]:
+    """The information pair (q, Ω) of a mean and positive definite covariance."""
     omega = spd_inv(np.asarray(cov, dtype=float), name="covariance")
-    return InformationState(q=_matvec(omega, x_hat), omega=omega)
+    return _matvec(omega, np.asarray(x_hat, dtype=float)), omega

@@ -24,6 +24,7 @@ import numpy as np
 
 from ._linalg import _adjugate_pass, _closed_form, _cofactor_pass, _matvec, _not_spd, sym
 from .geometry import clamp_extent
+from .info_filter import _rows
 
 __all__ = [
     "innovations",
@@ -76,7 +77,8 @@ def _pseudo_noise(cy, m_mat, cp):
 
 
 def innovations(x, cx, p, cp, y, ch, cv, trace=None, at=None):
-    """Innovation rows [dqx, dox, dqp, dop], (k, d + d * d + 12), of k detections.
+    """Innovation rows [dqx, dox, dqp, dop] of k detections, packed as the
+    filter's state rows (info_filter's layout).
 
     Detection y[k] is linearized at its own row's moments x[k], cx[k], p[k],
     cp[k] and carries the sensor noise cv[k]; ch is shared.  Both linear
@@ -110,8 +112,8 @@ def innovations(x, cx, p, cp, y, ch, cv, trace=None, at=None):
     rx = sym(picks[:, :4].reshape(k, 2, 2) + spread.reshape(k, 2, 2) + cv)
     vx = _closed_form(_adjugate_pass, rx, "kinematic measurement noise", at)[0]
     # H = [I 0] only picks the position block.
-    block, e = np.zeros((k, d + d * d + 12)), d + d * d
-    block[:, :2], block[:, d:e].reshape(k, d, d)[:, :2, :2] = _matvec(vx, y), vx
+    block, (dqx, dox, dqp, dop) = _rows((k,), d)
+    dqx[:, :2], dox[:, :2, :2] = _matvec(vx, y), vx
 
     cy = (cx[:, :2, :2] + rx).reshape(k, 4)
     m_mat = (picks[:, 4:13] + picks[:, 13:22]).reshape(k, 3, 3)
@@ -130,7 +132,7 @@ def innovations(x, cx, p, cp, y, ch, cv, trace=None, at=None):
     y_tilde = y_quad - np.take(cy, _SQUARE, axis=1) + _matvec(m_mat, p)
     # The extent innovation pair (M.T Vp y~, M.T Vp M).
     mv = m_mat.swapaxes(-1, -2) @ vp
-    block[:, e:e + 3], block[:, e + 3:] = _matvec(mv, y_tilde), sym(mv @ m_mat).reshape(k, 9)
+    dqp[...], dop[...] = _matvec(mv, y_tilde), sym(mv @ m_mat)
     if trace is not None:
         trace.record_rx(rx)
         trace.record_rp_floor(np.count_nonzero(floored), k)

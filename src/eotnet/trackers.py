@@ -1,26 +1,24 @@
 """Sequential extended-object trackers: centralized and two consensus variants.
 
-All three filters run one loop over stacked node states: the kinematic and
-the extent information states carry a node axis, with one row for the
+All three filters run one loop over packed node rows (R, n, k), one row
+[qx, Ωx, qp, Ωp] in info_filter's layout per node: one node for the
 centralized filter and one per network node for the distributed ones, behind
-a leading axis of Monte Carlo realizations that run in lock-step.  At
+a leading axis of R Monte Carlo realizations that run in lock-step.  At
 measurement index i, every row holding a detection is linearized at its index
 i-1 estimates (the extent update consumes the previous kinematic estimate and
-vice versa), and each detection's innovation pair is added into its sensor's
+vice versa), and each detection's innovation row is added into its sensor's
 row.  The filters differ only in how the network combines those rows:
 
 - CEOT maps every sensor to row 0, so the centre sums their innovations;
 - CI corrects each sensor row locally, then averages the posteriors;
 - CM averages the innovations, then corrects every row with the weight omega.
 
-Through a scan the two states travel as one packed (R, n, k) array, one row
-[qx, Ωx, qp, Ωp] per node, and correction, symmetrization and the consensus
-rounds act on all four information quantities at once.  The scan owns the
-extent range check: one checked inverse per row, of the scan's starting rows
-and after each write, gives the verdict, the next index's extent
-linearization point and the record.  run_filter carries the packed state from
-the prior to the last scan; between scans it predicts both states from the
-moments it has just recorded and writes them back into the packed rows.
+Correction, symmetrization and the consensus rounds act on all four
+quantities at once.  The scan owns the extent range check: one checked
+inverse per row, of the scan's starting rows and after each write, gives the
+verdict, the next index's extent linearization point and the record.
+run_filter carries the rows from the prior to the last scan and, between
+scans, writes the prediction from the moments it has just recorded into them.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ import numpy as np
 from ._linalg import _matvec, spd_inv, spd_solve
 from .consensus import ConsensusMatrix, SensorNetwork, consensus_rounds
 from .geometry import MIN_AXIS, clamp_extent
-from .info_filter import InformationState, from_moments, predict, to_moments
+from .info_filter import _columns, _rows, from_moments, predict, to_moments
 from .linearization import innovations
 
 __all__ = [
@@ -117,18 +115,18 @@ def params_from_scenario(config, net: SensorNetwork) -> TrackerParams:
     )
 
 
-def initial_states(x0, cx0, p0, cp0, nodes: int = 1):
-    """Stacked (kinematic, extent) information states with the same prior on
-    each of `nodes` rows.  Priors with a leading realization axis, x0 (R, d)
-    and cx0 (R, d, d), give (R, nodes, ...) states.  The extent mean is left
-    as given: a scan re-anchors it if out of range before linearizing it."""
-    def stacked(a, entry_dims):
-        a = np.asarray(a, dtype=float)
-        axis = a.ndim - entry_dims
-        return np.repeat(np.expand_dims(a, axis), nodes, axis=axis)
-
-    return (from_moments(stacked(x0, 1), stacked(cx0, 2)),
-            from_moments(stacked(p0, 1), stacked(cp0, 2)))
+def initial_states(x0, cx0, p0, cp0, nodes: int = 1) -> np.ndarray:
+    """Packed rows [qx, Ωx, qp, Ωp] with the same prior on each of `nodes`
+    rows.  Priors with a leading realization axis, x0 (R, d) and cx0
+    (R, d, d), give (R, nodes, k) rows.  Each prior is inverted once, as the
+    stack (R, 1, d, d), so a singular one is named (run r, node 0).  The
+    extent mean is left as given: a scan re-anchors it if out of range
+    before linearizing it."""
+    x0 = np.asarray(x0, dtype=float)
+    state, (qx, ox, qp, op) = _rows((*x0.shape[:-1], nodes), x0.shape[-1])
+    for q, omega, mean, cov in ((qx, ox, x0, cx0), (qp, op, p0, cp0)):
+        q[...], omega[...] = from_moments(np.expand_dims(mean, -2), np.expand_dims(cov, -3))
+    return state
 
 
 def _in_range(p: np.ndarray) -> np.ndarray:
@@ -161,66 +159,28 @@ def _extent_moments(q: np.ndarray, omega: np.ndarray, at=None):
     return p, cp
 
 
-def _columns(packed: np.ndarray, d: int):
-    """Views (qx, Ωx, qp, Ωp) into packed rows (..., d + d * d + 12) of a
-    d-dimensional kinematic and a 3-dimensional extent state."""
-    lead, e = packed.shape[:-1], d + d * d
-    return (packed[..., :d], packed[..., d:e].reshape(lead + (d, d)),
-            packed[..., e:e + 3], packed[..., e + 3:].reshape(lead + (3, 3)))
+def correct_scan(state: np.ndarray, y, counts, params: TrackerParams, config: FilterConfig,
+                 pi: ConsensusMatrix | None = None, trace=None):
+    """Sequential correction, in place, of the packed node rows over one scan.
 
-
-def _pack(kin: InformationState, ext: InformationState) -> np.ndarray:
-    """One packed row [qx, Ωx, qp, Ωp] per stacked (realization, node)."""
-    d = kin.dim
-    packed = np.empty((*kin.q.shape[:-1], d + d * d + 12))
-    for view, value in zip(_columns(packed, d), (kin.q, kin.omega, ext.q, ext.omega)):
-        view[...] = value
-    return packed
-
-
-def _unpack(packed: np.ndarray, d: int) -> tuple[InformationState, InformationState]:
-    """The (kinematic, extent) states of packed rows, as copies."""
-    qx, ox, qp, op = (view.copy() for view in _columns(packed, d))
-    return InformationState(qx, ox), InformationState(qp, op)
-
-
-def correct_scan(
-    kin: InformationState,
-    ext: InformationState,
-    y,
-    counts,
-    params: TrackerParams,
-    config: FilterConfig,
-    pi: ConsensusMatrix | None = None,
-    trace=None,
-) -> tuple[InformationState, InformationState]:
-    """Sequential correction of the stacked node states over one scan.
-
-    The states are (R, n, d) node stacks of R realizations.  The scan's
-    detections y (M, 2) come in (realization, sensor, index) order, and
-    counts[r, j] of them are sensor j's batch in realization r.  Sensor j's
-    noise is params.cv_by_node[j] and its innovations go into state row 0
-    under CEOT and into row j, the sensor's own node, under CI and CM.  At
-    each index the sensors that still have detections contribute, all
-    realizations linearized in one stacked call; shorter batches simply
-    stop, and a realization whose longest batch has ended takes no further
-    correction or averaging.  Realizations never mix.  The distributed filters need the
-    consensus matrix pi and run config.consensus_iters averaging rounds per
-    index.  A failing Rx or Rp is named by its detection's realization and
-    sensor, (run r, node j).  A trace records the observed Rx spectra and the
-    Rp floor hits.
+    The state is (R, n, k): one packed row [qx, Ωx, qp, Ωp] per node of each
+    of R realizations.  The scan's detections y (M, 2) come in (realization,
+    sensor, index) order, and counts[r, j] of them are sensor j's batch in
+    realization r.  Sensor j's noise is params.cv_by_node[j] and its
+    innovations go into row 0 under CEOT and into row j, the sensor's own
+    node, under CI and CM.  At each index the sensors that still have
+    detections contribute, all realizations linearized in one stacked call;
+    shorter batches simply stop, and a realization whose longest batch has
+    ended takes no further correction or averaging.  Realizations never mix.
+    The distributed filters need the consensus matrix pi and run
+    config.consensus_iters averaging rounds per index.  A failing Rx or Rp
+    is named by its detection's realization and sensor, (run r, node j).  A
+    trace records the observed Rx spectra and the Rp floor hits.  Returns the
+    moments (p, Cp), (R, n, 3) and (R, n, 3, 3), of every extent row it
+    leaves.
     """
-    if kin.q.ndim != 3:
-        raise ValueError(f"correct_scan needs (R, n, d) states, got shape {kin.q.shape}")
-    state = _pack(kin, ext)
-    _correct_scan(state, kin.dim, y, counts, params, config, pi, trace)
-    return _unpack(state, kin.dim)
-
-
-def _correct_scan(state, d, y, counts, params, config, pi=None, trace=None):
-    """correct_scan of packed rows state (R, n, k) of d-dimensional kinematic
-    states, in place; returns the moments (p, Cp) of every extent row it
-    leaves."""
+    if state.ndim != 3:
+        raise ValueError(f"correct_scan needs (R, n, k) rows, got shape {state.shape}")
     runs, nodes = state.shape[:2]
     counts, y_all = np.asarray(counts), np.reshape(y, (-1, 2))
     if counts.ndim != 2 or counts.shape[0] != runs or len(y_all) != counts.sum():
@@ -262,11 +222,11 @@ def _correct_scan(state, d, y, counts, params, config, pi=None, trace=None):
     # The rows in scan order, one per (realization, node), and their views.
     rows_all, width = state[by_end], state.shape[-1]
     flat = rows_all.reshape(-1, width)
-    qx_all, ox_all, qp_all, op_all = _columns(flat, d)
+    qx_all, ox_all, qp_all, op_all = _columns(flat)
     # The column of each packed entry's transpose: itself for a vector entry,
     # the entry across the diagonal for a matrix entry.
     mirror = np.arange(width)
-    for matrix in _columns(mirror, d)[1::2]:
+    for matrix in _columns(mirror)[1::2]:
         matrix[...] = matrix.T.copy()
     # Every extent row is range-checked before it is first linearized.
     p_all, cp_all = _extent_moments(qp_all, op_all, grid)
@@ -336,14 +296,8 @@ class TrackRecord:
         return self.x_mean.shape[2]
 
 
-def run_filter(
-    scn_runs,
-    net: SensorNetwork,
-    params: TrackerParams,
-    config: FilterConfig,
-    pi: ConsensusMatrix | None = None,
-    trace=None,
-) -> TrackRecord:
+def run_filter(scn_runs, net: SensorNetwork, params: TrackerParams, config: FilterConfig,
+               pi: ConsensusMatrix | None = None, trace=None) -> TrackRecord:
     """Drive one filter over realized runs of one scenario config, all of
     them stacked in one pass, and return their TrackRecord, whose leading
     axis follows scn_runs.
@@ -351,11 +305,13 @@ def run_filter(
     Each run's slice equals the record a pass over that run alone gives; a
     step's wall time is split evenly over the runs it advanced.  The
     distributed filters require a consensus matrix of the network's size,
-    weighting only its edges and diagonal.  A non-finite detection fails
-    before any filtering, naming its run (its position in scn_runs), step
-    and sensor.  An optional trace object (record_rx, record_rp_floor,
-    record_omega) collects observed noise and information-matrix spectra and
-    Rp floor hits of every run for the stability assumption checks.
+    weighting only its edges and diagonal.  Each run's count table needs
+    one column per network node.  A count that is not a non-negative
+    integer, or a non-finite detection, fails before any filtering, naming
+    its run (its position in scn_runs), step and sensor.  An optional trace
+    object (record_rx, record_rp_floor, record_omega) collects observed
+    noise and information-matrix spectra and Rp floor hits of every run for
+    the stability assumption checks.
     """
     scn_runs = list(scn_runs)
     if not scn_runs:
@@ -363,6 +319,17 @@ def run_filter(
     if len({scn.counts.shape for scn in scn_runs}) > 1:
         raise ValueError("stacked scenario runs must have the same number of steps and nodes")
     counts = np.stack([scn.counts for scn in scn_runs])  # (runs, steps, sensors)
+    if counts.ndim != 3 or counts.shape[2] != net.size:
+        raise ValueError(f"count tables need one column per node of the {net.size}-node "
+                         f"network, got shape {counts.shape[1:]}")
+    # A float table fails whatever its values.
+    floats = np.array([scn.counts.dtype.kind not in "iu" for scn in scn_runs])
+    bad = (counts < 0) | floats[:, None, None]
+    if bad.any():
+        r, k, j = np.unravel_index(np.argmax(bad), counts.shape)
+        value = scn_runs[r].counts[k, j]
+        raise ValueError(f"count of run {r}, step {k}, sensor {j} must be a non-negative "
+                         f"integer, got {value} ({value.dtype})")
     runs, steps = counts.shape[:2]
     per_scan = counts.sum(axis=2)  # (runs, steps)
     if [len(scn.detections) for scn in scn_runs] != per_scan.sum(axis=1).tolist():
@@ -379,7 +346,6 @@ def run_filter(
     y = y[np.argsort(np.repeat(np.tile(np.arange(steps), runs), per_scan.ravel()), kind="stable")]
     bounds = np.concatenate([[0], np.cumsum(per_scan.sum(axis=0))])
 
-    x_dim = scn_runs[0].x0.size
     nodes = 1 if config.kind is FilterKind.CEOT else net.size
     if nodes > 1 and pi is not None:
         if pi.size != nodes:
@@ -389,28 +355,23 @@ def run_filter(
         if off_edge.size:
             raise ValueError("consensus weight pi[{0}, {1}] is nonzero, but nodes {0} and {1} "
                              "share no network edge".format(*off_edge[0]))
-    state = _pack(*initial_states(*(np.stack([getattr(scn, name) for scn in scn_runs])
-                                    for name in ("x0", "cx0", "p0", "cp0")),
-                                  nodes))
-    qx, ox, qp, op = _columns(state, x_dim)
-
-    x_mean = np.zeros((runs, steps, nodes, x_dim))
-    x_cov = np.zeros((runs, steps, nodes, x_dim, x_dim))
-    p_mean = np.zeros((runs, steps, nodes, 3))
-    p_cov = np.zeros((runs, steps, nodes, 3, 3))
+    state = initial_states(*(np.stack([getattr(scn, name) for scn in scn_runs])
+                             for name in ("x0", "cx0", "p0", "cp0")), nodes)
+    qx, ox, qp, op = _columns(state)
+    # The record holds each quantity's moments at every step.
+    x_mean, x_cov, p_mean, p_cov = (np.zeros((runs, steps, *a.shape[1:])) for a in (qx, ox, qp, op))
     seconds = np.zeros(steps)
 
     for k in range(steps):
         t0 = time.perf_counter()
-        p_mean[:, k], p_cov[:, k] = _correct_scan(
-            state, x_dim, y[bounds[k]:bounds[k + 1]], counts[:, k], params, config, pi, trace)
-        x_mean[:, k], x_cov[:, k] = to_moments(InformationState(qx, ox))
+        p_mean[:, k], p_cov[:, k] = correct_scan(
+            state, y[bounds[k]:bounds[k + 1]], counts[:, k], params, config, pi, trace)
+        x_mean[:, k], x_cov[:, k] = to_moments(qx, ox)
         if trace is not None:
             trace.record_omega(ox)
         if k + 1 < steps:
-            kin = predict(x_mean[:, k], x_cov[:, k], params.fx, params.cxw)
-            ext = predict(p_mean[:, k], p_cov[:, k], np.eye(3), params.cpw)
-            qx[...], ox[...], qp[...], op[...] = kin.q, kin.omega, ext.q, ext.omega
+            qx[...], ox[...] = predict(x_mean[:, k], x_cov[:, k], params.fx, params.cxw)
+            qp[...], op[...] = predict(p_mean[:, k], p_cov[:, k], np.eye(3), params.cpw)
         seconds[k] = (time.perf_counter() - t0) / runs
 
     return TrackRecord(x_mean=x_mean, x_cov=x_cov, p_mean=p_mean, p_cov=p_cov,

@@ -7,8 +7,9 @@ piecewise linearization builds the two measurement models one matrix product
 at a time, from the shape-matrix row Jacobians, as the library did before it
 moved to one Gram matrix per detection.  Detection sampling, node fusion and
 the rectangle alignment error serve the tests only, so they live here too,
-as do the generic innovation pair the piecewise linearization uses and the
-converters between nested per-sensor batches and the flat detection layout.
+as do the generic innovation pair the piecewise linearization uses, the
+converters between nested per-sensor batches and the flat detection layout,
+and the helpers that view, correct and predict copies of packed state rows.
 reference_filter runs the whole filter from the paper's equations with plain
 loops, one detection at a time, as the tolerance oracle of run_filter.
 """
@@ -19,8 +20,8 @@ import numpy as np
 
 from eotnet._linalg import _from_entries, _matvec, as_cov, spd_inv, sqrt_psd, sym
 from eotnet.geometry import MIN_AXIS, _scatter, clamp_extent, shape_matrix, wrap_angle
-from eotnet.info_filter import predict, to_moments
-from eotnet.trackers import FilterKind
+from eotnet.info_filter import _columns, predict, to_moments
+from eotnet.trackers import FilterKind, correct_scan
 
 
 def innovation(a, v, z):
@@ -314,11 +315,29 @@ def flat_scan(batches):
     return np.concatenate([np.zeros((0, 2)), *(b for run in flat for b in run)]), counts
 
 
-def predicted(kin, ext, params):
-    """The prediction of stacked states from their own moments, as run_filter
+def pairs(state):
+    """The (kinematic, extent) information pairs ((qx, Ωx), (qp, Ωp)) of
+    packed rows, as views."""
+    qx, ox, qp, op = _columns(state)
+    return (qx, ox), (qp, op)
+
+
+def corrected(state, *args):
+    """A copy of packed rows after correct_scan(copy, *args)."""
+    out = state.copy()
+    correct_scan(out, *args)
+    return out
+
+
+def predicted(state, params):
+    """A copy of packed rows predicted from their own moments, as run_filter
     predicts from the moments it records."""
-    (x, cx), (p, cp) = to_moments(kin), to_moments(ext)
-    return predict(x, cx, params.fx, params.cxw), predict(p, cp, np.eye(3), params.cpw)
+    out = state.copy()
+    (qx, ox), (qp, op) = pairs(out)
+    (x, cx), (p, cp) = to_moments(qx, ox), to_moments(qp, op)
+    qx[...], ox[...] = predict(x, cx, params.fx, params.cxw)
+    qp[...], op[...] = predict(p, cp, np.eye(3), params.cpw)
+    return out
 
 
 def scan_batches(scn):

@@ -29,12 +29,12 @@ from eotnet.scenario import build_scenario_run, load_config, benchmark_network
 from eotnet.trackers import (
     FilterConfig,
     FilterKind,
-    correct_scan,
     initial_states,
     params_from_scenario,
     run_filter,
 )
 from oracles import (
+    corrected,
     extent_alignment_error,
     extent_measurement_matrix,
     extent_noise_moments,
@@ -42,6 +42,7 @@ from oracles import (
     fuse_nodes,
     kalman_predict_moments,
     kinematic_noise_cov,
+    pairs,
     predicted,
     quartic_moment_cov,
     quartic_moment_mean,
@@ -82,13 +83,12 @@ def test_cm_matches_ceot_oracle():
         prior = (scn.x0[None], scn.cx0[None], scn.p0[None], scn.cp0[None])
         center, nodes = initial_states(*prior), initial_states(*prior, n)
         for batches in scan_batches(scn):
-            center = predicted(
-                *correct_scan(*center, *flat_scan([batches]), params, ceot), params)
-            nodes = predicted(
-                *correct_scan(*nodes, *flat_scan([batches]), params, cm, pi), params)
-            ((xc,),), _ = to_moments(center[0])
-            ((pc,),), _ = to_moments(center[1])
-            for xn, pn in zip(to_moments(nodes[0])[0][0], to_moments(nodes[1])[0][0]):
+            center = predicted(corrected(center, *flat_scan([batches]), params, ceot), params)
+            nodes = predicted(corrected(nodes, *flat_scan([batches]), params, cm, pi), params)
+            (c_kin, c_ext), (n_kin, n_ext) = pairs(center), pairs(nodes)
+            ((xc,),), _ = to_moments(*c_kin)
+            ((pc,),), _ = to_moments(*c_ext)
+            for xn, pn in zip(to_moments(*n_kin)[0][0], to_moments(*n_ext)[0][0]):
                 worst = max(
                     worst,
                     np.abs(xn - xc).max() / np.abs(xc).max(),
@@ -170,7 +170,7 @@ def test_prediction_equivalence_oracle():
         q_cov = b @ b.T + n * np.eye(n)
         out = predict(x, cov, f, q_cov)
         x_ref, cov_ref = kalman_predict_moments(x, cov, f, q_cov)
-        x_out, cov_out = to_moments(out)
+        x_out, cov_out = to_moments(*out)
         worst = max(
             worst,
             np.abs(x_out - x_ref).max() / max(1.0, np.abs(x_ref).max()),

@@ -19,7 +19,7 @@ from eotnet._linalg import sym
 from eotnet.consensus import NodeKind, build_network, consensus_rounds, metropolis_weights
 from eotnet.diagnostics import AssumptionTrace, acee, gwd, nees, ospa_vertices
 from eotnet.geometry import MIN_AXIS, extent_vertices
-from eotnet.info_filter import InformationState, from_moments, to_moments
+from eotnet.info_filter import _columns, to_moments
 from eotnet.linearization import innovations
 from eotnet.scenario import (
     ScenarioRun,
@@ -34,10 +34,7 @@ from eotnet.trackers import (
     FilterConfig,
     FilterKind,
     TrackerParams,
-    _correct_scan,
-    _pack,
     _sanitize_extent,
-    _unpack,
     correct_scan,
     initial_states,
     ncv_transition,
@@ -45,10 +42,12 @@ from eotnet.trackers import (
     run_filter,
 )
 from oracles import (
+    corrected,
     flat_scan,
     gwd_eigh,
     gwd_eigh_rounding,
     innovations_by_pieces,
+    pairs,
     predicted,
     reference_filter,
     rx_bounds_by_calls,
@@ -109,22 +108,20 @@ def random_batches(rng, net, max_len):
 
 
 def random_states(rng, n):
-    """Stacked states whose rows all differ."""
+    """Packed rows (n, k) that all differ: initial_states of n one-node
+    realizations, each with its own prior."""
     covs = [np.diag(rng.uniform(0.5, 5.0, d)) for d in (2, 3) for _ in range(n)]
-    kin = from_moments(rng.normal(size=(n, 2)), np.stack(covs[:n]))
-    ext = from_moments(rng.normal(size=(n, 3)) + [0.0, 5.0, 5.0], np.stack(covs[n:]))
-    return kin, ext
+    return initial_states(rng.normal(size=(n, 2)), np.stack(covs[:n]),
+                          rng.normal(size=(n, 3)) + [0.0, 5.0, 5.0], np.stack(covs[n:]))[:, 0]
 
 
 @SETTINGS
 @given(networks(), st.integers(1, 6))
 def test_packed_average_equals_separate_rounds_and_keeps_sums(draw, rounds):
     net, pi, seed = draw
-    kin, ext = random_states(np.random.default_rng(seed), net.size)
-    quantities = [kin.q, kin.omega, ext.q, ext.omega]
-    got_kin, got_ext = _unpack(consensus_rounds(_pack(kin, ext), pi, rounds), 2)
-    packed = [got_kin.q, got_kin.omega, got_ext.q, got_ext.omega]
-    for value, got in zip(quantities, packed):
+    state = random_states(np.random.default_rng(seed), net.size)
+    packed = _columns(consensus_rounds(state, pi, rounds))
+    for value, got in zip(_columns(state), packed):
         separate = consensus_rounds(value.reshape(net.size, -1), pi, rounds).reshape(value.shape)
         assert got.shape == value.shape
         assert np.abs(got - separate).max() <= 1e-12 * np.abs(separate).max()
@@ -139,15 +136,15 @@ def test_information_matrices_stay_positive_definite(draw, kind, rounds, max_len
     net, pi, seed = draw
     rng = np.random.default_rng(seed)
     params = random_params(rng, net.size)
-    kin, ext = initial_states(*random_prior(rng), net.size)
+    state = initial_states(*random_prior(rng), net.size)
     config = FilterConfig(kind=kind, consensus_iters=rounds)
     for _ in range(3):
         batches = random_batches(rng, net, max_len)
-        kin, ext = correct_scan(kin, ext, *flat_scan([batches]), params, config, pi)
-        for info in (kin, ext):
-            assert np.isfinite(info.q).all()
-            assert np.linalg.eigvalsh(info.omega).min() > 0
-        kin, ext = predicted(kin, ext, params)
+        correct_scan(state, *flat_scan([batches]), params, config, pi)
+        for q, omega in pairs(state):
+            assert np.isfinite(q).all()
+            assert np.linalg.eigvalsh(omega).min() > 0
+        state = predicted(state, params)
 
 
 @SETTINGS
@@ -164,11 +161,11 @@ def test_cm_with_node_count_weight_equals_ceot_on_complete_graphs(draw, max_len)
     for _ in range(3):
         batches = random_batches(rng, net, max_len)
         scan = flat_scan([batches])
-        center = predicted(*correct_scan(*center, *scan, params, ceot), params)
-        nodes = predicted(*correct_scan(*nodes, *scan, params, cm, pi), params)
-        for c_info, n_info in zip(center, nodes):
-            ((ref,),), _ = to_moments(c_info)
-            means, _ = to_moments(n_info)
+        center = predicted(corrected(center, *scan, params, ceot), params)
+        nodes = predicted(corrected(nodes, *scan, params, cm, pi), params)
+        for c_info, n_info in zip(pairs(center), pairs(nodes)):
+            ((ref,),), _ = to_moments(*c_info)
+            means, _ = to_moments(*n_info)
             assert np.abs(means - ref).max() <= 1e-9 * np.abs(ref).max()
 
 
@@ -316,7 +313,7 @@ def scans_at_the_range_edges(kind, runs, steps, seed, max_len):
     priors[2][::2, 0] = np.pi
     priors[2][1::2, 2] = MIN_AXIS
     priors[3][:] = np.diag([4.0, 1.0, 1.0])
-    state = _pack(*initial_states(*priors, 1 if kind is FilterKind.CEOT else 4))
+    state = initial_states(*priors, 1 if kind is FilterKind.CEOT else 4)
     config = FilterConfig(kind=kind, consensus_iters=2)
     spy = SanitizeSpy()
     with mock.patch.object(trackers, "_sanitize_extent", spy), \
@@ -325,11 +322,10 @@ def scans_at_the_range_edges(kind, runs, steps, seed, max_len):
             spy.mid_scan = False
             # Batches of 0-max_len detections, so realizations end at different indices.
             batches = [random_batches(rng, net, max_len) for _ in range(runs)]
-            p, cp = _correct_scan(state, 2, *flat_scan(batches), params, config, pi)
-            kin, ext = _unpack(state, 2)
-            want_p, want_cp = to_moments(ext)
+            p, cp = correct_scan(state, *flat_scan(batches), params, config, pi)
+            want_p, want_cp = to_moments(*pairs(state)[1])
             assert np.array_equal(p, want_p) and np.array_equal(cp, want_cp)
-            state = _pack(*predicted(kin, ext, params))
+            state = predicted(state, params)
     for before, omega, rows, after, _ in spy.writes:
         assert np.array_equal(after, sanitize_extent_by_rows(before, omega, rows))
     return spy.writes
@@ -452,25 +448,23 @@ def test_ceot_scatter_sums_every_detection_into_its_one_row(seed, k):
     y, ch, cv = random_detections(rng, k)
     params = TrackerParams(ch=ch, cv_by_node=tuple(cv), fx=np.eye(4),
                            cxw=np.eye(4), cpw=np.eye(3))
-    kin, ext = initial_states(x[:1], cx[:1], p[:1], cp[:1])
+    state = initial_states(x[:1], cx[:1], p[:1], cp[:1])
+    qx, ox, qp, op = _columns(state)
     # The scan re-anchors the prior before it linearizes it.
-    ext = InformationState(sanitize_extent_by_rows(ext.q[0], ext.omega[0])[None], ext.omega)
-    xs, cxs = (v[0] for v in to_moments(kin))
-    ps, cps = (v[0] for v in to_moments(ext))
-    sums = [np.zeros_like(a) for a in (kin.q, kin.omega, ext.q, ext.omega)]
+    qp = sanitize_extent_by_rows(qp[0], op[0])[None]
+    xs, cxs = (v[0] for v in to_moments(qx, ox))
+    ps, cps = (v[0] for v in to_moments(qp, op))
+    sums = [np.zeros_like(a) for a in (qx, ox, qp, op)]
     for j in range(k):
         block = innovations(xs, cxs, ps, cps, y[j:j + 1], ch, cv[j:j + 1])
         for acc, value in zip(sums, split_innovations(block, 4)):
             acc += value
-    omega_p = ext.omega + sums[3]
-    want_ext = InformationState(sanitize_extent_by_rows((ext.q + sums[2])[0], omega_p[0])[None],
-                                omega_p)
-    got_kin, got_ext = correct_scan(kin, ext, *flat_scan([[y[j:j + 1] for j in range(k)]]), params,
-                                    FilterConfig(kind=FilterKind.CEOT))
-    assert_close(got_kin.q, kin.q + sums[0])
-    assert_close(got_kin.omega, kin.omega + sums[1])
-    assert_close(got_ext.q, want_ext.q)
-    assert_close(got_ext.omega, want_ext.omega)
+    omega_p = op + sums[3]
+    want_qp = sanitize_extent_by_rows((qp + sums[2])[0], omega_p[0])[None]
+    got = _columns(corrected(state, *flat_scan([[y[j:j + 1] for j in range(k)]]), params,
+                             FilterConfig(kind=FilterKind.CEOT)))
+    for value, want in zip(got, (qx + sums[0], ox + sums[1], want_qp, omega_p)):
+        assert_close(value, want)
 
 
 AXES = st.one_of(st.just(1e-3), st.floats(1e-3, 200.0))

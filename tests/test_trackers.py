@@ -7,24 +7,25 @@ import pytest
 from eotnet import trackers
 from eotnet.consensus import NodeKind, build_network, metropolis_weights
 from eotnet.geometry import clamp_extent
-from eotnet.info_filter import InformationState, to_moments
+from eotnet.info_filter import _columns, to_moments
 from eotnet.linearization import innovations
 from eotnet.trackers import (
     FilterConfig,
     FilterKind,
     TrackerParams,
     _extent_moments,
-    _pack,
     correct_scan,
     initial_states,
     ncv_transition,
 )
 from oracles import (
+    corrected,
     extent_measurement_matrix,
     extent_noise_moments,
     flat_scan,
     fuse_nodes,
     kinematic_noise_cov,
+    pairs,
     predicted,
     pseudo_measurement,
     residual_cov,
@@ -58,14 +59,14 @@ def default_priors(x_dim=2):
 
 
 def one_run(x0, cx0, p0, cp0, nodes=1):
-    """The (1, nodes, ...) states of one realization with the given prior."""
+    """The (1, nodes, k) packed rows of one realization with the given prior."""
     return initial_states(x0[None], cx0[None], p0[None], cp0[None], nodes)
 
 
 def scan_step(state, batches, params, config, pi=None):
     """One scan of one realization: sequential correction over the batches,
     then prediction."""
-    return predicted(*correct_scan(*state, *flat_scan([batches]), params, config, pi), params)
+    return predicted(corrected(state, *flat_scan([batches]), params, config, pi), params)
 
 
 def draw_batch(rng, truth_ext, m, n):
@@ -110,9 +111,9 @@ def test_single_sensor_sequential_matches_hand_computation():
         x_hat, cx, p_vec, cp = hand_single_update(x_hat, cx, p_vec, cp, y, ch, cv)
 
     params = make_params(1)
-    kin, ext = correct_scan(*one_run(x0, cx0, p0, cp0), *flat_scan([[ys]]), params, CEOT)
-    ((x_out,),), ((cx_out,),) = to_moments(kin)
-    ((p_out,),), ((cp_out,),) = to_moments(ext)
+    kin, ext = pairs(corrected(one_run(x0, cx0, p0, cp0), *flat_scan([[ys]]), params, CEOT))
+    ((x_out,),), ((cx_out,),) = to_moments(*kin)
+    ((p_out,),), ((cp_out,),) = to_moments(*ext)
     assert np.allclose(x_out, x_hat, rtol=1e-9)
     assert np.allclose(cx_out, cx, rtol=1e-9)
     assert np.allclose(p_out, p_vec, rtol=1e-9)
@@ -160,22 +161,20 @@ def test_ceot_sums_per_node_innovations():
 
     params = TrackerParams(ch=ch, cv_by_node=tuple(cvs), fx=np.eye(2), cxw=np.eye(2),
                            cpw=np.eye(3))
-    kin, ext = correct_scan(*one_run(x0, cx0, p0, cp0),
-                            *flat_scan([[y[None, :] for y in ys]]), params, CEOT)
-    assert np.allclose(kin.q[0, 0], q_x, rtol=1e-10)
-    assert np.allclose(kin.omega[0, 0], omega_x, rtol=1e-10)
-    assert np.allclose(ext.q[0, 0], q_p, rtol=1e-10)
-    assert np.allclose(ext.omega[0, 0], omega_p, rtol=1e-10)
+    got = _columns(corrected(one_run(x0, cx0, p0, cp0),
+                             *flat_scan([[y[None, :] for y in ys]]), params, CEOT))
+    for value, want in zip(got, (q_x, omega_x, q_p, omega_p)):
+        assert np.allclose(value[0, 0], want, rtol=1e-10)
 
 
 def test_empty_batch_is_pure_prediction():
     x0, cx0, p0, cp0 = default_priors()
     params = make_params(1)
     prior = one_run(x0, cx0, p0, cp0)
-    stepped = scan_step(prior, [np.zeros((0, 2))], params, CEOT)
-    want = predicted(*prior, params)
-    assert np.allclose(stepped[0].q, want[0].q)
-    assert np.allclose(stepped[1].omega, want[1].omega)
+    stepped = _columns(scan_step(prior, [np.zeros((0, 2))], params, CEOT))
+    want = _columns(predicted(prior, params))
+    assert np.allclose(stepped[0], want[0])
+    assert np.allclose(stepped[3], want[3])
 
 
 def test_sequential_determinism():
@@ -184,11 +183,9 @@ def test_sequential_determinism():
     params = make_params(1)
     batch = rng.normal(size=(20, 2)) * 2.0
     prior = one_run(x0, cx0, p0, cp0)
-    a = correct_scan(*prior, *flat_scan([[batch]]), params, CEOT)
-    b = correct_scan(*prior, *flat_scan([[batch]]), params, CEOT)
-    for one, other in zip(a, b):
-        assert np.array_equal(one.q, other.q)
-        assert np.array_equal(one.omega, other.omega)
+    a = corrected(prior, *flat_scan([[batch]]), params, CEOT)
+    b = corrected(prior, *flat_scan([[batch]]), params, CEOT)
+    assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("n_nodes", [2, 3, 5])
@@ -211,9 +208,10 @@ def test_cm_equals_ceot_on_complete_graph(n_nodes):
         batches = [draw_batch(rng, truth_ext, np.zeros(2), int(c)) for c in counts]
         center = scan_step(center, batches, params, CEOT)
         nodes = scan_step(nodes, batches, params, cm, pi)
-        ((xc,),), _ = to_moments(center[0])
-        ((pc,),), _ = to_moments(center[1])
-        for xn, pn in zip(to_moments(nodes[0])[0][0], to_moments(nodes[1])[0][0]):
+        (c_kin, c_ext), (n_kin, n_ext) = pairs(center), pairs(nodes)
+        ((xc,),), _ = to_moments(*c_kin)
+        ((pc,),), _ = to_moments(*c_ext)
+        for xn, pn in zip(to_moments(*n_kin)[0][0], to_moments(*n_ext)[0][0]):
             assert np.allclose(xn, xc, rtol=1e-9, atol=1e-12)
             assert np.allclose(pn, pc, rtol=1e-9, atol=1e-12)
 
@@ -231,11 +229,12 @@ def test_cm_equals_ceot_with_communication_nodes():
     batches = [draw_batch(rng, truth_ext, np.zeros(2), 3),
                np.zeros((0, 2)),
                draw_batch(rng, truth_ext, np.zeros(2), 3)]
-    center, _ = correct_scan(*one_run(x0, cx0, p0, cp0), *flat_scan([batches]), params, CEOT)
-    nodes, _ = correct_scan(*one_run(x0, cx0, p0, cp0, 3), *flat_scan([batches]), params,
-                            FilterConfig(kind=FilterKind.CM, omega=3.0), pi)
-    ((xc,),), _ = to_moments(center)
-    for xn in to_moments(nodes)[0][0]:
+    center, _ = pairs(corrected(one_run(x0, cx0, p0, cp0), *flat_scan([batches]), params,
+                                CEOT))
+    nodes, _ = pairs(corrected(one_run(x0, cx0, p0, cp0, 3), *flat_scan([batches]), params,
+                               FilterConfig(kind=FilterKind.CM, omega=3.0), pi))
+    ((xc,),), _ = to_moments(*center)
+    for xn in to_moments(*nodes)[0][0]:
         assert np.allclose(xn, xc, rtol=1e-9)
 
 
@@ -248,10 +247,10 @@ def test_cm_zero_weight_leaves_states_unchanged():
     params = make_params(3)
     priors = one_run(x0, cx0, p0, cp0, 3)
     batches = [draw_batch(rng, np.array([0.1, 2, 1]), np.zeros(2), 2) for _ in range(3)]
-    out = correct_scan(*priors, *flat_scan([batches]), params,
-                       FilterConfig(kind=FilterKind.CM, omega=0.0), pi)
-    assert np.allclose(out[0].q, priors[0].q)
-    assert np.allclose(out[1].omega, priors[1].omega)
+    out = _columns(corrected(priors, *flat_scan([batches]), params,
+                             FilterConfig(kind=FilterKind.CM, omega=0.0), pi))
+    assert np.allclose(out[0], _columns(priors)[0])
+    assert np.allclose(out[3], _columns(priors)[3])
 
 
 def test_ci_nodes_agree_on_complete_graph_with_many_rounds():
@@ -265,10 +264,10 @@ def test_ci_nodes_agree_on_complete_graph_with_many_rounds():
     nodes = one_run(x0, cx0, p0, cp0, n)
     batches = [draw_batch(rng, np.array([0.5, 3, 1]), np.zeros(2), 5) for _ in range(3)]
     batches.append(np.zeros((0, 2)))
-    kin, ext = correct_scan(*nodes, *flat_scan([batches]), params,
-                            FilterConfig(kind=FilterKind.CI, consensus_iters=60), pi)
-    ((ref_x, *xs),), _ = to_moments(kin)
-    ((ref_p, *ps),), _ = to_moments(ext)
+    kin, ext = pairs(corrected(nodes, *flat_scan([batches]), params,
+                               FilterConfig(kind=FilterKind.CI, consensus_iters=60), pi))
+    ((ref_x, *xs),), _ = to_moments(*kin)
+    ((ref_p, *ps),), _ = to_moments(*ext)
     for xn, pn in zip(xs, ps):
         assert np.abs(xn - ref_x).max() < 1e-8
         assert np.abs(pn - ref_p).max() < 1e-8
@@ -287,11 +286,11 @@ def test_ci_single_round_stays_positive_definite():
     batches = [draw_batch(rng, np.array([0.5, 3, 1]), np.zeros(2), 4),
                np.zeros((0, 2)), np.zeros((0, 2)),
                draw_batch(rng, np.array([0.5, 3, 1]), np.zeros(2), 4)]
-    kin, ext = correct_scan(*nodes, *flat_scan([batches]), params,
-                            FilterConfig(kind=FilterKind.CI, consensus_iters=1), pi)
-    assert np.isfinite(kin.q).all() and np.isfinite(ext.q).all()
-    assert np.linalg.eigvalsh(kin.omega).min() > 0
-    assert np.linalg.eigvalsh(ext.omega).min() > 0
+    qx, ox, qp, op = _columns(corrected(nodes, *flat_scan([batches]), params,
+                                        FilterConfig(kind=FilterKind.CI, consensus_iters=1), pi))
+    assert np.isfinite(qx).all() and np.isfinite(qp).all()
+    assert np.linalg.eigvalsh(ox).min() > 0
+    assert np.linalg.eigvalsh(op).min() > 0
 
 
 def test_ci_information_grows_with_sensors_present():
@@ -306,9 +305,9 @@ def test_ci_information_grows_with_sensors_present():
     batches = [draw_batch(rng, np.array([0.2, 2, 1]), np.zeros(2), 1),
                draw_batch(rng, np.array([0.2, 2, 1]), np.zeros(2), 1),
                np.zeros((0, 2))]
-    kin, _ = correct_scan(*priors, *flat_scan([batches]), params,
-                          FilterConfig(kind=FilterKind.CI, consensus_iters=1), pi)
-    gain = kin.omega - priors[0].omega
+    out = corrected(priors, *flat_scan([batches]), params,
+                    FilterConfig(kind=FilterKind.CI, consensus_iters=1), pi)
+    gain = _columns(out)[1] - _columns(priors)[1]
     assert np.linalg.eigvalsh(gain).min() > 0  # full-rank position update on every node
 
 
@@ -319,10 +318,10 @@ def test_ci_without_any_sensors_keeps_priors():
     x0, cx0, p0, cp0 = default_priors()
     params = make_params(3)
     priors = one_run(x0, cx0, p0, cp0, 3)
-    out = correct_scan(*priors, *flat_scan([[np.zeros((0, 2))] * 3]), params,
-                       FilterConfig(kind=FilterKind.CI, consensus_iters=3), pi)
-    assert np.allclose(out[0].q, priors[0].q)
-    assert np.allclose(out[1].q, priors[1].q)
+    out = _columns(corrected(priors, *flat_scan([[np.zeros((0, 2))] * 3]), params,
+                             FilterConfig(kind=FilterKind.CI, consensus_iters=3), pi))
+    assert np.allclose(out[0], _columns(priors)[0])
+    assert np.allclose(out[2], _columns(priors)[2])
 
 
 def test_distributed_scan_needs_matrix_and_one_batch_per_node():
@@ -334,18 +333,18 @@ def test_distributed_scan_needs_matrix_and_one_batch_per_node():
     for kind in (FilterKind.CI, FilterKind.CM):
         config = FilterConfig(kind=kind)
         with pytest.raises(ValueError, match="consensus matrix"):
-            correct_scan(*priors, *flat_scan([[np.zeros((0, 2))] * 3]), params, config)
+            correct_scan(priors, *flat_scan([[np.zeros((0, 2))] * 3]), params, config)
         with pytest.raises(ValueError, match="one batch per node"):
-            correct_scan(*priors, *flat_scan([[np.zeros((0, 2))] * 2]), params, config, pi)
+            correct_scan(priors, *flat_scan([[np.zeros((0, 2))] * 2]), params, config, pi)
         with pytest.raises(ValueError, match=r"got 1 detections in \(1, 3\) batch counts"):
-            correct_scan(*priors, np.zeros((1, 2)), np.zeros((1, 3), dtype=int), params, config,
+            correct_scan(priors, np.zeros((1, 2)), np.zeros((1, 3), dtype=int), params, config,
                          pi)
 
 
 def test_correct_scan_needs_a_realization_axis():
-    kin, ext = initial_states(*default_priors())  # (1, d) rows, no realization axis
-    with pytest.raises(ValueError, match=r"needs \(R, n, d\) states, got shape \(1, 2\)"):
-        correct_scan(kin, ext, *flat_scan([[np.zeros((0, 2))]]), make_params(1), CEOT)
+    state = initial_states(*default_priors())  # (1, k) rows, no realization axis
+    with pytest.raises(ValueError, match=r"needs \(R, n, k\) rows, got shape \(1, 18\)"):
+        correct_scan(state, *flat_scan([[np.zeros((0, 2))]]), make_params(1), CEOT)
 
 
 def test_ncv_transition():
@@ -361,14 +360,14 @@ def test_initial_estimate_clamps_extent():
     # its first linearization, and returns it re-anchored without detections.
     prior = one_run(np.zeros(2), np.eye(2), np.array([7.0, -1.0, 2.0]), np.eye(3))
     want = clamp_extent(np.array([7.0, -1.0, 2.0]))
-    assert np.array_equal(to_moments(prior[1])[0][0, 0], [7.0, -1.0, 2.0])
-    _, ext = correct_scan(*prior, *flat_scan([[np.zeros((0, 2))]]), make_params(1), CEOT)
-    p_vec = to_moments(ext)[0][0, 0]
+    assert np.array_equal(to_moments(*pairs(prior)[1])[0][0, 0], [7.0, -1.0, 2.0])
+    _, ext = pairs(corrected(prior, *flat_scan([[np.zeros((0, 2))]]), make_params(1), CEOT))
+    p_vec = to_moments(*ext)[0][0, 0]
     assert -np.pi < p_vec[0] <= np.pi
     assert p_vec[1] >= 1e-3
     assert np.array_equal(p_vec, want)
     with mock.patch.object(trackers, "innovations", wraps=innovations) as spy:
-        correct_scan(*prior, *flat_scan([[np.ones((1, 2))]]), make_params(1), CEOT)
+        correct_scan(prior, *flat_scan([[np.ones((1, 2))]]), make_params(1), CEOT)
     assert np.array_equal(spy.call_args.args[2], [want])
 
 
@@ -393,29 +392,38 @@ def test_filter_config_validation():
 
 
 def two_runs_of_five_nodes():
-    """A 5-node line of sensors and the states of two realizations on it."""
+    """A 5-node line of sensors and the packed rows of two realizations on it."""
     net = build_network(np.stack([np.arange(5) * 10.0, np.zeros(5)], axis=1),
                         [NodeKind.SENSOR] * 5, comm_radius=15.0)
     prior = [np.stack([a, a]) for a in default_priors()]
     return net, metropolis_weights(net), initial_states(*prior, 5)
 
 
-def indefinite_at(info, run, node):
-    omega = info.omega.copy()
-    omega[run, node] = -np.eye(info.dim)
-    return InformationState(info.q, omega)
+# The columns of the kinematic and the extent information matrix among
+# _columns' views (qx, Ωx, qp, Ωp).
+KIN_OMEGA, EXT_OMEGA = 1, 3
+
+
+def indefinite_at(state, run, node, column):
+    """A copy of packed rows whose information matrix _columns(state)[column]
+    is -I at (run, node)."""
+    out = state.copy()
+    omega = _columns(out)[column]
+    omega[run, node] = -np.eye(omega.shape[-1])
+    return out
 
 
 def test_a_failing_stacked_row_is_named_by_its_run_and_node():
-    net, pi, (kin, ext) = two_runs_of_five_nodes()
-    bad_ext = indefinite_at(ext, 1, 3)
+    net, pi, state = two_runs_of_five_nodes()
+    bad_ext = indefinite_at(state, 1, 3, EXT_OMEGA)
     where = r"\(run 1, node 3\) is singular or not positive definite"
+    _, _, qp, op = _columns(bad_ext)
     with pytest.raises(np.linalg.LinAlgError, match="extent information matrix " + where):
-        _extent_moments(bad_ext.q.copy(), bad_ext.omega)
+        _extent_moments(qp.copy(), op)
     grid = np.stack(np.indices((2, 5)), axis=-1).reshape(-1, 2)
-    flat = _pack(kin, bad_ext).reshape(10, -1)
+    _, _, qp, op = _columns(bad_ext.reshape(10, -1))
     with pytest.raises(np.linalg.LinAlgError, match="extent information matrix " + where):
-        _extent_moments(flat[:, 6:9], flat[:, 9:].reshape(-1, 3, 3), grid)
+        _extent_moments(qp, op, grid)
     params = make_params(5)
     # Run 0 detects nothing, so only run 1 is live, and node 3 is the one
     # sensor that detects: the linearization inverse is a one-row stack.
@@ -424,17 +432,17 @@ def test_a_failing_stacked_row_is_named_by_its_run_and_node():
     for kind in (FilterKind.CI, FilterKind.CM):
         config = FilterConfig(kind=kind)
         with pytest.raises(np.linalg.LinAlgError, match="information matrix " + where):
-            correct_scan(kin, bad_ext, *flat_scan(batches), params, config, pi)
+            correct_scan(bad_ext, *flat_scan(batches), params, config, pi)
         with pytest.raises(np.linalg.LinAlgError, match="^information matrix " + where):
-            correct_scan(indefinite_at(kin, 1, 3), ext, *flat_scan(batches), params, config, pi)
-    center = [InformationState(a.q[:, :1], a.omega[:, :1]) for a in (kin, ext)]
+            correct_scan(indefinite_at(state, 1, 3, KIN_OMEGA), *flat_scan(batches), params,
+                         config, pi)
+    center = indefinite_at(state[:, :1], 1, 0, KIN_OMEGA)
     with pytest.raises(np.linalg.LinAlgError, match=r"^information matrix \(run 1, node 0\)"):
-        correct_scan(indefinite_at(center[0], 1, 0), center[1], *flat_scan(batches), params,
-                     CEOT)
+        correct_scan(center, *flat_scan(batches), params, CEOT)
 
 
 def test_a_failing_noise_is_named_by_its_detections_run_and_node():
-    net, pi, (kin, ext) = two_runs_of_five_nodes()
+    net, pi, state = two_runs_of_five_nodes()
     # Node 3's sensor noise is indefinite.  At index 0, run 0 detects on
     # nodes 0 and 1 and run 1 on nodes 1 and 3: the failing Rx is the fourth
     # of the index's rows, and its own (run, node) names it.
@@ -447,13 +455,12 @@ def test_a_failing_noise_is_named_by_its_detections_run_and_node():
     for kind in (FilterKind.CI, FilterKind.CM):
         with pytest.raises(np.linalg.LinAlgError, match=r"^kinematic measurement noise "
                            r"\(run 1, node 3\) is singular"):
-            correct_scan(kin, ext, *flat_scan(batches), params, FilterConfig(kind=kind), pi)
+            correct_scan(state.copy(), *flat_scan(batches), params, FilterConfig(kind=kind), pi)
     # Under CEOT every detection updates the one center row, but its noise
     # is still its sensor's: node 3's.
-    center = [InformationState(a.q[:, :1], a.omega[:, :1]) for a in (kin, ext)]
     with pytest.raises(np.linalg.LinAlgError, match=r"^kinematic measurement noise "
                        r"\(run 1, node 3\) is singular"):
-        correct_scan(*center, *flat_scan(batches), params, CEOT)
+        correct_scan(state[:, :1].copy(), *flat_scan(batches), params, CEOT)
 
 
 def test_cm_gwd_improves_with_more_rounds():
@@ -570,6 +577,73 @@ def test_nonfinite_detection_is_named_before_filtering(kind):
     with pytest.raises(ValueError, match=rf"run 1, step 2, sensor {sensor} must be finite"):
         run_filter(scns, net, params, FilterConfig(kind=kind, consensus_iters=2),
                    metropolis_weights(net))
+
+
+def three_s2_runs():
+    """The network, tracker models and three 3-step realizations of s2."""
+    from eotnet.scenario import build_scenario_run, load_config, benchmark_network
+    from eotnet.trackers import params_from_scenario
+
+    config = load_config("s2").with_overrides(steps=3)
+    net = benchmark_network()
+    scns = build_scenario_run(config, net, np.random.SeedSequence(5).spawn(3))
+    return net, params_from_scenario(config, net), scns
+
+
+@pytest.mark.parametrize("kind", [FilterKind.CEOT, FilterKind.CM])
+@pytest.mark.parametrize("prior", ["cx0", "cp0"])
+def test_a_singular_prior_is_named_by_its_run_and_node(kind, prior):
+    from eotnet.trackers import run_filter
+
+    net, params, scns = three_s2_runs()
+    indefinite = np.eye(len(getattr(scns[1], prior)))
+    indefinite[1, 1] = -1.0
+    scns[1] = replace(scns[1], **{prior: indefinite})
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=r"^covariance \(run 1, node 0\) is singular or not positive"):
+        run_filter(scns, net, params, FilterConfig(kind=kind), metropolis_weights(net))
+
+
+def test_run_filter_rejects_a_negative_count():
+    from eotnet.trackers import run_filter
+
+    net, params, scns = three_s2_runs()
+    # Move two detections between sensors of step 1, leaving the total as it is.
+    counts = scns[1].counts.copy()
+    sensor = int(np.argmin(counts[1]))
+    counts[1, sensor] -= 1 + counts[1, sensor]
+    counts[1, sensor - 1] += 1 + scns[1].counts[1, sensor]
+    assert counts.sum() == scns[1].counts.sum()
+    scns[1] = replace(scns[1], counts=counts)
+    with pytest.raises(ValueError, match=rf"^count of run 1, step 1, sensor {sensor} must be a "
+                                         r"non-negative integer, got -1 \(int"):
+        run_filter(scns, net, params, CEOT)
+
+
+def test_run_filter_rejects_a_float_count_table():
+    from eotnet.trackers import run_filter
+
+    net, params, scns = three_s2_runs()
+    scns[2] = replace(scns[2], counts=scns[2].counts.astype(float))
+    with pytest.raises(ValueError, match=r"^count of run 2, step 0, sensor 0 must be a "
+                                         r"non-negative integer, got \d+\.0 \(float64\)"):
+        run_filter(scns, net, params, CEOT)
+
+
+@pytest.mark.parametrize("columns", [19, 21])
+def test_run_filter_needs_one_count_column_per_node(columns):
+    from eotnet.trackers import run_filter
+
+    net, params, scns = three_s2_runs()
+    for r, scn in enumerate(scns):
+        counts = np.zeros((scn.counts.shape[0], columns), dtype=scn.counts.dtype)
+        # The last node's detections go to the last column either way.
+        counts[:, :19] = scn.counts[:, :19]
+        counts[:, -1] += scn.counts[:, 19]
+        scns[r] = replace(scn, counts=counts)
+    with pytest.raises(ValueError, match=r"count tables need one column per node of the "
+                                         rf"20-node network, got shape \(3, {columns}\)"):
+        run_filter(scns, net, params, CEOT)
 
 
 @pytest.mark.parametrize("kind", [FilterKind.CI, FilterKind.CM])
