@@ -80,19 +80,22 @@ def networks(draw, complete=False):
 
 
 def random_params(rng, n):
+    """Models of n sensors, with a kinematic state of position only or of
+    position and velocity: d drawn from {2, 4}, len(params.fx)."""
+    d = int(rng.choice([2, 4]))
     return TrackerParams(
         ch=np.eye(2) / 4,
         cv_by_node=tuple(np.diag(rng.uniform(0.5, 10.0, 2)) for _ in range(n)),
-        fx=ncv_transition(2, 1.0),
-        cxw=np.eye(2),
+        fx=ncv_transition(d, 1.0),
+        cxw=np.eye(d),
         cpw=np.diag([0.05, 1.0, 1.0]),
     )
 
 
-def random_prior(rng):
-    """A prior of one realization: x0 (1, 2), cx0 (1, 2, 2), p0 (1, 3), cp0 (1, 3, 3)."""
-    x0 = rng.normal(size=2) * 3.0
-    cx0 = np.diag(rng.uniform(1.0, 100.0, 2))
+def random_prior(rng, d):
+    """A prior of one realization: x0 (1, d), cx0 (1, d, d), p0 (1, 3), cp0 (1, 3, 3)."""
+    x0 = rng.normal(size=d) * 3.0
+    cx0 = np.diag(rng.uniform(1.0, 100.0, d))
     p0 = np.array([rng.uniform(-np.pi, np.pi), *rng.uniform(1.0, 10.0, 2)])
     cp0 = np.diag([rng.uniform(0.05, 1.0), *rng.uniform(1.0, 10.0, 2)])
     return x0[None], cx0[None], p0[None], cp0[None]
@@ -136,7 +139,7 @@ def test_information_matrices_stay_positive_definite(draw, kind, rounds, max_len
     net, pi, seed = draw
     rng = np.random.default_rng(seed)
     params = random_params(rng, net.size)
-    state = initial_states(*random_prior(rng), net.size)
+    state = initial_states(*random_prior(rng, len(params.fx)), net.size)
     config = FilterConfig(kind=kind, consensus_iters=rounds)
     for _ in range(3):
         batches = random_batches(rng, net, max_len)
@@ -154,7 +157,7 @@ def test_cm_with_node_count_weight_equals_ceot_on_complete_graphs(draw, max_len)
     n = net.size
     rng = np.random.default_rng(seed)
     params = random_params(rng, n)
-    prior = random_prior(rng)
+    prior = random_prior(rng, len(params.fx))
     center, nodes = initial_states(*prior), initial_states(*prior, n)
     ceot = FilterConfig(kind=FilterKind.CEOT)
     cm = FilterConfig(kind=FilterKind.CM, consensus_iters=1)
@@ -180,14 +183,14 @@ def sensor_counts(data, net, steps):
     return counts
 
 
-def truth_run(rng, counts):
+def truth_run(rng, counts, d):
     """A ScenarioRun of counts[k, s] detections of the truth per (step, node)
-    and a random prior."""
+    and a random prior of kinematic dimension d."""
     steps = len(counts)
     detections = np.concatenate([np.zeros((0, 2))] + [
         sample_measurements(*TRUTH, np.eye(2) / 4, np.eye(2), n, rng) for n in counts.ravel()])
-    return ScenarioRun(np.zeros((steps, 2)), np.tile(TRUTH[1], (steps, 1)), detections, counts,
-                       *(a[0] for a in random_prior(rng)))
+    return ScenarioRun(np.zeros((steps, d)), np.tile(TRUTH[1], (steps, 1)), detections, counts,
+                       *(a[0] for a in random_prior(rng, d)))
 
 
 @SETTINGS
@@ -203,7 +206,7 @@ def test_stacked_flat_runs_equal_their_solo_passes(draw, kind, runs, steps, data
     for _ in range(runs):
         counts = (sensor_counts(data, net, steps) if data.draw(st.booleans())
                   else np.zeros((steps, net.size), dtype=int))
-        scns.append(truth_run(rng, counts))
+        scns.append(truth_run(rng, counts, len(params.fx)))
     config = FilterConfig(kind=kind, consensus_iters=2)
     stacked = run_filter(scns, net, params, config, pi)
     assert (stacked.runs, stacked.steps) == (runs, steps)
@@ -231,7 +234,7 @@ def test_run_filter_matches_the_loop_level_reference_filter(draw, kind, steps, r
     net, pi, seed = draw
     rng = np.random.default_rng(seed)
     params = random_params(rng, net.size)
-    scn = truth_run(rng, sensor_counts(data, net, steps))
+    scn = truth_run(rng, sensor_counts(data, net, steps), len(params.fx))
     config = FilterConfig(kind=kind, consensus_iters=rounds)
     assert_matches_reference(run_filter([scn], net, params, config, pi), scn, net, params,
                              config, pi)
@@ -245,7 +248,8 @@ REANCHORED_PRIOR = {"mode": "fixed", "kinematic_mean": [1.0, 1.0], "kinematic_co
 
 @pytest.mark.parametrize("scenario, kind, rounds, priors", [
     ("s1", "ci", 6, None), ("s1", "ci", 6, REANCHORED_PRIOR), ("s2", "cm", 6, None),
-    ("s2", "ceot", 1, None), ("s3", "cm", 6, None)])
+    ("s2", "ceot", 1, None), ("s2", "ci", 6, None), ("s3", "cm", 6, None),
+    ("s3", "ci", 2, None)])
 def test_first_steps_of_the_presets_match_the_reference_filter(scenario, kind, rounds, priors):
     config = load_config(scenario, **({} if priors is None else {"priors": priors}))
     config = config.with_overrides(steps=min(3, config.steps))
@@ -309,7 +313,8 @@ def scans_at_the_range_edges(kind, runs, steps, seed, max_len):
     rng = np.random.default_rng(seed)
     net = build_network(rng.uniform(0.0, 30.0, (4, 2)), [NodeKind.SENSOR] * 4, 100.0)
     pi, params = metropolis_weights(net), random_params(rng, 4)
-    priors = [np.concatenate(a) for a in zip(*(random_prior(rng) for _ in range(runs)))]
+    priors = [np.concatenate(a)
+              for a in zip(*(random_prior(rng, len(params.fx)) for _ in range(runs)))]
     priors[2][::2, 0] = np.pi
     priors[2][1::2, 2] = MIN_AXIS
     priors[3][:] = np.diag([4.0, 1.0, 1.0])
