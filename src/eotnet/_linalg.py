@@ -5,7 +5,9 @@ indefinite information matrix fails loudly instead of drifting.  A 2x2 or 3x3
 inverse comes in closed form from the cofactors of the matrix balanced by
 powers of two, which also hold the leading minors of Sylvester's criterion;
 larger matrices are checked by a Cholesky factorization and inverted by
-LAPACK.  sym, spd_solve, spd_inv and the private helpers take one matrix or a
+LAPACK.  The marginal of the leading 2-block of a 4x4 information pair needs
+no 4x4 inverse: _schur_offsets eliminates the trailing block in Cholesky
+order.  sym, spd_solve, spd_inv and the private helpers take one matrix or a
 stack of them along a leading axis.
 """
 
@@ -228,3 +230,35 @@ def _cofactor_pass(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     low = np.minimum(np.minimum(cof[:, 0], cof[:, 4]), np.minimum(cof[:, 8], num))
     ok = (np.minimum(low, det) >= _TINY) & (np.maximum(cof[:, 0], det) < np.inf)
     return cof / det[:, None], ok
+
+
+@np.errstate(all="ignore")
+def _schur_offsets(q_v, o_pv, o_vv, name: str | None = None, at=None):
+    """Offsets (a, B) and verdict of stacked information pairs
+    ([q_p, q_v], [[Ω_pp, Ω_pv], [Ω_vp, Ω_vv]]) of 2-vectors and 2x2 blocks,
+    from q_v (..., 2), Ω_pv and Ω_vv (..., 2, 2): the pair of the marginal of
+    the leading block is (q_p - a, Ω_pp - B).
+
+    Block elimination in Cholesky order: with L L.T = Ω_vv in closed form,
+    W = L^-1 Ω_vp and z = L^-1 q_v give B = W.T W, exactly symmetric, and
+    a = W.T z.  Ω_vv^-1 is never formed; through it the marginal's inverse
+    would lose up to a factor cond(Ω) more to cancellation.  A slice passes
+    when Ω_vv's pivots o00 and o11 - o10^2 / o00 are finite normal positive
+    numbers, which is Sylvester's criterion.  With a name, a slice that fails
+    raises _not_spd's error on Ω_vv, named as _first_slice names it; without
+    one, its offsets are meaningless.  Every operation acts entry by entry,
+    so each slice's numbers depend on that slice alone."""
+    o00, o10 = o_vv[..., 0, 0], o_vv[..., 1, 0]
+    l00 = np.sqrt(o00)
+    l10 = o10 / l00
+    pivot = o_vv[..., 1, 1] - l10 * l10
+    ok = (np.minimum(o00, pivot) >= _TINY) & (np.maximum(o00, pivot) < np.inf)
+    if name is not None and not ok.all():
+        _not_spd(o_vv, ~ok, name, at)
+    l11 = np.sqrt(pivot)
+    w0 = o_pv[..., 0] / l00[..., None]
+    w1 = (o_pv[..., 1] - l10[..., None] * w0) / l11[..., None]
+    z0 = q_v[..., 0] / l00
+    z1 = (q_v[..., 1] - l10 * z0) / l11
+    b = w0[..., :, None] * w0[..., None, :] + w1[..., :, None] * w1[..., None, :]
+    return w0 * z0[..., None] + w1 * z1[..., None], b, ok

@@ -6,7 +6,8 @@ equivalent noise that absorbs the extent uncertainty) and one for the extent
 (a quadratic pseudo-measurement matched to the first two moments of the
 detection residual).  Both are refreshed at every sequential update from the
 previous estimates, which preserves the cross-correlation between the two
-states.
+states.  With H = [I 0] the kinematic model reads only the position
+marginal of the kinematic estimate, which it takes as an information pair.
 
 Extents are [alpha, l1, l2] vectors.  innovations builds both models for a
 whole stack of detections from one Gram matrix.  The shape matrix S and the
@@ -76,16 +77,18 @@ def _pseudo_noise(cy, m_mat, cp):
     return rp, lo, rp - lo[:, None, None] * _EYE3
 
 
-def innovations(x, cx, p, cp, y, ch, cv, trace=None, at=None):
+def innovations(q, omega, p, cp, y, ch, cv, trace=None, at=None, *, d=2, row_at=None):
     """Innovation rows [dqx, dox, dqp, dop] of k detections, packed as the
-    filter's state rows (info_filter's layout).
+    filter's state rows (info_filter's layout) with d kinematic entries.
 
-    Detection y[k] is linearized at its own row's moments x[k], cx[k], p[k],
-    cp[k] and carries the sensor noise cv[k]; ch is shared.  Both linear
-    models are built from the same pre-update estimates; the extent mean is
-    first wrapped and its semi-axes clamped to MIN_AXIS.
+    Detection y[k] is linearized at its own row's position marginal, the
+    information pair (q[k], omega[k]), and extent moments p[k], cp[k], and
+    carries the sensor noise cv[k]; ch is shared.  Both linear models are
+    built from the same pre-update estimates; the extent mean is first
+    wrapped and its semi-axes clamped to MIN_AXIS.
 
-    The kinematic noise is Rx = S Ch S.T + [trace(Cp J_n.T Ch J_m)] + Cv.
+    The kinematic noise is Rx = S Ch S.T + [trace(Cp J_n.T Ch J_m)] + Cv;
+    one adjugate pass inverts it and the symmetrized omega together.
     The pseudo-measurement noise Rp is the Gaussian fourth-moment covariance
     of the residual d = y - H x, with covariance Cy = H Cx H.T + Rx, minus
     M Cp M.T.  The subtraction can leave Rp indefinite.  A row whose Rp has
@@ -95,11 +98,12 @@ def innovations(x, cx, p, cp, y, ch, cv, trace=None, at=None):
     pass over Rp - lo I and Rp gives that verdict and Rp's inverse.  Each
     row's numbers depend on that row alone.
     A failing Rx or Rp is named by its detection's (run, node) row of at,
-    (k, 2), or by its position (node i) without at.  A trace records every
-    Rx that gets inverted and how many rows the floor changed.
+    (k, 2), or by its position (node i) without at, and a failing omega, as
+    information matrix, by its row of row_at, or of at.  A trace records
+    every Rx that gets inverted and how many rows the floor changed.
     """
     p = clamp_extent(p)
-    k, d = len(p), x.shape[-1]
+    k = len(p)
     cos_sin, lengths = np.empty((k, 2)), np.ones((k, 3))
     np.cos(p[:, 0], out=cos_sin[:, 0])
     np.sin(p[:, 0], out=cos_sin[:, 1])
@@ -110,12 +114,18 @@ def innovations(x, cx, p, cp, y, ch, cv, trace=None, at=None):
     picks = np.take((w.swapaxes(-1, -2) @ (ch @ w)).reshape(k, 64), _GRAM_PICKS, axis=1)
     spread = cp.reshape(k, 1, 9) @ picks[:, 22:].reshape(k, 9, 4)
     rx = sym(picks[:, :4].reshape(k, 2, 2) + spread.reshape(k, 2, 2) + cv)
-    vx = _closed_form(_adjugate_pass, rx, "kinematic measurement noise", at)[0]
+    omega = sym(omega)
+    inv, ok = _closed_form(_adjugate_pass, np.concatenate([omega, rx]))
+    if not ok.all():
+        if not ok[:k].all():
+            _not_spd(omega, ~ok[:k], "information matrix", at if row_at is None else row_at)
+        _not_spd(rx, ~ok[k:], "kinematic measurement noise", at)
+    cx, vx = inv[:k], inv[k:]
     # H = [I 0] only picks the position block.
     block, (dqx, dox, dqp, dop) = _rows((k,), d)
     dqx[:, :2], dox[:, :2, :2] = _matvec(vx, y), vx
 
-    cy = (cx[:, :2, :2] + rx).reshape(k, 4)
+    cy = (cx + rx).reshape(k, 4)
     m_mat = (picks[:, 4:13] + picks[:, 13:22]).reshape(k, 3, 3)
     rp, lo, shifted = _pseudo_noise(cy, m_mat, cp)
     inv, ok = _closed_form(_cofactor_pass, np.concatenate([shifted, rp]))
@@ -127,7 +137,7 @@ def innovations(x, cx, p, cp, y, ch, cv, trace=None, at=None):
         vp[floored], ok[k:][floored] = _closed_form(_cofactor_pass, rp[floored])
     if not ok[k:].all():
         _not_spd(rp, ~ok[k:], "extent pseudo-measurement noise", at=at)
-    residual = y - x[:, :2]
+    residual = y - _matvec(cx, q)
     y_quad = np.take(residual, _PAIRS[:, 0], axis=1) * np.take(residual, _PAIRS[:, 1], axis=1)
     y_tilde = y_quad - np.take(cy, _SQUARE, axis=1) + _matvec(m_mat, p)
     # The extent innovation pair (M.T Vp y~, M.T Vp M).

@@ -6,8 +6,10 @@ centralized filter and one per network node for the distributed ones, behind
 a leading axis of R Monte Carlo realizations that run in lock-step.  At
 measurement index i, every row holding a detection is linearized at its index
 i-1 estimates (the extent update consumes the previous kinematic estimate and
-vice versa), and each detection's innovation row is added into its sensor's
-row.  The filters differ only in how the network combines those rows:
+vice versa): its extent moments and its position marginal (q_p - a,
+Ω_pp - B), whose offsets come once per scan from the velocity blocks no
+correction touches.  Each detection's innovation row is added into its
+sensor's row.  The filters differ only in how the network combines those rows:
 
 - CEOT maps every sensor to row 0, so the centre sums their innovations;
 - CI corrects each sensor row locally, then averages the posteriors;
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import _matvec, spd_inv, spd_solve
+from ._linalg import _matvec, _schur_offsets, spd_inv, spd_solve
 from .consensus import ConsensusMatrix, SensorNetwork, consensus_rounds
 from .geometry import MIN_AXIS, clamp_extent
 from .info_filter import _columns, _rows, from_moments, predict, to_moments
@@ -159,22 +161,34 @@ def _extent_moments(q: np.ndarray, omega: np.ndarray, at=None):
     return p, cp
 
 
+def _marginal_offsets(rows: np.ndarray, at) -> np.ndarray:
+    """The offsets [a, B], (m, 6), of the position marginals of packed rows
+    (m, k) with d = 4, [q_p - a, Ω_pp - B], by _schur_offsets; a failing Ω_vv
+    is named information matrix by its row of at."""
+    qx, ox = _columns(rows)[:2]
+    a, b, _ = _schur_offsets(qx[:, 2:], ox[:, :2, 2:], ox[:, 2:, 2:], "information matrix", at)
+    return np.concatenate([a, b.reshape(-1, 4)], axis=1)
+
+
 def correct_scan(state: np.ndarray, y, counts, params: TrackerParams, config: FilterConfig,
                  pi: ConsensusMatrix | None = None, trace=None):
     """Sequential correction, in place, of the packed node rows over one scan.
 
     The state is (R, n, k): one packed row [qx, Ωx, qp, Ωp] per node of each
-    of R realizations.  The scan's detections y (M, 2) come in (realization,
-    sensor, index) order, and counts[r, j] of them are sensor j's batch in
-    realization r.  Sensor j's noise is params.cv_by_node[j] and its
-    innovations go into row 0 under CEOT and into row j, the sensor's own
-    node, under CI and CM.  At each index the sensors that still have
-    detections contribute, all realizations linearized in one stacked call;
-    shorter batches simply stop, and a realization whose longest batch has
-    ended takes no further correction or averaging.  Realizations never mix.
+    of R realizations, whose kinematic state is a position (d = 2) or a
+    position and velocity (d = 4).  The scan's detections y (M, 2) come in
+    (realization, sensor, index) order, and counts[r, j] of them, a
+    non-negative integer, are sensor j's batch in realization r.  Sensor j's
+    noise is params.cv_by_node[j] and its innovations go into row 0 under
+    CEOT and into row j, the sensor's own node, under CI and CM.  At each
+    index the sensors that still have detections contribute, all
+    realizations linearized in one stacked call; shorter batches simply
+    stop, and a realization whose longest batch has ended takes no further
+    correction or averaging.  Realizations never mix.
     The distributed filters need the consensus matrix pi and run
     config.consensus_iters averaging rounds per index.  A failing Rx or Rp
-    is named by its detection's realization and sensor, (run r, node j).  A
+    is named by its detection's realization and sensor, (run r, node j), and
+    a failing kinematic information matrix by its row's (run r, node n).  A
     trace records the observed Rx spectra and the Rp floor hits.  Returns the
     moments (p, Cp), (R, n, 3) and (R, n, 3, 3), of every extent row it
     leaves.
@@ -186,7 +200,16 @@ def correct_scan(state: np.ndarray, y, counts, params: TrackerParams, config: Fi
     if counts.ndim != 2 or counts.shape[0] != runs or len(y_all) != counts.sum():
         raise ValueError(f"got {len(y_all)} detections in {counts.shape} batch counts for "
                          f"{runs} stacked realizations")
+    bad = (counts < 0) | (counts.dtype.kind not in "iu")
+    if bad.any():
+        r, j = np.unravel_index(np.argmax(bad), counts.shape)
+        raise ValueError(f"batch count of run {r}, sensor {j} must be a non-negative integer, "
+                         f"got {counts[r, j]} ({counts.dtype})")
     sensors, sizes = counts.shape[1], counts.ravel()
+    cv = np.asarray(params.cv_by_node, dtype=float)
+    if sensors > len(cv):
+        raise ValueError(f"batch counts of {sensors} sensors need as many sensor noises, "
+                         f"got {len(cv)}")
     if config.kind is FilterKind.CEOT:
         rows = np.zeros(sensors, dtype=int)
     elif pi is None:
@@ -197,7 +220,6 @@ def correct_scan(state: np.ndarray, y, counts, params: TrackerParams, config: Fi
         rows = np.arange(nodes)
     rounds = config.consensus_iters
     omega = config.omega if config.omega is not None else float(nodes)
-    cv = np.asarray(params.cv_by_node, dtype=float)
 
     # Every detection of the scan with its realization, sensor and index,
     # sorted once by index in (realization, sensor) order: index i's are the
@@ -222,12 +244,29 @@ def correct_scan(state: np.ndarray, y, counts, params: TrackerParams, config: Fi
     # The rows in scan order, one per (realization, node), and their views.
     rows_all, width = state[by_end], state.shape[-1]
     flat = rows_all.reshape(-1, width)
-    qx_all, ox_all, qp_all, op_all = _columns(flat)
+    qx_all, _, qp_all, op_all = _columns(flat)
+    if (d := qx_all.shape[-1]) not in (2, 4):
+        raise ValueError("correct_scan needs a kinematic state of position (d = 2) or of "
+                         f"position and velocity (d = 4), got d = {d}")
     # The column of each packed entry's transpose: itself for a vector entry,
     # the entry across the diagonal for a matrix entry.
     mirror = np.arange(width)
     for matrix in _columns(mirror)[1::2]:
         matrix[...] = matrix.T.copy()
+    # Symmetrize the matrices once, as every write below does; a vector entry
+    # is its own mirror and stays exact.  A correction adds only to the
+    # position block of a kinematic pair (H = [I 0]), and the consensus
+    # rounds mix rows entry by entry, so under CEOT and CM every row's q_v,
+    # Ω_pv and Ω_vv stay as they are now for the whole scan, and with them
+    # the offsets of its position marginal.  CI's averaging rewrites whole
+    # rows, so it takes them again.
+    flat[...] = 0.5 * (flat + flat.take(mirror, axis=1))
+    offsets = _marginal_offsets(flat, grid) if d == 4 else np.zeros((len(flat), 6))
+    # Each detection's offsets, the flat entries of its row's [q_p, Ω_pp],
+    # and its row's (realization, node), which names a failing Ω_pp - B.
+    qx_col, ox_col = _columns(np.arange(width))[:2]
+    det_pos = det_flat[:, None] * width + np.concatenate([qx_col[:2], ox_col[:2, :2].ravel()])
+    det_offsets, det_row_at = offsets[det_flat], grid[det_flat]
     # Every extent row is range-checked before it is first linearized.
     p_all, cp_all = _extent_moments(qp_all, op_all, grid)
     for i in range(ends.max(initial=0)):
@@ -235,12 +274,10 @@ def correct_scan(state: np.ndarray, y, counts, params: TrackerParams, config: Fi
         # Under CI and CM the detections' rows are distinct.  Under CEOT every
         # live realization has a detection at i, and its detections share its row.
         det_rows, rows_i = det_flat[at_i], flat[live]
-        lin, at, lin_at = ((live, det_rows, grid[live]) if config.kind is FilterKind.CEOT
-                           else (det_rows, ..., det_at[at_i]))
-        cx = spd_inv(ox_all[lin], name="information matrix", at=lin_at)
-        x = _matvec(cx, qx_all[lin])
-        packed = innovations(x[at], cx[at], p_all[det_rows], cp_all[det_rows], y_all[at_i],
-                             params.ch, cv_all[at_i], trace, det_at[at_i])
+        marginal = flat.take(det_pos[at_i]) - det_offsets[at_i]
+        packed = innovations(marginal[:, :2], marginal[:, 2:].reshape(-1, 2, 2),
+                             p_all[det_rows], cp_all[det_rows], y_all[at_i], params.ch,
+                             cv_all[at_i], trace, det_at[at_i], d=d, row_at=det_row_at[at_i])
         delta = np.zeros(rows_i.shape)
         if config.kind is FilterKind.CEOT:  # sum the detections that share a row
             np.add.at(delta, det_rows, packed)
@@ -253,14 +290,18 @@ def correct_scan(state: np.ndarray, y, counts, params: TrackerParams, config: Fi
             rows_i += omega * delta.reshape(-1, width)
         else:
             rows_i += delta
-        # Symmetrize the matrices; a vector entry is its own mirror and stays exact.
+        # Symmetrize the matrices, as at the scan's start.
         rows_i[...] = 0.5 * (rows_i + rows_i.take(mirror, axis=1))
         if config.kind is FilterKind.CI:
-            checked = qp_all[lin]
-            _extent_moments(checked, op_all[lin], lin_at)
-            qp_all[lin] = checked
+            checked = qp_all[det_rows]
+            _extent_moments(checked, op_all[det_rows], det_at[at_i])
+            qp_all[det_rows] = checked
             rows_i[...] = consensus_rounds(rows_i.reshape(-1, nodes, width), pi,
                                            rounds).reshape(-1, width)
+            if d == 4:  # as the next index's linearization and write see them
+                offsets[live] = _marginal_offsets(0.5 * (rows_i + rows_i.take(mirror, axis=1)),
+                                                  grid[live])
+                det_offsets = offsets[det_flat]
         # One checked inverse per write gives the next index its extent moments.
         p_all[live], cp_all[live] = _extent_moments(qp_all[live], op_all[live], grid[live])
     state[by_end] = rows_all

@@ -195,6 +195,14 @@ def split_innovations(block, d):
             block[:, e + 3:].reshape(k, 3, 3))
 
 
+def position_pair(x, cx):
+    """The information pair (q, Ω) of the position marginal of moments x
+    (..., d) and cx (..., d, d), at which innovations linearizes: the
+    inverse of the covariance's position block, through LAPACK."""
+    omega = sym(np.linalg.inv(cx[..., :2, :2]))
+    return _matvec(omega, x[..., :2]), omega
+
+
 def quartic_moment_mean(cx_pos, s_mat, j1, j2, cp, ch, cv):
     """Closed-form mean of the quadratic residual statistic, expanded term by
     term: position covariance + scattering + extent-spread trace + sensor

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from eotnet.geometry import shape_matrix, wrap_angle
-from eotnet._linalg import _closed_form, _cofactor_pass, spd_inv
+from eotnet._linalg import _adjugate_pass, _closed_form, _cofactor_pass, _schur_offsets, spd_inv
 from eotnet.linearization import innovations
 from oracles import (
     centered_pseudo_measurement,
     extent_measurement_matrix,
     extent_noise_moments,
     kinematic_noise_cov,
+    position_pair,
     pseudo_measurement,
     quartic_moment_cov,
     quartic_moment_mean,
@@ -219,17 +220,17 @@ def test_innovations_name_the_bad_kinematic_noise_row():
     indefinite[1] = -100.0 * np.eye(2)
     with pytest.raises(np.linalg.LinAlgError,
                        match=r"kinematic measurement noise \(node 1\) is singular"):
-        innovations(x, cx, p, cps, y, ch, indefinite)
+        innovations(*position_pair(x, cx), p, cps, y, ch, indefinite)
     nonfinite = cvs.copy()
     nonfinite[2, 0, 0] = np.nan
     with pytest.raises(ValueError,
                        match=r"kinematic measurement noise \(node 2\) must not contain"):
-        innovations(x, cx, p, cps, y, ch, nonfinite)
+        innovations(*position_pair(x, cx), p, cps, y, ch, nonfinite)
     # With at, a failing row is named by its detection's (run, node).
     at = np.array([[0, 4], [1, 2], [1, 5]])
     with pytest.raises(np.linalg.LinAlgError,
                        match=r"kinematic measurement noise \(run 1, node 2\) is singular"):
-        innovations(x, cx, p, cps, y, ch, indefinite, at=at)
+        innovations(*position_pair(x, cx), p, cps, y, ch, indefinite, at=at)
 
 
 def test_innovations_name_the_bad_extent_noise_row():
@@ -242,21 +243,26 @@ def test_innovations_name_the_bad_extent_noise_row():
     # determinant overflows; Rp is still inverted, as LAPACK would.
     huge = cx.copy()
     huge[2, :2, :2] = 1e75 * np.eye(2)
-    assert np.isfinite(innovations(x, huge, p, cps, y, ch, cvs)).all()
+    assert np.isfinite(innovations(*position_pair(x, huge), p, cps, y, ch, cvs)).all()
     # At 1e160 Rp's fourth moments overflow: the row is named, with no
     # floating-point warning first.
     huge[2, :2, :2] = 1e160 * np.eye(2)
     with pytest.raises(ValueError, match=r"extent pseudo-measurement noise "
                        r"\(node 2\) must not contain infs or NaNs"):
-        innovations(x, huge, p, cps, y, ch, cvs)
-    # A NaN in the residual covariance makes Rp NaN, which is named, not floored.
+        innovations(*position_pair(x, huge), p, cps, y, ch, cvs)
+    # A NaN in the position's covariance reaches the linearization as a NaN
+    # information matrix, which is named before any noise is inverted: by
+    # its row of row_at, or of at without it.
     nan = cx.copy()
     nan[2, 0, 0] = np.nan
-    with pytest.raises(ValueError, match=r"extent pseudo-measurement noise "
+    with pytest.raises(ValueError, match=r"^information matrix "
                        r"\(node 2\) must not contain infs or NaNs"):
-        innovations(x, nan, p, cps, y, ch, cvs)
-    with pytest.raises(ValueError, match=r"extent pseudo-measurement noise \(run 1, node 5\)"):
-        innovations(x, nan, p, cps, y, ch, cvs, at=np.array([[0, 4], [1, 2], [1, 5]]))
+        innovations(*position_pair(x, nan), p, cps, y, ch, cvs)
+    at = np.array([[0, 4], [1, 2], [1, 5]])
+    with pytest.raises(ValueError, match=r"^information matrix \(run 1, node 5\)"):
+        innovations(*position_pair(x, nan), p, cps, y, ch, cvs, at=at)
+    with pytest.raises(ValueError, match=r"^information matrix \(run 1, node 0\)"):
+        innovations(*position_pair(x, nan), p, cps, y, ch, cvs, at=at, row_at=at * [1, 0])
 
 
 def test_closed_form_2x2_inverse_names_a_row_singular_to_working_precision():
@@ -393,3 +399,93 @@ def test_closed_form_inverses_keep_lapacks_range(d):
     bad[1, 0, 1] = bad[1, 1, 0] = 1e200
     with pytest.raises(np.linalg.LinAlgError, match=r"noise \(node 1\) is singular"):
         spd_inv(bad, "noise")
+
+
+def position_marginal(omega, q):
+    """The position block and mean of 4x4 information pairs by the
+    offsets of _schur_offsets, and the offsets' verdict: ((k, 2, 2), (k, 2),
+    (k,)).  The Schur complement Ω_pp - B is inverted in closed form."""
+    a, b, ok = _schur_offsets(q[:, 2:], omega[:, :2, 2:], omega[:, 2:, 2:])
+    cov, ok_s = _closed_form(_adjugate_pass, omega[:, :2, :2] - b)
+    return cov, (cov @ (q[:, :2] - a)[..., None])[..., 0], ok & ok_s
+
+
+def rotated_4x4(rng, n, max_cond):
+    """n symmetric 4x4 matrices on rotated spectra with condition numbers
+    from 1 to max_cond, largest eigenvalue 1."""
+    cond = np.exp(rng.uniform(0.0, np.log(max_cond), n))
+    eig = np.stack([np.ones(n), *cond ** rng.uniform(0.0, 1.0, (2, n)), cond], axis=-1)
+    q = random_rotations(rng, n, 4)
+    spd = (q * (eig / cond[:, None])[:, None, :]) @ q.swapaxes(-1, -2)
+    return 0.5 * (spd + spd.swapaxes(-1, -2))
+
+
+def test_schur_offsets_give_lapacks_position_marginal():
+    rng = np.random.default_rng(22)
+    # condition numbers from 1 to 1e8, at scales from 1e-6 to 1e6 and at 1e+-300
+    spd = rotated_4x4(rng, 1500, 1e8)
+    scale = np.concatenate([np.exp(rng.uniform(-14.0, 14.0, 500)), np.full(500, 1e300),
+                            np.full(500, 1e-300 * 1e8)])
+    omega = spd * scale[:, None, None]
+    x = rng.normal(size=(1500, 4))
+    q = (omega @ x[..., None])[..., 0]
+    cov, mean, ok = position_marginal(omega, q)
+    assert ok.all()
+    want_cov = np.linalg.inv(omega)
+    want_mean = (want_cov @ q[..., None])[:, :2, 0]
+    cond = np.linalg.cond(spd)
+    err = (np.abs(cov - want_cov[:, :2, :2]).max(axis=(1, 2))
+           / np.abs(want_cov[:, :2, :2]).max(axis=(1, 2)))
+    assert (err <= 1e-14 * cond).all()
+    err = np.abs(mean - want_mean).max(axis=1) / np.abs(x).max(axis=1)
+    assert (err <= 1e-14 * cond).all()
+    assert np.array_equal(cov, cov.swapaxes(-1, -2))
+
+
+def test_schur_offsets_verdict_equals_choleskys_on_the_whole_matrix():
+    rng = np.random.default_rng(23)
+    n = 20000
+    # As for 3x3: rotated spectra whose smallest eigenvalue, of either sign,
+    # lies 1 to 1e-6 times the others, and the symmetric parts of Gaussian
+    # matrices.  Either block may hold the indefinite direction.
+    eig = np.stack([rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-6.0, 0.0, n),
+                    *10.0 ** rng.uniform(0.0, 2.0, (3, n))], axis=-1)
+    q = random_rotations(rng, n, 4)
+    g = rng.normal(size=(n, 4, 4))
+    draws = np.concatenate([(q * eig[:, None, :]) @ q.swapaxes(-1, -2), g + g.swapaxes(-1, -2)])
+    draws = 0.5 * (draws + draws.swapaxes(-1, -2))
+    *_, ok = position_marginal(draws, np.zeros((2 * n, 4)))
+
+    def cholesky_accepts(m):
+        try:
+            np.linalg.cholesky(m)
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
+    want = np.array([cholesky_accepts(m) for m in draws])
+    assert 0.2 < want.mean() < 0.8
+    assert np.array_equal(ok, want)
+
+
+def test_stacked_schur_offsets_equal_slice_by_slice_calls():
+    rng = np.random.default_rng(24)
+    omega = rotated_4x4(rng, 20, 1e4).reshape(4, 5, 4, 4) * 1e3
+    q = rng.normal(size=(4, 5, 4))
+    stacked = _schur_offsets(q[..., 2:], omega[..., :2, 2:], omega[..., 2:, 2:])
+    for index in np.ndindex(4, 5):
+        solo = _schur_offsets(q[index][2:], omega[index][:2, 2:], omega[index][2:, 2:])
+        for got, want in zip(stacked, solo):
+            assert np.array_equal(got[index], want)
+    a, b, ok = stacked
+    assert ok.all() and np.array_equal(b, b.swapaxes(-1, -2))
+    # A failing Ω_vv is named by its slice, or by its row of at.
+    bad = omega.copy()
+    bad[2, 3, 2:, 2:] = -np.eye(2)
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=r"^information matrix \(run 2, node 3\) is singular"):
+        _schur_offsets(q[..., 2:], bad[..., :2, 2:], bad[..., 2:, 2:], "information matrix")
+    bad[2, 3, 3, 3] = np.nan
+    with pytest.raises(ValueError, match=r"^information matrix \(run 36, node 37\) must not"):
+        _schur_offsets(q[..., 2:], bad[..., :2, 2:], bad[..., 2:, 2:], "information matrix",
+                       at=10 + np.arange(40).reshape(4, 5, 2))

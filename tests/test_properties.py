@@ -7,6 +7,7 @@ estimates to score; each property below must hold for every draw, not only
 at the fixed seeds of the other suites.
 """
 
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -29,7 +30,7 @@ from eotnet.scenario import (
     load_config,
     resolve_network,
 )
-from eotnet import trackers
+from eotnet import linearization, trackers
 from eotnet.trackers import (
     FilterConfig,
     FilterKind,
@@ -48,6 +49,7 @@ from oracles import (
     gwd_eigh_rounding,
     innovations_by_pieces,
     pairs,
+    position_pair,
     predicted,
     reference_filter,
     rx_bounds_by_calls,
@@ -240,6 +242,68 @@ def test_run_filter_matches_the_loop_level_reference_filter(draw, kind, steps, r
                              config, pi)
 
 
+class ScaleFreeSpy:
+    """The two absolute constants of the filter, watched: the smallest
+    semi-axis clamp_extent is given, in the linearization and in the range
+    check, against MIN_AXIS (metres), and the smallest Rp floor, against the
+    floor of 1e-12 m^4 on Rp's trace."""
+
+    def __init__(self):
+        self.axis, self.lo = np.inf, np.inf
+        self.clamp, self.noise = trackers.clamp_extent, linearization._pseudo_noise
+
+    def clamp_extent(self, p):
+        self.axis = min(self.axis, np.min(p[..., 1:], initial=np.inf))
+        return self.clamp(p)
+
+    def pseudo_noise(self, *args):
+        rp, lo, shifted = self.noise(*args)
+        self.lo = min(self.lo, lo.min(initial=np.inf))
+        return rp, lo, shifted
+
+    def run(self, *args):
+        trace = AssumptionTrace()
+        with mock.patch.object(trackers, "clamp_extent", self.clamp_extent), \
+                mock.patch.object(linearization, "clamp_extent", self.clamp_extent), \
+                mock.patch.object(linearization, "_pseudo_noise", self.pseudo_noise):
+            record = run_filter(*args, trace=trace)
+        assert trace.rp_floor_rows == 0
+        return record
+
+
+@SETTINGS
+@given(networks(), st.sampled_from(list(FilterKind)), st.integers(1, 3), st.integers(-8, 8),
+       st.data())
+def test_scaling_every_length_by_a_power_of_two_scales_the_record_exactly(draw, kind, steps,
+                                                                         k, data):
+    # Scale every length by 2^k: detections, prior means and (for d = 4)
+    # velocities by 2^k, the kinematic covariances by 4^k, and the extent's
+    # semi-axis entries likewise; its orientation and the unitless Ch stay.
+    # Powers of two scale every rounding with them, so each record field must
+    # scale exactly, as long as neither absolute constant binds.
+    net, pi, seed = draw
+    rng = np.random.default_rng(seed)
+    params = random_params(rng, net.size)
+    # An extent prior at the truth, whose semi-axes of 6 m and 2 m stay far
+    # enough above MIN_AXIS at 2^-8 scale.
+    scn = replace(truth_run(rng, sensor_counts(data, net, steps), len(params.fx)),
+                  p0=TRUTH[1], cp0=np.diag([0.05, 0.2, 0.2]))
+    length, area = 2.0 ** k, 4.0 ** k
+    axes = np.array([1.0, length, length])
+    scaled_params = replace(params, cv_by_node=tuple(cv * area for cv in params.cv_by_node),
+                            cxw=params.cxw * area, cpw=params.cpw * np.outer(axes, axes))
+    scaled = replace(scn, detections=scn.detections * length, x0=scn.x0 * length,
+                     cx0=scn.cx0 * area, p0=scn.p0 * axes, cp0=scn.cp0 * np.outer(axes, axes))
+    config = FilterConfig(kind=kind, consensus_iters=2)
+    spy = ScaleFreeSpy()
+    base = spy.run([scn], net, params, config, pi)
+    got = spy.run([scaled], net, scaled_params, config, pi)
+    assert spy.axis > MIN_AXIS and spy.lo > 1e-8 * 1e-12 / 3
+    for field, factor in (("x_mean", length), ("x_cov", area), ("p_mean", axes),
+                          ("p_cov", np.outer(axes, axes))):
+        assert np.array_equal(getattr(got, field), getattr(base, field) * factor), field
+
+
 # The checked runs' scenarios and filters, and s1 under a prior the scan must
 # re-anchor: its orientation lies outside (-pi, pi] and a semi-axis below MIN_AXIS.
 REANCHORED_PRIOR = {"mode": "fixed", "kinematic_mean": [1.0, 1.0], "kinematic_cov": [1.0, 1.0],
@@ -299,9 +363,9 @@ class SanitizeSpy:
         self.writes.append((before, omega.reshape(-1, 3, 3).copy(), np.flatnonzero(rows),
                             q.reshape(-1, 3).copy(), self.mid_scan))
 
-    def innovations(self, *args):
+    def innovations(self, *args, **kwargs):
         self.mid_scan = True
-        return innovations(*args)
+        return innovations(*args, **kwargs)
 
 
 def scans_at_the_range_edges(kind, runs, steps, seed, max_len):
@@ -383,10 +447,11 @@ def test_stacked_innovations_equal_slice_by_slice_calls(seed, n, picks):
     x, cx, p, cp = random_points(rng, n)
     rows = np.array(picks) % n  # repeated rows share one linearization point
     y, ch, cv = random_detections(rng, len(rows))
-    stacked = split_innovations(innovations(x[rows], cx[rows], p[rows], cp[rows], y, ch, cv), 4)
+    stacked = split_innovations(innovations(*position_pair(x[rows], cx[rows]), p[rows], cp[rows],
+                                            y, ch, cv, d=4), 4)
     for k, r in enumerate(rows):
-        one = split_innovations(innovations(x[r:r + 1], cx[r:r + 1], p[r:r + 1], cp[r:r + 1],
-                                            y[k:k + 1], ch, cv[k:k + 1]), 4)
+        one = split_innovations(innovations(*position_pair(x[r:r + 1], cx[r:r + 1]), p[r:r + 1],
+                                            cp[r:r + 1], y[k:k + 1], ch, cv[k:k + 1], d=4), 4)
         for got, want in zip(stacked, one):
             assert_close(got[k], want[0])
 
@@ -397,7 +462,7 @@ def test_gram_matrix_innovations_equal_the_piecewise_composition(seed, n):
     rng = np.random.default_rng(seed)
     x, cx, p, cp = random_points(rng, n)
     y, ch, cv = random_detections(rng, n)
-    got = split_innovations(innovations(x, cx, p, cp, y, ch, cv), 4)
+    got = split_innovations(innovations(*position_pair(x, cx), p, cp, y, ch, cv, d=4), 4)
     for g, want in zip(got, innovations_by_pieces(x, cx, p, cp, y, ch, cv)):
         assert_close(g, want)
 
@@ -430,7 +495,7 @@ def test_forced_rp_floor_changes_only_its_own_row(seed, n, data):
     p[r, 1:] = l1, l1 * rng.uniform(2e-3, 5e-3)
     cx[r], cp[r], cv[r] = np.eye(4) * 1e-6, np.eye(3) * 1e-9, np.eye(2) * 1e-6
     count = FloorCount()
-    got = split_innovations(innovations(x, cx, p, cp, y, ch, cv, count), 4)
+    got = split_innovations(innovations(*position_pair(x, cx), p, cp, y, ch, cv, count, d=4), 4)
     assert (count.floored, count.rows) == (1, n)
     # This row's Rx has a condition number up to 2.5e5, so its closed-form
     # inverse agrees with LAPACK's to about 1e-11.
@@ -439,8 +504,8 @@ def test_forced_rp_floor_changes_only_its_own_row(seed, n, data):
     for g, w in zip(got, want):
         assert_close(g[r], w[0], rtol=1e-9)
     for k in range(n):
-        one = split_innovations(innovations(x[k:k + 1], cx[k:k + 1], p[k:k + 1], cp[k:k + 1],
-                                            y[k:k + 1], ch, cv[k:k + 1]), 4)
+        one = split_innovations(innovations(*position_pair(x[k:k + 1], cx[k:k + 1]), p[k:k + 1],
+                                            cp[k:k + 1], y[k:k + 1], ch, cv[k:k + 1], d=4), 4)
         for g, w in zip(got, one):
             assert np.array_equal(g[k], w[0])
 
@@ -461,7 +526,7 @@ def test_ceot_scatter_sums_every_detection_into_its_one_row(seed, k):
     ps, cps = (v[0] for v in to_moments(qp, op))
     sums = [np.zeros_like(a) for a in (qx, ox, qp, op)]
     for j in range(k):
-        block = innovations(xs, cxs, ps, cps, y[j:j + 1], ch, cv[j:j + 1])
+        block = innovations(*position_pair(xs, cxs), ps, cps, y[j:j + 1], ch, cv[j:j + 1], d=4)
         for acc, value in zip(sums, split_innovations(block, 4)):
             acc += value
     omega_p = op + sums[3]

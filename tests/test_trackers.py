@@ -347,6 +347,91 @@ def test_correct_scan_needs_a_realization_axis():
         correct_scan(state, *flat_scan([[np.zeros((0, 2))]]), make_params(1), CEOT)
 
 
+@pytest.mark.parametrize("counts", [[[-1, 1]], [[0.0, 0.0]]], ids=["negative", "float"])
+def test_correct_scan_rejects_a_count_that_is_not_a_non_negative_integer(counts):
+    # The total matches the detections, but a count is negative or not an integer.
+    with pytest.raises(ValueError, match=r"^batch count of run 0, sensor 0 must be a "
+                                         r"non-negative integer, got -?\d"):
+        correct_scan(one_run(*default_priors()), np.zeros((0, 2)), np.array(counts),
+                     make_params(2), CEOT)
+
+
+def test_ceot_scan_needs_a_sensor_noise_per_count_column():
+    # Under CEOT every column is a sensor, and each needs its own noise.
+    with pytest.raises(ValueError, match=r"^batch counts of 2 sensors need as many sensor "
+                                         r"noises, got 1"):
+        correct_scan(one_run(*default_priors()),
+                     *flat_scan([[np.ones((1, 2)), np.ones((1, 2))]]), make_params(1), CEOT)
+
+
+@pytest.mark.parametrize("d", [1, 3, 6])
+def test_correct_scan_needs_a_position_or_position_velocity_state(d):
+    state = one_run(*default_priors(d))
+    with pytest.raises(ValueError, match=rf"position and velocity \(d = 4\), got d = {d}$"):
+        correct_scan(state, *flat_scan([[np.ones((1, 2))]]), make_params(1), CEOT)
+
+
+def random_velocity_rows(rng, runs, nodes):
+    """(runs, nodes, k) packed rows of d = 4 with their own rotated
+    kinematic and extent information matrices."""
+    def spd(d):
+        q, _ = np.linalg.qr(rng.normal(size=(runs, d, d)))
+        return (q * rng.uniform(0.2, 5.0, (runs, 1, d))) @ q.swapaxes(-1, -2)
+
+    return initial_states(rng.normal(size=(runs, 4)), spd(4),
+                          np.array([0.3, 4.0, 2.0]) + 0.1 * rng.normal(size=(runs, 3)),
+                          spd(3) * 0.1, nodes)
+
+
+@pytest.mark.parametrize("kind", [FilterKind.CEOT, FilterKind.CM])
+def test_ceot_and_cm_scans_keep_every_rows_velocity_blocks(kind):
+    # The premise of the position-marginal offsets: a correction adds only
+    # to the position block, and the consensus rounds mix rows entry by
+    # entry, so q_v, Ω_pv and Ω_vv of every row, detecting or not, leave the
+    # scan as they came in.
+    net, pi, _ = two_runs_of_five_nodes()
+    rng = np.random.default_rng(31)
+    nodes = 1 if kind is FilterKind.CEOT else 5
+    state = random_velocity_rows(rng, 3, nodes)
+    batches = [[rng.normal(size=(int(rng.integers(0, 4)), 2)) + [1.0, 0.0] for _ in range(5)]
+               for _ in range(3)]
+    qx, ox = _columns(state)[:2]
+    blocks = (lambda: (qx[..., :2], qx[..., 2:], ox[..., :2, 2:], ox[..., 2:, :2],
+                       ox[..., 2:, 2:]))
+    before = [a.copy() for a in blocks()]
+    correct_scan(state, *flat_scan(batches), make_params(5, x_dim=4),
+                 FilterConfig(kind=kind, consensus_iters=3), pi)
+    position, *velocity = blocks()
+    for got, want in zip(velocity, before[1:]):
+        assert np.array_equal(got, want)
+    # The position blocks did take the corrections.
+    assert not np.array_equal(position, before[0])
+
+
+def test_a_failing_velocity_or_marginal_block_is_named_by_its_run_and_node():
+    net, pi, _ = two_runs_of_five_nodes()
+    params = make_params(5, x_dim=4)
+    batches = [[np.zeros((0, 2))] * 5,
+               [np.zeros((0, 2))] * 3 + [np.ones((1, 2)), np.zeros((0, 2))]]
+    for kind in FilterKind:
+        nodes, node = (1, 0) if kind is FilterKind.CEOT else (5, 3)
+        state = initial_states(*(np.stack([a, a]) for a in default_priors(4)), nodes)
+        config = FilterConfig(kind=kind)
+        # Ω_vv fails, in a row that need not detect: the scan's offsets name it.
+        bad = state.copy()
+        _columns(bad)[1][0, node, 2:, 2:] = -np.eye(2)
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=rf"^information matrix \(run 0, node {node}\) is singular"):
+            correct_scan(bad, *flat_scan(batches), params, config, pi)
+        # Ω_vv passes, but the Schur complement Ω_pp - B does not: the
+        # detecting row's linearization names it.
+        bad = state.copy()
+        _columns(bad)[1][1, node] = [[1, 0, 2, 0], [0, 1, 0, 0], [2, 0, 1, 0], [0, 0, 0, 1]]
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=rf"^information matrix \(run 1, node {node}\) is singular"):
+            correct_scan(bad, *flat_scan(batches), params, config, pi)
+
+
 def test_ncv_transition():
     f = ncv_transition(4, 10.0)
     assert np.array_equal(f, [[1, 0, 10, 0], [0, 1, 0, 10], [0, 0, 1, 0], [0, 0, 0, 1]])
