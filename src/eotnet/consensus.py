@@ -84,6 +84,12 @@ class ConsensusMatrix:
     def size(self) -> int:
         return self.pi.shape[0]
 
+    def power(self, rounds: int) -> np.ndarray:
+        """pi^rounds, a new matrix: the one linear map of `rounds` rounds."""
+        if rounds < 0:
+            raise ValueError("rounds must be nonnegative")
+        return np.linalg.matrix_power(self.pi, rounds).copy()
+
 
 def build_network(positions, kinds, comm_radius: float) -> SensorNetwork:
     """Connect every pair of nodes within comm_radius; reject disconnected graphs."""
@@ -148,17 +154,13 @@ def consensus_rounds(values, pi: ConsensusMatrix, rounds: int) -> np.ndarray:
 
     Every node's new value is the weighted combination of all neighbors'
     previous-round values (read-old / write-new), so the total sum is
-    preserved each round by double stochasticity.  values is a vector (n,)
-    with one entry per node, or a (..., n, k) stack whose row i of each
-    (n, k) slice is node i's value; each slice is averaged on its own, so
-    stacked problems never mix.
+    preserved each round by double stochasticity.  The rounds are one product
+    with pi.power(rounds); zero rounds return an exact copy.  values is a
+    vector (n,) with one entry per node, or a (..., n, k) stack whose row i of
+    each (n, k) slice is node i's value, averaged on its own: slices never mix.
     """
-    if rounds < 0:
-        raise ValueError("rounds must be nonnegative")
     out = np.array(values, dtype=float)
     nodes = out.shape[0] if out.ndim == 1 else out.shape[-2]
     if nodes != pi.size:
         raise ValueError(f"got {nodes} node values for a {pi.size}-node consensus matrix")
-    for _ in range(rounds):
-        out = pi.pi @ out
-    return out
+    return pi.power(rounds) @ out if rounds else out

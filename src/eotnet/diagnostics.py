@@ -278,7 +278,7 @@ def check_assumptions(
 
     # Perron left eigenvector of the consensus matrix power, normalized to a
     # distribution; for a doubly stochastic matrix it is uniform.
-    pil = np.linalg.matrix_power(pi.pi, max(rounds, 1))
+    pil = pi.power(max(rounds, 1))
     w, v = np.linalg.eig(pil.T)
     tau = np.real(v[:, np.argmax(np.real(w))])
     tau = tau / tau.sum()

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import _matvec, _schur_offsets, spd_inv, spd_solve
-from .consensus import ConsensusMatrix, SensorNetwork, consensus_rounds
+from ._linalg import _closed_form, _cofactor_pass, _first_slice, _matvec, _schur_offsets, spd_solve
+from .consensus import ConsensusMatrix, SensorNetwork
 from .geometry import MIN_AXIS, clamp_extent
 from .info_filter import _columns, _rows, from_moments, predict, to_moments
 from .linearization import innovations
@@ -148,11 +148,11 @@ def _sanitize_extent(q: np.ndarray, omega: np.ndarray, rows: np.ndarray) -> None
 
 
 def _extent_moments(q: np.ndarray, omega: np.ndarray, at=None):
-    """to_moments (p, Cp) of the extent rows q (..., 3) and omega (..., 3, 3),
-    views into a stack, from one checked inverse per row.  A row whose p is
-    out of range is re-anchored in place by _sanitize_extent first, and its p
-    taken again.  A failing row is named as spd_inv names it, by at if given."""
-    cp = spd_inv(omega, name="extent information matrix", at=at)
+    """to_moments (p, Cp) of the extent rows q (..., 3) and exactly symmetric
+    omega (..., 3, 3), views into a stack, from one checked inverse per row.
+    A row whose p is out of range is re-anchored in place by _sanitize_extent
+    first, and its p taken again.  A failing row is named by at if given."""
+    cp = _closed_form(_cofactor_pass, omega, "extent information matrix", at)[0]
     p = _matvec(cp, q)
     bad = ~_in_range(p)
     if bad.any():
@@ -186,12 +186,12 @@ def correct_scan(state: np.ndarray, y, counts, params: TrackerParams, config: Fi
     stop, and a realization whose longest batch has ended takes no further
     correction or averaging.  Realizations never mix.
     The distributed filters need the consensus matrix pi and run
-    config.consensus_iters averaging rounds per index.  A failing Rx or Rp
-    is named by its detection's realization and sensor, (run r, node j), and
-    a failing kinematic information matrix by its row's (run r, node n).  A
-    trace records the observed Rx spectra and the Rp floor hits.  Returns the
-    moments (p, Cp), (R, n, 3) and (R, n, 3, 3), of every extent row it
-    leaves.
+    config.consensus_iters averaging rounds per index, one product with their
+    power.  A failing Rx or Rp is named by its detection's realization and
+    sensor, (run r, node j), and a non-finite information vector or failing
+    kinematic information matrix by its row's (run r, node n).  A trace
+    records the observed Rx spectra and the Rp floor hits.  Returns the
+    moments (p, Cp), (R, n, 3) and (R, n, 3, 3), of every extent row it leaves.
     """
     if state.ndim != 3:
         raise ValueError(f"correct_scan needs (R, n, k) rows, got shape {state.shape}")
@@ -218,8 +218,10 @@ def correct_scan(state: np.ndarray, y, counts, params: TrackerParams, config: Fi
         raise ValueError("distributed filters need one batch per node")
     else:
         rows = np.arange(nodes)
-    rounds = config.consensus_iters
-    omega = config.omega if config.omega is not None else float(nodes)
+        # An index's consensus rounds as one map; CM's weight omega rides on it.
+        mix = pi.power(config.consensus_iters)
+        if config.kind is FilterKind.CM:
+            mix *= config.omega if config.omega is not None else float(nodes)
 
     # Every detection of the scan with its realization, sensor and index,
     # sorted once by index in (realization, sensor) order: index i's are the
@@ -261,6 +263,10 @@ def correct_scan(state: np.ndarray, y, counts, params: TrackerParams, config: Fi
     # the offsets of its position marginal.  CI's averaging rewrites whole
     # rows, so it takes them again.
     flat[...] = 0.5 * (flat + flat.take(mirror, axis=1))
+    bad = ~(np.isfinite(qx_all).all(axis=1) & np.isfinite(qp_all).all(axis=1))
+    if bad.any():
+        raise ValueError(f"information vector{_first_slice(bad, at=grid)[1]} must not "
+                         "contain infs or NaNs")
     offsets = _marginal_offsets(flat, grid) if d == 4 else np.zeros((len(flat), 6))
     # Each detection's offsets, the flat entries of its row's [q_p, Ω_pp],
     # and its row's (realization, node), which names a failing Ω_pp - B.
@@ -286,21 +292,20 @@ def correct_scan(state: np.ndarray, y, counts, params: TrackerParams, config: Fi
         # The filters differ only here, in how the network combines the rows,
         # which are written in place.
         if config.kind is FilterKind.CM:
-            delta = consensus_rounds(delta.reshape(-1, nodes, width), pi, rounds)
-            rows_i += omega * delta.reshape(-1, width)
+            rows_i += (mix @ delta.reshape(-1, nodes, width)).reshape(-1, width)
         else:
             rows_i += delta
-        # Symmetrize the matrices, as at the scan's start.
+        # Symmetrize the matrices, as at the scan's start, so that every
+        # extent block _extent_moments sees is exactly symmetric.
         rows_i[...] = 0.5 * (rows_i + rows_i.take(mirror, axis=1))
         if config.kind is FilterKind.CI:
             checked = qp_all[det_rows]
             _extent_moments(checked, op_all[det_rows], det_at[at_i])
             qp_all[det_rows] = checked
-            rows_i[...] = consensus_rounds(rows_i.reshape(-1, nodes, width), pi,
-                                           rounds).reshape(-1, width)
+            averaged = (mix @ rows_i.reshape(-1, nodes, width)).reshape(-1, width)
+            rows_i[...] = 0.5 * (averaged + averaged.take(mirror, axis=1))
             if d == 4:  # as the next index's linearization and write see them
-                offsets[live] = _marginal_offsets(0.5 * (rows_i + rows_i.take(mirror, axis=1)),
-                                                  grid[live])
+                offsets[live] = _marginal_offsets(rows_i, grid[live])
                 det_offsets = offsets[det_flat]
         # One checked inverse per write gives the next index its extent moments.
         p_all[live], cp_all[live] = _extent_moments(qp_all[live], op_all[live], grid[live])

@@ -17,7 +17,13 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import minimum_spanning_tree
 
 from eotnet._linalg import sym
-from eotnet.consensus import NodeKind, build_network, consensus_rounds, metropolis_weights
+from eotnet.consensus import (
+    ConsensusMatrix,
+    NodeKind,
+    build_network,
+    consensus_rounds,
+    metropolis_weights,
+)
 from eotnet.diagnostics import AssumptionTrace, acee, gwd, nees, ospa_vertices
 from eotnet.geometry import MIN_AXIS, extent_vertices
 from eotnet.info_filter import _columns, to_moments
@@ -64,12 +70,12 @@ TRUTH = (np.zeros(2), np.array([0.4, 6.0, 2.0]))  # center and extent
 
 
 @st.composite
-def networks(draw, complete=False):
-    """A connected network with at least one sensor, its Metropolis weights,
-    and a seed for the numeric draws.  The radius is the longest edge of a
-    minimum spanning tree, stretched a little, so the graph is connected;
-    `complete` makes it cover every pair instead."""
-    n = draw(st.integers(2, 6))
+def networks(draw, complete=False, max_nodes=6):
+    """A connected network of 2 to max_nodes nodes with at least one sensor,
+    its Metropolis weights, and a seed for the numeric draws.  The radius is
+    the longest edge of a minimum spanning tree, stretched a little, so the
+    graph is connected; `complete` makes it cover every pair instead."""
+    n = draw(st.integers(2, max_nodes))
     seed = draw(st.integers(0, 2**32 - 1))
     sensors = draw(st.lists(st.booleans(), min_size=n, max_size=n).filter(any))
     positions = np.random.default_rng(seed).uniform(0.0, 100.0, size=(n, 2))
@@ -132,6 +138,58 @@ def test_packed_average_equals_separate_rounds_and_keeps_sums(draw, rounds):
         assert np.abs(got - separate).max() <= 1e-12 * np.abs(separate).max()
         total = value.sum(axis=0)
         assert np.abs(got.sum(axis=0) - total).max() <= 1e-10 * np.abs(total).max()
+
+
+@SETTINGS
+@given(networks(), st.integers(0, 8), st.integers(1, 4), st.integers(1, 40))
+def test_one_product_equals_explicit_rounds_and_keeps_sums(draw, rounds, runs, width):
+    # consensus_rounds applies pi^L as one product: it must agree with L
+    # explicit rounds, keep every node sum, and average each stacked slice
+    # bit for bit as it averages that slice alone.
+    net, pi, seed = draw
+    values = np.random.default_rng(seed).normal(size=(runs, net.size, width))
+    got = consensus_rounds(values, pi, rounds)
+    want = values
+    for _ in range(rounds):
+        want = pi.pi @ want
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    total = np.abs(values).sum(axis=1).max()
+    assert np.abs(got.sum(axis=1) - values.sum(axis=1)).max() <= 1e-10 * total
+    for r in range(runs):
+        assert np.array_equal(got[r], consensus_rounds(values[r], pi, rounds))
+
+
+def distinct_rows(rng, runs, nodes, d):
+    """(runs, nodes, k) packed rows of kinematic dimension d, each row with
+    its own prior: rotated information matrices and an in-range extent."""
+    def spd(k):
+        q, _ = np.linalg.qr(rng.normal(size=(runs * nodes, k, k)))
+        return (q * rng.uniform(0.2, 5.0, (runs * nodes, 1, k))) @ q.swapaxes(-1, -2)
+
+    p0 = np.array([0.3, 4.0, 2.0]) + 0.1 * rng.normal(size=(runs * nodes, 3))
+    rows = initial_states(rng.normal(size=(runs * nodes, d)), spd(d), p0, spd(3) * 0.1)
+    return rows.reshape(runs, nodes, -1)
+
+
+@pytest.mark.parametrize("d", [2, 4])
+@SETTINGS
+@given(networks(max_nodes=20), st.integers(1, 3), st.integers(1, 3), st.integers(1, 4))
+def test_every_scan_leaves_its_information_matrices_exactly_symmetric(d, draw, runs, rounds,
+                                                                      max_len):
+    # The premise that lets _extent_moments invert without symmetrizing:
+    # every write, and CI's averaging, leaves each row's matrices equal to
+    # their transposes.  A product with pi^L alone need not: with numpy
+    # 2.4.6's OpenBLAS, from 16 nodes on, it sums the two mirrored columns of
+    # a d = 2 row differently.
+    net, pi, seed = draw
+    rng = np.random.default_rng(seed)
+    params = replace(random_params(rng, net.size), fx=ncv_transition(d, 1.0), cxw=np.eye(d))
+    for kind in FilterKind:
+        state = distinct_rows(rng, runs, 1 if kind is FilterKind.CEOT else net.size, d)
+        scan = flat_scan([random_batches(rng, net, max_len) for _ in range(runs)])
+        correct_scan(state, *scan, params, FilterConfig(kind=kind, consensus_iters=rounds), pi)
+        for _, omega in pairs(state):
+            assert np.array_equal(omega, omega.swapaxes(-1, -2)), kind
 
 
 @SETTINGS
@@ -302,6 +360,40 @@ def test_scaling_every_length_by_a_power_of_two_scales_the_record_exactly(draw, 
     for field, factor in (("x_mean", length), ("x_cov", area), ("p_mean", axes),
                           ("p_cov", np.outer(axes, axes))):
         assert np.array_equal(getattr(got, field), getattr(base, field) * factor), field
+
+
+@SETTINGS
+@given(networks(), st.sampled_from([FilterKind.CI, FilterKind.CM]), st.integers(1, 3),
+       st.integers(1, 3), st.data())
+def test_relabeling_the_nodes_permutes_the_record(draw, kind, steps, rounds, data):
+    # Give the nodes new labels: node i of the relabeled network is node
+    # perm[i] of the original, with its position, kind, noise, rows and
+    # columns of pi, count column and detections.  The record must permute
+    # with them.  The consensus products sum in another order, so this
+    # holds to rounding, not bit for bit.
+    net, pi, seed = draw
+    rng = np.random.default_rng(seed)
+    params = random_params(rng, net.size)
+    # An extent prior at the truth, away from the orientation's branch cut.
+    scn = replace(truth_run(rng, sensor_counts(data, net, steps), len(params.fx)),
+                  p0=TRUTH[1], cp0=np.diag([0.05, 0.2, 0.2]))
+    perm = np.array(data.draw(st.permutations(range(net.size))))
+    relabeled_net = build_network(net.positions[perm], [net.kinds[j] for j in perm],
+                                  net.comm_radius)
+    assert np.array_equal(relabeled_net.adjacency, net.adjacency[np.ix_(perm, perm)])
+    relabeled_pi = ConsensusMatrix(pi.pi[np.ix_(perm, perm)])
+    relabeled_params = replace(params, cv_by_node=tuple(params.cv_by_node[j] for j in perm))
+    detections = [step[j] for step in scan_batches(scn) for j in perm]
+    relabeled = replace(scn, detections=np.concatenate([np.zeros((0, 2)), *detections]),
+                        counts=scn.counts[:, perm])
+    config = FilterConfig(kind=kind, consensus_iters=rounds)
+    base = run_filter([scn], net, params, config, pi)
+    got = run_filter([relabeled], relabeled_net, relabeled_params, config, relabeled_pi)
+    for field in ("x_mean", "x_cov", "p_mean", "p_cov"):
+        want = getattr(base, field)[:, :, perm]
+        axes = tuple(range(3, want.ndim))
+        err = np.abs(getattr(got, field) - want).max(axis=axes) / np.abs(want).max(axis=axes)
+        assert err.max() <= 1e-9, (field, err.max())
 
 
 # The checked runs' scenarios and filters, and s1 under a prior the scan must

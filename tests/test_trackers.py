@@ -432,6 +432,24 @@ def test_a_failing_velocity_or_marginal_block_is_named_by_its_run_and_node():
             correct_scan(bad, *flat_scan(batches), params, config, pi)
 
 
+@pytest.mark.parametrize("kind", [FilterKind.CEOT, FilterKind.CM])
+@pytest.mark.parametrize("column, entry", [(0, 0), (0, 3), (2, 1)],
+                         ids=["position", "velocity", "extent"])
+def test_a_non_finite_information_vector_is_named_by_its_run_and_node(kind, column, entry):
+    # A NaN in a row's information vector is named at the scan's start, not
+    # later as the noise of a detection its NaN estimate reached.
+    net, pi, _ = two_runs_of_five_nodes()
+    nodes, node = (1, 0) if kind is FilterKind.CEOT else (5, 3)
+    state = one_run(*default_priors(4), nodes)
+    _columns(state)[column][0, node, entry] = np.nan
+    none = np.zeros((0, 2))
+    batches = [[none] * 3 + [np.array([[1.0, 0.0], [0.0, 1.0]]), none]]
+    with pytest.raises(ValueError, match=rf"^information vector \(run 0, node {node}\) must "
+                       "not contain infs or NaNs$"):
+        correct_scan(state, *flat_scan(batches), make_params(5, x_dim=4),
+                     FilterConfig(kind=kind), pi)
+
+
 def test_ncv_transition():
     f = ncv_transition(4, 10.0)
     assert np.array_equal(f, [[1, 0, 10, 0], [0, 1, 0, 10], [0, 0, 1, 0], [0, 0, 0, 1]])
