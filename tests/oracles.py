@@ -172,20 +172,39 @@ def centered_pseudo_measurement(y_quad, cy, m_mat, p_hat):
     return y_quad - square_mean(cy) + _matvec(m_mat, np.asarray(p_hat, dtype=float))
 
 
-def innovations_by_pieces(x, cx, p, cp, y, ch, cv):
+def innovations_by_pieces(x, cx, p, cp, y, ch, cv, inv=spd_inv):
     """The innovation arrays (dqx, dox, dqp, dop) of a stack of detections,
     composed from the pieces above: generic products with H = [I 0] and M,
-    spd_inv's inverses and the eigh floor on every row."""
+    the inverses of Rx and the floored Rp by inv (spd_inv's by default) and
+    the eigh floor on every row."""
     p = clamp_extent(p)
     s_mat, (j1, j2) = shape_matrix(p), shape_row_jacobians(p)
     rx = sym(shape_noise(s_mat, j1, j2, cp, ch) + cv)
-    dqx, dox = innovation(np.eye(2, x.shape[-1]), spd_inv(rx), y)
+    dqx, dox = innovation(np.eye(2, x.shape[-1]), inv(rx), y)
     cy = residual_cov(cx, rx)
     m_mat = measurement_matrix(s_mat, j1, j2, ch)
     _, rp = extent_noise_moments(cy, m_mat, cp, p)
     y_tilde = centered_pseudo_measurement(pseudo_measurement(y, x), cy, m_mat, p)
-    dqp, dop = innovation(m_mat, spd_inv(rp), y_tilde)
+    dqp, dop = innovation(m_mat, inv(rp), y_tilde)
     return dqx, dox, dqp, dop
+
+
+def lapack_inv(a):
+    """sym of LAPACK's inverse: an inverse that shares no kernel with the
+    library's closed-form ones."""
+    return sym(np.linalg.inv(a))
+
+
+def pseudo_noise_by_pieces(x, cx, p, cp, ch, cv):
+    """The raw pseudo-measurement noise Rp (k, 3, 3) of each linearization
+    point, its floor lo (k,) = 1e-8 trace / 3, and the eigh-floored Rp."""
+    p = clamp_extent(p)
+    s_mat, (j1, j2) = shape_matrix(p), shape_row_jacobians(p)
+    cy = residual_cov(cx, sym(shape_noise(s_mat, j1, j2, cp, ch) + cv))
+    args = cy, measurement_matrix(s_mat, j1, j2, ch), cp, p
+    raw = extent_noise_moments(*args, floor=False)[1]
+    lo = 1e-8 * np.maximum(np.trace(raw, axis1=-2, axis2=-1), 1e-12) / 3.0
+    return raw, lo, extent_noise_moments(*args)[1]
 
 
 def split_innovations(block, d):

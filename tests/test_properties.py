@@ -54,9 +54,11 @@ from oracles import (
     gwd_eigh,
     gwd_eigh_rounding,
     innovations_by_pieces,
+    lapack_inv,
     pairs,
     position_pair,
     predicted,
+    pseudo_noise_by_pieces,
     reference_filter,
     rx_bounds_by_calls,
     sample_measurements,
@@ -560,10 +562,13 @@ def test_gram_matrix_innovations_equal_the_piecewise_composition(seed, n):
 
 
 class FloorCount:
-    """The trace hooks innovations calls, counting the floored rows."""
+    """The trace hooks innovations calls, counting the floored rows, and a
+    wrapper of its _pseudo_noise that keeps the Rp stack it returns: the
+    floor writes the floored rows into that stack."""
 
     def __init__(self):
         self.floored = self.rows = 0
+        self.noise, self.rp = linearization._pseudo_noise, None
 
     def record_rx(self, rx):
         pass
@@ -571,6 +576,16 @@ class FloorCount:
     def record_rp_floor(self, floored, rows):
         self.floored += floored
         self.rows += rows
+
+    def pseudo_noise(self, *args):
+        rp, lo, shifted = self.noise(*args)
+        self.rp = rp
+        return rp, lo, shifted
+
+    def innovations(self, x, cx, *args, **kwargs):
+        with mock.patch.object(linearization, "_pseudo_noise", self.pseudo_noise):
+            return split_innovations(innovations(*position_pair(x, cx), *args, trace=self,
+                                                 d=4, **kwargs), 4)
 
 
 @SETTINGS
@@ -587,17 +602,32 @@ def test_forced_rp_floor_changes_only_its_own_row(seed, n, data):
     p[r, 1:] = l1, l1 * rng.uniform(2e-3, 5e-3)
     cx[r], cp[r], cv[r] = np.eye(4) * 1e-6, np.eye(3) * 1e-9, np.eye(2) * 1e-6
     count = FloorCount()
-    got = split_innovations(innovations(*position_pair(x, cx), p, cp, y, ch, cv, count, d=4), 4)
+    got = count.innovations(x, cx, p, cp, y, ch, cv)
     assert (count.floored, count.rows) == (1, n)
-    # This row's Rx has a condition number up to 2.5e5, so its closed-form
-    # inverse agrees with LAPACK's to about 1e-11.
-    want = innovations_by_pieces(x[r:r + 1], cx[r:r + 1], p[r:r + 1], cp[r:r + 1], y[r:r + 1],
-                                 ch, cv[r:r + 1])
-    for g, w in zip(got, want):
-        assert_close(g[r], w[0], rtol=1e-9)
+    # The oracle composes Rp from the pieces and floors it by eigh: it floors
+    # this row alone, and the library's Rp, floored or not, is the oracle's
+    # to rounding.
+    raw, lo, floored = pseudo_noise_by_pieces(x, cx, p, cp, ch, cv)
+    assert np.array_equal(np.linalg.eigvalsh(raw)[:, 0] < lo, np.arange(n) == r)
     for k in range(n):
-        one = split_innovations(innovations(*position_pair(x[k:k + 1], cx[k:k + 1]), p[k:k + 1],
-                                            cp[k:k + 1], y[k:k + 1], ch, cv[k:k + 1], d=4), 4)
+        assert_close(count.rp[k], floored[k], rtol=1e-12)
+    # Outputs through Rp's inverse against LAPACK's: both inverses err by a
+    # small multiple of eps cond(Rp), and this row's floored Rp has a
+    # condition number near 3e8.  Over 12,000 draws the two differed by at
+    # most 6.7 eps cond(Rp) relative to the largest entry, the pseudo-
+    # measurement's mostly.
+    want = innovations_by_pieces(x[r:r + 1], cx[r:r + 1], p[r:r + 1], cp[r:r + 1], y[r:r + 1],
+                                 ch, cv[r:r + 1], inv=lapack_inv)
+    bound = 16 * np.finfo(float).eps * np.linalg.cond(floored[r])
+    # Rx's condition number is at most about 2.5e5, so through its inverse the
+    # kinematic pair agrees with LAPACK's to about 1e-11.
+    for g, w, rtol in zip(got, want, (1e-9, 1e-9, bound, bound)):
+        assert_close(g[r], w[0], rtol=rtol)
+    for k in range(n):
+        solo = FloorCount()
+        one = solo.innovations(x[k:k + 1], cx[k:k + 1], p[k:k + 1], cp[k:k + 1], y[k:k + 1], ch,
+                               cv[k:k + 1])
+        assert solo.floored == (k == r)
         for g, w in zip(got, one):
             assert np.array_equal(g[k], w[0])
 
