@@ -85,9 +85,10 @@ class ConsensusMatrix:
         return self.pi.shape[0]
 
     def power(self, rounds: int) -> np.ndarray:
-        """pi^rounds, a new matrix: the one linear map of `rounds` rounds."""
-        if rounds < 0:
-            raise ValueError("rounds must be nonnegative")
+        """pi^rounds, a new matrix: the one linear map of `rounds` rounds, a
+        non-negative integer (not a bool)."""
+        if isinstance(rounds, bool) or not isinstance(rounds, (int, np.integer)) or rounds < 0:
+            raise ValueError(f"rounds must be a non-negative integer, got {rounds!r}")
         return np.linalg.matrix_power(self.pi, rounds).copy()
 
 

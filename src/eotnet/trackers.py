@@ -65,9 +65,10 @@ MAX_OMEGA = 1e6
 class FilterConfig:
     """Which filter to run and its consensus settings.
 
-    omega None means the node-count compensation |G|, which makes the
-    measurement-consensus filter match the centralized filter exactly when
-    averaging is complete; a given omega is a number in [0, MAX_OMEGA].
+    consensus_iters is an integer, not a bool.  omega None means the
+    node-count compensation |G|, which makes the measurement-consensus filter
+    match the centralized filter exactly when averaging is complete; a given
+    omega is a number in [0, MAX_OMEGA].
     """
 
     kind: FilterKind
@@ -75,7 +76,10 @@ class FilterConfig:
     omega: float | None = None
 
     def __post_init__(self):
-        if self.kind is not FilterKind.CEOT and self.consensus_iters < 1:
+        iters = self.consensus_iters
+        if isinstance(iters, bool) or not isinstance(iters, (int, np.integer)):
+            raise ValueError(f"consensus_iters must be an integer, got {iters!r}")
+        if self.kind is not FilterKind.CEOT and iters < 1:
             raise ValueError("distributed filters need at least one consensus iteration")
         if self.omega is not None and not 0.0 <= self.omega <= MAX_OMEGA:
             raise ValueError(f"omega must be 'G' or a number in [0, {MAX_OMEGA:g}], "

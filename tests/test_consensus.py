@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,14 @@ def test_consensus_rounds_converges_to_average():
     out = consensus_rounds(vals, pi, 200)
     avg = vals.mean()
     assert np.abs(out - avg).max() / abs(avg) < 1e-6
+
+
+@pytest.mark.parametrize("rounds", [2.5, 2.0, True, np.float64(1.0), -1, np.int64(-2)])
+def test_power_takes_only_a_non_negative_integer(rounds):
+    pi = metropolis_weights(complete_network(3))
+    with pytest.raises(ValueError, match=re.escape(f"rounds must be a non-negative integer, got {rounds!r}")):
+        pi.power(rounds)
+    assert np.array_equal(pi.power(np.int64(2)), pi.pi @ pi.pi)
 
 
 def test_consensus_rounds_shape_mismatch():

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 from unittest import mock
 
@@ -492,6 +493,16 @@ def test_filter_config_validation():
             FilterConfig(kind=FilterKind.CM, omega=omega)
     for omega in (None, 0.0, 12.5, 1e6):
         assert FilterConfig(kind=FilterKind.CM, omega=omega).omega == omega
+
+
+@pytest.mark.parametrize("kind", list(FilterKind))
+@pytest.mark.parametrize("rounds", [2.5, 2.0, True, False, "3", None])
+def test_non_integer_consensus_rounds_fail_at_the_config(kind, rounds):
+    # A float count used to pass here and fail deep in correct_scan's
+    # matrix_power ("exponent must be an integer"); a bool passed as 1 or 0.
+    with pytest.raises(ValueError, match=re.escape(f"consensus_iters must be an integer, got {rounds!r}")):
+        FilterConfig(kind, rounds)
+    assert FilterConfig(kind, np.int64(3)).consensus_iters == 3
 
 
 def two_runs_of_five_nodes():
