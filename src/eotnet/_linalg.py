@@ -156,10 +156,22 @@ _TINY = np.finfo(float).tiny
 def _closed_form(one_pass, a: np.ndarray, name: str | None = None,
                  at=None) -> tuple[np.ndarray, np.ndarray]:
     """Inverse and verdict of each slice of a stack (..., d, d) of exactly
-    symmetric matrices, by one_pass, which takes them flat, (n, d * d), and
-    accepts a slice only where every number its inverse is built from is a
-    normal double.  With a name, a slice that fails raises _not_spd's error,
-    named as _first_slice names it; without one, its inverse is meaningless.
+    symmetric matrices, by _balanced_pass.  With a name, a slice that fails
+    raises _not_spd's error, named as _first_slice names it; without one,
+    its inverse is meaningless.  No floating-point warning is raised, and the
+    inverse is C-ordered."""
+    d = a.shape[-1]
+    inv, ok = _balanced_pass(one_pass, a.reshape(-1, d * d))
+    if name is not None and not ok.all():
+        _not_spd(a, ~ok.reshape(a.shape[:-2]), name, at)
+    return inv.reshape(a.shape), ok.reshape(a.shape[:-2])
+
+
+def _balanced_pass(one_pass, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse and verdict of flat exactly symmetric slices e (n, d * d) by
+    one_pass, which accepts a slice only where every number its inverse is
+    built from is a normal double.  Callers run it under
+    np.errstate(all="ignore"): a rejected slice's numbers may overflow.
 
     A slice the first pass rejects, because it is not positive definite or
     because it lies outside that range, is balanced and passed once more:
@@ -169,21 +181,17 @@ def _closed_form(one_pass, a: np.ndarray, name: str | None = None,
     exact, so this changes no bit where the first pass was already in range,
     and it makes the kernels invert what LAPACK inverts, not only slices
     whose determinant fits in a double.  A slice the second pass rejects is
-    not positive definite to working precision.  No floating-point warning
-    is raised, each slice's numbers depend on that slice alone, and the
-    inverse is C-ordered."""
-    d = a.shape[-1]
-    e = a.reshape(-1, d * d)
+    not positive definite to working precision.  Each slice's numbers depend
+    on that slice alone."""
     inv, ok = one_pass(e)
     if not ok.all():
+        d = 2 if e.shape[1] == 4 else 3
         redo = ~ok
         k = np.frexp(e[redo][:, ::d + 1])[1] >> 1
         s = (k[:, :, None] + k[:, None, :]).reshape(-1, d * d)
         inv_s, ok[redo] = one_pass(np.ldexp(e[redo], -s))
         inv[redo] = np.ldexp(inv_s, -s)
-        if name is not None and not ok.all():
-            _not_spd(a, ~ok.reshape(a.shape[:-2]), name, at)
-    return inv.reshape(a.shape), ok.reshape(a.shape[:-2])
+    return inv, ok
 
 
 # The adjugate [d, -b, -c, a] of a flat 2x2 matrix [a, b, c, d]: picks and signs.
@@ -197,7 +205,7 @@ def _adjugate_pass(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     entries are then entries of m divided by an accurate det."""
     det = m[:, 0] * m[:, 3] - m[:, 1] * m[:, 2]
     ok = (np.minimum(m[:, 0], det) >= _TINY) & (det < np.inf)
-    return np.take(m, _ADJUGATE, axis=1) * _ADJUGATE_SIGNS / det[:, None], ok
+    return m.take(_ADJUGATE, axis=1) * _ADJUGATE_SIGNS / det[:, None], ok
 
 
 # Cofactor C[i, j] = m[p] m[q] - m[r] m[s] of a symmetric 3x3 matrix m, flat
@@ -222,7 +230,7 @@ def _cofactor_pass(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Sylvester's criterion (C22 > 0, det > 0, and m00 > 0 as num / m00 > 0),
     and then no product that reaches the inverse has overflowed, and one that
     underflowed is negligible against the rest."""
-    picks = np.take(m, _COFACTORS, axis=1)
+    picks = m.take(_COFACTORS, axis=1)
     products = picks[:, :18] * picks[:, 18:]  # [m[p] m[q] | m[r] m[s]]
     cof = products[:, :9] - products[:, 9:]
     num = cof[:, 4] * cof[:, 8] - cof[:, 5] * cof[:, 5]

@@ -1,11 +1,11 @@
-"""Extent geometry: shape matrices, detection scattering and corners.
+"""Extent geometry: angle wrapping, shape matrices and corners.
 
 A tracked object carries a kinematic vector (position, then velocity) and an
 extent vector [alpha, l1, l2]: the orientation in (-pi, pi] and the two
 semi-axes of a perpendicular axis-symmetric shape (ellipse or rectangle).
-Detections are scattered
-over the object through a multiplicative noise vector acting on the shape
-matrix, plus additive sensor noise.
+Detections are scattered over the object through a multiplicative noise
+vector acting on the shape matrix, plus additive sensor noise
+(scenario.generate_measurements).
 """
 
 from __future__ import annotations
@@ -46,16 +46,6 @@ def shape_matrix(p) -> np.ndarray:
     c, s = np.cos(p[..., 0]), np.sin(p[..., 0])
     l1, l2 = p[..., 1], p[..., 2]
     return _from_entries([[c * l1, -s * l2], [s * l1, c * l2]])
-
-
-def _scatter(m, s_mat, lh, lv, count: int, rng: np.random.Generator) -> np.ndarray:
-    """count detections m + S h + v around center m with shape matrix S, the
-    noises drawn through the factors lh and lv of their covariances: first
-    every h, then every v, in one draw."""
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    h, v = rng.standard_normal((2, count, 2))
-    return m + (h @ lh.T) @ s_mat.T + v @ lv.T
 
 
 # Body-frame corners in fixed counterclockwise order, starting at (+l1, +l2).

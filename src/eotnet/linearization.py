@@ -21,11 +21,13 @@ their oracle.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
-from ._linalg import _adjugate_pass, _closed_form, _cofactor_pass, _matvec, _not_spd, sym
+from ._linalg import _adjugate_pass, _balanced_pass, _cofactor_pass, _matvec, _not_spd
 from .geometry import clamp_extent
-from .info_filter import _rows
+from .info_filter import _columns
 
 __all__ = [
     "innovations",
@@ -52,51 +54,71 @@ _GRAM_PICKS = np.concatenate([
     [2, 3, 4, 13, 14, 15, 10, 11, 12],
     (8 * (2 + 3 * _m + _a) + 2 + 3 * _n + _b).ravel(),
 ])
+# The flat index of each entry's upper-triangle mirror in a 2x2 and a 3x3
+# matrix: taking it builds an exactly symmetric matrix from the upper entries.
+_UPPER2, _UPPER3 = np.array([0, 1, 1, 3]), np.array([0, 1, 2, 1, 4, 5, 2, 5, 8])
 # Residual index pair (a, b) of each entry d_a d_b of the quadratic statistic
 # [d1^2, d2^2, d1 d2], and the flat index 2a + b of C[a, b] in a 2x2 matrix.
 _PAIRS = np.array([[0, 0], [1, 1], [0, 1]])
 _SQUARE = 2 * _PAIRS[:, 0] + _PAIRS[:, 1]
-# Isserlis: cov(d_a d_b, d_c d_e) = C[a, c] C[b, e] + C[a, e] C[b, c], four
-# flat-index factors per (3, 3) entry.
+# Isserlis: cov(d_a d_b, d_c d_e) = C[a, c] C[b, e] + C[a, e] C[b, c], as
+# the constant map from the 16 products C[u] C[v] (flat indices u, v; column
+# 4u + v) to the nine flat entries.  Each entry sums two products, so the
+# map's product with them is exact in any summation order.
 _ab, _ce = _PAIRS[:, None, :], _PAIRS[None, :, :]
-_QUARTIC = np.stack([2 * _ab[..., 0] + _ce[..., 0], 2 * _ab[..., 1] + _ce[..., 1],
-                     2 * _ab[..., 0] + _ce[..., 1], 2 * _ab[..., 1] + _ce[..., 0]])
-_EYE3 = np.eye(3)
+_ISSERLIS = np.zeros((16, 9))
+for _u, _v in ((2 * _ab[..., 0] + _ce[..., 0], 2 * _ab[..., 1] + _ce[..., 1]),
+               (2 * _ab[..., 0] + _ce[..., 1], 2 * _ab[..., 1] + _ce[..., 0])):
+    np.add.at(_ISSERLIS, (4 * _u + _v, np.arange(9).reshape(3, 3)), 1.0)
+_EYE3 = np.eye(3).ravel()
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@cache
+def _innovation_columns(d: int):
+    """The width of a packed row with d kinematic entries (info_filter's
+    layout) and the columns an innovation row fills, in the order
+    [dqx[:2], dox[:2, :2], dqp, dop]."""
+    qx, ox, qp, op = _columns(np.arange(d + d * d + 12))
+    return d + d * d + 12, np.concatenate([qx[:2], ox[:2, :2].ravel(), qp, op.ravel()])
+
+
 def _pseudo_noise(cy, m_mat, cp):
-    """Rp of each row, (k, 3, 3), from its flat residual covariance cy (k, 4),
-    its floor lo (k,) and Rp - lo I.  A residual covariance beyond about 1e154
-    overflows Rp to infs and NaNs with no floating-point warning, so that
-    innovations names the row."""
-    quartic = np.take(cy, _QUARTIC, axis=1)
-    rp = sym(quartic[:, 0] * quartic[:, 1] + quartic[:, 2] * quartic[:, 3]
-             - m_mat @ cp @ m_mat.swapaxes(-1, -2))
-    lo = 1e-8 * np.maximum(np.trace(rp, axis1=-2, axis2=-1), 1e-12) / 3.0
-    return rp, lo, rp - lo[:, None, None] * _EYE3
+    """Rp of each row, flat (k, 9) and exactly symmetric, from its flat
+    residual covariance cy (k, 4), exactly symmetric; its floor lo (k,); and
+    Rp - lo I.  A residual covariance beyond about 1e154 overflows Rp to
+    infs and NaNs, which innovations, under its np.errstate, names without a
+    floating-point warning."""
+    k = len(cy)
+    rp = ((cy[:, :, None] * cy[:, None, :]).reshape(k, 16) @ _ISSERLIS
+          - (m_mat @ cp @ m_mat.swapaxes(-1, -2)).reshape(k, 9)).take(_UPPER3, axis=1)
+    lo = 1e-8 * np.maximum(rp[:, ::4].sum(axis=1), 1e-12) / 3.0
+    return rp, lo, rp - lo[:, None] * _EYE3
 
 
+@np.errstate(all="ignore")
 def innovations(q, omega, p, cp, y, ch, cv, trace=None, at=None, *, d=2, row_at=None):
     """Innovation rows [dqx, dox, dqp, dop] of k detections, packed as the
     filter's state rows (info_filter's layout) with d kinematic entries.
 
     Detection y[k] is linearized at its own row's position marginal, the
     information pair (q[k], omega[k]), and extent moments p[k], cp[k], and
-    carries the sensor noise cv[k]; ch is shared.  Both linear models are
-    built from the same pre-update estimates; the extent mean is first
-    wrapped and its semi-axes clamped to MIN_AXIS.
+    carries the sensor noise cv[k]; ch is shared.  omega, cp and cv must be
+    exactly symmetric, as the filter's are.  Both linear models are built
+    from the same pre-update estimates; the extent mean is first wrapped and
+    its semi-axes clamped to MIN_AXIS.
 
     The kinematic noise is Rx = S Ch S.T + [trace(Cp J_n.T Ch J_m)] + Cv;
-    one adjugate pass inverts it and the symmetrized omega together.
+    one adjugate pass inverts it and omega together.
     The pseudo-measurement noise Rp is the Gaussian fourth-moment covariance
     of the residual d = y - H x, with covariance Cy = H Cx H.T + Rx, minus
-    M Cp M.T.  The subtraction can leave Rp indefinite.  A row whose Rp has
-    an eigenvalue below lo = 1e-8 * trace / 3, which Sylvester's criterion on
-    Rp - lo I detects, has those eigenvalues raised to lo; the other rows keep
-    Rp as computed, and a row whose Rp is not finite fails.  One cofactor
-    pass over Rp - lo I and Rp gives that verdict and Rp's inverse.  Each
-    row's numbers depend on that row alone.
+    M Cp M.T.  Rx, Rp and the extent innovation M.T Vp M are built from their
+    upper triangles, so they are exactly symmetric.  The subtraction can
+    leave Rp indefinite.  A row whose Rp has an eigenvalue below
+    lo = 1e-8 * trace / 3, which Sylvester's criterion on Rp - lo I detects,
+    has those eigenvalues raised to lo; the other rows keep Rp as computed,
+    and a row whose Rp is not finite fails.  One cofactor pass over
+    Rp - lo I and Rp gives that verdict and Rp's inverse.  Each row's numbers
+    depend on that row alone, and no floating-point warning is raised.
     A failing Rx or Rp is named by its detection's (run, node) row of at,
     (k, 2), or by its position (node i) without at, and a failing omega, as
     information matrix, by its row of row_at, or of at.  A trace records
@@ -104,46 +126,48 @@ def innovations(q, omega, p, cp, y, ch, cv, trace=None, at=None, *, d=2, row_at=
     """
     p = clamp_extent(p)
     k = len(p)
-    cos_sin, lengths = np.empty((k, 2)), np.ones((k, 3))
-    np.cos(p[:, 0], out=cos_sin[:, 0])
-    np.sin(p[:, 0], out=cos_sin[:, 1])
-    lengths[:, 1:] = p[:, 1:]
-    w = ((lengths[:, :, None] * cos_sin[:, None, :]).reshape(k, 6) @ _W_BASIS).reshape(k, 2, 8)
-    # np.take and matmul keep every operand C-ordered whatever k is, so each
+    f = np.empty((k, 3, 2))  # [c, s, l1 c, l1 s, l2 c, l2 s]
+    np.cos(p[:, 0], out=f[:, 0, 0])
+    np.sin(p[:, 0], out=f[:, 0, 1])
+    np.multiply(p[:, 1:, None], f[:, :1], out=f[:, 1:])
+    w = (f.reshape(k, 6) @ _W_BASIS).reshape(k, 2, 8)
+    # take and matmul keep every operand C-ordered whatever k is, so each
     # row takes the same path alone as in any stack.
-    picks = np.take((w.swapaxes(-1, -2) @ (ch @ w)).reshape(k, 64), _GRAM_PICKS, axis=1)
+    picks = (w.swapaxes(-1, -2) @ (ch @ w)).reshape(k, 64).take(_GRAM_PICKS, axis=1)
     spread = cp.reshape(k, 1, 9) @ picks[:, 22:].reshape(k, 9, 4)
-    rx = sym(picks[:, :4].reshape(k, 2, 2) + spread.reshape(k, 2, 2) + cv)
-    omega = sym(omega)
-    inv, ok = _closed_form(_adjugate_pass, np.concatenate([omega, rx]))
+    rx = (picks[:, :4] + spread.reshape(k, 4) + cv.reshape(k, 4)).take(_UPPER2, axis=1)
+    inv, ok = _balanced_pass(_adjugate_pass, np.concatenate([omega.reshape(k, 4), rx]))
     if not ok.all():
         if not ok[:k].all():
             _not_spd(omega, ~ok[:k], "information matrix", at if row_at is None else row_at)
-        _not_spd(rx, ~ok[k:], "kinematic measurement noise", at)
+        _not_spd(rx.reshape(k, 2, 2), ~ok[k:], "kinematic measurement noise", at)
     cx, vx = inv[:k], inv[k:]
-    # H = [I 0] only picks the position block.
-    block, (dqx, dox, dqp, dop) = _rows((k,), d)
-    dqx[:, :2], dox[:, :2, :2] = _matvec(vx, y), vx
 
-    cy = (cx + rx).reshape(k, 4)
+    cy = cx + rx
     m_mat = (picks[:, 4:13] + picks[:, 13:22]).reshape(k, 3, 3)
     rp, lo, shifted = _pseudo_noise(cy, m_mat, cp)
-    inv, ok = _closed_form(_cofactor_pass, np.concatenate([shifted, rp]))
+    inv, ok = _balanced_pass(_cofactor_pass, np.concatenate([shifted, rp]))
     floored, vp = ~ok[:k] & np.isfinite(lo), inv[k:]
     if floored.any():
-        eig, vec = np.linalg.eigh(rp[floored])
+        eig, vec = np.linalg.eigh(rp[floored].reshape(-1, 3, 3))
         eig = np.maximum(eig, lo[floored, None])
-        rp[floored] = sym((vec * eig[:, None, :]) @ vec.swapaxes(-1, -2))
-        vp[floored], ok[k:][floored] = _closed_form(_cofactor_pass, rp[floored])
+        rp[floored] = ((vec * eig[:, None, :]) @ vec.swapaxes(-1, -2)).reshape(-1, 9).take(
+            _UPPER3, axis=1)
+        vp[floored], ok[k:][floored] = _balanced_pass(_cofactor_pass, rp[floored])
     if not ok[k:].all():
-        _not_spd(rp, ~ok[k:], "extent pseudo-measurement noise", at=at)
-    residual = y - _matvec(cx, q)
-    y_quad = np.take(residual, _PAIRS[:, 0], axis=1) * np.take(residual, _PAIRS[:, 1], axis=1)
-    y_tilde = y_quad - np.take(cy, _SQUARE, axis=1) + _matvec(m_mat, p)
+        _not_spd(rp.reshape(k, 3, 3), ~ok[k:], "extent pseudo-measurement noise", at=at)
+    # H = [I 0] only picks the position block.
+    residual = y - _matvec(cx.reshape(k, 2, 2), q)
+    y_tilde = (residual.take(_PAIRS[:, 0], axis=1) * residual.take(_PAIRS[:, 1], axis=1)
+               - cy.take(_SQUARE, axis=1) + _matvec(m_mat, p))
     # The extent innovation pair (M.T Vp y~, M.T Vp M).
-    mv = m_mat.swapaxes(-1, -2) @ vp
-    dqp[...], dop[...] = _matvec(mv, y_tilde), sym(mv @ m_mat)
+    mv = m_mat.swapaxes(-1, -2) @ vp.reshape(k, 3, 3)
+    width, columns = _innovation_columns(d)
+    block = np.zeros((k, width))
+    block[:, columns] = np.concatenate([
+        _matvec(vx.reshape(k, 2, 2), y), vx, _matvec(mv, y_tilde),
+        (mv @ m_mat).reshape(k, 9).take(_UPPER3, axis=1)], axis=1)
     if trace is not None:
-        trace.record_rx(rx)
+        trace.record_rx(rx.reshape(k, 2, 2))
         trace.record_rp_floor(np.count_nonzero(floored), k)
     return block

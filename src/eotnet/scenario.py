@@ -21,7 +21,7 @@ import yaml
 
 from .consensus import NodeKind, SensorNetwork, build_network
 from ._linalg import as_cov, sqrt_psd
-from .geometry import _scatter, clamp_extent, shape_matrix, wrap_angle
+from .geometry import clamp_extent, shape_matrix, wrap_angle
 
 __all__ = [
     "TrajectorySpec",
@@ -427,12 +427,16 @@ def generate_measurements(truth, net: SensorNetwork, config: ScenarioConfig,
     The noise factors and the truth's shape matrices are computed once for
     every run.  A run's draw order (priors, then step-by-step node-by-node
     counts and detections) is fixed, so equal seeds give bit-identical runs.
+    Each sensor's count detections m + S h + v around the center m, with
+    shape matrix S, come from one draw of every h, then every v, in standard
+    normal units; the factors of the noise covariances and S are applied once
+    per step, to all of its sensors' draws together.
     """
     x_true, p_true = truth
     # Validate and factor the noises once for every draw.
     lh = sqrt_psd(as_cov(config.ch, "multiplicative noise covariance"))
     lv = sqrt_psd(as_cov(config.cv, "measurement noise covariance"))
-    shapes, sensors = shape_matrix(p_true), net.sensor_nodes
+    shapes, sensors = shape_matrix(p_true), list(net.sensor_nodes)
     runs = []
     for seed in seeds:
         rng = np.random.default_rng(seed)
@@ -440,11 +444,21 @@ def generate_measurements(truth, net: SensorNetwork, config: ScenarioConfig,
         counts = np.zeros((len(x_true), net.size), dtype=int)
         draws = [np.zeros((0, 2))]
         for k, (x, s_mat) in enumerate(zip(x_true, shapes)):
-            for s in sensors:
-                n = (config.meas_count if config.meas_law == "fixed"
-                     else int(rng.poisson(config.meas_rate)))
-                counts[k, s] = n
-                draws.append(_scatter(x[:2], s_mat, lh, lv, n, rng))
+            noise, ns = [np.zeros((2, 0, 2))], []
+            for _ in sensors:
+                ns.append(config.meas_count if config.meas_law == "fixed"
+                          else int(rng.poisson(config.meas_rate)))
+                noise.append(rng.standard_normal((2, ns[-1], 2)))
+            counts[k, sensors] = ns
+            h, v = np.concatenate(noise, axis=1)
+            y = x[:2] + (h @ lh.T) @ s_mat.T + v @ lv.T
+            # numpy multiplies a one-row draw as a vector (BLAS gemv), which
+            # rounds differently from a product of more rows, so a sensor's
+            # single detection is taken as it is drawn alone.
+            if 1 in ns and len(y) > 1:
+                one = np.repeat(np.equal(ns, 1), ns)
+                y[one] = (x[:2] + (h[one, None] @ lh.T) @ s_mat.T + v[one, None] @ lv.T)[:, 0]
+            draws.append(y)
         runs.append(ScenarioRun(x_true=x_true, p_true=p_true, detections=np.concatenate(draws),
                                 counts=counts, x0=x0, cx0=config.cx0.copy(), p0=p0,
                                 cp0=config.cp0.copy()))

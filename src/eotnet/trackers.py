@@ -28,10 +28,12 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass
+from functools import cache, cached_property
 
 import numpy as np
 
-from ._linalg import _closed_form, _cofactor_pass, _first_slice, _matvec, _schur_offsets, spd_solve
+from ._linalg import (_balanced_pass, _cofactor_pass, _first_slice, _matvec, _not_spd,
+                      _schur_offsets, spd_solve)
 from .consensus import ConsensusMatrix, SensorNetwork
 from .geometry import MIN_AXIS, clamp_extent
 from .info_filter import _columns, _rows, from_moments, predict, to_moments
@@ -97,6 +99,11 @@ class TrackerParams:
     cxw: np.ndarray
     cpw: np.ndarray
 
+    @cached_property
+    def cv_stack(self) -> np.ndarray:
+        """The sensor noises as one (n, 2, 2) array, built on first use."""
+        return np.asarray(self.cv_by_node, dtype=float)
+
 
 def ncv_transition(x_dim: int, scan_time: float) -> np.ndarray:
     """Nearly-constant-velocity transition (identity for a position-only state)."""
@@ -135,6 +142,17 @@ def initial_states(x0, cx0, p0, cp0, nodes: int = 1) -> np.ndarray:
     return state
 
 
+@cache
+def _mirror(width: int) -> np.ndarray:
+    """The column of each entry's transpose in packed rows of this width:
+    itself for a vector entry, the entry across the diagonal for a matrix
+    entry."""
+    mirror = np.arange(width)
+    for matrix in _columns(mirror)[1::2]:
+        matrix[...] = matrix.T.copy()
+    return mirror
+
+
 def _in_range(p: np.ndarray) -> np.ndarray:
     """Which extent means (..., 3) lie in (-pi, pi] x [MIN_AXIS, inf)^2."""
     return (-np.pi < p[..., 0]) & (p[..., 0] <= np.pi) & (p[..., 1:] >= MIN_AXIS).all(axis=-1)
@@ -151,12 +169,16 @@ def _sanitize_extent(q: np.ndarray, omega: np.ndarray, rows: np.ndarray) -> None
     q[at] = _matvec(omega[at], clamp_extent(p[bad]))
 
 
+@np.errstate(all="ignore")
 def _extent_moments(q: np.ndarray, omega: np.ndarray, at=None):
     """to_moments (p, Cp) of the extent rows q (..., 3) and exactly symmetric
     omega (..., 3, 3), views into a stack, from one checked inverse per row.
     A row whose p is out of range is re-anchored in place by _sanitize_extent
     first, and its p taken again.  A failing row is named by at if given."""
-    cp = _closed_form(_cofactor_pass, omega, "extent information matrix", at)[0]
+    cp, ok = _balanced_pass(_cofactor_pass, omega.reshape(-1, 9))
+    if np.count_nonzero(ok) < len(ok):
+        _not_spd(omega, ~ok.reshape(omega.shape[:-2]), "extent information matrix", at)
+    cp = cp.reshape(omega.shape)
     p = _matvec(cp, q)
     bad = ~_in_range(p)
     if bad.any():
@@ -210,7 +232,7 @@ def correct_scan(state: np.ndarray, y, counts, params: TrackerParams, config: Fi
         raise ValueError(f"batch count of run {r}, sensor {j} must be a non-negative integer, "
                          f"got {counts[r, j]} ({counts.dtype})")
     sensors, sizes = counts.shape[1], counts.ravel()
-    cv = np.asarray(params.cv_by_node, dtype=float)
+    cv = params.cv_stack
     if sensors > len(cv):
         raise ValueError(f"batch counts of {sensors} sensors need as many sensor noises, "
                          f"got {len(cv)}")
@@ -228,17 +250,21 @@ def correct_scan(state: np.ndarray, y, counts, params: TrackerParams, config: Fi
             mix *= config.omega if config.omega is not None else float(nodes)
 
     # Every detection of the scan with its realization, sensor and index,
-    # sorted once by index in (realization, sensor) order: index i's are the
-    # slice bounds[i]:bounds[i + 1] of each column.  The scan reorders the
-    # realizations longest first, so at every index the live ones are a
-    # leading slice of the rows; realizations never mix, so no bit moves.
+    # sorted once by index, then by the realization's rank, then by sensor:
+    # index i's are the slice bounds[i]:bounds[i + 1] of each column.  The
+    # scan reorders the realizations longest first, so at every index the
+    # live ones are the leading lives[i] rows, and each row's detections are
+    # contiguous and in sensor order; realizations never mix, so no bit moves.
     ends = counts.max(axis=1, initial=0)
     by_end = np.argsort(-ends, kind="stable")
     rank = np.argsort(by_end)
-    det_index = np.arange(len(y_all)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    order = np.argsort(det_index, kind="stable")
-    bounds = np.searchsorted(det_index[order], np.arange(ends.max(initial=0) + 1))
-    det_run, det_sensor = (np.repeat(a.ravel(), sizes)[order] for a in np.indices((runs, sensors)))
+    scan_len = int(ends.max(initial=0))
+    batch = np.repeat(np.arange(runs * sensors), sizes)  # each detection's flat (run, sensor)
+    det_index = np.arange(len(y_all)) - (np.cumsum(sizes) - sizes)[batch]
+    order = np.argsort(det_index * runs + rank[batch // sensors], kind="stable")
+    det_run, det_sensor = np.divmod(batch[order], sensors)
+    bounds = np.searchsorted(det_index[order], np.arange(scan_len + 1)).tolist()
+    lives = (np.count_nonzero(ends > np.arange(scan_len)[:, None], axis=1) * nodes).tolist()
     y_all, cv_all, det_node = y_all[order], cv[det_sensor], rows[det_sensor]
     det_flat = rank[det_run] * nodes + det_node  # flat row of each detection's row
     # Its (realization, sensor), which names a failing noise; under CI and CM
@@ -246,6 +272,15 @@ def correct_scan(state: np.ndarray, y, counts, params: TrackerParams, config: Fi
     det_at = np.column_stack([det_run, det_sensor])
     # The (realization, node) of each flat row.
     grid = np.stack(np.indices((runs, nodes)), axis=-1)[by_end].reshape(-1, 2)
+    if config.kind is FilterKind.CEOT:
+        # Each live row's first detection at each index: every live
+        # realization has one, so index i's are lives[i] of them, which
+        # reduceat sums in sensor order, as one addition after another would.
+        first = np.ones(len(det_flat), dtype=bool)
+        first[1:] = np.diff(det_flat) != 0
+        first[bounds[:-1]] = True
+        groups = np.flatnonzero(first) - np.repeat(bounds[:-1], lives)
+        group_bounds = np.cumsum([0, *lives]).tolist()
 
     # The rows in scan order, one per (realization, node), and their views.
     rows_all, width = state[by_end], state.shape[-1]
@@ -254,14 +289,12 @@ def correct_scan(state: np.ndarray, y, counts, params: TrackerParams, config: Fi
     if (d := qx_all.shape[-1]) not in (2, 4):
         raise ValueError("correct_scan needs a kinematic state of position (d = 2) or of "
                          f"position and velocity (d = 4), got d = {d}")
-    # The column of each packed entry's transpose: itself for a vector entry,
-    # the entry across the diagonal for a matrix entry.
-    mirror = np.arange(width)
-    for matrix in _columns(mirror)[1::2]:
-        matrix[...] = matrix.T.copy()
-    # Symmetrize the matrices once, as every write below does; a vector entry
-    # is its own mirror and stays exact.  A correction adds only to the
-    # position block of a kinematic pair (H = [I 0]), and the consensus
+    mirror = _mirror(width)
+    # Symmetrize the matrices once; a vector entry is its own mirror and
+    # stays exact.  Every write below keeps them exactly symmetric: an
+    # innovation row is, so a sum of them and a row is, and a product with
+    # the consensus power is mirror-symmetrized.  A correction adds only to
+    # the position block of a kinematic pair (H = [I 0]), and the consensus
     # rounds mix rows entry by entry, so under CEOT and CM every row's q_v,
     # Ω_pv and Ω_vv stay as they are now for the whole scan, and with them
     # the offsets of its position marginal.  CI's averaging rewrites whole
@@ -279,40 +312,36 @@ def correct_scan(state: np.ndarray, y, counts, params: TrackerParams, config: Fi
     det_offsets, det_row_at = offsets[det_flat], grid[det_flat]
     # Every extent row is range-checked before it is first linearized.
     p_all, cp_all = _extent_moments(qp_all, op_all, grid)
-    for i in range(ends.max(initial=0)):
-        at_i, live = slice(bounds[i], bounds[i + 1]), slice(0, np.count_nonzero(ends > i) * nodes)
+    for i in range(scan_len):
+        at_i, live = slice(bounds[i], bounds[i + 1]), lives[i]
         # Under CI and CM the detections' rows are distinct.  Under CEOT every
         # live realization has a detection at i, and its detections share its row.
-        det_rows, rows_i = det_flat[at_i], flat[live]
+        det_rows, rows_i = det_flat[at_i], flat[:live]
         marginal = flat.take(det_pos[at_i]) - det_offsets[at_i]
         packed = innovations(marginal[:, :2], marginal[:, 2:].reshape(-1, 2, 2),
                              p_all[det_rows], cp_all[det_rows], y_all[at_i], params.ch,
                              cv_all[at_i], trace, det_at[at_i], d=d, row_at=det_row_at[at_i])
-        delta = np.zeros(rows_i.shape)
-        if config.kind is FilterKind.CEOT:  # sum the detections that share a row
-            np.add.at(delta, det_rows, packed)
-        else:
-            delta[det_rows] = packed
         # The filters differ only here, in how the network combines the rows,
         # which are written in place.
-        if config.kind is FilterKind.CM:
-            rows_i += (mix @ delta.reshape(-1, nodes, width)).reshape(-1, width)
-        else:
-            rows_i += delta
-        # Symmetrize the matrices, as at the scan's start, so that every
-        # extent block _extent_moments sees is exactly symmetric.
-        rows_i[...] = 0.5 * (rows_i + rows_i.take(mirror, axis=1))
-        if config.kind is FilterKind.CI:
+        if config.kind is FilterKind.CEOT:
+            rows_i += np.add.reduceat(packed, groups[group_bounds[i]:group_bounds[i + 1]])
+        elif config.kind is FilterKind.CI:
+            rows_i[det_rows] += packed
             checked = qp_all[det_rows]
             _extent_moments(checked, op_all[det_rows], det_at[at_i])
             qp_all[det_rows] = checked
             averaged = (mix @ rows_i.reshape(-1, nodes, width)).reshape(-1, width)
             rows_i[...] = 0.5 * (averaged + averaged.take(mirror, axis=1))
             if d == 4:  # as the next index's linearization and write see them
-                offsets[live] = _marginal_offsets(rows_i, grid[live])
+                offsets[:live] = _marginal_offsets(rows_i, grid[:live])
                 det_offsets = offsets[det_flat]
+        else:
+            delta = np.zeros(rows_i.shape)
+            delta[det_rows] = packed
+            rows_i += (mix @ delta.reshape(-1, nodes, width)).reshape(-1, width)
+            rows_i[...] = 0.5 * (rows_i + rows_i.take(mirror, axis=1))
         # One checked inverse per write gives the next index its extent moments.
-        p_all[live], cp_all[live] = _extent_moments(qp_all[live], op_all[live], grid[live])
+        p_all[:live], cp_all[:live] = _extent_moments(qp_all[:live], op_all[:live], grid[:live])
     state[by_end] = rows_all
     return p_all.reshape(runs, nodes, 3)[rank], cp_all.reshape(runs, nodes, 3, 3)[rank]
 

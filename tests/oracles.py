@@ -19,7 +19,7 @@ from itertools import permutations
 import numpy as np
 
 from eotnet._linalg import _from_entries, _matvec, as_cov, spd_inv, sqrt_psd, sym
-from eotnet.geometry import MIN_AXIS, _scatter, clamp_extent, shape_matrix, wrap_angle
+from eotnet.geometry import MIN_AXIS, clamp_extent, shape_matrix, wrap_angle
 from eotnet.info_filter import _columns, predict, to_moments
 from eotnet.trackers import FilterKind, correct_scan
 
@@ -324,12 +324,23 @@ def rot2(angle: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
+def _scatter(m, s_mat, lh, lv, count: int, rng: np.random.Generator) -> np.ndarray:
+    """count detections m + S h + v around center m with shape matrix S, the
+    noises drawn through the factors lh and lv of their covariances: first
+    every h, then every v, in one draw."""
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    h, v = rng.standard_normal((2, count, 2))
+    return m + (h @ lh.T) @ s_mat.T + v @ lv.T
+
+
 def sample_measurements(m, p, ch, cv, count: int, rng: np.random.Generator) -> np.ndarray:
     """count detections y = m + S(p) h + v around center m of an object with
     extent p = [alpha, l1, l2], h ~ N(0, ch) and v ~ N(0, cv): the draws of
-    eotnet.scenario.generate_measurements for one sensor and step.  It shares
-    the library's scatter, so it pins the draw order and the per-step center
-    and extent; the scatter itself is checked against its moments."""
+    eotnet.scenario.generate_measurements for one sensor and step, one sensor
+    at a time, where the library applies the factors to a whole step's draws.
+    It pins the draw order and the per-step center and extent; the scatter
+    itself is checked against its moments."""
     lh, lv = (sqrt_psd(np.asarray(c, dtype=float)) for c in (ch, cv))
     return _scatter(np.asarray(m, dtype=float), shape_matrix(p), lh, lv, count, rng)
 

@@ -609,8 +609,8 @@ def test_forced_rp_floor_changes_only_its_own_row(seed, n, data):
     # to rounding.
     raw, lo, floored = pseudo_noise_by_pieces(x, cx, p, cp, ch, cv)
     assert np.array_equal(np.linalg.eigvalsh(raw)[:, 0] < lo, np.arange(n) == r)
-    for k in range(n):
-        assert_close(count.rp[k], floored[k], rtol=1e-12)
+    for k, rp in enumerate(np.reshape(count.rp, (n, 3, 3))):
+        assert_close(rp, floored[k], rtol=1e-12)
     # Outputs through Rp's inverse against LAPACK's: both inverses err by a
     # small multiple of eps cond(Rp), and this row's floored Rp has a
     # condition number near 3e8.  Over 12,000 draws the two differed by at
