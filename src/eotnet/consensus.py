@@ -9,7 +9,7 @@ repeated rounds drive every node to the network-wide mean.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,6 +68,7 @@ class ConsensusMatrix:
     """
 
     pi: np.ndarray
+    _powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pi = np.asarray(self.pi, dtype=float)
@@ -86,10 +87,12 @@ class ConsensusMatrix:
 
     def power(self, rounds: int) -> np.ndarray:
         """pi^rounds, a new matrix: the one linear map of `rounds` rounds, a
-        non-negative integer (not a bool)."""
+        non-negative integer (not a bool).  Each power is taken once."""
         if isinstance(rounds, bool) or not isinstance(rounds, (int, np.integer)) or rounds < 0:
             raise ValueError(f"rounds must be a non-negative integer, got {rounds!r}")
-        return np.linalg.matrix_power(self.pi, rounds).copy()
+        if rounds not in self._powers:
+            self._powers[rounds] = np.linalg.matrix_power(self.pi, rounds)
+        return self._powers[rounds].copy()
 
 
 def build_network(positions, kinds, comm_radius: float) -> SensorNetwork:

@@ -250,40 +250,38 @@ def correct_scan(state: np.ndarray, y, counts, params: TrackerParams, config: Fi
             mix *= config.omega if config.omega is not None else float(nodes)
 
     # Every detection of the scan with its realization, sensor and index,
-    # sorted once by index, then by the realization's rank, then by sensor:
-    # index i's are the slice bounds[i]:bounds[i + 1] of each column.  The
-    # scan reorders the realizations longest first, so at every index the
-    # live ones are the leading lives[i] rows, and each row's detections are
-    # contiguous and in sensor order; realizations never mix, so no bit moves.
+    # ordered by index, then by the realization's rank, then by sensor:
+    # index i's are the slice bounds[i]:bounds[i + 1] of each column, and
+    # order maps them into y.  The scan reorders the realizations longest
+    # first, so at every index the live ones are the leading lives[i] rows,
+    # and each row's detections are contiguous and in sensor order;
+    # realizations never mix, so no bit moves.
     ends = counts.max(axis=1, initial=0)
     by_end = np.argsort(-ends, kind="stable")
-    rank = np.argsort(by_end)
     scan_len = int(ends.max(initial=0))
-    batch = np.repeat(np.arange(runs * sensors), sizes)  # each detection's flat (run, sensor)
-    det_index = np.arange(len(y_all)) - (np.cumsum(sizes) - sizes)[batch]
-    order = np.argsort(det_index * runs + rank[batch // sensors], kind="stable")
-    det_run, det_sensor = np.divmod(batch[order], sensors)
-    bounds = np.searchsorted(det_index[order], np.arange(scan_len + 1)).tolist()
-    lives = (np.count_nonzero(ends > np.arange(scan_len)[:, None], axis=1) * nodes).tolist()
-    y_all, cv_all, det_node = y_all[order], cv[det_sensor], rows[det_sensor]
-    det_flat = rank[det_run] * nodes + det_node  # flat row of each detection's row
+    # Which (index, realization by rank, sensor) has a detection; np.nonzero
+    # lists them in that order.
+    mask = counts[by_end] > np.arange(scan_len)[:, None, None]
+    det_index, det_rank, det_sensor = np.nonzero(mask)
+    det_run = by_end[det_rank]
+    order = (np.cumsum(sizes) - sizes).reshape(runs, sensors)[det_run, det_sensor] + det_index
+    bounds = np.searchsorted(det_index, np.arange(scan_len + 1)).tolist()
+    lives = (mask.any(axis=2).sum(axis=1) * nodes).tolist()
+    y_all, cv_all = y_all[order], cv[det_sensor]
+    det_flat = det_rank * nodes + rows[det_sensor]  # flat row of each detection's row
     # Its (realization, sensor), which names a failing noise; under CI and CM
     # the sensor is also the node of its row.
-    det_at = np.column_stack([det_run, det_sensor])
+    det_at = np.array([det_run, det_sensor]).T
     # The (realization, node) of each flat row.
-    grid = np.stack(np.indices((runs, nodes)), axis=-1)[by_end].reshape(-1, 2)
-    if config.kind is FilterKind.CEOT:
-        # Each live row's first detection at each index: every live
-        # realization has one, so index i's are lives[i] of them, which
-        # reduceat sums in sensor order, as one addition after another would.
-        first = np.ones(len(det_flat), dtype=bool)
-        first[1:] = np.diff(det_flat) != 0
-        first[bounds[:-1]] = True
-        groups = np.flatnonzero(first) - np.repeat(bounds[:-1], lives)
-        group_bounds = np.cumsum([0, *lives]).tolist()
+    grid = np.indices((runs, nodes))[:, by_end].reshape(2, -1).T
 
     # The rows in scan order, one per (realization, node), and their views.
     rows_all, width = state[by_end], state.shape[-1]
+    if config.kind is FilterKind.CEOT:
+        # Each detection's entries' flat places in its index's live rows, into
+        # which np.bincount sums them one after another in sensor order,
+        # starting from zero, as np.add.at would.
+        bins = det_flat[:, None] * width + np.arange(width)
     flat = rows_all.reshape(-1, width)
     qx_all, _, qp_all, op_all = _columns(flat)
     if (d := qx_all.shape[-1]) not in (2, 4):
@@ -324,7 +322,8 @@ def correct_scan(state: np.ndarray, y, counts, params: TrackerParams, config: Fi
         # The filters differ only here, in how the network combines the rows,
         # which are written in place.
         if config.kind is FilterKind.CEOT:
-            rows_i += np.add.reduceat(packed, groups[group_bounds[i]:group_bounds[i + 1]])
+            rows_i += np.bincount(bins[at_i].ravel(), packed.ravel(), rows_i.size).reshape(
+                rows_i.shape)
         elif config.kind is FilterKind.CI:
             rows_i[det_rows] += packed
             checked = qp_all[det_rows]
@@ -343,6 +342,7 @@ def correct_scan(state: np.ndarray, y, counts, params: TrackerParams, config: Fi
         # One checked inverse per write gives the next index its extent moments.
         p_all[:live], cp_all[:live] = _extent_moments(qp_all[:live], op_all[:live], grid[:live])
     state[by_end] = rows_all
+    rank = np.argsort(by_end)
     return p_all.reshape(runs, nodes, 3)[rank], cp_all.reshape(runs, nodes, 3, 3)[rank]
 
 

@@ -398,6 +398,37 @@ def test_relabeling_the_nodes_permutes_the_record(draw, kind, steps, rounds, dat
         assert err.max() <= 1e-9, (field, err.max())
 
 
+@SETTINGS
+@given(networks(), st.sampled_from(list(FilterKind)), st.sampled_from([2, 4]),
+       st.integers(1, 3), st.data())
+def test_translating_every_position_translates_the_estimate(draw, kind, d, steps, data):
+    # Move the scene by t: detections, truth and the kinematic prior mean.
+    # The models read positions only through the residual y - H x, so the
+    # position estimate must move by t and every other field stay as it is.
+    # The information form carries positions as q = Ω x, so this holds to
+    # rounding on the scale of the positions: over 300 draws it held to
+    # 5e-15 of |x| + |t|, or of a field's largest entry.
+    net, pi, seed = draw
+    rng = np.random.default_rng(seed)
+    params = replace(random_params(rng, net.size), fx=ncv_transition(d, 1.0), cxw=np.eye(d))
+    # An extent prior at the truth, away from the orientation's branch cut.
+    scn = replace(truth_run(rng, sensor_counts(data, net, steps), d), p0=TRUTH[1],
+                  cp0=np.diag([0.05, 0.2, 0.2]))
+    t = rng.uniform(-100.0, 100.0, 2)
+    shift = np.concatenate([t, np.zeros(d - 2)])
+    moved = replace(scn, detections=scn.detections + t, x_true=scn.x_true + shift,
+                    x0=scn.x0 + shift)
+    config = FilterConfig(kind=kind, consensus_iters=2)
+    base, got = (run_filter([s], net, params, config, pi) for s in (scn, moved))
+    scale = np.abs(base.x_mean[..., :2]).max(axis=-1, keepdims=True) + np.abs(t).max()
+    assert (np.abs(got.x_mean - shift - base.x_mean) <= 1e-12 * scale).all()
+    for field in ("x_cov", "p_mean", "p_cov"):
+        want = getattr(base, field)
+        axes = tuple(range(3, want.ndim))
+        err = np.abs(getattr(got, field) - want).max(axis=axes) / np.abs(want).max(axis=axes)
+        assert err.max() <= 1e-12, (field, err.max())
+
+
 # The checked runs' scenarios and filters, and s1 under a prior the scan must
 # re-anchor: its orientation lies outside (-pi, pi] and a semi-axis below MIN_AXIS.
 REANCHORED_PRIOR = {"mode": "fixed", "kinematic_mean": [1.0, 1.0], "kinematic_cov": [1.0, 1.0],
@@ -632,6 +663,65 @@ def test_forced_rp_floor_changes_only_its_own_row(seed, n, data):
             assert np.array_equal(g[k], w[0])
 
 
+class PassSpy:
+    """The trace hooks innovations calls, keeping every Rx it records, and
+    wrappers of its two closed-form passes that count their calls: a pass
+    called twice in one innovations call redid some rows balanced."""
+
+    def __init__(self):
+        self.rx, self.calls = [], {"adjugate": 0, "cofactor": 0}
+        self.passes = linearization._adjugate_pass, linearization._cofactor_pass
+
+    def record_rx(self, rx):
+        self.rx.append(rx)
+
+    def record_rp_floor(self, floored, rows):
+        pass
+
+    def adjugate(self, m):
+        self.calls["adjugate"] += 1
+        return self.passes[0](m)
+
+    def cofactor(self, m):
+        self.calls["cofactor"] += 1
+        return self.passes[1](m)
+
+    def innovations(self, x, cx, *args):
+        with mock.patch.object(linearization, "_adjugate_pass", self.adjugate), \
+                mock.patch.object(linearization, "_cofactor_pass", self.cofactor):
+            return innovations(*position_pair(x, cx), *args, trace=self, d=4)
+
+
+@SETTINGS
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.data())
+def test_lean_step_is_exactly_symmetric_and_stacks_bit_for_bit(seed, n, data):
+    # What the scan relies on to drop its symmetrizations: every Rx the trace
+    # records and every returned matrix block equals its transpose exactly,
+    # also on rows the closed-form passes redo balanced, and a row's numbers
+    # do not depend on the stack it is linearized in.  A position covariance
+    # of 1e-170 m^2 puts its information matrix's determinant beyond the
+    # doubles, and a sensor noise of 1e60 m^2 does the same to Rp's
+    # cofactors, so those rows take the balancing redo.
+    rng = np.random.default_rng(seed)
+    x, cx, p, cp = random_points(rng, n)
+    y, ch, cv = random_detections(rng, n)
+    scale = np.array(data.draw(st.lists(st.sampled_from([0, 1, 2]), min_size=n, max_size=n)))
+    cx[scale == 1] *= 1e-170
+    cv[scale == 2] *= 1e60
+    spy = PassSpy()
+    block = spy.innovations(x, cx, p, cp, y, ch, cv)
+    assert spy.calls == {"adjugate": 1 + (scale == 1).any(), "cofactor": 1 + (scale == 2).any()}
+    for rx in spy.rx:
+        assert np.array_equal(rx, rx.swapaxes(-1, -2))
+    _, dox, _, dop = split_innovations(block, 4)
+    assert np.isfinite(block).all()
+    assert np.array_equal(dox, dox.swapaxes(-1, -2)) and np.array_equal(dop, dop.swapaxes(-1, -2))
+    for k in range(n):
+        solo = PassSpy().innovations(x[k:k + 1], cx[k:k + 1], p[k:k + 1], cp[k:k + 1],
+                                     y[k:k + 1], ch, cv[k:k + 1])
+        assert np.array_equal(block[k], solo[0])
+
+
 @SETTINGS
 @given(st.integers(0, 2**32 - 1), st.integers(1, 6))
 def test_ceot_scatter_sums_every_detection_into_its_one_row(seed, k):
@@ -657,6 +747,38 @@ def test_ceot_scatter_sums_every_detection_into_its_one_row(seed, k):
                              FilterConfig(kind=FilterKind.CEOT)))
     for value, want in zip(got, (qx + sums[0], ox + sums[1], want_qp, omega_p)):
         assert_close(value, want)
+
+
+@SETTINGS
+@given(networks(), st.integers(1, 4), st.data())
+def test_ceot_adds_a_rows_detections_one_after_another(draw, runs, data):
+    # CEOT sums the innovations of a realization's detections at an index
+    # into its one row.  Replayed from the innovation rows the scan computed,
+    # np.add.at's successive additions in sensor order must give its rows bit
+    # for bit.  The extent priors are in range, so no row is re-anchored.
+    net, pi, seed = draw
+    rng = np.random.default_rng(seed)
+    params = random_params(rng, net.size)
+    d = len(params.fx)
+    state = distinct_rows(rng, runs, 1, d)
+    batches = [random_batches(rng, net, data.draw(st.integers(2, 6))) for _ in range(runs)]
+    blocks = []
+
+    def spy(*args, **kwargs):
+        blocks.append((args[8][:, 0], innovations(*args, **kwargs)))
+        return blocks[-1][1]
+
+    want = state.copy().reshape(runs, -1)
+    for _, omega in pairs(want):
+        omega[...] = sym(omega)
+    with mock.patch.object(trackers, "innovations", spy), \
+            mock.patch.object(trackers, "_sanitize_extent", side_effect=AssertionError):
+        correct_scan(state, *flat_scan(batches), params, FilterConfig(kind=FilterKind.CEOT))
+    for run, block in blocks:
+        delta = np.zeros_like(want)
+        np.add.at(delta, run, block)
+        want += delta
+    assert np.array_equal(state[:, 0], want)
 
 
 AXES = st.one_of(st.just(1e-3), st.floats(1e-3, 200.0))

@@ -424,6 +424,30 @@ def test_generate_measurements_draws_like_sample_measurements(preset):
                                   sample_measurements(x[:2], p, config.ch, config.cv, n, rng))
 
 
+def test_a_sensors_single_detection_keeps_the_bits_of_its_own_draw():
+    # The library applies the noise factors and the shape matrix to a whole
+    # step's draws at once.  numpy multiplies a one-row draw as a vector,
+    # which rounds differently from a product of more rows, so a sensor's
+    # single detection must come out as sample_measurements draws it alone.
+    # Full covariances and a low rate make such rows common and every
+    # product round.
+    ch, cv = np.array([[0.3, 0.1], [0.1, 0.2]]), np.array([[2.0, 0.7], [0.7, 1.5]])
+    config = load_config("s2").with_overrides(steps=40, prior_mode="fixed", meas_rate=1.5,
+                                              ch=ch, cv=cv)
+    net = benchmark_network()
+    truth = generate_truth(config)
+    seeds = list(range(10))
+    singles = 0
+    for seed, run in zip(seeds, generate_measurements(truth, net, config, seeds)):
+        rng = np.random.default_rng(seed)
+        for x, p, per_node, counts in zip(*truth, scan_batches(run), run.counts):
+            singles += np.count_nonzero(counts == 1) * (counts.sum() > 1)
+            for s in net.sensor_nodes:
+                n = int(rng.poisson(config.meas_rate))
+                assert np.array_equal(per_node[s], sample_measurements(x[:2], p, ch, cv, n, rng))
+    assert singles > 100
+
+
 def test_generate_measurements_rejects_bad_covariance():
     config = load_config("s1").with_overrides(steps=1)
     net = benchmark_network()
