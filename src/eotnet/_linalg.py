@@ -130,10 +130,8 @@ def spd_inv(a: np.ndarray, name: str = "matrix", at=None) -> np.ndarray:
     a failing slice is named as _checked_spd names it.  2x2 and 3x3 matrices
     are inverted in closed form, by _closed_form."""
     a = np.asarray(a, dtype=float)
-    if a.shape[-1] == 2:
-        return _closed_form(_adjugate_pass, sym(a), name, at)[0]
-    if a.shape[-1] == 3:
-        return _closed_form(_cofactor_pass, sym(a), name, at)[0]
+    if a.shape[-1] in (2, 3):
+        return _closed_form((_adjugate_pass, _cofactor_pass)[a.shape[-1] - 2], sym(a), name, at)[0]
     return sym(np.linalg.inv(_checked_spd(a, name, at=at)))
 
 
@@ -155,11 +153,8 @@ _TINY = np.finfo(float).tiny
 @np.errstate(all="ignore")
 def _closed_form(one_pass, a: np.ndarray, name: str | None = None,
                  at=None) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse and verdict of each slice of a stack (..., d, d) of exactly
-    symmetric matrices, by _balanced_pass.  With a name, a slice that fails
-    raises _not_spd's error, named as _first_slice names it; without one,
-    its inverse is meaningless.  No floating-point warning is raised, and the
-    inverse is C-ordered."""
+    """_balanced_pass over a stack (..., d, d), C-ordered, with no warning; with
+    a name, a failing slice raises _not_spd's error, named by _first_slice."""
     d = a.shape[-1]
     inv, ok = _balanced_pass(one_pass, a.reshape(-1, d * d))
     if name is not None and not ok.all():
@@ -168,25 +163,21 @@ def _closed_form(one_pass, a: np.ndarray, name: str | None = None,
 
 
 def _balanced_pass(one_pass, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse and verdict of flat exactly symmetric slices e (n, d * d) by
+    """Inverse and verdict of flat, exactly symmetric slices e (n, d * d) by
     one_pass, which accepts a slice only where every number its inverse is
-    built from is a normal double.  Callers run it under
-    np.errstate(all="ignore"): a rejected slice's numbers may overflow.
+    built from is a normal double; run it under np.errstate(all="ignore").
 
-    A slice the first pass rejects, because it is not positive definite or
-    because it lies outside that range, is balanced and passed once more:
-    each diagonal entry i is taken into [0.5, 2) by S m S, S = diag(2^-k_i),
-    which bounds every entry of a positive definite slice too, and the
-    inverse of S m S is scaled back by S.  Scaling by a power of two is
-    exact, so this changes no bit where the first pass was already in range,
-    and it makes the kernels invert what LAPACK inverts, not only slices
-    whose determinant fits in a double.  A slice the second pass rejects is
-    not positive definite to working precision.  Each slice's numbers depend
-    on that slice alone."""
+    A slice the first pass rejects, not positive definite or out of that
+    range, is passed once more balanced: each diagonal entry i is taken into
+    [0.5, 2) by S m S, S = diag(2^-k_i), which bounds every entry of a
+    positive definite slice too, and the inverse is scaled back by S.  This
+    is exact, so it changes no bit where the first pass was in range, and
+    it gives the kernels LAPACK's range.  A slice the second pass rejects is
+    not positive definite to working precision, and its inverse is
+    meaningless.  Each slice's numbers depend on that slice alone."""
     inv, ok = one_pass(e)
     if not ok.all():
-        d = 2 if e.shape[1] == 4 else 3
-        redo = ~ok
+        d, redo = (2 if e.shape[1] == 4 else 3), ~ok
         k = np.frexp(e[redo][:, ::d + 1])[1] >> 1
         s = (k[:, :, None] + k[:, None, :]).reshape(-1, d * d)
         inv_s, ok[redo] = one_pass(np.ldexp(e[redo], -s))

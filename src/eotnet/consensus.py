@@ -86,8 +86,7 @@ class ConsensusMatrix:
         return self.pi.shape[0]
 
     def power(self, rounds: int) -> np.ndarray:
-        """pi^rounds, a new matrix: the one linear map of `rounds` rounds, a
-        non-negative integer (not a bool).  Each power is taken once."""
+        """pi^rounds, a new matrix, for an integer rounds >= 0: their one map."""
         if isinstance(rounds, bool) or not isinstance(rounds, (int, np.integer)) or rounds < 0:
             raise ValueError(f"rounds must be a non-negative integer, got {rounds!r}")
         if rounds not in self._powers:

@@ -7,27 +7,23 @@ equivalent noise that absorbs the extent uncertainty) and one for the extent
 detection residual).  Both are refreshed at every sequential update from the
 previous estimates, which preserves the cross-correlation between the two
 states.  With H = [I 0] the kinematic model reads only the position
-marginal of the kinematic estimate, which it takes as an information pair.
+marginal of the kinematic estimate, as an information pair.
 
-Extents are [alpha, l1, l2] vectors.  innovations builds both models for a
-whole stack of detections from one Gram matrix.  The shape matrix S and the
-Jacobians J1, J2 of its rows are the columns of one 2 x 8 matrix
-W = [S.T, J1, J2] per detection, and every product the models need is a block
-of W.T Ch W: the scattering term S Ch S.T, the rows s_m Ch J_n of the
+Extents are [alpha, l1, l2].  innovations builds both models for a stack of
+detections from one Gram matrix: the shape matrix S and the Jacobians J1, J2
+of its rows are the columns of W = [S.T, J1, J2] (2 x 8), and every product
+the models need is a block of W.T Ch W: S Ch S.T, the rows s_m Ch J_n of the
 pseudo-measurement matrix, and the J_m.T Ch J_n whose traces against Cp give
-the extent-spread term.  The tests keep the same formulas piece by piece as
-their oracle.
+the extent-spread term.  The tests' oracle keeps these formulas piece by piece.
 """
 
 from __future__ import annotations
-
-from functools import cache
 
 import numpy as np
 
 from ._linalg import _adjugate_pass, _balanced_pass, _cofactor_pass, _matvec, _not_spd
 from .geometry import clamp_extent
-from .info_filter import _columns
+from .info_filter import _rows
 
 __all__ = [
     "innovations",
@@ -55,42 +51,27 @@ _GRAM_PICKS = np.concatenate([
     (8 * (2 + 3 * _m + _a) + 2 + 3 * _n + _b).ravel(),
 ])
 # The flat index of each entry's upper-triangle mirror in a 2x2 and a 3x3
-# matrix: taking it builds an exactly symmetric matrix from the upper entries.
+# matrix: taking it builds an exactly symmetric matrix from its upper half.
 _UPPER2, _UPPER3 = np.array([0, 1, 1, 3]), np.array([0, 1, 2, 1, 4, 5, 2, 5, 8])
 # Residual index pair (a, b) of each entry d_a d_b of the quadratic statistic
 # [d1^2, d2^2, d1 d2], and the flat index 2a + b of C[a, b] in a 2x2 matrix.
 _PAIRS = np.array([[0, 0], [1, 1], [0, 1]])
 _SQUARE = 2 * _PAIRS[:, 0] + _PAIRS[:, 1]
-# Isserlis: cov(d_a d_b, d_c d_e) = C[a, c] C[b, e] + C[a, e] C[b, c], as
-# the constant map from the 16 products C[u] C[v] (flat indices u, v; column
-# 4u + v) to the nine flat entries.  Each entry sums two products, so the
-# map's product with them is exact in any summation order.
-_ab, _ce = _PAIRS[:, None, :], _PAIRS[None, :, :]
+# Isserlis: cov(d_a d_b, d_c d_e) = C[a, c] C[b, e] + C[a, e] C[b, c], as the
+# map from the products C[u] C[v] of flat entries (row 4u + v) to the nine
+# flat entries (3i + j for pairs i, j).  Each entry sums two products, so its
+# product with them is exact in any summation order.
 _ISSERLIS = np.zeros((16, 9))
-for _u, _v in ((2 * _ab[..., 0] + _ce[..., 0], 2 * _ab[..., 1] + _ce[..., 1]),
-               (2 * _ab[..., 0] + _ce[..., 1], 2 * _ab[..., 1] + _ce[..., 0])):
-    np.add.at(_ISSERLIS, (4 * _u + _v, np.arange(9).reshape(3, 3)), 1.0)
+np.add.at(_ISSERLIS, ((_PAIRS @ [8, 2])[:, None, None] + _PAIRS @ [[4, 1], [1, 4]],
+                      np.arange(9).reshape(3, 3, 1)), 1.0)
 _EYE3 = np.eye(3).ravel()
 
 
-@cache
-def _innovation_columns(d: int):
-    """The width of a packed row with d kinematic entries (info_filter's
-    layout) and the columns an innovation row fills, in the order
-    [dqx[:2], dox[:2, :2], dqp, dop]."""
-    qx, ox, qp, op = _columns(np.arange(d + d * d + 12))
-    return d + d * d + 12, np.concatenate([qx[:2], ox[:2, :2].ravel(), qp, op.ravel()])
-
-
 def _pseudo_noise(cy, m_mat, cp):
-    """Rp of each row, flat (k, 9) and exactly symmetric, from its flat
-    residual covariance cy (k, 4), exactly symmetric; its floor lo (k,); and
-    Rp - lo I.  A residual covariance beyond about 1e154 overflows Rp to
-    infs and NaNs, which innovations, under its np.errstate, names without a
-    floating-point warning."""
-    k = len(cy)
-    rp = ((cy[:, :, None] * cy[:, None, :]).reshape(k, 16) @ _ISSERLIS
-          - (m_mat @ cp @ m_mat.swapaxes(-1, -2)).reshape(k, 9)).take(_UPPER3, axis=1)
+    """Flat, exactly symmetric Rp (k, 9) of flat residual covariances cy (k, 4),
+    its floor lo (k,) and Rp - lo I; a cy past 1e154 overflows, named by innovations."""
+    rp = ((cy[:, :, None] * cy[:, None, :]).reshape(-1, 16) @ _ISSERLIS
+          - (m_mat @ cp @ m_mat.swapaxes(-1, -2)).reshape(-1, 9)).take(_UPPER3, axis=1)
     lo = 1e-8 * np.maximum(rp[:, ::4].sum(axis=1), 1e-12) / 3.0
     return rp, lo, rp - lo[:, None] * _EYE3
 
@@ -101,28 +82,25 @@ def innovations(q, omega, p, cp, y, ch, cv, trace=None, at=None, *, d=2, row_at=
     filter's state rows (info_filter's layout) with d kinematic entries.
 
     Detection y[k] is linearized at its own row's position marginal, the
-    information pair (q[k], omega[k]), and extent moments p[k], cp[k], and
-    carries the sensor noise cv[k]; ch is shared.  omega, cp and cv must be
-    exactly symmetric, as the filter's are.  Both linear models are built
-    from the same pre-update estimates; the extent mean is first wrapped and
-    its semi-axes clamped to MIN_AXIS.
+    exactly symmetric information pair (q[k], omega[k]), and extent moments
+    p[k], cp[k], and carries the sensor noise cv[k]; ch is shared.  Both
+    models are built from the same pre-update estimates; the extent mean is
+    first wrapped and its semi-axes clamped to MIN_AXIS.
 
     The kinematic noise is Rx = S Ch S.T + [trace(Cp J_n.T Ch J_m)] + Cv;
-    one adjugate pass inverts it and omega together.
-    The pseudo-measurement noise Rp is the Gaussian fourth-moment covariance
-    of the residual d = y - H x, with covariance Cy = H Cx H.T + Rx, minus
-    M Cp M.T.  Rx, Rp and the extent innovation M.T Vp M are built from their
-    upper triangles, so they are exactly symmetric.  The subtraction can
-    leave Rp indefinite.  A row whose Rp has an eigenvalue below
-    lo = 1e-8 * trace / 3, which Sylvester's criterion on Rp - lo I detects,
-    has those eigenvalues raised to lo; the other rows keep Rp as computed,
-    and a row whose Rp is not finite fails.  One cofactor pass over
-    Rp - lo I and Rp gives that verdict and Rp's inverse.  Each row's numbers
-    depend on that row alone, and no floating-point warning is raised.
-    A failing Rx or Rp is named by its detection's (run, node) row of at,
-    (k, 2), or by its position (node i) without at, and a failing omega, as
-    information matrix, by its row of row_at, or of at.  A trace records
-    every Rx that gets inverted and how many rows the floor changed.
+    one adjugate pass inverts it and omega together.  The pseudo-measurement
+    noise Rp is the Gaussian fourth-moment covariance of the residual
+    d = y - H x, with covariance Cy = H Cx H.T + Rx, minus M Cp M.T.  Rx, Rp
+    and M.T Vp M are exactly symmetric, taken from their upper triangles.
+    The subtraction can leave Rp indefinite: the eigenvalues below
+    lo = 1e-8 * trace / 3, which Sylvester's criterion on Rp - lo I detects
+    in the cofactor pass that inverts Rp, are raised to lo, and a row whose
+    Rp is not finite fails.  Each row's numbers depend on that row alone,
+    and no floating-point warning is raised.  A failing Rx or Rp is named by
+    its detection's (run, node) row of at, (k, 2), or by its position
+    (node i) without at, and a failing omega, as information matrix, by its
+    row of row_at, or of at.  A trace records every Rx that gets inverted
+    and how many rows the floor changed.
     """
     p = clamp_extent(p)
     k = len(p)
@@ -141,7 +119,10 @@ def innovations(q, omega, p, cp, y, ch, cv, trace=None, at=None, *, d=2, row_at=
         if not ok[:k].all():
             _not_spd(omega, ~ok[:k], "information matrix", at if row_at is None else row_at)
         _not_spd(rx.reshape(k, 2, 2), ~ok[k:], "kinematic measurement noise", at)
-    cx, vx = inv[:k], inv[k:]
+    cx, vx = inv[:k], inv[k:].reshape(k, 2, 2)
+    # H = [I 0] only picks the position block.
+    block, (dqx, dox, dqp, dop) = _rows((k,), d)
+    dqx[:, :2], dox[:, :2, :2] = _matvec(vx, y), vx
 
     cy = cx + rx
     m_mat = (picks[:, 4:13] + picks[:, 13:22]).reshape(k, 3, 3)
@@ -151,22 +132,17 @@ def innovations(q, omega, p, cp, y, ch, cv, trace=None, at=None, *, d=2, row_at=
     if floored.any():
         eig, vec = np.linalg.eigh(rp[floored].reshape(-1, 3, 3))
         eig = np.maximum(eig, lo[floored, None])
-        rp[floored] = ((vec * eig[:, None, :]) @ vec.swapaxes(-1, -2)).reshape(-1, 9).take(
-            _UPPER3, axis=1)
+        rp[floored] = ((vec * eig[:, None, :]) @ vec.swapaxes(-1, -2)).reshape(-1, 9)[:, _UPPER3]
         vp[floored], ok[k:][floored] = _balanced_pass(_cofactor_pass, rp[floored])
     if not ok[k:].all():
         _not_spd(rp.reshape(k, 3, 3), ~ok[k:], "extent pseudo-measurement noise", at=at)
-    # H = [I 0] only picks the position block.
     residual = y - _matvec(cx.reshape(k, 2, 2), q)
     y_tilde = (residual.take(_PAIRS[:, 0], axis=1) * residual.take(_PAIRS[:, 1], axis=1)
                - cy.take(_SQUARE, axis=1) + _matvec(m_mat, p))
     # The extent innovation pair (M.T Vp y~, M.T Vp M).
     mv = m_mat.swapaxes(-1, -2) @ vp.reshape(k, 3, 3)
-    width, columns = _innovation_columns(d)
-    block = np.zeros((k, width))
-    block[:, columns] = np.concatenate([
-        _matvec(vx.reshape(k, 2, 2), y), vx, _matvec(mv, y_tilde),
-        (mv @ m_mat).reshape(k, 9).take(_UPPER3, axis=1)], axis=1)
+    dqp[...] = _matvec(mv, y_tilde)
+    dop[...] = (mv @ m_mat).reshape(k, 9).take(_UPPER3, axis=1).reshape(k, 3, 3)
     if trace is not None:
         trace.record_rx(rx.reshape(k, 2, 2))
         trace.record_rp_floor(np.count_nonzero(floored), k)

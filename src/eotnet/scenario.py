@@ -424,13 +424,11 @@ def generate_measurements(truth, net: SensorNetwork, config: ScenarioConfig,
     """Synthesize per-node detections and realize the priors of one run of
     the truth pair (x_true, p_true) per seed.
 
-    The noise factors and the truth's shape matrices are computed once for
-    every run.  A run's draw order (priors, then step-by-step node-by-node
-    counts and detections) is fixed, so equal seeds give bit-identical runs.
-    Each sensor's count detections m + S h + v around the center m, with
-    shape matrix S, come from one draw of every h, then every v, in standard
-    normal units; the factors of the noise covariances and S are applied once
-    per step, to all of its sensors' draws together.
+    A run's draw order (priors, then step-by-step node-by-node counts and
+    detections, every h before every v) is fixed, so equal seeds give
+    bit-identical runs.  The noise factors and the truth's shape matrices S
+    are taken once for every run and applied once per step, to all of its
+    sensors' draws: detections m + S h + v around the center m.
     """
     x_true, p_true = truth
     # Validate and factor the noises once for every draw.

@@ -1,26 +1,25 @@
 """Sequential extended-object trackers: centralized and two consensus variants.
 
 All three filters run one loop over packed node rows (R, n, k), one row
-[qx, Ωx, qp, Ωp] in info_filter's layout per node: one node for the
-centralized filter and one per network node for the distributed ones, behind
-a leading axis of R Monte Carlo realizations that run in lock-step.  At
-measurement index i, every row holding a detection is linearized at its index
-i-1 estimates (the extent update consumes the previous kinematic estimate and
-vice versa): its extent moments and its position marginal (q_p - a,
-Ω_pp - B), whose offsets come once per scan from the velocity blocks no
-correction touches.  Each detection's innovation row is added into its
-sensor's row.  The filters differ only in how the network combines those rows:
+[qx, Ωx, qp, Ωp] in info_filter's layout per node (one for the centralized
+filter, one per network node for the distributed ones) of each of R Monte
+Carlo realizations in lock-step.  At measurement index i, every row holding
+a detection is linearized at its index i-1 estimates, so the extent update
+consumes the previous kinematic estimate and vice versa: at its extent
+moments and its position marginal (q_p - a, Ω_pp - B), whose offsets come
+once per scan from the velocity blocks no correction touches.  The filters
+differ only in how the network combines the detections' innovation rows:
 
 - CEOT maps every sensor to row 0, so the centre sums their innovations;
 - CI corrects each sensor row locally, then averages the posteriors;
 - CM averages the innovations, then corrects every row with the weight omega.
 
-Correction, symmetrization and the consensus rounds act on all four
-quantities at once.  The scan owns the extent range check: one checked
-inverse per row, of the scan's starting rows and after each write, gives the
-verdict, the next index's extent linearization point and the record.
+Each write acts on all four quantities at once and leaves every matrix
+exactly symmetric.  The scan owns the extent range check: one checked
+inverse per row, of the scan's starting rows and after each write, gives
+the verdict, the next index's extent linearization point and the record.
 run_filter carries the rows from the prior to the last scan and, between
-scans, writes the prediction from the moments it has just recorded into them.
+scans, writes the prediction from the moments it has just recorded.
 """
 
 from __future__ import annotations
@@ -32,8 +31,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from ._linalg import (_balanced_pass, _cofactor_pass, _first_slice, _matvec, _not_spd,
-                      _schur_offsets, spd_solve)
+from ._linalg import _closed_form, _cofactor_pass, _first_slice, _matvec, _schur_offsets, spd_solve
 from .consensus import ConsensusMatrix, SensorNetwork
 from .geometry import MIN_AXIS, clamp_extent
 from .info_filter import _columns, _rows, from_moments, predict, to_moments
@@ -67,10 +65,9 @@ MAX_OMEGA = 1e6
 class FilterConfig:
     """Which filter to run and its consensus settings.
 
-    consensus_iters is an integer, not a bool.  omega None means the
-    node-count compensation |G|, which makes the measurement-consensus filter
-    match the centralized filter exactly when averaging is complete; a given
-    omega is a number in [0, MAX_OMEGA].
+    consensus_iters is an integer, not a bool.  omega None means the node
+    count |G|, which makes CM match CEOT exactly under complete averaging;
+    else omega is in [0, MAX_OMEGA].
     """
 
     kind: FilterKind
@@ -99,10 +96,8 @@ class TrackerParams:
     cxw: np.ndarray
     cpw: np.ndarray
 
-    @cached_property
-    def cv_stack(self) -> np.ndarray:
-        """The sensor noises as one (n, 2, 2) array, built on first use."""
-        return np.asarray(self.cv_by_node, dtype=float)
+    # The sensor noises as one (n, 2, 2) array, built on first use.
+    cv_stack = cached_property(lambda self: np.asarray(self.cv_by_node, dtype=float))
 
 
 def ncv_transition(x_dim: int, scan_time: float) -> np.ndarray:
@@ -144,13 +139,8 @@ def initial_states(x0, cx0, p0, cp0, nodes: int = 1) -> np.ndarray:
 
 @cache
 def _mirror(width: int) -> np.ndarray:
-    """The column of each entry's transpose in packed rows of this width:
-    itself for a vector entry, the entry across the diagonal for a matrix
-    entry."""
-    mirror = np.arange(width)
-    for matrix in _columns(mirror)[1::2]:
-        matrix[...] = matrix.T.copy()
-    return mirror
+    """The column of each packed entry's transpose, for rows of this width."""
+    return np.concatenate([block.T.ravel() for block in _columns(np.arange(width))])
 
 
 def _in_range(p: np.ndarray) -> np.ndarray:
@@ -169,16 +159,12 @@ def _sanitize_extent(q: np.ndarray, omega: np.ndarray, rows: np.ndarray) -> None
     q[at] = _matvec(omega[at], clamp_extent(p[bad]))
 
 
-@np.errstate(all="ignore")
 def _extent_moments(q: np.ndarray, omega: np.ndarray, at=None):
     """to_moments (p, Cp) of the extent rows q (..., 3) and exactly symmetric
     omega (..., 3, 3), views into a stack, from one checked inverse per row.
     A row whose p is out of range is re-anchored in place by _sanitize_extent
     first, and its p taken again.  A failing row is named by at if given."""
-    cp, ok = _balanced_pass(_cofactor_pass, omega.reshape(-1, 9))
-    if np.count_nonzero(ok) < len(ok):
-        _not_spd(omega, ~ok.reshape(omega.shape[:-2]), "extent information matrix", at)
-    cp = cp.reshape(omega.shape)
+    cp = _closed_form(_cofactor_pass, omega, "extent information matrix", at)[0]
     p = _matvec(cp, q)
     bad = ~_in_range(p)
     if bad.any():
@@ -201,23 +187,21 @@ def correct_scan(state: np.ndarray, y, counts, params: TrackerParams, config: Fi
     """Sequential correction, in place, of the packed node rows over one scan.
 
     The state is (R, n, k): one packed row [qx, Ωx, qp, Ωp] per node of each
-    of R realizations, whose kinematic state is a position (d = 2) or a
-    position and velocity (d = 4).  The scan's detections y (M, 2) come in
-    (realization, sensor, index) order, and counts[r, j] of them, a
-    non-negative integer, are sensor j's batch in realization r.  Sensor j's
-    noise is params.cv_by_node[j] and its innovations go into row 0 under
-    CEOT and into row j, the sensor's own node, under CI and CM.  At each
-    index the sensors that still have detections contribute, all
-    realizations linearized in one stacked call; shorter batches simply
-    stop, and a realization whose longest batch has ended takes no further
-    correction or averaging.  Realizations never mix.
-    The distributed filters need the consensus matrix pi and run
-    config.consensus_iters averaging rounds per index, one product with their
-    power.  A failing Rx or Rp is named by its detection's realization and
-    sensor, (run r, node j), and a non-finite information vector or failing
-    kinematic information matrix by its row's (run r, node n).  A trace
-    records the observed Rx spectra and the Rp floor hits.  Returns the
-    moments (p, Cp), (R, n, 3) and (R, n, 3, 3), of every extent row it leaves.
+    of R realizations, with a kinematic state of position (d = 2) or of
+    position and velocity (d = 4).  The detections y (M, 2) come in
+    (realization, sensor, index) order, counts[r, j] of them, a non-negative
+    integer, in sensor j's batch of realization r.  Sensor j's noise is
+    params.cv_by_node[j]; its innovations go into row 0 under CEOT and into
+    its own node's row j under CI and CM.  At each index the sensors with a
+    detection left contribute, all realizations in one stacked call; a
+    realization whose batches have all ended takes no further correction or
+    averaging, and realizations never mix.  CI and CM need the consensus
+    matrix pi: config.consensus_iters rounds are one product with its power.
+    A failing Rx or Rp is named (run r, node j) by its detection's
+    realization and sensor, and a non-finite information vector or failing
+    kinematic information matrix by its row's.  A trace records the Rx
+    spectra and the Rp floor hits.  Returns the moments (p, Cp), (R, n, 3)
+    and (R, n, 3, 3), of every extent row it leaves.
     """
     if state.ndim != 3:
         raise ValueError(f"correct_scan needs (R, n, k) rows, got shape {state.shape}")
@@ -277,11 +261,8 @@ def correct_scan(state: np.ndarray, y, counts, params: TrackerParams, config: Fi
 
     # The rows in scan order, one per (realization, node), and their views.
     rows_all, width = state[by_end], state.shape[-1]
-    if config.kind is FilterKind.CEOT:
-        # Each detection's entries' flat places in its index's live rows, into
-        # which np.bincount sums them one after another in sensor order,
-        # starting from zero, as np.add.at would.
-        bins = det_flat[:, None] * width + np.arange(width)
+    # Each detection's entries' flat places in its index's live rows.
+    bins = det_flat[:, None] * width + np.arange(width)
     flat = rows_all.reshape(-1, width)
     qx_all, _, qp_all, op_all = _columns(flat)
     if (d := qx_all.shape[-1]) not in (2, 4):
@@ -320,12 +301,16 @@ def correct_scan(state: np.ndarray, y, counts, params: TrackerParams, config: Fi
                              p_all[det_rows], cp_all[det_rows], y_all[at_i], params.ch,
                              cv_all[at_i], trace, det_at[at_i], d=d, row_at=det_row_at[at_i])
         # The filters differ only here, in how the network combines the rows,
-        # which are written in place.
-        if config.kind is FilterKind.CEOT:
-            rows_i += np.bincount(bins[at_i].ravel(), packed.ravel(), rows_i.size).reshape(
-                rows_i.shape)
-        elif config.kind is FilterKind.CI:
-            rows_i[det_rows] += packed
+        # which are written in place.  np.bincount sums the detections that
+        # share a row, as under CEOT, one after another in sensor order from
+        # zero, as np.add.at would.
+        delta = np.bincount(bins[at_i].ravel(), packed.ravel(), live * width).reshape(live, -1)
+        if config.kind is FilterKind.CM:
+            rows_i += (mix @ delta.reshape(-1, nodes, width)).reshape(-1, width)
+            rows_i[...] = 0.5 * (rows_i + rows_i.take(mirror, axis=1))
+        else:
+            rows_i += delta
+        if config.kind is FilterKind.CI:
             checked = qp_all[det_rows]
             _extent_moments(checked, op_all[det_rows], det_at[at_i])
             qp_all[det_rows] = checked
@@ -334,16 +319,10 @@ def correct_scan(state: np.ndarray, y, counts, params: TrackerParams, config: Fi
             if d == 4:  # as the next index's linearization and write see them
                 offsets[:live] = _marginal_offsets(rows_i, grid[:live])
                 det_offsets = offsets[det_flat]
-        else:
-            delta = np.zeros(rows_i.shape)
-            delta[det_rows] = packed
-            rows_i += (mix @ delta.reshape(-1, nodes, width)).reshape(-1, width)
-            rows_i[...] = 0.5 * (rows_i + rows_i.take(mirror, axis=1))
         # One checked inverse per write gives the next index its extent moments.
         p_all[:live], cp_all[:live] = _extent_moments(qp_all[:live], op_all[:live], grid[:live])
     state[by_end] = rows_all
-    rank = np.argsort(by_end)
-    return p_all.reshape(runs, nodes, 3)[rank], cp_all.reshape(runs, nodes, 3, 3)[rank]
+    return tuple(a.reshape(runs, nodes, *a.shape[1:])[np.argsort(by_end)] for a in (p_all, cp_all))
 
 
 @dataclass(frozen=True)

@@ -158,7 +158,8 @@ def test_consensus_rounds_converges_to_average():
 @pytest.mark.parametrize("rounds", [2.5, 2.0, True, np.float64(1.0), -1, np.int64(-2)])
 def test_power_takes_only_a_non_negative_integer(rounds):
     pi = metropolis_weights(complete_network(3))
-    with pytest.raises(ValueError, match=re.escape(f"rounds must be a non-negative integer, got {rounds!r}")):
+    message = f"rounds must be a non-negative integer, got {rounds!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
         pi.power(rounds)
     assert np.array_equal(pi.power(np.int64(2)), pi.pi @ pi.pi)
 

@@ -500,7 +500,8 @@ def test_filter_config_validation():
 def test_non_integer_consensus_rounds_fail_at_the_config(kind, rounds):
     # A float count used to pass here and fail deep in correct_scan's
     # matrix_power ("exponent must be an integer"); a bool passed as 1 or 0.
-    with pytest.raises(ValueError, match=re.escape(f"consensus_iters must be an integer, got {rounds!r}")):
+    message = f"consensus_iters must be an integer, got {rounds!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
         FilterConfig(kind, rounds)
     assert FilterConfig(kind, np.int64(3)).consensus_iters == 3
 
