@@ -176,7 +176,7 @@ def _balanced_pass(one_pass, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     not positive definite to working precision, and its inverse is
     meaningless.  Each slice's numbers depend on that slice alone."""
     inv, ok = one_pass(e)
-    if not ok.all():
+    if np.count_nonzero(ok) < len(ok):
         d, redo = (2 if e.shape[1] == 4 else 3), ~ok
         k = np.frexp(e[redo][:, ::d + 1])[1] >> 1
         s = (k[:, :, None] + k[:, None, :]).reshape(-1, d * d)
