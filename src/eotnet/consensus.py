@@ -86,7 +86,7 @@ class ConsensusMatrix:
         return self.pi.shape[0]
 
     def power(self, rounds: int) -> np.ndarray:
-        """pi^rounds, a new matrix, for an integer rounds >= 0: their one map."""
+        """pi^rounds, a new matrix, for an integer rounds >= 0: the one map of those rounds."""
         if isinstance(rounds, bool) or not isinstance(rounds, (int, np.integer)) or rounds < 0:
             raise ValueError(f"rounds must be a non-negative integer, got {rounds!r}")
         if rounds not in self._powers:
