@@ -64,14 +64,15 @@ class ConsensusMatrix:
 
     The weights are checked when the matrix is built: square, nonnegative,
     and every row and column sums to 1 (the doubly stochastic part of the
-    stability assumption A3), each to within 1e-12.
+    stability assumption A3), each to within 1e-12.  They are then read-only.
     """
 
     pi: np.ndarray
     _powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pi = np.asarray(self.pi, dtype=float)
+        pi = np.array(self.pi, dtype=float)
+        pi.flags.writeable = False
         object.__setattr__(self, "pi", pi)
         if pi.ndim != 2 or pi.shape[0] != pi.shape[1]:
             raise ValueError("consensus matrix must be square")

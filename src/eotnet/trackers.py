@@ -241,8 +241,7 @@ def correct_scan(state: np.ndarray, y, counts, params: TrackerParams, config: Fi
     # and each row's detections are contiguous and in sensor order;
     # realizations never mix, so no bit moves.
     ends = counts.max(axis=1, initial=0)
-    by_end = np.argsort(-ends, kind="stable")
-    scan_len = int(ends.max(initial=0))
+    by_end, scan_len = np.argsort(-ends, kind="stable"), int(ends.max(initial=0))
     # Which (index, realization by rank, sensor) has a detection; np.nonzero
     # lists them in that order.
     mask = counts[by_end] > np.arange(scan_len)[:, None, None]
