@@ -4,11 +4,11 @@ All three filters run one loop over packed node rows (R, n, k), one row
 [qx, Ωx, qp, Ωp] in info_filter's layout per node (one for the centralized
 filter, one per network node for the distributed ones) of each of R Monte
 Carlo realizations in lock-step.  At measurement index i, every row holding
-a detection is linearized at its index i-1 estimates, so the extent update
-consumes the previous kinematic estimate and vice versa: at its extent
-moments and its position marginal (q_p - a, Ω_pp - B), whose offsets come
-once per scan from the velocity blocks no correction touches.  The filters
-differ only in how the network combines the detections' innovation rows:
+a detection is linearized at its index i-1 estimates (the extent update
+consumes the previous kinematic estimate and vice versa): its extent moments
+and its position marginal (q_p - a, Ω_pp - B), whose offsets come once per
+scan from the velocity blocks no correction touches.  The filters differ
+only in how the network combines the detections' innovation rows:
 
 - CEOT maps every sensor to row 0, so the centre sums their innovations;
 - CI corrects each sensor row locally, then averages the posteriors;
