@@ -2,13 +2,11 @@
 
 Every symmetric positive definite solve or inverse is checked first, so an
 indefinite information matrix fails loudly instead of drifting.  A 2x2 or 3x3
-inverse comes in closed form from the cofactors of the matrix balanced by
-powers of two, which also hold the leading minors of Sylvester's criterion;
-larger matrices are checked by a Cholesky factorization and inverted by
-LAPACK.  The marginal of the leading 2-block of a 4x4 information pair needs
-no 4x4 inverse: _schur_offsets eliminates the trailing block in Cholesky
-order.  sym, spd_solve, spd_inv and the private helpers take one matrix or a
-stack of them along a leading axis.
+inverse comes in closed form from the cofactors, which also hold the leading
+minors of Sylvester's criterion; larger matrices are checked by a Cholesky
+factorization and inverted by LAPACK.  _schur_offsets gives the marginal of
+the leading 2-block of a 4x4 information pair with no 4x4 inverse.  Every
+helper takes one matrix or a stack of them along leading axes.
 """
 
 from __future__ import annotations
@@ -92,10 +90,8 @@ def _first_slice(flags: np.ndarray, axes=_RUN_NODE, at=None) -> tuple[tuple, str
 
 def _checked_spd(a, name: str, axes=_RUN_NODE, at=None) -> np.ndarray:
     """sym(a), after checking that it is finite and that a Cholesky
-    factorization exists.  A failing slice of a stack is named by its full
-    index: the node of an (n, d, d) stack, the run and node of an
-    (R, n, d, d) stack, or whatever two axes names; or by its row of at,
-    as _first_slice names it."""
+    factorization exists; a failing slice of a stack is named by its index
+    by axes, (run, node) by default, or by its row of at, by _first_slice."""
     a = sym(np.asarray(a, dtype=float))
     if not np.isfinite(a).all():
         _, where = _first_slice(~np.isfinite(a).all(axis=(-2, -1)), axes, at)
@@ -114,13 +110,10 @@ def _checked_spd(a, name: str, axes=_RUN_NODE, at=None) -> np.ndarray:
 
 def spd_solve(a: np.ndarray, b: np.ndarray, name: str = "matrix",
               axes=_RUN_NODE, at=None) -> np.ndarray:
-    """Solve a @ x = b for symmetric positive definite a and a vector b.
-
-    a may carry a leading stack axis, (n, d, d) against b of shape (n, d);
-    each slice is solved on its own, and a failing one is named by axes, or
-    by its row of at.  NumPy has no stacked triangular solve, so the
-    Cholesky factor serves only as the check.
-    """
+    """Solve a @ x = b for symmetric positive definite a (..., d, d) and
+    vectors b (..., d), slice by slice; a failing one is named as
+    _checked_spd names it.  NumPy has no stacked triangular solve, so the
+    Cholesky factor serves only as the check."""
     a = _checked_spd(a, name, axes, at)
     return np.linalg.solve(a, np.asarray(b, dtype=float)[..., None])[..., 0]
 
@@ -136,10 +129,9 @@ def spd_inv(a: np.ndarray, name: str = "matrix", at=None) -> np.ndarray:
 
 
 def _not_spd(a, bad, name: str, at=None) -> None:
-    """Raise the named error of the first slice of a (..., d, d) that a
-    closed-form kernel flagged in bad: _checked_spd's, or, if the slice
-    passes Cholesky but not Sylvester's criterion, so that it is singular to
-    working precision, a LinAlgError in the same words."""
+    """Raise the named error of the first slice of a (..., d, d) flagged in
+    bad by a closed-form kernel: _checked_spd's, or, for a slice singular to
+    working precision that passes Cholesky, a LinAlgError in its words."""
     _checked_spd(a, name, at=at)
     index, where = _first_slice(bad, at=at)
     raise np.linalg.LinAlgError(f"{name}{where} is singular or not positive definite "
@@ -157,7 +149,7 @@ def _closed_form(one_pass, a: np.ndarray, name: str | None = None,
     a name, a failing slice raises _not_spd's error, named by _first_slice."""
     d = a.shape[-1]
     inv, ok = _balanced_pass(one_pass, a.reshape(-1, d * d))
-    if name is not None and not ok.all():
+    if name is not None and np.count_nonzero(ok) < len(ok):
         _not_spd(a, ~ok.reshape(a.shape[:-2]), name, at)
     return inv.reshape(a.shape), ok.reshape(a.shape[:-2])
 
@@ -166,15 +158,13 @@ def _balanced_pass(one_pass, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Inverse and verdict of flat, exactly symmetric slices e (n, d * d) by
     one_pass, which accepts a slice only where every number its inverse is
     built from is a normal double; run it under np.errstate(all="ignore").
-
-    A slice the first pass rejects, not positive definite or out of that
-    range, is passed once more balanced: each diagonal entry i is taken into
-    [0.5, 2) by S m S, S = diag(2^-k_i), which bounds every entry of a
-    positive definite slice too, and the inverse is scaled back by S.  This
-    is exact, so it changes no bit where the first pass was in range, and
-    it gives the kernels LAPACK's range.  A slice the second pass rejects is
-    not positive definite to working precision, and its inverse is
-    meaningless.  Each slice's numbers depend on that slice alone."""
+    A slice the first pass rejects is passed once more balanced: each
+    diagonal entry i is taken into [0.5, 2) by S m S, S = diag(2^-k_i),
+    which bounds every entry of a positive definite slice too, and the
+    inverse is scaled back by S.  That is exact, changes no bit a first
+    pass in range gave, and gives the kernels LAPACK's range.  A slice the
+    second pass rejects is not positive definite to working precision, and
+    its inverse is meaningless.  Each slice's numbers depend on it alone."""
     inv, ok = one_pass(e)
     if np.count_nonzero(ok) < len(ok):
         d, redo = (2 if e.shape[1] == 4 else 3), ~ok
@@ -211,15 +201,13 @@ _COFACTORS = np.ravel(
 
 def _cofactor_pass(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Inverse and verdict of flat symmetric 3x3 slices m, (n, 9), from one
-    cofactor pass.
-
-    The determinant is num / m00, num = C11 C22 - C12^2 (Sylvester's
-    determinant identity): the expansion along a row loses up to a factor
-    cond(m) more to cancellation, while this keeps the inverse's error within
-    a small multiple of eps cond(m), as LAPACK's.  A slice passes when the
-    diagonal cofactors, num and det are normal positive numbers.  That holds
-    Sylvester's criterion (C22 > 0, det > 0, and m00 > 0 as num / m00 > 0),
-    and then no product that reaches the inverse has overflowed, and one that
+    cofactor pass.  The determinant is num / m00, num = C11 C22 - C12^2
+    (Sylvester's determinant identity): the expansion along a row loses up
+    to a factor cond(m) more to cancellation, while this keeps the error
+    within a small multiple of eps cond(m), as LAPACK's.  A slice passes
+    when the diagonal cofactors, num and det are normal positive numbers:
+    Sylvester's criterion holds (C22 > 0, det > 0, and m00 = num / det > 0),
+    no product that reaches the inverse has overflowed, and one that
     underflowed is negligible against the rest."""
     picks = m.take(_COFACTORS, axis=1)
     products = picks[:, :18] * picks[:, 18:]  # [m[p] m[q] | m[r] m[s]]
@@ -236,18 +224,15 @@ def _schur_offsets(q_v, o_pv, o_vv, name: str | None = None, at=None):
     """Offsets (a, B) and verdict of stacked information pairs
     ([q_p, q_v], [[Ω_pp, Ω_pv], [Ω_vp, Ω_vv]]) of 2-vectors and 2x2 blocks,
     from q_v (..., 2), Ω_pv and Ω_vv (..., 2, 2): the pair of the marginal of
-    the leading block is (q_p - a, Ω_pp - B).
-
-    Block elimination in Cholesky order: with L L.T = Ω_vv in closed form,
-    W = L^-1 Ω_vp and z = L^-1 q_v give B = W.T W, exactly symmetric, and
-    a = W.T z.  Ω_vv^-1 is never formed: through it, the marginal's inverse
-    differed from LAPACK's by up to 3e5 eps cond on rotated spectra of cond
-    up to 1e8, where this order stays within 2 eps cond.  A slice passes
-    when Ω_vv's pivots o00 and o11 - o10^2 / o00 are finite normal positive
-    numbers, which is Sylvester's criterion.  With a name, a slice that fails
-    raises _not_spd's error on Ω_vv, named as _first_slice names it; without
-    one, its offsets are meaningless.  Every operation acts entry by entry,
-    so each slice's numbers depend on that slice alone."""
+    the leading block is (q_p - a, Ω_pp - B).  Block elimination in Cholesky
+    order: with L L.T = Ω_vv in closed form, W = L^-1 Ω_vp and z = L^-1 q_v
+    give B = W.T W, exactly symmetric, and a = W.T z.  Through Ω_vv^-1, the
+    marginal's inverse differed from LAPACK's by up to 3e5 eps cond on
+    rotated spectra of cond up to 1e8; this order stays within 2 eps cond.
+    A slice passes when Ω_vv's pivots o00 and o11 - o10^2 / o00 are finite
+    normal positive numbers (Sylvester's criterion); with a name, a failing
+    one raises _not_spd's error on Ω_vv, and without one its offsets are
+    meaningless.  Each slice's numbers depend on that slice alone."""
     o00, o10 = o_vv[..., 0, 0], o_vv[..., 1, 0]
     l00 = np.sqrt(o00)
     l10 = o10 / l00

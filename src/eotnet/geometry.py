@@ -36,7 +36,9 @@ def clamp_extent(p) -> np.ndarray:
     """An extent vector [alpha, l1, l2], or a stack (..., 3) of them, with the
     orientation wrapped to (-pi, pi] and the semi-axes clamped to MIN_AXIS."""
     p = np.asarray(p, dtype=float)
-    return np.concatenate([wrap_angle(p[..., :1]), np.maximum(p[..., 1:], MIN_AXIS)], axis=-1)
+    out = np.maximum(p, MIN_AXIS)
+    out[..., 0] = wrap_angle(p[..., 0])
+    return out
 
 
 def shape_matrix(p) -> np.ndarray:

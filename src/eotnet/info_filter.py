@@ -3,17 +3,16 @@ moment conversion.
 
 State is carried as an information vector q = Omega @ x_hat and information
 matrix Omega = C^-1, which makes measurement corrections additive and lets
-distributed schemes fuse by summation or averaging.  The time update needs no
-such form: it predicts the moments the filter records anyway and converts
-the result back.  A pair (q, Omega) may carry leading stack axes, such as a
-node axis, q (n, d) and Omega (n, d, d), or a realization and a node axis,
-q (R, n, d) and Omega (R, n, d, d); every primitive below then acts on each
-slice.  The filters hold a node's kinematic and extent pairs in one packed
-row [qx, Ωx, qp, Ωp], whose layout only _rows and _columns know.
+distributed schemes fuse by summation or averaging; the time update predicts
+the moments the filter records and converts the result back.  Every
+primitive acts on each slice of leading stack axes, such as (R, n) of
+realizations and nodes.  The filters hold a node's kinematic and extent
+pairs in one packed row [qx, Ωx, qp, Ωp], whose layout only this module knows.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from math import isqrt
 
 import numpy as np
@@ -45,6 +44,13 @@ def _columns(packed: np.ndarray):
     e = d + d * d
     return (packed[..., :d], packed[..., d:e].reshape(lead + (d, d)),
             packed[..., e:e + 3], packed[..., e + 3:].reshape(lead + (3, 3)))
+
+
+@cache
+def _position_columns(d: int) -> np.ndarray:
+    """Columns [qx[:2], Ωx[:2, :2], qp, Ωp], those H = [I 0] writes, of rows of d."""
+    qx, ox, qp, op = _columns(np.arange(d + d * d + 12))
+    return np.concatenate([qx[:2], ox[:2, :2].ravel(), qp, op.ravel()])
 
 
 def predict(x_hat: np.ndarray, cov: np.ndarray, f: np.ndarray,

@@ -1,13 +1,12 @@
 """Additive-noise linear measurement models built at the current estimate.
 
 The multiplicative measurement model is split into two linear models with
-additive noise only: one for the kinematic state (position measurement with an
-equivalent noise that absorbs the extent uncertainty) and one for the extent
-(a quadratic pseudo-measurement matched to the first two moments of the
-detection residual).  Both are refreshed at every sequential update from the
+additive noise only: a position measurement of the kinematic state, whose
+equivalent noise absorbs the extent uncertainty, and a quadratic
+pseudo-measurement of the extent matched to the first two moments of the
+detection residual.  Both are refreshed at every sequential update from the
 previous estimates, which preserves the cross-correlation between the two
-states.  With H = [I 0] the kinematic model reads only the position
-marginal of the kinematic estimate, as an information pair.
+states; with H = [I 0] the kinematic model reads only the position marginal.
 
 Extents are [alpha, l1, l2].  innovations builds both models for a stack of
 detections from one Gram matrix: the shape matrix S and the Jacobians J1, J2
@@ -23,7 +22,7 @@ import numpy as np
 
 from ._linalg import _adjugate_pass, _balanced_pass, _cofactor_pass, _matvec, _not_spd
 from .geometry import clamp_extent
-from .info_filter import _rows
+from .info_filter import _position_columns
 
 __all__ = [
     "innovations",
@@ -72,7 +71,7 @@ def _pseudo_noise(cy, m_mat, cp):
     its floor lo (k,) and Rp - lo I; a cy past 1e154 overflows, named by innovations."""
     rp = ((cy[:, :, None] * cy[:, None, :]).reshape(-1, 16) @ _ISSERLIS
           - (m_mat @ cp @ m_mat.swapaxes(-1, -2)).reshape(-1, 9)).take(_UPPER3, axis=1)
-    lo = 1e-8 * np.maximum(rp[:, ::4].sum(axis=1), 1e-12) / 3.0
+    lo = 1e-8 * np.maximum(rp[:, 0] + rp[:, 4] + rp[:, 8], 1e-12) / 3.0
     return rp, lo, rp - lo[:, None] * _EYE3
 
 
@@ -83,24 +82,21 @@ def innovations(q, omega, p, cp, y, ch, cv, trace=None, at=None, *, d=2, row_at=
 
     Detection y[k] is linearized at its own row's position marginal, the
     exactly symmetric information pair (q[k], omega[k]), and extent moments
-    p[k], cp[k], and carries the sensor noise cv[k]; ch is shared.  Both
-    models are built from the same pre-update estimates; the extent mean is
-    first wrapped and its semi-axes clamped to MIN_AXIS.
+    p[k], cp[k], the mean first wrapped and its semi-axes clamped to
+    MIN_AXIS; it carries the sensor noise cv[k], and ch is shared.
 
-    The kinematic noise is Rx = S Ch S.T + [trace(Cp J_n.T Ch J_m)] + Cv;
-    one adjugate pass inverts it and omega together.  The pseudo-measurement
-    noise Rp is the Gaussian fourth-moment covariance of the residual
-    d = y - H x, with covariance Cy = H Cx H.T + Rx, minus M Cp M.T.  Rx, Rp
-    and M.T Vp M are exactly symmetric, taken from their upper triangles.
-    The subtraction can leave Rp indefinite: the eigenvalues below
+    The kinematic noise Rx = S Ch S.T + [trace(Cp J_n.T Ch J_m)] + Cv is
+    inverted with omega in one adjugate pass.  The pseudo-measurement noise
+    Rp is the Gaussian fourth-moment covariance of the residual d = y - H x,
+    of covariance Cy = H Cx H.T + Rx, minus M Cp M.T; Rx, Rp and M.T Vp M
+    are taken from their upper triangles.  Rp's eigenvalues below
     lo = 1e-8 * trace / 3, which Sylvester's criterion on Rp - lo I detects
-    in the cofactor pass that inverts Rp, are raised to lo, and a row whose
-    Rp is not finite fails.  Each row's numbers depend on that row alone,
-    and no floating-point warning is raised.  A failing Rx or Rp is named by
-    its detection's (run, node) row of at, (k, 2), or by its position
-    (node i) without at, and a failing omega, as information matrix, by its
-    row of row_at, or of at.  A trace records every Rx that gets inverted
-    and how many rows the floor changed.
+    in the pass that inverts Rp, are raised to lo, and a non-finite Rp
+    fails.  Each row's numbers depend on that row alone, and no
+    floating-point warning is raised.  A failing Rx or Rp is named by its
+    detection's (run, node) row of at, (k, 2), or as node i without at, and
+    a failing omega, as information matrix, by its row of row_at, or of at.
+    A trace records every inverted Rx and how many rows the floor changed.
     """
     p = clamp_extent(p)
     k = len(p)
@@ -115,35 +111,35 @@ def innovations(q, omega, p, cp, y, ch, cv, trace=None, at=None, *, d=2, row_at=
     spread = cp.reshape(k, 1, 9) @ picks[:, 22:].reshape(k, 9, 4)
     rx = (picks[:, :4] + spread.reshape(k, 4) + cv.reshape(k, 4)).take(_UPPER2, axis=1)
     inv, ok = _balanced_pass(_adjugate_pass, np.concatenate([omega.reshape(k, 4), rx]))
-    if not ok.all():
+    if np.count_nonzero(ok) < 2 * k:
         if not ok[:k].all():
             _not_spd(omega, ~ok[:k], "information matrix", at if row_at is None else row_at)
         _not_spd(rx.reshape(k, 2, 2), ~ok[k:], "kinematic measurement noise", at)
-    cx, vx = inv[:k], inv[k:].reshape(k, 2, 2)
-    # H = [I 0] only picks the position block.
-    block, (dqx, dox, dqp, dop) = _rows((k,), d)
-    dqx[:, :2], dox[:, :2, :2] = _matvec(vx, y), vx
-
+    cx, vx = inv[:k], inv[k:]
     cy = cx + rx
     m_mat = (picks[:, 4:13] + picks[:, 13:22]).reshape(k, 3, 3)
     rp, lo, shifted = _pseudo_noise(cy, m_mat, cp)
     inv, ok = _balanced_pass(_cofactor_pass, np.concatenate([shifted, rp]))
-    floored, vp = ~ok[:k] & np.isfinite(lo), inv[k:]
-    if floored.any():
-        eig, vec = np.linalg.eigh(rp[floored].reshape(-1, 3, 3))
-        eig = np.maximum(eig, lo[floored, None])
-        rp[floored] = ((vec * eig[:, None, :]) @ vec.swapaxes(-1, -2)).reshape(-1, 9)[:, _UPPER3]
-        vp[floored], ok[k:][floored] = _balanced_pass(_cofactor_pass, rp[floored])
-    if not ok[k:].all():
-        _not_spd(rp.reshape(k, 3, 3), ~ok[k:], "extent pseudo-measurement noise", at=at)
+    vp, floored = inv[k:], 0
+    if np.count_nonzero(ok) < 2 * k:
+        floored = ~ok[:k] & np.isfinite(lo)
+        if floored.any():
+            eig, vec = np.linalg.eigh(rp[floored].reshape(-1, 3, 3))
+            scaled = vec * np.maximum(eig, lo[floored, None])[:, None, :]
+            rp[floored] = (scaled @ vec.swapaxes(-1, -2)).reshape(-1, 9)[:, _UPPER3]
+            vp[floored], ok[k:][floored] = _balanced_pass(_cofactor_pass, rp[floored])
+        if not ok[k:].all():
+            _not_spd(rp.reshape(k, 3, 3), ~ok[k:], "extent pseudo-measurement noise", at=at)
     residual = y - _matvec(cx.reshape(k, 2, 2), q)
-    y_tilde = (residual.take(_PAIRS[:, 0], axis=1) * residual.take(_PAIRS[:, 1], axis=1)
-               - cy.take(_SQUARE, axis=1) + _matvec(m_mat, p))
-    # The extent innovation pair (M.T Vp y~, M.T Vp M).
+    y_tilde = (((residual[:, :, None] * residual[:, None, :]).reshape(k, 4) - cy)
+               .take(_SQUARE, axis=1) + _matvec(m_mat, p))
     mv = m_mat.swapaxes(-1, -2) @ vp.reshape(k, 3, 3)
-    dqp[...] = _matvec(mv, y_tilde)
-    dop[...] = (mv @ m_mat).reshape(k, 9).take(_UPPER3, axis=1).reshape(k, 3, 3)
     if trace is not None:
         trace.record_rx(rx.reshape(k, 2, 2))
         trace.record_rp_floor(np.count_nonzero(floored), k)
+    # H = [I 0] reaches only [H.T Vx y, H.T Vx H, M.T Vp y~, M.T Vp M] of a row.
+    block = np.zeros((k, d + d * d + 12))
+    block[:, _position_columns(d)] = np.concatenate(
+        [_matvec(vx.reshape(k, 2, 2), y), vx, _matvec(mv, y_tilde),
+         (mv @ m_mat).reshape(k, 9).take(_UPPER3, axis=1)], axis=1)
     return block

@@ -353,6 +353,34 @@ def flat_scan(batches):
     return np.concatenate([np.zeros((0, 2)), *(b for run in flat for b in run)]), counts
 
 
+def scan_plan_by_loops(counts, nodes):
+    """trackers._scan_plan's plan of a count table (R, steps, sensors), one
+    detection at a time: per scan, the realizations by batch length (longest
+    first, ties in run order), each flat row's (run, node), and each
+    detection's place in the (run, step, sensor, index) ordered batch, flat
+    row and (run, sensor), listed by index, then by rank, then by sensor,
+    with each index's detection bounds and live rows."""
+    runs, steps, sensors = counts.shape
+    starts = np.cumsum(counts).reshape(counts.shape) - counts
+    plans = []
+    for k in range(steps):
+        ends = [int(counts[r, k].max(initial=0)) for r in range(runs)]
+        by_end = sorted(range(runs), key=lambda r: -ends[r])
+        plan = {"by_end": by_end, "names": [(r, n) for r in by_end for n in range(nodes)],
+                "order": [], "flat": [], "at": [], "bounds": [0], "lives": []}
+        for i in range(max(ends, default=0)):
+            for rank, r in enumerate(by_end):
+                for j in range(sensors):
+                    if counts[r, k, j] > i:
+                        plan["order"].append(int(starts[r, k, j]) + i)
+                        plan["flat"].append(rank * nodes + (j if nodes > 1 else 0))
+                        plan["at"].append((r, j))
+            plan["bounds"].append(len(plan["order"]))
+            plan["lives"].append(nodes * sum(end > i for end in ends))
+        plans.append(plan)
+    return plans
+
+
 def pairs(state):
     """The (kinematic, extent) information pairs ((qx, Ωx), (qp, Ωp)) of
     packed rows, as views."""

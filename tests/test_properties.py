@@ -25,7 +25,7 @@ from eotnet.consensus import (
     metropolis_weights,
 )
 from eotnet.diagnostics import AssumptionTrace, acee, gwd, nees, ospa_vertices
-from eotnet.geometry import MIN_AXIS, extent_vertices
+from eotnet.geometry import MIN_AXIS, clamp_extent, extent_vertices
 from eotnet.info_filter import _columns, to_moments
 from eotnet.linearization import innovations
 from eotnet.scenario import (
@@ -64,6 +64,7 @@ from oracles import (
     sample_measurements,
     sanitize_extent_by_rows,
     scan_batches,
+    scan_plan_by_loops,
     split_innovations,
 )
 
@@ -470,6 +471,58 @@ def test_flat_detections_slice_into_per_sensor_draws(draw, seeds, steps, rate):
                 n = int(rng.poisson(rate))
                 assert np.array_equal(per_node[s],
                                       sample_measurements(x[:2], p, config.ch, config.cv, n, rng))
+
+
+@pytest.mark.parametrize("kind", list(FilterKind))
+def test_a_prior_out_of_range_is_re_anchored_at_the_first_scan(kind):
+    # run_filter hands the first scan the prior's moments, whose orientation
+    # 3.5 lies outside (-pi, pi] and whose second semi-axis 1e-4 lies below
+    # MIN_AXIS.  The first scan detects nothing, so its record holds the
+    # prior as the scan's range check re-anchored it.
+    rng = np.random.default_rng(35)
+    net = build_network(rng.uniform(0.0, 30.0, (3, 2)), [NodeKind.SENSOR] * 3, 100.0)
+    pi, params = metropolis_weights(net), random_params(rng, 3)
+    counts = np.array([[0, 0, 0], [2, 1, 3], [1, 0, 2]])
+    scn = replace(truth_run(rng, counts, len(params.fx)), p0=np.array([3.5, 6.0, 1e-4]))
+    assert not trackers._in_range(scn.p0)
+    config = FilterConfig(kind=kind, consensus_iters=2)
+    record = run_filter([scn], net, params, config, pi)
+    want = clamp_extent(scn.p0)
+    assert np.allclose(record.p_mean[0, 0], want, rtol=1e-12, atol=0.0)
+    assert trackers._in_range(record.p_mean).all()
+    assert_matches_reference(record, scn, net, params, config, pi)
+
+
+@SETTINGS
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.booleans(), st.data())
+def test_the_batch_plan_is_every_scan_planned_alone(runs, steps, sensors, central, data):
+    # Tables of 0-3 detections per (run, step, sensor): realizations that
+    # detect nothing or end early, ties, and whole scans without a
+    # detection; R = 1 among them.  CEOT maps every sensor to one node, CM
+    # each to its own.
+    size = runs * steps * sensors
+    counts = np.reshape(data.draw(st.lists(st.integers(0, 3), min_size=size, max_size=size)),
+                        (runs, steps, sensors))
+    counts[:, data.draw(st.lists(st.integers(0, steps - 1), max_size=2))] = 0
+    nodes = 1 if central else sensors
+    # Detections labelled by their place in (run, step, sensor, index) order.
+    y = np.stack([np.arange(counts.sum()), -np.arange(counts.sum())], axis=1).astype(float)
+    batch = trackers._scan_plan(list(counts), y, nodes, "{} of run {r}, step {k}, sensor {j}")
+    assert len(batch) == steps
+    starts = np.cumsum(counts.sum(axis=2)).reshape(runs, steps) - counts.sum(axis=2)
+    for k, (scan, want) in enumerate(zip(batch, scan_plan_by_loops(counts, nodes))):
+        # correct_scan's plan of the scan alone, from its own detections.
+        own = np.concatenate([y[a:a + n] for a, n in zip(starts[:, k], counts[:, k].sum(axis=1))])
+        (alone,) = trackers._scan_plan(counts[:, k:k + 1], own, nodes,
+                                       "batch {} of run {r}, sensor {j}")
+        for field, got, solo in zip(scan._fields, scan, alone):
+            assert type(got) is type(solo) and np.array_equal(got, solo), (k, field)
+            if isinstance(got, np.ndarray):
+                assert got.dtype == solo.dtype, (k, field)
+        assert np.array_equal(scan.y[:, 0], want["order"]), k
+        for field in ("by_end", "names", "flat", "at", "bounds", "lives"):
+            assert np.array_equal(np.reshape(getattr(scan, field), -1),
+                                  np.reshape(want[field], -1)), (k, field)
 
 
 class SanitizeSpy:

@@ -342,6 +342,46 @@ def test_distributed_scan_needs_matrix_and_one_batch_per_node():
                          pi)
 
 
+def test_correct_scan_names_a_nonfinite_detection():
+    # Sensor 1's second detection of the scan's one realization.
+    y = np.ones((3, 2))
+    y[2, 1] = np.inf
+    with pytest.raises(ValueError, match=r"^batch detections of run 0, sensor 1 must be finite"):
+        correct_scan(one_run(*default_priors()), y, np.array([[1, 2]]), make_params(2), CEOT)
+
+
+def test_tracker_params_share_no_array_and_cannot_go_stale():
+    from eotnet.scenario import benchmark_network, load_config
+    from eotnet.trackers import params_from_scenario
+
+    config = load_config("s2")
+    params = params_from_scenario(config, benchmark_network())
+    # Every node's noise is its own array, and none is the config's.
+    cv = params.cv_by_node
+    assert cv[0] is not cv[1] and not np.shares_memory(cv[0], cv[1])
+    models = (params.ch, params.fx, params.cxw, params.cpw, params.cv_stack, *cv)
+    for model in models:
+        assert not model.flags.writeable
+        for source in (config.ch, config.cv, config.cxw, config.cpw):
+            assert not np.shares_memory(model, source)
+    # The stack the scans read is the per-node noises, and neither can be
+    # edited in place, so it cannot keep a noise the caller has changed.
+    assert np.array_equal(params.cv_stack, np.stack(cv))
+    with pytest.raises(ValueError, match="read-only"):
+        cv[1][0, 0] = 1e3
+    with pytest.raises(ValueError, match="read-only"):
+        params.ch[0, 0] = 1e3
+    # Editing the caller's arrays afterwards reaches no params either.
+    ch, noise = np.eye(2), np.diag([3.0, 9.0])
+    own = TrackerParams(ch=ch, cv_by_node=(noise, noise), fx=np.eye(2), cxw=np.eye(2),
+                        cpw=np.eye(3))
+    ch[0, 0] = noise[0, 0] = 5.0
+    assert own.ch[0, 0] == 1.0 and own.cv_stack[:, 0, 0].tolist() == [3.0, 3.0]
+    # A replaced noise is taken afresh.
+    edited = replace(own, cv_by_node=(noise, 2 * noise))
+    assert edited.cv_stack[:, 0, 0].tolist() == [5.0, 10.0]
+
+
 def test_correct_scan_needs_a_realization_axis():
     state = initial_states(*default_priors())  # (1, k) rows, no realization axis
     with pytest.raises(ValueError, match=r"needs \(R, n, k\) rows, got shape \(1, 18\)"):
@@ -488,10 +528,11 @@ def test_filter_config_validation():
     with pytest.raises(ValueError):
         FilterConfig(kind=FilterKind.CI, consensus_iters=0)
     FilterConfig(kind=FilterKind.CEOT, consensus_iters=0)  # centralized: fine
-    for omega in (np.nan, np.inf, -np.inf, 1e308, -5.0, -1e-300):
+    # A bool is not a weight, and a string used to fail in <= with a bare TypeError.
+    for omega in (np.nan, np.inf, -np.inf, 1e308, -5.0, -1e-300, True, False, np.True_, "3", []):
         with pytest.raises(ValueError, match="omega must be 'G' or a number in"):
             FilterConfig(kind=FilterKind.CM, omega=omega)
-    for omega in (None, 0.0, 12.5, 1e6):
+    for omega in (None, 0.0, 12.5, 1e6, 3, np.int64(3), np.float64(2.5)):
         assert FilterConfig(kind=FilterKind.CM, omega=omega).omega == omega
 
 
@@ -717,6 +758,24 @@ def test_a_singular_prior_is_named_by_its_run_and_node(kind, prior):
     with pytest.raises(np.linalg.LinAlgError,
                        match=r"^covariance \(run 1, node 0\) is singular or not positive"):
         run_filter(scns, net, params, FilterConfig(kind=kind), metropolis_weights(net))
+
+
+def test_integer_priors_filter_as_their_float_values():
+    # The scan starts from the prior's moments as given; integer ones must
+    # not truncate the float moments each write gives.
+    from eotnet.trackers import run_filter
+
+    net, params, scns = three_s2_runs()
+    pi = metropolis_weights(net)
+    floats = [replace(scn, p0=np.array([0.0, 6.0, 2.0]), cp0=np.diag([1.0, 4.0, 4.0]))
+              for scn in scns]
+    ints = [replace(scn, p0=np.array([0, 6, 2]), cp0=np.diag([1, 4, 4])) for scn in scns]
+    for kind in FilterKind:
+        config = FilterConfig(kind=kind, consensus_iters=2)
+        want = run_filter(floats, net, params, config, pi)
+        got = run_filter(ints, net, params, config, pi)
+        for field in ("x_mean", "x_cov", "p_mean", "p_cov"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), (kind, field)
 
 
 def test_run_filter_rejects_a_negative_count():
