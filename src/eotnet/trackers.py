@@ -189,8 +189,9 @@ def _scan_plan(tables, y, nodes: int, where: str) -> list[_Scan]:
     (realization, scan, sensor, index) order: one pass over the table, one
     gather of y.  Sensor j writes node j's flat row, or node 0's of one node.
     A bad count or detection fails, named by where with its noun and r, k, j."""
-    counts = np.stack(tables)
-    bad = (counts < 0) | np.array([t.dtype.kind not in "iu" for t in tables])[:, None, None]
+    counts = np.asarray(tables)
+    floats = np.array([t.dtype.kind not in "iu" for t in tables], dtype=bool)
+    bad = (counts < 0) | floats[:, None, None]
     if bad.any():
         r, k, j = np.unravel_index(np.argmax(bad), counts.shape)
         value = tables[r][k, j]
@@ -236,10 +237,9 @@ def _consensus_map(config: FilterConfig, pi, params: TrackerParams, sensors: int
         raise ValueError("distributed filters need a consensus matrix")
     if sensors != nodes:
         raise ValueError("distributed filters need one batch per node")
-    mix = pi.power(config.consensus_iters)
-    if config.kind is FilterKind.CM:
-        mix *= config.omega if config.omega is not None else float(nodes)
-    return mix
+    if config.kind is FilterKind.CI:
+        return pi.power(config.consensus_iters)
+    return pi.power(config.consensus_iters) * (nodes if config.omega is None else config.omega)
 
 
 def correct_scan(state: np.ndarray, y, counts, params: TrackerParams, config: FilterConfig,

@@ -382,6 +382,13 @@ def test_tracker_params_share_no_array_and_cannot_go_stale():
     assert edited.cv_stack[:, 0, 0].tolist() == [5.0, 10.0]
 
 
+def test_correct_scan_of_no_realizations_returns_empty_moments():
+    state = np.zeros((0, 1, 18))
+    p, cp = correct_scan(state, np.zeros((0, 2)), np.zeros((0, 2), dtype=int), make_params(2),
+                         CEOT)
+    assert p.shape == (0, 1, 3) and cp.shape == (0, 1, 3, 3)
+
+
 def test_correct_scan_needs_a_realization_axis():
     state = initial_states(*default_priors())  # (1, k) rows, no realization axis
     with pytest.raises(ValueError, match=r"needs \(R, n, k\) rows, got shape \(1, 18\)"):
