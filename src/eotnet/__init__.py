@@ -12,7 +12,6 @@ from .consensus import (
     SensorNetwork,
     build_network,
     check_primitive,
-    consensus_rounds,
     metropolis_weights,
 )
 from .diagnostics import (

@@ -1,9 +1,10 @@
-"""Sensor-network graph, Metropolis weights, and synchronous averaging rounds.
+"""Sensor-network graph, Metropolis weights, and the consensus matrix.
 
 Nodes are either sensors (they detect the object) or pure communication
 relays.  Edges connect nodes within communication radius; the graph must be
 connected.  Averaging uses a doubly stochastic, primitive weight matrix so
-repeated rounds drive every node to the network-wide mean.
+repeated rounds drive every node to the network-wide mean; L synchronous
+rounds over per-node values are one product with ConsensusMatrix.power(L).
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ __all__ = [
     "build_network",
     "metropolis_weights",
     "check_primitive",
-    "consensus_rounds",
 ]
 
 # Rounding slack of the doubly-stochastic check on weights and their sums.
@@ -81,6 +81,11 @@ class ConsensusMatrix:
         if (np.abs(pi.sum(axis=0) - 1.0).max() > _TOL
                 or np.abs(pi.sum(axis=1) - 1.0).max() > _TOL):
             raise ValueError("consensus matrix must be doubly stochastic")
+
+    def __reduce__(self):
+        # Rebuilt through the constructor, so a copy in another process is
+        # read-only and checked again.
+        return ConsensusMatrix, (self.pi,)
 
     @property
     def size(self) -> int:
@@ -151,20 +156,3 @@ def check_primitive(pi: ConsensusMatrix) -> bool:
     """
     n = pi.size
     return bool(_bool_mat_pow(pi.pi > 0, n * n - 2 * n + 2).all())
-
-
-def consensus_rounds(values, pi: ConsensusMatrix, rounds: int) -> np.ndarray:
-    """Run synchronous averaging rounds over per-node values.
-
-    Every node's new value is the weighted combination of all neighbors'
-    previous-round values (read-old / write-new), so the total sum is
-    preserved each round by double stochasticity.  The rounds are one product
-    with pi.power(rounds); zero rounds return an exact copy.  values is a
-    vector (n,) with one entry per node, or a (..., n, k) stack whose row i of
-    each (n, k) slice is node i's value, averaged on its own: slices never mix.
-    """
-    out = np.array(values, dtype=float)
-    nodes = out.shape[0] if out.ndim == 1 else out.shape[-2]
-    if nodes != pi.size:
-        raise ValueError(f"got {nodes} node values for a {pi.size}-node consensus matrix")
-    return pi.power(rounds) @ out if rounds else out

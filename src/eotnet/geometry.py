@@ -1,8 +1,9 @@
 """Extent geometry: angle wrapping, shape matrices and corners.
 
 A tracked object carries a kinematic vector (position, then velocity) and an
-extent vector [alpha, l1, l2]: the orientation in (-pi, pi] and the two
-semi-axes of a perpendicular axis-symmetric shape (ellipse or rectangle).
+extent vector [alpha, l1, l2]: the orientation and the two semi-axes of a
+perpendicular axis-symmetric shape (ellipse or rectangle).  Truths and
+reports wrap the orientation to (-pi, pi]; the filters keep it on any branch.
 Detections are scattered over the object through a multiplicative noise
 vector acting on the shape matrix, plus additive sensor noise
 (scenario.generate_measurements).

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._linalg import _adjugate_pass, _balanced_pass, _cofactor_pass, _matvec, _not_spd
-from .geometry import clamp_extent
+from .geometry import MIN_AXIS
 from .info_filter import _position_columns
 
 __all__ = [
@@ -64,6 +64,8 @@ _ISSERLIS = np.zeros((16, 9))
 np.add.at(_ISSERLIS, ((_PAIRS @ [8, 2])[:, None, None] + _PAIRS @ [[4, 1], [1, 4]],
                       np.arange(9).reshape(3, 3, 1)), 1.0)
 _EYE3 = np.eye(3).ravel()
+# The floor of a linearization point [alpha, l1, l2]: its semi-axes only.
+_FLOOR = np.array([-np.inf, MIN_AXIS, MIN_AXIS])
 
 
 def _pseudo_noise(cy, m_mat, cp):
@@ -82,8 +84,10 @@ def innovations(q, omega, p, cp, y, ch, cv, trace=None, at=None, *, d=2, row_at=
 
     Detection y[k] is linearized at its own row's position marginal, the
     exactly symmetric information pair (q[k], omega[k]), and extent moments
-    p[k], cp[k], the mean first wrapped and its semi-axes clamped to
-    MIN_AXIS; it carries the sensor noise cv[k], and ch is shared.
+    p[k], cp[k], the mean's semi-axes clamped to MIN_AXIS.  Its orientation
+    is not wrapped: the models read it through its cosine and sine, and the
+    pseudo-measurement's M p term on the row's own branch; it carries the
+    sensor noise cv[k], and ch is shared.
 
     The kinematic noise Rx = S Ch S.T + [trace(Cp J_n.T Ch J_m)] + Cv is
     inverted with omega in one adjugate pass.  The pseudo-measurement noise
@@ -98,7 +102,7 @@ def innovations(q, omega, p, cp, y, ch, cv, trace=None, at=None, *, d=2, row_at=
     a failing omega, as information matrix, by its row of row_at, or of at.
     A trace records every inverted Rx and how many rows the floor changed.
     """
-    p = clamp_extent(p)
+    p = np.maximum(p, _FLOOR)
     k = len(p)
     f = np.empty((k, 3, 2))  # [c, s, l1 c, l1 s, l2 c, l2 s]
     np.cos(p[:, 0], out=f[:, 0, 0])

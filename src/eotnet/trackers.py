@@ -9,10 +9,13 @@ velocity blocks no correction touches.  The filters differ only in how the
 network combines the innovation rows: CEOT sums every sensor's into its one
 row; CI corrects each sensor's row, then averages the posteriors; CM
 averages the innovations, then corrects every row with the weight omega.
-Every write leaves every matrix exactly symmetric.  run_filter plans every
-scan of a batch once and hands each scan the extent moments of the prior
-or prediction; the scan range-checks them, and one checked inverse per row
-after each write gives the next index's.
+Every write leaves every matrix exactly symmetric.  Only the corrections
+and the consensus products write a row: no range check or clamp edits it,
+and its orientation stays on its own branch.  run_filter plans every scan
+of a batch once and hands each scan the extent moments of the prior or
+prediction; after each write one checked inverse per row gives the next
+index's only for the rows it linearizes, and at the scan's end every
+written row's for the record.
 """
 
 from __future__ import annotations
@@ -26,9 +29,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._linalg import _closed_form, _cofactor_pass, _first_slice, _matvec, _schur_offsets, spd_solve
+from ._linalg import _closed_form, _cofactor_pass, _first_slice, _matvec, _schur_offsets
 from .consensus import ConsensusMatrix, SensorNetwork
-from .geometry import MIN_AXIS, clamp_extent
 from .info_filter import _columns, _position_columns, _rows, from_moments, predict, to_moments
 from .linearization import innovations
 
@@ -98,6 +100,11 @@ class TrackerParams:
             object.__setattr__(self, name, value)
         object.__setattr__(self, "cv_by_node", tuple(self.cv_stack))
 
+    def __reduce__(self):
+        # Rebuilt through the constructor, so a copy in another process keeps
+        # read-only models and cv_by_node as the slices of cv_stack.
+        return TrackerParams, (self.ch, self.cv_by_node, self.fx, self.cxw, self.cpw)
+
 
 def ncv_transition(x_dim: int, scan_time: float) -> np.ndarray:
     """Nearly-constant-velocity transition (identity for a position-only state)."""
@@ -118,7 +125,9 @@ def params_from_scenario(config, net: SensorNetwork) -> TrackerParams:
 def initial_states(x0, cx0, p0, cp0, nodes: int = 1) -> np.ndarray:
     """Packed rows [qx, Ωx, qp, Ωp] (R, nodes, k) with the same prior on each
     node; each prior x0 (R, d), cx0 (R, d, d) is inverted once, so a singular
-    one is named (run r, node 0).  An extent mean out of range is left to the scan."""
+    one is named (run r, node 0).  The extent mean is kept as given: the
+    filter reads its orientation on any branch and clamps its semi-axes only
+    where innovations linearizes."""
     x0 = np.asarray(x0, dtype=float)
     state, (qx, ox, qp, op) = _rows((*x0.shape[:-1], nodes), x0.shape[-1])
     for q, omega, mean, cov in ((qx, ox, x0, cx0), (qp, op, p0, cp0)):
@@ -132,36 +141,12 @@ def _mirror(width: int) -> np.ndarray:
     return np.concatenate([block.T.ravel() for block in _columns(np.arange(width))])
 
 
-def _in_range(p: np.ndarray) -> np.ndarray:
-    """Which extent means (..., 3) lie in (-pi, pi] x [MIN_AXIS, inf)^2."""
-    a = p[..., 0]
-    return (-np.pi < a) & (a <= np.pi) & (np.minimum(p[..., 1], p[..., 2]) >= MIN_AXIS)
-
-
-def _sanitize_extent(q: np.ndarray, omega: np.ndarray, rows: np.ndarray) -> None:
-    """Re-anchor, in place, each row of q (..., 3) flagged in rows whose mean,
-    solved from omega (..., 3, 3), is out of range, to its clamp_extent."""
-    at = np.nonzero(rows)
-    p = spd_solve(omega[at], q[at], name="extent information matrix")
-    bad = ~_in_range(p)
-    at = tuple(i[bad] for i in at)
-    q[at] = _matvec(omega[at], clamp_extent(p[bad]))
-
-
-def _extent_moments(q: np.ndarray, omega: np.ndarray, at=None, moments=None):
+def _extent_moments(q: np.ndarray, omega: np.ndarray, at=None):
     """The moments (p, Cp) of the extent rows q (..., 3) and exactly symmetric
-    omega (..., 3, 3): the given ones, or to_moments from one checked inverse
-    per row, a failing one named by at if given.  A row whose p is out of
-    range is re-anchored in place by _sanitize_extent, and its p taken again."""
-    if moments is None:
-        cp = _closed_form(_cofactor_pass, omega, "extent information matrix", at)[0]
-        moments = _matvec(cp, q), cp
-    p, cp = moments
-    ok = _in_range(p)
-    if np.count_nonzero(ok) < ok.size:
-        _sanitize_extent(q, omega, bad := ~ok)
-        p[bad] = _matvec(cp[bad], q[bad])
-    return p, cp
+    omega (..., 3, 3), from one checked inverse per row, a failing one named
+    by at if given."""
+    cp = _closed_form(_cofactor_pass, omega, "extent information matrix", at)[0]
+    return _matvec(cp, q), cp
 
 
 def _marginal_offsets(rows: np.ndarray, at) -> np.ndarray:
@@ -209,14 +194,21 @@ def _scan_plan(tables, y, nodes: int, where: str) -> list[_Scan]:
     # np.nonzero lists the detections in (scan, index, rank, sensor) order.
     ranked = np.take_along_axis(counts.transpose(1, 0, 2), by_end[:, :, None], axis=1)
     mask = ranked[:, None] > np.arange(longest)[:, None, None]
-    scan, index, rank, sensor = np.nonzero(mask)
-    run = by_end[scan, rank]
-    starts = (np.cumsum(counts) - counts.ravel()).reshape(counts.shape)
-    edges = np.searchsorted(scan * longest + index, np.arange(steps * longest + 1))
+    edges = np.concatenate([[0], np.cumsum(mask.sum(axis=(2, 3)))])
     first = edges[::longest] if longest else np.zeros(steps + 1, dtype=int)
-    per_scan = (np.split(a, first[1:-1]) for a in (y[starts[run, scan, sensor] + index],
-                                                    rank * nodes + (sensor if nodes > 1 else 0),
-                                                    np.stack([run, sensor], axis=1)))
+    # np.nonzero's four vectors are views of one (m, 4) block: it is released
+    # once the names, the gather index and the flat rows are taken.
+    scan, index, rank, sensor = np.nonzero(mask)
+    at = np.stack([by_end[scan, rank], sensor], axis=1)
+    take = (np.cumsum(counts) - counts.ravel()).reshape(counts.shape)[at[:, 0], scan, sensor]
+    take += index
+    flat = rank * nodes
+    if nodes > 1:
+        flat += sensor
+    del scan, index, rank, sensor
+    detections = y[take]
+    del take
+    per_scan = (np.split(a, first[1:-1]) for a in (detections, flat, at))
     names = np.stack([np.repeat(by_end, nodes, axis=1), np.tile(np.arange(nodes), (steps, runs))],
                      axis=-1)
     lives = mask.any(axis=3).sum(axis=2) * nodes
@@ -274,7 +266,8 @@ def correct_scan(state: np.ndarray, y, counts, params: TrackerParams, config: Fi
 def _scan(state, scan: _Scan, moments, params: TrackerParams, kind: FilterKind, mix, trace):
     """correct_scan's correction over one planned scan, with an index's
     consensus map mix, from the extent moments (p, Cp) the prior or
-    prediction left, or the rows' own if moments is None."""
+    prediction left, or the rows' own if moments is None.  Returns every
+    row's moments."""
     runs, nodes, width = state.shape
     by_end, names, y_all, det_flat, det_at, bounds, lives = scan
     cv_all = params.cv_stack[det_at[:, 1]]
@@ -307,9 +300,11 @@ def _scan(state, scan: _Scan, moments, params: TrackerParams, kind: FilterKind, 
     det_pos = det_flat[:, None] * width + _position_columns(d)[:6]
     bins = det_flat[:, None] * width + np.arange(width)
     det_offsets, det_row_at = offsets[det_flat], names[det_flat]
-    if moments is not None:  # in scan order
-        moments = [np.asarray(a, float)[by_end].reshape(len(flat), *a.shape[2:]) for a in moments]
-    p_all, cp_all = _extent_moments(qp_all, op_all, names, moments)
+    if moments is None:
+        p_all, cp_all = _extent_moments(qp_all, op_all, names)
+    else:  # in scan order
+        p_all, cp_all = (np.asarray(a, float)[by_end].reshape(len(flat), *a.shape[2:])
+                         for a in moments)
     for i in range(len(lives)):
         at_i, live = slice(bounds[i], bounds[i + 1]), lives[i]
         # Under CI and CM the detections' rows are distinct.  Under CEOT every
@@ -330,16 +325,22 @@ def _scan(state, scan: _Scan, moments, params: TrackerParams, kind: FilterKind, 
         else:
             rows_i += delta
         if kind is FilterKind.CI:
-            checked = qp_all[det_rows]
-            _extent_moments(checked, op_all[det_rows], det_at[at_i])
-            qp_all[det_rows] = checked
             averaged = (mix @ rows_i.reshape(-1, nodes, width)).reshape(-1, width)
             rows_i[...] = 0.5 * (averaged + averaged.take(mirror, axis=1))
             if d == 4:  # as the next index's linearization and write see them
                 offsets[:live] = _marginal_offsets(rows_i, names[:live])
                 det_offsets = offsets[det_flat]
-        # One checked inverse per write gives the next index its extent moments.
-        p_all[:live], cp_all[:live] = _extent_moments(qp_all[:live], op_all[:live], names[:live])
+        # One checked inverse per row the next index linearizes: the live
+        # prefix under CEOT, its detections' distinct rows otherwise.  After
+        # the last index, every row the scan wrote, for the record; a row it
+        # never wrote keeps the moments it started with.
+        if i + 1 == len(lives):
+            read = slice(lives[0])
+        elif kind is FilterKind.CEOT:
+            read = slice(lives[i + 1])
+        else:
+            read = det_flat[bounds[i + 1]:bounds[i + 2]]
+        p_all[read], cp_all[read] = _extent_moments(qp_all[read], op_all[read], names[read])
     state[by_end] = flat.reshape(runs, nodes, width)
     return tuple(a.reshape(runs, nodes, *a.shape[1:])[np.argsort(by_end)] for a in (p_all, cp_all))
 
@@ -348,7 +349,9 @@ def _scan(state, scan: _Scan, moments, params: TrackerParams, kind: FilterKind, 
 class TrackRecord:
     """Per-run, per-step, per-node moments of one stacked filter pass, taken
     after each scan's correction (one pseudo-node under CEOT), and each
-    step's wall time divided by the runs it advanced together."""
+    step's wall time divided by the runs it advanced together.  p_mean is
+    each row's own extent mean, its orientation on the row's branch and its
+    semi-axes not clamped; evaluate_run wraps and clamps it to score it."""
 
     x_mean: np.ndarray  # (runs, steps, nodes, x_dim)
     x_cov: np.ndarray  # (runs, steps, nodes, x_dim, x_dim)

@@ -19,7 +19,7 @@ from itertools import permutations
 import numpy as np
 
 from eotnet._linalg import _from_entries, _matvec, as_cov, spd_inv, sqrt_psd, sym
-from eotnet.geometry import MIN_AXIS, clamp_extent, shape_matrix, wrap_angle
+from eotnet.geometry import MIN_AXIS, shape_matrix, wrap_angle
 from eotnet.info_filter import _columns, predict, to_moments
 from eotnet.trackers import FilterKind, correct_scan
 
@@ -172,12 +172,21 @@ def centered_pseudo_measurement(y_quad, cy, m_mat, p_hat):
     return y_quad - square_mean(cy) + _matvec(m_mat, np.asarray(p_hat, dtype=float))
 
 
+def axes_floored(p):
+    """Linearization points [alpha, l1, l2] (..., 3) with their semi-axes
+    raised to MIN_AXIS and the orientation on its own branch."""
+    p = np.array(p, dtype=float)
+    p[..., 1:] = np.where(p[..., 1:] < MIN_AXIS, MIN_AXIS, p[..., 1:])
+    return p
+
+
 def innovations_by_pieces(x, cx, p, cp, y, ch, cv, inv=spd_inv):
     """The innovation arrays (dqx, dox, dqp, dop) of a stack of detections,
-    composed from the pieces above: generic products with H = [I 0] and M,
-    the inverses of Rx and the floored Rp by inv (spd_inv's by default) and
-    the eigh floor on every row."""
-    p = clamp_extent(p)
+    composed from the pieces above at the linearization points
+    axes_floored(p): generic products with H = [I 0] and M, the inverses of
+    Rx and the floored Rp by inv (spd_inv's by default) and the eigh floor
+    on every row."""
+    p = axes_floored(p)
     s_mat, (j1, j2) = shape_matrix(p), shape_row_jacobians(p)
     rx = sym(shape_noise(s_mat, j1, j2, cp, ch) + cv)
     dqx, dox = innovation(np.eye(2, x.shape[-1]), inv(rx), y)
@@ -198,7 +207,7 @@ def lapack_inv(a):
 def pseudo_noise_by_pieces(x, cx, p, cp, ch, cv):
     """The raw pseudo-measurement noise Rp (k, 3, 3) of each linearization
     point, its floor lo (k,) = 1e-8 trace / 3, and the eigh-floored Rp."""
-    p = clamp_extent(p)
+    p = axes_floored(p)
     s_mat, (j1, j2) = shape_matrix(p), shape_row_jacobians(p)
     cy = residual_cov(cx, sym(shape_noise(s_mat, j1, j2, cp, ch) + cv))
     args = cy, measurement_matrix(s_mat, j1, j2, ch), cp, p
@@ -429,19 +438,6 @@ def fuse_nodes(means, covs):
     return cov @ q, cov
 
 
-def sanitize_extent_by_rows(q, omega, rows=None):
-    """The extent information vectors q (k, 3), with information matrices
-    omega (k, 3, 3), after re-anchoring the listed rows (default: all) one
-    row at a time: a row whose mean has its orientation outside (-pi, pi] or
-    a semi-axis below MIN_AXIS gets Omega @ clamp_extent(mean) as its vector."""
-    out = np.array(q, dtype=float)
-    for r in range(len(out)) if rows is None else rows:
-        mean = np.linalg.solve(sym(omega[r]), q[r])
-        if not (-np.pi < mean[0] <= np.pi and min(mean[1:]) >= MIN_AXIS):
-            out[r] = omega[r] @ clamp_extent(mean)
-    return out
-
-
 def rx_bounds_by_calls(stacks):
     """The lowest and highest eigenvalue over stacks of symmetric 2x2
     matrices, mid -/+ radius in closed form, reduced eagerly stack by stack."""
@@ -499,10 +495,10 @@ def reference_filter(scn_run, net, params, config, pi):
     scan every detecting sensor's innovations come from innovations_by_pieces
     at its row's pre-index moments.  CEOT sums them into its one row; CI adds
     them to the sensor's row, then averages the posteriors; CM averages them,
-    then adds omega times the average to every row.  An extent whose mean
-    leaves (-pi, pi] x [MIN_AXIS, inf)^2 is re-anchored to its wrapped and
-    clamped mean at the start of each scan and after every write.  The
-    prediction is the covariance-form Kalman step.
+    then adds omega times the average to every row.  No row is edited
+    otherwise: an orientation stays on its own branch, and a semi-axis below
+    MIN_AXIS stays in the row and is floored only in the linearization
+    point.  The prediction is the covariance-form Kalman step.
     """
     central = config.kind is FilterKind.CEOT
     nodes = 1 if central else net.size
@@ -511,15 +507,8 @@ def reference_filter(scn_run, net, params, config, pi):
     ox0, op0 = np.linalg.inv(scn_run.cx0), np.linalg.inv(scn_run.cp0)
     state = [[ox0 @ scn_run.x0, ox0, op0 @ scn_run.p0, op0] for _ in range(nodes)]
 
-    def anchored(row):
-        p = np.linalg.solve(row[3], row[2])
-        if -np.pi < p[0] <= np.pi and min(p[1:]) >= MIN_AXIS:
-            return row
-        return [row[0], row[1], row[3] @ clamp_extent(p), row[3]]
-
     out = {name: [] for name in ("x_mean", "x_cov", "p_mean", "p_cov")}
     for k, batch in enumerate(scan_batches(scn_run)):
-        state = [anchored(row) for row in state]
         for i in range(max(len(b) for b in batch)):
             points = [_moments(row) for row in state]
             delta = [[np.zeros_like(a) for a in row] for row in state]
@@ -535,8 +524,7 @@ def reference_filter(scn_run, net, params, config, pi):
             state = [[a + da for a, da in zip(row, drow)] for row, drow in zip(state, delta)]
             state = [[row[0], sym(row[1]), row[2], sym(row[3])] for row in state]
             if config.kind is FilterKind.CI:
-                state = _averaged([anchored(row) for row in state], net, pi, rounds)
-            state = [anchored(row) for row in state]
+                state = _averaged(state, net, pi, rounds)
         moments = [_moments(row) for row in state]
         for name, values in zip(out, zip(*moments)):  # x, Cx, p, Cp per node
             out[name].extend(values)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from eotnet.cli import main as cli_main
-from eotnet.consensus import NodeKind, build_network, consensus_rounds, metropolis_weights
+from eotnet.consensus import NodeKind, build_network, metropolis_weights
 from eotnet.diagnostics import (
     AssumptionTrace,
     acee,
@@ -193,7 +193,7 @@ def test_consensus_convergence():
     sum_drift = 0.0
     out = vals
     for _ in range(200):
-        out = consensus_rounds(out, pi, 1)
+        out = pi.power(1) @ out
         sum_drift = max(sum_drift, np.abs(out.sum(axis=0) - total).max())
     avg = vals.mean(axis=0)
     spread = np.abs(out - avg).max() / np.abs(avg).min()

@@ -1,7 +1,7 @@
 """Golden digests of the checked runs.
 
 metrics.csv, summary.txt and assumptions.txt of the four checked runs
-(seed 0) and of s1 under a prior the scan must re-anchor, and combined.csv of
+(seed 0) and of s1 under a prior out of the extent range, and combined.csv of
 two sweeps, must stay byte-identical across refactors and worker-pool sizes
 of 1, 2 and 3: a change that moves a printed digit shows up here.
 summary.txt is digested without its wall-time line, the one line that varies
@@ -32,8 +32,8 @@ CHECKED_RUNS = {
         "8d8f3f0db0588e7fd9f71b7c416098e8c26c53637e00058496cfb631b218f2a9",
         "b1c8a916d8939e7824e095f9dfabeb9ffbacb28fca940c8e2459e85e7104ce63"),
     "s3 cm --L 6 --runs 2": (
-        "d018b5b85836406fc8e8eef7a9be1a794093d82f4394fad417640e4efd750f0a",
-        "b40f49b9793e1df16f5d0eaf470f6d99335b28b34b4cfb5ed832fa711e99e9b5"),
+        "e7ec9378c91caf3a52287dcb110c19beb5b1828902930c397f3c17c2d3229847",
+        "d273c7effc117c41ac8b6178317af0e303709fcb15bfde653722ebab655ded68"),
 }
 # run -> assumptions.txt digest, which the recorded noise spectra print into
 CHECKED_ASSUMPTIONS = {
@@ -42,19 +42,19 @@ CHECKED_ASSUMPTIONS = {
     "s1 ci --L 6 --runs 1": "15be2a169c028e3d3a38f6147a50ded0e613b07cbcae9a55725515c497ccbef7",
     "s3 cm --L 6 --runs 2": "c0d96d1b53f6cb58ea5b7bc2ed8d323c020d1751ca81a49a6be8fe537c5ce55d",
 }
-# s1 CI L=6 through --config with a prior the scan re-anchors before its first
-# linearization: orientation 4 lies outside (-pi, pi] and semi-axis 1e-4 below
-# MIN_AXIS.  (metrics.csv, summary.txt without the wall-time line,
+# s1 CI L=6 through --config with a prior out of the extent range, which the
+# filter keeps as given: orientation 4 lies outside (-pi, pi] and semi-axis
+# 1e-4 below MIN_AXIS.  (metrics.csv, summary.txt without the wall-time line,
 # assumptions.txt) digests.
-REANCHORED_PRIOR = ("extent_mean: [0.0, 2.0, 12.0]", "extent_mean: [4.0, 2.0, 1e-4]")
-REANCHORED_RUN = (
-    "9052b625f9fc265485426f84ddb16b46abca2798733d7a2f605c20854ebfce85",
-    "bf39dd8b6abf64091c800f58ebeb227a30a75bce652255af74e05a635b59a948",
-    "4e4d5668b48b9040b4cc0fdeee730cac193399b79cba2f901d811d27869812c0")
+OUT_OF_RANGE_PRIOR = ("extent_mean: [0.0, 2.0, 12.0]", "extent_mean: [4.0, 2.0, 1e-4]")
+OUT_OF_RANGE_RUN = (
+    "d75c9ecb49b3ab56cea5a9516a7fb356e16b2b32329b9025fc3d21341be7913c",
+    "549e1ea7d5ae985a8dc33eb006e2160c281b63ecc87a3a283bcbc895d11c1551",
+    "e411b4e362ce7a2e02b0330b4c364a36538ba6db4793913490c57b6074b380a9")
 # sweep -> combined.csv digest
 CHECKED_SWEEPS = {
     "s2 cm --sweep-L 1,6 --runs 3":
-        "6ee8645b6b17eb3a93aea1fc18ac656ed424ef3e06d42b15cf2ed4e396ed5af6",
+        "660e00315bf1d77c1bbce0612d371d1283ed1f2fff34adb2179f76e7b3a61de0",
     "s3 ceot --sweep-lambda 2,5 --runs 3":
         "df9bf9150452c9f90f7e4d6d3d629c2e2244f55579eea9fe212aad795b0c58ec",
 }
@@ -94,14 +94,15 @@ def test_checked_run_metrics_are_byte_identical(run, threads, tmp_path, monkeypa
 
 @needs_recorded_numpy
 @pytest.mark.parametrize("threads", ["1", "2", "3"])
-def test_checked_run_with_a_re_anchored_prior_is_byte_identical(threads, tmp_path, monkeypatch):
-    config = tmp_path / "s1_reanchored.yaml"
-    config.write_text(preset_text("s1").replace(*REANCHORED_PRIOR))
+def test_checked_run_with_an_out_of_range_prior_is_byte_identical(threads, tmp_path,
+                                                                   monkeypatch):
+    config = tmp_path / "s1_out_of_range.yaml"
+    config.write_text(preset_text("s1").replace(*OUT_OF_RANGE_PRIOR))
     monkeypatch.setenv("EOT_THREADS", threads)
     out = tmp_path / "out"
     assert main(["--config", str(config), "--filter", "ci", "--L", "6", "--seed", "0",
                  "--out", str(out)]) == 0
-    assert_artifact_digests(out, *REANCHORED_RUN)
+    assert_artifact_digests(out, *OUT_OF_RANGE_RUN)
 
 
 @needs_recorded_numpy

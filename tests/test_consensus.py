@@ -1,3 +1,4 @@
+import pickle
 import re
 
 import numpy as np
@@ -8,10 +9,10 @@ from eotnet.consensus import (
     NodeKind,
     build_network,
     check_primitive,
-    consensus_rounds,
     metropolis_weights,
 )
 from eotnet.scenario import benchmark_network
+from oracles import _averaged
 
 
 def line_network(spacing, n, radius):
@@ -96,63 +97,92 @@ def test_check_primitive():
         check_primitive(ConsensusMatrix(np.array([[0.5, -0.5], [0.5, 0.5]])))
 
 
-def test_consensus_rounds_uniform_average_k3():
-    pi = metropolis_weights(complete_network(3))
-    out = consensus_rounds(np.array([3.0, 6.0, 9.0]), pi, 1)
+def explicit_rounds(values, net, pi, rounds):
+    """rounds of averaging over per-node values (n, ...), one node and one
+    neighbour at a time, by the oracle."""
+    values = np.asarray(values, dtype=float)
+    return np.stack([row[0] for row in _averaged([[v] for v in values], net, pi, rounds)])
+
+
+# L consensus rounds are the one product pi.power(L) @ values the scan applies.
+
+
+def test_one_round_averages_a_complete_network():
+    net = complete_network(3)
+    pi = metropolis_weights(net)
+    out = pi.power(1) @ np.array([3.0, 6.0, 9.0])
     assert np.allclose(out, [6.0, 6.0, 6.0])
+    assert np.allclose(out, explicit_rounds([3.0, 6.0, 9.0], net, pi, 1), rtol=1e-15)
 
 
-def test_consensus_rounds_zero_is_identity():
+def test_zero_rounds_are_the_identity():
     pi = metropolis_weights(benchmark_network())
     vals = np.arange(20.0)
-    assert np.array_equal(consensus_rounds(vals, pi, 0), vals)
+    assert np.array_equal(pi.power(0) @ vals, vals)
 
 
-def test_consensus_rounds_sum_conserved_and_contracting():
+def test_rounds_conserve_the_sum_and_contract():
     rng = np.random.default_rng(0)
-    pi = metropolis_weights(benchmark_network())
+    net = benchmark_network()
+    pi = metropolis_weights(net)
     vals = rng.normal(size=(20, 4))
     total = vals.sum(axis=0)
     spread = vals.max(axis=0) - vals.min(axis=0)
     for _ in range(30):
-        vals = consensus_rounds(vals, pi, 1)
+        want = explicit_rounds(vals, net, pi, 1)
+        vals = pi.power(1) @ vals
+        assert np.abs(vals - want).max() <= 1e-12 * np.abs(want).max()
         assert np.abs(vals.sum(axis=0) - total).max() < 1e-10
         new_spread = vals.max(axis=0) - vals.min(axis=0)
         assert np.all(new_spread <= spread + 1e-12)
         spread = new_spread
 
 
-def test_consensus_rounds_matrix_values():
+def test_rounds_average_matrix_values_entry_by_entry():
     # matrix entries are averaged as the flattened rows of an (n, k) buffer
     rng = np.random.default_rng(1)
-    pi = metropolis_weights(benchmark_network())
+    net = benchmark_network()
+    pi = metropolis_weights(net)
     mats = rng.normal(size=(20, 3, 3))
-    out = consensus_rounds(mats.reshape(20, 9), pi, 5).reshape(mats.shape)
-    assert out.shape == (20, 3, 3)
+    out = (pi.power(5) @ mats.reshape(20, 9)).reshape(mats.shape)
+    want = explicit_rounds(mats, net, pi, 5)
+    assert np.abs(out - want).max() <= 1e-12 * np.abs(want).max()
     assert np.abs(out.sum(axis=0) - mats.sum(axis=0)).max() < 1e-10
 
 
-def test_consensus_rounds_keeps_stacked_problems_apart():
+def test_rounds_keep_stacked_problems_apart():
     # each (n, k) slice of an (R, n, k) stack averages on its own, bit for bit
     rng = np.random.default_rng(4)
-    pi = metropolis_weights(benchmark_network())
+    net = benchmark_network()
+    pi = metropolis_weights(net)
     for k in (1, 13, 32):
         stack = rng.normal(size=(3, 20, k))
-        out = consensus_rounds(stack, pi, 4)
+        out = pi.power(4) @ stack
         for r in range(3):
-            assert np.array_equal(out[r], consensus_rounds(stack[r], pi, 4))
+            assert np.array_equal(out[r], pi.power(4) @ stack[r])
+            want = explicit_rounds(stack[r], net, pi, 4)
+            assert np.abs(out[r] - want).max() <= 1e-12 * np.abs(want).max()
         assert np.abs(out.sum(axis=1) - stack.sum(axis=1)).max() < 1e-10
-    with pytest.raises(ValueError):
-        consensus_rounds(np.zeros((3, 19, 2)), pi, 1)
 
 
-def test_consensus_rounds_converges_to_average():
+def test_rounds_converge_to_the_average():
     rng = np.random.default_rng(2)
     pi = metropolis_weights(benchmark_network())
     vals = rng.uniform(1.0, 10.0, size=20)
-    out = consensus_rounds(vals, pi, 200)
+    out = pi.power(200) @ vals
     avg = vals.mean()
     assert np.abs(out - avg).max() / abs(avg) < 1e-6
+
+
+def test_a_pickled_consensus_matrix_is_read_only_and_checked():
+    # The CLI's worker pool pickles the weights; the copy is built again.
+    pi = metropolis_weights(benchmark_network())
+    pi.power(3)
+    copy = pickle.loads(pickle.dumps(pi))
+    assert np.array_equal(copy.pi, pi.pi) and not copy.pi.flags.writeable
+    assert np.array_equal(copy.power(3), pi.power(3))
+    with pytest.raises(ValueError, match="assignment destination is read-only"):
+        copy.pi[0, 0] = 2.0
 
 
 @pytest.mark.parametrize("rounds", [2.5, 2.0, True, np.float64(1.0), -1, np.int64(-2)])
@@ -162,11 +192,3 @@ def test_power_takes_only_a_non_negative_integer(rounds):
     with pytest.raises(ValueError, match=re.escape(message)):
         pi.power(rounds)
     assert np.array_equal(pi.power(np.int64(2)), pi.pi @ pi.pi)
-
-
-def test_consensus_rounds_shape_mismatch():
-    pi = metropolis_weights(complete_network(3))
-    with pytest.raises(ValueError):
-        consensus_rounds(np.zeros(4), pi, 1)
-    with pytest.raises(ValueError):
-        consensus_rounds(np.zeros(3), pi, -1)

@@ -31,3 +31,11 @@ def test_package_reexports_only_listed_names():
     unlisted = [f"{module}.{name}" for module, name in imports
                 if name not in importlib.import_module(f"eotnet.{module}").__all__]
     assert unlisted == []
+
+
+def test_the_explicit_rounds_are_not_exported():
+    # L consensus rounds are one product with ConsensusMatrix.power(L), which
+    # the scan applies; no second entry point repeats it.
+    consensus = importlib.import_module("eotnet.consensus")
+    assert "consensus_rounds" not in consensus.__all__
+    assert not hasattr(consensus, "consensus_rounds") and not hasattr(eotnet, "consensus_rounds")

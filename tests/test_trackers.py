@@ -1,3 +1,4 @@
+import pickle
 import re
 from dataclasses import replace
 from unittest import mock
@@ -7,7 +8,7 @@ import pytest
 
 from eotnet import trackers
 from eotnet.consensus import NodeKind, build_network, metropolis_weights
-from eotnet.geometry import clamp_extent
+from eotnet.geometry import MIN_AXIS, clamp_extent
 from eotnet.info_filter import _columns, to_moments
 from eotnet.linearization import innovations
 from eotnet.trackers import (
@@ -77,7 +78,7 @@ def draw_batch(rng, truth_ext, m, n):
 def hand_single_update(x_hat, cx, p_vec, cp, y, ch, cv):
     """Independent arrangement of one sequential update: both linear models
     are built from the same pre-update estimates, then both states correct."""
-    p_ext = clamp_extent(p_vec)
+    p_ext = np.array([p_vec[0], *np.maximum(p_vec[1:], MIN_AXIS)])
     h = np.eye(2, x_hat.size)
     rx = kinematic_noise_cov(p_ext, cp, ch, cv)
     vx = np.linalg.inv(rx)
@@ -506,20 +507,41 @@ def test_ncv_transition():
         ncv_transition(3, 1.0)
 
 
-def test_initial_estimate_clamps_extent():
-    # initial_states keeps the prior as given; the scan re-anchors it before
-    # its first linearization, and returns it re-anchored without detections.
-    prior = one_run(np.zeros(2), np.eye(2), np.array([7.0, -1.0, 2.0]), np.eye(3))
-    want = clamp_extent(np.array([7.0, -1.0, 2.0]))
-    assert np.array_equal(to_moments(*pairs(prior)[1])[0][0, 0], [7.0, -1.0, 2.0])
-    _, ext = pairs(corrected(prior, *flat_scan([[np.zeros((0, 2))]]), make_params(1), CEOT))
-    p_vec = to_moments(*ext)[0][0, 0]
-    assert -np.pi < p_vec[0] <= np.pi
-    assert p_vec[1] >= 1e-3
-    assert np.array_equal(p_vec, want)
-    with mock.patch.object(trackers, "innovations", wraps=innovations) as spy:
+def test_a_prior_semi_axis_below_the_floor_stays_in_the_state():
+    # initial_states and the scan keep the prior extent as given, its
+    # orientation 7 on its own branch and its semi-axis 1e-4 below MIN_AXIS.
+    # Only the linearization point innovations builds from it raises the
+    # semi-axis to MIN_AXIS.
+    p0 = np.array([7.0, 1e-4, 2.0])
+    prior = one_run(np.zeros(2), np.eye(2), p0, np.eye(3))
+    assert np.array_equal(to_moments(*pairs(prior)[1])[0][0, 0], p0)
+    p, _ = correct_scan(prior.copy(), *flat_scan([[np.zeros((0, 2))]]), make_params(1), CEOT)
+    assert np.array_equal(p[0, 0], p0)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs, innovations(*args, **kwargs)))
+        return calls[-1][2]
+
+    with mock.patch.object(trackers, "innovations", spy):
         correct_scan(prior, *flat_scan([[np.ones((1, 2))]]), make_params(1), CEOT)
-    assert np.array_equal(spy.call_args.args[2], [want])
+    ((args, kwargs, block),) = calls
+    assert np.array_equal(args[2], [p0])
+    at_floor = innovations(*args[:2], np.array([[7.0, MIN_AXIS, 2.0]]), *args[3:], **kwargs)
+    assert np.array_equal(block, at_floor)
+
+
+def test_pickled_params_keep_read_only_models_and_shared_noises():
+    # The CLI's worker pool pickles the params; the copy is built again, so
+    # every model stays read-only and cv_by_node the slices of cv_stack.
+    params = make_params(3, x_dim=4)
+    copy = pickle.loads(pickle.dumps(params))
+    for name in ("ch", "fx", "cxw", "cpw", "cv_stack"):
+        value = getattr(copy, name)
+        assert np.array_equal(value, getattr(params, name)) and not value.flags.writeable, name
+    for j, cv in enumerate(copy.cv_by_node):
+        assert not cv.flags.writeable and np.shares_memory(cv, copy.cv_stack)
+        assert np.array_equal(cv, params.cv_by_node[j])
 
 
 def test_fuse_nodes_identical_inputs():
