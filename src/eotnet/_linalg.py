@@ -148,16 +148,17 @@ def _closed_form(one_pass, a: np.ndarray, name: str | None = None,
     """_balanced_pass over a stack (..., d, d), C-ordered, with no warning; with
     a name, a failing slice raises _not_spd's error, named by _first_slice."""
     d = a.shape[-1]
-    inv, ok = _balanced_pass(one_pass, a.reshape(-1, d * d))
-    if name is not None and np.count_nonzero(ok) < len(ok):
+    inv, ok, passed = _balanced_pass(one_pass, a.reshape(-1, d * d))
+    if name is not None and not passed:
         _not_spd(a, ~ok.reshape(a.shape[:-2]), name, at)
     return inv.reshape(a.shape), ok.reshape(a.shape[:-2])
 
 
-def _balanced_pass(one_pass, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _balanced_pass(one_pass, e: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
     """Inverse and verdict of flat, exactly symmetric slices e (n, d * d) by
     one_pass, which accepts a slice only where every number its inverse is
-    built from is a normal double; run it under np.errstate(all="ignore").
+    built from is a normal double, and whether every slice passed, from one
+    count per pass; run it under np.errstate(all="ignore").
     A slice the first pass rejects is passed once more balanced: each
     diagonal entry i is taken into [0.5, 2) by S m S, S = diag(2^-k_i),
     which bounds every entry of a positive definite slice too, and the
@@ -166,13 +167,14 @@ def _balanced_pass(one_pass, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     second pass rejects is not positive definite to working precision, and
     its inverse is meaningless.  Each slice's numbers depend on it alone."""
     inv, ok = one_pass(e)
-    if np.count_nonzero(ok) < len(ok):
-        d, redo = (2 if e.shape[1] == 4 else 3), ~ok
-        k = np.frexp(e[redo][:, ::d + 1])[1] >> 1
-        s = (k[:, :, None] + k[:, None, :]).reshape(-1, d * d)
-        inv_s, ok[redo] = one_pass(np.ldexp(e[redo], -s))
-        inv[redo] = np.ldexp(inv_s, -s)
-    return inv, ok
+    if np.count_nonzero(ok) == len(ok):
+        return inv, ok, True
+    d, redo = (2 if e.shape[1] == 4 else 3), ~ok
+    k = np.frexp(e[redo][:, ::d + 1])[1] >> 1
+    s = (k[:, :, None] + k[:, None, :]).reshape(-1, d * d)
+    inv_s, ok_s = one_pass(np.ldexp(e[redo], -s))
+    inv[redo], ok[redo] = np.ldexp(inv_s, -s), ok_s
+    return inv, ok, np.count_nonzero(ok_s) == len(ok_s)
 
 
 # The adjugate [d, -b, -c, a] of a flat 2x2 matrix [a, b, c, d]: picks and signs.

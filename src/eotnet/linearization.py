@@ -22,7 +22,6 @@ import numpy as np
 
 from ._linalg import _adjugate_pass, _balanced_pass, _cofactor_pass, _matvec, _not_spd
 from .geometry import MIN_AXIS
-from .info_filter import _position_columns
 
 __all__ = [
     "innovations",
@@ -78,16 +77,18 @@ def _pseudo_noise(cy, m_mat, cp):
 
 
 @np.errstate(all="ignore")
-def innovations(q, omega, p, cp, y, ch, cv, trace=None, at=None, *, d=2, row_at=None):
-    """Innovation rows [dqx, dox, dqp, dop] of k detections, packed as the
-    filter's state rows (info_filter's layout) with d kinematic entries.
+def innovations(q, omega, p, cp, y, ch, cv, trace=None, at=None, *, row_at=None):
+    """Compact innovation rows (k, 18) of k detections: the entries
+    [H.T Vx y, H.T Vx H, M.T Vp y~, M.T Vp M] of a filter row that
+    H = [I 0] reaches, in info_filter._position_columns order.
 
     Detection y[k] is linearized at its own row's position marginal, the
-    exactly symmetric information pair (q[k], omega[k]), and extent moments
-    p[k], cp[k], the mean's semi-axes clamped to MIN_AXIS.  Its orientation
-    is not wrapped: the models read it through its cosine and sine, and the
-    pseudo-measurement's M p term on the row's own branch; it carries the
-    sensor noise cv[k], and ch is shared.
+    information pair (q[k], omega[k]) with omega flat (k, 4) and exactly
+    symmetric, and extent moments p[k], cp[k], the mean's semi-axes clamped
+    to MIN_AXIS.  Its orientation is not wrapped: the models read it
+    through its cosine and sine, and the pseudo-measurement's M p term on
+    the row's own branch; it carries the sensor noise cv[k], and ch is
+    shared.
 
     The kinematic noise Rx = S Ch S.T + [trace(Cp J_n.T Ch J_m)] + Cv is
     inverted with omega in one adjugate pass.  The pseudo-measurement noise
@@ -114,24 +115,25 @@ def innovations(q, omega, p, cp, y, ch, cv, trace=None, at=None, *, d=2, row_at=
     picks = (w.swapaxes(-1, -2) @ (ch @ w)).reshape(k, 64).take(_GRAM_PICKS, axis=1)
     spread = cp.reshape(k, 1, 9) @ picks[:, 22:].reshape(k, 9, 4)
     rx = (picks[:, :4] + spread.reshape(k, 4) + cv.reshape(k, 4)).take(_UPPER2, axis=1)
-    inv, ok = _balanced_pass(_adjugate_pass, np.concatenate([omega.reshape(k, 4), rx]))
-    if np.count_nonzero(ok) < 2 * k:
+    inv, ok, passed = _balanced_pass(_adjugate_pass, np.concatenate([omega, rx]))
+    if not passed:
         if not ok[:k].all():
-            _not_spd(omega, ~ok[:k], "information matrix", at if row_at is None else row_at)
+            _not_spd(omega.reshape(k, 2, 2), ~ok[:k], "information matrix",
+                     at if row_at is None else row_at)
         _not_spd(rx.reshape(k, 2, 2), ~ok[k:], "kinematic measurement noise", at)
     cx, vx = inv[:k], inv[k:]
     cy = cx + rx
     m_mat = (picks[:, 4:13] + picks[:, 13:22]).reshape(k, 3, 3)
     rp, lo, shifted = _pseudo_noise(cy, m_mat, cp)
-    inv, ok = _balanced_pass(_cofactor_pass, np.concatenate([shifted, rp]))
+    inv, ok, passed = _balanced_pass(_cofactor_pass, np.concatenate([shifted, rp]))
     vp, floored = inv[k:], 0
-    if np.count_nonzero(ok) < 2 * k:
-        floored = ~ok[:k] & np.isfinite(lo)
-        if floored.any():
-            eig, vec = np.linalg.eigh(rp[floored].reshape(-1, 3, 3))
-            scaled = vec * np.maximum(eig, lo[floored, None])[:, None, :]
-            rp[floored] = (scaled @ vec.swapaxes(-1, -2)).reshape(-1, 9)[:, _UPPER3]
-            vp[floored], ok[k:][floored] = _balanced_pass(_cofactor_pass, rp[floored])
+    if not passed:
+        rows = ~ok[:k] & np.isfinite(lo)
+        if floored := np.count_nonzero(rows):
+            eig, vec = np.linalg.eigh(rp[rows].reshape(-1, 3, 3))
+            scaled = vec * np.maximum(eig, lo[rows, None])[:, None, :]
+            rp[rows] = (scaled @ vec.swapaxes(-1, -2)).reshape(-1, 9)[:, _UPPER3]
+            vp[rows], ok[k:][rows], _ = _balanced_pass(_cofactor_pass, rp[rows])
         if not ok[k:].all():
             _not_spd(rp.reshape(k, 3, 3), ~ok[k:], "extent pseudo-measurement noise", at=at)
     residual = y - _matvec(cx.reshape(k, 2, 2), q)
@@ -140,10 +142,6 @@ def innovations(q, omega, p, cp, y, ch, cv, trace=None, at=None, *, d=2, row_at=
     mv = m_mat.swapaxes(-1, -2) @ vp.reshape(k, 3, 3)
     if trace is not None:
         trace.record_rx(rx.reshape(k, 2, 2))
-        trace.record_rp_floor(np.count_nonzero(floored), k)
-    # H = [I 0] reaches only [H.T Vx y, H.T Vx H, M.T Vp y~, M.T Vp M] of a row.
-    block = np.zeros((k, d + d * d + 12))
-    block[:, _position_columns(d)] = np.concatenate(
-        [_matvec(vx.reshape(k, 2, 2), y), vx, _matvec(mv, y_tilde),
-         (mv @ m_mat).reshape(k, 9).take(_UPPER3, axis=1)], axis=1)
-    return block
+        trace.record_rp_floor(floored, k)
+    return np.concatenate([_matvec(vx.reshape(k, 2, 2), y), vx, _matvec(mv, y_tilde),
+                           (mv @ m_mat).reshape(k, 9).take(_UPPER3, axis=1)], axis=1)

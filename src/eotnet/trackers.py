@@ -13,9 +13,9 @@ Every write leaves every matrix exactly symmetric.  Only the corrections
 and the consensus products write a row: no range check or clamp edits it,
 and its orientation stays on its own branch.  run_filter plans every scan
 of a batch once and hands each scan the extent moments of the prior or
-prediction; after each write one checked inverse per row gives the next
-index's only for the rows it linearizes, and at the scan's end every
-written row's for the record.
+prediction.  Each later index gathers a detection's row once, inverts its
+extent Ω there, and adds back only the entries H = [I 0] reaches; at the
+scan's end one inverse per written row gives the record's moments.
 """
 
 from __future__ import annotations
@@ -264,10 +264,9 @@ def correct_scan(state: np.ndarray, y, counts, params: TrackerParams, config: Fi
 
 
 def _scan(state, scan: _Scan, moments, params: TrackerParams, kind: FilterKind, mix, trace):
-    """correct_scan's correction over one planned scan, with an index's
-    consensus map mix, from the extent moments (p, Cp) the prior or
-    prediction left, or the rows' own if moments is None.  Returns every
-    row's moments."""
+    """correct_scan's correction over one planned scan with an index's
+    consensus map mix, from the extent moments (p, Cp) of the prior or
+    prediction, or the rows' own if moments is None; returns every row's."""
     runs, nodes, width = state.shape
     by_end, names, y_all, det_flat, det_at, bounds, lives = scan
     cv_all = params.cv_stack[det_at[:, 1]]
@@ -293,13 +292,12 @@ def _scan(state, scan: _Scan, moments, params: TrackerParams, kind: FilterKind, 
     if bad.any():
         raise ValueError(f"information vector{_first_slice(bad, at=names)[1]} must not "
                          "contain infs or NaNs")
-    offsets = _marginal_offsets(flat, names) if d == 4 else np.zeros((len(flat), 6))
-    # Each detection's offsets, the flat entries of its row's [q_p, Ω_pp]
-    # and of every entry its innovation row adds to, and its row's
-    # (realization, node), which names a failing Ω_pp - B.
-    det_pos = det_flat[:, None] * width + _position_columns(d)[:6]
-    bins = det_flat[:, None] * width + np.arange(width)
-    det_offsets, det_row_at = offsets[det_flat], names[det_flat]
+    offsets = _marginal_offsets(flat, names) if d == 4 else None
+    # Each detection's flat entries of its row's [q_p, Ω_pp, q_e, Ω_e], which
+    # its compact innovation row adds to, and its row's (realization, node),
+    # which names a failing Ω_pp - B or extent Ω.
+    det_pos = det_flat[:, None] * width + _position_columns(d)
+    det_row_at = names[det_flat]
     if moments is None:
         p_all, cp_all = _extent_moments(qp_all, op_all, names)
     else:  # in scan order
@@ -309,16 +307,19 @@ def _scan(state, scan: _Scan, moments, params: TrackerParams, kind: FilterKind, 
         at_i, live = slice(bounds[i], bounds[i + 1]), lives[i]
         # Under CI and CM the detections' rows are distinct.  Under CEOT every
         # live realization has a detection at i, and its detections share its row.
-        det_rows, rows_i = det_flat[at_i], flat[:live]
-        marginal = flat.take(det_pos[at_i]) - det_offsets[at_i]
-        packed = innovations(marginal[:, :2], marginal[:, 2:].reshape(-1, 2, 2),
-                             p_all[det_rows], cp_all[det_rows], y_all[at_i], params.ch,
-                             cv_all[at_i], trace, det_at[at_i], d=d, row_at=det_row_at[at_i])
+        det_rows, rows_i, read = det_flat[at_i], flat[:live], flat.take(det_pos[at_i])
+        # Index 0 reads the moments the scan starts from, every later one the
+        # moments of its rows as the last write left them.
+        p, cp = ((p_all[det_rows], cp_all[det_rows]) if i == 0 else
+                 _extent_moments(read[:, 6:9], read[:, 9:].reshape(-1, 3, 3), det_row_at[at_i]))
+        marginal = read[:, :6] - offsets[det_rows] if d == 4 else read[:, :6]
+        packed = innovations(marginal[:, :2], marginal[:, 2:], p, cp, y_all[at_i], params.ch,
+                             cv_all[at_i], trace, det_at[at_i], row_at=det_row_at[at_i])
         # The filters differ only here, in how the network combines the rows,
         # which are written in place.  np.bincount sums the detections that
         # share a row, as under CEOT, one after another in sensor order from
         # zero, as np.add.at would.
-        delta = np.bincount(bins[at_i].ravel(), packed.ravel(), live * width).reshape(live, -1)
+        delta = np.bincount(det_pos[at_i].ravel(), packed.ravel(), live * width).reshape(live, -1)
         if kind is FilterKind.CM:
             rows_i += (mix @ delta.reshape(-1, nodes, width)).reshape(-1, width)
             rows_i[...] = 0.5 * (rows_i + rows_i.take(mirror, axis=1))
@@ -329,18 +330,10 @@ def _scan(state, scan: _Scan, moments, params: TrackerParams, kind: FilterKind, 
             rows_i[...] = 0.5 * (averaged + averaged.take(mirror, axis=1))
             if d == 4:  # as the next index's linearization and write see them
                 offsets[:live] = _marginal_offsets(rows_i, names[:live])
-                det_offsets = offsets[det_flat]
-        # One checked inverse per row the next index linearizes: the live
-        # prefix under CEOT, its detections' distinct rows otherwise.  After
-        # the last index, every row the scan wrote, for the record; a row it
-        # never wrote keeps the moments it started with.
-        if i + 1 == len(lives):
-            read = slice(lives[0])
-        elif kind is FilterKind.CEOT:
-            read = slice(lives[i + 1])
-        else:
-            read = det_flat[bounds[i + 1]:bounds[i + 2]]
-        p_all[read], cp_all[read] = _extent_moments(qp_all[read], op_all[read], names[read])
+    # Every row the scan wrote, once, for the record; a row it never wrote
+    # keeps the moments it started with.
+    end = lives[0] if lives else 0
+    p_all[:end], cp_all[:end] = _extent_moments(qp_all[:end], op_all[:end], names[:end])
     state[by_end] = flat.reshape(runs, nodes, width)
     return tuple(a.reshape(runs, nodes, *a.shape[1:])[np.argsort(by_end)] for a in (p_all, cp_all))
 
@@ -350,8 +343,8 @@ class TrackRecord:
     """Per-run, per-step, per-node moments of one stacked filter pass, taken
     after each scan's correction (one pseudo-node under CEOT), and each
     step's wall time divided by the runs it advanced together.  p_mean is
-    each row's own extent mean, its orientation on the row's branch and its
-    semi-axes not clamped; evaluate_run wraps and clamps it to score it."""
+    each row's own extent mean, on the row's branch and not clamped;
+    evaluate_run wraps and clamps it to score it against the truth."""
 
     x_mean: np.ndarray  # (runs, steps, nodes, x_dim)
     x_cov: np.ndarray  # (runs, steps, nodes, x_dim, x_dim)

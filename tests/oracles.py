@@ -20,7 +20,7 @@ import numpy as np
 
 from eotnet._linalg import _from_entries, _matvec, as_cov, spd_inv, sqrt_psd, sym
 from eotnet.geometry import MIN_AXIS, shape_matrix, wrap_angle
-from eotnet.info_filter import _columns, predict, to_moments
+from eotnet.info_filter import _columns, _position_columns, predict, to_moments
 from eotnet.trackers import FilterKind, correct_scan
 
 
@@ -216,19 +216,20 @@ def pseudo_noise_by_pieces(x, cx, p, cp, ch, cv):
     return raw, lo, extent_noise_moments(*args)[1]
 
 
-def split_innovations(block, d):
-    """The arrays (dqx, dox, dqp, dop) of an innovation block (k, d + d * d + 12)."""
-    k, e = len(block), d + d * d
-    return (block[:, :d], block[:, d:e].reshape(k, d, d), block[:, e:e + 3],
-            block[:, e + 3:].reshape(k, 3, 3))
+def split_innovations(rows, d):
+    """The arrays (dqx, dox, dqp, dop) of compact innovation rows (k, 18),
+    expanded into zeroed rows of the filter's layout (k, d + d * d + 12)."""
+    block = np.zeros((len(rows), d + d * d + 12))
+    block[:, _position_columns(d)] = rows
+    return _columns(block)
 
 
 def position_pair(x, cx):
     """The information pair (q, Ω) of the position marginal of moments x
-    (..., d) and cx (..., d, d), at which innovations linearizes: the
-    inverse of the covariance's position block, through LAPACK."""
+    (..., d) and cx (..., d, d), at which innovations linearizes, Ω flat
+    (..., 4): the inverse of the covariance's position block, through LAPACK."""
     omega = sym(np.linalg.inv(cx[..., :2, :2]))
-    return _matvec(omega, x[..., :2]), omega
+    return _matvec(omega, x[..., :2]), omega.reshape(*omega.shape[:-2], 4)
 
 
 def quartic_moment_mean(cx_pos, s_mat, j1, j2, cp, ch, cv):

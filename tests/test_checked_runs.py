@@ -1,6 +1,6 @@
 """Golden digests of the checked runs.
 
-metrics.csv, summary.txt and assumptions.txt of the four checked runs
+metrics.csv, summary.txt and assumptions.txt of the five checked runs
 (seed 0) and of s1 under a prior out of the extent range, and combined.csv of
 two sweeps, must stay byte-identical across refactors and worker-pool sizes
 of 1, 2 and 3: a change that moves a printed digit shows up here.
@@ -34,6 +34,10 @@ CHECKED_RUNS = {
     "s3 cm --L 6 --runs 2": (
         "e7ec9378c91caf3a52287dcb110c19beb5b1828902930c397f3c17c2d3229847",
         "d273c7effc117c41ac8b6178317af0e303709fcb15bfde653722ebab655ded68"),
+    # CI with 4-D kinematics, which retakes the marginal offsets after every averaging.
+    "s2 ci --L 6 --runs 10": (
+        "ae6681bff735827908001d28d3cb456fe7957ebd61f17ea9895217eb327e8519",
+        "123c2af8ff4414a19c44eab524a8a462a019f093d17a118522f0f6a5265fade8"),
 }
 # run -> assumptions.txt digest, which the recorded noise spectra print into
 CHECKED_ASSUMPTIONS = {
@@ -41,6 +45,7 @@ CHECKED_ASSUMPTIONS = {
     "s2 ceot --runs 8": "0c1db6b3a44d6884d172fcd8e3d1592c19f6ad44d02d4a4149f6438ab40efb2b",
     "s1 ci --L 6 --runs 1": "15be2a169c028e3d3a38f6147a50ded0e613b07cbcae9a55725515c497ccbef7",
     "s3 cm --L 6 --runs 2": "c0d96d1b53f6cb58ea5b7bc2ed8d323c020d1751ca81a49a6be8fe537c5ce55d",
+    "s2 ci --L 6 --runs 10": "0144acdb1325a6d45475d340412a8528a47c9b24cfb3ea653b5e50ec02855378",
 }
 # s1 CI L=6 through --config with a prior out of the extent range, which the
 # filter keeps as given: orientation 4 lies outside (-pi, pi] and semi-axis

@@ -25,7 +25,7 @@ from eotnet.consensus import (
 )
 from eotnet.diagnostics import AssumptionTrace, acee, gwd, nees, ospa_vertices
 from eotnet.geometry import MIN_AXIS, extent_vertices, wrap_angle
-from eotnet.info_filter import _columns, to_moments
+from eotnet.info_filter import _columns, _position_columns, to_moments
 from eotnet.linearization import innovations
 from eotnet.scenario import (
     ScenarioRun,
@@ -40,6 +40,7 @@ from eotnet.trackers import (
     FilterConfig,
     FilterKind,
     TrackerParams,
+    _extent_moments,
     correct_scan,
     initial_states,
     ncv_transition,
@@ -690,10 +691,10 @@ def test_stacked_innovations_equal_slice_by_slice_calls(seed, n, picks):
     rows = np.array(picks) % n  # repeated rows share one linearization point
     y, ch, cv = random_detections(rng, len(rows))
     stacked = split_innovations(innovations(*position_pair(x[rows], cx[rows]), p[rows], cp[rows],
-                                            y, ch, cv, d=4), 4)
+                                            y, ch, cv), 4)
     for k, r in enumerate(rows):
         one = split_innovations(innovations(*position_pair(x[r:r + 1], cx[r:r + 1]), p[r:r + 1],
-                                            cp[r:r + 1], y[k:k + 1], ch, cv[k:k + 1], d=4), 4)
+                                            cp[r:r + 1], y[k:k + 1], ch, cv[k:k + 1]), 4)
         for got, want in zip(stacked, one):
             assert_close(got[k], want[0])
 
@@ -704,7 +705,7 @@ def test_gram_matrix_innovations_equal_the_piecewise_composition(seed, n):
     rng = np.random.default_rng(seed)
     x, cx, p, cp = random_points(rng, n)
     y, ch, cv = random_detections(rng, n)
-    got = split_innovations(innovations(*position_pair(x, cx), p, cp, y, ch, cv, d=4), 4)
+    got = split_innovations(innovations(*position_pair(x, cx), p, cp, y, ch, cv), 4)
     for g, want in zip(got, innovations_by_pieces(x, cx, p, cp, y, ch, cv)):
         assert_close(g, want)
 
@@ -733,7 +734,7 @@ class FloorCount:
     def innovations(self, x, cx, *args, **kwargs):
         with mock.patch.object(linearization, "_pseudo_noise", self.pseudo_noise):
             return split_innovations(innovations(*position_pair(x, cx), *args, trace=self,
-                                                 d=4, **kwargs), 4)
+                                                 **kwargs), 4)
 
 
 @SETTINGS
@@ -806,7 +807,7 @@ class PassSpy:
     def innovations(self, x, cx, *args):
         with mock.patch.object(linearization, "_adjugate_pass", self.adjugate), \
                 mock.patch.object(linearization, "_cofactor_pass", self.cofactor):
-            return innovations(*position_pair(x, cx), *args, trace=self, d=4)
+            return innovations(*position_pair(x, cx), *args, trace=self)
 
 
 @SETTINGS
@@ -853,7 +854,7 @@ def test_ceot_scatter_sums_every_detection_into_its_one_row(seed, k):
     ps, cps = (v[0] for v in to_moments(qp, op))
     sums = [np.zeros_like(a) for a in (qx, ox, qp, op)]
     for j in range(k):
-        block = innovations(*position_pair(xs, cxs), ps, cps, y[j:j + 1], ch, cv[j:j + 1], d=4)
+        block = innovations(*position_pair(xs, cxs), ps, cps, y[j:j + 1], ch, cv[j:j + 1])
         for acc, value in zip(sums, split_innovations(block, 4)):
             acc += value
     got = _columns(corrected(state, *flat_scan([[y[j:j + 1] for j in range(k)]]), params,
@@ -867,8 +868,8 @@ def test_ceot_scatter_sums_every_detection_into_its_one_row(seed, k):
 def test_ceot_adds_a_rows_detections_one_after_another(draw, runs, data):
     # CEOT sums the innovations of a realization's detections at an index
     # into its one row.  Replayed from the innovation rows the scan computed,
-    # np.add.at's successive additions in sensor order must give its rows bit
-    # for bit.
+    # np.add.at's successive additions in sensor order, into the entries each
+    # compact row reaches, must give its rows bit for bit.
     net, pi, seed = draw
     rng = np.random.default_rng(seed)
     params = random_params(rng, net.size)
@@ -888,9 +889,45 @@ def test_ceot_adds_a_rows_detections_one_after_another(draw, runs, data):
         correct_scan(state, *flat_scan(batches), params, FilterConfig(kind=FilterKind.CEOT))
     for run, block in blocks:
         delta = np.zeros_like(want)
-        np.add.at(delta, run, block)
+        np.add.at(delta, (run[:, None], _position_columns(d)), block)
         want += delta
     assert np.array_equal(state[:, 0], want)
+
+
+@pytest.mark.parametrize("kind", list(FilterKind))
+@SETTINGS
+@given(networks(), st.integers(1, 3), st.integers(1, 3), st.data())
+def test_every_index_linearizes_at_the_moments_of_its_rows_as_they_stand(kind, draw, runs,
+                                                                         rounds, data):
+    # A spy keeps the extent moments each innovations call receives and the
+    # (run, node) rows of its detections.  Replayed one index at a time
+    # through correct_scan, which ends with the whole scan's rows, the rows
+    # as index i finds them are those after indices 0..i-1: every call's
+    # moments are _extent_moments of those rows, bit for bit.
+    net, pi, seed = draw
+    rng = np.random.default_rng(seed)
+    params = random_params(rng, net.size)
+    state = distinct_rows(rng, runs, 1 if kind is FilterKind.CEOT else net.size,
+                          len(params.fx))
+    batches = [random_batches(rng, net, data.draw(st.integers(2, 5))) for _ in range(runs)]
+    config = FilterConfig(kind=kind, consensus_iters=rounds)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append((args[2], args[3], kwargs["row_at"]))
+        return innovations(*args, **kwargs)
+
+    whole = state.copy()
+    with mock.patch.object(trackers, "innovations", spy):
+        correct_scan(whole, *flat_scan(batches), params, config, pi)
+    assert len(calls) == max(len(b) for run in batches for b in run)
+    for i, (p, cp, row_at) in enumerate(calls):
+        _, _, qp, op = _columns(state[row_at[:, 0], row_at[:, 1]])
+        want_p, want_cp = _extent_moments(qp, op)
+        assert np.array_equal(p, want_p) and np.array_equal(cp, want_cp), i
+        correct_scan(state, *flat_scan([[b[i:i + 1] for b in run] for run in batches]), params,
+                     config, pi)
+    assert np.array_equal(state, whole)
 
 
 AXES = st.one_of(st.just(1e-3), st.floats(1e-3, 200.0))
@@ -941,6 +978,18 @@ def test_stacked_ospa_nees_and_acee_equal_slice_by_slice_calls(seed, n, nodes):
         assert_close(ospa[k], ospa_vertices(verts[k], true_verts, cutoff=10.0))
         assert_close(errors[k], nees(x[k], cx[k], truth))
         assert_close(spread[k], acee(grid[k]))
+
+
+@SETTINGS
+@given(st.integers(0, 2**32 - 1), st.integers(2, 20), st.integers(2, 4),
+       st.sampled_from([(), (1,), (3,), (2, 2)]), st.floats(-3.0, 4.0))
+def test_acee_over_unordered_pairs_equals_the_full_formula_bit_for_bit(seed, n, d, lead, scale):
+    # acee takes each distance once, for i < j; the full formula sums both
+    # orders and the zero diagonal, in the same n x n layout.
+    rng = np.random.default_rng(seed)
+    est = (rng.normal(size=(*lead, n, d)) + rng.normal(size=d) * 10.0) * 10.0 ** scale
+    full = np.linalg.norm(est[..., :, None, :] - est[..., None, :, :], axis=-1)
+    assert np.array_equal(acee(est), full.sum(axis=(-2, -1)) / (n * (n - 1)))
 
 
 def random_spd(rng, k, size):

@@ -626,6 +626,36 @@ def test_a_failing_stacked_row_is_named_by_its_run_and_node():
         correct_scan(center, *flat_scan(batches), params, CEOT)
 
 
+def test_an_indefinite_extent_first_inverted_at_a_later_index_is_named_by_its_row():
+    # The scan starts from handed-in moments, so index 0 inverts no extent
+    # row.  Run 1's node 3 detects twice and no other sensor more than once:
+    # index 1 reads that row alone, inverts the indefinite extent Ω it
+    # gathers there and names it by its row.
+    net, pi, state = two_runs_of_five_nodes()
+    moments = to_moments(*pairs(state)[1])
+    params = make_params(5)
+    none, one = np.zeros((0, 2)), np.ones((1, 2))
+    batches = [[one, none, one, none, none], [one, one, none, 2.0 * np.ones((2, 2)), none]]
+    y, counts = flat_scan(batches)
+    for kind, nodes, node in ((FilterKind.CEOT, 1, 0), (FilterKind.CI, 5, 3),
+                              (FilterKind.CM, 5, 3)):
+        rows = state[:, :nodes].copy()
+        _columns(rows)[EXT_OMEGA][1, node] = -1e6 * np.eye(3)
+        (plan,) = trackers._scan_plan(counts[:, None], y, nodes, "batch {} of run {r}, sensor {j}")
+        mix = trackers._consensus_map(FilterConfig(kind=kind), pi, params, 5, nodes)
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs["row_at"])
+            return innovations(*args, **kwargs)
+
+        with mock.patch.object(trackers, "innovations", spy), \
+                pytest.raises(np.linalg.LinAlgError, match=r"^extent information matrix "
+                              rf"\(run 1, node {node}\) is singular or not positive"):
+            trackers._scan(rows, plan, [a[:, :nodes] for a in moments], params, kind, mix, None)
+        assert len(calls) == 1
+
+
 def test_a_failing_noise_is_named_by_its_detections_run_and_node():
     net, pi, state = two_runs_of_five_nodes()
     # Node 3's sensor noise is indefinite.  At index 0, run 0 detects on
