@@ -6,6 +6,7 @@ either at a fusion center or distributed across a network through
 consensus on information or consensus on measurements.
 """
 
+from .cli import bounded_mse_experiment
 from .consensus import (
     ConsensusMatrix,
     NodeKind,
@@ -18,7 +19,6 @@ from .diagnostics import (
     AssumptionReport,
     AssumptionTrace,
     acee,
-    bounded_mse_experiment,
     check_assumptions,
     evaluate_run,
     gwd,

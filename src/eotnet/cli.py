@@ -1,12 +1,12 @@
-"""Batch benchmark harness.
+"""Batch benchmark harness and the one Monte Carlo driver.
 
-Loads a scenario (preset or YAML file), runs the selected filter over Monte
-Carlo realizations, and writes metrics.csv / summary.txt / assumptions.txt
-into the output directory.  Each worker of the pool runs its contiguous share
-of the realizations as one stacked filter pass, and assumptions.txt covers
-every realization.  Sweeps repeat this per consensus-iteration or
-measurement-rate setting and add a combined comparison file.  Outputs are
-deterministic for a fixed seed; EOT_THREADS caps the worker pool.
+The driver builds a config's network, consensus weights, params and seeds
+once; each worker of the pool filters its contiguous share of the runs in
+one stacked pass and reduces the record for its caller, to the CLI run's
+metric table or to the bounded-MSE experiment's squared errors.  The CLI
+writes metrics.csv / summary.txt / assumptions.txt (over every run) into the
+output directory; sweeps repeat a run per setting and add a combined file.
+Outputs are deterministic for a fixed seed; EOT_THREADS caps the pool.
 """
 
 from __future__ import annotations
@@ -15,34 +15,28 @@ import argparse
 import functools
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .consensus import metropolis_weights
-from .diagnostics import (
-    AssumptionTrace,
-    check_assumptions,
-    evaluate_run,
-    summarize_metrics,
-    write_metrics_csv,
-)
-from .scenario import PRESETS, build_scenario_run, load_config, preset_text, resolve_network
+from .diagnostics import (AssumptionTrace, check_assumptions, evaluate_run, summarize_metrics,
+                          write_metrics_csv)
+from .scenario import (PRESETS, _number, build_scenario_run, load_config, preset_text,
+                       resolve_network)
 from .trackers import FilterConfig, FilterKind, params_from_scenario, run_filter
 
-__all__ = ["run", "sweep", "main"]
+__all__ = ["run", "sweep", "bounded_mse_experiment", "BoundedMseResult", "main"]
 
 
-def _worker(payload):
-    """Run one worker's share of the Monte Carlo realizations as one stacked
-    filter pass in the worker pool; returns its metric table, step times and trace."""
-    (config, net, params, filter_config, pi, children) = payload
+def _worker(reduce, config, net, params, filter_config, pi, seeds):
+    """Realize and filter one share of a batch's runs as one stacked pass;
+    returns what reduce makes of its record, and its trace."""
     trace = AssumptionTrace()
-    scns = build_scenario_run(config, net, children)
+    scns = build_scenario_run(config, net, seeds)
     record = run_filter(scns, net, params, filter_config, pi, trace=trace)
-    columns, values = evaluate_run(record, (scns[0].x_true, scns[0].p_true), config.shape)
-    # Each run's step times, as the summary averages them over runs.
-    return columns, values, np.tile(record.step_seconds, len(children)), trace
+    return reduce(record, scns[0], config), trace
 
 
 def _pool_size(runs: int) -> int:
@@ -58,32 +52,51 @@ def _pool_size(runs: int) -> int:
     return min(runs, limit)
 
 
-def run(config, filter_config: FilterConfig, out_dir) -> tuple[list, np.ndarray]:
-    """Run one scenario config under one filter, write its artifacts into
-    out_dir, and return its metric table (columns, values) with values
-    (runs, steps, columns)."""
+def _monte_carlo(config, filter_config: FilterConfig, reduce):
+    """Run config.runs realizations of config under one filter in contiguous
+    shares on the worker pool, and reduce each share's record with reduce, a
+    module-level function of (record, the share's first ScenarioRun, config).
+    Returns the shares' results in run order, their merged trace, and the
+    network, Π and params the runs share."""
     net = resolve_network(config)
     pi = metropolis_weights(net)
     params = params_from_scenario(config, net)
-    children = np.random.SeedSequence(config.seed).spawn(config.runs)
-    # Each worker gets a contiguous share of the runs, so the table stays in run order.
-    payloads = [
-        (config, net, params, filter_config, pi, [children[i] for i in share])
-        for share in np.array_split(np.arange(config.runs), _pool_size(config.runs))
-    ]
-
-    if len(payloads) == 1:
-        results = [_worker(payloads[0])]
+    seeds = np.random.SeedSequence(config.seed).spawn(config.runs)
+    # Each share is a contiguous range of runs, so the results stay in run order.
+    shares = [[seeds[i] for i in share]
+              for share in np.array_split(np.arange(config.runs), _pool_size(config.runs))]
+    work = functools.partial(_worker, reduce, config, net, params, filter_config, pi)
+    if len(shares) == 1:
+        results = [work(shares[0])]
     else:
         # Imported only for a pool: it is a tenth of the CLI's import time.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
-            results = list(pool.map(_worker, payloads))
+        with ProcessPoolExecutor(max_workers=len(shares)) as pool:
+            results = list(pool.map(work, shares))
+    results, traces = zip(*results)
+    return results, functools.reduce(AssumptionTrace.merge, traces), net, pi, params
 
-    columns, values, step_seconds, traces = zip(*results)
+
+def _run_table(record, scn, config):
+    """A share's metric table and its runs' step times."""
+    columns, values = evaluate_run(record, (scn.x_true, scn.p_true), config.shape)
+    # Each run's step times, as the summary averages them over runs.
+    return columns, values, np.tile(record.step_seconds, record.runs)
+
+
+def _squared_errors(record, scn, config):
+    """A share's (runs, steps) squared kinematic errors, averaged over nodes."""
+    return ((record.x_mean - scn.x_true[:, None, :]) ** 2).sum(axis=3).mean(axis=2)
+
+
+def run(config, filter_config: FilterConfig, out_dir) -> tuple[list, np.ndarray]:
+    """Run one scenario config under one filter, write its artifacts into
+    out_dir, and return its metric table (columns, values) with values
+    (runs, steps, columns)."""
+    shares, trace, net, pi, params = _monte_carlo(config, filter_config, _run_table)
+    columns, values, step_seconds = zip(*shares)
     columns, values, step_seconds = columns[0], np.concatenate(values), np.concatenate(step_seconds)
-    trace = functools.reduce(AssumptionTrace.merge, traces)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -127,14 +140,51 @@ def sweep(settings, out_dir) -> int:
     its label names, L=6 into L_6, and write a combined comparison CSV."""
     if not settings:
         raise ValueError("sweep list must not be empty")
+    dirs = [label.replace("=", "_") for label, _, _ in settings]
+    if len(set(dirs)) < len(dirs):
+        raise ValueError("sweep settings collide: settings that print alike would share "
+                         + ", ".join(sorted({name for name in dirs if dirs.count(name) > 1})))
     out, combined = Path(out_dir), []  # the first run makes out
-    for label, config, filter_config in settings:
-        table = run(config, filter_config, out / label.replace("=", "_"))
+    for (label, config, filter_config), name in zip(settings, dirs):
+        table = run(config, filter_config, out / name)
         for metric, (mean, std, count) in summarize_metrics(*table).items():
             combined.append(f"{label},{metric},{mean:.9g},{std:.9g},{count}\n")
     (out / "combined.csv").write_text("setting,metric,mean,std,count\n" + "".join(combined),
                                       newline="\n")
     return 0
+
+
+@dataclass(frozen=True)
+class BoundedMseResult:
+    mse_per_step: np.ndarray
+    mid_mean: float
+    tail_mean: float
+
+    @property
+    def bounded(self) -> bool:
+        return self.tail_mean <= 2.0 * self.mid_mean
+
+
+def bounded_mse_experiment(config, filter_config, steps: int, runs: int) -> BoundedMseResult:
+    """Empirical mean-square kinematic error per step over the Monte Carlo
+    batch the CLI runs for config with steps and runs overridden.
+
+    The tail (last quarter of the steps) is compared against the mid-run mean
+    (second and third quarters): a bounded-error filter keeps the tail below
+    twice the mid-run level.  steps must be an integer of at least 8, runs a
+    positive integer, and distributed filters require more than one
+    consensus iteration here.
+    """
+    steps = _number(steps, "steps", integer=True, low=8)
+    runs = _number(runs, "runs", integer=True, low=1)
+    if filter_config.kind is not FilterKind.CEOT and filter_config.consensus_iters <= 1:
+        raise ValueError("boundedness experiments need more than one consensus iteration")
+    shares, *_ = _monte_carlo(config.with_overrides(steps=steps, runs=runs), filter_config,
+                              _squared_errors)
+    mse = np.concatenate(shares).sum(axis=0) / runs
+    quarter = steps // 4
+    return BoundedMseResult(mse_per_step=mse, mid_mean=float(mse[quarter:-quarter].mean()),
+                            tail_mean=float(mse[-quarter:].mean()))
 
 
 def _parse_sweep_list(text: str, kind):
@@ -193,10 +243,7 @@ def main(argv=None) -> int:
     source = args.scenario if args.scenario else args.config
     if args.dump_config:
         try:
-            if args.scenario:
-                sys.stdout.write(preset_text(args.scenario))
-            else:
-                sys.stdout.write(Path(args.config).read_text())
+            sys.stdout.write(preset_text(source) if args.scenario else Path(source).read_text())
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1

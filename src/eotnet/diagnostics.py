@@ -1,4 +1,4 @@
-"""Evaluation metrics, stability assumption checks, and boundedness runs.
+"""Evaluation metrics and stability assumption checks; no filter runs here.
 
 Metrics: Gaussian Wasserstein distance on (center, extent) pairs, OSPA over
 rectangle vertices, normalized estimation error squared with chi-square
@@ -13,10 +13,8 @@ from operator import attrgetter
 import numpy as np
 
 from ._linalg import _first_slice, spd_solve, sym
-from .consensus import ConsensusMatrix, check_primitive, metropolis_weights
+from .consensus import ConsensusMatrix, check_primitive
 from .geometry import clamp_extent, extent_vertices, wrap_angle
-from .scenario import build_scenario_run, resolve_network
-from .trackers import FilterKind, params_from_scenario, run_filter
 
 __all__ = [
     "gwd",
@@ -30,8 +28,6 @@ __all__ = [
     "evaluate_run",
     "write_metrics_csv",
     "summarize_metrics",
-    "bounded_mse_experiment",
-    "BoundedMseResult",
 ]
 
 
@@ -204,6 +200,11 @@ class AssumptionTrace:
 _TRACE_KEY = attrgetter("rx_min", "rx_max", "omega_min", "omega_max", "rp_floor_rows", "rp_rows")
 
 
+def _positive_finite(*bounds) -> bool:
+    """Whether every (low, high) pair is bounded away from 0 and from infinity."""
+    return all(low > 0 and np.isfinite(high) for low, high in bounds)
+
+
 @dataclass(frozen=True)
 class AssumptionReport:
     """Observed bounds for the stability assumptions and their verdicts.
@@ -226,17 +227,12 @@ class AssumptionReport:
 
     @property
     def a1_pass(self) -> bool:
-        lows = (self.beta_bounds[0], self.f_bounds[0], self.h_bounds[0])
-        highs = (self.beta_bounds[1], self.f_bounds[1], self.h_bounds[1])
-        return all(v > 0 for v in lows) and all(np.isfinite(v) for v in highs)
+        return _positive_finite(self.beta_bounds, self.f_bounds, self.h_bounds)
 
     @property
     def a2_pass(self) -> bool:
-        lows = (self.tau_bounds[0], self.omega_bounds[0], self.q_bounds[0],
-                self.r_bounds[0], self.info_bounds[0])
-        highs = (self.tau_bounds[1], self.omega_bounds[1], self.q_bounds[1],
-                 self.r_bounds[1], self.info_bounds[1])
-        return all(v > 0 for v in lows) and all(np.isfinite(v) for v in highs)
+        return _positive_finite(self.tau_bounds, self.omega_bounds, self.q_bounds,
+                                self.r_bounds, self.info_bounds)
 
     @property
     def a3_pass(self) -> bool:
@@ -354,9 +350,7 @@ def _score_runs(x_mean, x_cov, p_mean, p_cov, truth, shape: str, first_run: int)
     per_node["nees_ext"] = _mahalanobis(e_p, p_cov, "extent covariance", at)
     per_step, labels = {}, [-1]
     if nodes > 1:
-        # One run at a time keeps acee's (steps, n (n - 1) / 2, d) differences small.
-        per_step = {name: np.stack([acee(run) for run in mean]) for name, mean in
-                    (("acee_kin", x_mean), ("acee_ext", p_mean))}
+        per_step = {"acee_kin": acee(x_mean), "acee_ext": acee(p_mean)}
         labels = list(range(nodes))
     columns = [(node, metric) for node in labels for metric in per_node]
     columns += [(-1, metric) for metric in per_step]
@@ -385,40 +379,3 @@ def summarize_metrics(columns, values) -> dict[str, tuple[float, float, int]]:
         vals = values[..., [m == metric for _, m in columns]].ravel()
         out[metric] = (float(vals.mean()), float(vals.std()), vals.size)
     return out
-
-
-@dataclass(frozen=True)
-class BoundedMseResult:
-    mse_per_step: np.ndarray
-    mid_mean: float
-    tail_mean: float
-
-    @property
-    def bounded(self) -> bool:
-        return self.tail_mean <= 2.0 * self.mid_mean
-
-
-def bounded_mse_experiment(config, filter_config, steps: int, runs: int) -> BoundedMseResult:
-    """Empirical mean-square kinematic error per step over Monte Carlo runs,
-    all of them stacked in one filter pass.
-
-    The tail (last quarter of the steps) is compared against the mid-run mean
-    (second and third quarters): a bounded-error filter keeps the tail below
-    twice the mid-run level.  Distributed filters require more than one
-    consensus iteration here.
-    """
-    if steps < 8:
-        raise ValueError("the tail/mid split needs at least 8 steps")
-    if filter_config.kind is not FilterKind.CEOT and filter_config.consensus_iters <= 1:
-        raise ValueError("boundedness experiments need more than one consensus iteration")
-    config = config.with_overrides(steps=steps)
-    net = resolve_network(config)
-    pi = metropolis_weights(net)
-    params = params_from_scenario(config, net)
-    scns = build_scenario_run(config, net, np.random.SeedSequence(config.seed).spawn(runs))
-    err = run_filter(scns, net, params, filter_config, pi).x_mean - scns[0].x_true[:, None, :]
-    mse = (err ** 2).sum(axis=3).mean(axis=2).sum(axis=0) / runs
-    quarter = steps // 4
-    mid = float(mse[quarter:steps - quarter].mean())
-    tail = float(mse[steps - quarter:].mean())
-    return BoundedMseResult(mse_per_step=mse, mid_mean=mid, tail_mean=tail)

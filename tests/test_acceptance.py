@@ -12,12 +12,11 @@ import time
 import numpy as np
 import pytest
 
-from eotnet.cli import main as cli_main
+from eotnet.cli import bounded_mse_experiment, main as cli_main
 from eotnet.consensus import NodeKind, build_network, metropolis_weights
 from eotnet.diagnostics import (
     AssumptionTrace,
     acee,
-    bounded_mse_experiment,
     check_assumptions,
     nees,
     nees_bounds,

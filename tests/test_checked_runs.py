@@ -3,7 +3,8 @@
 metrics.csv, summary.txt and assumptions.txt of the five checked runs
 (seed 0) and of s1 under a prior out of the extent range, and combined.csv of
 two sweeps, must stay byte-identical across refactors and worker-pool sizes
-of 1, 2 and 3: a change that moves a printed digit shows up here.
+of 1, 2 and 3: a change that moves a printed digit shows up here.  So must
+the bounded-MSE experiment's per-step errors and means, bit for bit.
 summary.txt is digested without its wall-time line, the one line that varies
 between equal runs.  The digests were recorded with numpy 2.4.6; under
 another numpy, different BLAS kernels may round differently, so the tests
@@ -15,8 +16,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from eotnet.cli import main
-from eotnet.scenario import preset_text
+from eotnet.cli import bounded_mse_experiment, main
+from eotnet.scenario import load_config, preset_text
+from eotnet.trackers import FilterConfig, FilterKind
 
 RECORDED_NUMPY = "2.4.6"
 WALL_TIME_LINE = "mean wall time per tracking step:"
@@ -63,6 +65,10 @@ CHECKED_SWEEPS = {
     "s3 ceot --sweep-lambda 2,5 --runs 3":
         "df9bf9150452c9f90f7e4d6d3d629c2e2244f55579eea9fe212aad795b0c58ec",
 }
+
+# sha256 of mse_per_step followed by mid_mean and tail_mean, as float64 bytes,
+# of the bounded-MSE experiment on s2 under CM with L=2 at 20 runs x 40 steps.
+CHECKED_BOUNDED_MSE = "77845cab216b899ccc9530d274ac47069871aadf7dd2a3cf2a90532efd9a798f"
 
 needs_recorded_numpy = pytest.mark.skipif(
     np.__version__ != RECORDED_NUMPY,
@@ -115,3 +121,14 @@ def test_checked_run_with_an_out_of_range_prior_is_byte_identical(threads, tmp_p
 def test_checked_sweep_combined_csv_is_byte_identical(sweep, tmp_path):
     run_cli(sweep, tmp_path)
     assert sha256((tmp_path / "combined.csv").read_bytes()) == CHECKED_SWEEPS[sweep]
+
+
+@needs_recorded_numpy
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+def test_checked_bounded_mse_is_bit_identical(threads, monkeypatch):
+    monkeypatch.setenv("EOT_THREADS", threads)
+    result = bounded_mse_experiment(load_config("s2"),
+                                    FilterConfig(kind=FilterKind.CM, consensus_iters=2),
+                                    steps=40, runs=20)
+    data = np.r_[result.mse_per_step, result.mid_mean, result.tail_mean].tobytes()
+    assert sha256(data) == CHECKED_BOUNDED_MSE

@@ -119,6 +119,19 @@ def test_sweep_lambda(tmp_path, tiny_config):
     assert (out / "combined.csv").exists()
 
 
+@pytest.mark.parametrize("sweep, name", [(["--sweep-L", "2,2"], "L_2"),
+                                         (["--sweep-lambda", "5,5.000001"], "lambda_5")])
+def test_colliding_sweep_settings_exit_1_before_any_output(tmp_path, tiny_config, capsys,
+                                                           sweep, name):
+    # Two settings that print alike would share one directory and one combined.csv label.
+    rc = main(["--config", str(tiny_config), "--filter", "cm", "--runs", "1", *sweep,
+               "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: sweep settings collide") and name in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_usage_errors(tmp_path, tiny_config):
     with pytest.raises(SystemExit):
         main(["--scenario", "s1"])  # no filter/out

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from eotnet.cli import bounded_mse_experiment
 from eotnet.consensus import ConsensusMatrix, metropolis_weights
 from eotnet.diagnostics import (
     AssumptionTrace,
     acee,
-    bounded_mse_experiment,
     check_assumptions,
     evaluate_run,
     gwd,
@@ -369,6 +369,21 @@ def test_bounded_mse_rejects_single_round():
     with pytest.raises(ValueError, match="steps"):
         bounded_mse_experiment(config, FilterConfig(kind=FilterKind.CM, consensus_iters=2),
                                steps=4, runs=2)
+
+
+@pytest.mark.parametrize("steps, runs, message", [
+    (8.5, 2, "steps must be an integer, got 8.5"),
+    (True, 2, "steps must be an integer, got True"),
+    (7, 2, "steps must be >= 8, got 7"),
+    (16, 2.5, "runs must be an integer, got 2.5"),
+    (16, True, "runs must be an integer, got True"),
+    (16, 0, "runs must be >= 1, got 0"),
+    (16, -1, "runs must be >= 1, got -1"),
+])
+def test_bounded_mse_rejects_bad_steps_and_runs(steps, runs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        bounded_mse_experiment(load_config("s2"), FilterConfig(kind=FilterKind.CEOT),
+                               steps=steps, runs=runs)
 
 
 def test_bounded_mse_small_centralized_run():
