@@ -15,7 +15,7 @@ import argparse
 import functools
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -165,21 +165,22 @@ class BoundedMseResult:
         return self.tail_mean <= 2.0 * self.mid_mean
 
 
-def bounded_mse_experiment(config, filter_config, steps: int, runs: int) -> BoundedMseResult:
+def bounded_mse_experiment(config, filter_config) -> BoundedMseResult:
     """Empirical mean-square kinematic error per step over the Monte Carlo
-    batch the CLI runs for config with steps and runs overridden.
+    batch the CLI runs for config: config.runs realizations of config.steps.
 
     The tail (last quarter of the steps) is compared against the mid-run mean
     (second and third quarters): a bounded-error filter keeps the tail below
-    twice the mid-run level.  steps must be an integer of at least 8, runs a
-    positive integer, and distributed filters require more than one
-    consensus iteration here.
+    twice the mid-run level.  config.steps must be an integer of at least 8,
+    config.runs a positive integer, and distributed filters require more
+    than one consensus iteration here.
     """
-    steps = _number(steps, "steps", integer=True, low=8)
-    runs = _number(runs, "runs", integer=True, low=1)
+    steps = _number(config.steps, "steps", integer=True, low=8)
+    runs = _number(config.runs, "runs", integer=True, low=1)
     if filter_config.kind is not FilterKind.CEOT and filter_config.consensus_iters <= 1:
         raise ValueError("boundedness experiments need more than one consensus iteration")
-    shares, *_ = _monte_carlo(config.with_overrides(steps=steps, runs=runs), filter_config,
+    # The checked numbers, so an integral float of a hand-built config runs too.
+    shares, *_ = _monte_carlo(replace(config, steps=steps, runs=runs), filter_config,
                               _squared_errors)
     mse = np.concatenate(shares).sum(axis=0) / runs
     quarter = steps // 4
@@ -263,10 +264,6 @@ def main(argv=None) -> int:
         parser.error("--sweep-lambda excludes --lambda and --fixed-n")
 
     kind = FilterKind(args.filter)
-    if kind is not FilterKind.CEOT and args.consensus_iters is not None \
-            and args.consensus_iters < 1:
-        parser.error("--L must be >= 1 for distributed filters")
-
     overrides = {key: value for key, value in (("runs", args.runs), ("seed", args.seed))
                  if value is not None}
     if args.poisson_rate is not None:

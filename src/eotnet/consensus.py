@@ -10,7 +10,7 @@ rounds over per-node values are one product with ConsensusMatrix.power(L).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,13 +62,12 @@ class SensorNetwork:
 class ConsensusMatrix:
     """Doubly stochastic averaging weights supported on the network edges.
 
-    The weights are checked when the matrix is built: square, nonnegative,
-    and every row and column sums to 1 (the doubly stochastic part of the
-    stability assumption A3), each to within 1e-12.  They are then read-only.
+    The weights are checked when the matrix is built: square, finite,
+    nonnegative, and every row and column summing to 1 (the doubly
+    stochastic part of assumption A3) to within 1e-12.  They are then read-only.
     """
 
     pi: np.ndarray
-    _powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pi = np.array(self.pi, dtype=float)
@@ -76,6 +75,8 @@ class ConsensusMatrix:
         object.__setattr__(self, "pi", pi)
         if pi.ndim != 2 or pi.shape[0] != pi.shape[1]:
             raise ValueError("consensus matrix must be square")
+        if not np.isfinite(pi).all():
+            raise ValueError("consensus weights must be finite")
         if pi.min() < -_TOL:
             raise ValueError("consensus weights must be nonnegative")
         if (np.abs(pi.sum(axis=0) - 1.0).max() > _TOL
@@ -95,9 +96,8 @@ class ConsensusMatrix:
         """pi^rounds, a new matrix, for an integer rounds >= 0: the one map of those rounds."""
         if isinstance(rounds, bool) or not isinstance(rounds, (int, np.integer)) or rounds < 0:
             raise ValueError(f"rounds must be a non-negative integer, got {rounds!r}")
-        if rounds not in self._powers:
-            self._powers[rounds] = np.linalg.matrix_power(self.pi, rounds)
-        return self._powers[rounds].copy()
+        # matrix_power returns the read-only pi itself for one round.
+        return np.array(np.linalg.matrix_power(self.pi, rounds))
 
 
 def build_network(positions, kinds, comm_radius: float) -> SensorNetwork:

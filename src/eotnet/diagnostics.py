@@ -134,7 +134,11 @@ def acee(estimates):
     i, j = np.triu_indices(n, 1)
     layout = np.zeros((n, n), dtype=np.intp)
     layout[i, j] = layout[j, i] = np.arange(1, len(i) + 1)
-    upper = np.linalg.norm(est[..., i, :] - est[..., j, :], axis=-1)
+    # In place on the gathered copy: one array of the pairs' size at a time.
+    diff = est[..., i, :]
+    diff -= est[..., j, :]
+    diff *= diff
+    upper = np.sqrt(diff.sum(axis=-1))
     pairs = np.concatenate([np.zeros_like(upper[..., :1]), upper], axis=-1)
     return pairs.take(layout, axis=-1).sum(axis=(-2, -1)) / (n * (n - 1))
 

@@ -7,7 +7,9 @@ distributed schemes fuse by summation or averaging; the time update predicts
 the moments the filter records and converts the result back.  Every
 primitive acts on each slice of leading stack axes, such as (R, n) of
 realizations and nodes.  The filters hold a node's kinematic and extent
-pairs in one packed row [qx, Ωx, qp, Ωp], whose layout only this module knows.
+pairs in one packed row [qx, Ωx, qp, Ωp], laid out by _columns.  The compact
+innovation rows are its _position_columns(d) entries, laid out as a d = 2
+packed row: [qx, Ωx] in columns 0:6, qp in 6:9 and Ωp in 9:18.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ fully determined by its seed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -82,9 +82,6 @@ class ScenarioConfig:
     network: str | dict = "benchmark"
     runs: int = 1
     seed: int = 0
-
-    def with_overrides(self, **kw) -> "ScenarioConfig":
-        return replace(self, **kw)
 
 
 @dataclass(frozen=True)
@@ -393,7 +390,7 @@ def generate_truth(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic ground truth for the configured trajectory: the kinematic
     states x_true (steps, d) and the extents p_true (steps, 3).
 
-    A config built past load_config, as with_overrides does, is checked here:
+    A config built past load_config, as dataclasses.replace does, is checked here:
     the truth must be finite with positive semi-axes.
     """
     traj, steps, extra = config.trajectory, config.steps, config.kinematic_dim - 2

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from numbers import Real
 from typing import NamedTuple
@@ -70,6 +70,8 @@ class FilterConfig:
 
     def __post_init__(self):
         iters, omega = self.consensus_iters, self.omega
+        if not isinstance(self.kind, FilterKind):
+            raise ValueError(f"kind must be a FilterKind, got {self.kind!r}")
         if isinstance(iters, bool) or not isinstance(iters, (int, np.integer)):
             raise ValueError(f"consensus_iters must be an integer, got {iters!r}")
         if self.kind is not FilterKind.CEOT and iters < 1:
@@ -82,28 +84,27 @@ class FilterConfig:
 
 @dataclass(frozen=True)
 class TrackerParams:
-    """Models shared by every node: noises, the kinematic transition and the
-    process covariances cxw and cpw (the extent transition is the identity),
-    each copied read-only; cv_by_node holds the slices of cv_stack (n, 2, 2)."""
+    """Models shared by every node: the multiplicative noise ch, one sensor
+    noise per node as the stack cv (n, 2, 2), the kinematic transition and
+    the process covariances cxw and cpw (the extent transition is the
+    identity), each copied read-only."""
 
     ch: np.ndarray
-    cv_by_node: tuple[np.ndarray, ...]
+    cv: np.ndarray
     fx: np.ndarray
     cxw: np.ndarray
     cpw: np.ndarray
-    cv_stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("ch", "fx", "cxw", "cpw", "cv_stack"):
-            value = np.array(getattr(self, "cv_by_node" if name == "cv_stack" else name), float)
+        for name in ("ch", "cv", "fx", "cxw", "cpw"):
+            value = np.array(getattr(self, name), float)
             value.flags.writeable = False
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "cv_by_node", tuple(self.cv_stack))
 
     def __reduce__(self):
         # Rebuilt through the constructor, so a copy in another process keeps
-        # read-only models and cv_by_node as the slices of cv_stack.
-        return TrackerParams, (self.ch, self.cv_by_node, self.fx, self.cxw, self.cpw)
+        # read-only models.
+        return TrackerParams, (self.ch, self.cv, self.fx, self.cxw, self.cpw)
 
 
 def ncv_transition(x_dim: int, scan_time: float) -> np.ndarray:
@@ -117,7 +118,7 @@ def ncv_transition(x_dim: int, scan_time: float) -> np.ndarray:
 
 def params_from_scenario(config, net: SensorNetwork) -> TrackerParams:
     """Assemble tracker models from a scenario config (shared noise per node)."""
-    return TrackerParams(ch=config.ch, cv_by_node=(config.cv,) * net.size,
+    return TrackerParams(ch=config.ch, cv=(config.cv,) * net.size,
                          fx=ncv_transition(config.kinematic_dim, config.scan_time),
                          cxw=config.cxw, cpw=config.cpw)
 
@@ -220,9 +221,9 @@ def _scan_plan(tables, y, nodes: int, where: str) -> list[_Scan]:
 def _consensus_map(config: FilterConfig, pi, params: TrackerParams, sensors: int, nodes: int):
     """An index's consensus rounds as one map, CM's weight omega on it (None
     under CEOT), once the models fit `sensors` count columns and `nodes` rows."""
-    if sensors > len(params.cv_stack):
+    if sensors > len(params.cv):
         raise ValueError(f"batch counts of {sensors} sensors need as many sensor noises, "
-                         f"got {len(params.cv_stack)}")
+                         f"got {len(params.cv)}")
     if config.kind is FilterKind.CEOT:
         return None
     if pi is None:
@@ -240,7 +241,7 @@ def correct_scan(state: np.ndarray, y, counts, params: TrackerParams, config: Fi
     scan, with a kinematic state of position (d = 2) or position and
     velocity (d = 4).  The detections y (M, 2) come in (realization, sensor,
     index) order, counts[r, j] of them, a non-negative integer, in sensor
-    j's batch of realization r.  Sensor j's noise is params.cv_by_node[j];
+    j's batch of realization r.  Sensor j's noise is params.cv[j];
     its innovations go into row 0 under CEOT and into its node's row j under
     CI and CM, which need the consensus matrix pi: config.consensus_iters
     rounds are one product with its power.  At each index the sensors with a
@@ -269,7 +270,7 @@ def _scan(state, scan: _Scan, moments, params: TrackerParams, kind: FilterKind, 
     prediction, or the rows' own if moments is None; returns every row's."""
     runs, nodes, width = state.shape
     by_end, names, y_all, det_flat, det_at, bounds, lives = scan
-    cv_all = params.cv_stack[det_at[:, 1]]
+    cv_all = params.cv[det_at[:, 1]]
 
     # The rows in scan order, one per (realization, node), and their views.
     flat = state[by_end].reshape(-1, width)

@@ -518,7 +518,7 @@ def reference_filter(scn_run, net, params, config, pi):
                     r = 0 if central else j
                     x, cx, p, cp = (a[None] for a in points[r])
                     pieces = innovations_by_pieces(x, cx, p, cp, b[i][None], params.ch,
-                                                   params.cv_by_node[j][None])
+                                                   params.cv[j][None])
                     delta[r] = [a + piece[0] for a, piece in zip(delta[r], pieces)]
             if config.kind is FilterKind.CM:
                 delta = [[weight * a for a in row] for row in _averaged(delta, net, pi, rounds)]

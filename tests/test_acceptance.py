@@ -73,7 +73,7 @@ def test_cm_matches_ceot_oracle():
     worst = 0.0
     for n in (2, 3, 5):
         net, spec = complete_sensor_network(n)
-        config = load_config("s2").with_overrides(steps=50, network=spec)
+        config = load_config("s2", steps=50, network=spec)
         pi = metropolis_weights(net)
         params = params_from_scenario(config, net)
         (scn,) = build_scenario_run(config, net, [1234])
@@ -288,16 +288,14 @@ def test_acee_iteration_trend():
 def test_bounded_mse_and_assumptions():
     # measurement-consensus filter with two rounds stays mean-square bounded
     # over a long run, and the stability assumptions hold numerically
-    config = load_config("s2")
-    result = bounded_mse_experiment(
-        config, FilterConfig(kind=FilterKind.CM, consensus_iters=2), steps=200, runs=50,
-    )
+    config = load_config("s2", steps=200, runs=50)
+    result = bounded_mse_experiment(config, FilterConfig(kind=FilterKind.CM, consensus_iters=2))
 
     net = benchmark_network()
     pi = metropolis_weights(net)
     params = params_from_scenario(config, net)
     trace = AssumptionTrace()
-    scns = build_scenario_run(config.with_overrides(steps=20), net, [0])
+    scns = build_scenario_run(load_config("s2", steps=20), net, [0])
     run_filter(scns, net, params, FilterConfig(kind=FilterKind.CM, consensus_iters=2),
                pi, trace=trace)
     rep = check_assumptions(params.fx, np.eye(2, 4), config.cxw,
@@ -316,7 +314,7 @@ def test_nees_consistency():
     # the 99% chi-square band with each side's distance from the state
     # dimension doubled (the truth course carries no process noise, so the
     # filter sits on the conservative side, near the lower edge)
-    config = load_config("s2").with_overrides(steps=8)
+    config = load_config("s2", steps=8)
     net = benchmark_network()
     pi = metropolis_weights(net)
     params = params_from_scenario(config, net)

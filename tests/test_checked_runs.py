@@ -127,8 +127,7 @@ def test_checked_sweep_combined_csv_is_byte_identical(sweep, tmp_path):
 @pytest.mark.parametrize("threads", ["1", "2", "3"])
 def test_checked_bounded_mse_is_bit_identical(threads, monkeypatch):
     monkeypatch.setenv("EOT_THREADS", threads)
-    result = bounded_mse_experiment(load_config("s2"),
-                                    FilterConfig(kind=FilterKind.CM, consensus_iters=2),
-                                    steps=40, runs=20)
+    result = bounded_mse_experiment(load_config("s2", steps=40, runs=20),
+                                    FilterConfig(kind=FilterKind.CM, consensus_iters=2))
     data = np.r_[result.mse_per_step, result.mid_mean, result.tail_mean].tobytes()
     assert sha256(data) == CHECKED_BOUNDED_MSE

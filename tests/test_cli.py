@@ -132,7 +132,7 @@ def test_colliding_sweep_settings_exit_1_before_any_output(tmp_path, tiny_config
     assert not (tmp_path / "o").exists()
 
 
-def test_usage_errors(tmp_path, tiny_config):
+def test_usage_errors(tmp_path, tiny_config, capsys):
     with pytest.raises(SystemExit):
         main(["--scenario", "s1"])  # no filter/out
     with pytest.raises(SystemExit):
@@ -141,9 +141,11 @@ def test_usage_errors(tmp_path, tiny_config):
     with pytest.raises(SystemExit):
         main(["--config", str(tiny_config), "--filter", "cm",
               "--out", str(tmp_path), "--sweep-L", "1,2", "--sweep-lambda", "3"])
-    with pytest.raises(SystemExit):
-        main(["--scenario", "s1", "--filter", "ci", "--L", "0",
-              "--out", str(tmp_path)])
+    # FilterConfig alone checks the rounds: a bad --L exits 1, as a bad --sweep-L does.
+    capsys.readouterr()
+    assert main(["--scenario", "s1", "--filter", "ci", "--L", "0", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == \
+        "error: distributed filters need at least one consensus iteration\n"
     with pytest.raises(SystemExit):
         main(["--scenario", "s1", "--filter", "cm", "--out", str(tmp_path),
               "--sweep-L", ""])

@@ -134,7 +134,7 @@ def test_one_changed_entry_runs_or_fails_by_name(case, kind):
         assert (mutation, path[0]) != ("negative", "noise"), f"indefinite {path} loaded"
         assert mutation not in ("longer", "zero") or path != ("trajectory", "waypoints"), \
             f"repeated {path} loaded"
-        config = config.with_overrides(steps=min(config.steps, 2), runs=1)
+        config = load_config(source, steps=min(config.steps, 2), runs=1)
         try:
             run(config, FilterConfig(kind, 1), Path(tmp) / "out")
         except ValueError as exc:

@@ -83,10 +83,14 @@ def test_metropolis_doubly_stochastic_and_supported():
 
 
 def test_consensus_matrix_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^consensus matrix must be doubly stochastic$"):
         ConsensusMatrix(pi=np.array([[0.5, 0.6], [0.5, 0.4]]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^consensus weights must be nonnegative$"):
         ConsensusMatrix(pi=np.array([[1.5, -0.5], [-0.5, 1.5]]))
+    # NaN fails every comparison, so the other checks would let it through.
+    for bad in (np.full((2, 2), np.nan), np.array([[np.inf, 0.0], [0.0, 1.0]])):
+        with pytest.raises(ValueError, match="^consensus weights must be finite$"):
+            ConsensusMatrix(bad)
 
 
 def test_check_primitive():
@@ -177,12 +181,20 @@ def test_rounds_converge_to_the_average():
 def test_a_pickled_consensus_matrix_is_read_only_and_checked():
     # The CLI's worker pool pickles the weights; the copy is built again.
     pi = metropolis_weights(benchmark_network())
-    pi.power(3)
     copy = pickle.loads(pickle.dumps(pi))
     assert np.array_equal(copy.pi, pi.pi) and not copy.pi.flags.writeable
     assert np.array_equal(copy.power(3), pi.power(3))
     with pytest.raises(ValueError, match="assignment destination is read-only"):
         copy.pi[0, 0] = 2.0
+
+
+@pytest.mark.parametrize("rounds", [0, 1, 3])
+def test_power_is_a_new_writable_array(rounds):
+    # numpy's matrix_power returns the read-only weights themselves for one round.
+    pi = metropolis_weights(benchmark_network())
+    power = pi.power(rounds)
+    assert power.flags.writeable and not np.shares_memory(power, pi.pi)
+    assert np.array_equal(power, np.linalg.matrix_power(pi.pi, rounds))
 
 
 @pytest.mark.parametrize("rounds", [2.5, 2.0, True, np.float64(1.0), -1, np.int64(-2)])

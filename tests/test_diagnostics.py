@@ -256,7 +256,7 @@ def test_check_assumptions_detects_nonprimitive():
 
 
 def test_evaluate_run_rows_follow_the_per_estimate_layout():
-    config = load_config("s3").with_overrides(steps=3)
+    config = load_config("s3", steps=3)
     net = benchmark_network()
     (scn,) = build_scenario_run(config, net, [5])
     rec = run_filter([scn], net, params_from_scenario(config, net),
@@ -362,13 +362,12 @@ def test_write_metrics_csv_and_summary(tmp_path):
 
 
 def test_bounded_mse_rejects_single_round():
-    config = load_config("s2")
     with pytest.raises(ValueError, match="consensus iteration"):
-        bounded_mse_experiment(config, FilterConfig(kind=FilterKind.CM, consensus_iters=1),
-                               steps=40, runs=2)
+        bounded_mse_experiment(load_config("s2", runs=2),
+                               FilterConfig(kind=FilterKind.CM, consensus_iters=1))
     with pytest.raises(ValueError, match="steps"):
-        bounded_mse_experiment(config, FilterConfig(kind=FilterKind.CM, consensus_iters=2),
-                               steps=4, runs=2)
+        bounded_mse_experiment(load_config("s2", steps=4, runs=2),
+                               FilterConfig(kind=FilterKind.CM, consensus_iters=2))
 
 
 @pytest.mark.parametrize("steps, runs, message", [
@@ -382,14 +381,13 @@ def test_bounded_mse_rejects_single_round():
 ])
 def test_bounded_mse_rejects_bad_steps_and_runs(steps, runs, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
-        bounded_mse_experiment(load_config("s2"), FilterConfig(kind=FilterKind.CEOT),
-                               steps=steps, runs=runs)
+        bounded_mse_experiment(load_config("s2", steps=steps, runs=runs),
+                               FilterConfig(kind=FilterKind.CEOT))
 
 
 def test_bounded_mse_small_centralized_run():
-    config = load_config("s2").with_overrides(runs=2)
-    result = bounded_mse_experiment(config, FilterConfig(kind=FilterKind.CEOT),
-                                    steps=16, runs=2)
+    result = bounded_mse_experiment(load_config("s2", steps=16, runs=2),
+                                    FilterConfig(kind=FilterKind.CEOT))
     assert result.mse_per_step.shape == (16,)
     assert np.isfinite(result.mse_per_step).all()
     assert result.mid_mean > 0 and result.tail_mean > 0

@@ -8,6 +8,7 @@ each name the package re-exports is listed by its module.
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -39,3 +40,14 @@ def test_the_explicit_rounds_are_not_exported():
     consensus = importlib.import_module("eotnet.consensus")
     assert "consensus_rounds" not in consensus.__all__
     assert not hasattr(consensus, "consensus_rounds") and not hasattr(eotnet, "consensus_rounds")
+
+
+def test_the_readme_session_prints_the_shapes_its_comments_promise(capsys):
+    # The README's one python block is its minimal library session, and the
+    # comment beside each print names the shape it shows.
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```python\n(.*?)```", text, flags=re.S)
+    exec(compile(block, "README.md", "exec"), {})
+    promised = re.findall(r"print\(.*\)\s+# (\([\d, ]+\))", block)
+    assert promised == ["(3, 40, 20, 4)", "(3, 40, 82)"]
+    assert capsys.readouterr().out.splitlines() == promised

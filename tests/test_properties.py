@@ -67,6 +67,7 @@ from oracles import (
     scan_plan_by_loops,
     split_innovations,
 )
+from test_scenario import fixed_priors
 
 SETTINGS = settings(max_examples=25, deadline=None)
 TRUTH = (np.zeros(2), np.array([0.4, 6.0, 2.0]))  # center and extent
@@ -96,7 +97,7 @@ def random_params(rng, n):
     d = int(rng.choice([2, 4]))
     return TrackerParams(
         ch=np.eye(2) / 4,
-        cv_by_node=tuple(np.diag(rng.uniform(0.5, 10.0, 2)) for _ in range(n)),
+        cv=[np.diag(rng.uniform(0.5, 10.0, 2)) for _ in range(n)],
         fx=ncv_transition(d, 1.0),
         cxw=np.eye(d),
         cpw=np.diag([0.05, 1.0, 1.0]),
@@ -349,8 +350,8 @@ def test_scaling_every_length_by_a_power_of_two_scales_the_record_exactly(draw, 
                   p0=TRUTH[1], cp0=np.diag([0.05, 0.2, 0.2]))
     length, area = 2.0 ** k, 4.0 ** k
     axes = np.array([1.0, length, length])
-    scaled_params = replace(params, cv_by_node=tuple(cv * area for cv in params.cv_by_node),
-                            cxw=params.cxw * area, cpw=params.cpw * np.outer(axes, axes))
+    scaled_params = replace(params, cv=params.cv * area, cxw=params.cxw * area,
+                            cpw=params.cpw * np.outer(axes, axes))
     scaled = replace(scn, detections=scn.detections * length, x0=scn.x0 * length,
                      cx0=scn.cx0 * area, p0=scn.p0 * axes, cp0=scn.cp0 * np.outer(axes, axes))
     config = FilterConfig(kind=kind, consensus_iters=2)
@@ -383,7 +384,7 @@ def test_relabeling_the_nodes_permutes_the_record(draw, kind, steps, rounds, dat
                                   net.comm_radius)
     assert np.array_equal(relabeled_net.adjacency, net.adjacency[np.ix_(perm, perm)])
     relabeled_pi = ConsensusMatrix(pi.pi[np.ix_(perm, perm)])
-    relabeled_params = replace(params, cv_by_node=tuple(params.cv_by_node[j] for j in perm))
+    relabeled_params = replace(params, cv=params.cv[perm])
     detections = [step[j] for step in scan_batches(scn) for j in perm]
     relabeled = replace(scn, detections=np.concatenate([np.zeros((0, 2)), *detections]),
                         counts=scn.counts[:, perm])
@@ -440,8 +441,8 @@ OUT_OF_RANGE_PRIOR = {"mode": "fixed", "kinematic_mean": [1.0, 1.0],
     ("s2", "ceot", 1, None), ("s2", "ci", 6, None), ("s3", "cm", 6, None),
     ("s3", "ci", 2, None)])
 def test_first_steps_of_the_presets_match_the_reference_filter(scenario, kind, rounds, priors):
-    config = load_config(scenario, **({} if priors is None else {"priors": priors}))
-    config = config.with_overrides(steps=min(3, config.steps))
+    overrides = {} if priors is None else {"priors": priors}
+    config = load_config(scenario, steps=min(3, load_config(scenario).steps), **overrides)
     net = resolve_network(config)
     pi = metropolis_weights(net)
     params = params_from_scenario(config, net)
@@ -457,7 +458,8 @@ def test_first_steps_of_the_presets_match_the_reference_filter(scenario, kind, r
 def test_flat_detections_slice_into_per_sensor_draws(draw, seeds, steps, rate):
     net, _, _ = draw
     # fixed priors draw nothing, so the oracle starts at the first count
-    config = load_config("s2").with_overrides(steps=steps, prior_mode="fixed", meas_rate=rate)
+    config = load_config("s2", steps=steps, priors=fixed_priors("s2"),
+                         measurements={"law": "poisson", "rate": rate})
     truth = generate_truth(config)
     for seed, run in zip(seeds, generate_measurements(truth, net, config, seeds)):
         assert run.counts.shape == (steps, net.size)
@@ -543,8 +545,7 @@ def rotated(scn, params, theta):
     scene = replace(scn, x_true=scn.x_true @ turn.T, p_true=scn.p_true + alpha,
                     detections=scn.detections @ rot.T, x0=turn @ scn.x0,
                     cx0=turn @ scn.cx0 @ turn.T, p0=scn.p0 + alpha)
-    models = replace(params, cv_by_node=tuple(rot @ cv @ rot.T for cv in params.cv_by_node),
-                     cxw=turn @ params.cxw @ turn.T)
+    models = replace(params, cv=rot @ params.cv @ rot.T, cxw=turn @ params.cxw @ turn.T)
     return scene, models, turn
 
 
@@ -572,7 +573,7 @@ def test_rotating_a_preset_scene_rotates_the_record(scenario, kind):
     # happen within the first 25 steps of this seed-0 realization when the
     # filter wraps; without a wrap the worst deviation was 3.2e-15 relative
     # in x_mean, 2.6e-13 elsewhere and 5.9e-13 rad.
-    config = load_config(scenario).with_overrides(steps=25)
+    config = load_config(scenario, steps=25)
     net = resolve_network(config)
     pi, params = metropolis_weights(net), params_from_scenario(config, net)
     runs = build_scenario_run(config, net, np.random.SeedSequence(0).spawn(1))
@@ -846,7 +847,7 @@ def test_ceot_scatter_sums_every_detection_into_its_one_row(seed, k):
     rng = np.random.default_rng(seed)
     x, cx, p, cp = random_points(rng, 1)
     y, ch, cv = random_detections(rng, k)
-    params = TrackerParams(ch=ch, cv_by_node=tuple(cv), fx=np.eye(4),
+    params = TrackerParams(ch=ch, cv=cv, fx=np.eye(4),
                            cxw=np.eye(4), cpw=np.eye(3))
     state = initial_states(x[:1], cx[:1], p[:1], cp[:1])
     qx, ox, qp, op = _columns(state)

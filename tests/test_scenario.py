@@ -1,4 +1,5 @@
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -67,7 +68,7 @@ def test_unknown_preset():
 
 
 def test_stationary_truth_constant():
-    config = load_config("s1").with_overrides(steps=5)
+    config = load_config("s1", steps=5)
     x_true, p_true = generate_truth(config)
     assert x_true.shape == (5, 2) and p_true.shape == (5, 3)
     assert (x_true == x_true[0]).all() and (p_true == p_true[0]).all()
@@ -76,11 +77,11 @@ def test_stationary_truth_constant():
 
 
 def test_straight_course_spacing():
-    config = load_config("s2").with_overrides(trajectory=TrajectorySpec(
-        kind="waypoints",
-        waypoints=np.array([[0.0, 0.0], [10000.0, 0.0]]),
-        speed_mps=50000.0 / 3600.0,
-    ))
+    config = load_config("s2", trajectory={
+        "kind": "waypoints",
+        "waypoints": [[0.0, 0.0], [10000.0, 0.0]],
+        "speed_kmh": 50.0,
+    })
     positions = generate_truth(config)[0][:, :2]
     gaps = np.linalg.norm(np.diff(positions, axis=0), axis=1)
     assert np.allclose(gaps, 50000.0 / 3600.0 * 10.0, atol=1e-9)
@@ -108,7 +109,7 @@ def test_waypoint_truth_heading_and_velocity():
 
 
 def test_waypoint_truth_extends_past_last_waypoint():
-    config = load_config("s2").with_overrides(steps=200)
+    config = load_config("s2", steps=200)
     x_true, p_true = generate_truth(config)
     assert len(x_true) == len(p_true) == 200
     # tail keeps the final heading
@@ -130,7 +131,7 @@ def test_generate_measurements_counts_and_empty_relays():
 
 
 def test_poisson_counts_mean():
-    config = load_config("s2").with_overrides(steps=1)
+    config = load_config("s2", steps=1)
     net = benchmark_network()
     counts = []
     truth = generate_truth(config)
@@ -144,7 +145,7 @@ def test_poisson_counts_mean():
 
 
 def test_same_seed_bit_identical():
-    config = load_config("s2").with_overrides(steps=3)
+    config = load_config("s2", steps=3)
     net = benchmark_network()
     (a,) = build_scenario_run(config, net, [99])
     (b,) = build_scenario_run(config, net, [99])
@@ -161,7 +162,7 @@ def test_measurement_covariance_at_true_pose():
     # large-sample covariance approaches S Ch S.T + Cv at the true pose
     from eotnet.geometry import shape_matrix
 
-    config = load_config("s1").with_overrides(meas_count=60_000)
+    config = load_config("s1", measurements={"law": "fixed", "count": 60_000})
     net = benchmark_network()
     (run,) = build_scenario_run(config, net, [5])
     node = net.sensor_nodes[0]
@@ -180,7 +181,7 @@ def test_fixed_prior_mode_uses_configured_means():
 
 
 def test_sampled_priors_center_on_truth():
-    config = load_config("s2").with_overrides(steps=1)
+    config = load_config("s2", steps=1)
     net = benchmark_network()
     draws = np.array([run.x0 for run in build_scenario_run(config, net, range(300))])
     truth0 = generate_truth(config)[0][0]
@@ -194,7 +195,7 @@ def test_benchmark_network_consensus_is_primitive():
 
 
 def test_resolve_inline_network():
-    config = load_config("s1").with_overrides(network={
+    config = load_config("s1", network={
         "positions": [[0.0, 0.0], [500.0, 0.0], [1000.0, 0.0]],
         "sensor_nodes": [0, 2],
         "comm_radius": 600.0,
@@ -247,7 +248,7 @@ def test_config_rejects_nonpositive_steps_and_scan_time(tmp_path, old, new, mess
 
 
 def test_sensor_index_outside_network_is_rejected():
-    config = load_config("s1").with_overrides(network={
+    config = load_config("s1", network={
         "positions": [[0.0, 0.0], [500.0, 0.0], [1000.0, 0.0]],
         "sensor_nodes": [0, 7],
         "comm_radius": 600.0,
@@ -257,7 +258,7 @@ def test_sensor_index_outside_network_is_rejected():
 
 
 def test_empty_sensor_nodes_are_rejected():
-    config = load_config("s1").with_overrides(network={
+    config = load_config("s1", network={
         "positions": [[0.0, 0.0], [500.0, 0.0]],
         "sensor_nodes": [],
         "comm_radius": 600.0,
@@ -405,10 +406,15 @@ def test_config_rejects_network_that_is_not_a_mapping(tmp_path):
         load_config(write_s3_with(tmp_path, None, "network", "benchmrk"))
 
 
+def fixed_priors(preset):
+    """A preset's priors entry with mode fixed, as a load_config override."""
+    return {**yaml.safe_load(preset_text(preset))["priors"], "mode": "fixed"}
+
+
 @pytest.mark.parametrize("preset", ["s1", "s2"])
 def test_generate_measurements_draws_like_sample_measurements(preset):
     # fixed priors draw nothing, so both generators start at the first count
-    config = load_config(preset).with_overrides(steps=3, prior_mode="fixed")
+    config = load_config(preset, steps=3, priors=fixed_priors(preset))
     net = benchmark_network()
     truth = generate_truth(config)
     (run,) = generate_measurements(truth, net, config, [2024])
@@ -432,8 +438,10 @@ def test_a_sensors_single_detection_keeps_the_bits_of_its_own_draw():
     # Full covariances and a low rate make such rows common and every
     # product round.
     ch, cv = np.array([[0.3, 0.1], [0.1, 0.2]]), np.array([[2.0, 0.7], [0.7, 1.5]])
-    config = load_config("s2").with_overrides(steps=40, prior_mode="fixed", meas_rate=1.5,
-                                              ch=ch, cv=cv)
+    config = load_config("s2", steps=40, priors=fixed_priors("s2"),
+                         measurements={"law": "poisson", "rate": 1.5},
+                         noise={"multiplicative_cov": ch.tolist(),
+                                "measurement_cov": cv.tolist()})
     net = benchmark_network()
     truth = generate_truth(config)
     seeds = list(range(10))
@@ -449,14 +457,14 @@ def test_a_sensors_single_detection_keeps_the_bits_of_its_own_draw():
 
 
 def test_generate_measurements_rejects_bad_covariance():
-    config = load_config("s1").with_overrides(steps=1)
+    config = load_config("s1", steps=1)
     net = benchmark_network()
     truth = generate_truth(config)
     for bad in (np.array([[1, 2], [2, 1]]) * -1.0, np.array([[1.0, 0.5], [0.3, 1.0]])):
         with pytest.raises(ValueError, match="multiplicative noise covariance"):
-            generate_measurements(truth, net, config.with_overrides(ch=bad), [0])
+            generate_measurements(truth, net, replace(config, ch=bad), [0])
         with pytest.raises(ValueError, match="measurement noise covariance"):
-            generate_measurements(truth, net, config.with_overrides(cv=bad), [0])
+            generate_measurements(truth, net, replace(config, cv=bad), [0])
 
 
 # (preset, path, value, message): non-finite truth entries and their errors.
@@ -485,7 +493,7 @@ def test_config_rejects_nonfinite_truth(tmp_path, preset, path, value, message):
     ("s1", {"trajectory": TrajectorySpec(kind="stationary", position=np.array([0.0, np.nan]))}),
 ])
 def test_truth_of_overridden_config_must_be_finite(preset, overrides):
-    config = load_config(preset).with_overrides(**overrides)
+    config = replace(load_config(preset), **overrides)
     with pytest.raises(ValueError, match="ground truth must be finite"):
         generate_truth(config)
 

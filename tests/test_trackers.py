@@ -45,7 +45,7 @@ def make_params(n_nodes, ch=None, cv=None, x_dim=2, scan_time=1.0,
     cpw = np.diag([0.05, 1.0, 1.0]) if cpw is None else cpw
     return TrackerParams(
         ch=ch,
-        cv_by_node=tuple(cv for _ in range(n_nodes)),
+        cv=(cv,) * n_nodes,
         fx=ncv_transition(x_dim, scan_time),
         cxw=cxw,
         cpw=cpw,
@@ -161,8 +161,7 @@ def test_ceot_sums_per_node_innovations():
         q_p = q_p + m_mat.T @ vp @ y_tilde
         omega_p = omega_p + m_mat.T @ vp @ m_mat
 
-    params = TrackerParams(ch=ch, cv_by_node=tuple(cvs), fx=np.eye(2), cxw=np.eye(2),
-                           cpw=np.eye(3))
+    params = TrackerParams(ch=ch, cv=cvs, fx=np.eye(2), cxw=np.eye(2), cpw=np.eye(3))
     got = _columns(corrected(one_run(x0, cx0, p0, cp0),
                              *flat_scan([[y[None, :] for y in ys]]), params, CEOT))
     for value, want in zip(got, (q_x, omega_x, q_p, omega_p)):
@@ -357,30 +356,25 @@ def test_tracker_params_share_no_array_and_cannot_go_stale():
 
     config = load_config("s2")
     params = params_from_scenario(config, benchmark_network())
-    # Every node's noise is its own array, and none is the config's.
-    cv = params.cv_by_node
-    assert cv[0] is not cv[1] and not np.shares_memory(cv[0], cv[1])
-    models = (params.ch, params.fx, params.cxw, params.cpw, params.cv_stack, *cv)
-    for model in models:
+    # One noise per node, in one stack the scans read, and no model is the
+    # config's or can be edited in place.
+    assert params.cv.shape == (20, 2, 2) and (params.cv == config.cv).all()
+    for model in (params.ch, params.cv, params.fx, params.cxw, params.cpw):
         assert not model.flags.writeable
         for source in (config.ch, config.cv, config.cxw, config.cpw):
             assert not np.shares_memory(model, source)
-    # The stack the scans read is the per-node noises, and neither can be
-    # edited in place, so it cannot keep a noise the caller has changed.
-    assert np.array_equal(params.cv_stack, np.stack(cv))
     with pytest.raises(ValueError, match="read-only"):
-        cv[1][0, 0] = 1e3
+        params.cv[1, 0, 0] = 1e3
     with pytest.raises(ValueError, match="read-only"):
         params.ch[0, 0] = 1e3
     # Editing the caller's arrays afterwards reaches no params either.
     ch, noise = np.eye(2), np.diag([3.0, 9.0])
-    own = TrackerParams(ch=ch, cv_by_node=(noise, noise), fx=np.eye(2), cxw=np.eye(2),
-                        cpw=np.eye(3))
+    own = TrackerParams(ch=ch, cv=(noise, noise), fx=np.eye(2), cxw=np.eye(2), cpw=np.eye(3))
     ch[0, 0] = noise[0, 0] = 5.0
-    assert own.ch[0, 0] == 1.0 and own.cv_stack[:, 0, 0].tolist() == [3.0, 3.0]
+    assert own.ch[0, 0] == 1.0 and own.cv[:, 0, 0].tolist() == [3.0, 3.0]
     # A replaced noise is taken afresh.
-    edited = replace(own, cv_by_node=(noise, 2 * noise))
-    assert edited.cv_stack[:, 0, 0].tolist() == [5.0, 10.0]
+    edited = replace(own, cv=(noise, 2 * noise))
+    assert edited.cv[:, 0, 0].tolist() == [5.0, 10.0]
 
 
 def test_correct_scan_of_no_realizations_returns_empty_moments():
@@ -533,15 +527,12 @@ def test_a_prior_semi_axis_below_the_floor_stays_in_the_state():
 
 def test_pickled_params_keep_read_only_models_and_shared_noises():
     # The CLI's worker pool pickles the params; the copy is built again, so
-    # every model stays read-only and cv_by_node the slices of cv_stack.
+    # every model, the noise stack among them, stays read-only.
     params = make_params(3, x_dim=4)
     copy = pickle.loads(pickle.dumps(params))
-    for name in ("ch", "fx", "cxw", "cpw", "cv_stack"):
+    for name in ("ch", "cv", "fx", "cxw", "cpw"):
         value = getattr(copy, name)
         assert np.array_equal(value, getattr(params, name)) and not value.flags.writeable, name
-    for j, cv in enumerate(copy.cv_by_node):
-        assert not cv.flags.writeable and np.shares_memory(cv, copy.cv_stack)
-        assert np.array_equal(cv, params.cv_by_node[j])
 
 
 def test_fuse_nodes_identical_inputs():
@@ -563,6 +554,11 @@ def test_filter_config_validation():
             FilterConfig(kind=FilterKind.CM, omega=omega)
     for omega in (None, 0.0, 12.5, 1e6, 3, np.int64(3), np.float64(2.5)):
         assert FilterConfig(kind=FilterKind.CM, omega=omega).omega == omega
+    # A kind the scan does not know would leave every node filtering alone.
+    for kind in ("ci", "bogus", None):
+        message = f"kind must be a FilterKind, got {kind!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            FilterConfig(kind, 3)
 
 
 @pytest.mark.parametrize("kind", list(FilterKind))
@@ -662,9 +658,9 @@ def test_a_failing_noise_is_named_by_its_detections_run_and_node():
     # nodes 0 and 1 and run 1 on nodes 1 and 3: the failing Rx is the fourth
     # of the index's rows, and its own (run, node) names it.
     params = make_params(5)
-    cv = list(params.cv_by_node)
+    cv = params.cv.copy()
     cv[3] = -100.0 * np.eye(2)
-    params = replace(params, cv_by_node=tuple(cv))
+    params = replace(params, cv=cv)
     none, one = np.zeros((0, 2)), np.ones((1, 2))
     batches = [[one, one, none, none, none], [none, one, none, one, none]]
     for kind in (FilterKind.CI, FilterKind.CM):
@@ -686,7 +682,7 @@ def test_cm_gwd_improves_with_more_rounds():
     from eotnet.scenario import build_scenario_run, load_config, benchmark_network
     from eotnet.trackers import params_from_scenario, run_filter
 
-    config = load_config("s2").with_overrides(steps=25)
+    config = load_config("s2", steps=25)
     net = benchmark_network()
     pi = metropolis_weights(net)
     params = params_from_scenario(config, net)
@@ -714,7 +710,7 @@ def test_kinematic_covariance_stays_bounded_on_long_run():
     from eotnet.scenario import build_scenario_run, load_config, benchmark_network
     from eotnet.trackers import params_from_scenario, run_filter
 
-    config = load_config("s2").with_overrides(steps=200)
+    config = load_config("s2", steps=200)
     net = benchmark_network()
     pi = metropolis_weights(net)
     params = params_from_scenario(config, net)
@@ -734,7 +730,7 @@ def test_stacked_runs_equal_one_run_calls(kind):
     from eotnet.scenario import build_scenario_run, load_config, benchmark_network
     from eotnet.trackers import params_from_scenario, run_filter
 
-    config = load_config("s2").with_overrides(steps=4)
+    config = load_config("s2", steps=4)
     net = benchmark_network()
     pi = metropolis_weights(net)
     params = params_from_scenario(config, net)
@@ -757,11 +753,11 @@ def test_run_filter_rejects_runs_of_different_lengths():
     from eotnet.scenario import build_scenario_run, load_config, benchmark_network
     from eotnet.trackers import params_from_scenario, run_filter
 
-    config = load_config("s2").with_overrides(steps=2)
+    config = load_config("s2", steps=2)
     net = benchmark_network()
     params = params_from_scenario(config, net)
     scns = [*build_scenario_run(config, net, [1]),
-            *build_scenario_run(config.with_overrides(steps=3), net, [2])]
+            *build_scenario_run(load_config("s2", steps=3), net, [2])]
     with pytest.raises(ValueError, match="same number of steps"):
         run_filter(scns, net, params, CEOT)
     with pytest.raises(ValueError, match="at least one"):
@@ -780,7 +776,7 @@ def test_nonfinite_detection_is_named_before_filtering(kind):
     from eotnet.scenario import build_scenario_run, load_config, benchmark_network
     from eotnet.trackers import params_from_scenario, run_filter
 
-    config = load_config("s2").with_overrides(steps=3)
+    config = load_config("s2", steps=3)
     net = benchmark_network()
     params = params_from_scenario(config, net)
     scns = build_scenario_run(config, net, np.random.SeedSequence(5).spawn(3))
@@ -799,7 +795,7 @@ def three_s2_runs():
     from eotnet.scenario import build_scenario_run, load_config, benchmark_network
     from eotnet.trackers import params_from_scenario
 
-    config = load_config("s2").with_overrides(steps=3)
+    config = load_config("s2", steps=3)
     net = benchmark_network()
     scns = build_scenario_run(config, net, np.random.SeedSequence(5).spawn(3))
     return net, params_from_scenario(config, net), scns
@@ -885,7 +881,7 @@ def test_run_filter_checks_the_consensus_matrix_against_its_network(kind):
     from eotnet.scenario import build_scenario_run, load_config, benchmark_network
     from eotnet.trackers import params_from_scenario, run_filter
 
-    config = load_config("s2").with_overrides(steps=2)
+    config = load_config("s2", steps=2)
     net = benchmark_network()
     params = params_from_scenario(config, net)
     scns = build_scenario_run(config, net, [1])
