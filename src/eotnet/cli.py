@@ -30,10 +30,10 @@ from .trackers import FilterConfig, FilterKind, params_from_scenario, run_filter
 __all__ = ["run", "sweep", "bounded_mse_experiment", "BoundedMseResult", "main"]
 
 
-def _worker(reduce, config, net, params, filter_config, pi, seeds):
+def _worker(reduce, traced, config, net, params, filter_config, pi, seeds):
     """Realize and filter one share of a batch's runs as one stacked pass;
-    returns what reduce makes of its record, and its trace."""
-    trace = AssumptionTrace()
+    returns what reduce makes of its record, and its trace if traced."""
+    trace = AssumptionTrace() if traced else None
     scns = build_scenario_run(config, net, seeds)
     record = run_filter(scns, net, params, filter_config, pi, trace=trace)
     return reduce(record, scns[0], config), trace
@@ -52,12 +52,12 @@ def _pool_size(runs: int) -> int:
     return min(runs, limit)
 
 
-def _monte_carlo(config, filter_config: FilterConfig, reduce):
+def _monte_carlo(config, filter_config: FilterConfig, reduce, traced=False):
     """Run config.runs realizations of config under one filter in contiguous
     shares on the worker pool, and reduce each share's record with reduce, a
     module-level function of (record, the share's first ScenarioRun, config).
-    Returns the shares' results in run order, their merged trace, and the
-    network, Π and params the runs share."""
+    Returns the shares' results in run order, their merged trace if traced
+    (else None), and the network, Π and params the runs share."""
     net = resolve_network(config)
     pi = metropolis_weights(net)
     params = params_from_scenario(config, net)
@@ -65,7 +65,7 @@ def _monte_carlo(config, filter_config: FilterConfig, reduce):
     # Each share is a contiguous range of runs, so the results stay in run order.
     shares = [[seeds[i] for i in share]
               for share in np.array_split(np.arange(config.runs), _pool_size(config.runs))]
-    work = functools.partial(_worker, reduce, config, net, params, filter_config, pi)
+    work = functools.partial(_worker, reduce, traced, config, net, params, filter_config, pi)
     if len(shares) == 1:
         results = [work(shares[0])]
     else:
@@ -75,7 +75,8 @@ def _monte_carlo(config, filter_config: FilterConfig, reduce):
         with ProcessPoolExecutor(max_workers=len(shares)) as pool:
             results = list(pool.map(work, shares))
     results, traces = zip(*results)
-    return results, functools.reduce(AssumptionTrace.merge, traces), net, pi, params
+    trace = functools.reduce(AssumptionTrace.merge, traces) if traced else None
+    return results, trace, net, pi, params
 
 
 def _run_table(record, scn, config):
@@ -94,7 +95,7 @@ def run(config, filter_config: FilterConfig, out_dir) -> tuple[list, np.ndarray]
     """Run one scenario config under one filter, write its artifacts into
     out_dir, and return its metric table (columns, values) with values
     (runs, steps, columns)."""
-    shares, trace, net, pi, params = _monte_carlo(config, filter_config, _run_table)
+    shares, trace, net, pi, params = _monte_carlo(config, filter_config, _run_table, traced=True)
     columns, values, step_seconds = zip(*shares)
     columns, values, step_seconds = columns[0], np.concatenate(values), np.concatenate(step_seconds)
 

@@ -113,13 +113,11 @@ def build_network(positions, kinds, comm_radius: float) -> SensorNetwork:
         raise ValueError("one node kind per position is required")
     dist = np.linalg.norm(positions[:, None, :] - positions[None, :, :], axis=2)
     adjacency = (dist <= comm_radius) & ~np.eye(n, dtype=bool)
-    # Nodes of one component reach exactly the same nodes within n - 1 hops.
-    reach = _bool_mat_pow(adjacency | np.eye(n, dtype=bool), n - 1)
-    pieces = np.unique(reach, axis=0).shape[0]
-    if pieces != 1:
-        raise ValueError(
-            f"network is disconnected ({pieces} components) at radius {comm_radius}"
-        )
+    reach = _closure(adjacency | np.eye(n, dtype=bool), n - 1)
+    if not reach.all():
+        # Nodes of one component reach exactly the same nodes.
+        pieces = np.unique(reach, axis=0).shape[0]
+        raise ValueError(f"network is disconnected ({pieces} components) at radius {comm_radius}")
     return SensorNetwork(
         positions=positions,
         kinds=kinds,
@@ -137,16 +135,20 @@ def metropolis_weights(net: SensorNetwork) -> ConsensusMatrix:
     return ConsensusMatrix(pi=pi)
 
 
-def _bool_mat_pow(b: np.ndarray, power: int) -> np.ndarray:
-    """Exact boolean-semiring matrix power via binary exponentiation."""
-    result = np.eye(b.shape[0], dtype=bool)
-    base = b.copy()
-    while power:
-        if power & 1:
-            result = (result.astype(np.uint8) @ base.astype(np.uint8)) > 0
-        base = (base.astype(np.uint8) @ base.astype(np.uint8)) > 0
-        power >>= 1
-    return result
+def _closure(b: np.ndarray, walks: int) -> np.ndarray:
+    """b squared in booleans, which cannot wrap, until every entry is set, a
+    square changes nothing, or its entries count walks of length >= walks."""
+    # A positive power stays positive (b then has no zero row or column),
+    # and a square that changes nothing is every higher power; so .all() is
+    # the verdict of b^walks when walks is a bound by which a positive power
+    # appears if any does.  With b's diagonal set, b^walks for walks >= n - 1
+    # is the reachability, and so is a fixed square.  After k squarings,
+    # walks is the original walks / 2^k, rounded up.
+    while walks > 1 and not b.all():
+        b, last, walks = b @ b, b, (walks + 1) // 2
+        if np.array_equal(b, last):
+            break
+    return b
 
 
 def check_primitive(pi: ConsensusMatrix) -> bool:
@@ -155,4 +157,4 @@ def check_primitive(pi: ConsensusMatrix) -> bool:
     The Wielandt bound n^2 - 2n + 2 caps the power that needs checking.
     """
     n = pi.size
-    return bool(_bool_mat_pow(pi.pi > 0, n * n - 2 * n + 2).all())
+    return bool(_closure(pi.pi > 0, n * n - 2 * n + 2).all())

@@ -100,6 +100,8 @@ class TrackerParams:
             value = np.array(getattr(self, name), float)
             value.flags.writeable = False
             object.__setattr__(self, name, value)
+        if self.cv.ndim != 3 or self.cv.shape[1:] != (2, 2):
+            raise ValueError(f"cv must be an (n, 2, 2) noise stack, got shape {self.cv.shape}")
 
     def __reduce__(self):
         # Rebuilt through the constructor, so a copy in another process keeps

@@ -11,7 +11,9 @@ as do the generic innovation pair the piecewise linearization uses, the
 converters between nested per-sensor batches and the flat detection layout,
 and the helpers that view, correct and predict copies of packed state rows.
 reference_filter runs the whole filter from the paper's equations with plain
-loops, one detection at a time, as the tolerance oracle of run_filter.
+loops, one detection at a time, as the tolerance oracle of run_filter.  The
+network checks have a breadth-first component search and the Wielandt power
+of a weight matrix's support, taken exactly in float64.
 """
 
 from itertools import permutations
@@ -485,6 +487,44 @@ def _averaged(rows, net, pi, rounds):
                 for j in range(len(flat))]
     ends = np.cumsum([a.size for a in rows[0]])[:-1]
     return [[part.reshape(a.shape) for part, a in zip(np.split(v, ends), rows[0])] for v in flat]
+
+
+def components_by_search(adjacency):
+    """The connected components of an undirected graph, each the sorted list
+    of its nodes, by a plain breadth-first search from each node not yet
+    reached, one level at a time."""
+    adjacency = np.asarray(adjacency, dtype=bool)
+    seen, pieces = np.zeros(len(adjacency), dtype=bool), []
+    for start in range(len(adjacency)):
+        if seen[start]:
+            continue
+        seen[start], piece, level = True, [start], [start]
+        while level:
+            following = []
+            for u in level:
+                for v in np.flatnonzero(adjacency[u] & ~seen):
+                    seen[v] = True
+                    following.append(int(v))
+            piece += following
+            level = following
+        pieces.append(sorted(piece))
+    return pieces
+
+
+def primitive_by_power(weights):
+    """Whether the support of a nonnegative (n, n) matrix to the Wielandt
+    power n^2 - 2n + 2 is entrywise positive: that exact power by binary
+    exponentiation, each product of 0/1 matrices taken in float64, whose
+    walk counts (at most n) neither wrap nor round, and clipped back to 0/1."""
+    base = (np.asarray(weights) > 0).astype(np.float64)
+    n = len(base)
+    power, result = n * n - 2 * n + 2, np.eye(n)
+    while power:
+        if power & 1:
+            result = (result @ base > 0).astype(np.float64)
+        base = (base @ base > 0).astype(np.float64)
+        power >>= 1
+    return bool((result > 0).all())
 
 
 def reference_filter(scn_run, net, params, config, pi):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import eotnet
-from eotnet.cli import main
+from eotnet.cli import main, sweep
 from eotnet.scenario import preset_text
 
 
@@ -159,6 +159,31 @@ def test_usage_errors(tmp_path, tiny_config, capsys):
     with pytest.raises(SystemExit):
         main(["--config", str(tiny_config), "--filter", "cm", "--out", str(tmp_path),
               "--L", "3", "--sweep-L", "1,2"])
+
+
+@pytest.mark.parametrize("flag, message", [
+    (["--sweep-L", "1,x"], "argument --sweep-L: bad sweep list '1,x'"),
+    (["--omega", "abc"], "argument --omega: omega must be 'G' or a number"),
+    ([], "--out is required unless --dump-config is given"),
+])
+def test_usage_errors_are_named(capsys, flag, message):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--scenario", "s1", "--filter", "cm", *flag])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.rstrip().endswith(f"error: {message}")
+
+
+def test_dump_config_of_a_missing_file_exits_1(tmp_path, capsys):
+    path = tmp_path / "nope.yaml"
+    assert main(["--config", str(path), "--dump-config"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err and "Traceback" not in err
+
+
+def test_an_empty_sweep_is_refused(tmp_path):
+    with pytest.raises(ValueError, match="^sweep list must not be empty$"):
+        sweep([], tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bad_config_path(tmp_path, capsys):

@@ -7,12 +7,13 @@ import pytest
 from eotnet.consensus import (
     ConsensusMatrix,
     NodeKind,
+    SensorNetwork,
     build_network,
     check_primitive,
     metropolis_weights,
 )
 from eotnet.scenario import benchmark_network
-from oracles import _averaged
+from oracles import _averaged, components_by_search, primitive_by_power
 
 
 def line_network(spacing, n, radius):
@@ -45,6 +46,84 @@ def test_build_network_disconnected():
 def test_build_network_too_small():
     with pytest.raises(ValueError):
         build_network(np.zeros((1, 2)), [NodeKind.SENSOR], 1.0)
+
+
+@pytest.mark.parametrize("positions", [np.zeros((3, 3)), np.zeros(3), np.zeros((2, 2, 2))])
+def test_build_network_needs_planar_positions(positions):
+    with pytest.raises(ValueError, match=r"^positions must be an \(n, 2\) array$"):
+        build_network(positions, [NodeKind.SENSOR] * 3, 1.0)
+
+
+def test_build_network_needs_one_kind_per_position():
+    with pytest.raises(ValueError, match="^one node kind per position is required$"):
+        build_network(np.zeros((3, 2)), [NodeKind.SENSOR] * 2, 1.0)
+
+
+def assert_network_verdict(positions, radius):
+    """build_network accepts a geometric graph exactly when a breadth-first
+    search finds one component, and names the count it finds otherwise.
+    Returns the graph, connected or not, and that count."""
+    n = len(positions)
+    adjacency = ((np.linalg.norm(positions[:, None] - positions[None], axis=2) <= radius)
+                 & ~np.eye(n, dtype=bool))
+    pieces = len(components_by_search(adjacency))
+    if pieces == 1:
+        assert np.array_equal(build_network(positions, [NodeKind.SENSOR] * n, radius).adjacency,
+                              adjacency)
+    else:
+        message = f"network is disconnected ({pieces} components) at radius {radius}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build_network(positions, [NodeKind.SENSOR] * n, radius)
+    return SensorNetwork(positions, (NodeKind.SENSOR,) * n, adjacency, radius), pieces
+
+
+def assert_primitive_verdict(pi):
+    verdict = check_primitive(pi)
+    assert verdict is primitive_by_power(pi.pi)
+    return verdict
+
+
+def two_clusters(n):
+    """Two complete n-node clusters 1000 m apart at radius 1.0, no edge between."""
+    return np.concatenate([np.zeros((n, 2)), np.full((n, 2), 1000.0)]), 1.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 9, 17, 40, 90, 200, 600])
+def test_network_checks_match_the_oracles_on_random_graphs(n):
+    # Geometric graphs about the connectivity radius, so that some split;
+    # Metropolis weights over their edges, split or not; and averages of
+    # random permutations, reducible, periodic or primitive.
+    rng = np.random.default_rng(27 + n)
+    for _ in range(4 if n < 100 else 1):
+        positions = rng.uniform(0.0, 1000.0, (n, 2))
+        radius = float(1000.0 * np.sqrt(np.log(n + 1) / n) * rng.uniform(0.3, 1.5))
+        net, _ = assert_network_verdict(positions, radius)
+        assert_primitive_verdict(metropolis_weights(net))
+        if n < 100:  # a periodic matrix is squared up to the Wielandt bound
+            mixes = int(rng.integers(1, 4))
+            assert_primitive_verdict(ConsensusMatrix(
+                sum(np.eye(n)[rng.permutation(n)] for _ in range(mixes)) / mixes))
+    if n < 100:  # the n-cycle has period n
+        assert not assert_primitive_verdict(ConsensusMatrix(np.roll(np.eye(n), 1, axis=1)))
+
+
+@pytest.mark.parametrize("n", [256, 512])
+def test_network_checks_count_past_a_byte(n):
+    # Every entry of a square of a complete n-node support counts n walks,
+    # and the 512-node pair of clusters is refused as
+    # "network is disconnected (2 components) at radius 1.0".
+    assert assert_primitive_verdict(ConsensusMatrix(np.full((n, n), 1.0 / n)))
+    net, pieces = assert_network_verdict(np.zeros((n, 2)), 1.0)
+    assert pieces == 1 and assert_primitive_verdict(metropolis_weights(net))
+    net, pieces = assert_network_verdict(*two_clusters(n // 2))
+    assert pieces == 2 and not assert_primitive_verdict(metropolis_weights(net))
+
+
+def test_benchmark_network_checks_match_the_oracles():
+    net = benchmark_network()
+    again, pieces = assert_network_verdict(net.positions, net.comm_radius)
+    assert pieces == 1 and np.array_equal(again.adjacency, net.adjacency)
+    assert assert_primitive_verdict(metropolis_weights(net))
 
 
 def test_benchmark_network_shape():
@@ -90,6 +169,9 @@ def test_consensus_matrix_validation():
     # NaN fails every comparison, so the other checks would let it through.
     for bad in (np.full((2, 2), np.nan), np.array([[np.inf, 0.0], [0.0, 1.0]])):
         with pytest.raises(ValueError, match="^consensus weights must be finite$"):
+            ConsensusMatrix(bad)
+    for bad in (np.full((2, 3), 1 / 3), np.ones(2), np.ones((1, 1, 1))):
+        with pytest.raises(ValueError, match="^consensus matrix must be square$"):
             ConsensusMatrix(bad)
 
 

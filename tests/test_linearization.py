@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from eotnet.geometry import shape_matrix, wrap_angle
-from eotnet._linalg import _adjugate_pass, _closed_form, _cofactor_pass, _schur_offsets, spd_inv
+from eotnet._linalg import (_adjugate_pass, _closed_form, _cofactor_pass, _schur_offsets, as_cov,
+                            spd_inv)
 from eotnet.linearization import innovations
 from oracles import (
     centered_pseudo_measurement,
@@ -334,6 +337,26 @@ def test_closed_form_3x3_inverse_names_a_row_singular_to_working_precision():
                        match=r"noise \(run 1, node 0\) is singular .*\(cond "):
         spd_inv(np.stack([np.stack([np.eye(3), np.eye(3)]), np.stack([edge, np.eye(3)])]),
                 "noise")
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_a_stack_deeper_than_run_and_node_is_named_by_its_slice(d):
+    stack = np.broadcast_to(np.eye(d), (2, 2, 2, d, d)).copy()
+    stack[1, 0, 1] = -np.eye(d)
+    name = re.escape("noise (slice (1, 0, 1))")
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=f"^{name} is singular or not positive definite "):
+        spd_inv(stack, "noise")
+    stack[1, 0, 1, 0, 0] = np.nan
+    with pytest.raises(ValueError, match=f"^{name} must not contain infs or NaNs$"):
+        spd_inv(stack, "noise")
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
+def test_as_cov_needs_a_square_matrix(shape):
+    message = f"noise must be square, got shape {shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        as_cov(np.ones(shape), "noise")
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

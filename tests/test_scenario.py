@@ -357,6 +357,14 @@ BAD_NESTED_ENTRIES = [
     # a course that repeats a point has no heading there
     ("trajectory", "waypoints", [[500.0, 1000.0], [3500.0, 1000.0], [3500.0, 1000.0]],
      r"consecutive trajectory.waypoints must be distinct, got \[3500.0, 1000.0\] at 1 and 2"),
+    # a course needs two planar points, a network planar positions
+    ("trajectory", "waypoints", [[500.0, 1000.0]],
+     r"^trajectory.waypoints must be at least 2 planar points, got shape \(1, 2\)$"),
+    (None, "network", {"positions": [[0.0, 0.0, 0.0], [500.0, 0.0, 0.0]], "sensor_nodes": [0],
+                       "comm_radius": 600.0},
+     r"^network.positions must be a list of planar points, got shape \(2, 3\)$"),
+    (None, "shape", "circle", "^unknown shape 'circle'$"),
+    (None, "kinematic_dim", 3, "^kinematic_dim must be 2 or 4, got 3$"),
 ]
 
 
@@ -364,6 +372,11 @@ BAD_NESTED_ENTRIES = [
 def test_config_rejects_bad_nested_entries(tmp_path, section, key, value, message):
     with pytest.raises(ValueError, match=message):
         load_config(write_s3_with(tmp_path, section, key, value))
+
+
+def test_config_accepts_an_integral_float_run_count(tmp_path):
+    config = load_config(write_s3_with(tmp_path, None, "runs", 2.0))
+    assert config.runs == 2 and type(config.runs) is int
 
 
 def test_config_accepts_zero_speed(tmp_path):
@@ -512,7 +525,7 @@ def written_documents():
         *(s2.replace(old, new) for old, new, _ in S2_EDITS),
         *(preset_with("s3", [section, key] if section else [key], value)
           for section, key, value, *_ in WRONG_SIZE_ENTRIES + BAD_NESTED_ENTRIES
-          + [("trajectory", "speed_kmh", 0.0), (None, "stepz", 40)]),
+          + [("trajectory", "speed_kmh", 0.0), (None, "stepz", 40), (None, "runs", 2.0)]),
         *(preset_with(preset, path, value) for preset, path, value, _ in NONFINITE_TRUTH_ENTRIES),
     ]
 
@@ -520,7 +533,7 @@ def written_documents():
 @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML is built without libyaml")
 def test_c_and_python_yaml_loaders_parse_every_written_document_alike():
     documents = written_documents()
-    assert len(documents) == 78
+    assert len(documents) == 83
     for text in documents:
         # repr compares types and NaNs too, which == on the mappings does not.
         assert repr(yaml.load(text, Loader=yaml.CSafeLoader)) == repr(yaml.safe_load(text))

@@ -535,6 +535,17 @@ def test_pickled_params_keep_read_only_models_and_shared_noises():
         assert np.array_equal(value, getattr(params, name)) and not value.flags.writeable, name
 
 
+@pytest.mark.parametrize("cv", [np.diag([3.0, 9.0]), np.eye(3)[None], np.ones((2, 2, 2, 2)),
+                                np.ones(2)])
+def test_params_need_an_n_by_2_by_2_noise_stack(cv):
+    # A single 2x2 noise of two rows would pass a count check for two sensors.
+    message = f"cv must be an (n, 2, 2) noise stack, got shape {np.shape(cv)}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TrackerParams(ch=np.eye(2), cv=cv, fx=np.eye(2), cxw=np.eye(2), cpw=np.eye(3))
+    with pytest.raises(ValueError, match="^cv must be an"):
+        replace(make_params(2), cv=cv)
+
+
 def test_fuse_nodes_identical_inputs():
     rng = np.random.default_rng(8)
     mean = rng.normal(size=3)
