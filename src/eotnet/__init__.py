@@ -52,7 +52,6 @@ from .trackers import (
     FilterKind,
     TrackerParams,
     TrackRecord,
-    correct_scan,
     initial_states,
     ncv_transition,
     params_from_scenario,

@@ -62,8 +62,8 @@ class SensorNetwork:
 class ConsensusMatrix:
     """Doubly stochastic averaging weights supported on the network edges.
 
-    The weights are checked when the matrix is built: square, finite,
-    nonnegative, and every row and column summing to 1 (the doubly
+    The weights are checked when the matrix is built: square, non-empty,
+    finite, nonnegative, and every row and column summing to 1 (the doubly
     stochastic part of assumption A3) to within 1e-12.  They are then read-only.
     """
 
@@ -73,8 +73,8 @@ class ConsensusMatrix:
         pi = np.array(self.pi, dtype=float)
         pi.flags.writeable = False
         object.__setattr__(self, "pi", pi)
-        if pi.ndim != 2 or pi.shape[0] != pi.shape[1]:
-            raise ValueError("consensus matrix must be square")
+        if pi.ndim != 2 or pi.shape[0] != pi.shape[1] or not pi.size:
+            raise ValueError(f"consensus matrix must be {'square' if pi.size else 'non-empty'}")
         if not np.isfinite(pi).all():
             raise ValueError("consensus weights must be finite")
         if pi.min() < -_TOL:

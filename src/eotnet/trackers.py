@@ -42,7 +42,6 @@ __all__ = [
     "ncv_transition",
     "params_from_scenario",
     "initial_states",
-    "correct_scan",
     "run_filter",
 ]
 
@@ -84,10 +83,11 @@ class FilterConfig:
 
 @dataclass(frozen=True)
 class TrackerParams:
-    """Models shared by every node: the multiplicative noise ch, one sensor
-    noise per node as the stack cv (n, 2, 2), the kinematic transition and
-    the process covariances cxw and cpw (the extent transition is the
-    identity), each copied read-only."""
+    """Models shared by every node: the multiplicative noise ch (2, 2), one
+    sensor noise per node as the stack cv (n, 2, 2), the kinematic transition
+    fx and process covariance cxw, (d, d) with d = 2 or 4, and the extent
+    process covariance cpw (3, 3) (the extent transition is the identity),
+    each copied read-only."""
 
     ch: np.ndarray
     cv: np.ndarray
@@ -102,6 +102,10 @@ class TrackerParams:
             object.__setattr__(self, name, value)
         if self.cv.ndim != 3 or self.cv.shape[1:] != (2, 2):
             raise ValueError(f"cv must be an (n, 2, 2) noise stack, got shape {self.cv.shape}")
+        d = self.fx.shape if self.fx.shape in ((2, 2), (4, 4)) else "(2, 2) or (4, 4)"
+        for name, shape in (("fx", d), ("ch", (2, 2)), ("cxw", d), ("cpw", (3, 3))):
+            if getattr(self, name).shape != shape:
+                raise ValueError(f"{name} must be {shape}, got shape {getattr(self, name).shape}")
 
     def __reduce__(self):
         # Rebuilt through the constructor, so a copy in another process keeps
@@ -171,25 +175,26 @@ class _Scan(NamedTuple):
     lives: list  # and its live rows the leading lives[i] flat rows
 
 
-def _scan_plan(tables, y, nodes: int, where: str) -> list[_Scan]:
+def _scan_plan(tables, y, nodes: int) -> list[_Scan]:
     """Every scan of count tables (steps, sensors), tables[r][k, j] detections
     of sensor j in scan k of realization r, with detections y (M, 2) in
     (realization, scan, sensor, index) order: one pass over the table, one
     gather of y.  Sensor j writes node j's flat row, or node 0's of one node.
-    A bad count or detection fails, named by where with its noun and r, k, j."""
+    A count that is not a non-negative integer, or a non-finite detection,
+    fails, named by its run r, step k and sensor j."""
     counts = np.asarray(tables)
     floats = np.array([t.dtype.kind not in "iu" for t in tables], dtype=bool)
     bad = (counts < 0) | floats[:, None, None]
     if bad.any():
         r, k, j = np.unravel_index(np.argmax(bad), counts.shape)
         value = tables[r][k, j]
-        raise ValueError(f"{where.format('count', r=r, k=k, j=j)} must be a non-negative "
+        raise ValueError(f"count of run {r}, step {k}, sensor {j} must be a non-negative "
                          f"integer, got {value} ({value.dtype})")
     bad = ~np.isfinite(y).all(axis=1)
     if bad.any():
         first = np.searchsorted(np.cumsum(counts), np.argmax(bad), side="right")
         r, k, j = np.unravel_index(first, counts.shape)
-        raise ValueError(f"{where.format('detections', r=r, k=k, j=j)} must be finite")
+        raise ValueError(f"detections of run {r}, step {k}, sensor {j} must be finite")
     runs, steps, sensors = counts.shape
     ends = counts.max(axis=2, initial=0).T  # (steps, runs)
     by_end, lengths = np.argsort(-ends, axis=1, kind="stable"), ends.max(axis=1, initial=0)
@@ -205,9 +210,7 @@ def _scan_plan(tables, y, nodes: int, where: str) -> list[_Scan]:
     at = np.stack([by_end[scan, rank], sensor], axis=1)
     take = (np.cumsum(counts) - counts.ravel()).reshape(counts.shape)[at[:, 0], scan, sensor]
     take += index
-    flat = rank * nodes
-    if nodes > 1:
-        flat += sensor
+    flat = rank * nodes + sensor * (nodes > 1)
     del scan, index, rank, sensor
     detections = y[take]
     del take
@@ -222,7 +225,7 @@ def _scan_plan(tables, y, nodes: int, where: str) -> list[_Scan]:
 
 def _consensus_map(config: FilterConfig, pi, params: TrackerParams, sensors: int, nodes: int):
     """An index's consensus rounds as one map, CM's weight omega on it (None
-    under CEOT), once the models fit `sensors` count columns and `nodes` rows."""
+    under CEOT), once the models fit `sensors` count columns."""
     if sensors > len(params.cv):
         raise ValueError(f"batch counts of {sensors} sensors need as many sensor noises, "
                          f"got {len(params.cv)}")
@@ -230,46 +233,19 @@ def _consensus_map(config: FilterConfig, pi, params: TrackerParams, sensors: int
         return None
     if pi is None:
         raise ValueError("distributed filters need a consensus matrix")
-    if sensors != nodes:
-        raise ValueError("distributed filters need one batch per node")
     if config.kind is FilterKind.CI:
         return pi.power(config.consensus_iters)
     return pi.power(config.consensus_iters) * (nodes if config.omega is None else config.omega)
 
 
-def correct_scan(state: np.ndarray, y, counts, params: TrackerParams, config: FilterConfig,
-                 pi: ConsensusMatrix | None = None, trace=None):
-    """Sequential correction, in place, of packed node rows (R, n, k) over one
-    scan, with a kinematic state of position (d = 2) or position and
-    velocity (d = 4).  The detections y (M, 2) come in (realization, sensor,
-    index) order, counts[r, j] of them, a non-negative integer, in sensor
-    j's batch of realization r.  Sensor j's noise is params.cv[j];
-    its innovations go into row 0 under CEOT and into its node's row j under
-    CI and CM, which need the consensus matrix pi: config.consensus_iters
-    rounds are one product with its power.  At each index the sensors with a
-    detection left contribute, all realizations in one stacked call, and
-    realizations never mix.  A failing Rx or Rp is named (run r, node j) by
-    its detection, a non-finite information vector or failing kinematic
-    information matrix by its row; a trace records the Rx spectra and Rp
-    floor hits.  Returns the moments (p, Cp) of every extent row it leaves.
-    """
-    if state.ndim != 3:
-        raise ValueError(f"correct_scan needs (R, n, k) rows, got shape {state.shape}")
-    runs, nodes = state.shape[:2]
-    counts, y = np.asarray(counts), np.reshape(y, (-1, 2))
-    if counts.ndim != 2 or counts.shape[0] != runs or len(y) != counts.sum():
-        raise ValueError(f"got {len(y)} detections in {counts.shape} batch counts for "
-                         f"{runs} stacked realizations")
-    (scan,) = _scan_plan(counts[:, None], y, 1 if config.kind is FilterKind.CEOT else nodes,
-                         "batch {} of run {r}, sensor {j}")
-    mix = _consensus_map(config, pi, params, counts.shape[1], nodes)
-    return _scan(state, scan, None, params, config.kind, mix, trace)
-
-
 def _scan(state, scan: _Scan, moments, params: TrackerParams, kind: FilterKind, mix, trace):
-    """correct_scan's correction over one planned scan with an index's
-    consensus map mix, from the extent moments (p, Cp) of the prior or
-    prediction, or the rows' own if moments is None; returns every row's."""
+    """Sequential correction, in place, of packed node rows (R, n, k) over one
+    planned scan, from the extent moments (p, Cp) (R, n, ...) of the prior or
+    prediction, with an index's consensus map mix.  Sensor j's detections
+    have the noise params.cv[j], and realizations never mix.  A failing Rx or
+    Rp is named (run r, node j) by its detection, a non-finite information
+    vector or failing kinematic information matrix by its row.  Returns the
+    moments (p, Cp) of every extent row it leaves."""
     runs, nodes, width = state.shape
     by_end, names, y_all, det_flat, det_at, bounds, lives = scan
     cv_all = params.cv[det_at[:, 1]]
@@ -277,9 +253,7 @@ def _scan(state, scan: _Scan, moments, params: TrackerParams, kind: FilterKind, 
     # The rows in scan order, one per (realization, node), and their views.
     flat = state[by_end].reshape(-1, width)
     qx_all, _, qp_all, op_all = _columns(flat)
-    if (d := qx_all.shape[-1]) not in (2, 4):
-        raise ValueError("correct_scan needs a kinematic state of position (d = 2) or of "
-                         f"position and velocity (d = 4), got d = {d}")
+    d = qx_all.shape[-1]
     mirror = _mirror(width)
     # Symmetrize the matrices once; a vector entry is its own mirror and
     # stays exact.  Every write below keeps them exactly symmetric: an
@@ -301,11 +275,9 @@ def _scan(state, scan: _Scan, moments, params: TrackerParams, kind: FilterKind, 
     # which names a failing Ω_pp - B or extent Ω.
     det_pos = det_flat[:, None] * width + _position_columns(d)
     det_row_at = names[det_flat]
-    if moments is None:
-        p_all, cp_all = _extent_moments(qp_all, op_all, names)
-    else:  # in scan order
-        p_all, cp_all = (np.asarray(a, float)[by_end].reshape(len(flat), *a.shape[2:])
-                         for a in moments)
+    # The moments the scan starts from, in scan order.
+    p_all, cp_all = (np.asarray(a, float)[by_end].reshape(len(flat), *a.shape[2:])
+                     for a in moments)
     for i in range(len(lives)):
         at_i, live = slice(bounds[i], bounds[i + 1]), lives[i]
         # Under CI and CM the detections' rows are distinct.  Under CEOT every
@@ -386,8 +358,7 @@ def run_filter(scn_runs, net: SensorNetwork, params: TrackerParams, config: Filt
     nodes = 1 if config.kind is FilterKind.CEOT else net.size
     # The batch's detections, (run, step, sensor, index) ordered, checked at once.
     y = np.concatenate([np.zeros((0, 2)), *(scn.detections for scn in scn_runs)])
-    scans = _scan_plan([scn.counts for scn in scn_runs], y, nodes,
-                       "{} of run {r}, step {k}, sensor {j}")
+    scans = _scan_plan([scn.counts for scn in scn_runs], y, nodes)
     runs, steps = len(scn_runs), shape[0]
 
     if nodes > 1 and pi is not None:
@@ -400,6 +371,9 @@ def run_filter(scn_runs, net: SensorNetwork, params: TrackerParams, config: Filt
                              "share no network edge".format(*off_edge[0]))
     mix = _consensus_map(config, pi, params, shape[1], nodes)
     priors = [np.stack([getattr(s, a) for s in scn_runs]) for a in ("x0", "cx0", "p0", "cp0")]
+    if priors[0].shape[1:] != params.fx.shape[:1] or priors[1].shape[1:] != params.fx.shape:
+        raise ValueError(f"priors x0 {priors[0].shape[1:]} and cx0 {priors[1].shape[1:]} do not "
+                         f"fit the transition fx {params.fx.shape}")
     state = initial_states(*priors, nodes)
     qx, ox, qp, op = _columns(state)
     # The record holds each quantity's moments at every step.

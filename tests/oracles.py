@@ -20,10 +20,11 @@ from itertools import permutations
 
 import numpy as np
 
+from eotnet import trackers
 from eotnet._linalg import _from_entries, _matvec, as_cov, spd_inv, sqrt_psd, sym
 from eotnet.geometry import MIN_AXIS, shape_matrix, wrap_angle
 from eotnet.info_filter import _columns, _position_columns, predict, to_moments
-from eotnet.trackers import FilterKind, correct_scan
+from eotnet.trackers import FilterKind
 
 
 def innovation(a, v, z):
@@ -358,7 +359,7 @@ def sample_measurements(m, p, ch, cv, count: int, rng: np.random.Generator) -> n
 
 
 def flat_scan(batches):
-    """correct_scan's (detections, counts) arguments for nested batches:
+    """scan_rows' (detections, counts) arguments for nested batches:
     batches[r][j] holds sensor j's detections in realization r."""
     flat = [[np.reshape(b, (-1, 2)) for b in run] for run in batches]
     counts = np.array([[len(b) for b in run] for run in flat], dtype=int).reshape(len(flat), -1)
@@ -400,10 +401,23 @@ def pairs(state):
     return (qx, ox), (qp, op)
 
 
+def scan_rows(state, y, counts, params, config, pi=None):
+    """One scan of packed rows (R, n, k), in place, by run_filter's scan core:
+    planned as one step of the count table counts (R, sensors) and its
+    detections y, started from the extent moments of the symmetrized rows.
+    Returns every row's extent moments (p, Cp)."""
+    nodes = 1 if config.kind is FilterKind.CEOT else state.shape[1]
+    (plan,) = trackers._scan_plan(counts[:, None], y, nodes)
+    _, _, qp, op = _columns(0.5 * (state + state[..., trackers._mirror(state.shape[-1])]))
+    mix = trackers._consensus_map(config, pi, params, counts.shape[1], nodes)
+    return trackers._scan(state, plan, trackers._extent_moments(qp, op), params, config.kind,
+                          mix, None)
+
+
 def corrected(state, *args):
-    """A copy of packed rows after correct_scan(copy, *args)."""
+    """A copy of packed rows after scan_rows(copy, *args)."""
     out = state.copy()
-    correct_scan(out, *args)
+    scan_rows(out, *args)
     return out
 
 

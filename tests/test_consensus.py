@@ -173,6 +173,10 @@ def test_consensus_matrix_validation():
     for bad in (np.full((2, 3), 1 / 3), np.ones(2), np.ones((1, 1, 1))):
         with pytest.raises(ValueError, match="^consensus matrix must be square$"):
             ConsensusMatrix(bad)
+    # An empty matrix used to fail in the nonnegativity check's bare reduction.
+    for bad in (np.zeros((0, 0)), np.zeros((0, 3)), []):
+        with pytest.raises(ValueError, match="^consensus matrix must be non-empty$"):
+            ConsensusMatrix(bad)
 
 
 def test_check_primitive():

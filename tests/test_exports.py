@@ -34,12 +34,15 @@ def test_package_reexports_only_listed_names():
     assert unlisted == []
 
 
-def test_the_explicit_rounds_are_not_exported():
+@pytest.mark.parametrize("module, name", [("consensus", "consensus_rounds"),
+                                          ("trackers", "correct_scan")])
+def test_the_explicit_rounds_are_not_exported(module, name):
     # L consensus rounds are one product with ConsensusMatrix.power(L), which
-    # the scan applies; no second entry point repeats it.
-    consensus = importlib.import_module("eotnet.consensus")
-    assert "consensus_rounds" not in consensus.__all__
-    assert not hasattr(consensus, "consensus_rounds") and not hasattr(eotnet, "consensus_rounds")
+    # the scan applies, and run_filter is the one way into the scan; no
+    # second entry point repeats either.
+    source = importlib.import_module(f"eotnet.{module}")
+    assert name not in source.__all__
+    assert not hasattr(source, name) and not hasattr(eotnet, name)
 
 
 def test_the_readme_session_prints_the_shapes_its_comments_promise(capsys):

@@ -41,7 +41,6 @@ from eotnet.trackers import (
     FilterKind,
     TrackerParams,
     _extent_moments,
-    correct_scan,
     initial_states,
     ncv_transition,
     params_from_scenario,
@@ -65,6 +64,7 @@ from oracles import (
     sample_measurements,
     scan_batches,
     scan_plan_by_loops,
+    scan_rows,
     split_innovations,
 )
 from test_scenario import fixed_priors
@@ -190,7 +190,7 @@ def test_every_scan_leaves_its_information_matrices_exactly_symmetric(d, draw, r
     for kind in FilterKind:
         state = distinct_rows(rng, runs, 1 if kind is FilterKind.CEOT else net.size, d)
         scan = flat_scan([random_batches(rng, net, max_len) for _ in range(runs)])
-        correct_scan(state, *scan, params, FilterConfig(kind=kind, consensus_iters=rounds), pi)
+        scan_rows(state, *scan, params, FilterConfig(kind=kind, consensus_iters=rounds), pi)
         for _, omega in pairs(state):
             assert np.array_equal(omega, omega.swapaxes(-1, -2)), kind
 
@@ -206,7 +206,7 @@ def test_information_matrices_stay_positive_definite(draw, kind, rounds, max_len
     config = FilterConfig(kind=kind, consensus_iters=rounds)
     for _ in range(3):
         batches = random_batches(rng, net, max_len)
-        correct_scan(state, *flat_scan([batches]), params, config, pi)
+        scan_rows(state, *flat_scan([batches]), params, config, pi)
         for q, omega in pairs(state):
             assert np.isfinite(q).all()
             assert np.linalg.eigvalsh(omega).min() > 0
@@ -609,14 +609,13 @@ def test_the_batch_plan_is_every_scan_planned_alone(runs, steps, sensors, centra
     nodes = 1 if central else sensors
     # Detections labelled by their place in (run, step, sensor, index) order.
     y = np.stack([np.arange(counts.sum()), -np.arange(counts.sum())], axis=1).astype(float)
-    batch = trackers._scan_plan(list(counts), y, nodes, "{} of run {r}, step {k}, sensor {j}")
+    batch = trackers._scan_plan(list(counts), y, nodes)
     assert len(batch) == steps
     starts = np.cumsum(counts.sum(axis=2)).reshape(runs, steps) - counts.sum(axis=2)
     for k, (scan, want) in enumerate(zip(batch, scan_plan_by_loops(counts, nodes))):
-        # correct_scan's plan of the scan alone, from its own detections.
+        # The plan of the scan alone, from its own detections.
         own = np.concatenate([y[a:a + n] for a, n in zip(starts[:, k], counts[:, k].sum(axis=1))])
-        (alone,) = trackers._scan_plan(counts[:, k:k + 1], own, nodes,
-                                       "batch {} of run {r}, sensor {j}")
+        (alone,) = trackers._scan_plan(counts[:, k:k + 1], own, nodes)
         for field, got, solo in zip(scan._fields, scan, alone):
             assert type(got) is type(solo) and np.array_equal(got, solo), (k, field)
             if isinstance(got, np.ndarray):
@@ -645,7 +644,7 @@ def scans_at_the_range_edges(kind, runs, steps, seed, max_len):
     for _ in range(steps):
         # Batches of 0-max_len detections, so realizations end at different indices.
         batches = [random_batches(rng, net, max_len) for _ in range(runs)]
-        p, cp = correct_scan(state, *flat_scan(batches), params, config, pi)
+        p, cp = scan_rows(state, *flat_scan(batches), params, config, pi)
         want_p, want_cp = to_moments(*pairs(state)[1])
         assert np.array_equal(p, want_p) and np.array_equal(cp, want_cp)
         state = predicted(state, params)
@@ -887,7 +886,7 @@ def test_ceot_adds_a_rows_detections_one_after_another(draw, runs, data):
     for _, omega in pairs(want):
         omega[...] = sym(omega)
     with mock.patch.object(trackers, "innovations", spy):
-        correct_scan(state, *flat_scan(batches), params, FilterConfig(kind=FilterKind.CEOT))
+        scan_rows(state, *flat_scan(batches), params, FilterConfig(kind=FilterKind.CEOT))
     for run, block in blocks:
         delta = np.zeros_like(want)
         np.add.at(delta, (run[:, None], _position_columns(d)), block)
@@ -902,7 +901,7 @@ def test_every_index_linearizes_at_the_moments_of_its_rows_as_they_stand(kind, d
                                                                          rounds, data):
     # A spy keeps the extent moments each innovations call receives and the
     # (run, node) rows of its detections.  Replayed one index at a time
-    # through correct_scan, which ends with the whole scan's rows, the rows
+    # through scan_rows, which ends with the whole scan's rows, the rows
     # as index i finds them are those after indices 0..i-1: every call's
     # moments are _extent_moments of those rows, bit for bit.
     net, pi, seed = draw
@@ -920,14 +919,14 @@ def test_every_index_linearizes_at_the_moments_of_its_rows_as_they_stand(kind, d
 
     whole = state.copy()
     with mock.patch.object(trackers, "innovations", spy):
-        correct_scan(whole, *flat_scan(batches), params, config, pi)
+        scan_rows(whole, *flat_scan(batches), params, config, pi)
     assert len(calls) == max(len(b) for run in batches for b in run)
     for i, (p, cp, row_at) in enumerate(calls):
         _, _, qp, op = _columns(state[row_at[:, 0], row_at[:, 1]])
         want_p, want_cp = _extent_moments(qp, op)
         assert np.array_equal(p, want_p) and np.array_equal(cp, want_cp), i
-        correct_scan(state, *flat_scan([[b[i:i + 1] for b in run] for run in batches]), params,
-                     config, pi)
+        scan_rows(state, *flat_scan([[b[i:i + 1] for b in run] for run in batches]), params,
+                  config, pi)
     assert np.array_equal(state, whole)
 
 

@@ -16,7 +16,6 @@ from eotnet.trackers import (
     FilterKind,
     TrackerParams,
     _extent_moments,
-    correct_scan,
     initial_states,
     ncv_transition,
 )
@@ -32,6 +31,7 @@ from oracles import (
     pseudo_measurement,
     residual_cov,
     sample_measurements,
+    scan_rows,
 )
 
 CEOT = FilterConfig(kind=FilterKind.CEOT)
@@ -325,31 +325,6 @@ def test_ci_without_any_sensors_keeps_priors():
     assert np.allclose(out[2], _columns(priors)[2])
 
 
-def test_distributed_scan_needs_matrix_and_one_batch_per_node():
-    net = build_network(np.stack([np.arange(3), np.zeros(3)], axis=1),
-                        [NodeKind.SENSOR] * 3, comm_radius=100.0)
-    pi = metropolis_weights(net)
-    priors = one_run(*default_priors(), 3)
-    params = make_params(3)
-    for kind in (FilterKind.CI, FilterKind.CM):
-        config = FilterConfig(kind=kind)
-        with pytest.raises(ValueError, match="consensus matrix"):
-            correct_scan(priors, *flat_scan([[np.zeros((0, 2))] * 3]), params, config)
-        with pytest.raises(ValueError, match="one batch per node"):
-            correct_scan(priors, *flat_scan([[np.zeros((0, 2))] * 2]), params, config, pi)
-        with pytest.raises(ValueError, match=r"got 1 detections in \(1, 3\) batch counts"):
-            correct_scan(priors, np.zeros((1, 2)), np.zeros((1, 3), dtype=int), params, config,
-                         pi)
-
-
-def test_correct_scan_names_a_nonfinite_detection():
-    # Sensor 1's second detection of the scan's one realization.
-    y = np.ones((3, 2))
-    y[2, 1] = np.inf
-    with pytest.raises(ValueError, match=r"^batch detections of run 0, sensor 1 must be finite"):
-        correct_scan(one_run(*default_priors()), y, np.array([[1, 2]]), make_params(2), CEOT)
-
-
 def test_tracker_params_share_no_array_and_cannot_go_stale():
     from eotnet.scenario import benchmark_network, load_config
     from eotnet.trackers import params_from_scenario
@@ -377,41 +352,26 @@ def test_tracker_params_share_no_array_and_cannot_go_stale():
     assert edited.cv[:, 0, 0].tolist() == [5.0, 10.0]
 
 
-def test_correct_scan_of_no_realizations_returns_empty_moments():
-    state = np.zeros((0, 1, 18))
-    p, cp = correct_scan(state, np.zeros((0, 2)), np.zeros((0, 2), dtype=int), make_params(2),
-                         CEOT)
-    assert p.shape == (0, 1, 3) and cp.shape == (0, 1, 3, 3)
-
-
-def test_correct_scan_needs_a_realization_axis():
-    state = initial_states(*default_priors())  # (1, k) rows, no realization axis
-    with pytest.raises(ValueError, match=r"needs \(R, n, k\) rows, got shape \(1, 18\)"):
-        correct_scan(state, *flat_scan([[np.zeros((0, 2))]]), make_params(1), CEOT)
-
-
-@pytest.mark.parametrize("counts", [[[-1, 1]], [[0.0, 0.0]]], ids=["negative", "float"])
-def test_correct_scan_rejects_a_count_that_is_not_a_non_negative_integer(counts):
-    # The total matches the detections, but a count is negative or not an integer.
-    with pytest.raises(ValueError, match=r"^batch count of run 0, sensor 0 must be a "
-                                         r"non-negative integer, got -?\d"):
-        correct_scan(one_run(*default_priors()), np.zeros((0, 2)), np.array(counts),
-                     make_params(2), CEOT)
-
-
 def test_ceot_scan_needs_a_sensor_noise_per_count_column():
     # Under CEOT every column is a sensor, and each needs its own noise.
-    with pytest.raises(ValueError, match=r"^batch counts of 2 sensors need as many sensor "
-                                         r"noises, got 1"):
-        correct_scan(one_run(*default_priors()),
-                     *flat_scan([[np.ones((1, 2)), np.ones((1, 2))]]), make_params(1), CEOT)
+    from eotnet.trackers import run_filter
+
+    net, params, scns = three_s2_runs()
+    with pytest.raises(ValueError, match=r"^batch counts of 20 sensors need as many sensor "
+                                         r"noises, got 19"):
+        run_filter(scns, net, replace(params, cv=params.cv[:19]), CEOT)
 
 
 @pytest.mark.parametrize("d", [1, 3, 6])
-def test_correct_scan_needs_a_position_or_position_velocity_state(d):
-    state = one_run(*default_priors(d))
-    with pytest.raises(ValueError, match=rf"position and velocity \(d = 4\), got d = {d}$"):
-        correct_scan(state, *flat_scan([[np.ones((1, 2))]]), make_params(1), CEOT)
+def test_run_filter_needs_priors_that_fit_the_transition(d):
+    from eotnet.trackers import run_filter
+
+    net, params, scns = three_s2_runs()
+    x0, cx0 = default_priors(d)[:2]
+    scns = [replace(scn, x0=x0, cx0=cx0) for scn in scns]
+    message = f"priors x0 ({d},) and cx0 ({d}, {d}) do not fit the transition fx (4, 4)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_filter(scns, net, params, CEOT)
 
 
 def random_velocity_rows(rng, runs, nodes):
@@ -442,8 +402,8 @@ def test_ceot_and_cm_scans_keep_every_rows_velocity_blocks(kind):
     blocks = (lambda: (qx[..., :2], qx[..., 2:], ox[..., :2, 2:], ox[..., 2:, :2],
                        ox[..., 2:, 2:]))
     before = [a.copy() for a in blocks()]
-    correct_scan(state, *flat_scan(batches), make_params(5, x_dim=4),
-                 FilterConfig(kind=kind, consensus_iters=3), pi)
+    scan_rows(state, *flat_scan(batches), make_params(5, x_dim=4),
+              FilterConfig(kind=kind, consensus_iters=3), pi)
     position, *velocity = blocks()
     for got, want in zip(velocity, before[1:]):
         assert np.array_equal(got, want)
@@ -465,14 +425,14 @@ def test_a_failing_velocity_or_marginal_block_is_named_by_its_run_and_node():
         _columns(bad)[1][0, node, 2:, 2:] = -np.eye(2)
         with pytest.raises(np.linalg.LinAlgError,
                            match=rf"^information matrix \(run 0, node {node}\) is singular"):
-            correct_scan(bad, *flat_scan(batches), params, config, pi)
+            scan_rows(bad, *flat_scan(batches), params, config, pi)
         # Ω_vv passes, but the Schur complement Ω_pp - B does not: the
         # detecting row's linearization names it.
         bad = state.copy()
         _columns(bad)[1][1, node] = [[1, 0, 2, 0], [0, 1, 0, 0], [2, 0, 1, 0], [0, 0, 0, 1]]
         with pytest.raises(np.linalg.LinAlgError,
                            match=rf"^information matrix \(run 1, node {node}\) is singular"):
-            correct_scan(bad, *flat_scan(batches), params, config, pi)
+            scan_rows(bad, *flat_scan(batches), params, config, pi)
 
 
 @pytest.mark.parametrize("kind", [FilterKind.CEOT, FilterKind.CM])
@@ -489,8 +449,8 @@ def test_a_non_finite_information_vector_is_named_by_its_run_and_node(kind, colu
     batches = [[none] * 3 + [np.array([[1.0, 0.0], [0.0, 1.0]]), none]]
     with pytest.raises(ValueError, match=rf"^information vector \(run 0, node {node}\) must "
                        "not contain infs or NaNs$"):
-        correct_scan(state, *flat_scan(batches), make_params(5, x_dim=4),
-                     FilterConfig(kind=kind), pi)
+        scan_rows(state, *flat_scan(batches), make_params(5, x_dim=4),
+                  FilterConfig(kind=kind), pi)
 
 
 def test_ncv_transition():
@@ -509,7 +469,7 @@ def test_a_prior_semi_axis_below_the_floor_stays_in_the_state():
     p0 = np.array([7.0, 1e-4, 2.0])
     prior = one_run(np.zeros(2), np.eye(2), p0, np.eye(3))
     assert np.array_equal(to_moments(*pairs(prior)[1])[0][0, 0], p0)
-    p, _ = correct_scan(prior.copy(), *flat_scan([[np.zeros((0, 2))]]), make_params(1), CEOT)
+    p, _ = scan_rows(prior.copy(), *flat_scan([[np.zeros((0, 2))]]), make_params(1), CEOT)
     assert np.array_equal(p[0, 0], p0)
     calls = []
 
@@ -518,7 +478,7 @@ def test_a_prior_semi_axis_below_the_floor_stays_in_the_state():
         return calls[-1][2]
 
     with mock.patch.object(trackers, "innovations", spy):
-        correct_scan(prior, *flat_scan([[np.ones((1, 2))]]), make_params(1), CEOT)
+        scan_rows(prior, *flat_scan([[np.ones((1, 2))]]), make_params(1), CEOT)
     ((args, kwargs, block),) = calls
     assert np.array_equal(args[2], [p0])
     at_floor = innovations(*args[:2], np.array([[7.0, MIN_AXIS, 2.0]]), *args[3:], **kwargs)
@@ -535,15 +495,26 @@ def test_pickled_params_keep_read_only_models_and_shared_noises():
         assert np.array_equal(value, getattr(params, name)) and not value.flags.writeable, name
 
 
-@pytest.mark.parametrize("cv", [np.diag([3.0, 9.0]), np.eye(3)[None], np.ones((2, 2, 2, 2)),
-                                np.ones(2)])
-def test_params_need_an_n_by_2_by_2_noise_stack(cv):
-    # A single 2x2 noise of two rows would pass a count check for two sensors.
-    message = f"cv must be an (n, 2, 2) noise stack, got shape {np.shape(cv)}"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        TrackerParams(ch=np.eye(2), cv=cv, fx=np.eye(2), cxw=np.eye(2), cpw=np.eye(3))
-    with pytest.raises(ValueError, match="^cv must be an"):
-        replace(make_params(2), cv=cv)
+@pytest.mark.parametrize("name, value, message", [
+    *(("cv", cv, f"cv must be an (n, 2, 2) noise stack, got shape {np.shape(cv)}")
+      for cv in (np.diag([3.0, 9.0]), np.eye(3)[None], np.ones((2, 2, 2, 2)), np.ones(2))),
+    ("ch", np.eye(3), "ch must be (2, 2), got shape (3, 3)"),
+    ("fx", np.eye(2), "cxw must be (2, 2), got shape (4, 4)"),
+    ("cxw", np.eye(2), "cxw must be (4, 4), got shape (2, 2)"),
+    ("fx", np.eye(3), "fx must be (2, 2) or (4, 4), got shape (3, 3)"),
+    ("cpw", np.eye(2), "cpw must be (3, 3), got shape (2, 2)"),
+], ids=["cv-2x2", "cv-1x3x3", "cv-4d", "cv-1d", "ch-3x3", "fx-2x2", "cxw-2x2", "fx-3x3",
+        "cpw-2x2"])
+def test_params_need_an_n_by_2_by_2_noise_stack(name, value, message):
+    # A single 2x2 noise of two rows would pass a count check for two
+    # sensors, and a model of another shape used to fail only after the
+    # first scan, in a bare numpy broadcast or matmul.  The models are d = 4.
+    models = dict(ch=np.eye(2), cv=np.stack([np.eye(2)] * 2), fx=np.eye(4), cxw=np.eye(4),
+                  cpw=np.eye(3))
+    for make in (lambda: TrackerParams(**{**models, name: value}),
+                 lambda: replace(make_params(2, x_dim=4), **{name: value})):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()
 
 
 def test_fuse_nodes_identical_inputs():
@@ -575,7 +546,7 @@ def test_filter_config_validation():
 @pytest.mark.parametrize("kind", list(FilterKind))
 @pytest.mark.parametrize("rounds", [2.5, 2.0, True, False, "3", None])
 def test_non_integer_consensus_rounds_fail_at_the_config(kind, rounds):
-    # A float count used to pass here and fail deep in correct_scan's
+    # A float count used to pass here and fail deep in the scan's
     # matrix_power ("exponent must be an integer"); a bool passed as 1 or 0.
     message = f"consensus_iters must be an integer, got {rounds!r}"
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -624,13 +595,13 @@ def test_a_failing_stacked_row_is_named_by_its_run_and_node():
     for kind in (FilterKind.CI, FilterKind.CM):
         config = FilterConfig(kind=kind)
         with pytest.raises(np.linalg.LinAlgError, match="information matrix " + where):
-            correct_scan(bad_ext, *flat_scan(batches), params, config, pi)
+            scan_rows(bad_ext, *flat_scan(batches), params, config, pi)
         with pytest.raises(np.linalg.LinAlgError, match="^information matrix " + where):
-            correct_scan(indefinite_at(state, 1, 3, KIN_OMEGA), *flat_scan(batches), params,
-                         config, pi)
+            scan_rows(indefinite_at(state, 1, 3, KIN_OMEGA), *flat_scan(batches), params,
+                      config, pi)
     center = indefinite_at(state[:, :1], 1, 0, KIN_OMEGA)
     with pytest.raises(np.linalg.LinAlgError, match=r"^information matrix \(run 1, node 0\)"):
-        correct_scan(center, *flat_scan(batches), params, CEOT)
+        scan_rows(center, *flat_scan(batches), params, CEOT)
 
 
 def test_an_indefinite_extent_first_inverted_at_a_later_index_is_named_by_its_row():
@@ -648,7 +619,7 @@ def test_an_indefinite_extent_first_inverted_at_a_later_index_is_named_by_its_ro
                               (FilterKind.CM, 5, 3)):
         rows = state[:, :nodes].copy()
         _columns(rows)[EXT_OMEGA][1, node] = -1e6 * np.eye(3)
-        (plan,) = trackers._scan_plan(counts[:, None], y, nodes, "batch {} of run {r}, sensor {j}")
+        (plan,) = trackers._scan_plan(counts[:, None], y, nodes)
         mix = trackers._consensus_map(FilterConfig(kind=kind), pi, params, 5, nodes)
         calls = []
 
@@ -677,12 +648,12 @@ def test_a_failing_noise_is_named_by_its_detections_run_and_node():
     for kind in (FilterKind.CI, FilterKind.CM):
         with pytest.raises(np.linalg.LinAlgError, match=r"^kinematic measurement noise "
                            r"\(run 1, node 3\) is singular"):
-            correct_scan(state.copy(), *flat_scan(batches), params, FilterConfig(kind=kind), pi)
+            scan_rows(state.copy(), *flat_scan(batches), params, FilterConfig(kind=kind), pi)
     # Under CEOT every detection updates the one center row, but its noise
     # is still its sensor's: node 3's.
     with pytest.raises(np.linalg.LinAlgError, match=r"^kinematic measurement noise "
                        r"\(run 1, node 3\) is singular"):
-        correct_scan(state[:, :1].copy(), *flat_scan(batches), params, CEOT)
+        scan_rows(state[:, :1].copy(), *flat_scan(batches), params, CEOT)
 
 
 def test_cm_gwd_improves_with_more_rounds():
@@ -908,6 +879,8 @@ def test_run_filter_checks_the_consensus_matrix_against_its_network(kind):
                                              [NodeKind.SENSOR] * 3, 100.0))
     with pytest.raises(ValueError, match="3-node consensus matrix does not fit a 20-node network"):
         run_filter(scns, net, params, filter_config, small)
+    with pytest.raises(ValueError, match="^distributed filters need a consensus matrix$"):
+        run_filter(scns, net, params, filter_config)
     # The network's own weights pass, and the centralized filter takes no matrix.
     assert run_filter(scns, net, params, filter_config, metropolis_weights(net)).runs == 1
     assert run_filter(scns, net, params, CEOT, uniform).runs == 1
