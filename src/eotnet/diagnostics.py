@@ -365,14 +365,14 @@ def _score_runs(x_mean, x_cov, p_mean, p_cov, truth, shape: str, first_run: int)
 
 def write_metrics_csv(path, columns, values) -> None:
     """Write a (runs, steps, len(columns)) metric table as (run, step, node,
-    metric, value) lines in %.9g, so equal inputs give byte-identical files."""
-    block = "".join(f"{{0}},{{1}},{node},{metric},{{{i}:.9g}}\n"
-                    for i, (node, metric) in enumerate(columns, start=2))
+    metric, value) lines in %.9g, one % template per (run, step) block."""
+    # Joined by a (run, step) head, these put it before every line.
+    tails = ["", *(f"{node},{metric},%.9g\n" for node, metric in columns)]
     with open(path, "w", newline="\n") as fh:
         fh.write("run,step,node,metric,value\n")
         for run, steps in enumerate(values.tolist()):
             for step, row in enumerate(steps):
-                fh.write(block.format(run, step, *row))
+                fh.write(f"{run},{step},".join(tails) % tuple(row))
 
 
 def summarize_metrics(columns, values) -> dict[str, tuple[float, float, int]]:

@@ -77,18 +77,18 @@ def _pseudo_noise(cy, m_mat, cp):
 
 
 @np.errstate(all="ignore")
-def innovations(q, omega, p, cp, y, ch, cv, trace=None, at=None, *, row_at=None):
+def innovations(rows, y, ch, cv, trace=None, at=None, *, row_at=None, moments=None):
     """Compact innovation rows (k, 18) of k detections: the entries
     [H.T Vx y, H.T Vx H, M.T Vp y~, M.T Vp M] of a filter row that
     H = [I 0] reaches, in info_filter._position_columns order.
 
-    Detection y[k] is linearized at its own row's position marginal, the
-    information pair (q[k], omega[k]) with omega flat (k, 4) and exactly
-    symmetric, and extent moments p[k], cp[k], the mean's semi-axes clamped
-    to MIN_AXIS.  Its orientation is not wrapped: the models read it
-    through its cosine and sine, and the pseudo-measurement's M p term on
-    the row's own branch; it carries the sensor noise cv[k], and ch is
-    shared.
+    Detection y[k] is linearized at rows[k], in that layout: the information
+    pairs [q, Ω] of its row's position marginal and [q_e, Ω_e] of its extent,
+    each Ω flat and exactly symmetric, and the extent moments (p, Cp) handed
+    in as moments, else Ω_e's inverse by one cofactor pass, the mean's
+    semi-axes clamped to MIN_AXIS.  Its orientation is not wrapped: the
+    models read it through cosine and sine, and the M p term on the row's
+    own branch; it carries the sensor noise cv[k], and ch is shared.
 
     The kinematic noise Rx = S Ch S.T + [trace(Cp J_n.T Ch J_m)] + Cv is
     inverted with omega in one adjugate pass.  The pseudo-measurement noise
@@ -100,11 +100,16 @@ def innovations(q, omega, p, cp, y, ch, cv, trace=None, at=None, *, row_at=None)
     fails.  Each row's numbers depend on that row alone, and no
     floating-point warning is raised.  A failing Rx or Rp is named by its
     detection's (run, node) row of at, (k, 2), or as node i without at, and
-    a failing omega, as information matrix, by its row of row_at, or of at.
+    a failing Ω or Ω_e by its row of row_at, or of at.
     A trace records every inverted Rx and how many rows the floor changed.
     """
-    p = np.maximum(p, _FLOOR)
-    k = len(p)
+    k, q, omega, row_at = len(rows), rows[:, :2], rows[:, 2:6], at if row_at is None else row_at
+    if moments is None:
+        cp, ok, passed = _balanced_pass(_cofactor_pass, rows[:, 9:])
+        if not passed:
+            _not_spd(rows[:, 9:].reshape(k, 3, 3), ~ok, "extent information matrix", row_at)
+        moments = _matvec(cp.reshape(k, 3, 3), rows[:, 6:9]), cp.reshape(k, 3, 3)
+    p, cp = np.maximum(moments[0], _FLOOR), moments[1]
     f = np.empty((k, 3, 2))  # [c, s, l1 c, l1 s, l2 c, l2 s]
     np.cos(p[:, 0], out=f[:, 0, 0])
     np.sin(p[:, 0], out=f[:, 0, 1])
@@ -118,8 +123,7 @@ def innovations(q, omega, p, cp, y, ch, cv, trace=None, at=None, *, row_at=None)
     inv, ok, passed = _balanced_pass(_adjugate_pass, np.concatenate([omega, rx]))
     if not passed:
         if not ok[:k].all():
-            _not_spd(omega.reshape(k, 2, 2), ~ok[:k], "information matrix",
-                     at if row_at is None else row_at)
+            _not_spd(omega.reshape(k, 2, 2), ~ok[:k], "information matrix", row_at)
         _not_spd(rx.reshape(k, 2, 2), ~ok[k:], "kinematic measurement noise", at)
     cx, vx = inv[:k], inv[k:]
     cy = cx + rx

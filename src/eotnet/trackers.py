@@ -13,9 +13,9 @@ Every write leaves every matrix exactly symmetric.  Only the corrections
 and the consensus products write a row: no range check or clamp edits it,
 and its orientation stays on its own branch.  run_filter plans every scan
 of a batch once and hands each scan the extent moments of the prior or
-prediction.  Each later index gathers a detection's row once, inverts its
-extent Ω there, and adds back only the entries H = [I 0] reaches; at the
-scan's end one inverse per written row gives the record's moments.
+prediction.  Each later index gathers a detection's row once, innovations
+inverts its extent Ω there, and only the entries H = [I 0] reaches are added
+back; at the scan's end one inverse per written row gives the record's moments.
 """
 
 from __future__ import annotations
@@ -149,9 +149,8 @@ def _mirror(width: int) -> np.ndarray:
 
 
 def _extent_moments(q: np.ndarray, omega: np.ndarray, at=None):
-    """The moments (p, Cp) of the extent rows q (..., 3) and exactly symmetric
-    omega (..., 3, 3), from one checked inverse per row, a failing one named
-    by at if given."""
+    """The record's moments (p, Cp) of extent rows q (..., 3) and exactly
+    symmetric omega (..., 3, 3); a failing inverse is named by at."""
     cp = _closed_form(_cofactor_pass, omega, "extent information matrix", at)[0]
     return _matvec(cp, q), cp
 
@@ -283,13 +282,13 @@ def _scan(state, scan: _Scan, moments, params: TrackerParams, kind: FilterKind, 
         # Under CI and CM the detections' rows are distinct.  Under CEOT every
         # live realization has a detection at i, and its detections share its row.
         det_rows, rows_i, read = det_flat[at_i], flat[:live], flat.take(det_pos[at_i])
-        # Index 0 reads the moments the scan starts from, every later one the
-        # moments of its rows as the last write left them.
-        p, cp = ((p_all[det_rows], cp_all[det_rows]) if i == 0 else
-                 _extent_moments(read[:, 6:9], read[:, 9:].reshape(-1, 3, 3), det_row_at[at_i]))
-        marginal = read[:, :6] - offsets[det_rows] if d == 4 else read[:, :6]
-        packed = innovations(marginal[:, :2], marginal[:, 2:], p, cp, y_all[at_i], params.ch,
-                             cv_all[at_i], trace, det_at[at_i], row_at=det_row_at[at_i])
+        if d == 4:
+            read[:, :6] -= offsets[det_rows]
+        # Index 0 reads the moments the scan starts from; innovations inverts
+        # every later one's extent Ω as the last write left it.
+        packed = innovations(read, y_all[at_i], params.ch, cv_all[at_i], trace, det_at[at_i],
+                             row_at=det_row_at[at_i],
+                             moments=(p_all[det_rows], cp_all[det_rows]) if i == 0 else None)
         # The filters differ only here, in how the network combines the rows,
         # which are written in place.  np.bincount sums the detections that
         # share a row, as under CEOT, one after another in sensor order from
@@ -370,10 +369,19 @@ def run_filter(scn_runs, net: SensorNetwork, params: TrackerParams, config: Filt
             raise ValueError("consensus weight pi[{0}, {1}] is nonzero, but nodes {0} and {1} "
                              "share no network edge".format(*off_edge[0]))
     mix = _consensus_map(config, pi, params, shape[1], nodes)
+    for name in ("x0", "cx0", "p0", "cp0"):
+        shapes = [np.shape(getattr(scn, name)) for scn in scn_runs]
+        # The first run whose prior differs in shape from run 0's, if any.
+        if r := next((r for r, shape in enumerate(shapes) if shape != shapes[0]), 0):
+            raise ValueError(f"prior {name} of run {r} has shape {shapes[r]}, unlike run 0's "
+                             f"{shapes[0]}")
     priors = [np.stack([getattr(s, a) for s in scn_runs]) for a in ("x0", "cx0", "p0", "cp0")]
     if priors[0].shape[1:] != params.fx.shape[:1] or priors[1].shape[1:] != params.fx.shape:
         raise ValueError(f"priors x0 {priors[0].shape[1:]} and cx0 {priors[1].shape[1:]} do not "
                          f"fit the transition fx {params.fx.shape}")
+    if priors[2].shape[1:] != (3,) or priors[3].shape[1:] != (3, 3):
+        raise ValueError(f"extent priors p0 {priors[2].shape[1:]} and cp0 {priors[3].shape[1:]} "
+                         "must have shapes (3,) and (3, 3)")
     state = initial_states(*priors, nodes)
     qx, ox, qp, op = _columns(state)
     # The record holds each quantity's moments at every step.

@@ -9,7 +9,10 @@ moved to one Gram matrix per detection.  Detection sampling, node fusion and
 the rectangle alignment error serve the tests only, so they live here too,
 as do the generic innovation pair the piecewise linearization uses, the
 converters between nested per-sensor batches and the flat detection layout,
-and the helpers that view, correct and predict copies of packed state rows.
+the compact rows innovations linearizes at, and the helpers that view,
+correct and predict copies of packed state rows.  metrics_csv_by_format is
+the metrics.csv writer with one str.format field per value, the reference
+for the library's % template.
 reference_filter runs the whole filter from the paper's equations with plain
 loops, one detection at a time, as the tolerance oracle of run_filter.  The
 network checks have a breadth-first component search and the Wielandt power
@@ -24,6 +27,7 @@ from eotnet import trackers
 from eotnet._linalg import _from_entries, _matvec, as_cov, spd_inv, sqrt_psd, sym
 from eotnet.geometry import MIN_AXIS, shape_matrix, wrap_angle
 from eotnet.info_filter import _columns, _position_columns, predict, to_moments
+from eotnet.linearization import innovations
 from eotnet.trackers import FilterKind
 
 
@@ -233,6 +237,31 @@ def position_pair(x, cx):
     (..., 4): the inverse of the covariance's position block, through LAPACK."""
     omega = sym(np.linalg.inv(cx[..., :2, :2]))
     return _matvec(omega, x[..., :2]), omega.reshape(*omega.shape[:-2], 4)
+
+
+def compact_rows(x, cx, p, cp):
+    """The compact rows (k, 18) innovations linearizes at, of moments x
+    (k, d), cx (k, d, d), p (k, 3) and cp (k, 3, 3): the position marginal's
+    information pair, by position_pair, then the extent's, through LAPACK."""
+    omega = sym(np.linalg.inv(cp))
+    return np.concatenate([*position_pair(x, cx), _matvec(omega, p), omega.reshape(-1, 9)],
+                          axis=1)
+
+
+def linearize(x, cx, p, cp, *args, **kwargs):
+    """innovations(rows, *args, **kwargs) at the moments x, cx, p, cp: the
+    rows are compact_rows', and the extent moments (p, cp) are handed in as
+    they are."""
+    return innovations(compact_rows(x, cx, p, cp), *args, moments=(p, cp), **kwargs)
+
+
+def extent_point(rows, moments=None):
+    """The extent moments (p, Cp) innovations linearizes compact rows (k, 18)
+    at: moments if it is handed them, else _extent_moments of the rows'
+    extent pair."""
+    if moments is not None:
+        return moments
+    return trackers._extent_moments(rows[:, 6:9], rows[:, 9:].reshape(-1, 3, 3))
 
 
 def quartic_moment_mean(cx_pos, s_mat, j1, j2, cp, ch, cv):
@@ -593,3 +622,15 @@ def reference_filter(scn_run, net, params, config, pi):
     steps = len(scn_run.counts)
     return {name: np.reshape(values, (steps, nodes, *np.shape(values[0])))
             for name, values in out.items()}
+
+
+def metrics_csv_by_format(path, columns, values) -> None:
+    """The metrics.csv writer as it was before the % template: every value
+    through its own str.format field spec, {:.9g}, one block per (run, step)."""
+    block = "".join(f"{{0}},{{1}},{node},{metric},{{{i}:.9g}}\n"
+                    for i, (node, metric) in enumerate(columns, start=2))
+    with open(path, "w", newline="\n") as fh:
+        fh.write("run,step,node,metric,value\n")
+        for run, steps in enumerate(values.tolist()):
+            for step, row in enumerate(steps):
+                fh.write(block.format(run, step, *row))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from eotnet.cli import bounded_mse_experiment
@@ -26,7 +28,7 @@ from eotnet.trackers import (
     params_from_scenario,
     run_filter,
 )
-from oracles import extent_alignment_error, ospa_all_permutations
+from oracles import extent_alignment_error, metrics_csv_by_format, ospa_all_permutations
 
 
 def random_pose(rng):
@@ -359,6 +361,37 @@ def test_write_metrics_csv_and_summary(tmp_path):
     assert stats["gwd"][0] == pytest.approx(1.0)
     assert stats["gwd"][2] == 2
     assert set(stats) == {"gwd", "pos_err"}
+
+
+# Raw float64 bit patterns, which cover NaN payloads and subnormals, and the
+# values a %.9g field prints specially.
+FLOAT_BITS = st.one_of(
+    st.integers(0, 2**64 - 1).map(lambda bits: float(np.uint64(bits).view(np.float64))),
+    st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324]))
+
+
+@st.composite
+def metric_tables(draw):
+    """A (runs, steps, columns) metric table of 1-3 runs, 1-5 steps and 1-10
+    columns, node -1 among them, with its column names."""
+    runs, steps = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    columns = draw(st.lists(st.tuples(st.integers(-1, 19),
+                                      st.sampled_from(["pos_err", "gwd", "nees_kin", "acee_ext"])),
+                            min_size=1, max_size=10))
+    columns[draw(st.integers(0, len(columns) - 1))] = (-1, "acee_kin")
+    values = draw(st.lists(FLOAT_BITS, min_size=runs * steps * len(columns),
+                           max_size=runs * steps * len(columns)))
+    return columns, np.array(values).reshape(runs, steps, len(columns))
+
+
+@settings(max_examples=100, deadline=None)
+@given(metric_tables())
+def test_metrics_csv_bytes_equal_the_format_writers(tmp_path_factory, table):
+    # '%.9g' % v and '{:.9g}'.format(v) print every float64 alike.
+    folder = tmp_path_factory.mktemp("csv")
+    write_metrics_csv(folder / "new.csv", *table)
+    metrics_csv_by_format(folder / "ref.csv", *table)
+    assert (folder / "new.csv").read_bytes() == (folder / "ref.csv").read_bytes()
 
 
 def test_bounded_mse_rejects_single_round():

@@ -9,10 +9,11 @@ from eotnet._linalg import (_adjugate_pass, _closed_form, _cofactor_pass, _schur
 from eotnet.linearization import innovations
 from oracles import (
     centered_pseudo_measurement,
+    compact_rows,
     extent_measurement_matrix,
     extent_noise_moments,
     kinematic_noise_cov,
-    position_pair,
+    linearize,
     pseudo_measurement,
     quartic_moment_cov,
     quartic_moment_mean,
@@ -223,17 +224,17 @@ def test_innovations_name_the_bad_kinematic_noise_row():
     indefinite[1] = -100.0 * np.eye(2)
     with pytest.raises(np.linalg.LinAlgError,
                        match=r"kinematic measurement noise \(node 1\) is singular"):
-        innovations(*position_pair(x, cx), p, cps, y, ch, indefinite)
+        linearize(x, cx, p, cps, y, ch, indefinite)
     nonfinite = cvs.copy()
     nonfinite[2, 0, 0] = np.nan
     with pytest.raises(ValueError,
                        match=r"kinematic measurement noise \(node 2\) must not contain"):
-        innovations(*position_pair(x, cx), p, cps, y, ch, nonfinite)
+        linearize(x, cx, p, cps, y, ch, nonfinite)
     # With at, a failing row is named by its detection's (run, node).
     at = np.array([[0, 4], [1, 2], [1, 5]])
     with pytest.raises(np.linalg.LinAlgError,
                        match=r"kinematic measurement noise \(run 1, node 2\) is singular"):
-        innovations(*position_pair(x, cx), p, cps, y, ch, indefinite, at=at)
+        linearize(x, cx, p, cps, y, ch, indefinite, at=at)
 
 
 def test_innovations_name_the_bad_extent_noise_row():
@@ -246,13 +247,13 @@ def test_innovations_name_the_bad_extent_noise_row():
     # determinant overflows; Rp is still inverted, as LAPACK would.
     huge = cx.copy()
     huge[2, :2, :2] = 1e75 * np.eye(2)
-    assert np.isfinite(innovations(*position_pair(x, huge), p, cps, y, ch, cvs)).all()
+    assert np.isfinite(linearize(x, huge, p, cps, y, ch, cvs)).all()
     # At 1e160 Rp's fourth moments overflow: the row is named, with no
     # floating-point warning first.
     huge[2, :2, :2] = 1e160 * np.eye(2)
     with pytest.raises(ValueError, match=r"extent pseudo-measurement noise "
                        r"\(node 2\) must not contain infs or NaNs"):
-        innovations(*position_pair(x, huge), p, cps, y, ch, cvs)
+        linearize(x, huge, p, cps, y, ch, cvs)
     # A NaN in the position's covariance reaches the linearization as a NaN
     # information matrix, which is named before any noise is inverted: by
     # its row of row_at, or of at without it.
@@ -260,12 +261,28 @@ def test_innovations_name_the_bad_extent_noise_row():
     nan[2, 0, 0] = np.nan
     with pytest.raises(ValueError, match=r"^information matrix "
                        r"\(node 2\) must not contain infs or NaNs"):
-        innovations(*position_pair(x, nan), p, cps, y, ch, cvs)
+        linearize(x, nan, p, cps, y, ch, cvs)
     at = np.array([[0, 4], [1, 2], [1, 5]])
     with pytest.raises(ValueError, match=r"^information matrix \(run 1, node 5\)"):
-        innovations(*position_pair(x, nan), p, cps, y, ch, cvs, at=at)
+        linearize(x, nan, p, cps, y, ch, cvs, at=at)
     with pytest.raises(ValueError, match=r"^information matrix \(run 1, node 0\)"):
-        innovations(*position_pair(x, nan), p, cps, y, ch, cvs, at=at, row_at=at * [1, 0])
+        linearize(x, nan, p, cps, y, ch, cvs, at=at, row_at=at * [1, 0])
+
+
+def test_innovations_name_the_bad_extent_information_row():
+    # Handed no moments, innovations inverts each row's extent Ω; an
+    # indefinite one is named by its row of row_at, or of at without it.
+    rng = np.random.default_rng(16)
+    p_hat, _, cp, ch, cv = random_config(rng)
+    x, cx = np.zeros((3, 4)), np.stack([np.eye(4)] * 3)
+    rows = compact_rows(x, cx, np.stack([p_hat] * 3), np.stack([cp] * 3))
+    rows[1, 9:] = -np.eye(3).ravel()
+    y, cvs, at = rng.normal(size=(3, 2)), np.stack([cv] * 3), np.array([[0, 4], [1, 2], [1, 5]])
+    for kwargs, where in (({}, "node 1"), ({"at": at}, "run 1, node 2"),
+                          ({"at": at, "row_at": at * [1, 0]}, "run 1, node 0")):
+        with pytest.raises(np.linalg.LinAlgError, match=rf"^extent information matrix "
+                           rf"\({where}\) is singular or not positive definite"):
+            innovations(rows, y, ch, cvs, **kwargs)
 
 
 def test_closed_form_2x2_inverse_names_a_row_singular_to_working_precision():

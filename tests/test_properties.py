@@ -48,14 +48,16 @@ from eotnet.trackers import (
 )
 from oracles import (
     _averaged,
+    compact_rows,
     corrected,
+    extent_point,
     flat_scan,
     gwd_eigh,
     gwd_eigh_rounding,
     innovations_by_pieces,
     lapack_inv,
+    linearize,
     pairs,
-    position_pair,
     predicted,
     pseudo_noise_by_pieces,
     reference_filter,
@@ -313,9 +315,10 @@ class ScaleFreeSpy:
         self.axis, self.lo = np.inf, np.inf
         self.noise = linearization._pseudo_noise
 
-    def innovations(self, q, omega, p, *args, **kwargs):
+    def innovations(self, rows, *args, moments=None, **kwargs):
+        p = extent_point(rows, moments)[0]
         self.axis = min(self.axis, np.min(p[..., 1:], initial=np.inf))
-        return innovations(q, omega, p, *args, **kwargs)
+        return innovations(rows, *args, moments=moments, **kwargs)
 
     def pseudo_noise(self, *args):
         rp, lo, shifted = self.noise(*args)
@@ -690,13 +693,30 @@ def test_stacked_innovations_equal_slice_by_slice_calls(seed, n, picks):
     x, cx, p, cp = random_points(rng, n)
     rows = np.array(picks) % n  # repeated rows share one linearization point
     y, ch, cv = random_detections(rng, len(rows))
-    stacked = split_innovations(innovations(*position_pair(x[rows], cx[rows]), p[rows], cp[rows],
-                                            y, ch, cv), 4)
+    stacked = split_innovations(linearize(x[rows], cx[rows], p[rows], cp[rows], y, ch, cv), 4)
     for k, r in enumerate(rows):
-        one = split_innovations(innovations(*position_pair(x[r:r + 1], cx[r:r + 1]), p[r:r + 1],
-                                            cp[r:r + 1], y[k:k + 1], ch, cv[k:k + 1]), 4)
+        one = split_innovations(linearize(x[r:r + 1], cx[r:r + 1], p[r:r + 1], cp[r:r + 1],
+                                          y[k:k + 1], ch, cv[k:k + 1]), 4)
         for got, want in zip(stacked, one):
             assert_close(got[k], want[0])
+
+
+@SETTINGS
+@given(st.integers(0, 2**32 - 1), st.integers(1, 60), st.data())
+def test_innovations_invert_the_rows_extent_as_extent_moments_does(seed, k, data):
+    # Handed no moments, innovations inverts each row's extent Ω in its own
+    # pass; its rows are those it gives when handed _extent_moments of the
+    # same rows, bit for bit.  An extent Ω of 1e200 takes the balancing redo.
+    rng = np.random.default_rng(seed)
+    x, cx, p, cp = random_points(rng, k)
+    huge = np.array(data.draw(st.lists(st.booleans(), min_size=k, max_size=k)))
+    cp[huge] *= 1e-200
+    rows = compact_rows(x, cx, p, cp)
+    y, ch, cv = random_detections(rng, k)
+    moments = _extent_moments(rows[:, 6:9], rows[:, 9:].reshape(-1, 3, 3))
+    got = innovations(rows, y, ch, cv)
+    assert np.isfinite(got).all()
+    assert np.array_equal(got, innovations(rows, y, ch, cv, moments=moments))
 
 
 @SETTINGS
@@ -705,7 +725,7 @@ def test_gram_matrix_innovations_equal_the_piecewise_composition(seed, n):
     rng = np.random.default_rng(seed)
     x, cx, p, cp = random_points(rng, n)
     y, ch, cv = random_detections(rng, n)
-    got = split_innovations(innovations(*position_pair(x, cx), p, cp, y, ch, cv), 4)
+    got = split_innovations(linearize(x, cx, p, cp, y, ch, cv), 4)
     for g, want in zip(got, innovations_by_pieces(x, cx, p, cp, y, ch, cv)):
         assert_close(g, want)
 
@@ -733,8 +753,7 @@ class FloorCount:
 
     def innovations(self, x, cx, *args, **kwargs):
         with mock.patch.object(linearization, "_pseudo_noise", self.pseudo_noise):
-            return split_innovations(innovations(*position_pair(x, cx), *args, trace=self,
-                                                 **kwargs), 4)
+            return split_innovations(linearize(x, cx, *args, trace=self, **kwargs), 4)
 
 
 @SETTINGS
@@ -807,7 +826,7 @@ class PassSpy:
     def innovations(self, x, cx, *args):
         with mock.patch.object(linearization, "_adjugate_pass", self.adjugate), \
                 mock.patch.object(linearization, "_cofactor_pass", self.cofactor):
-            return innovations(*position_pair(x, cx), *args, trace=self)
+            return linearize(x, cx, *args, trace=self)
 
 
 @SETTINGS
@@ -854,7 +873,7 @@ def test_ceot_scatter_sums_every_detection_into_its_one_row(seed, k):
     ps, cps = (v[0] for v in to_moments(qp, op))
     sums = [np.zeros_like(a) for a in (qx, ox, qp, op)]
     for j in range(k):
-        block = innovations(*position_pair(xs, cxs), ps, cps, y[j:j + 1], ch, cv[j:j + 1])
+        block = linearize(xs, cxs, ps, cps, y[j:j + 1], ch, cv[j:j + 1])
         for acc, value in zip(sums, split_innovations(block, 4)):
             acc += value
     got = _columns(corrected(state, *flat_scan([[y[j:j + 1] for j in range(k)]]), params,
@@ -879,7 +898,7 @@ def test_ceot_adds_a_rows_detections_one_after_another(draw, runs, data):
     blocks = []
 
     def spy(*args, **kwargs):
-        blocks.append((args[8][:, 0], innovations(*args, **kwargs)))
+        blocks.append((args[5][:, 0], innovations(*args, **kwargs)))
         return blocks[-1][1]
 
     want = state.copy().reshape(runs, -1)
@@ -899,11 +918,13 @@ def test_ceot_adds_a_rows_detections_one_after_another(draw, runs, data):
 @given(networks(), st.integers(1, 3), st.integers(1, 3), st.data())
 def test_every_index_linearizes_at_the_moments_of_its_rows_as_they_stand(kind, draw, runs,
                                                                          rounds, data):
-    # A spy keeps the extent moments each innovations call receives and the
+    # A spy keeps the extent pair of the compact rows each innovations call
+    # receives, the moments it is handed (index 0's only) or inverts, and the
     # (run, node) rows of its detections.  Replayed one index at a time
     # through scan_rows, which ends with the whole scan's rows, the rows
     # as index i finds them are those after indices 0..i-1: every call's
-    # moments are _extent_moments of those rows, bit for bit.
+    # extent pair is theirs, and its moments are _extent_moments of those
+    # rows, bit for bit.
     net, pi, seed = draw
     rng = np.random.default_rng(seed)
     params = random_params(rng, net.size)
@@ -913,16 +934,18 @@ def test_every_index_linearizes_at_the_moments_of_its_rows_as_they_stand(kind, d
     config = FilterConfig(kind=kind, consensus_iters=rounds)
     calls = []
 
-    def spy(*args, **kwargs):
-        calls.append((args[2], args[3], kwargs["row_at"]))
-        return innovations(*args, **kwargs)
+    def spy(rows, *args, **kwargs):
+        calls.append((rows[:, 6:], *extent_point(rows, kwargs["moments"]), kwargs["row_at"]))
+        assert (kwargs["moments"] is None) == (len(calls) > 1)
+        return innovations(rows, *args, **kwargs)
 
     whole = state.copy()
     with mock.patch.object(trackers, "innovations", spy):
         scan_rows(whole, *flat_scan(batches), params, config, pi)
     assert len(calls) == max(len(b) for run in batches for b in run)
-    for i, (p, cp, row_at) in enumerate(calls):
+    for i, (extent, p, cp, row_at) in enumerate(calls):
         _, _, qp, op = _columns(state[row_at[:, 0], row_at[:, 1]])
+        assert np.array_equal(extent, np.concatenate([qp, op.reshape(-1, 9)], axis=1)), i
         want_p, want_cp = _extent_moments(qp, op)
         assert np.array_equal(p, want_p) and np.array_equal(cp, want_cp), i
         scan_rows(state, *flat_scan([[b[i:i + 1] for b in run] for run in batches]), params,

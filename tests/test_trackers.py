@@ -362,14 +362,39 @@ def test_ceot_scan_needs_a_sensor_noise_per_count_column():
         run_filter(scns, net, replace(params, cv=params.cv[:19]), CEOT)
 
 
-@pytest.mark.parametrize("d", [1, 3, 6])
-def test_run_filter_needs_priors_that_fit_the_transition(d):
+# The kinematic cases keep their ids, d alone.
+@pytest.mark.parametrize("prior, d", [pytest.param("x0", d, id=str(d)) for d in (1, 3, 6)]
+                         + [("p0", 2), ("p0", 4), ("cp0", 2), ("cp0", 4)])
+def test_run_filter_needs_priors_that_fit_the_transition(prior, d):
+    # On s2 every run's kinematic prior must fit fx (4, 4), and its extent
+    # prior must be [alpha, l1, l2] with a 3x3 covariance; numpy's matmul
+    # would otherwise fail on a core dimension.
     from eotnet.trackers import run_filter
 
     net, params, scns = three_s2_runs()
-    x0, cx0 = default_priors(d)[:2]
-    scns = [replace(scn, x0=x0, cx0=cx0) for scn in scns]
-    message = f"priors x0 ({d},) and cx0 ({d}, {d}) do not fit the transition fx (4, 4)"
+    fields, message = {
+        "x0": ({"x0": np.ones(d), "cx0": np.eye(d)},
+               f"priors x0 ({d},) and cx0 ({d}, {d}) do not fit the transition fx (4, 4)"),
+        "p0": ({"p0": np.ones(d)},
+               f"extent priors p0 ({d},) and cp0 (3, 3) must have shapes (3,) and (3, 3)"),
+        "cp0": ({"cp0": np.eye(d)},
+                f"extent priors p0 (3,) and cp0 ({d}, {d}) must have shapes (3,) and (3, 3)"),
+    }[prior]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_filter([replace(scn, **fields) for scn in scns], net, params, CEOT)
+
+
+@pytest.mark.parametrize("prior, value", [("x0", np.ones(2)), ("cx0", np.eye(2)),
+                                          ("p0", np.ones(2)), ("cp0", np.eye(4))])
+def test_run_filter_names_the_first_run_whose_prior_differs_in_shape(prior, value):
+    # Run 2's prior differs from runs 0 and 1's: it is named before np.stack
+    # fails on it.
+    from eotnet.trackers import run_filter
+
+    net, params, scns = three_s2_runs()
+    scns[2] = replace(scns[2], **{prior: value})
+    message = (f"prior {prior} of run 2 has shape {value.shape}, unlike run 0's "
+               f"{np.shape(getattr(scns[0], prior))}")
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         run_filter(scns, net, params, CEOT)
 
@@ -480,8 +505,9 @@ def test_a_prior_semi_axis_below_the_floor_stays_in_the_state():
     with mock.patch.object(trackers, "innovations", spy):
         scan_rows(prior, *flat_scan([[np.ones((1, 2))]]), make_params(1), CEOT)
     ((args, kwargs, block),) = calls
-    assert np.array_equal(args[2], [p0])
-    at_floor = innovations(*args[:2], np.array([[7.0, MIN_AXIS, 2.0]]), *args[3:], **kwargs)
+    p, cp = kwargs["moments"]
+    assert np.array_equal(p, [p0])
+    at_floor = innovations(*args, **{**kwargs, "moments": (np.array([[7.0, MIN_AXIS, 2.0]]), cp)})
     assert np.array_equal(block, at_floor)
 
 
@@ -607,8 +633,8 @@ def test_a_failing_stacked_row_is_named_by_its_run_and_node():
 def test_an_indefinite_extent_first_inverted_at_a_later_index_is_named_by_its_row():
     # The scan starts from handed-in moments, so index 0 inverts no extent
     # row.  Run 1's node 3 detects twice and no other sensor more than once:
-    # index 1 reads that row alone, inverts the indefinite extent Ω it
-    # gathers there and names it by its row.
+    # index 1 reads that row alone, and innovations, handed no moments,
+    # inverts the indefinite extent Ω gathered there and names it by its row.
     net, pi, state = two_runs_of_five_nodes()
     moments = to_moments(*pairs(state)[1])
     params = make_params(5)
@@ -624,14 +650,14 @@ def test_an_indefinite_extent_first_inverted_at_a_later_index_is_named_by_its_ro
         calls = []
 
         def spy(*args, **kwargs):
-            calls.append(kwargs["row_at"])
+            calls.append((kwargs["row_at"].tolist(), kwargs["moments"] is None))
             return innovations(*args, **kwargs)
 
         with mock.patch.object(trackers, "innovations", spy), \
                 pytest.raises(np.linalg.LinAlgError, match=r"^extent information matrix "
                               rf"\(run 1, node {node}\) is singular or not positive"):
             trackers._scan(rows, plan, [a[:, :nodes] for a in moments], params, kind, mix, None)
-        assert len(calls) == 1
+        assert len(calls) == 2 and not calls[0][1] and calls[1] == ([[1, node]], True)
 
 
 def test_a_failing_noise_is_named_by_its_detections_run_and_node():
