@@ -6,7 +6,6 @@ either at a fusion center or distributed across a network through
 consensus on information or consensus on measurements.
 """
 
-from .cli import bounded_mse_experiment
 from .consensus import (
     ConsensusMatrix,
     NodeKind,

@@ -15,7 +15,6 @@ import numpy as np
 
 __all__ = [
     "sym",
-    "as_cov",
     "sqrt_psd",
     "spd_solve",
     "spd_inv",
@@ -36,23 +35,6 @@ def _from_entries(rows) -> np.ndarray:
     """A matrix, or a stack of them, from a nested list of equally shaped
     entries: entry rows[i][j] of shape (...) becomes [..., i, j]."""
     return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
-
-
-def as_cov(a, name: str = "covariance", *, tol: float = 1e-8) -> np.ndarray:
-    """Validate a symmetric positive semidefinite matrix and return it symmetrized.
-
-    Raises ValueError on shape, symmetry, or negative-eigenvalue violations.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {a.shape}")
-    scale = max(1.0, float(np.abs(a).max()))
-    if np.abs(a - a.T).max() > tol * scale:
-        raise ValueError(f"{name} is not symmetric")
-    w = np.linalg.eigvalsh(sym(a))
-    if w[0] < -tol * scale:
-        raise ValueError(f"{name} is not positive semidefinite (min eig {w[0]:.3e})")
-    return sym(a)
 
 
 def sqrt_psd(a: np.ndarray) -> np.ndarray:

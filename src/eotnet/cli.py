@@ -15,7 +15,7 @@ import argparse
 import functools
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +23,7 @@ import numpy as np
 from .consensus import metropolis_weights
 from .diagnostics import (AssumptionTrace, check_assumptions, evaluate_run, summarize_metrics,
                           write_metrics_csv)
-from .scenario import (PRESETS, _number, build_scenario_run, load_config, preset_text,
-                       resolve_network)
+from .scenario import PRESETS, build_scenario_run, load_config, preset_text, resolve_network
 from .trackers import FilterConfig, FilterKind, params_from_scenario, run_filter
 
 __all__ = ["run", "sweep", "bounded_mse_experiment", "BoundedMseResult", "main"]
@@ -172,19 +171,16 @@ def bounded_mse_experiment(config, filter_config) -> BoundedMseResult:
 
     The tail (last quarter of the steps) is compared against the mid-run mean
     (second and third quarters): a bounded-error filter keeps the tail below
-    twice the mid-run level.  config.steps must be an integer of at least 8,
-    config.runs a positive integer, and distributed filters require more
-    than one consensus iteration here.
+    twice the mid-run level, so config.steps must be at least 8, and
+    distributed filters require more than one consensus iteration here.
     """
-    steps = _number(config.steps, "steps", integer=True, low=8)
-    runs = _number(config.runs, "runs", integer=True, low=1)
+    if config.steps < 8:
+        raise ValueError(f"steps must be >= 8, got {config.steps}")
     if filter_config.kind is not FilterKind.CEOT and filter_config.consensus_iters <= 1:
         raise ValueError("boundedness experiments need more than one consensus iteration")
-    # The checked numbers, so an integral float of a hand-built config runs too.
-    shares, *_ = _monte_carlo(replace(config, steps=steps, runs=runs), filter_config,
-                              _squared_errors)
-    mse = np.concatenate(shares).sum(axis=0) / runs
-    quarter = steps // 4
+    shares, *_ = _monte_carlo(config, filter_config, _squared_errors)
+    mse = np.concatenate(shares).sum(axis=0) / config.runs
+    quarter = config.steps // 4
     return BoundedMseResult(mse_per_step=mse, mid_mean=float(mse[quarter:-quarter].mean()),
                             tail_mean=float(mse[-quarter:].mean()))
 

@@ -53,10 +53,6 @@ class SensorNetwork:
     def sensor_nodes(self) -> tuple[int, ...]:
         return tuple(i for i, k in enumerate(self.kinds) if k is NodeKind.SENSOR)
 
-    @property
-    def communication_nodes(self) -> tuple[int, ...]:
-        return tuple(i for i, k in enumerate(self.kinds) if k is NodeKind.COMMUNICATION)
-
 
 @dataclass(frozen=True)
 class ConsensusMatrix:
@@ -138,9 +134,9 @@ def metropolis_weights(net: SensorNetwork) -> ConsensusMatrix:
 def _closure(b: np.ndarray, walks: int) -> np.ndarray:
     """Boolean b squared through BLAS until every entry is set, a square
     changes nothing, or its entries count walks of length >= walks."""
-    # Each square is taken of b as 0/1 float32: a float32 sum of nonnegative
-    # integers never rounds to 0, so its > 0 is the boolean square at any
-    # size, and nothing can wrap.
+    # Each square is taken of b as 0/1 float64: its entries count walks, at
+    # most n, and float64 holds every count below 2^53 exactly, so its > 0 is
+    # the boolean square at any size, and nothing can wrap.
     # A positive power stays positive (b then has no zero row or column),
     # and a square that changes nothing is every higher power; so .all() is
     # the verdict of b^walks when walks is a bound by which a positive power
@@ -148,7 +144,7 @@ def _closure(b: np.ndarray, walks: int) -> np.ndarray:
     # is the reachability, and so is a fixed square.  After k squarings,
     # walks is the original walks / 2^k, rounded up.
     while walks > 1 and not b.all():
-        b, last, walks = b.astype(np.float32) @ b.astype(np.float32) > 0, b, (walks + 1) // 2
+        b, last, walks = b.astype(float) @ b.astype(float) > 0, b, (walks + 1) // 2
         if np.array_equal(b, last):
             break
     return b

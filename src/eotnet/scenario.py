@@ -20,7 +20,7 @@ import numpy as np
 import yaml
 
 from .consensus import NodeKind, SensorNetwork, build_network
-from ._linalg import as_cov, sqrt_psd
+from ._linalg import sqrt_psd
 from .geometry import clamp_extent, shape_matrix, wrap_angle
 
 __all__ = [
@@ -49,7 +49,8 @@ KMH_TO_MPS = 1000.0 / 3600.0
 
 @dataclass(frozen=True)
 class TrajectorySpec:
-    """Either a fixed pose or a constant-speed waypoint course."""
+    """Either a fixed pose or a constant-speed waypoint course; the entries
+    its kind reads are converted and checked when it is built, as in ScenarioConfig."""
 
     kind: str  # "stationary" | "waypoints"
     position: np.ndarray | None = None
@@ -57,9 +58,31 @@ class TrajectorySpec:
     waypoints: np.ndarray | None = None
     speed_mps: float = 0.0
 
+    def __post_init__(self):
+        if self.kind == "stationary":
+            return _set(self, position=_vector(self.position, "trajectory.position", 2),
+                        orientation=_number(self.orientation, "trajectory.orientation"))
+        if self.kind != "waypoints":
+            raise ValueError(f"trajectory.kind must be stationary or waypoints, got {self.kind!r}")
+        waypoints = _finite(_array(self.waypoints, "trajectory.waypoints"), "trajectory.waypoints")
+        if waypoints.ndim != 2 or waypoints.shape[0] < 2 or waypoints.shape[1] != 2:
+            raise ValueError("trajectory.waypoints must be at least 2 planar points, "
+                             f"got shape {waypoints.shape}")
+        repeated = np.flatnonzero(np.linalg.norm(np.diff(waypoints, axis=0), axis=1) <= 0)
+        if repeated.size:
+            i = repeated[0]
+            raise ValueError("consecutive trajectory.waypoints must be distinct, got "
+                             f"{waypoints[i].tolist()} at {i} and {i + 1}")
+        _set(self, waypoints=waypoints,
+             speed_mps=_number(self.speed_mps, "trajectory.speed_mps", low=0))
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """One scenario, converted and checked entry by entry when it is built, through
+    load_config, the constructor or dataclasses.replace alike: a bad entry is a
+    ValueError named by its config path, as noise.measurement_cov.  Arrays are read-only."""
+
     name: str
     shape: str  # "ellipse" | "rectangle"
     semi_axes: tuple[float, float]
@@ -83,6 +106,43 @@ class ScenarioConfig:
     runs: int = 1
     seed: int = 0
 
+    def __post_init__(self):
+        fixed = self.meas_law == "fixed"
+        if not fixed and self.meas_law != "poisson":
+            raise ValueError(f"measurements.law must be fixed or poisson, got {self.meas_law!r}")
+        if self.prior_mode not in ("fixed", "sampled"):
+            raise ValueError(f"priors.mode must be fixed or sampled, got {self.prior_mode!r}")
+        if self.shape not in ("ellipse", "rectangle"):
+            raise ValueError(f"unknown shape {self.shape!r}")
+        if not isinstance(self.trajectory, TrajectorySpec):
+            raise ValueError(f"trajectory must be a TrajectorySpec, got {self.trajectory!r}")
+        axes = _array(self.semi_axes, "semi_axes")
+        if axes.shape != (2,) or not (axes.min() > 0 and axes.max() < np.inf):
+            raise ValueError(f"semi_axes must be two positive finite lengths, "
+                             f"got {axes.tolist()}")
+        d = _number(self.kinematic_dim, "kinematic_dim", integer=True)
+        if d not in (2, 4):
+            raise ValueError(f"kinematic_dim must be 2 or 4, got {d}")
+        _set(self, name=str(self.name), semi_axes=tuple(axes.tolist()), kinematic_dim=d,
+             steps=_number(self.steps, "steps", integer=True, low=1),
+             scan_time=_number(self.scan_time, "scan_time", low=0, strict=True),
+             # The count of a Poisson law and the rate of a fixed one are not read.
+             meas_count=_number(self.meas_count, "measurements.count", integer=True,
+                                low=int(fixed)),
+             meas_rate=_number(self.meas_rate, "measurements.rate", low=0, strict=not fixed),
+             ch=_matrix(self.ch, "noise.multiplicative_cov", 2),
+             cv=_matrix(self.cv, "noise.measurement_cov", 2),
+             cxw=_matrix(self.cxw, "process.kinematic_cov", d, definite=True),
+             cpw=_matrix(self.cpw, "process.extent_cov", 3, definite=True),
+             x0_mean=_vector(self.x0_mean, "priors.kinematic_mean", d, optional=True),
+             cx0=_matrix(self.cx0, "priors.kinematic_cov", d, definite=True),
+             p0_mean=_vector(self.p0_mean, "priors.extent_mean", 3, optional=True),
+             cp0=_matrix(self.cp0, "priors.extent_cov", 3, definite=True),
+             network=self.network if self.network == "benchmark"
+             else _network_spec(self.network),
+             runs=_number(self.runs, "runs", integer=True, low=1),
+             seed=_number(self.seed, "seed", integer=True, low=0))
+
 
 @dataclass(frozen=True)
 class ScenarioRun:
@@ -105,19 +165,26 @@ class ScenarioRun:
     cp0: np.ndarray
 
 
+def _set(built, **entries) -> None:
+    """Store converted entries, arrays as read-only fresh copies, on a frozen dataclass."""
+    for name, value in entries.items():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        object.__setattr__(built, name, value)
+
+
 def _array(spec, name: str) -> np.ndarray:
-    """A config entry as a float array; anything but (nested lists of)
-    numbers is rejected by name."""
+    """A config entry as a new float array; anything but numbers is rejected by name."""
     try:
-        return np.asarray(spec, dtype=float)
+        return np.array(spec, dtype=float)
     except (TypeError, ValueError):
         raise ValueError(f"{name} must be numbers, got {spec!r}") from None
 
 
 def _matrix(spec, name: str, size: int, *, definite: bool = False) -> np.ndarray:
-    """Parse a finite, symmetric positive semidefinite size x size config
+    """A finite, symmetric positive semidefinite size x size config
     covariance: a flat list means a diagonal matrix.  One the filters invert
-    must be positive definite."""
+    must be positive definite.  One eigendecomposition gives both verdicts."""
     arr = _array(spec, name)
     if arr.ndim == 1:
         arr = np.diag(arr)
@@ -125,9 +192,14 @@ def _matrix(spec, name: str, size: int, *, definite: bool = False) -> np.ndarray
         raise ValueError(f"{name} must be a flat diagonal list of {size} entries or a "
                          f"{size}x{size} matrix, got shape {np.shape(spec)}")
     _finite(arr, name)
-    if definite and not np.linalg.eigvalsh(arr)[0] > 0:
+    tol = 1e-8 * max(1.0, float(np.abs(arr).max()))
+    if np.abs(arr - arr.T).max() > tol:
+        raise ValueError(f"{name} is not symmetric")
+    low = np.linalg.eigvalsh(arr)[0]
+    if definite and not low > 0:
         raise ValueError(f"{name} must be positive definite, got {arr.tolist()}")
-    as_cov(arr, name)
+    if low < -tol:
+        raise ValueError(f"{name} is not positive semidefinite (min eig {low:.3e})")
     return arr
 
 
@@ -228,95 +300,38 @@ def _network_spec(spec) -> dict:
 
 
 def _parse_config(data: dict, name_hint: str) -> ScenarioConfig:
+    """The config of a YAML mapping: its sections and keys are read here and the
+    speed turned from km/h to m/s; the constructors convert and check each entry."""
     data = _check_keys(data, CONFIG_KEYS)
-    traj_data = _section(data["trajectory"], "trajectory.")
-    kind = traj_data["kind"]
-    if kind == "stationary":
-        _check_keys(traj_data, {"kind", "position", "orientation"}, "trajectory.")
-        traj = TrajectorySpec(
-            kind="stationary",
-            position=_vector(traj_data["position"], "trajectory.position", 2),
-            orientation=_number(traj_data["orientation"], "trajectory.orientation"),
-        )
-    elif kind == "waypoints":
-        _check_keys(traj_data, {"kind", "waypoints", "speed_kmh"}, "trajectory.")
-        waypoints = _array(traj_data["waypoints"], "trajectory.waypoints")
-        if waypoints.ndim != 2 or waypoints.shape[0] < 2 or waypoints.shape[1] != 2:
-            raise ValueError("trajectory.waypoints must be at least 2 planar points, "
-                             f"got shape {waypoints.shape}")
-        _finite(waypoints, "trajectory.waypoints")
-        repeated = np.flatnonzero(np.linalg.norm(np.diff(waypoints, axis=0), axis=1) <= 0)
-        if repeated.size:
-            raise ValueError("consecutive trajectory.waypoints must be distinct, got "
-                             f"{waypoints[repeated[0]].tolist()} at {repeated[0]} and "
-                             f"{repeated[0] + 1}")
-        speed = _number(traj_data["speed_kmh"], "trajectory.speed_kmh", low=0)
-        traj = TrajectorySpec(kind="waypoints", waypoints=waypoints,
-                              speed_mps=speed * KMH_TO_MPS)
-    else:
-        raise ValueError(f"unknown trajectory kind {kind!r}")
-
+    traj = _section(data["trajectory"], "trajectory.")
+    trajectory = {"kind": traj["kind"]}
+    if traj["kind"] == "stationary":
+        _check_keys(traj, {"kind", "position", "orientation"}, "trajectory.")
+        trajectory.update(position=traj["position"], orientation=traj["orientation"])
+    elif traj["kind"] == "waypoints":
+        _check_keys(traj, {"kind", "waypoints", "speed_kmh"}, "trajectory.")
+        speed = _number(traj["speed_kmh"], "trajectory.speed_kmh", low=0)
+        trajectory.update(waypoints=traj["waypoints"], speed_mps=speed * KMH_TO_MPS)
     meas = _section(data["measurements"], "measurements.")
-    law = meas["law"]
+    law, count, rate = meas["law"], 0, 0.0
     if law == "fixed":
-        _check_keys(meas, {"law", "count"}, "measurements.")
-        count, rate = _number(meas["count"], "measurements.count", integer=True, low=1), 0.0
+        count = _check_keys(meas, {"law", "count"}, "measurements.")["count"]
     elif law == "poisson":
-        _check_keys(meas, {"law", "rate"}, "measurements.")
-        count, rate = 0, _number(meas["rate"], "measurements.rate", low=0, strict=True)
-    else:
-        raise ValueError(f"unknown measurement law {law!r}")
-
+        rate = _check_keys(meas, {"law", "rate"}, "measurements.")["rate"]
     priors = _check_keys(data["priors"], {"mode", "kinematic_mean", "kinematic_cov",
                                           "extent_mean", "extent_cov"}, "priors.")
-    prior_mode = priors.get("mode", "fixed")
-    if prior_mode not in ("fixed", "sampled"):
-        raise ValueError(f"priors.mode must be fixed or sampled, got {prior_mode!r}")
-    shape = data["shape"]
-    if shape not in ("ellipse", "rectangle"):
-        raise ValueError(f"unknown shape {shape!r}")
-    axes = _array(data["semi_axes"], "semi_axes")
-    if axes.shape != (2,) or not (axes.min() > 0 and axes.max() < np.inf):
-        raise ValueError(f"semi_axes must be two positive finite lengths, "
-                         f"got {axes.tolist()}")
-    steps = _number(data["steps"], "steps", integer=True, low=1)
-    scan_time = _number(data["scan_time"], "scan_time", low=0, strict=True)
-    x_dim = _number(data["kinematic_dim"], "kinematic_dim", integer=True)
-    if x_dim not in (2, 4):
-        raise ValueError(f"kinematic_dim must be 2 or 4, got {x_dim}")
     noise = _check_keys(data["noise"], {"multiplicative_cov", "measurement_cov"}, "noise.")
     process = _check_keys(data["process"], {"kinematic_cov", "extent_cov"}, "process.")
-    network = data.get("network", "benchmark")
-    if network != "benchmark":
-        network = _network_spec(network)
-    runs = _number(data.get("runs", 1), "runs", integer=True, low=1)
-    seed = _number(data.get("seed", 0), "seed", integer=True, low=0)
-
     return ScenarioConfig(
-        name=str(data.get("name", name_hint)),
-        shape=shape,
-        semi_axes=tuple(axes.tolist()),
-        steps=steps,
-        scan_time=scan_time,
-        kinematic_dim=x_dim,
-        trajectory=traj,
-        meas_law=law,
-        meas_count=count,
-        meas_rate=rate,
-        ch=_matrix(noise["multiplicative_cov"], "noise.multiplicative_cov", 2),
-        cv=_matrix(noise["measurement_cov"], "noise.measurement_cov", 2),
-        cxw=_matrix(process["kinematic_cov"], "process.kinematic_cov", x_dim, definite=True),
-        cpw=_matrix(process["extent_cov"], "process.extent_cov", 3, definite=True),
-        prior_mode=prior_mode,
-        x0_mean=_vector(priors.get("kinematic_mean"), "priors.kinematic_mean", x_dim,
-                        optional=True),
-        cx0=_matrix(priors["kinematic_cov"], "priors.kinematic_cov", x_dim, definite=True),
-        p0_mean=_vector(priors.get("extent_mean"), "priors.extent_mean", 3, optional=True),
-        cp0=_matrix(priors["extent_cov"], "priors.extent_cov", 3, definite=True),
-        network=network,
-        runs=runs,
-        seed=seed,
-    )
+        name=data.get("name", name_hint), shape=data["shape"], semi_axes=data["semi_axes"],
+        steps=data["steps"], scan_time=data["scan_time"], kinematic_dim=data["kinematic_dim"],
+        trajectory=TrajectorySpec(**trajectory), meas_law=law, meas_count=count,
+        meas_rate=rate, ch=noise["multiplicative_cov"], cv=noise["measurement_cov"],
+        cxw=process["kinematic_cov"], cpw=process["extent_cov"],
+        prior_mode=priors.get("mode", "fixed"), x0_mean=priors.get("kinematic_mean"),
+        cx0=priors["kinematic_cov"], p0_mean=priors.get("extent_mean"),
+        cp0=priors["extent_cov"], network=data.get("network", "benchmark"),
+        runs=data.get("runs", 1), seed=data.get("seed", 0))
 
 
 def preset_text(name: str) -> str:
@@ -375,27 +390,21 @@ def _waypoint_pose(waypoints: np.ndarray, arc: float) -> tuple[np.ndarray, np.nd
     """
     segments = np.diff(waypoints, axis=0)
     lengths = np.linalg.norm(segments, axis=1)
-    if (lengths <= 0).any():
-        raise ValueError("consecutive waypoints must be distinct")
-    headings = segments / lengths[:, None]
-    remaining = arc
-    for seg in range(len(lengths)):
-        if remaining < lengths[seg] or seg == len(lengths) - 1:
-            return waypoints[seg] + remaining * headings[seg], headings[seg]
-        remaining -= lengths[seg]
-    raise AssertionError("unreachable")
+    headings, seg = segments / lengths[:, None], 0
+    while seg < len(lengths) - 1 and arc >= lengths[seg]:
+        arc -= lengths[seg]
+        seg += 1
+    return waypoints[seg] + arc * headings[seg], headings[seg]
 
 
 def generate_truth(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic ground truth for the configured trajectory: the kinematic
     states x_true (steps, d) and the extents p_true (steps, 3).
 
-    A config built past load_config, as dataclasses.replace does, is checked here:
-    the truth must be finite with positive semi-axes.
+    A course of finite entries can still leave the double range, as
+    speed_kmh: 1e308 does; that truth is rejected by name, with no warning.
     """
     traj, steps, extra = config.trajectory, config.steps, config.kinematic_dim - 2
-    if extra not in (0, 2):
-        raise ValueError("kinematic dimension must be 2 (position) or 4 (position+velocity)")
     x_true, p_true = np.zeros((steps, 2 + extra)), np.empty((steps, 3))
     p_true[:, 1:] = config.semi_axes
     if traj.kind == "stationary":
@@ -403,16 +412,15 @@ def generate_truth(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
         p_true[:, 0] = wrap_angle(traj.orientation)
     else:
         step_len = traj.speed_mps * config.scan_time
-        for k in range(steps):
-            pos, heading = _waypoint_pose(traj.waypoints, k * step_len)
-            x_true[k, :2], x_true[k, 2:] = pos, (traj.speed_mps * heading)[:extra]
-            # Wrapped twice on purpose: a second wrap can move an angle by one
-            # ulp, and every seeded run is pinned to the truth's current bits.
-            p_true[k, 0] = wrap_angle(wrap_angle(float(np.arctan2(heading[1], heading[0]))))
-    if not (np.isfinite(x_true).all() and np.isfinite(p_true).all()
-            and (p_true[:, 1:] > 0).all()):
-        raise ValueError("ground truth must be finite with positive semi-axes; "
-                         "check the trajectory and semi_axes")
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(steps):
+                pos, heading = _waypoint_pose(traj.waypoints, k * step_len)
+                x_true[k, :2], x_true[k, 2:] = pos, (traj.speed_mps * heading)[:extra]
+                # Wrapped twice on purpose: a second wrap can move an angle by one
+                # ulp, and every seeded run is pinned to the truth's current bits.
+                p_true[k, 0] = wrap_angle(wrap_angle(float(np.arctan2(heading[1], heading[0]))))
+    if not (np.isfinite(x_true).all() and np.isfinite(p_true).all()):
+        raise ValueError("ground truth must be finite; check the trajectory")
     return x_true, p_true
 
 
@@ -428,9 +436,8 @@ def generate_measurements(truth, net: SensorNetwork, config: ScenarioConfig,
     sensors' draws: detections m + S h + v around the center m.
     """
     x_true, p_true = truth
-    # Validate and factor the noises once for every draw.
-    lh = sqrt_psd(as_cov(config.ch, "multiplicative noise covariance"))
-    lv = sqrt_psd(as_cov(config.cv, "measurement noise covariance"))
+    # The noises are factored once for every draw.
+    lh, lv = sqrt_psd(config.ch), sqrt_psd(config.cv)
     shapes, sensors = shape_matrix(p_true), list(net.sensor_nodes)
     runs = []
     for seed in seeds:
@@ -465,8 +472,6 @@ def _realize_priors(x_true, p_true, config: ScenarioConfig, rng):
     p_mean = config.p0_mean if config.p0_mean is not None else p_true[0]
     if config.prior_mode == "fixed":
         return x_mean.copy(), p_mean.copy()
-    if config.prior_mode != "sampled":
-        raise ValueError(f"unknown prior mode {config.prior_mode!r}")
     x0 = x_mean + sqrt_psd(config.cx0) @ rng.standard_normal(x_mean.size)
     p0 = p_mean + sqrt_psd(config.cp0) @ rng.standard_normal(3)
     return x0, clamp_extent(p0)

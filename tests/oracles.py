@@ -10,7 +10,8 @@ the rectangle alignment error serve the tests only, so they live here too,
 as do the generic innovation pair the piecewise linearization uses, the
 converters between nested per-sensor batches and the flat detection layout,
 the compact rows innovations linearizes at, and the helpers that view,
-correct and predict copies of packed state rows.  metrics_csv_by_format is
+correct and predict copies of packed state rows, and as_cov, the symmetric
+positive semidefinite check of the oracles' covariance inputs.  metrics_csv_by_format is
 the metrics.csv writer with one str.format field per value, the reference
 for the library's % template.
 reference_filter runs the whole filter from the paper's equations with plain
@@ -24,11 +25,28 @@ from itertools import permutations
 import numpy as np
 
 from eotnet import trackers
-from eotnet._linalg import _from_entries, _matvec, as_cov, spd_inv, sqrt_psd, sym
+from eotnet._linalg import _from_entries, _matvec, spd_inv, sqrt_psd, sym
 from eotnet.geometry import MIN_AXIS, shape_matrix, wrap_angle
 from eotnet.info_filter import _columns, _position_columns, predict, to_moments
 from eotnet.linearization import innovations
 from eotnet.trackers import FilterKind
+
+
+def as_cov(a, name: str = "covariance", *, tol: float = 1e-8) -> np.ndarray:
+    """Validate a symmetric positive semidefinite matrix and return it symmetrized.
+
+    Raises ValueError on shape, symmetry, or negative-eigenvalue violations.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"{name} must be square, got shape {a.shape}")
+    scale = max(1.0, float(np.abs(a).max()))
+    if np.abs(a - a.T).max() > tol * scale:
+        raise ValueError(f"{name} is not symmetric")
+    w = np.linalg.eigvalsh(sym(a))
+    if w[0] < -tol * scale:
+        raise ValueError(f"{name} is not positive semidefinite (min eig {w[0]:.3e})")
+    return sym(a)
 
 
 def innovation(a, v, z):

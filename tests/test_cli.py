@@ -300,11 +300,35 @@ def test_bad_eot_threads_exits_1_naming_it(tmp_path, tiny_config, capsys, monkey
     assert not (tmp_path / "o").exists()
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy is imported only inside nees_bounds, so it stays off the CLI's import path
+def python(*args) -> subprocess.CompletedProcess:
+    """A fresh interpreter's run of args, with this checkout's eotnet importable."""
     src = str(Path(eotnet.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True)
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported only inside nees_bounds, so it stays off the CLI's import path
     code = "import sys, eotnet.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
-    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
-                         capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "[]"
+    assert python("-c", code).stdout.strip() == "[]"
+
+
+def test_module_entry_point_runs_without_a_warning():
+    # The package does not import eotnet.cli, so runpy finds it unloaded and
+    # does not warn that it may run the module twice.
+    done = python("-W", "error::RuntimeWarning", "-m", "eotnet.cli", "--scenario", "s1",
+                  "--dump-config")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == preset_text("s1")
+
+
+def test_an_overflowing_course_exits_1_with_one_named_error(tmp_path, capsys):
+    # Every entry is finite, but the course leaves the double range: the named
+    # error is the only line, with no numpy warning before it.
+    path = tmp_path / "fast.yaml"
+    path.write_text(preset_text("s2").replace("speed_kmh: 50.0", "speed_kmh: 1.0e+308"))
+    rc = main(["--config", str(path), "--filter", "ceot", "--runs", "1",
+               "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: ground truth must be finite; check the trajectory\n"

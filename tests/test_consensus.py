@@ -130,7 +130,7 @@ def test_benchmark_network_shape():
     net = benchmark_network()
     assert net.size == 20
     assert len(net.sensor_nodes) == 6
-    assert len(net.communication_nodes) == 14
+    assert net.kinds.count(NodeKind.COMMUNICATION) == 14
     assert net.comm_radius == 2000.0
     assert net.degrees.min() >= 1
 

@@ -9,7 +9,6 @@ from eotnet.consensus import check_primitive, metropolis_weights
 from eotnet.scenario import (
     CONFIG_KEYS,
     PRESETS,
-    TrajectorySpec,
     build_scenario_run,
     generate_measurements,
     generate_truth,
@@ -470,14 +469,15 @@ def test_a_sensors_single_detection_keeps_the_bits_of_its_own_draw():
 
 
 def test_generate_measurements_rejects_bad_covariance():
+    # A bad noise covariance never reaches generate_measurements: replace
+    # rejects it by its config path, as load_config does.
     config = load_config("s1", steps=1)
-    net = benchmark_network()
-    truth = generate_truth(config)
-    for bad in (np.array([[1, 2], [2, 1]]) * -1.0, np.array([[1.0, 0.5], [0.3, 1.0]])):
-        with pytest.raises(ValueError, match="multiplicative noise covariance"):
-            generate_measurements(truth, net, replace(config, ch=bad), [0])
-        with pytest.raises(ValueError, match="measurement noise covariance"):
-            generate_measurements(truth, net, replace(config, cv=bad), [0])
+    for bad, verdict in ((np.array([[1, 2], [2, 1]]) * -1.0, "is not positive semidefinite"),
+                         (np.array([[1.0, 0.5], [0.3, 1.0]]), "is not symmetric")):
+        with pytest.raises(ValueError, match=f"^noise.multiplicative_cov {verdict}"):
+            replace(config, ch=bad)
+        with pytest.raises(ValueError, match=f"^noise.measurement_cov {verdict}"):
+            replace(config, cv=bad)
 
 
 # (preset, path, value, message): non-finite truth entries and their errors.
@@ -499,16 +499,22 @@ def test_config_rejects_nonfinite_truth(tmp_path, preset, path, value, message):
         load_config(bad)
 
 
-@pytest.mark.parametrize("preset, overrides", [
-    ("s2", {"semi_axes": (float("nan"), 2.0)}),
-    ("s2", {"semi_axes": (0.0, 2.0)}),
-    ("s2", {"scan_time": float("nan")}),
-    ("s1", {"trajectory": TrajectorySpec(kind="stationary", position=np.array([0.0, np.nan]))}),
-])
-def test_truth_of_overridden_config_must_be_finite(preset, overrides):
-    config = replace(load_config(preset), **overrides)
-    with pytest.raises(ValueError, match="ground truth must be finite"):
-        generate_truth(config)
+@pytest.mark.parametrize("preset, field, value, message", [
+    ("s2", "semi_axes", (float("nan"), 2.0), r"semi_axes must be two positive finite lengths"),
+    ("s2", "semi_axes", (0.0, 2.0), r"semi_axes must be two positive finite lengths"),
+    ("s2", "scan_time", float("nan"), r"scan_time must be finite, got nan"),
+    ("s1", "trajectory.position", [0.0, float("nan")],
+     r"trajectory.position must be finite, got \[0.0, nan\]"),
+], ids=["nan-semi_axis", "zero-semi_axis", "nan-scan_time", "nan-position"])
+def test_truth_of_overridden_config_must_be_finite(preset, field, value, message):
+    # An entry that would make the truth non-finite is rejected where the
+    # config or its trajectory is built, by its config path.
+    config = load_config(preset)
+    with pytest.raises(ValueError, match=f"^{message}"):
+        if field.startswith("trajectory."):
+            replace(config.trajectory, **{field.removeprefix("trajectory."): value})
+        else:
+            replace(config, **{field: value})
 
 
 def written_documents():
