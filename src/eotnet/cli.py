@@ -103,15 +103,10 @@ def run(config, filter_config: FilterConfig, out_dir) -> tuple[list, np.ndarray]
     write_metrics_csv(out / "metrics.csv", columns, values)
 
     omega_val = filter_config.omega if filter_config.omega is not None else float(net.size)
-    report = check_assumptions(
-        fx=params.fx,
-        h=np.eye(2, config.kinematic_dim),
-        q_cov=config.cxw,
-        pi=pi,
-        rounds=filter_config.consensus_iters,
-        omega=omega_val if filter_config.kind is FilterKind.CM else 1.0,
-        trace=trace,
-    )
+    report = check_assumptions(fx=params.fx, h=np.eye(2, config.kinematic_dim), q_cov=config.cxw,
+                               pi=pi, rounds=filter_config.consensus_iters,
+                               omega=omega_val if filter_config.kind is FilterKind.CM else 1.0,
+                               trace=trace)
     (out / "assumptions.txt").write_text(report.as_text() + "\n")
 
     lines = [

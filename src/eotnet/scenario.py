@@ -12,7 +12,7 @@ fully determined by its seed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
@@ -47,8 +47,15 @@ NETWORK_KEYS = frozenset({"positions", "sensor_nodes", "comm_radius"})
 KMH_TO_MPS = 1000.0 / 3600.0
 
 
+class _Rebuilt:
+    # Rebuilt through the constructor, so a copy in another process, as the
+    # CLI's worker pool receives, is read-only and checked again.
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
 @dataclass(frozen=True)
-class TrajectorySpec:
+class TrajectorySpec(_Rebuilt):
     """Either a fixed pose or a constant-speed waypoint course; the entries
     its kind reads are converted and checked when it is built, as in ScenarioConfig."""
 
@@ -78,7 +85,7 @@ class TrajectorySpec:
 
 
 @dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(_Rebuilt):
     """One scenario, converted and checked entry by entry when it is built, through
     load_config, the constructor or dataclasses.replace alike: a bad entry is a
     ValueError named by its config path, as noise.measurement_cov.  Arrays are read-only."""

@@ -199,12 +199,7 @@ def typed_cases(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(typed_cases(), st.sampled_from(list(FilterKind)))
-# Fields that replace accepted unchecked, each of which failed later or ran wrong.
-@example(("s2", None, "shape", "shape", "text"), FilterKind.CEOT)
-@example(("s1", None, "meas_law", "measurements.law", "text"), FilterKind.CEOT)
-@example(("s2", None, "runs", "runs", "zero"), FilterKind.CEOT)
-@example(("s2", None, "seed", "seed", "negative"), FilterKind.CEOT)
-@example(("s1", None, "cpw", "process.extent_cov", "negative"), FilterKind.CI)
+# Mutations that replace accepted unchecked and that UNCHECKED_BEFORE does not list.
 @example(("s3", "trajectory", "waypoints", "trajectory.waypoints", "longer"), FilterKind.CM)
 @example(("s2-inline", None, "network", "network", "mapping"), FilterKind.CM)
 def test_one_changed_field_runs_or_fails_by_its_config_path(case, kind):

@@ -7,6 +7,7 @@ from eotnet.geometry import shape_matrix, wrap_angle
 from eotnet._linalg import _adjugate_pass, _closed_form, _cofactor_pass, _schur_offsets, spd_inv
 from eotnet.linearization import innovations
 from oracles import (
+    as_cov,
     centered_pseudo_measurement,
     compact_rows,
     extent_measurement_matrix,
@@ -366,6 +367,13 @@ def test_a_stack_deeper_than_run_and_node_is_named_by_its_slice(d):
     stack[1, 0, 1, 0, 0] = np.nan
     with pytest.raises(ValueError, match=f"^{name} must not contain infs or NaNs$"):
         spd_inv(stack, "noise")
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
+def test_as_cov_needs_a_square_matrix(shape):
+    message = f"noise must be square, got shape {shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        as_cov(np.ones(shape), "noise")
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

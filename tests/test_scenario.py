@@ -545,6 +545,21 @@ def test_c_and_python_yaml_loaders_parse_every_written_document_alike():
         assert repr(yaml.load(text, Loader=yaml.CSafeLoader)) == repr(yaml.safe_load(text))
 
 
+def test_a_pickled_config_is_read_only_and_checked():
+    # The CLI's worker pool pickles the config; the copy is built again.
+    config = load_config("s3")
+    copy = pickle.loads(pickle.dumps(config))
+    for name in ("ch", "cv", "cxw", "cpw", "cx0", "cp0"):
+        value = getattr(copy, name)
+        assert np.array_equal(value, getattr(config, name)) and not value.flags.writeable, name
+    waypoints = copy.trajectory.waypoints
+    assert np.array_equal(waypoints, config.trajectory.waypoints)
+    assert not waypoints.flags.writeable
+    object.__setattr__(config, "runs", 0)
+    with pytest.raises(ValueError, match="^runs must be >= 1, got 0$"):
+        pickle.loads(pickle.dumps(config))
+
+
 def test_load_config_falls_back_to_the_python_loader(monkeypatch):
     loaded = [pickle.dumps(load_config(name)) for name in PRESETS]
     monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
