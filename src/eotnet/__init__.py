@@ -21,8 +21,6 @@ from .diagnostics import (
     check_assumptions,
     evaluate_run,
     gwd,
-    nees,
-    nees_bounds,
     ospa_vertices,
 )
 from .geometry import (
@@ -37,10 +35,9 @@ from .info_filter import (
 )
 from .linearization import innovations
 from .scenario import (
+    ScenarioBatch,
     ScenarioConfig,
-    ScenarioRun,
     build_scenario_run,
-    generate_measurements,
     generate_truth,
     load_config,
     benchmark_network,

@@ -33,9 +33,8 @@ def _worker(reduce, traced, config, net, params, filter_config, pi, seeds):
     """Realize and filter one share of a batch's runs as one stacked pass;
     returns what reduce makes of its record, and its trace if traced."""
     trace = AssumptionTrace() if traced else None
-    scns = build_scenario_run(config, net, seeds)
-    record = run_filter(scns, net, params, filter_config, pi, trace=trace)
-    return reduce(record, scns[0], config), trace
+    batch = build_scenario_run(config, net, seeds)
+    return reduce(run_filter(batch, net, params, filter_config, pi, trace), batch, config), trace
 
 
 def _pool_size(runs: int) -> int:
@@ -54,7 +53,7 @@ def _pool_size(runs: int) -> int:
 def _monte_carlo(config, filter_config: FilterConfig, reduce, traced=False):
     """Run config.runs realizations of config under one filter in contiguous
     shares on the worker pool, and reduce each share's record with reduce, a
-    module-level function of (record, the share's first ScenarioRun, config).
+    module-level function of (record, the share's ScenarioBatch, config).
     Returns the shares' results in run order, their merged trace if traced
     (else None), and the network, Π and params the runs share."""
     net = resolve_network(config)
@@ -78,16 +77,16 @@ def _monte_carlo(config, filter_config: FilterConfig, reduce, traced=False):
     return results, trace, net, pi, params
 
 
-def _run_table(record, scn, config):
+def _run_table(record, batch, config):
     """A share's metric table and its runs' step times."""
-    columns, values = evaluate_run(record, (scn.x_true, scn.p_true), config.shape)
+    columns, values = evaluate_run(record, (batch.x_true, batch.p_true), config.shape)
     # Each run's step times, as the summary averages them over runs.
     return columns, values, np.tile(record.step_seconds, record.runs)
 
 
-def _squared_errors(record, scn, config):
+def _squared_errors(record, batch, config):
     """A share's (runs, steps) squared kinematic errors, averaged over nodes."""
-    return ((record.x_mean - scn.x_true[:, None, :]) ** 2).sum(axis=3).mean(axis=2)
+    return ((record.x_mean - batch.x_true[:, None, :]) ** 2).sum(axis=3).mean(axis=2)
 
 
 def run(config, filter_config: FilterConfig, out_dir) -> tuple[list, np.ndarray]:

@@ -1,8 +1,9 @@
 """Evaluation metrics and stability assumption checks; no filter runs here.
 
 Metrics: Gaussian Wasserstein distance on (center, extent) pairs, OSPA over
-rectangle vertices, normalized estimation error squared with chi-square
-bands, and the averaged pairwise estimate disagreement across nodes.
+rectangle vertices, the normalized estimation error squared that
+evaluate_run scores, and the averaged pairwise estimate disagreement across
+nodes.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ from .geometry import clamp_extent, extent_vertices, wrap_angle
 __all__ = [
     "gwd",
     "ospa_vertices",
-    "nees",
-    "nees_bounds",
     "acee",
     "AssumptionTrace",
     "AssumptionReport",
@@ -95,26 +94,6 @@ def _mahalanobis(e, cov, name: str, at=None):
     node, or by its row of at, as _first_slice names it."""
     e = np.asarray(e, dtype=float)
     return np.sum(e * spd_solve(cov, e, name=name, axes=_TABLE_AXES, at=at), axis=-1)
-
-
-def nees(est, cov, truth):
-    """Normalized estimation error squared of one estimate, or of a stack
-    (..., d) of estimates with covariances (..., d, d)."""
-    e = np.asarray(est, dtype=float) - np.asarray(truth, dtype=float)
-    return _mahalanobis(e, cov, "estimate covariance")
-
-
-def nees_bounds(dim: int, runs: int, confidence: float = 0.95) -> tuple[float, float]:
-    """Two-sided chi-square band for a run-averaged NEES: chi-square with
-    dim*runs degrees of freedom, divided by the run count."""
-    if not 0.0 < confidence < 1.0:
-        raise ValueError("confidence must be in (0, 1)")
-    from scipy.stats import chi2  # loaded here only: it dominates the package import time
-
-    dof = dim * runs
-    lo = chi2.ppf(0.5 * (1.0 - confidence), dof) / runs
-    hi = chi2.ppf(0.5 * (1.0 + confidence), dof) / runs
-    return float(lo), float(hi)
 
 
 def acee(estimates):

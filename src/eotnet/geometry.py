@@ -6,7 +6,7 @@ perpendicular axis-symmetric shape (ellipse or rectangle).  Truths and
 reports wrap the orientation to (-pi, pi]; the filters keep it on any branch.
 Detections are scattered over the object through a multiplicative noise
 vector acting on the shape matrix, plus additive sensor noise
-(scenario.generate_measurements).
+(scenario.build_scenario_run).
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ fully determined by its seed.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
@@ -26,12 +27,11 @@ from .geometry import clamp_extent, shape_matrix, wrap_angle
 __all__ = [
     "TrajectorySpec",
     "ScenarioConfig",
-    "ScenarioRun",
+    "ScenarioBatch",
     "PRESETS",
     "load_config",
     "preset_text",
     "generate_truth",
-    "generate_measurements",
     "build_scenario_run",
     "benchmark_network",
     "resolve_network",
@@ -75,11 +75,15 @@ class TrajectorySpec(_Rebuilt):
         if waypoints.ndim != 2 or waypoints.shape[0] < 2 or waypoints.shape[1] != 2:
             raise ValueError("trajectory.waypoints must be at least 2 planar points, "
                              f"got shape {waypoints.shape}")
-        repeated = np.flatnonzero(np.linalg.norm(np.diff(waypoints, axis=0), axis=1) <= 0)
-        if repeated.size:
-            i = repeated[0]
-            raise ValueError("consecutive trajectory.waypoints must be distinct, got "
-                             f"{waypoints[i].tolist()} at {i} and {i + 1}")
+        # Waypoints about 1e154 apart overflow the norm, which squares them.
+        with np.errstate(over="ignore"):
+            lengths = np.linalg.norm(np.diff(waypoints, axis=0), axis=1)
+        for bad, what in ((lengths <= 0, "distinct"),
+                          (lengths == np.inf, "a finite distance apart")):
+            if bad.any():
+                i = np.argmax(bad)
+                raise ValueError(f"consecutive trajectory.waypoints must be {what}, got "
+                                 f"{waypoints[i].tolist()} at {i} and {i + 1}")
         _set(self, waypoints=waypoints,
              speed_mps=_number(self.speed_mps, "trajectory.speed_mps", low=0))
 
@@ -152,24 +156,60 @@ class ScenarioConfig(_Rebuilt):
 
 
 @dataclass(frozen=True)
-class ScenarioRun:
-    """One realized scenario: truth, detections, and priors.
-
-    x_true[k] and p_true[k] are the true kinematic state and extent
-    [alpha, l1, l2] at step k, shared by every realization of a config.
-    detections holds all of the run's detections as one (N, 2) array in
-    (step, node, index) order, and counts[k, s] is how many of them node s
-    made at step k; communication nodes always count 0.
-    """
+class ScenarioBatch(_Rebuilt):
+    """R realizations of one scenario config on a leading run axis, checked when
+    built, through the constructor or dataclasses.replace alike.  The truth is
+    held once; node s made counts[r, k, s] detections at step k of run r (relays
+    count 0), which lie in detections in (run, step, node, index) order.  Arrays
+    are read-only copies; batch[r], for an int r, is run r alone."""
 
     x_true: np.ndarray  # (steps, d)
     p_true: np.ndarray  # (steps, 3)
-    detections: np.ndarray  # (N, 2)
-    counts: np.ndarray  # (steps, nodes)
-    x0: np.ndarray
-    cx0: np.ndarray
-    p0: np.ndarray
-    cp0: np.ndarray
+    detections: np.ndarray  # (M, 2)
+    counts: np.ndarray  # (R, steps, nodes), integer
+    x0: np.ndarray  # (R, d)
+    cx0: np.ndarray  # (R, d, d)
+    p0: np.ndarray  # (R, 3)
+    cp0: np.ndarray  # (R, 3, 3)
+
+    def __post_init__(self):
+        counts = np.array(self.counts)
+        if counts.ndim != 3 or not len(counts):
+            raise ValueError("a scenario batch needs at least one run, its counts an (R, steps, "
+                             f"nodes) table, got shape {counts.shape}")
+        bad = counts < 0 if counts.dtype.kind in "iu" else np.ones(counts.shape, dtype=bool)
+        if bad.any():
+            r, k, j = np.unravel_index(np.argmax(bad), counts.shape)
+            raise ValueError(f"count of run {r}, step {k}, sensor {j} must be a non-negative "
+                             f"integer, got {counts[r, k, j]} ({counts.dtype})")
+        y = np.array(self.detections, dtype=float)
+        if y.shape != (counts.sum(), 2):
+            raise ValueError(f"detections must match its count table, {counts.sum()} of them, "
+                             f"got shape {y.shape}")
+        bad = ~np.isfinite(y).all(axis=1)
+        if bad.any():
+            first = np.searchsorted(np.cumsum(counts), np.argmax(bad), side="right")
+            r, k, j = np.unravel_index(first, counts.shape)
+            raise ValueError(f"detections of run {r}, step {k}, sensor {j} must be finite")
+        priors = x0, cx0, p0, cp0 = [np.array(a, dtype=float)
+                                     for a in (self.x0, self.cx0, self.p0, self.cp0)]
+        if p0.shape[1:] != (3,) or cp0.shape[1:] != (3, 3):
+            raise ValueError(f"extent priors p0 {p0.shape[1:]} and cp0 {cp0.shape[1:]} "
+                             "must have shapes (3,) and (3, 3)")
+        if (x0.ndim, cx0.ndim) != (2, 3) or {len(a) for a in priors} != {len(counts)}:
+            raise ValueError(f"priors x0 {x0.shape}, cx0 {cx0.shape}, p0 {p0.shape} and cp0 "
+                             f"{cp0.shape} need one entry per run of the {len(counts)}")
+        _set(self, x_true=np.array(self.x_true, dtype=float),
+             p_true=np.array(self.p_true, dtype=float), detections=y, counts=counts, x0=x0,
+             cx0=cx0, p0=p0, cp0=cp0)
+
+    def __getitem__(self, r) -> ScenarioBatch:
+        r = range(len(self.counts))[operator.index(r)]
+        start = self.counts[:r].sum()
+        return ScenarioBatch(self.x_true, self.p_true,
+                             self.detections[start:start + self.counts[r].sum()],
+                             *(a[r:r + 1] for a in (self.counts, self.x0, self.cx0, self.p0,
+                                                    self.cp0)))
 
 
 def _set(built, **entries) -> None:
@@ -431,10 +471,9 @@ def generate_truth(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
     return x_true, p_true
 
 
-def generate_measurements(truth, net: SensorNetwork, config: ScenarioConfig,
-                          seeds) -> list[ScenarioRun]:
-    """Synthesize per-node detections and realize the priors of one run of
-    the truth pair (x_true, p_true) per seed.
+def build_scenario_run(config: ScenarioConfig, net: SensorNetwork, seeds) -> ScenarioBatch:
+    """The truth of config, generated once, and one realization of it per
+    seed: per-node detections and realized priors, as one batch.
 
     A run's draw order (priors, then step-by-step node-by-node counts and
     detections, every h before every v) is fixed, so equal seeds give
@@ -442,23 +481,27 @@ def generate_measurements(truth, net: SensorNetwork, config: ScenarioConfig,
     are taken once for every run and applied once per step, to all of its
     sensors' draws: detections m + S h + v around the center m.
     """
-    x_true, p_true = truth
-    # The noises are factored once for every draw.
-    lh, lv = sqrt_psd(config.ch), sqrt_psd(config.cv)
-    shapes, sensors = shape_matrix(p_true), list(net.sensor_nodes)
-    runs = []
-    for seed in seeds:
+    x_true, p_true = generate_truth(config)
+    # The noises and the prior covariances are factored once for every draw.
+    lh, lv, lx, lp = (sqrt_psd(c) for c in (config.ch, config.cv, config.cx0, config.cp0))
+    shapes, sensors, seeds = shape_matrix(p_true), list(net.sensor_nodes), list(seeds)
+    counts = np.zeros((len(seeds), len(x_true), net.size), dtype=int)
+    # The prior means are the configured ones, or the truth's first state.
+    x0 = np.tile(x_true[0] if config.x0_mean is None else config.x0_mean, (len(seeds), 1))
+    p0 = np.tile(p_true[0] if config.p0_mean is None else config.p0_mean, (len(seeds), 1))
+    draws = []
+    for r, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
-        x0, p0 = _realize_priors(x_true, p_true, config, rng)
-        counts = np.zeros((len(x_true), net.size), dtype=int)
-        draws = [np.zeros((0, 2))]
+        if config.prior_mode == "sampled":
+            x0[r] += lx @ rng.standard_normal(len(x0[r]))
+            p0[r] = clamp_extent(p0[r] + lp @ rng.standard_normal(3))
         for k, (x, s_mat) in enumerate(zip(x_true, shapes)):
             noise, ns = [np.zeros((2, 0, 2))], []
             for _ in sensors:
                 ns.append(config.meas_count if config.meas_law == "fixed"
                           else int(rng.poisson(config.meas_rate)))
                 noise.append(rng.standard_normal((2, ns[-1], 2)))
-            counts[k, sensors] = ns
+            counts[r, k, sensors] = ns
             h, v = np.concatenate(noise, axis=1)
             y = x[:2] + (h @ lh.T) @ s_mat.T + v @ lv.T
             # numpy multiplies a one-row draw as a vector (BLAS gemv), which
@@ -468,22 +511,7 @@ def generate_measurements(truth, net: SensorNetwork, config: ScenarioConfig,
                 one = np.repeat(np.equal(ns, 1), ns)
                 y[one] = (x[:2] + (h[one, None] @ lh.T) @ s_mat.T + v[one, None] @ lv.T)[:, 0]
             draws.append(y)
-        runs.append(ScenarioRun(x_true=x_true, p_true=p_true, detections=np.concatenate(draws),
-                                counts=counts, x0=x0, cx0=config.cx0.copy(), p0=p0,
-                                cp0=config.cp0.copy()))
-    return runs
+    return ScenarioBatch(x_true, p_true, np.concatenate([np.zeros((0, 2)), *draws]), counts, x0,
+                         np.broadcast_to(config.cx0, (len(seeds), *config.cx0.shape)), p0,
+                         np.broadcast_to(config.cp0, (len(seeds), 3, 3)))
 
-
-def _realize_priors(x_true, p_true, config: ScenarioConfig, rng):
-    x_mean = config.x0_mean if config.x0_mean is not None else x_true[0]
-    p_mean = config.p0_mean if config.p0_mean is not None else p_true[0]
-    if config.prior_mode == "fixed":
-        return x_mean.copy(), p_mean.copy()
-    x0 = x_mean + sqrt_psd(config.cx0) @ rng.standard_normal(x_mean.size)
-    p0 = p_mean + sqrt_psd(config.cp0) @ rng.standard_normal(3)
-    return x0, clamp_extent(p0)
-
-
-def build_scenario_run(config: ScenarioConfig, net: SensorNetwork, seeds) -> list[ScenarioRun]:
-    """The truth of config, generated once, and one run of it per seed."""
-    return generate_measurements(generate_truth(config), net, config, seeds)

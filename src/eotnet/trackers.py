@@ -174,26 +174,12 @@ class _Scan(NamedTuple):
     lives: list  # and its live rows the leading lives[i] flat rows
 
 
-def _scan_plan(tables, y, nodes: int) -> list[_Scan]:
-    """Every scan of count tables (steps, sensors), tables[r][k, j] detections
-    of sensor j in scan k of realization r, with detections y (M, 2) in
-    (realization, scan, sensor, index) order: one pass over the table, one
-    gather of y.  Sensor j writes node j's flat row, or node 0's of one node.
-    A count that is not a non-negative integer, or a non-finite detection,
-    fails, named by its run r, step k and sensor j."""
-    counts = np.asarray(tables)
-    floats = np.array([t.dtype.kind not in "iu" for t in tables], dtype=bool)
-    bad = (counts < 0) | floats[:, None, None]
-    if bad.any():
-        r, k, j = np.unravel_index(np.argmax(bad), counts.shape)
-        value = tables[r][k, j]
-        raise ValueError(f"count of run {r}, step {k}, sensor {j} must be a non-negative "
-                         f"integer, got {value} ({value.dtype})")
-    bad = ~np.isfinite(y).all(axis=1)
-    if bad.any():
-        first = np.searchsorted(np.cumsum(counts), np.argmax(bad), side="right")
-        r, k, j = np.unravel_index(first, counts.shape)
-        raise ValueError(f"detections of run {r}, step {k}, sensor {j} must be finite")
+def _scan_plan(counts: np.ndarray, y, nodes: int) -> list[_Scan]:
+    """Every scan of a count table (R, steps, sensors), counts[r, k, j]
+    detections of sensor j in scan k of realization r, with detections y
+    (M, 2) in (realization, scan, sensor, index) order: one pass over the
+    table, one gather of y.  Sensor j writes node j's flat row, or node 0's
+    of one node."""
     runs, steps, sensors = counts.shape
     ends = counts.max(axis=2, initial=0).T  # (steps, runs)
     by_end, lengths = np.argsort(-ends, axis=1, kind="stable"), ends.max(axis=1, initial=0)
@@ -331,35 +317,25 @@ class TrackRecord:
     nodes = property(lambda self: self.x_mean.shape[2])
 
 
-def run_filter(scn_runs, net: SensorNetwork, params: TrackerParams, config: FilterConfig,
+def run_filter(batch, net: SensorNetwork, params: TrackerParams, config: FilterConfig,
                pi: ConsensusMatrix | None = None, trace=None) -> TrackRecord:
-    """The TrackRecord of one filter over realized runs of one scenario
-    config, stacked in one pass; its leading axis follows scn_runs, and each
-    run's slice equals that run's own pass.  A step's wall time is split
-    evenly over its runs.  The distributed filters need a consensus matrix
-    of the network's size, weighting only its edges and diagonal, and each
-    count table one column per node.  A count that is not a non-negative
-    integer, or a non-finite detection, fails before any filtering, named by
-    its run (its place in scn_runs), step and sensor.  A trace (record_rx,
-    record_rp_floor, record_omega) collects what the assumption checks need.
+    """The TrackRecord of one filter over a ScenarioBatch, its runs stacked in
+    one pass; its leading axis follows the batch's, and run r's slice equals
+    the pass of batch[r] alone.  A step's wall time is split evenly over its
+    runs.  The batch, checked when it was built, needs one count column per
+    node and kinematic priors that fit fx; the distributed filters need a
+    consensus matrix of the network's size, weighting only its edges and
+    diagonal.  A trace (record_rx, record_rp_floor, record_omega) collects
+    what the assumption checks need.
     """
-    scn_runs = list(scn_runs)
-    if not scn_runs:
-        raise ValueError("run_filter needs at least one scenario run")
-    if len({scn.counts.shape for scn in scn_runs}) > 1:
-        raise ValueError("stacked scenario runs must have the same number of steps and nodes")
-    shape = scn_runs[0].counts.shape  # (steps, sensors)
-    if len(shape) != 2 or shape[1] != net.size:
+    runs, steps, sensors = batch.counts.shape
+    if sensors != net.size:
         raise ValueError(f"count tables need one column per node of the {net.size}-node "
-                         f"network, got shape {shape}")
-    if [len(scn.detections) for scn in scn_runs] != [scn.counts.sum() for scn in scn_runs]:
-        raise ValueError("every run's detections must match its count table")
+                         f"network, got shape {batch.counts.shape[1:]}")
+    if batch.x0.shape[1:] != params.fx.shape[:1] or batch.cx0.shape[1:] != params.fx.shape:
+        raise ValueError(f"priors x0 {batch.x0.shape[1:]} and cx0 {batch.cx0.shape[1:]} do not "
+                         f"fit the transition fx {params.fx.shape}")
     nodes = 1 if config.kind is FilterKind.CEOT else net.size
-    # The batch's detections, (run, step, sensor, index) ordered, checked at once.
-    y = np.concatenate([np.zeros((0, 2)), *(scn.detections for scn in scn_runs)])
-    scans = _scan_plan([scn.counts for scn in scn_runs], y, nodes)
-    runs, steps = len(scn_runs), shape[0]
-
     if nodes > 1 and pi is not None:
         if pi.size != nodes:
             raise ValueError(f"a {pi.size}-node consensus matrix does not fit a {nodes}-node "
@@ -368,27 +344,16 @@ def run_filter(scn_runs, net: SensorNetwork, params: TrackerParams, config: Filt
         if off_edge.size:
             raise ValueError("consensus weight pi[{0}, {1}] is nonzero, but nodes {0} and {1} "
                              "share no network edge".format(*off_edge[0]))
-    mix = _consensus_map(config, pi, params, shape[1], nodes)
-    for name in ("x0", "cx0", "p0", "cp0"):
-        shapes = [np.shape(getattr(scn, name)) for scn in scn_runs]
-        # The first run whose prior differs in shape from run 0's, if any.
-        if r := next((r for r, shape in enumerate(shapes) if shape != shapes[0]), 0):
-            raise ValueError(f"prior {name} of run {r} has shape {shapes[r]}, unlike run 0's "
-                             f"{shapes[0]}")
-    priors = [np.stack([getattr(s, a) for s in scn_runs]) for a in ("x0", "cx0", "p0", "cp0")]
-    if priors[0].shape[1:] != params.fx.shape[:1] or priors[1].shape[1:] != params.fx.shape:
-        raise ValueError(f"priors x0 {priors[0].shape[1:]} and cx0 {priors[1].shape[1:]} do not "
-                         f"fit the transition fx {params.fx.shape}")
-    if priors[2].shape[1:] != (3,) or priors[3].shape[1:] != (3, 3):
-        raise ValueError(f"extent priors p0 {priors[2].shape[1:]} and cp0 {priors[3].shape[1:]} "
-                         "must have shapes (3,) and (3, 3)")
-    state = initial_states(*priors, nodes)
+    mix = _consensus_map(config, pi, params, sensors, nodes)
+    scans = _scan_plan(batch.counts, batch.detections, nodes)
+    state = initial_states(batch.x0, batch.cx0, batch.p0, batch.cp0, nodes)
     qx, ox, qp, op = _columns(state)
     # The record holds each quantity's moments at every step.
     x_mean, x_cov, p_mean, p_cov = (np.zeros((runs, steps, *a.shape[1:])) for a in (qx, ox, qp, op))
     seconds = np.zeros(steps)
     # Each scan starts from the extent moments of the prior or the prediction.
-    moments = [np.broadcast_to(a[:, None], (runs, nodes, *a.shape[1:])) for a in priors[2:]]
+    moments = [np.broadcast_to(a[:, None], (runs, nodes, *a.shape[1:]))
+               for a in (batch.p0, batch.cp0)]
 
     for k, scan in enumerate(scans):
         t0 = time.perf_counter()

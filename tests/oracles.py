@@ -11,7 +11,9 @@ as do the generic innovation pair the piecewise linearization uses, the
 converters between nested per-sensor batches and the flat detection layout,
 the compact rows innovations linearizes at, and the helpers that view,
 correct and predict copies of packed state rows, and as_cov, the symmetric
-positive semidefinite check of the oracles' covariance inputs.  metrics_csv_by_format is
+positive semidefinite check of the oracles' covariance inputs.  nees and its
+chi-square band nees_bounds score filter consistency in the tests only; the
+library's evaluate_run scores NEES itself.  metrics_csv_by_format is
 the metrics.csv writer with one str.format field per value, the reference
 for the library's % template.
 reference_filter runs the whole filter from the paper's equations with plain
@@ -26,6 +28,7 @@ import numpy as np
 
 from eotnet import trackers
 from eotnet._linalg import _from_entries, _matvec, spd_inv, sqrt_psd, sym
+from eotnet.diagnostics import _mahalanobis
 from eotnet.geometry import MIN_AXIS, shape_matrix, wrap_angle
 from eotnet.info_filter import _columns, _position_columns, predict, to_moments
 from eotnet.linearization import innovations
@@ -47,6 +50,26 @@ def as_cov(a, name: str = "covariance", *, tol: float = 1e-8) -> np.ndarray:
     if w[0] < -tol * scale:
         raise ValueError(f"{name} is not positive semidefinite (min eig {w[0]:.3e})")
     return sym(a)
+
+
+def nees(est, cov, truth):
+    """Normalized estimation error squared of one estimate, or of a stack
+    (..., d) of estimates with covariances (..., d, d)."""
+    e = np.asarray(est, dtype=float) - np.asarray(truth, dtype=float)
+    return _mahalanobis(e, cov, "estimate covariance")
+
+
+def nees_bounds(dim: int, runs: int, confidence: float = 0.95) -> tuple[float, float]:
+    """Two-sided chi-square band for a run-averaged NEES: chi-square with
+    dim*runs degrees of freedom, divided by the run count."""
+    if not 0.0 < confidence < 1.0:
+        raise ValueError("confidence must be in (0, 1)")
+    from scipy.stats import chi2
+
+    dof = dim * runs
+    lo = chi2.ppf(0.5 * (1.0 - confidence), dof) / runs
+    hi = chi2.ppf(0.5 * (1.0 + confidence), dof) / runs
+    return float(lo), float(hi)
 
 
 def innovation(a, v, z):
@@ -397,7 +420,7 @@ def _scatter(m, s_mat, lh, lv, count: int, rng: np.random.Generator) -> np.ndarr
 def sample_measurements(m, p, ch, cv, count: int, rng: np.random.Generator) -> np.ndarray:
     """count detections y = m + S(p) h + v around center m of an object with
     extent p = [alpha, l1, l2], h ~ N(0, ch) and v ~ N(0, cv): the draws of
-    eotnet.scenario.generate_measurements for one sensor and step, one sensor
+    eotnet.scenario.build_scenario_run for one sensor and step, one sensor
     at a time, where the library applies the factors to a whole step's draws.
     It pins the draw order and the per-step center and extent; the scatter
     itself is checked against its moments."""
@@ -479,16 +502,17 @@ def predicted(state, params):
     return out
 
 
-def scan_batches(scn):
-    """A ScenarioRun's detections as nested [step][node] arrays, split one
+def scan_batches(batch):
+    """A one-run batch's detections as nested [step][node] arrays, split one
     array at a time by its count table."""
+    (table,) = batch.counts
     batches, start = [], 0
-    for counts in scn.counts:
+    for counts in table:
         batches.append([])
         for n in counts:
-            batches[-1].append(scn.detections[start:start + n])
+            batches[-1].append(batch.detections[start:start + n])
             start += n
-    assert start == len(scn.detections)
+    assert start == len(batch.detections)
     return batches
 
 
@@ -588,8 +612,8 @@ def primitive_by_power(weights):
     return bool((result > 0).all())
 
 
-def reference_filter(scn_run, net, params, config, pi):
-    """The filter of one ScenarioRun from the paper's equations, one detection
+def reference_filter(batch, net, params, config, pi):
+    """The filter of a one-run batch from the paper's equations, one detection
     at a time: {"x_mean", "x_cov", "p_mean", "p_cov"} of shape (steps,
     nodes, ...), nodes 1 under CEOT.
 
@@ -606,15 +630,17 @@ def reference_filter(scn_run, net, params, config, pi):
     nodes = 1 if central else net.size
     weight = float(nodes) if config.omega is None else config.omega
     rounds = config.consensus_iters
-    ox0, op0 = np.linalg.inv(scn_run.cx0), np.linalg.inv(scn_run.cp0)
-    state = [[ox0 @ scn_run.x0, ox0, op0 @ scn_run.p0, op0] for _ in range(nodes)]
+    (x0,), (cx0,), (p0,), (cp0,) = batch.x0, batch.cx0, batch.p0, batch.cp0
+    ox0, op0 = np.linalg.inv(cx0), np.linalg.inv(cp0)
+    state = [[ox0 @ x0, ox0, op0 @ p0, op0] for _ in range(nodes)]
 
     out = {name: [] for name in ("x_mean", "x_cov", "p_mean", "p_cov")}
-    for k, batch in enumerate(scan_batches(scn_run)):
-        for i in range(max(len(b) for b in batch)):
+    steps = batch.counts.shape[1]
+    for k, scan in enumerate(scan_batches(batch)):
+        for i in range(max(len(b) for b in scan)):
             points = [_moments(row) for row in state]
             delta = [[np.zeros_like(a) for a in row] for row in state]
-            for j, b in enumerate(batch):
+            for j, b in enumerate(scan):
                 if len(b) > i:
                     r = 0 if central else j
                     x, cx, p, cp = (a[None] for a in points[r])
@@ -630,14 +656,13 @@ def reference_filter(scn_run, net, params, config, pi):
         moments = [_moments(row) for row in state]
         for name, values in zip(out, zip(*moments)):  # x, Cx, p, Cp per node
             out[name].extend(values)
-        if k + 1 < len(scn_run.counts):
+        if k + 1 < steps:
             state = []
             for x, cx, p, cp in moments:
                 x, cx = kalman_predict_moments(x, cx, params.fx, params.cxw)
                 p, cp = kalman_predict_moments(p, cp, np.eye(3), params.cpw)
                 ox, op = np.linalg.inv(cx), np.linalg.inv(cp)
                 state.append([ox @ x, ox, op @ p, op])
-    steps = len(scn_run.counts)
     return {name: np.reshape(values, (steps, nodes, *np.shape(values[0])))
             for name, values in out.items()}
 

@@ -18,8 +18,6 @@ from eotnet.diagnostics import (
     AssumptionTrace,
     acee,
     check_assumptions,
-    nees,
-    nees_bounds,
     ospa_vertices,
 )
 from eotnet.geometry import clamp_extent, extent_vertices, shape_matrix
@@ -41,6 +39,8 @@ from oracles import (
     fuse_nodes,
     kalman_predict_moments,
     kinematic_noise_cov,
+    nees,
+    nees_bounds,
     pairs,
     predicted,
     quartic_moment_cov,
@@ -76,10 +76,10 @@ def test_cm_matches_ceot_oracle():
         config = load_config("s2", steps=50, network=spec)
         pi = metropolis_weights(net)
         params = params_from_scenario(config, net)
-        (scn,) = build_scenario_run(config, net, [1234])
+        scn = build_scenario_run(config, net, [1234])
         ceot = FilterConfig(kind=FilterKind.CEOT)
         cm = FilterConfig(kind=FilterKind.CM, consensus_iters=1, omega=float(n))
-        prior = (scn.x0[None], scn.cx0[None], scn.p0[None], scn.cp0[None])
+        prior = (scn.x0, scn.cx0, scn.p0, scn.cp0)
         center, nodes = initial_states(*prior), initial_states(*prior, n)
         for batches in scan_batches(scn):
             center = predicted(corrected(center, *flat_scan([batches]), params, ceot), params)
@@ -212,7 +212,7 @@ def test_s1_convergence():
     net = benchmark_network()
     pi = metropolis_weights(net)
     params = params_from_scenario(config, net)
-    (scn,) = build_scenario_run(config, net, [67])
+    scn = build_scenario_run(config, net, [67])
     truth_m, truth_p = scn.x_true[0, :2], scn.p_true[0]
     true_verts = extent_vertices(truth_m, truth_p)
 
@@ -222,7 +222,7 @@ def test_s1_convergence():
         ("ci", FilterConfig(kind=FilterKind.CI, consensus_iters=6)),
         ("cm", FilterConfig(kind=FilterKind.CM, consensus_iters=6)),
     ):
-        rec = run_filter([scn], net, params, fc, pi)
+        rec = run_filter(scn, net, params, fc, pi)
         if rec.nodes == 1:
             x, p = rec.x_mean[0, -1, 0], rec.p_mean[0, -1, 0]
         else:
@@ -256,12 +256,12 @@ def test_acee_iteration_trend():
     pi = metropolis_weights(net)
     params = params_from_scenario(config, net)
     children = np.random.SeedSequence(config.seed).spawn(10)
-    scns = build_scenario_run(config, net, children)
+    batch = build_scenario_run(config, net, children)
     means = {}
     for kind in (FilterKind.CI, FilterKind.CM):
         for rounds in (1, 6):
             kin_vals, ext_vals = [], []
-            rec = run_filter(scns, net, params,
+            rec = run_filter(batch, net, params,
                              FilterConfig(kind=kind, consensus_iters=rounds), pi)
             for r in range(rec.runs):
                 kin_vals.extend(acee(rec.x_mean[r, k]) for k in range(rec.steps))
@@ -295,8 +295,8 @@ def test_bounded_mse_and_assumptions():
     pi = metropolis_weights(net)
     params = params_from_scenario(config, net)
     trace = AssumptionTrace()
-    scns = build_scenario_run(load_config("s2", steps=20), net, [0])
-    run_filter(scns, net, params, FilterConfig(kind=FilterKind.CM, consensus_iters=2),
+    batch = build_scenario_run(load_config("s2", steps=20), net, [0])
+    run_filter(batch, net, params, FilterConfig(kind=FilterKind.CM, consensus_iters=2),
                pi, trace=trace)
     rep = check_assumptions(params.fx, np.eye(2, 4), config.cxw,
                             pi, rounds=2, omega=float(net.size), trace=trace)
@@ -320,12 +320,9 @@ def test_nees_consistency():
     params = params_from_scenario(config, net)
     runs = 50
     children = np.random.SeedSequence(config.seed).spawn(runs)
-    per_step = np.zeros((runs, config.steps))
-    scns = build_scenario_run(config, net, children)
-    rec = run_filter(scns, net, params, FilterConfig(kind=FilterKind.CEOT), pi)
-    for m, scn in enumerate(scns):
-        per_step[m] = nees(rec.x_mean[m, :, 0], rec.x_cov[m, :, 0], scn.x_true)
-    mean_nees = float(per_step.mean())
+    batch = build_scenario_run(config, net, children)
+    rec = run_filter(batch, net, params, FilterConfig(kind=FilterKind.CEOT), pi)
+    mean_nees = float(nees(rec.x_mean[:, :, 0], rec.x_cov[:, :, 0], batch.x_true).mean())
     dim = 4
     lo, hi = nees_bounds(dim, runs, confidence=0.99)
     lo_wide = dim - 2.0 * (dim - lo)

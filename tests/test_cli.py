@@ -309,9 +309,22 @@ def python(*args) -> subprocess.CompletedProcess:
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy is imported only inside nees_bounds, so it stays off the CLI's import path
+    # scipy is a test dependency: no module of the package imports it
     code = "import sys, eotnet.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     assert python("-c", code).stdout.strip() == "[]"
+
+
+def test_the_readme_example_runs_with_scipy_unimportable(tmp_path):
+    # With scipy blocked before eotnet is imported, the README's CLI example
+    # exits 0, prints nothing to stderr and writes its three files.
+    code = ("import sys; sys.modules['scipy'] = None; import eotnet.cli; "
+            "sys.exit(eotnet.cli.main(sys.argv[1:]))")
+    out = tmp_path / "s1"
+    done = python("-W", "error", "-c", code, "--scenario", "s1", "--filter", "ci", "--L", "6",
+                  "--runs", "1", "--seed", "7", "--out", str(out))
+    assert (done.returncode, done.stderr) == (0, "")
+    assert sorted(path.name for path in out.iterdir()) == ["assumptions.txt", "metrics.csv",
+                                                           "summary.txt"]
 
 
 def test_module_entry_point_runs_without_a_warning():

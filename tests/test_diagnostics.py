@@ -12,8 +12,6 @@ from eotnet.diagnostics import (
     check_assumptions,
     evaluate_run,
     gwd,
-    nees,
-    nees_bounds,
     ospa_vertices,
     summarize_metrics,
     write_metrics_csv,
@@ -28,7 +26,13 @@ from eotnet.trackers import (
     params_from_scenario,
     run_filter,
 )
-from oracles import extent_alignment_error, metrics_csv_by_format, ospa_all_permutations
+from oracles import (
+    extent_alignment_error,
+    metrics_csv_by_format,
+    nees,
+    nees_bounds,
+    ospa_all_permutations,
+)
 
 
 def random_pose(rng):
@@ -260,8 +264,8 @@ def test_check_assumptions_detects_nonprimitive():
 def test_evaluate_run_rows_follow_the_per_estimate_layout():
     config = load_config("s3", steps=3)
     net = benchmark_network()
-    (scn,) = build_scenario_run(config, net, [5])
-    rec = run_filter([scn], net, params_from_scenario(config, net),
+    scn = build_scenario_run(config, net, [5])
+    rec = run_filter(scn, net, params_from_scenario(config, net),
                      FilterConfig(kind=FilterKind.CM, consensus_iters=1),
                      metropolis_weights(net))
     metrics = ["pos_err", "gwd", "ospa", "nees_kin", "nees_ext"]

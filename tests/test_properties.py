@@ -23,14 +23,13 @@ from eotnet.consensus import (
     build_network,
     metropolis_weights,
 )
-from eotnet.diagnostics import AssumptionTrace, acee, gwd, nees, ospa_vertices
+from eotnet.diagnostics import AssumptionTrace, acee, gwd, ospa_vertices
 from eotnet.geometry import MIN_AXIS, extent_vertices, wrap_angle
 from eotnet.info_filter import _columns, _position_columns, to_moments
 from eotnet.linearization import innovations
 from eotnet.scenario import (
-    ScenarioRun,
+    ScenarioBatch,
     build_scenario_run,
-    generate_measurements,
     generate_truth,
     load_config,
     resolve_network,
@@ -57,6 +56,7 @@ from oracles import (
     innovations_by_pieces,
     lapack_inv,
     linearize,
+    nees,
     pairs,
     predicted,
     pseudo_noise_by_pieces,
@@ -249,13 +249,20 @@ def sensor_counts(data, net, steps):
 
 
 def truth_run(rng, counts, d):
-    """A ScenarioRun of counts[k, s] detections of the truth per (step, node)
-    and a random prior of kinematic dimension d."""
+    """A one-run ScenarioBatch of counts[k, s] detections of the truth per
+    (step, node) and a random prior of kinematic dimension d."""
     steps = len(counts)
     detections = np.concatenate([np.zeros((0, 2))] + [
         sample_measurements(*TRUTH, np.eye(2) / 4, np.eye(2), n, rng) for n in counts.ravel()])
-    return ScenarioRun(np.zeros((steps, d)), np.tile(TRUTH[1], (steps, 1)), detections, counts,
-                       *(a[0] for a in random_prior(rng, d)))
+    return ScenarioBatch(np.zeros((steps, d)), np.tile(TRUTH[1], (steps, 1)), detections,
+                         counts[None], *random_prior(rng, d))
+
+
+def stacked(runs):
+    """One batch of one-run batches that share their truth, in their order."""
+    return ScenarioBatch(runs[0].x_true, runs[0].p_true,
+                         *(np.concatenate([getattr(run, name) for run in runs])
+                           for name in ("detections", "counts", "x0", "cx0", "p0", "cp0")))
 
 
 @SETTINGS
@@ -272,13 +279,14 @@ def test_stacked_flat_runs_equal_their_solo_passes(draw, kind, runs, steps, data
         counts = (sensor_counts(data, net, steps) if data.draw(st.booleans())
                   else np.zeros((steps, net.size), dtype=int))
         scns.append(truth_run(rng, counts, len(params.fx)))
+    batch = stacked(scns)
     config = FilterConfig(kind=kind, consensus_iters=2)
-    stacked = run_filter(scns, net, params, config, pi)
-    assert (stacked.runs, stacked.steps) == (runs, steps)
-    for r, scn in enumerate(scns):
-        solo = run_filter([scn], net, params, config, pi)
+    record = run_filter(batch, net, params, config, pi)
+    assert (record.runs, record.steps) == (runs, steps)
+    for r in range(runs):
+        solo = run_filter(batch[r], net, params, config, pi)
         for field in ("x_mean", "x_cov", "p_mean", "p_cov"):
-            assert np.array_equal(getattr(stacked, field)[r], getattr(solo, field)[0]), field
+            assert np.array_equal(getattr(record, field)[r], getattr(solo, field)[0]), field
 
 
 def assert_matches_reference(record, scn, net, params, config, pi, rtol=1e-9):
@@ -301,7 +309,7 @@ def test_run_filter_matches_the_loop_level_reference_filter(draw, kind, steps, r
     params = random_params(rng, net.size)
     scn = truth_run(rng, sensor_counts(data, net, steps), len(params.fx))
     config = FilterConfig(kind=kind, consensus_iters=rounds)
-    assert_matches_reference(run_filter([scn], net, params, config, pi), scn, net, params,
+    assert_matches_reference(run_filter(scn, net, params, config, pi), scn, net, params,
                              config, pi)
 
 
@@ -350,7 +358,7 @@ def test_scaling_every_length_by_a_power_of_two_scales_the_record_exactly(draw, 
     # An extent prior at the truth, whose semi-axes of 6 m and 2 m stay far
     # enough above MIN_AXIS at 2^-8 scale.
     scn = replace(truth_run(rng, sensor_counts(data, net, steps), len(params.fx)),
-                  p0=TRUTH[1], cp0=np.diag([0.05, 0.2, 0.2]))
+                  p0=TRUTH[1][None], cp0=np.diag([0.05, 0.2, 0.2])[None])
     length, area = 2.0 ** k, 4.0 ** k
     axes = np.array([1.0, length, length])
     scaled_params = replace(params, cv=params.cv * area, cxw=params.cxw * area,
@@ -359,8 +367,8 @@ def test_scaling_every_length_by_a_power_of_two_scales_the_record_exactly(draw, 
                      cx0=scn.cx0 * area, p0=scn.p0 * axes, cp0=scn.cp0 * np.outer(axes, axes))
     config = FilterConfig(kind=kind, consensus_iters=2)
     spy = ScaleFreeSpy()
-    base = spy.run([scn], net, params, config, pi)
-    got = spy.run([scaled], net, scaled_params, config, pi)
+    base = spy.run(scn, net, params, config, pi)
+    got = spy.run(scaled, net, scaled_params, config, pi)
     assert spy.axis > MIN_AXIS and spy.lo > 1e-8 * 1e-12 / 3
     for field, factor in (("x_mean", length), ("x_cov", area), ("p_mean", axes),
                           ("p_cov", np.outer(axes, axes))):
@@ -381,7 +389,7 @@ def test_relabeling_the_nodes_permutes_the_record(draw, kind, steps, rounds, dat
     params = random_params(rng, net.size)
     # An extent prior at the truth, away from the orientation's branch cut.
     scn = replace(truth_run(rng, sensor_counts(data, net, steps), len(params.fx)),
-                  p0=TRUTH[1], cp0=np.diag([0.05, 0.2, 0.2]))
+                  p0=TRUTH[1][None], cp0=np.diag([0.05, 0.2, 0.2])[None])
     perm = np.array(data.draw(st.permutations(range(net.size))))
     relabeled_net = build_network(net.positions[perm], [net.kinds[j] for j in perm],
                                   net.comm_radius)
@@ -390,10 +398,10 @@ def test_relabeling_the_nodes_permutes_the_record(draw, kind, steps, rounds, dat
     relabeled_params = replace(params, cv=params.cv[perm])
     detections = [step[j] for step in scan_batches(scn) for j in perm]
     relabeled = replace(scn, detections=np.concatenate([np.zeros((0, 2)), *detections]),
-                        counts=scn.counts[:, perm])
+                        counts=scn.counts[:, :, perm])
     config = FilterConfig(kind=kind, consensus_iters=rounds)
-    base = run_filter([scn], net, params, config, pi)
-    got = run_filter([relabeled], relabeled_net, relabeled_params, config, relabeled_pi)
+    base = run_filter(scn, net, params, config, pi)
+    got = run_filter(relabeled, relabeled_net, relabeled_params, config, relabeled_pi)
     for field in ("x_mean", "x_cov", "p_mean", "p_cov"):
         want = getattr(base, field)[:, :, perm]
         axes = tuple(range(3, want.ndim))
@@ -415,14 +423,14 @@ def test_translating_every_position_translates_the_estimate(draw, kind, d, steps
     rng = np.random.default_rng(seed)
     params = replace(random_params(rng, net.size), fx=ncv_transition(d, 1.0), cxw=np.eye(d))
     # An extent prior at the truth, away from the orientation's branch cut.
-    scn = replace(truth_run(rng, sensor_counts(data, net, steps), d), p0=TRUTH[1],
-                  cp0=np.diag([0.05, 0.2, 0.2]))
+    scn = replace(truth_run(rng, sensor_counts(data, net, steps), d), p0=TRUTH[1][None],
+                  cp0=np.diag([0.05, 0.2, 0.2])[None])
     t = rng.uniform(-100.0, 100.0, 2)
     shift = np.concatenate([t, np.zeros(d - 2)])
     moved = replace(scn, detections=scn.detections + t, x_true=scn.x_true + shift,
                     x0=scn.x0 + shift)
     config = FilterConfig(kind=kind, consensus_iters=2)
-    base, got = (run_filter([s], net, params, config, pi) for s in (scn, moved))
+    base, got = (run_filter(s, net, params, config, pi) for s in (scn, moved))
     scale = np.abs(base.x_mean[..., :2]).max(axis=-1, keepdims=True) + np.abs(t).max()
     assert (np.abs(got.x_mean - shift - base.x_mean) <= 1e-12 * scale).all()
     for field in ("x_cov", "p_mean", "p_cov"):
@@ -449,9 +457,9 @@ def test_first_steps_of_the_presets_match_the_reference_filter(scenario, kind, r
     net = resolve_network(config)
     pi = metropolis_weights(net)
     params = params_from_scenario(config, net)
-    (scn,) = build_scenario_run(config, net, np.random.SeedSequence(0).spawn(1))
+    scn = build_scenario_run(config, net, np.random.SeedSequence(0).spawn(1))
     filter_config = FilterConfig(kind=FilterKind(kind), consensus_iters=rounds)
-    record = run_filter([scn], net, params, filter_config, pi)
+    record = run_filter(scn, net, params, filter_config, pi)
     assert_matches_reference(record, scn, net, params, filter_config, pi)
 
 
@@ -463,13 +471,13 @@ def test_flat_detections_slice_into_per_sensor_draws(draw, seeds, steps, rate):
     # fixed priors draw nothing, so the oracle starts at the first count
     config = load_config("s2", steps=steps, priors=fixed_priors("s2"),
                          measurements={"law": "poisson", "rate": rate})
-    truth = generate_truth(config)
-    for seed, run in zip(seeds, generate_measurements(truth, net, config, seeds)):
-        assert run.counts.shape == (steps, net.size)
-        # the relays' columns, which remain once the sensors' are deleted, count 0
-        assert not np.delete(run.counts, net.sensor_nodes, axis=1).any()
+    truth, batch = generate_truth(config), build_scenario_run(config, net, seeds)
+    assert batch.counts.shape == (len(seeds), steps, net.size)
+    # the relays' columns, which remain once the sensors' are deleted, count 0
+    assert not np.delete(batch.counts, net.sensor_nodes, axis=2).any()
+    for r, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
-        for x, p, per_node in zip(*truth, scan_batches(run)):
+        for x, p, per_node in zip(*truth, scan_batches(batch[r])):
             for s in net.sensor_nodes:
                 n = int(rng.poisson(rate))
                 assert np.array_equal(per_node[s],
@@ -504,14 +512,14 @@ def test_a_prior_out_of_range_stays_as_given(kind):
     net = build_network(rng.uniform(0.0, 30.0, (3, 2)), [NodeKind.SENSOR] * 3, 100.0)
     pi, params = metropolis_weights(net), random_params(rng, 3)
     counts = np.array([[0, 0, 0], [2, 1, 3], [1, 0, 2]])
-    scn = replace(truth_run(rng, counts, len(params.fx)), p0=np.array([3.5, 6.0, 1e-4]))
+    scn = replace(truth_run(rng, counts, len(params.fx)), p0=np.array([[3.5, 6.0, 1e-4]]))
     config = FilterConfig(kind=kind, consensus_iters=2)
-    record = run_filter([scn], net, params, config, pi)
+    record = run_filter(scn, net, params, config, pi)
     nodes = record.nodes
     assert np.array_equal(record.p_mean[0, 0], np.tile(scn.p0, (nodes, 1)))
     assert np.array_equal(record.p_cov[0, 0], np.tile(scn.cp0, (nodes, 1, 1)))
     assert_matches_reference(record, scn, net, params, config, pi)
-    other = run_filter([replace(scn, p0=scn.p0 - [2.0 * np.pi, 0.0, 0.0])], net, params,
+    other = run_filter(replace(scn, p0=scn.p0 - [2.0 * np.pi, 0.0, 0.0]), net, params,
                        config, pi)
     assert_same_record(other, record)
     assert np.abs(other.p_mean[..., 0] - record.p_mean[..., 0] + 2.0 * np.pi).max() <= 1e-10
@@ -532,14 +540,14 @@ def test_a_prior_on_another_branch_gives_the_same_record(draw, kind, steps, up, 
     scn = truth_run(rng, sensor_counts(data, net, steps), len(params.fx))
     turn = 2.0 * np.pi if up else -2.0 * np.pi
     config = FilterConfig(kind=kind, consensus_iters=2)
-    base = run_filter([scn], net, params, config, pi)
-    got = run_filter([replace(scn, p0=scn.p0 + [turn, 0.0, 0.0])], net, params, config, pi)
+    base = run_filter(scn, net, params, config, pi)
+    got = run_filter(replace(scn, p0=scn.p0 + [turn, 0.0, 0.0]), net, params, config, pi)
     assert_same_record(got, base)
     assert np.abs(got.p_mean[..., 0] - base.p_mean[..., 0] - turn).max() <= 1e-10
 
 
 def rotated(scn, params, theta):
-    """A ScenarioRun and models turned by theta about the origin: positions,
+    """A ScenarioBatch and models turned by theta about the origin: positions,
     velocities, detections, the sensor noises cv and the covariances cxw and
     cx0 turn with the scene, and theta is added to every orientation.  Ch,
     the extent covariances and the NCV transition stay as they are."""
@@ -547,20 +555,19 @@ def rotated(scn, params, theta):
     turn = np.kron(np.eye(len(params.fx) // 2), rot)  # [R 0; 0 R] on (position, velocity)
     alpha = np.array([theta, 0.0, 0.0])
     scene = replace(scn, x_true=scn.x_true @ turn.T, p_true=scn.p_true + alpha,
-                    detections=scn.detections @ rot.T, x0=turn @ scn.x0,
+                    detections=scn.detections @ rot.T, x0=scn.x0 @ turn.T,
                     cx0=turn @ scn.cx0 @ turn.T, p0=scn.p0 + alpha)
     models = replace(params, cv=rot @ params.cv @ rot.T, cxw=turn @ params.cxw @ turn.T)
     return scene, models, turn
 
 
-def assert_rotates(runs, net, params, config, pi, theta, rtol, alpha_tol):
-    """The record of turned runs is the record of the runs turned: x_mean and
-    x_cov turn, p_cov and the semi-axes stay, and the orientation grows by
-    theta, not wrapped, as the filter never wraps it."""
-    base = run_filter(runs, net, params, config, pi)
-    turned = [rotated(scn, params, theta) for scn in runs]
-    got = run_filter([scn for scn, _, _ in turned], net, turned[0][1], config, pi)
-    turn = turned[0][2]
+def assert_rotates(batch, net, params, config, pi, theta, rtol, alpha_tol):
+    """The record of a turned batch is the record of the batch turned: x_mean
+    and x_cov turn, p_cov and the semi-axes stay, and the orientation grows
+    by theta, not wrapped, as the filter never wraps it."""
+    base = run_filter(batch, net, params, config, pi)
+    scene, models, turn = rotated(batch, params, theta)
+    got = run_filter(scene, net, models, config, pi)
     want = replace(base, x_mean=base.x_mean @ turn.T, x_cov=turn @ base.x_cov @ turn.T)
     assert_same_record(got, want, rtol=rtol, alpha_tol=alpha_tol, turn=theta)
     alpha = got.p_mean[..., 0] - base.p_mean[..., 0] - theta
@@ -580,10 +587,10 @@ def test_rotating_a_preset_scene_rotates_the_record(scenario, kind):
     config = load_config(scenario, steps=25)
     net = resolve_network(config)
     pi, params = metropolis_weights(net), params_from_scenario(config, net)
-    runs = build_scenario_run(config, net, np.random.SeedSequence(0).spawn(1))
+    batch = build_scenario_run(config, net, np.random.SeedSequence(0).spawn(1))
     filter_config = FilterConfig(kind=kind, consensus_iters=6)
     for theta in (-2.0, 0.7, np.pi / 2):
-        assert_rotates(runs, net, params, filter_config, pi, theta, 1e-12, 1e-10)
+        assert_rotates(batch, net, params, filter_config, pi, theta, 1e-12, 1e-10)
 
 
 @SETTINGS
@@ -596,7 +603,7 @@ def test_rotating_a_random_scene_rotates_the_record(draw, kind, steps, theta, da
     params = random_params(rng, net.size)
     scn = truth_run(rng, sensor_counts(data, net, steps), len(params.fx))
     config = FilterConfig(kind=kind, consensus_iters=2)
-    assert_rotates([scn], net, params, config, pi, theta, 1e-12, 1e-10)
+    assert_rotates(scn, net, params, config, pi, theta, 1e-12, 1e-10)
 
 
 @SETTINGS
@@ -613,7 +620,7 @@ def test_the_batch_plan_is_every_scan_planned_alone(runs, steps, sensors, centra
     nodes = 1 if central else sensors
     # Detections labelled by their place in (run, step, sensor, index) order.
     y = np.stack([np.arange(counts.sum()), -np.arange(counts.sum())], axis=1).astype(float)
-    batch = trackers._scan_plan(list(counts), y, nodes)
+    batch = trackers._scan_plan(counts, y, nodes)
     assert len(batch) == steps
     starts = np.cumsum(counts.sum(axis=2)).reshape(runs, steps) - counts.sum(axis=2)
     for k, (scan, want) in enumerate(zip(batch, scan_plan_by_loops(counts, nodes))):

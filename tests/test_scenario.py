@@ -1,4 +1,5 @@
 import pickle
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -9,8 +10,8 @@ from eotnet.consensus import check_primitive, metropolis_weights
 from eotnet.scenario import (
     CONFIG_KEYS,
     PRESETS,
+    ScenarioBatch,
     build_scenario_run,
-    generate_measurements,
     generate_truth,
     load_config,
     benchmark_network,
@@ -116,10 +117,10 @@ def test_waypoint_truth_extends_past_last_waypoint():
     assert x_true[-1, 1] > x_true[-2, 1]
 
 
-def test_generate_measurements_counts_and_empty_relays():
+def test_synthesis_counts_and_empty_relays():
     config = load_config("s1")
     net = benchmark_network()
-    (run,) = build_scenario_run(config, net, [123])
+    run = build_scenario_run(config, net, [123])
     assert len(scan_batches(run)) == 1
     per_node = scan_batches(run)[0]
     for s in range(net.size):
@@ -132,12 +133,8 @@ def test_generate_measurements_counts_and_empty_relays():
 def test_poisson_counts_mean():
     config = load_config("s2", steps=1)
     net = benchmark_network()
-    counts = []
-    truth = generate_truth(config)
-    rng_seed = np.random.SeedSequence(42)
-    for run in generate_measurements(truth, net, config, rng_seed.spawn(1700)):
-        counts.extend(len(scan_batches(run)[0][s]) for s in net.sensor_nodes)
-    counts = np.array(counts, dtype=float)
+    batch = build_scenario_run(config, net, np.random.SeedSequence(42).spawn(1700))
+    counts = batch.counts[..., net.sensor_nodes].astype(float)
     assert counts.size >= 10_000
     tol = 3.0 * np.sqrt(5.0 / counts.size)
     assert abs(counts.mean() - 5.0) < tol
@@ -146,14 +143,14 @@ def test_poisson_counts_mean():
 def test_same_seed_bit_identical():
     config = load_config("s2", steps=3)
     net = benchmark_network()
-    (a,) = build_scenario_run(config, net, [99])
-    (b,) = build_scenario_run(config, net, [99])
+    a = build_scenario_run(config, net, [99])
+    b = build_scenario_run(config, net, [99])
     assert np.array_equal(a.x0, b.x0)
     assert np.array_equal(a.p0, b.p0)
     for step_a, step_b in zip(scan_batches(a), scan_batches(b)):
         for node_a, node_b in zip(step_a, step_b):
             assert np.array_equal(node_a, node_b)
-    (c,) = build_scenario_run(config, net, [100])
+    c = build_scenario_run(config, net, [100])
     assert not np.array_equal(a.x0, c.x0)
 
 
@@ -163,7 +160,7 @@ def test_measurement_covariance_at_true_pose():
 
     config = load_config("s1", measurements={"law": "fixed", "count": 60_000})
     net = benchmark_network()
-    (run,) = build_scenario_run(config, net, [5])
+    run = build_scenario_run(config, net, [5])
     node = net.sensor_nodes[0]
     ys = scan_batches(run)[0][node]
     s_mat = shape_matrix(run.p_true[0])
@@ -174,15 +171,15 @@ def test_measurement_covariance_at_true_pose():
 def test_fixed_prior_mode_uses_configured_means():
     config = load_config("s1")
     net = benchmark_network()
-    (run,) = build_scenario_run(config, net, [1])
-    assert np.array_equal(run.x0, [1.0, 1.0])
-    assert np.array_equal(run.p0, [0.0, 2.0, 12.0])
+    run = build_scenario_run(config, net, [1])
+    assert np.array_equal(run.x0, [[1.0, 1.0]])
+    assert np.array_equal(run.p0, [[0.0, 2.0, 12.0]])
 
 
 def test_sampled_priors_center_on_truth():
     config = load_config("s2", steps=1)
     net = benchmark_network()
-    draws = np.array([run.x0 for run in build_scenario_run(config, net, range(300))])
+    draws = build_scenario_run(config, net, range(300)).x0
     truth0 = generate_truth(config)[0][0]
     spread = np.sqrt(np.diag(config.cx0))
     assert np.all(np.abs(draws.mean(0) - truth0) < 4 * spread / np.sqrt(300))
@@ -424,12 +421,12 @@ def fixed_priors(preset):
 
 
 @pytest.mark.parametrize("preset", ["s1", "s2"])
-def test_generate_measurements_draws_like_sample_measurements(preset):
+def test_synthesis_draws_like_sample_measurements(preset):
     # fixed priors draw nothing, so both generators start at the first count
     config = load_config(preset, steps=3, priors=fixed_priors(preset))
     net = benchmark_network()
     truth = generate_truth(config)
-    (run,) = generate_measurements(truth, net, config, [2024])
+    run = build_scenario_run(config, net, [2024])
     rng = np.random.default_rng(2024)
     for x, p, per_node in zip(*truth, scan_batches(run)):
         for s in range(net.size):
@@ -455,12 +452,11 @@ def test_a_sensors_single_detection_keeps_the_bits_of_its_own_draw():
                          noise={"multiplicative_cov": ch.tolist(),
                                 "measurement_cov": cv.tolist()})
     net = benchmark_network()
-    truth = generate_truth(config)
-    seeds = list(range(10))
+    truth, batch = generate_truth(config), build_scenario_run(config, net, range(10))
     singles = 0
-    for seed, run in zip(seeds, generate_measurements(truth, net, config, seeds)):
+    for seed in range(10):
         rng = np.random.default_rng(seed)
-        for x, p, per_node, counts in zip(*truth, scan_batches(run), run.counts):
+        for x, p, per_node, counts in zip(*truth, scan_batches(batch[seed]), batch.counts[seed]):
             singles += np.count_nonzero(counts == 1) * (counts.sum() > 1)
             for s in net.sensor_nodes:
                 n = int(rng.poisson(config.meas_rate))
@@ -468,8 +464,8 @@ def test_a_sensors_single_detection_keeps_the_bits_of_its_own_draw():
     assert singles > 100
 
 
-def test_generate_measurements_rejects_bad_covariance():
-    # A bad noise covariance never reaches generate_measurements: replace
+def test_a_bad_noise_covariance_never_reaches_synthesis():
+    # A bad noise covariance never reaches build_scenario_run: replace
     # rejects it by its config path, as load_config does.
     config = load_config("s1", steps=1)
     for bad, verdict in ((np.array([[1, 2], [2, 1]]) * -1.0, "is not positive semidefinite"),
@@ -564,3 +560,120 @@ def test_load_config_falls_back_to_the_python_loader(monkeypatch):
     loaded = [pickle.dumps(load_config(name)) for name in PRESETS]
     monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
     assert [pickle.dumps(load_config(name)) for name in PRESETS] == loaded
+
+
+def test_waypoints_too_far_apart_for_a_finite_course_are_refused_by_name():
+    # The segment norm squares the coordinates, so waypoints 1e200 apart
+    # overflow it; such a course was once accepted as an object fixed at the
+    # origin.  It is refused, with no warning, through load_config and replace.
+    far = [[0.0, 0.0], [1e200, 0.0]]
+    message = (r"^consecutive trajectory.waypoints must be a finite distance apart, got "
+               r"\[0.0, 0.0\] at 0 and 1$")
+    with pytest.raises(ValueError, match=message):
+        load_config("s2", trajectory={"kind": "waypoints", "waypoints": far, "speed_kmh": 50.0})
+    config = load_config("s2")
+    with pytest.raises(ValueError, match=message):
+        replace(config, trajectory=replace(config.trajectory, waypoints=far))
+
+
+BATCH_FIELDS = ("x_true", "p_true", "detections", "counts", "x0", "cx0", "p0", "cp0")
+
+
+def three_s2_runs():
+    """Three 3-step realizations of s2 as one batch."""
+    return build_scenario_run(load_config("s2", steps=3), benchmark_network(),
+                              np.random.SeedSequence(5).spawn(3))
+
+
+def test_a_batch_indexed_by_run_is_that_runs_own_batch():
+    config, net = load_config("s2", steps=3), benchmark_network()
+    seeds = np.random.SeedSequence(5).spawn(3)
+    batch = build_scenario_run(config, net, seeds)
+    assert len(batch.counts) == 3 and batch[-1].counts.shape == (1, 3, 20)
+    for r, seed in enumerate(seeds):
+        alone = build_scenario_run(config, net, [seed])
+        for name in BATCH_FIELDS:
+            assert np.array_equal(getattr(batch[r], name), getattr(alone, name)), (r, name)
+    with pytest.raises(IndexError):
+        batch[3]
+    with pytest.raises(TypeError):
+        batch[0:2]
+
+
+def test_a_batch_owns_read_only_arrays():
+    batch = three_s2_runs()
+    for name in BATCH_FIELDS:
+        assert not getattr(batch, name).flags.writeable, name
+    with pytest.raises(ValueError, match="read-only"):
+        batch.detections[0, 0] = 1e3
+    # Building a batch, or replacing its entries, neither freezes nor keeps
+    # the caller's arrays, so editing them afterwards reaches no batch.
+    arrays = {name: np.array(getattr(batch, name)) for name in BATCH_FIELDS}
+    built, replaced = ScenarioBatch(**arrays), replace(batch, **arrays)
+    for name, value in arrays.items():
+        assert value.flags.writeable, name
+        for copy in (built, replaced, built[1]):
+            assert not np.shares_memory(getattr(copy, name), value), name
+    first = float(batch.detections[0, 0])
+    arrays["detections"][0, 0] = 1e3
+    assert built.detections[0, 0] == replaced.detections[0, 0] == first
+
+
+def test_a_malformed_batch_fails_at_the_constructor_and_at_replace():
+    batch = three_s2_runs()
+    total = batch.counts.sum()
+    empty = {name: getattr(batch, name)[:0] for name in ("counts", "x0", "cx0", "p0", "cp0")}
+    for edit, message in [
+        ({"detections": batch.detections[:-1]},
+         rf"^detections must match its count table, {total} of them, got shape "
+         rf"\({total - 1}, 2\)$"),
+        (empty, r"^a scenario batch needs at least one run, its counts an \(R, steps, nodes\) "
+                r"table, got shape \(0, 3, 20\)$"),
+        ({"counts": batch.counts.astype(float)},
+         r"^count of run 0, step 0, sensor 0 must be a non-negative integer, got \d+\.0 "
+         r"\(float64\)$"),
+        ({"p0": batch.p0[:, :2]}, r"^extent priors p0 \(2,\) and cp0 \(3, 3\) must have "
+                                  r"shapes \(3,\) and \(3, 3\)$"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            ScenarioBatch(**{**{name: getattr(batch, name) for name in BATCH_FIELDS}, **edit})
+        with pytest.raises(ValueError, match=message):
+            replace(batch, **edit)
+
+
+@pytest.mark.parametrize("prior", ["x0", "cx0", "p0", "cp0"])
+def test_a_batch_needs_one_prior_per_run(prior):
+    # The priors are stacked on the batch's run axis, so none can differ in
+    # shape between runs; one for too few runs is named with the others.
+    batch = three_s2_runs()
+    shapes = {name: getattr(batch, name).shape for name in ("x0", "cx0", "p0", "cp0")}
+    shapes[prior] = (2, *shapes[prior][1:])
+    message = ("priors x0 {x0}, cx0 {cx0}, p0 {p0} and cp0 {cp0} need one entry per run of "
+               "the 3".format(**shapes))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        replace(batch, **{prior: getattr(batch, prior)[:2]})
+
+
+def test_a_batch_names_a_negative_count():
+    batch = three_s2_runs()
+    # Move two detections between sensors of run 1's step 1, leaving the total as it is.
+    counts = batch.counts.copy()
+    sensor = int(np.argmin(counts[1, 1]))
+    counts[1, 1, sensor] -= 1 + counts[1, 1, sensor]
+    counts[1, 1, sensor - 1] += 1 + batch.counts[1, 1, sensor]
+    assert counts.sum() == batch.counts.sum()
+    with pytest.raises(ValueError, match=rf"^count of run 1, step 1, sensor {sensor} must be a "
+                                         r"non-negative integer, got -1 \(int"):
+        replace(batch, counts=counts)
+
+
+def test_nonfinite_detection_is_named_before_filtering():
+    batch = three_s2_runs()
+    sensor = next(j for j, n in enumerate(batch.counts[1, 2]) if n)
+    detections = batch.detections.copy()
+    # the last detection of that sensor at run 1's step 2
+    detections[batch.counts[0].sum() + batch.counts[1, :2].sum()
+               + batch.counts[1, 2, :sensor + 1].sum() - 1, 1] = np.nan
+    with pytest.raises(ValueError, match=rf"^detections of run 1, step 2, sensor {sensor} must "
+                                         "be finite$"):
+        replace(batch, detections=detections)

@@ -356,47 +356,33 @@ def test_ceot_scan_needs_a_sensor_noise_per_count_column():
     # Under CEOT every column is a sensor, and each needs its own noise.
     from eotnet.trackers import run_filter
 
-    net, params, scns = three_s2_runs()
+    net, params, batch = three_s2_runs()
     with pytest.raises(ValueError, match=r"^batch counts of 20 sensors need as many sensor "
                                          r"noises, got 19"):
-        run_filter(scns, net, replace(params, cv=params.cv[:19]), CEOT)
+        run_filter(batch, net, replace(params, cv=params.cv[:19]), CEOT)
 
 
 # The kinematic cases keep their ids, d alone.
 @pytest.mark.parametrize("prior, d", [pytest.param("x0", d, id=str(d)) for d in (1, 3, 6)]
                          + [("p0", 2), ("p0", 4), ("cp0", 2), ("cp0", 4)])
 def test_run_filter_needs_priors_that_fit_the_transition(prior, d):
-    # On s2 every run's kinematic prior must fit fx (4, 4), and its extent
-    # prior must be [alpha, l1, l2] with a 3x3 covariance; numpy's matmul
+    # On s2 every run's kinematic prior must fit fx (4, 4), which run_filter
+    # checks, and its extent prior must be [alpha, l1, l2] with a 3x3
+    # covariance, which the batch checks when it is built; numpy's matmul
     # would otherwise fail on a core dimension.
     from eotnet.trackers import run_filter
 
-    net, params, scns = three_s2_runs()
+    net, params, batch = three_s2_runs()
     fields, message = {
-        "x0": ({"x0": np.ones(d), "cx0": np.eye(d)},
+        "x0": ({"x0": np.ones((3, d)), "cx0": np.tile(np.eye(d), (3, 1, 1))},
                f"priors x0 ({d},) and cx0 ({d}, {d}) do not fit the transition fx (4, 4)"),
-        "p0": ({"p0": np.ones(d)},
+        "p0": ({"p0": np.ones((3, d))},
                f"extent priors p0 ({d},) and cp0 (3, 3) must have shapes (3,) and (3, 3)"),
-        "cp0": ({"cp0": np.eye(d)},
+        "cp0": ({"cp0": np.tile(np.eye(d), (3, 1, 1))},
                 f"extent priors p0 (3,) and cp0 ({d}, {d}) must have shapes (3,) and (3, 3)"),
     }[prior]
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        run_filter([replace(scn, **fields) for scn in scns], net, params, CEOT)
-
-
-@pytest.mark.parametrize("prior, value", [("x0", np.ones(2)), ("cx0", np.eye(2)),
-                                          ("p0", np.ones(2)), ("cp0", np.eye(4))])
-def test_run_filter_names_the_first_run_whose_prior_differs_in_shape(prior, value):
-    # Run 2's prior differs from runs 0 and 1's: it is named before np.stack
-    # fails on it.
-    from eotnet.trackers import run_filter
-
-    net, params, scns = three_s2_runs()
-    scns[2] = replace(scns[2], **{prior: value})
-    message = (f"prior {prior} of run 2 has shape {value.shape}, unlike run 0's "
-               f"{np.shape(getattr(scns[0], prior))}")
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        run_filter(scns, net, params, CEOT)
+        run_filter(replace(batch, **fields), net, params, CEOT)
 
 
 def random_velocity_rows(rng, runs, nodes):
@@ -695,17 +681,17 @@ def test_cm_gwd_improves_with_more_rounds():
     pi = metropolis_weights(net)
     params = params_from_scenario(config, net)
     children = np.random.SeedSequence(11).spawn(5)
-    scns = build_scenario_run(config, net, children)
+    batch = build_scenario_run(config, net, children)
     means = []
     for rounds in range(1, 7):
         vals = []
-        rec = run_filter(scns, net, params,
+        rec = run_filter(batch, net, params,
                          FilterConfig(kind=FilterKind.CM, consensus_iters=rounds), pi)
-        for r, scn in enumerate(scns):
+        for r in range(rec.runs):
             for k in range(rec.steps):
                 vals.extend(
                     gwd(rec.x_mean[r, k, s][:2], clamp_extent(rec.p_mean[r, k, s]),
-                        scn.x_true[k, :2], scn.p_true[k])
+                        batch.x_true[k, :2], batch.p_true[k])
                     for s in range(rec.nodes)
                 )
         means.append(float(np.mean(vals)))
@@ -722,8 +708,8 @@ def test_kinematic_covariance_stays_bounded_on_long_run():
     net = benchmark_network()
     pi = metropolis_weights(net)
     params = params_from_scenario(config, net)
-    scns = build_scenario_run(config, net, [42])
-    rec = run_filter(scns, net, params, FilterConfig(kind=FilterKind.CEOT), pi)
+    batch = build_scenario_run(config, net, [42])
+    rec = run_filter(batch, net, params, FilterConfig(kind=FilterKind.CEOT), pi)
     traces = np.trace(rec.x_cov[0], axis1=2, axis2=3)
     assert np.isfinite(traces).all()
     # steady state: the last three quarters stay within a small band
@@ -742,71 +728,28 @@ def test_stacked_runs_equal_one_run_calls(kind):
     net = benchmark_network()
     pi = metropolis_weights(net)
     params = params_from_scenario(config, net)
-    scns = build_scenario_run(config, net, np.random.SeedSequence(21).spawn(4))
+    batch = build_scenario_run(config, net, np.random.SeedSequence(21).spawn(4))
     # Poisson counts: the realizations' scans end at different indices
-    ends = [[scn.counts[k].max() for scn in scns] for k in range(4)]
+    ends = batch.counts.max(axis=2).T
     assert all(len(set(step)) > 1 for step in ends)
     fc = FilterConfig(kind=kind, consensus_iters=2)
-    stacked = run_filter(scns, net, params, fc, pi)
-    assert stacked.runs == len(scns)
-    for r, scn in enumerate(scns):
-        want = run_filter([scn], net, params, fc, pi)
+    stacked = run_filter(batch, net, params, fc, pi)
+    assert stacked.runs == len(batch.counts)
+    for r in range(len(batch.counts)):
+        want = run_filter(batch[r], net, params, fc, pi)
         for field in ("x_mean", "x_cov", "p_mean", "p_cov"):
             assert np.array_equal(getattr(stacked, field)[r], getattr(want, field)[0]), field
 
 
-def test_run_filter_rejects_runs_of_different_lengths():
-    from dataclasses import replace
-
-    from eotnet.scenario import build_scenario_run, load_config, benchmark_network
-    from eotnet.trackers import params_from_scenario, run_filter
-
-    config = load_config("s2", steps=2)
-    net = benchmark_network()
-    params = params_from_scenario(config, net)
-    scns = [*build_scenario_run(config, net, [1]),
-            *build_scenario_run(load_config("s2", steps=3), net, [2])]
-    with pytest.raises(ValueError, match="same number of steps"):
-        run_filter(scns, net, params, CEOT)
-    with pytest.raises(ValueError, match="at least one"):
-        run_filter([], net, params, CEOT)
-    # A count table must account for every detection of its run.
-    short = replace(scns[0], detections=scns[0].detections[:-1])
-    with pytest.raises(ValueError, match="detections must match its count table"):
-        run_filter([scns[0], short], net, params, CEOT)
-
-
-@pytest.mark.parametrize("kind", [FilterKind.CEOT, FilterKind.CI, FilterKind.CM])
-def test_nonfinite_detection_is_named_before_filtering(kind):
-    from dataclasses import replace
-
-    from eotnet.consensus import metropolis_weights
-    from eotnet.scenario import build_scenario_run, load_config, benchmark_network
-    from eotnet.trackers import params_from_scenario, run_filter
-
-    config = load_config("s2", steps=3)
-    net = benchmark_network()
-    params = params_from_scenario(config, net)
-    scns = build_scenario_run(config, net, np.random.SeedSequence(5).spawn(3))
-    sensor = next(j for j, n in enumerate(scns[1].counts[2]) if n)
-    detections = scns[1].detections.copy()
-    # the last detection of that sensor at step 2
-    detections[scns[1].counts[:2].sum() + scns[1].counts[2, :sensor + 1].sum() - 1, 1] = np.nan
-    scns[1] = replace(scns[1], detections=detections)
-    with pytest.raises(ValueError, match=rf"run 1, step 2, sensor {sensor} must be finite"):
-        run_filter(scns, net, params, FilterConfig(kind=kind, consensus_iters=2),
-                   metropolis_weights(net))
-
-
 def three_s2_runs():
-    """The network, tracker models and three 3-step realizations of s2."""
+    """The network, tracker models and three 3-step realizations of s2 as one batch."""
     from eotnet.scenario import build_scenario_run, load_config, benchmark_network
     from eotnet.trackers import params_from_scenario
 
     config = load_config("s2", steps=3)
     net = benchmark_network()
-    scns = build_scenario_run(config, net, np.random.SeedSequence(5).spawn(3))
-    return net, params_from_scenario(config, net), scns
+    batch = build_scenario_run(config, net, np.random.SeedSequence(5).spawn(3))
+    return net, params_from_scenario(config, net), batch
 
 
 @pytest.mark.parametrize("kind", [FilterKind.CEOT, FilterKind.CM])
@@ -814,25 +757,27 @@ def three_s2_runs():
 def test_a_singular_prior_is_named_by_its_run_and_node(kind, prior):
     from eotnet.trackers import run_filter
 
-    net, params, scns = three_s2_runs()
-    indefinite = np.eye(len(getattr(scns[1], prior)))
-    indefinite[1, 1] = -1.0
-    scns[1] = replace(scns[1], **{prior: indefinite})
+    net, params, batch = three_s2_runs()
+    cov = getattr(batch, prior).copy()
+    cov[1, 1, 1] = -1.0
     with pytest.raises(np.linalg.LinAlgError,
                        match=r"^covariance \(run 1, node 0\) is singular or not positive"):
-        run_filter(scns, net, params, FilterConfig(kind=kind), metropolis_weights(net))
+        run_filter(replace(batch, **{prior: cov}), net, params, FilterConfig(kind=kind),
+                   metropolis_weights(net))
 
 
 def test_integer_priors_filter_as_their_float_values():
-    # The scan starts from the prior's moments as given; integer ones must
-    # not truncate the float moments each write gives.
+    # The scan starts from the prior's moments as the batch holds them; a
+    # batch takes integer priors as floats, so they cannot truncate the float
+    # moments each write gives.
     from eotnet.trackers import run_filter
 
-    net, params, scns = three_s2_runs()
+    net, params, batch = three_s2_runs()
     pi = metropolis_weights(net)
-    floats = [replace(scn, p0=np.array([0.0, 6.0, 2.0]), cp0=np.diag([1.0, 4.0, 4.0]))
-              for scn in scns]
-    ints = [replace(scn, p0=np.array([0, 6, 2]), cp0=np.diag([1, 4, 4])) for scn in scns]
+    floats = replace(batch, p0=np.tile([0.0, 6.0, 2.0], (3, 1)),
+                     cp0=np.tile(np.diag([1.0, 4.0, 4.0]), (3, 1, 1)))
+    ints = replace(batch, p0=np.tile([0, 6, 2], (3, 1)),
+                   cp0=np.tile(np.diag([1, 4, 4]), (3, 1, 1)))
     for kind in FilterKind:
         config = FilterConfig(kind=kind, consensus_iters=2)
         want = run_filter(floats, net, params, config, pi)
@@ -841,46 +786,18 @@ def test_integer_priors_filter_as_their_float_values():
             assert np.array_equal(getattr(got, field), getattr(want, field)), (kind, field)
 
 
-def test_run_filter_rejects_a_negative_count():
-    from eotnet.trackers import run_filter
-
-    net, params, scns = three_s2_runs()
-    # Move two detections between sensors of step 1, leaving the total as it is.
-    counts = scns[1].counts.copy()
-    sensor = int(np.argmin(counts[1]))
-    counts[1, sensor] -= 1 + counts[1, sensor]
-    counts[1, sensor - 1] += 1 + scns[1].counts[1, sensor]
-    assert counts.sum() == scns[1].counts.sum()
-    scns[1] = replace(scns[1], counts=counts)
-    with pytest.raises(ValueError, match=rf"^count of run 1, step 1, sensor {sensor} must be a "
-                                         r"non-negative integer, got -1 \(int"):
-        run_filter(scns, net, params, CEOT)
-
-
-def test_run_filter_rejects_a_float_count_table():
-    from eotnet.trackers import run_filter
-
-    net, params, scns = three_s2_runs()
-    scns[2] = replace(scns[2], counts=scns[2].counts.astype(float))
-    with pytest.raises(ValueError, match=r"^count of run 2, step 0, sensor 0 must be a "
-                                         r"non-negative integer, got \d+\.0 \(float64\)"):
-        run_filter(scns, net, params, CEOT)
-
-
 @pytest.mark.parametrize("columns", [19, 21])
 def test_run_filter_needs_one_count_column_per_node(columns):
     from eotnet.trackers import run_filter
 
-    net, params, scns = three_s2_runs()
-    for r, scn in enumerate(scns):
-        counts = np.zeros((scn.counts.shape[0], columns), dtype=scn.counts.dtype)
-        # The last node's detections go to the last column either way.
-        counts[:, :19] = scn.counts[:, :19]
-        counts[:, -1] += scn.counts[:, 19]
-        scns[r] = replace(scn, counts=counts)
+    net, params, batch = three_s2_runs()
+    counts = np.zeros((*batch.counts.shape[:2], columns), dtype=batch.counts.dtype)
+    # The last node's detections go to the last column either way.
+    counts[..., :19] = batch.counts[..., :19]
+    counts[..., -1] += batch.counts[..., 19]
     with pytest.raises(ValueError, match=r"count tables need one column per node of the "
                                          rf"20-node network, got shape \(3, {columns}\)"):
-        run_filter(scns, net, params, CEOT)
+        run_filter(replace(batch, counts=counts), net, params, CEOT)
 
 
 @pytest.mark.parametrize("kind", [FilterKind.CI, FilterKind.CM])
@@ -892,7 +809,7 @@ def test_run_filter_checks_the_consensus_matrix_against_its_network(kind):
     config = load_config("s2", steps=2)
     net = benchmark_network()
     params = params_from_scenario(config, net)
-    scns = build_scenario_run(config, net, [1])
+    batch = build_scenario_run(config, net, [1])
     filter_config = FilterConfig(kind=kind, consensus_iters=2)
     # Uniform weights put messages on all 380 ordered pairs, 90 of them edges.
     uniform = ConsensusMatrix(np.full((20, 20), 1 / 20))
@@ -900,13 +817,13 @@ def test_run_filter_checks_the_consensus_matrix_against_its_network(kind):
                 if s != j and not net.adjacency[s, j])
     with pytest.raises(ValueError, match=rf"pi\[{s}, {j}\] is nonzero, but nodes {s} and {j} "
                                          "share no network edge"):
-        run_filter(scns, net, params, filter_config, uniform)
+        run_filter(batch, net, params, filter_config, uniform)
     small = metropolis_weights(build_network(np.stack([np.arange(3), np.zeros(3)], axis=1),
                                              [NodeKind.SENSOR] * 3, 100.0))
     with pytest.raises(ValueError, match="3-node consensus matrix does not fit a 20-node network"):
-        run_filter(scns, net, params, filter_config, small)
+        run_filter(batch, net, params, filter_config, small)
     with pytest.raises(ValueError, match="^distributed filters need a consensus matrix$"):
-        run_filter(scns, net, params, filter_config)
+        run_filter(batch, net, params, filter_config)
     # The network's own weights pass, and the centralized filter takes no matrix.
-    assert run_filter(scns, net, params, filter_config, metropolis_weights(net)).runs == 1
-    assert run_filter(scns, net, params, CEOT, uniform).runs == 1
+    assert run_filter(batch, net, params, filter_config, metropolis_weights(net)).runs == 1
+    assert run_filter(batch, net, params, CEOT, uniform).runs == 1
